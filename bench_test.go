@@ -187,6 +187,11 @@ func BenchmarkEngineCacheHit(b *testing.B) { benchkit.EngineCacheHit(b) }
 // format. Tracked by the benchkit baseline.
 func BenchmarkStoreOpen(b *testing.B) { benchkit.StoreOpen(b) }
 
+// BenchmarkStoreReplay reopens the same 4096 points left uncompacted, so
+// Open replays every record of the append log. Tracked by the benchkit
+// baseline.
+func BenchmarkStoreReplay(b *testing.B) { benchkit.StoreReplay(b) }
+
 // BenchmarkStoreAppend commits a 512-point batch to a fresh disk store
 // and closes it. Tracked by the benchkit baseline.
 func BenchmarkStoreAppend(b *testing.B) { benchkit.StoreAppend(b) }

@@ -33,12 +33,14 @@
 // nvmserve daemon — sharing the directory re-serves those points as
 // cache hits, so a repeated sweep costs only its cold points.
 // -store-stats inspects such a directory read-only (segment formats,
-// points, index size, estimated open cost) and -store-compact migrates
-// its JSON-lines appends into one indexed binary columnar (v2) segment
-// that later runs open in near-constant time. -store-verify scrubs the
-// directory after a crash or suspected corruption: checksums are
-// walked, corrupt segments quarantined with their decodable records
-// salvaged, and torn final records (interrupted appends) tolerated.
+// points, index size, estimated open cost) and -store-compact folds its
+// append log into one indexed binary columnar (v2) segment that later
+// runs open in near-constant time, first importing any JSON-lines
+// segments an older release left (the store does not open until then).
+// -store-verify scrubs the directory after a crash or suspected
+// corruption: checksums are walked, corrupt segments quarantined with
+// their decodable records salvaged, and torn final records (interrupted
+// appends) tolerated.
 //
 // The -bench-* flags drive the performance baseline (internal/benchkit):
 // -bench-json measures the tracked hot-path benchmarks and writes a
@@ -84,7 +86,7 @@ func main() {
 	benchTol := flag.Float64("bench-tol", 0.10, "tolerated normalized time/op regression for -bench-gate")
 	benchCount := flag.Int("bench-count", 3, "runs per tracked benchmark; the median ns/op and max allocs/op are kept")
 	storeStats := flag.String("store-stats", "", "print a result store directory's on-disk composition and estimated open cost, then exit")
-	storeCompact := flag.String("store-compact", "", "compact a result store directory into one binary columnar (v2) segment, then exit")
+	storeCompact := flag.String("store-compact", "", "compact a result store directory into one binary columnar (v2) segment, importing JSON-lines segments from older releases first, then exit")
 	storeVerify := flag.String("store-verify", "", "scrub a result store directory: walk every segment's checksums, quarantine corrupt segments (salvaging their decodable records), then exit")
 	flag.Parse()
 	measureTracked := func() benchkit.Suite {
@@ -397,19 +399,20 @@ func printBaselineTxt(path string, w io.Writer) error {
 }
 
 // Rough single-thread throughputs for the open-cost estimate, measured
-// on the baseline host: a v1 JSON-lines segment is fully parsed at open,
-// a v2 segment only has its block index read and decoded.
+// on a 2-vCPU host: Open replays every log segment in full (57,600
+// points, about 22 MB of log, replay in about 160 ms), a v2 segment
+// only has its block index read and decoded.
 const (
-	v1ParseBytesPerSec  = 20e6
-	v2IndexBytesPerSec  = 500e6
-	v2IndexFixedSeconds = 100e-6 // open/trailer/flock floor
+	logReplayBytesPerSec = 130e6
+	v2IndexBytesPerSec   = 500e6
+	v2IndexFixedSeconds  = 100e-6 // open/trailer/flock floor
 )
 
 // estOpenSeconds estimates how long Open will take on a store with this
-// composition: eager parse of every v1 byte plus an index-only read of
+// composition: a replay of every log byte plus an index-only read of
 // the v2 segment.
 func estOpenSeconds(st resultstore.Stats) float64 {
-	est := float64(st.BytesV1) / v1ParseBytesPerSec
+	est := float64(st.BytesLog) / logReplayBytesPerSec
 	if st.SegmentsV2 > 0 {
 		est += v2IndexFixedSeconds + float64(st.IndexBytes)/v2IndexBytesPerSec
 	}
@@ -425,20 +428,20 @@ func runStoreStats(dir string, w io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(w, "result store: %s\n", st.Dir)
-	fmt.Fprintf(w, "  segments:  %d v2 (binary columnar) + %d v1 (JSON-lines)\n",
-		st.SegmentsV2, st.SegmentsV1)
-	fmt.Fprintf(w, "  points:    %d persisted (%d v2 + %d v1)\n",
-		st.Records, st.RecordsV2, st.RecordsV1)
-	fmt.Fprintf(w, "  bytes:     %s on disk (%s v2 + %s v1)\n",
-		units.Bytes(st.Bytes), units.Bytes(st.Bytes-st.BytesV1), units.Bytes(st.BytesV1))
+	fmt.Fprintf(w, "  segments:  %d v2 (binary columnar) + %d log (append log)\n",
+		st.SegmentsV2, st.SegmentsLog)
+	fmt.Fprintf(w, "  points:    %d persisted (%d v2 + %d log)\n",
+		st.Records, st.RecordsV2, st.RecordsLog)
+	fmt.Fprintf(w, "  bytes:     %s on disk (%s v2 + %s log)\n",
+		units.Bytes(st.Bytes), units.Bytes(st.Bytes-st.BytesLog), units.Bytes(st.BytesLog))
 	fmt.Fprintf(w, "  index:     %s in %d blocks\n", units.Bytes(st.IndexBytes), st.Blocks)
-	fmt.Fprintf(w, "  open cost: ~%.1f ms (parse %s v1 + read %s v2 index)\n",
-		1e3*estOpenSeconds(st), units.Bytes(st.BytesV1), units.Bytes(st.IndexBytes))
+	fmt.Fprintf(w, "  open cost: ~%.1f ms (replay %s log + read %s v2 index)\n",
+		1e3*estOpenSeconds(st), units.Bytes(st.BytesLog), units.Bytes(st.IndexBytes))
 	if st.Quarantined > 0 {
 		fmt.Fprintf(w, "  quarantine: %d corrupt segment(s) set aside by a scrub (nvmbench -store-verify)\n", st.Quarantined)
 	}
-	if st.RecordsV1 > 0 {
-		fmt.Fprintf(w, "  hint: nvmbench -store-compact %s moves the v1 points into the indexed v2 segment\n", dir)
+	if st.RecordsLog > 0 {
+		fmt.Fprintf(w, "  hint: nvmbench -store-compact %s folds the log points into the indexed v2 segment\n", dir)
 	}
 	return nil
 }
@@ -473,9 +476,17 @@ func runStoreVerify(dir string, w io.Writer) error {
 }
 
 // runStoreCompact rewrites a store directory into a single v2 binary
-// columnar segment (the v1→v2 migration path) and reports the before and
-// after composition.
+// columnar segment and reports the before and after composition. It
+// first imports any JSON-lines segments an older release left, which
+// Open refuses.
 func runStoreCompact(dir string, w io.Writer) error {
+	imported, err := resultstore.ImportJSONL(dir)
+	if err != nil {
+		return err
+	}
+	if imported > 0 {
+		fmt.Fprintf(w, "imported %d point(s) from JSON-lines segments into the append log\n", imported)
+	}
 	before, err := resultstore.Stat(dir)
 	if err != nil {
 		return err
@@ -496,7 +507,7 @@ func runStoreCompact(dir string, w io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(w, "compacted %s: %d points in %d segments (%s) -> %d points in 1 v2 segment (%s, %s index)\n",
-		dir, before.Records, before.SegmentsV1+before.SegmentsV2, units.Bytes(before.Bytes),
+		dir, before.Records, before.SegmentsLog+before.SegmentsV2, units.Bytes(before.Bytes),
 		after.Records, units.Bytes(after.Bytes), units.Bytes(after.IndexBytes))
 	fmt.Fprintf(w, "estimated open cost: %.1f ms -> %.1f ms\n",
 		1e3*estOpenSeconds(before), 1e3*estOpenSeconds(after))

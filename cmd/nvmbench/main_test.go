@@ -297,8 +297,8 @@ func TestStoreWarmRunServesHits(t *testing.T) {
 }
 
 // The store inspection and compaction flags: stats reflect the on-disk
-// composition before and after -store-compact migrates JSON-lines
-// appends into a v2 binary columnar segment.
+// composition before and after -store-compact folds the append log
+// into a v2 binary columnar segment.
 func TestStoreStatsAndCompact(t *testing.T) {
 	dir := t.TempDir()
 	d, err := resultstore.Open(dir)
@@ -318,9 +318,9 @@ func TestStoreStatsAndCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"0 v2 (binary columnar) + 1 v1 (JSON-lines)",
-		"24 persisted (0 v2 + 24 v1)",
-		"-store-compact", // the hint appears while v1 points remain
+		"0 v2 (binary columnar) + 1 log (append log)",
+		"24 persisted (0 v2 + 24 log)",
+		"-store-compact", // the hint appears while log points remain
 	} {
 		if !strings.Contains(before.String(), want) {
 			t.Errorf("pre-compaction stats missing %q:\n%s", want, before.String())
@@ -340,18 +340,18 @@ func TestStoreStatsAndCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"1 v2 (binary columnar) + 0 v1 (JSON-lines)",
-		"24 persisted (24 v2 + 0 v1)",
+		"1 v2 (binary columnar) + 0 log (append log)",
+		"24 persisted (24 v2 + 0 log)",
 	} {
 		if !strings.Contains(after.String(), want) {
 			t.Errorf("post-compaction stats missing %q:\n%s", want, after.String())
 		}
 	}
 	if strings.Contains(after.String(), "-store-compact") {
-		t.Errorf("hint should disappear once no v1 points remain:\n%s", after.String())
+		t.Errorf("hint should disappear once no log points remain:\n%s", after.String())
 	}
 
-	// The estimate tracks the composition: v1 parse cost gone, index
+	// The estimate tracks the composition: log replay cost gone, index
 	// read in its place.
 	bst, err := resultstore.Stat(dir)
 	if err != nil {
@@ -392,7 +392,7 @@ func TestStoreVerify(t *testing.T) {
 		t.Errorf("clean verify = %q", clean.String())
 	}
 
-	segs, err := filepath.Glob(filepath.Join(dir, "*.jsonl"))
+	segs, err := filepath.Glob(filepath.Join(dir, "*.log"))
 	if err != nil || len(segs) != 1 {
 		t.Fatalf("segments = %v (%v)", segs, err)
 	}
@@ -400,11 +400,8 @@ func TestStoreVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	corrupt := strings.Replace(string(raw), `"v":1`, `"v":9`, 1)
-	if corrupt == string(raw) {
-		t.Fatal("corruption marker not applied")
-	}
-	if err := os.WriteFile(segs[0], []byte(corrupt), 0o644); err != nil {
+	raw[9] ^= 0xff // inside the first record's frame: its CRC fails
+	if err := os.WriteFile(segs[0], raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 

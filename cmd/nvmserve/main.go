@@ -64,6 +64,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -79,6 +80,12 @@ import (
 )
 
 func main() {
+	// Install the signal handler before anything can answer /healthz: a
+	// SIGTERM that lands the moment the daemon looks up must still drain
+	// it and close the store, not kill it outright.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
 	addr := flag.String("addr", ":8080", "listen address")
 	storeDir := flag.String("store", "", "back the engine with a disk result store at this directory (sweeps persist and resume across restarts)")
 	workers := flag.Int("workers", 0, "engine worker count (0 = GOMAXPROCS)")
@@ -103,7 +110,7 @@ func main() {
 		if *fleetMode {
 			fatal(errors.New("-worker and -fleet are exclusive: a worker joins a coordinator, it does not run one"))
 		}
-		runWorker(workerConfig{
+		runWorker(ctx, workerConfig{
 			join:      *join,
 			name:      *workerName,
 			storeDir:  *storeDir,
@@ -113,60 +120,97 @@ func main() {
 		})
 		return
 	}
-
-	var store resultstore.Store = resultstore.NewMemory()
-	var disk *resultstore.Disk
 	if *faultPlan != "" && *storeDir == "" {
 		fatal(errors.New("-fault-plan requires -store"))
 	}
-	if *storeDir != "" {
+	l, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fatal(err)
+	}
+	err = serve(ctx, l, serveConfig{
+		storeDir:    *storeDir,
+		faultPlan:   *faultPlan,
+		workers:     *workers,
+		retain:      *retain,
+		maxLive:     *maxLive,
+		sessTimeout: *sessTimeout,
+		drain:       *drain,
+		fleet:       *fleetMode,
+		heartbeat:   *heartbeat,
+		fleetWindow: *fleetWindow,
+	})
+	if err != nil {
+		fatal(err)
+	}
+}
+
+// serveConfig carries the serving-mode flags.
+type serveConfig struct {
+	storeDir    string
+	faultPlan   string
+	workers     int
+	retain      int
+	maxLive     int
+	sessTimeout time.Duration
+	drain       time.Duration
+	fleet       bool
+	heartbeat   time.Duration
+	fleetWindow int
+}
+
+// serve runs the daemon on l until ctx is cancelled, then shuts it down
+// in order — sessions cancelled, streams drained, store closed. It
+// returns what stopped it early, or what closing the store reported.
+func serve(ctx context.Context, l net.Listener, cfg serveConfig) error {
+	var store resultstore.Store = resultstore.NewMemory()
+	var disk *resultstore.Disk
+	if cfg.storeDir != "" {
 		fs := faultline.FS(faultline.OS{})
-		if *faultPlan != "" {
-			plan, err := faultline.LoadPlan(*faultPlan)
+		if cfg.faultPlan != "" {
+			plan, err := faultline.LoadPlan(cfg.faultPlan)
 			if err != nil {
-				fatal(err)
+				l.Close()
+				return err
 			}
 			fs = faultline.New(plan)
 			fmt.Printf("nvmserve: injecting faults from %s (seed %d, %d rules)\n",
-				*faultPlan, plan.Seed, len(plan.Rules))
+				cfg.faultPlan, plan.Seed, len(plan.Rules))
 		}
-		d, err := resultstore.OpenFS(*storeDir, fs)
+		d, err := resultstore.OpenFS(cfg.storeDir, fs)
 		if err != nil {
-			fatal(err)
+			l.Close()
+			return err
 		}
 		store, disk = d, d
 		fmt.Printf("nvmserve: result store %s (%d records)\n", d.Dir(), d.Persisted())
 	}
 
-	eng := engine.NewWithStore(platform.NewPurley().Socket(0), *workers, store)
+	eng := engine.NewWithStore(platform.NewPurley().Socket(0), cfg.workers, store)
 	mgr := session.NewManager(eng)
-	mgr.SetRetain(*retain)
+	mgr.SetRetain(cfg.retain)
 	var coord *fleet.Coordinator
-	if *fleetMode {
-		coord = fleet.New(eng, fleet.Options{Heartbeat: *heartbeat, Window: *fleetWindow})
+	if cfg.fleet {
+		coord = fleet.New(eng, fleet.Options{Heartbeat: cfg.heartbeat, Window: cfg.fleetWindow})
 		mgr.SetExecutor(coord)
-		fmt.Printf("nvmserve: coordinator mode (heartbeat %s, window %d)\n", *heartbeat, *fleetWindow)
+		fmt.Printf("nvmserve: coordinator mode (heartbeat %s, window %d)\n", cfg.heartbeat, cfg.fleetWindow)
 	}
-	srv := &http.Server{Addr: *addr, Handler: (&server{
+	srv := &http.Server{Handler: (&server{
 		mgr:         mgr,
 		disk:        disk,
-		adm:         newAdmission(mgr, *maxLive),
-		sessTimeout: *sessTimeout,
+		adm:         newAdmission(mgr, cfg.maxLive),
+		sessTimeout: cfg.sessTimeout,
 		coord:       coord,
 	}).handler()}
 
 	done := make(chan error, 1)
-	go func() { done <- srv.ListenAndServe() }()
-	fmt.Printf("nvmserve: listening on %s (%d workers)\n", *addr, eng.Workers())
+	go func() { done <- srv.Serve(l) }()
+	fmt.Printf("nvmserve: listening on %s (%d workers)\n", l.Addr(), eng.Workers())
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	var err error
 	select {
-	case err := <-done:
-		// ListenAndServe only returns on failure.
-		fatal(err)
-	case s := <-sig:
-		fmt.Printf("nvmserve: %v, shutting down\n", s)
+	case err = <-done: // Serve only returns on failure
+	case <-ctx.Done():
+		fmt.Println("nvmserve: stop requested, shutting down")
 	}
 
 	// Cancel sweeps first: outcome-stream handlers block in
@@ -179,14 +223,15 @@ func main() {
 	if coord != nil {
 		coord.Close()
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), *drain)
+	sctx, cancel := context.WithTimeout(context.Background(), cfg.drain)
 	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		fmt.Fprintln(os.Stderr, "nvmserve: shutdown:", err)
+	if serr := srv.Shutdown(sctx); serr != nil && !errors.Is(serr, context.DeadlineExceeded) {
+		fmt.Fprintln(os.Stderr, "nvmserve: shutdown:", serr)
 	}
-	if err := store.Close(); err != nil {
-		fatal(err)
+	if cerr := store.Close(); err == nil {
+		err = cerr
 	}
+	return err
 }
 
 func fatal(err error) {

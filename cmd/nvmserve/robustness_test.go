@@ -3,8 +3,10 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -251,7 +253,7 @@ func TestShutdownDrainsStreamsOnCompleteLines(t *testing.T) {
 func TestHealthzReportsDegradedStore(t *testing.T) {
 	dir := t.TempDir()
 	in := faultline.New(faultline.Plan{Seed: 1, Rules: []faultline.Rule{
-		{Op: faultline.OpWrite, Path: ".jsonl", Nth: 1, Kind: faultline.Fail},
+		{Op: faultline.OpWrite, Path: ".log", Nth: 1, Kind: faultline.Fail},
 	}})
 	d, err := resultstore.OpenFS(dir, in)
 	if err != nil {
@@ -292,4 +294,51 @@ func TestHealthzReportsDegradedStore(t *testing.T) {
 	if doc.Store.Quarantined != 0 {
 		t.Errorf("quarantined_segments = %d, want 0", doc.Store.Quarantined)
 	}
+}
+
+// A stop that lands the moment the daemon first answers /healthz must
+// still shut it down in order: serve returns cleanly and the store is
+// closed, free for the next process. main installs its signal handler
+// before serving starts, so a SIGTERM in that window takes this path.
+func TestServeStopsCleanlyAfterFirstHealthz(t *testing.T) {
+	dir := t.TempDir()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		done <- serve(ctx, l, serveConfig{storeDir: dir, retain: session.DefaultRetain, drain: time.Second})
+	}()
+	url := "http://" + l.Addr().String() + "/healthz"
+	for {
+		resp, err := http.Get(url)
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				break
+			}
+		}
+		select {
+		case err := <-done:
+			t.Fatalf("serve returned before answering /healthz: %v", err)
+		case <-time.After(time.Millisecond):
+		}
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("serve = %v, want a clean stop", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("serve did not stop")
+	}
+	d, err := resultstore.Open(dir)
+	if err != nil {
+		t.Fatalf("store still held after serve returned: %v", err)
+	}
+	d.Close()
 }

@@ -70,7 +70,7 @@ func TestHealthz(t *testing.T) {
 }
 
 // The health report's store block tracks the on-disk composition: fresh
-// evaluations land in a JSON-lines segment, compaction moves them into a
+// evaluations land in a log segment, compaction moves them into a
 // binary columnar segment with a block index.
 func TestHealthzStoreAccounting(t *testing.T) {
 	dir := t.TempDir()
@@ -100,22 +100,22 @@ func TestHealthzStoreAccounting(t *testing.T) {
 		Store   resultstore.Stats
 	}
 	getJSON(t, ts.URL+"/healthz", &doc)
-	if doc.Store.SegmentsV1 != 1 || doc.Store.SegmentsV2 != 0 {
-		t.Errorf("pre-compaction segments = v1:%d v2:%d, want 1/0",
-			doc.Store.SegmentsV1, doc.Store.SegmentsV2)
+	if doc.Store.SegmentsLog != 1 || doc.Store.SegmentsV2 != 0 {
+		t.Errorf("pre-compaction segments = log:%d v2:%d, want 1/0",
+			doc.Store.SegmentsLog, doc.Store.SegmentsV2)
 	}
-	if doc.Store.Records != 16 || doc.Store.RecordsV1 != 16 {
-		t.Errorf("pre-compaction records = %+v, want 16 v1 records", doc.Store)
+	if doc.Store.Records != 16 || doc.Store.RecordsLog != 16 {
+		t.Errorf("pre-compaction records = %+v, want 16 log records", doc.Store)
 	}
-	if doc.Store.Bytes <= 0 || doc.Store.BytesV1 != doc.Store.Bytes {
-		t.Errorf("pre-compaction bytes = %+v, want all bytes in v1", doc.Store)
+	if doc.Store.Bytes <= 0 || doc.Store.BytesLog != doc.Store.Bytes {
+		t.Errorf("pre-compaction bytes = %+v, want all bytes in the log", doc.Store)
 	}
 
 	if err := d.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	getJSON(t, ts.URL+"/healthz", &doc)
-	if doc.Store.SegmentsV2 != 1 || doc.Store.RecordsV2 != 16 || doc.Store.RecordsV1 != 0 {
+	if doc.Store.SegmentsV2 != 1 || doc.Store.RecordsV2 != 16 || doc.Store.RecordsLog != 0 {
 		t.Errorf("post-compaction store = %+v, want 16 records in one v2 segment", doc.Store)
 	}
 	if doc.Store.IndexBytes <= 0 || doc.Store.Blocks < 1 {

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"repro/internal/engine"
@@ -29,10 +27,10 @@ type workerConfig struct {
 
 // runWorker is the -worker -join entrypoint: no HTTP listener, just a
 // fleet.Worker pulling chunks from the coordinator until a signal
-// arrives or the local store degrades (which exits non-zero — a worker
+// stops ctx or the local store degrades (which exits non-zero — a worker
 // that can no longer persist results should be noticed, not restarted
 // blindly into the same failing disk).
-func runWorker(cfg workerConfig) {
+func runWorker(ctx context.Context, cfg workerConfig) {
 	var store resultstore.Store = resultstore.NewMemory()
 	var disk *resultstore.Disk
 	if cfg.faultPlan != "" && cfg.storeDir == "" {
@@ -72,8 +70,6 @@ func runWorker(cfg workerConfig) {
 		EvalDelay: cfg.delay,
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	fmt.Printf("nvmserve: worker %q joining %s (%d engine workers)\n", name, cfg.join, eng.Workers())
 	err := w.Run(ctx)
 	if cerr := store.Close(); cerr != nil && err == nil {

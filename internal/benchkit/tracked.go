@@ -162,49 +162,65 @@ func TraceBuild(b *testing.B) {
 	}
 }
 
-// storeOpenFixtureSize is the compacted store the open bench reopens;
-// large enough that an eager (v1) open would dominate, small enough to
-// build once in well under a second.
-const storeOpenFixtureSize = 4096
+// storeFixtureSize is the point count of the stores the open benches
+// reopen: large enough that replaying every record dominates an open,
+// small enough to build once in well under a second.
+const storeFixtureSize = 4096
+
+// storeFixture is a storeFixtureSize-point store built once per process:
+// compacted into one v2 segment, or left as the append log it was
+// written to.
+type storeFixture struct {
+	compact bool
+	once    sync.Once
+	dir     string
+	err     error
+}
 
 var (
-	storeOpenOnce sync.Once
-	storeOpenDir  string
-	storeOpenErr  error
+	compactedStore = &storeFixture{compact: true}
+	logStore       = &storeFixture{}
 )
 
-// storeOpenFixture builds the compacted v2 store once per process.
-func storeOpenFixture() (string, error) {
-	storeOpenOnce.Do(func() {
-		storeOpenDir, storeOpenErr = os.MkdirTemp("", "benchkit-store")
-		if storeOpenErr != nil {
+func (f *storeFixture) get() (string, error) {
+	f.once.Do(func() {
+		if f.dir, f.err = os.MkdirTemp("", "benchkit-store"); f.err != nil {
 			return
 		}
-		var d *resultstore.Disk
-		d, storeOpenErr = resultstore.Open(storeOpenDir)
-		if storeOpenErr != nil {
+		d, err := resultstore.Open(f.dir)
+		if err != nil {
+			f.err = err
 			return
 		}
-		for i := 0; i < storeOpenFixtureSize; i++ {
+		for i := 0; i < storeFixtureSize; i++ {
 			k, res := resultstore.SyntheticRecord(i)
 			d.Commit(k, res, nil)
 		}
-		if storeOpenErr = d.Compact(); storeOpenErr == nil {
-			storeOpenErr = d.Close()
-		} else {
-			d.Close()
+		if f.compact {
+			f.err = d.Compact()
+		}
+		if err := d.Close(); f.err == nil {
+			f.err = err
 		}
 	})
-	return storeOpenDir, storeOpenErr
+	return f.dir, f.err
 }
 
-// StoreOpen measures reopening a compacted 4096-point store — the
-// daemon-restart path. A v2 open reads only the block index, so the cost
-// must stay flat in point count instead of scaling with it like the
-// JSON-lines parse did. Closing an untouched store leaves no residue, so
-// every iteration sees the identical directory.
-func StoreOpen(b *testing.B) {
-	dir, err := storeOpenFixture()
+// StoreOpen measures reopening the compacted store — the daemon-restart
+// path after a compaction. A v2 open reads only the block index, so the
+// cost must stay flat in point count instead of scaling with it.
+func StoreOpen(b *testing.B) { reopenStore(b, compactedStore) }
+
+// StoreReplay measures reopening the same points left uncompacted — the
+// daemon-restart path between compactions, where Open replays every
+// record of the append log.
+func StoreReplay(b *testing.B) { reopenStore(b, logStore) }
+
+// reopenStore opens and closes a fixture store per op. Closing an
+// untouched store leaves no residue, so every iteration sees the
+// identical directory.
+func reopenStore(b *testing.B, f *storeFixture) {
+	dir, err := f.get()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -215,8 +231,8 @@ func StoreOpen(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if d.Persisted() != storeOpenFixtureSize {
-			b.Fatalf("opened %d records, want %d", d.Persisted(), storeOpenFixtureSize)
+		if d.Persisted() != storeFixtureSize {
+			b.Fatalf("opened %d records, want %d", d.Persisted(), storeFixtureSize)
 		}
 		if err := d.Close(); err != nil {
 			b.Fatal(err)

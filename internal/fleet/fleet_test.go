@@ -409,6 +409,31 @@ func TestFleetCancellation(t *testing.T) {
 	}
 }
 
+// A worker stopped before its join lands — here the coordinator never
+// answers — stops as cleanly as on every other cancellation path: Run
+// returns nil, so a daemon stopped mid-join exits 0.
+func TestWorkerStoppedMidJoinReturnsNil(t *testing.T) {
+	release := make(chan struct{})
+	mute := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}))
+	t.Cleanup(mute.Close)
+	t.Cleanup(func() { close(release) })
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	midJoin, stop := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer stop()
+	for name, ctx := range map[string]context.Context{"already cancelled": cancelled, "mid-join": midJoin} {
+		w := &Worker{Base: mute.URL, Eng: engine.New(sock(), 1), Name: "never-joins"}
+		if err := w.Run(ctx); err != nil {
+			t.Errorf("%s: Run = %v, want nil", name, err)
+		}
+	}
+}
+
 // A worker whose disk store degrades self-evicts: Run returns
 // ErrStoreDegraded after a graceful leave, and the fleet finishes the
 // sweep on the survivors.
@@ -418,7 +443,7 @@ func TestWorkerDegradedStoreSelfEvicts(t *testing.T) {
 	// A store whose 2nd append write fails: the first committed chunk
 	// degrades it, and the post-chunk check fires.
 	inj := faultline.New(faultline.Plan{Rules: []faultline.Rule{
-		{Op: faultline.OpWrite, Path: ".jsonl", Nth: 2},
+		{Op: faultline.OpWrite, Path: ".log", Nth: 2},
 	}})
 	d, err := resultstore.OpenFS(t.TempDir(), inj)
 	if err != nil {

@@ -60,10 +60,11 @@ type Worker struct {
 }
 
 // Run joins the coordinator and serves work until ctx fires (graceful:
-// a leave is posted) or the local store degrades (ErrStoreDegraded,
-// also after a leave). Transient coordinator unavailability is retried
-// with a flat backoff; a coordinator that forgot this worker (404) is
-// rejoined transparently.
+// a leave is posted and Run returns nil, even when ctx fires before a
+// join lands) or the local store degrades (ErrStoreDegraded, also after
+// a leave). Transient coordinator unavailability is retried with a flat
+// backoff; a coordinator that forgot this worker (404) is rejoined
+// transparently.
 func (w *Worker) Run(ctx context.Context) error {
 	if w.Client == nil {
 		w.Client = http.DefaultClient
@@ -71,8 +72,8 @@ func (w *Worker) Run(ctx context.Context) error {
 	if w.specs == nil {
 		w.specs = make(map[uint64][]engine.Job)
 	}
-	if err := w.join(ctx); err != nil {
-		return err
+	if !w.join(ctx) {
+		return nil
 	}
 	hbCtx, stopHB := context.WithCancel(ctx)
 	defer stopHB()
@@ -82,10 +83,9 @@ func (w *Worker) Run(ctx context.Context) error {
 			w.leave()
 			return nil
 		}
-		if w.rejoinNeeded() {
-			if err := w.join(ctx); err != nil {
-				return err
-			}
+		if w.rejoinNeeded() && !w.join(ctx) {
+			w.leave()
+			return nil
 		}
 		chunks, status, err := w.pullWork(ctx)
 		if err != nil {
@@ -158,9 +158,9 @@ func (w *Worker) rejoinNeeded() bool {
 	return w.lost
 }
 
-// join registers (or re-registers) with the coordinator, retrying
-// until ctx fires.
-func (w *Worker) join(ctx context.Context) error {
+// join registers (or re-registers) with the coordinator, retrying until
+// it succeeds or ctx fires; it reports whether it joined.
+func (w *Worker) join(ctx context.Context) bool {
 	body, _ := json.Marshal(JoinRequest{Name: w.Name})
 	for {
 		var reply JoinReply
@@ -169,10 +169,10 @@ func (w *Worker) join(ctx context.Context) error {
 			w.mu.Lock()
 			w.id, w.reply, w.lost = reply.WorkerID, reply, false
 			w.mu.Unlock()
-			return nil
+			return true
 		}
-		if serr := sleepCtx(ctx, 100*time.Millisecond); serr != nil {
-			return serr
+		if sleepCtx(ctx, 100*time.Millisecond) != nil {
+			return false
 		}
 	}
 }

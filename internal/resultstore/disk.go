@@ -1,11 +1,7 @@
 package resultstore
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -17,91 +13,58 @@ import (
 	"repro/internal/workload"
 )
 
-// The on-disk format: a store directory holds segment files in two
-// formats. Live appends go to append-only JSON-lines segments named
-// segment-NNNNNNNN.jsonl (format v1): each line is one record — the
-// cache Key plus the solved workload.Result with the Workload descriptor
-// pointer stripped (descriptors are reattached from the job at hit time;
-// see Entry.Seeded). Compact rewrites every live record into a single
-// binary columnar segment named segment-NNNNNNNN.seg (format v2; see
-// segment2.go), which Open maps back in by reading only its trailer and
-// block index — blocks decode lazily on the first Acquire that lands in
-// their fingerprint range, so a compacted multi-million-point store
-// opens in milliseconds.
+// The on-disk format: a store directory holds two kinds of segment file,
+// both made of the CRC32C-checked block frames of segment2.go. Fresh
+// results append to a log segment named segment-NNNNNNNN.log: a bare
+// sequence of block frames, one record per frame — the cache Key plus
+// the solved workload.Result with the Workload descriptor pointer
+// stripped (descriptors are reattached from the job at hit time; see
+// Entry.Seeded) — which Open replays in full. Compact rewrites every
+// live record into a single columnar segment named segment-NNNNNNNN.seg
+// (format v2; see segment2.go), which Open maps back in by reading only
+// its trailer and block index — blocks decode lazily on the first
+// Acquire that lands in their fingerprint range, so a compacted
+// multi-million-point store opens in milliseconds.
 //
 // Records are content-addressed: the Key is derived from
 // workload.Fingerprint, so identical evaluation points written by any
 // process land on the same identity and later occurrences win on load.
-// Segment sequence numbers order the formats: a v2 segment is always
-// older than any v1 segment alongside it (appends after a compaction get
-// fresh, higher sequences), so v1 records override v2 records on load,
+// Segment sequence numbers order the files: a v2 segment is always older
+// than any log segment alongside it (appends after a compaction get
+// fresh, higher sequences), so log records override v2 records on load,
 // and any segment numbered below the newest v2 segment is a leftover of
 // an interrupted compaction cleanup that Open finishes deleting.
 //
-// Durability: appends go through a buffered writer flushed to the OS per
-// record; fsync happens on Sync, Compact and Close. A crash can
-// therefore lose at most the records of the current OS write-back window
-// and can leave a truncated final line, which Open tolerates (the tail
-// record is dropped, everything before it loads). Every Open starts a
-// fresh v1 segment, never appending to an old (possibly truncated) one;
-// Close removes it again if nothing was appended. Compact writes the v2
-// segment via a temp file + fsync + rename, so a crash at any point
-// leaves a loadable store; torn v2 frames are caught by per-frame CRC32C.
-
-// segVersion is the JSON-lines record format version; bump when the
-// record schema changes incompatibly.
-const segVersion = 1
-
-// record is one persisted evaluation. Key and Result marshal by their
-// exported Go field names; Result's Workload pointer is nil on disk.
-type record struct {
-	V      int             `json:"v"`
-	Key    Key             `json:"key"`
-	Result workload.Result `json:"result"`
-}
-
-// encodeRecord appends one record line (newline-terminated) to buf.
-func encodeRecord(buf *bytes.Buffer, k Key, res workload.Result) error {
-	res.Workload = nil
-	b, err := json.Marshal(record{V: segVersion, Key: k, Result: res})
-	if err != nil {
-		return err
-	}
-	buf.Write(b)
-	buf.WriteByte('\n')
-	return nil
-}
-
-// decodeRecord parses one segment line.
-func decodeRecord(line []byte) (Key, workload.Result, error) {
-	var rec record
-	if err := json.Unmarshal(line, &rec); err != nil {
-		return Key{}, workload.Result{}, err
-	}
-	if rec.V != segVersion {
-		return Key{}, workload.Result{}, fmt.Errorf("resultstore: record version %d, want %d", rec.V, segVersion)
-	}
-	rec.Result.Workload = nil
-	return rec.Key, rec.Result, nil
-}
+// Durability: each record is encoded outside the store's lock and
+// written to the active log segment in one write(2); fsync happens on
+// Sync, Compact and Close. A crash can therefore lose at most the
+// records of the current OS write-back window and can leave a torn final
+// frame, which Open tolerates (the tail record is dropped, everything
+// before it loads). Every Open starts a fresh log segment, never
+// appending to an old (possibly torn) one; Close removes it again if
+// nothing was written to it. Compact writes the v2 segment via a temp
+// file + fsync + rename, so a crash at any point leaves a loadable store.
+//
+// Older releases appended JSON lines to segment-NNNNNNNN.jsonl files.
+// Open refuses a directory that still holds them; ImportJSONL, behind
+// nvmbench -store-compact, converts them into log segments.
 
 // Disk is the persistent result store: a Memory index over on-disk
-// segments (JSON-lines v1 for appends, binary columnar v2 from
+// segments (log segments for appends, a binary columnar v2 segment from
 // compaction). Safe for concurrent use.
 type Disk struct {
 	mem *Memory
 	dir string
 	fs  faultline.FS // all segment I/O goes through this seam
 
-	mu        sync.Mutex // serializes appends, compaction and close
-	lock      *os.File   // exclusive cross-process directory lock (always real os)
-	f         faultline.File
+	mu        sync.Mutex     // serializes appends, compaction and close
+	lock      *os.File       // exclusive cross-process directory lock (always real os)
+	f         faultline.File // active log segment; nil only after a failed compaction recovery
 	fpath     string
-	w         *bufio.Writer
-	buf       bytes.Buffer
+	written   int64 // bytes written to the active segment
 	nextSeq   int
-	persisted int // records live on disk (loaded + appended)
-	appended  int // records appended to the active segment
+	persisted int   // records live on disk (loaded + appended)
+	st        Stats // on-disk composition, kept current by Open, Commit and Compact
 	closed    bool
 	writeErr  error // first append failure; surfaced by Close
 
@@ -110,15 +73,22 @@ type Disk struct {
 	faultErr error                // first lazy-decode failure; surfaced by Close
 }
 
-func segName(seq int) string  { return fmt.Sprintf("segment-%08d.jsonl", seq) }
+// Segment file kinds, by name extension.
+const (
+	kindJSONL = iota + 1 // ".jsonl": JSON lines from older releases, read only by ImportJSONL
+	kindLog              // ".log": the append log
+	kindSeg              // ".seg": a compacted v2 segment
+)
+
+func logName(seq int) string  { return fmt.Sprintf("segment-%08d.log", seq) }
 func seg2Name(seq int) string { return fmt.Sprintf("segment-%08d.seg", seq) }
 
 // parseSegName reports whether name is exactly a segment file name —
-// "segment-" + 8 digits + ".jsonl" (v1) or ".seg" (v2) — returning the
-// sequence number and format version. Anything else, including the
-// near-misses a prefix match would accept ("segment-00000001.jsonl.bak",
-// nine digits, a signed number), is rejected.
-func parseSegName(name string) (seq, ver int, ok bool) {
+// "segment-" + 8 digits + ".log", ".seg" or ".jsonl" — returning the
+// sequence number and kind. Anything else, including the near-misses a
+// prefix match would accept ("segment-00000001.log.bak", nine digits, a
+// signed number), is rejected.
+func parseSegName(name string) (seq, kind int, ok bool) {
 	const prefix = "segment-"
 	const digits = 8
 	if len(name) < len(prefix)+digits || name[:len(prefix)] != prefix {
@@ -131,10 +101,12 @@ func parseSegName(name string) (seq, ver int, ok bool) {
 		seq = seq*10 + int(c-'0')
 	}
 	switch name[len(prefix)+digits:] {
-	case ".jsonl":
-		return seq, 1, true
+	case ".log":
+		return seq, kindLog, true
 	case ".seg":
-		return seq, 2, true
+		return seq, kindSeg, true
+	case ".jsonl":
+		return seq, kindJSONL, true
 	}
 	return 0, 0, false
 }
@@ -149,7 +121,7 @@ type rec struct {
 type segInfo struct {
 	name string
 	seq  int
-	ver  int
+	kind int
 }
 
 // scanDir lists the segment files in dir, ordered by sequence number.
@@ -163,8 +135,8 @@ func scanDir(fs faultline.FS, dir string) ([]segInfo, error) {
 		if e.IsDir() {
 			continue
 		}
-		if seq, ver, ok := parseSegName(e.Name()); ok {
-			infos = append(infos, segInfo{name: e.Name(), seq: seq, ver: ver})
+		if seq, kind, ok := parseSegName(e.Name()); ok {
+			infos = append(infos, segInfo{name: e.Name(), seq: seq, kind: kind})
 		}
 	}
 	sort.Slice(infos, func(i, j int) bool { return infos[i].seq < infos[j].seq })
@@ -172,70 +144,51 @@ func scanDir(fs faultline.FS, dir string) ([]segInfo, error) {
 }
 
 // splitLive separates a directory scan into the newest v2 segment (nil
-// if none), the v1 segments that postdate it, and the stale leftovers of
-// an interrupted compaction cleanup (anything numbered below the newest
-// v2 segment).
-func splitLive(infos []segInfo) (v2 *segInfo, v1 []segInfo, stale []segInfo) {
+// if none), the log segments that postdate it, and the stale leftovers
+// of an interrupted compaction cleanup (any log or v2 segment numbered
+// below the newest v2 segment). JSON-lines segments are in none of them.
+func splitLive(infos []segInfo) (v2 *segInfo, logs, stale []segInfo) {
 	v2seq := -1
 	for i := range infos {
-		if infos[i].ver == 2 && infos[i].seq > v2seq {
+		if infos[i].kind == kindSeg && infos[i].seq > v2seq {
 			v2 = &infos[i]
 			v2seq = infos[i].seq
 		}
 	}
-	for i := range infos {
-		si := infos[i]
+	for _, si := range infos {
 		switch {
+		case si.kind == kindJSONL:
 		case si.seq < v2seq:
 			stale = append(stale, si)
-		case si.ver == 1:
-			v1 = append(v1, si)
+		case si.kind == kindLog:
+			logs = append(logs, si)
 		}
 	}
-	return v2, v1, stale
+	return v2, logs, stale
 }
 
-// loadV1Segments reads the given v1 segments in sequence order and
-// returns the live records (later occurrences of a key win, in stable
-// order). A truncated or corrupt final line of any segment — the
-// signature of a crash or failed write mid-append — is dropped;
-// corruption anywhere else is an error (run Verify to quarantine and
-// salvage). The per-segment tail tolerance is sound because append
-// errors are sticky: the first failed write ends a segment, so a torn
-// record is always its final line — and a restart starts a fresh
-// segment, so a store can accumulate several tail-torn segments.
-func loadV1Segments(fs faultline.FS, dir string, infos []segInfo) (recs []rec, err error) {
-	index := make(map[Key]int)
-	for _, si := range infos {
-		path := filepath.Join(dir, si.name)
-		data, err := fs.ReadFile(path)
+// readLog walks one log segment, passing every record of every intact
+// block frame to add in file order. It reports a torn tail — an
+// interrupted append, dropped — and the first corrupt frame, which the
+// walk steps over, so add still sees the intact frames after it. The
+// tail tolerance is sound because append errors are sticky: the first
+// failed write ends a segment, so a torn record is always its last — and
+// a restart starts a fresh segment, so a store can accumulate several
+// tail-torn segments.
+func readLog(data []byte, add func(rec)) (torn bool, bad error) {
+	torn = walkFrames(data, func(off, _ int, _ byte, recs []rec, err error) bool {
 		if err != nil {
-			return nil, fmt.Errorf("resultstore: %w", err)
+			if bad == nil {
+				bad = fmt.Errorf("frame at offset %d: %w", off, err)
+			}
+			return true
 		}
-		lines := bytes.Split(data, []byte{'\n'})
-		for li, line := range lines {
-			if len(bytes.TrimSpace(line)) == 0 {
-				continue
-			}
-			k, res, derr := decodeRecord(line)
-			if derr != nil {
-				// Records end in '\n', so a failing final split element is
-				// an unterminated torn tail; a complete line that fails to
-				// decode is corruption.
-				if li == len(lines)-1 {
-					break
-				}
-				return nil, fmt.Errorf("resultstore: %s:%d: %w", path, li+1, derr)
-			}
-			if at, ok := index[k]; ok {
-				recs[at] = rec{k, res}
-				continue
-			}
-			index[k] = len(recs)
-			recs = append(recs, rec{k, res})
+		for _, r := range recs {
+			add(r)
 		}
-	}
-	return recs, nil
+		return true
+	})
+	return torn, bad
 }
 
 // mergeRecs overlays newer records on older ones, later wins, preserving
@@ -263,13 +216,14 @@ func mergeRecs(older, newer []rec) []rec {
 }
 
 // Open opens (creating if needed) a disk store rooted at dir, maps every
-// persisted record in as a pre-seeded cache entry — v1 JSON-lines
-// segments load eagerly, a compacted v2 segment loads only its block
-// index, with blocks decoded on first use — and starts a fresh v1
-// segment for this process's appends. A store serves one process at a
-// time: Open fails if another live process holds the directory (share
-// results across processes sequentially, or through one nvmserve
-// daemon).
+// persisted record in as a pre-seeded cache entry — log segments replay
+// in full, a compacted v2 segment loads only its block index, with
+// blocks decoded on first use — and starts a fresh log segment for this
+// process's appends. A store serves one process at a time: Open fails if
+// another live process holds the directory (share results across
+// processes sequentially, or through one nvmserve daemon). It also
+// refuses a directory that still holds JSON-lines segments from an
+// older release, naming the import that converts them.
 func Open(dir string) (*Disk, error) { return OpenFS(dir, faultline.OS{}) }
 
 // OpenFS is Open over an explicit filesystem seam — the real OS in
@@ -287,87 +241,142 @@ func OpenFS(dir string, fs faultline.FS) (*Disk, error) {
 	if err != nil {
 		return nil, err
 	}
-	infos, err := scanDir(fs, dir)
-	if err != nil {
-		unlock(lock)
-		return nil, err
-	}
-	v2Info, v1Infos, stale := splitLive(infos)
-	maxSeq := 0
-	for _, si := range infos {
-		if si.seq > maxSeq {
-			maxSeq = si.seq
-		}
-	}
-
-	var s2 *seg2
-	var v2recs []rec
-	if v2Info != nil {
-		s2, v2recs, err = openSeg2(fs, filepath.Join(dir, v2Info.name))
-		if err != nil {
-			unlock(lock)
-			return nil, err
-		}
-	}
-	var staleRecs []rec
-	if v2Info == nil || s2 != nil {
-		// The newest v2 segment is intact (or absent): anything numbered
-		// below it was already rewritten into it, so finish the
-		// interrupted compaction cleanup.
-		for _, si := range stale {
-			fs.Remove(filepath.Join(dir, si.name))
-		}
-	} else {
-		// The newest v2 segment needed a partial recovery scan (a torn
-		// rewrite that escaped the temp+rename discipline): its torn tail
-		// may have lost records the stale pre-compaction v1 segments
-		// still hold. Keep them on disk and load them, best-effort, as
-		// the oldest seed layer.
-		var staleV1 []segInfo
-		for _, si := range stale {
-			if si.ver == 1 {
-				staleV1 = append(staleV1, si)
-			}
-		}
-		staleRecs, _ = loadV1Segments(fs, dir, staleV1)
-	}
-	v1recs, err := loadV1Segments(fs, dir, v1Infos)
-	if err != nil {
-		s2.close()
-		unlock(lock)
-		return nil, err
-	}
-
-	d := &Disk{mem: NewMemory(), dir: dir, fs: fs, lock: lock, nextSeq: maxSeq + 1}
-	// Seed newest first: seed keeps the existing entry, so v1 records
-	// (which postdate the v2 segment) win over v2 ones — both here for a
-	// recovered segment and later when a lazy block faults in.
-	for _, r := range v1recs {
-		d.mem.seed(r.k, r.res)
-	}
-	for _, r := range v2recs {
-		d.mem.seed(r.k, r.res)
-	}
-	for _, r := range staleRecs {
-		d.mem.seed(r.k, r.res)
-	}
-	d.persisted = d.mem.Len()
-	if s2 != nil {
-		d.persisted = len(v1recs) + s2.count
-		d.seg2.Store(s2)
-	}
-	if err := d.openSegment(); err != nil {
-		s2.close()
+	d := &Disk{mem: NewMemory(), dir: dir, fs: fs, lock: lock, nextSeq: 1}
+	if err := d.load(); err != nil {
+		d.seg2.Load().close()
 		unlock(lock)
 		return nil, err
 	}
 	return d, nil
 }
 
-// openSegment starts the next append segment. Caller holds mu (or has
-// exclusive access during Open).
+// load maps the directory's segments in and starts this process's log
+// segment. Log segments replay oldest first, each record replacing any
+// earlier one for its key, so the newest occurrence wins; they postdate
+// the v2 segment, whose records only fill the keys they leave.
+func (d *Disk) load() error {
+	infos, err := scanDir(d.fs, d.dir)
+	if err != nil {
+		return err
+	}
+	legacy := 0
+	for _, si := range infos {
+		d.nextSeq = max(d.nextSeq, si.seq+1)
+		if si.kind == kindJSONL {
+			legacy++
+		}
+	}
+	if legacy > 0 {
+		return fmt.Errorf("resultstore: %s holds %d JSON-lines segment(s) from an older release; import them with nvmbench -store-compact %s",
+			d.dir, legacy, d.dir)
+	}
+	v2, logs, stale := splitLive(infos)
+	for _, si := range logs {
+		added, err := d.replay(si, true)
+		if err != nil {
+			return err
+		}
+		d.persisted += added
+	}
+	if v2 != nil {
+		if err := d.loadSeg2(*v2, stale); err != nil {
+			return err
+		}
+	}
+	return d.openSegment()
+}
+
+// replay seeds one log segment's records into the cache and adds the
+// segment to the store's composition, returning how many keys were new.
+// A live segment's records replace earlier entries; a stale one's (kept
+// after a damaged compaction) only fill keys nothing newer holds. A
+// corrupt frame is an error naming the segment — Verify quarantines it
+// and salvages the rest.
+func (d *Disk) replay(si segInfo, live bool) (added int, err error) {
+	path := filepath.Join(d.dir, si.name)
+	data, err := d.fs.ReadFile(path)
+	if err != nil {
+		return 0, fmt.Errorf("resultstore: %w", err)
+	}
+	n := 0
+	_, bad := readLog(data, func(r rec) {
+		n++
+		if d.mem.seed(r.k, r.res, live) {
+			added++
+		}
+	})
+	d.st.SegmentsLog++
+	d.st.Bytes += int64(len(data))
+	if live {
+		d.st.RecordsLog += n
+		d.st.BytesLog += int64(len(data))
+	}
+	if bad != nil {
+		return added, fmt.Errorf("resultstore: %s: %w", path, bad)
+	}
+	return added, nil
+}
+
+// loadSeg2 maps in the newest v2 segment. An intact one loads only its
+// index — blocks fault in lazily — and the stale segments numbered below
+// it, already rewritten into it, are deleted. A damaged one (a torn
+// rewrite that escaped the temp+rename discipline) is recovered by a
+// frame scan that seeds its intact blocks; its torn tail may have lost
+// records the stale pre-compaction log segments still hold, so those
+// stay on disk and load, best-effort, as the oldest layer.
+func (d *Disk) loadSeg2(si segInfo, stale []segInfo) error {
+	path := filepath.Join(d.dir, si.name)
+	s2, recovered, err := openSeg2(d.fs, path)
+	if err != nil {
+		return err
+	}
+	d.st.SegmentsV2++
+	if s2 != nil {
+		for _, old := range stale {
+			d.fs.Remove(filepath.Join(d.dir, old.name))
+		}
+		d.st.RecordsV2, d.st.IndexBytes, d.st.Blocks = s2.count, s2.indexBytes, len(s2.blocks)
+		d.st.Bytes += s2.size
+		d.persisted += s2.count
+		d.seg2.Store(s2)
+		return nil
+	}
+	d.st.RecordsV2 = len(recovered)
+	d.st.Bytes += fileSize(d.fs, path)
+	for _, r := range recovered {
+		d.mem.seed(r.k, r.res, false)
+	}
+	for _, old := range stale {
+		if old.kind == kindLog {
+			d.replay(old, false) // best-effort: whatever decodes fills gaps
+			continue
+		}
+		d.st.SegmentsV2++
+		d.st.Bytes += fileSize(d.fs, filepath.Join(d.dir, old.name))
+	}
+	d.persisted = d.mem.Len()
+	return nil
+}
+
+// fileSize reports a file's size, or 0 when it cannot be opened or
+// stat'ed (deleted underneath a reader).
+func fileSize(fs faultline.FS, path string) int64 {
+	f, err := fs.Open(path)
+	if err != nil {
+		return 0
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return 0
+	}
+	return fi.Size()
+}
+
+// openSegment starts the next log segment; creating it reads and syncs
+// nothing. Caller holds mu (or has exclusive access during Open).
 func (d *Disk) openSegment() error {
-	path := filepath.Join(d.dir, segName(d.nextSeq))
+	path := filepath.Join(d.dir, logName(d.nextSeq))
 	f, err := d.fs.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("resultstore: %w", err)
@@ -375,8 +384,8 @@ func (d *Disk) openSegment() error {
 	d.nextSeq++
 	d.f = f
 	d.fpath = path
-	d.w = bufio.NewWriter(f)
-	d.appended = 0
+	d.written = 0
+	d.st.SegmentsLog++
 	return nil
 }
 
@@ -414,7 +423,7 @@ func (d *Disk) Probe(k Key) bool {
 }
 
 // fault decodes every not-yet-loaded v2 block whose fingerprint range
-// covers fp and seeds its records (records already resident — v1
+// covers fp and seeds its records (records already resident — log
 // overrides, or process-computed entries — win). A block that fails its
 // CRC or decode is skipped permanently: its keys become cache misses and
 // are recomputed, and the first such error is surfaced by Close.
@@ -437,7 +446,7 @@ func (d *Disk) fault(s *seg2, fp uint64) {
 			}
 		} else {
 			for _, r := range recs {
-				d.mem.seed(r.k, r.res)
+				d.mem.seed(r.k, r.res, false)
 			}
 		}
 		b.loaded = true
@@ -445,35 +454,45 @@ func (d *Disk) fault(s *seg2, fp uint64) {
 	}
 }
 
-// Commit appends a freshly computed result to the active segment. Failed
-// evaluations are never persisted. Append errors are sticky: the first
-// one flips the store into read-only degraded mode — later commits
-// become no-ops on disk while the in-memory entries keep serving the
-// process — surfaced by Degraded, Stats and Close.
+// appendEncoder is Commit's scratch: a block encoder and the frame it
+// renders into, pooled so each record is encoded outside mu without
+// allocating.
+type appendEncoder struct {
+	blockEncoder
+	frame []byte
+}
+
+var appendEncoders = sync.Pool{New: func() any { return new(appendEncoder) }}
+
+// Commit appends a freshly computed result to the active log segment as
+// one block frame, encoded before mu is taken so the lock covers only
+// the single write. Failed evaluations are never persisted. Append
+// errors are sticky: the first one flips the store into read-only
+// degraded mode — later commits become no-ops on disk while the
+// in-memory entries keep serving the process — surfaced by Degraded,
+// Stats and Close.
 func (d *Disk) Commit(k Key, res workload.Result, err error) {
 	if err != nil {
 		return
 	}
+	e := appendEncoders.Get().(*appendEncoder)
+	defer appendEncoders.Put(e)
+	e.frame = e.appendFrame(e.frame[:0], []rec{{k, res}})
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed || d.writeErr != nil {
 		return
 	}
-	d.buf.Reset()
-	if encErr := encodeRecord(&d.buf, k, res); encErr != nil {
-		d.writeErr = encErr
-		return
-	}
-	if _, wErr := d.w.Write(d.buf.Bytes()); wErr != nil {
-		d.writeErr = wErr
-		return
-	}
-	if fErr := d.w.Flush(); fErr != nil {
-		d.writeErr = fErr
+	n, werr := d.f.Write(e.frame)
+	d.written += int64(n)
+	d.st.Bytes += int64(n)
+	d.st.BytesLog += int64(n)
+	if werr != nil {
+		d.writeErr = werr
 		return
 	}
 	d.persisted++
-	d.appended++
+	d.st.RecordsLog++
 }
 
 // Len reports the number of resident cache entries. Records inside
@@ -507,36 +526,38 @@ func (d *Disk) Degraded() error {
 	return d.faultErr
 }
 
-// Sync forces appended records to stable storage.
+// Sync forces appended records to stable storage; on a store degraded by
+// a failed append it returns that failure.
 func (d *Disk) Sync() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return fmt.Errorf("resultstore: store is closed")
 	}
-	if err := d.w.Flush(); err != nil {
-		return err
+	if d.writeErr != nil {
+		return d.writeErr
 	}
 	return d.f.Sync()
 }
 
-// Compact rewrites every live record — v1 JSON-lines appends and the
-// previous v2 segment alike — into a single fresh v2 binary columnar
-// segment and removes the old files; this is also the v1→v2 migration
-// path. The rewrite is crash-safe: the segment is written to a temp
-// file, fsynced, then renamed into place before the old segments are
-// deleted — a crash at any point leaves a loadable store, and Open
-// finishes the cleanup of a crash between rename and delete.
+// Compact rewrites every live record — the log segments and the previous
+// v2 segment alike — into a single fresh v2 binary columnar segment and
+// removes the old files. The rewrite is crash-safe: the segment is
+// written to a temp file, fsynced, then renamed into place before the
+// old segments are deleted — a crash at any point leaves a loadable
+// store, and Open finishes the cleanup of a crash between rename and
+// delete. A store degraded by a failed append no longer writes, so it
+// does not compact either.
 func (d *Disk) Compact() (retErr error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return fmt.Errorf("resultstore: store is closed")
 	}
-	// Quiesce the active segment so its records are on disk for reload.
-	if err := d.w.Flush(); err != nil {
-		return err
+	if d.writeErr != nil {
+		return d.writeErr
 	}
+	// Quiesce the active segment so its records are on disk for reload.
 	if err := d.f.Sync(); err != nil {
 		return err
 	}
@@ -544,15 +565,18 @@ func (d *Disk) Compact() (retErr error) {
 		return err
 	}
 	// From here the active segment is closed; whatever happens, leave the
-	// store with a live segment so a failed compaction does not turn
-	// every later Commit into a silent no-op against a closed file.
+	// store with a live segment — or, if none can be created, degraded —
+	// so a failed compaction never leaves Commit a closed file.
 	d.f = nil
 	defer func() {
 		if d.f != nil {
 			return
 		}
-		if err := d.openSegment(); err != nil && retErr == nil {
-			retErr = err
+		if err := d.openSegment(); err != nil {
+			d.writeErr = err
+			if retErr == nil {
+				retErr = err
+			}
 		}
 	}()
 	recs, err := d.loadAllLocked()
@@ -560,14 +584,15 @@ func (d *Disk) Compact() (retErr error) {
 		return err
 	}
 	// A failed compaction must leave the store exactly as it was: the
-	// temp file is removed on any failure below, and the v1 segments are
+	// temp file is removed on any failure below, and the log segments are
 	// only retired after the rename lands.
 	tmpPath := filepath.Join(d.dir, "compact.tmp")
 	tmp, err := d.fs.OpenFile(tmpPath, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("resultstore: %w", err)
 	}
-	if err := writeSeg2(tmp, recs); err != nil {
+	lay, err := writeSeg2(tmp, recs)
+	if err != nil {
 		tmp.Close()
 		d.fs.Remove(tmpPath)
 		return fmt.Errorf("resultstore: %w", err)
@@ -609,21 +634,22 @@ func (d *Disk) Compact() (retErr error) {
 	// faulted in have no disk reader any more (the new segment is read
 	// lazily only by the next process).
 	for _, r := range recs {
-		d.mem.seed(r.k, r.res)
+		d.mem.seed(r.k, r.res, false)
 	}
 	d.persisted = len(recs)
+	d.st = Stats{SegmentsV2: 1, RecordsV2: len(recs), Bytes: lay.size, IndexBytes: lay.indexBytes, Blocks: lay.blocks}
 	return nil // the deferred recovery opens the fresh active segment
 }
 
 // loadAllLocked fully materializes every live record in the store
 // directory: the newest v2 segment (all blocks decoded) overlaid by the
-// v1 segments that postdate it. Caller holds mu.
+// log segments that postdate it. Caller holds mu.
 func (d *Disk) loadAllLocked() ([]rec, error) {
 	infos, err := scanDir(d.fs, d.dir)
 	if err != nil {
 		return nil, err
 	}
-	v2Info, v1Infos, _ := splitLive(infos)
+	v2Info, logs, _ := splitLive(infos)
 	var v2recs []rec
 	if v2Info != nil {
 		path := filepath.Join(d.dir, v2Info.name)
@@ -641,11 +667,18 @@ func (d *Disk) loadAllLocked() ([]rec, error) {
 			return nil, err
 		}
 	}
-	v1recs, err := loadV1Segments(d.fs, d.dir, v1Infos)
-	if err != nil {
-		return nil, err
+	var logRecs []rec
+	for _, si := range logs {
+		path := filepath.Join(d.dir, si.name)
+		data, err := d.fs.ReadFile(path)
+		if err != nil {
+			return nil, fmt.Errorf("resultstore: %w", err)
+		}
+		if _, bad := readLog(data, func(r rec) { logRecs = append(logRecs, r) }); bad != nil {
+			return nil, fmt.Errorf("resultstore: %s: %w", path, bad)
+		}
 	}
-	return mergeRecs(v2recs, v1recs), nil
+	return mergeRecs(v2recs, logRecs), nil
 }
 
 // syncDir fsyncs a directory so a just-renamed file survives power loss;
@@ -665,13 +698,13 @@ const quarantineSuffix = ".quarantined"
 // Stats describes a store directory's on-disk composition.
 type Stats struct {
 	Dir          string `json:"dir"`
-	SegmentsV1   int    `json:"segments_v1"` // JSON-lines segments
-	SegmentsV2   int    `json:"segments_v2"` // binary columnar segments
-	Records      int    `json:"records"`     // persisted points (live)
-	RecordsV1    int    `json:"records_v1"`
+	SegmentsLog  int    `json:"segments_log"` // append-log segments
+	SegmentsV2   int    `json:"segments_v2"`  // binary columnar segments
+	Records      int    `json:"records"`      // persisted points (live)
+	RecordsLog   int    `json:"records_log"`
 	RecordsV2    int    `json:"records_v2"`
-	Bytes        int64  `json:"bytes"`                // total segment bytes on disk
-	BytesV1      int64  `json:"bytes_v1"`             // bytes Open must fully parse
+	Bytes        int64  `json:"bytes"`                // log and v2 segment bytes on disk
+	BytesLog     int64  `json:"bytes_log"`            // log bytes Open must replay
 	IndexBytes   int64  `json:"index_bytes"`          // v2 index bytes Open reads
 	Blocks       int    `json:"blocks"`               // v2 blocks
 	BlocksLoaded int    `json:"blocks_loaded"`        // lazily decoded so far (live stores)
@@ -682,8 +715,8 @@ type Stats struct {
 // Stat inspects a store directory read-only, without taking the store
 // lock — it is safe to run against a directory a live daemon is serving,
 // and reports a best-effort snapshot (files may churn underneath it).
-// v1 record counts are exact complete-line counts; v2 counts come from
-// the segment index.
+// Log record counts come from walking every log segment's frames; v2
+// counts come from the segment index.
 func Stat(dir string) (Stats, error) { return StatFS(dir, faultline.OS{}) }
 
 // StatFS is Stat over an explicit filesystem seam.
@@ -695,40 +728,26 @@ func StatFS(dir string, fs faultline.FS) (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
-	st := Stats{Dir: dir}
-	if entries, err := fs.ReadDir(dir); err == nil {
-		for _, e := range entries {
-			if !e.IsDir() && strings.HasSuffix(e.Name(), quarantineSuffix) {
-				st.Quarantined++
-			}
-		}
-	}
-	v2Info, v1Infos, _ := splitLive(infos)
+	st := Stats{Dir: dir, Quarantined: quarantinedIn(fs, dir)}
+	v2Info, logs, _ := splitLive(infos)
 	for _, si := range infos {
-		f, err := fs.Open(filepath.Join(dir, si.name))
+		switch si.kind {
+		case kindLog:
+			st.SegmentsLog++
+		case kindSeg:
+			st.SegmentsV2++
+		default:
+			continue
+		}
+		st.Bytes += fileSize(fs, filepath.Join(dir, si.name))
+	}
+	for _, si := range logs {
+		data, err := fs.ReadFile(filepath.Join(dir, si.name))
 		if err != nil {
 			continue // deleted underneath us
 		}
-		fi, err := f.Stat()
-		f.Close()
-		if err != nil {
-			continue
-		}
-		st.Bytes += fi.Size()
-		if si.ver == 1 {
-			st.SegmentsV1++
-		} else {
-			st.SegmentsV2++
-		}
-	}
-	for _, si := range v1Infos {
-		path := filepath.Join(dir, si.name)
-		n, size, err := countLines(fs, path)
-		if err != nil {
-			continue
-		}
-		st.RecordsV1 += n
-		st.BytesV1 += size
+		readLog(data, func(rec) { st.RecordsLog++ })
+		st.BytesLog += int64(len(data))
 	}
 	if v2Info != nil {
 		s, recovered, err := openSeg2(fs, filepath.Join(dir, v2Info.name))
@@ -743,41 +762,38 @@ func StatFS(dir string, fs faultline.FS) (Stats, error) {
 			}
 		}
 	}
-	st.Records = st.RecordsV1 + st.RecordsV2
+	st.Records = st.RecordsLog + st.RecordsV2
 	return st, nil
 }
 
-// countLines counts '\n'-terminated lines (an unterminated tail is a
-// torn append, not a record) and returns the file size.
-func countLines(fs faultline.FS, path string) (n int, size int64, err error) {
-	f, err := fs.Open(path)
+// quarantinedIn counts the segments Verify has moved aside in dir.
+func quarantinedIn(fs faultline.FS, dir string) int {
+	entries, err := fs.ReadDir(dir)
 	if err != nil {
-		return 0, 0, err
+		return 0
 	}
-	defer f.Close()
-	buf := make([]byte, 1<<20)
-	for {
-		m, rerr := f.Read(buf)
-		n += bytes.Count(buf[:m], []byte{'\n'})
-		size += int64(m)
-		if rerr == io.EOF {
-			return n, size, nil
-		}
-		if rerr != nil {
-			return 0, 0, rerr
+	n := 0
+	for _, e := range entries {
+		if !e.IsDir() && strings.HasSuffix(e.Name(), quarantineSuffix) {
+			n++
 		}
 	}
+	return n
 }
 
-// Stats reports the live store's on-disk composition, including lazy
-// block-decode progress and whether the store has degraded to
-// read-only.
+// Stats reports the live store's on-disk composition, exact to the
+// byte, from the counters Open, Commit and Compact keep: no segment is
+// read, so a health probe costs the same on any store size. One
+// directory listing counts quarantines. It adds lazy block-decode
+// progress and whether the store has degraded to read-only.
 func (d *Disk) Stats() Stats {
-	st, _ := StatFS(d.dir, d.fs)
 	d.mu.Lock()
+	st := d.st
 	st.Records = d.persisted
 	st.Degraded = d.writeErr != nil
 	d.mu.Unlock()
+	st.Dir = d.dir
+	st.Quarantined = quarantinedIn(d.fs, d.dir)
 	d.faultMu.Lock()
 	if s := d.seg2.Load(); s != nil {
 		st.BlocksLoaded = s.loaded
@@ -789,8 +805,8 @@ func (d *Disk) Stats() Stats {
 	return st
 }
 
-// Close flushes and fsyncs the active segment and releases the store; an
-// active segment nothing was appended to is removed so idle open/close
+// Close fsyncs and closes the active segment and releases the store; an
+// active segment nothing was written to is removed so idle open/close
 // cycles do not accumulate empty files. It returns the first append or
 // lazy-decode error, if any occurred.
 func (d *Disk) Close() error {
@@ -800,12 +816,13 @@ func (d *Disk) Close() error {
 		return nil
 	}
 	d.closed = true
-	var flushErr, syncErr, closeErr error
+	var syncErr, closeErr error
 	if d.f != nil { // nil only after a compaction whose recovery also failed
-		flushErr = d.w.Flush()
-		syncErr = d.f.Sync()
+		if d.written > 0 {
+			syncErr = d.f.Sync()
+		}
 		closeErr = d.f.Close()
-		if d.appended == 0 && flushErr == nil && closeErr == nil {
+		if d.written == 0 && closeErr == nil {
 			d.fs.Remove(d.fpath)
 		}
 	}
@@ -813,7 +830,7 @@ func (d *Disk) Close() error {
 		s.close()
 	}
 	unlock(d.lock)
-	for _, err := range []error{d.writeErr, d.faultErr, flushErr, syncErr, closeErr} {
+	for _, err := range []error{d.writeErr, d.faultErr, syncErr, closeErr} {
 		if err != nil {
 			return err
 		}

@@ -1,21 +1,15 @@
 package resultstore
 
 import (
-	"bytes"
-
 	"repro/internal/workload"
 )
 
 // Test hooks for the external resultstore_test package (which needs
 // scenario/engine — importers of this package — to seed real records).
-var (
-	EncodeRecord = func(buf *bytes.Buffer, k Key, res workload.Result) error {
-		return encodeRecord(buf, k, res)
-	}
-	DecodeRecord = func(line []byte) (Key, workload.Result, error) {
-		return decodeRecord(line)
-	}
-)
+
+// DecodeJSONRecord parses one line of an older release's JSON-lines
+// segment, as ImportJSONL does.
+var DecodeJSONRecord = decodeJSONRecord
 
 // TestRec mirrors the internal rec type for block-codec tests.
 type TestRec struct {
@@ -63,6 +57,31 @@ func ParseFrameForTest(data []byte) (kind byte, payload []byte, frameLen int, er
 
 // FrameBlockKind is the block frame kind byte.
 const FrameBlockKind = seg2FrameBlock
+
+// AppendLogFrameForTest appends one record as the log frame Commit
+// writes.
+func AppendLogFrameForTest(dst []byte, k Key, res workload.Result) []byte {
+	var e blockEncoder
+	return e.appendFrame(dst, []rec{{k, res}})
+}
+
+// LogFrame is one frame of a log segment as the frame walker saw it.
+type LogFrame struct {
+	Off, Len int       // where the frame sits in the walked data
+	Recs     []TestRec // its records, when it is intact
+	Err      error     // why it is corrupt, otherwise
+}
+
+// WalkLogForTest walks a log segment's frames with the walker replay,
+// Verify and Stat use, returning every frame it visited and whether the
+// data ends in a torn tail.
+func WalkLogForTest(data []byte) (frames []LogFrame, torn bool) {
+	torn = walkFrames(data, func(off, n int, _ byte, recs []rec, err error) bool {
+		frames = append(frames, LogFrame{Off: off, Len: n, Recs: fromRecs(recs), Err: err})
+		return true
+	})
+	return frames, torn
+}
 
 // SetBlockSizeForTest overrides the v2 records-per-block target so small
 // record sets produce multi-block segments; the returned func restores

@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/faultline"
@@ -48,10 +47,10 @@ func requireHits(t *testing.T, d *Disk, n int) {
 // restart still loads everything persisted before the fault.
 func TestAppendFaultDegradesReadOnly(t *testing.T) {
 	dir := t.TempDir()
-	// Fail the 4th write to the append segment (writes 1-3 are records
-	// 0-2; lockDir bypasses the seam, so only segment I/O counts).
+	// Fail the 4th write to the log segment (writes 1-3 are records 0-2;
+	// lockDir bypasses the seam, so only segment I/O counts).
 	in := faultline.New(faultline.Plan{Rules: []faultline.Rule{
-		{Op: faultline.OpWrite, Path: ".jsonl", Nth: 4},
+		{Op: faultline.OpWrite, Path: ".log", Nth: 4},
 	}})
 	d, err := OpenFS(dir, in)
 	if err != nil {
@@ -92,14 +91,14 @@ func TestAppendFaultDegradesReadOnly(t *testing.T) {
 	}
 }
 
-// A short (torn) write mid-append leaves a torn final line; because
+// A short (torn) write mid-append leaves a torn final frame; because
 // append errors are sticky, the torn record is always the segment's
 // last, and Open drops exactly it — even when later restarts have
 // stacked newer segments on top.
 func TestShortWriteTornTailAcrossRestarts(t *testing.T) {
 	dir := t.TempDir()
 	in := faultline.New(faultline.Plan{Rules: []faultline.Rule{
-		{Op: faultline.OpWrite, Path: ".jsonl", Nth: 3, Kind: faultline.Short},
+		{Op: faultline.OpWrite, Path: ".log", Nth: 3, Kind: faultline.Short},
 	}})
 	d, err := OpenFS(dir, in)
 	if err != nil {
@@ -143,12 +142,13 @@ func TestShortWriteTornTailAcrossRestarts(t *testing.T) {
 	}
 }
 
-// Verify quarantines a v1 segment with mid-file corruption, salvages
-// its decodable records, and leaves the store openable again.
-func TestVerifyQuarantinesCorruptV1(t *testing.T) {
+// Verify quarantines a log segment with a corrupt frame mid-file,
+// salvages the records of every other frame, and leaves the store
+// openable again.
+func TestVerifyQuarantinesCorruptLog(t *testing.T) {
 	dir := t.TempDir()
 	commitSynthetic(t, dir, nil, 5)
-	segs, _ := filepath.Glob(filepath.Join(dir, "*.jsonl"))
+	segs, _ := filepath.Glob(filepath.Join(dir, "*.log"))
 	if len(segs) != 1 {
 		t.Fatalf("segments = %v", segs)
 	}
@@ -156,9 +156,14 @@ func TestVerifyQuarantinesCorruptV1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.SplitAfter(string(data), "\n")
-	lines[1] = strings.Replace(lines[1], `"v":1`, `"v":9`, 1) // corrupt record 1, line intact
-	if err := os.WriteFile(segs[0], []byte(strings.Join(lines, "")), 0o644); err != nil {
+	// Flip a payload byte of record 1's frame: the frame stays whole, so
+	// the walk steps over it, but its CRC fails.
+	_, _, first, err := parseFrame(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[first+frameOverhead] ^= 0xff
+	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -191,15 +196,12 @@ func TestVerifyQuarantinesCorruptV1(t *testing.T) {
 	if _, loaded := re.Acquire(k); loaded {
 		t.Fatal("corrupt record 1 was decoded")
 	}
-	requireHits2 := func(from, to int) {
-		for i := from; i < to; i++ {
-			k, _ := SyntheticRecord(i)
-			if _, loaded := re.Acquire(k); !loaded {
-				t.Fatalf("salvaged record %d missing", i)
-			}
+	for i := 2; i < 5; i++ {
+		k, _ := SyntheticRecord(i)
+		if _, loaded := re.Acquire(k); !loaded {
+			t.Fatalf("salvaged record %d missing", i)
 		}
 	}
-	requireHits2(2, 5)
 }
 
 // Verify quarantines a v2 segment with a corrupt block and salvages
@@ -264,7 +266,7 @@ func TestVerifyQuarantinesCorruptV2Block(t *testing.T) {
 	}
 }
 
-// Verify on a healthy store (v1 appends plus a compacted v2 segment)
+// Verify on a healthy store (log appends plus a compacted v2 segment)
 // reports every segment clean and quarantines nothing.
 func TestVerifyCleanStore(t *testing.T) {
 	dir := t.TempDir()
@@ -300,10 +302,10 @@ func TestVerifyCleanStore(t *testing.T) {
 
 // A torn compaction rename — the temp+rename discipline failing so a
 // truncated v2 segment lands at the top sequence — must not lose data:
-// Compact reports the failure and leaves the v1 segments intact, and
+// Compact reports the failure and leaves the log segments intact, and
 // the next Open keeps the pre-compaction segments as a seed layer
 // instead of deleting them as stale.
-func TestTornCompactRenameKeepsV1(t *testing.T) {
+func TestTornCompactRenameKeepsLog(t *testing.T) {
 	dir := t.TempDir()
 	commitSynthetic(t, dir, nil, 10)
 
@@ -321,8 +323,8 @@ func TestTornCompactRenameKeepsV1(t *testing.T) {
 	requireHits(t, d, 10)
 	d.Close()
 
-	// The torn .seg now outranks every v1 segment. Open must detect the
-	// damage and fall back to the kept v1 segments for the full set.
+	// The torn .seg now outranks every log segment. Open must detect the
+	// damage and fall back to the kept log segments for the full set.
 	re, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -411,4 +413,115 @@ func TestLazyBlockReadFaultDegrades(t *testing.T) {
 	if !re.Stats().Degraded {
 		t.Fatal("Stats().Degraded = false after block read fault")
 	}
+}
+
+// The live Stats reads no segment — the health probe calls it on every
+// poll, so its cost must not grow with the store — yet matches an
+// offline Stat of the same directory exactly, bytes included.
+func TestLiveStatsReadsNoSegment(t *testing.T) {
+	dir := t.TempDir()
+	d, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 12; i++ {
+		k, res := SyntheticRecord(i)
+		d.Commit(k, res, nil)
+	}
+	if err := d.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 12; i < 20; i++ {
+		k, res := SyntheticRecord(i)
+		d.Commit(k, res, nil)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Every open or read of a segment file through the seam fires a
+	// (harmless) rule, so the injector's event log counts them.
+	in := faultline.New(faultline.Plan{Rules: []faultline.Rule{
+		{Op: faultline.OpRead, Path: "segment-", Prob: 1, Kind: faultline.Delay, DelayMs: 1e-6},
+		{Op: faultline.OpOpen, Path: "segment-", Prob: 1, Kind: faultline.Delay, DelayMs: 1e-6},
+	}})
+	re, err := OpenFS(dir, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	for i := 20; i < 25; i++ {
+		k, res := SyntheticRecord(i)
+		re.Commit(k, res, nil)
+	}
+	before := in.Injected()
+	live := re.Stats()
+	if n := in.Injected() - before; n != 0 {
+		t.Fatalf("live Stats touched segment files %d times: %+v", n, in.Events()[before:])
+	}
+	offline, err := Stat(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live != offline {
+		t.Fatalf("live stats differ from the directory's:\n live    %+v\n offline %+v", live, offline)
+	}
+	if live.Records != 25 || live.RecordsV2 != 12 || live.RecordsLog != 13 {
+		t.Fatalf("live stats %+v, want 25 records: 12 compacted + 13 in the log", live)
+	}
+}
+
+// Every shipped fault plan must stay live: each of its rules has to
+// match real store I/O, or a chaos drill that loads the plan passes
+// without injecting anything. A small store workload runs under each
+// plan until every rule has fired.
+func TestFaultPlansFire(t *testing.T) {
+	paths, err := filepath.Glob("../../faultplans/*.json")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no fault plans found (%v)", err)
+	}
+	for _, path := range paths {
+		t.Run(filepath.Base(path), func(t *testing.T) {
+			plan, err := faultline.LoadPlan(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in := faultline.New(plan)
+			dir := t.TempDir()
+			fired := make([]bool, len(plan.Rules))
+			for round, missing := 0, len(plan.Rules); round < 20 && missing > 0; round++ {
+				storeWorkload(dir, in, round)
+				for _, ev := range in.Events() {
+					if !fired[ev.Rule] {
+						fired[ev.Rule] = true
+						missing--
+					}
+				}
+			}
+			for i, ok := range fired {
+				if !ok {
+					t.Errorf("rule %d %+v never fired", i, plan.Rules[i])
+				}
+			}
+		})
+	}
+}
+
+// storeWorkload runs one round of every kind of store I/O over fs:
+// appends, a reopen that replays them and compacts, a scrub and a stat.
+// Injected faults make steps fail; the workload carries on regardless.
+func storeWorkload(dir string, fs faultline.FS, round int) {
+	if d, err := OpenFS(dir, fs); err == nil {
+		for i := 0; i < 100; i++ {
+			k, res := SyntheticRecord(round*100 + i)
+			d.Commit(k, res, nil)
+		}
+		d.Close()
+	}
+	if d, err := OpenFS(dir, fs); err == nil {
+		d.Compact()
+		d.Close()
+	}
+	VerifyFS(dir, fs)
+	StatFS(dir, fs)
 }

@@ -2,6 +2,9 @@ package resultstore_test
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"testing"
@@ -10,87 +13,23 @@ import (
 	"repro/internal/platform"
 	"repro/internal/resultstore"
 	"repro/internal/scenario"
+	"repro/internal/workload"
 )
 
-// FuzzRecordRoundTrip drives the segment codec with arbitrary lines: a
-// malformed record must come back as an error, never a panic, and a
-// record that decodes must survive an encode/decode round trip exactly —
-// the property the disk store's resume contract rests on. The corpus is
-// seeded with real records: every evaluation point of the beyond-dram
-// preset sweep, encoded exactly as Commit writes them.
-func FuzzRecordRoundTrip(f *testing.F) {
+// beyondDram returns the beyond-dram preset sweep's evaluation points as
+// store records, descriptors stripped. The first key takes one exotic
+// but schema-valid shape: placement and variant set.
+func beyondDram(tb testing.TB) []resultstore.TestRec {
+	tb.Helper()
 	sp, err := scenario.ByName("beyond-dram")
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
-	eng := engine.New(platform.NewPurley().Socket(0), 0)
-	outs, err := sp.Run(eng)
+	outs, err := sp.Run(engine.New(platform.NewPurley().Socket(0), 0))
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
-	var buf bytes.Buffer
-	for i, o := range outs {
-		k := resultstore.Key{
-			App:         o.App,
-			Fingerprint: o.Result.Workload.Fingerprint(),
-			Mode:        o.Mode,
-			Threads:     o.Threads,
-		}
-		if i == 0 {
-			// One exotic but schema-valid shape: placement + variant set.
-			k.Placement, k.Variant = 1<<63, "missOverlap=1.5"
-		}
-		buf.Reset()
-		if err := resultstore.EncodeRecord(&buf, k, o.Result); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(bytes.TrimSuffix(buf.Bytes(), []byte{'\n'}))
-	}
-	f.Add([]byte(`{"v":1,"key":{},"result":{}}`))
-	f.Add([]byte(`{"v":2,"key":{},"result":{}}`))
-	f.Add([]byte(`{"v":1`))
-	f.Add([]byte(`null`))
-	f.Add([]byte(`{"v":1,"key":{"Threads":1e99},"result":{}}`))
-	f.Fuzz(func(t *testing.T, line []byte) {
-		k, res, err := resultstore.DecodeRecord(line)
-		if err != nil {
-			return
-		}
-		var enc bytes.Buffer
-		if err := resultstore.EncodeRecord(&enc, k, res); err != nil {
-			// Real results never carry NaN/Inf, so any decoded record must
-			// re-encode; a failure means the decoder admitted a value the
-			// encoder cannot represent.
-			t.Fatalf("decoded record failed to re-encode: %v", err)
-		}
-		k2, res2, err := resultstore.DecodeRecord(bytes.TrimSuffix(enc.Bytes(), []byte{'\n'}))
-		if err != nil {
-			t.Fatalf("re-encoded record failed to decode: %v", err)
-		}
-		if k != k2 || !reflect.DeepEqual(res, res2) {
-			t.Errorf("record round trip drifted:\n key %+v vs %+v\n res %+v vs %+v", k, k2, res, res2)
-		}
-	})
-}
-
-// FuzzSegmentV2RoundTrip drives the v2 binary block codec with arbitrary
-// frame bytes. The frame layer's CRC32C must reject every corruption —
-// a frame that fails its checksum returns an error, never a mis-decoded
-// payload — and any block payload that does decode must survive an
-// encode/decode round trip exactly. The corpus is seeded with real
-// frames: the beyond-dram preset sweep's records encoded exactly as
-// Compact writes them, plus synthetic edge shapes.
-func FuzzSegmentV2RoundTrip(f *testing.F) {
-	sp, err := scenario.ByName("beyond-dram")
-	if err != nil {
-		f.Fatal(err)
-	}
-	eng := engine.New(platform.NewPurley().Socket(0), 0)
-	outs, err := sp.Run(eng)
-	if err != nil {
-		f.Fatal(err)
-	}
-	var recs []resultstore.TestRec
+	recs := make([]resultstore.TestRec, len(outs))
 	for i, o := range outs {
 		k := resultstore.Key{
 			App:         o.App,
@@ -103,8 +42,64 @@ func FuzzSegmentV2RoundTrip(f *testing.F) {
 		}
 		res := o.Result
 		res.Workload = nil
-		recs = append(recs, resultstore.TestRec{Key: k, Res: res})
+		recs[i] = resultstore.TestRec{Key: k, Res: res}
 	}
+	return recs
+}
+
+// FuzzRecordRoundTrip drives the JSON-lines import — the only reader
+// left for the record format older releases appended — with arbitrary
+// lines: a malformed line must come back as an error, never a panic, and
+// every record the import accepts must replay from the append log
+// exactly, re-encoding to the identical frame. The corpus is seeded with
+// real records: every evaluation point of the beyond-dram preset sweep,
+// as an older release wrote it.
+func FuzzRecordRoundTrip(f *testing.F) {
+	for _, r := range beyondDram(f) {
+		line, err := json.Marshal(struct {
+			V      int             `json:"v"`
+			Key    resultstore.Key `json:"key"`
+			Result workload.Result `json:"result"`
+		}{1, r.Key, r.Res})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(line)
+	}
+	f.Add([]byte(`{"v":1,"key":{},"result":{}}`))
+	f.Add([]byte(`{"v":2,"key":{},"result":{}}`))
+	f.Add([]byte(`{"v":1`))
+	f.Add([]byte(`null`))
+	f.Add([]byte(`{"v":1,"key":{"Threads":1e99},"result":{}}`))
+	f.Fuzz(func(t *testing.T, line []byte) {
+		k, res, err := resultstore.DecodeJSONRecord(line)
+		if err != nil {
+			return
+		}
+		frame := resultstore.AppendLogFrameForTest(nil, k, res)
+		frames, torn := resultstore.WalkLogForTest(frame)
+		if torn || len(frames) != 1 || frames[0].Err != nil || len(frames[0].Recs) != 1 {
+			t.Fatalf("imported record does not replay: torn=%v frames=%+v", torn, frames)
+		}
+		got := frames[0].Recs[0]
+		if got.Key != k {
+			t.Errorf("key drifted through the log: %+v vs %+v", got.Key, k)
+		}
+		if re := resultstore.AppendLogFrameForTest(nil, got.Key, got.Res); !bytes.Equal(re, frame) {
+			t.Errorf("replayed record re-encodes to a different frame")
+		}
+	})
+}
+
+// FuzzSegmentV2RoundTrip drives the v2 binary block codec with arbitrary
+// frame bytes. The frame layer's CRC32C must reject every corruption —
+// a frame that fails its checksum returns an error, never a mis-decoded
+// payload — and any block payload that does decode must survive an
+// encode/decode round trip exactly. The corpus is seeded with real
+// frames: the beyond-dram preset sweep's records encoded exactly as
+// Compact writes them, plus synthetic edge shapes.
+func FuzzSegmentV2RoundTrip(f *testing.F) {
+	recs := beyondDram(f)
 	sort.Slice(recs, func(i, j int) bool {
 		return recs[i].Key.Fingerprint < recs[j].Key.Fingerprint
 	})
@@ -138,6 +133,143 @@ func FuzzSegmentV2RoundTrip(f *testing.F) {
 			t.Fatalf("block round trip drifted:\n first  %+v\n second %+v", recs, recs2)
 		}
 	})
+}
+
+// beyondDramLog runs the beyond-dram sweep against a disk store and
+// returns the log segment it leaves: real frames, exactly as Commit
+// writes them.
+func beyondDramLog(f *testing.F) []byte {
+	dir := f.TempDir()
+	d, err := resultstore.Open(dir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	sp, err := scenario.ByName("beyond-dram")
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := sp.Run(engine.NewWithStore(platform.NewPurley().Socket(0), 1, d)); err != nil {
+		f.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		f.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "*.log"))
+	if err != nil || len(segs) != 1 {
+		f.Fatalf("log segments = %v (%v), want 1", segs, err)
+	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		f.Fatal(err)
+	}
+	return data
+}
+
+// FuzzAppendLog drives the frame walker that replays log segments (and
+// serves Verify, Stat and the v2 recovery scan) with arbitrary bytes, a
+// cut point and a bit to flip. Beyond never panicking, three properties
+// hold: every record the walk loads re-encodes to the identical frame;
+// cutting the data inside a frame makes that frame a torn tail and
+// leaves every frame before the cut as it was; and flipping one bit of
+// an intact frame's payload or checksum condemns that frame alone as
+// corrupt. The corpus is seeded with the log a real beyond-dram sweep
+// leaves, plus truncations and bit flips of it.
+func FuzzAppendLog(f *testing.F) {
+	log := beyondDramLog(f)
+	flipped := bytes.Clone(log)
+	flipped[len(flipped)/3] ^= 0x10
+	f.Add(log, uint32(len(log)), uint32(0))
+	f.Add(log[:len(log)-1], uint32(len(log)/2), uint32(7))
+	f.Add(log[:len(log)/2], uint32(3), uint32(1<<20))
+	f.Add(log[:5], uint32(2), uint32(0))
+	f.Add(flipped, uint32(len(log)), uint32(12345))
+	f.Add([]byte{}, uint32(0), uint32(0))
+
+	f.Fuzz(func(t *testing.T, data []byte, cut, flip uint32) {
+		frames, torn := resultstore.WalkLogForTest(data)
+		end := 0
+		var intact []resultstore.LogFrame
+		for _, fr := range frames {
+			if fr.Off != end {
+				t.Fatalf("frame at %d, want %d: frames must tile the data", fr.Off, end)
+			}
+			end = fr.Off + fr.Len
+			if fr.Err != nil {
+				continue
+			}
+			intact = append(intact, fr)
+			re := resultstore.AppendFrameForTest(nil, resultstore.FrameBlockKind,
+				resultstore.EncodeBlockForTest(fr.Recs))
+			if !bytes.Equal(re, data[fr.Off:end]) {
+				t.Fatalf("frame at %d: its records re-encode to a different frame", fr.Off)
+			}
+		}
+		if torn != (end < len(data)) {
+			t.Fatalf("walk covered %d of %d bytes but torn=%v", end, len(data), torn)
+		}
+
+		// A cut inside a frame tears it: the frames wholly before the cut
+		// walk as before, and the rest is a torn tail.
+		c := int(cut % uint32(len(data)+1))
+		var want []resultstore.LogFrame
+		boundary := 0
+		for _, fr := range frames {
+			if fr.Off+fr.Len <= c {
+				want = append(want, fr)
+				boundary = fr.Off + fr.Len
+			}
+		}
+		got, ctorn := resultstore.WalkLogForTest(data[:c])
+		if !sameFrames(got, want) || ctorn != (c > boundary) {
+			t.Fatalf("cut at %d: %d frames, torn=%v; want %d frames, torn=%v",
+				c, len(got), ctorn, len(want), c > boundary)
+		}
+
+		// One flipped bit in an intact frame's payload or checksum makes
+		// that frame corrupt and leaves every other frame as it was.
+		if len(intact) == 0 {
+			return
+		}
+		fr := intact[int(flip%uint32(len(intact)))]
+		at := fr.Off + 5 + int(flip/uint32(len(intact)))%(fr.Len-5)
+		mutated := bytes.Clone(data)
+		mutated[at] ^= 1 << (flip >> 29)
+		mf, mtorn := resultstore.WalkLogForTest(mutated)
+		if mtorn != torn || len(mf) != len(frames) {
+			t.Fatalf("bit flip at %d changed the frame layout", at)
+		}
+		for i := range mf {
+			if mf[i].Off == fr.Off {
+				if mf[i].Err == nil {
+					t.Fatalf("bit flip at %d in the frame at %d went undetected", at, fr.Off)
+				}
+				continue
+			}
+			if !sameFrame(mf[i], frames[i]) {
+				t.Fatalf("bit flip in the frame at %d changed the frame at %d", fr.Off, mf[i].Off)
+			}
+		}
+	})
+}
+
+// sameFrames reports whether two walks saw the same frames with the same
+// verdicts.
+func sameFrames(a, b []resultstore.LogFrame) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !sameFrame(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameFrame compares frames by place and verdict; equal bytes decode to
+// equal records.
+func sameFrame(a, b resultstore.LogFrame) bool {
+	return a.Off == b.Off && a.Len == b.Len && (a.Err == nil) == (b.Err == nil)
 }
 
 // TestFrameCRCRejectsBitFlips deterministically pins the CRC property

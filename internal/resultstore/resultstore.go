@@ -12,19 +12,19 @@
 //     typed map lookup — no allocation — which keeps the engine's
 //     cache-hit Run at 0 allocs/op.
 //   - Disk: a crash-tolerant content-addressed store layered on Memory.
-//     Results append to JSON-lines (v1) segment files as they are
-//     computed and are re-loaded as pre-seeded entries on Open, so a
-//     restarted process re-serves every previously computed point as a
-//     cache hit (the mechanism behind resumable sweep sessions and
-//     nvmbench's -store warm cache). Compact migrates the accumulated
-//     appends into a single binary columnar (v2) segment — sorted,
-//     dictionary/varint-encoded blocks framed with CRC32C checksums plus
-//     a block index (see segment2.go for the format) — which Open reads
-//     index-only: records stay on disk and fault in lazily per block on
-//     first Acquire, so reopening a million-point store costs
-//     milliseconds instead of a full JSON parse. Fresh results keep
-//     appending as v1 alongside the v2 segment; the next Compact folds
-//     them in.
+//     Results append to log segment files as they are computed — one
+//     CRC32C-framed binary block per record, the record codec the
+//     compacted format uses — and are re-loaded as pre-seeded entries on
+//     Open, so a restarted process re-serves every previously computed
+//     point as a cache hit (the mechanism behind resumable sweep sessions
+//     and nvmbench's -store warm cache). Compact folds the log into a
+//     single binary columnar (v2) segment — sorted, dictionary/varint
+//     encoded blocks plus a block index (see segment2.go for the format)
+//     — which Open reads index-only: records stay on disk and fault in
+//     lazily per block on first Acquire, so reopening a million-point
+//     store costs milliseconds instead of a full replay. Fresh results
+//     keep appending to the log alongside the v2 segment; the next
+//     Compact folds them in.
 //
 // The singleflight protocol: Acquire returns the Entry for a key,
 // creating it if this is the key's first submission (loaded reports
@@ -236,17 +236,22 @@ func (s *Memory) Probe(k Key) bool {
 }
 
 // seed installs a pre-completed entry for a key — the path persistent
-// stores use to restore results at Open. Existing entries win: a key
-// already acquired by a live computation is not replaced.
-func (s *Memory) seed(k Key, res workload.Result) {
+// stores use to restore results — and reports whether the key was new.
+// An existing entry is kept unless replace is set: a newer log record
+// replaces an older one while Open replays, but a key a live
+// computation may hold (lazy block faults, compaction) is never
+// replaced.
+func (s *Memory) seed(k Key, res workload.Result, replace bool) bool {
 	sh := &s.shards[k.Hash()&(shardCount-1)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.m == nil {
 		sh.m = make(map[Key]*Entry)
 	}
-	if _, ok := sh.m[k]; ok {
-		return
+	_, exists := sh.m[k]
+	if exists && !replace {
+		return false
 	}
 	sh.m[k] = &Entry{Res: res, Seeded: true}
+	return !exists
 }

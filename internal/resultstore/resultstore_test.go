@@ -1,6 +1,9 @@
 package resultstore
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -131,7 +134,7 @@ func TestDiskFailedEvaluationsNotPersisted(t *testing.T) {
 	}
 }
 
-// A crash mid-append leaves a truncated final line; Open must load
+// A crash mid-append leaves a torn final frame; Open must load
 // everything before it.
 func TestDiskToleratesTruncatedTail(t *testing.T) {
 	dir := t.TempDir()
@@ -144,19 +147,20 @@ func TestDiskToleratesTruncatedTail(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	segs, err := filepath.Glob(filepath.Join(dir, "segment-*.jsonl"))
+	segs, err := filepath.Glob(filepath.Join(dir, "segment-*.log"))
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("no segments written: %v", err)
 	}
 	last := segs[len(segs)-1]
-	f, err := os.OpenFile(last, os.O_APPEND|os.O_WRONLY, 0)
+	data, err := os.ReadFile(last)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"v":1,"key":{"App":"torn`); err != nil {
+	// Half a second copy of the frame: its header declares more payload
+	// than the file holds.
+	if err := os.WriteFile(last, append(data, data[:len(data)/2]...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
 
 	re, err := Open(dir)
 	if err != nil {
@@ -185,13 +189,13 @@ func TestDiskRejectsMidFileCorruption(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	segs, _ := filepath.Glob(filepath.Join(dir, "segment-*.jsonl"))
+	segs, _ := filepath.Glob(filepath.Join(dir, "segment-*.log"))
 	data, err := os.ReadFile(segs[len(segs)-1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	corrupted := append([]byte("not json\n"), data...)
-	if err := os.WriteFile(segs[len(segs)-1], corrupted, 0o644); err != nil {
+	data[frameOverhead] ^= 0xff // inside the first frame's payload: its CRC fails
+	if err := os.WriteFile(segs[len(segs)-1], data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "segment-") {
@@ -215,7 +219,7 @@ func TestDiskCompact(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	segs, _ := filepath.Glob(filepath.Join(dir, "segment-*.jsonl"))
+	segs, _ := filepath.Glob(filepath.Join(dir, "segment-*.log"))
 	if len(segs) < 3 {
 		t.Fatalf("expected >= 3 segments before compaction, have %d", len(segs))
 	}
@@ -227,14 +231,14 @@ func TestDiskCompact(t *testing.T) {
 	if err := d.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	// One compacted v2 segment plus the fresh active v1 one.
+	// One compacted v2 segment plus the fresh active log segment.
 	v2segs, _ := filepath.Glob(filepath.Join(dir, "segment-*.seg"))
 	if len(v2segs) != 1 {
 		t.Fatalf("v2 segments after compaction = %d, want 1", len(v2segs))
 	}
-	segs, _ = filepath.Glob(filepath.Join(dir, "segment-*.jsonl"))
+	segs, _ = filepath.Glob(filepath.Join(dir, "segment-*.log"))
 	if len(segs) != 1 {
-		t.Fatalf("v1 segments after compaction = %d, want 1 (the active one)", len(segs))
+		t.Fatalf("log segments after compaction = %d, want 1 (the active one)", len(segs))
 	}
 	if d.Persisted() != 3 {
 		t.Fatalf("persisted after compaction = %d, want 3", d.Persisted())
@@ -322,4 +326,114 @@ func TestDiskSingleProcessLock(t *testing.T) {
 		t.Fatalf("reopen after Close refused: %v", err)
 	}
 	d2.Close()
+}
+
+// Commit writes each record as exactly the block frame of a one-record
+// v2 block: the append log and compacted segments share one codec.
+func TestCommitWritesBlockFrames(t *testing.T) {
+	dir := t.TempDir()
+	d, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	for i := 0; i < 3; i++ {
+		k, res := SyntheticRecord(i)
+		d.Commit(k, res, nil)
+		want = appendFrame(want, seg2FrameBlock, encodeBlock([]rec{{k, res}}))
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, _ := filepath.Glob(filepath.Join(dir, "segment-*.log"))
+	if len(segs) != 1 {
+		t.Fatalf("log segments = %v, want 1", segs)
+	}
+	got, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("log holds %d bytes, want the %d bytes of three block frames", len(got), len(want))
+	}
+}
+
+// Commit encodes into a pooled frame buffer outside the store lock and
+// writes the frame in one call, so in steady state it allocates at most
+// 2 objects per record.
+func TestCommitSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	d, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	k, res := SyntheticRecord(1)
+	for i := 0; i < 8; i++ {
+		d.Commit(k, res, nil) // grow the pooled encoder to the record's shape
+	}
+	if allocs := testing.AllocsPerRun(200, func() { d.Commit(k, res, nil) }); allocs > 2 {
+		t.Errorf("Commit allocates %.1f objects per record, want <= 2", allocs)
+	}
+	if err := d.Degraded(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// legacyLine renders a record as older releases appended it: one line
+// of a JSON-lines segment.
+func legacyLine(t *testing.T, k Key, res workload.Result) []byte {
+	t.Helper()
+	b, err := json.Marshal(jsonRecord{V: 1, Key: k, Result: res})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(b, '\n')
+}
+
+// A directory an older release appended JSON lines to does not open,
+// and the error names the import. ImportJSONL converts every segment in
+// place — same sequence numbers, so the newer record still wins, and the
+// torn final line of a crash is dropped — after which the store opens
+// and re-serves every record bit-identically.
+func TestImportJSONL(t *testing.T) {
+	dir := t.TempDir()
+	k0, res0 := solved(t, 0, memsys.CachedNVM, 48)
+	k1, res1 := solved(t, 1, memsys.UncachedNVM, 24)
+	newer := res0
+	newer.Slowdown *= 2
+	first := append(legacyLine(t, k0, res0), legacyLine(t, k1, res1)...)
+	second := append(legacyLine(t, k0, newer), `{"v":1,"key":{"App":"torn`...)
+	for seq, data := range map[int][]byte{1: first, 2: second} {
+		name := fmt.Sprintf("segment-%08d.jsonl", seq)
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "nvmbench -store-compact") {
+		t.Fatalf("Open on JSON-lines segments = %v, want a refusal naming the import", err)
+	}
+	n, err := ImportJSONL(dir)
+	if err != nil || n != 3 {
+		t.Fatalf("ImportJSONL = %d, %v; want 3 records", n, err)
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "*.jsonl")); len(left) != 0 {
+		t.Fatalf("JSON-lines segments left after import: %v", left)
+	}
+	d, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if d.Persisted() != 2 {
+		t.Fatalf("Persisted = %d, want 2", d.Persisted())
+	}
+	for k, want := range map[Key]workload.Result{k0: newer, k1: res1} {
+		e, loaded := d.Acquire(k)
+		if !loaded || !reflect.DeepEqual(e.Res, want) {
+			t.Errorf("imported record %s/%v not re-served exactly (loaded=%v)", k.App, k.Mode, loaded)
+		}
+	}
 }

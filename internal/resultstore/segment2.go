@@ -2,6 +2,7 @@ package resultstore
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -26,9 +27,12 @@ import (
 //	[16-byte trailer]  index frame offset + CRC32C(offset) + magic "RS2I"
 //
 // Every frame is [kind u8][payloadLen u32][payload][crc u32] where crc is
-// CRC32C (Castagnoli) over the payload — the binary counterpart of the
-// v1 loader's truncated-line tolerance: a torn or corrupt frame is
-// detected by checksum, never mis-decoded.
+// CRC32C (Castagnoli) over the payload: a torn or corrupt frame is
+// detected, never mis-decoded. One walker (walkFrames) reads frame
+// sequences: a frame whose header or declared payload runs past the end
+// of the data is a torn tail — the signature of an interrupted write —
+// and ends the walk; a complete frame that fails its CRC or decode is
+// corruption, and the walk steps over it by its declared length.
 //
 // A block's payload is columnar: records are globally sorted by
 // fingerprint (full cache-key order for ties), fingerprints are stored
@@ -47,9 +51,11 @@ import (
 // discipline), Open falls back to a sequential frame scan that loads
 // every intact block eagerly and drops the torn tail.
 //
-// v2 segments are written only by Compact (temp file + fsync + rename);
-// live appends stay on the v1 JSON-lines format, whose per-record
-// flush/torn-tail semantics fit incremental durability.
+// v2 segments are written only by Compact (temp file + fsync + rename).
+// Live appends use the same block frames: the append log (see disk.go)
+// is a bare sequence of one-record block frames, so appends, replay,
+// Verify, Stat and the recovery scan above share one record codec and
+// one frame walker.
 
 const (
 	seg2FileMagic    = "RSTORE2\n"
@@ -59,9 +65,8 @@ const (
 	seg2FrameBlock = 1
 	seg2FrameIndex = 2
 
-	// seg2FrameMax bounds a frame payload; a length beyond it is
-	// corruption, not a real frame.
-	seg2FrameMax = 1 << 30
+	// frameOverhead is a frame's kind, length and CRC bytes.
+	frameOverhead = 9
 )
 
 // seg2BlockSize is the records-per-block target; a var so tests can
@@ -105,8 +110,17 @@ func (w *s2writer) u64(v uint64)     { w.b = binary.LittleEndian.AppendUint64(w.
 func (w *s2writer) f64(v float64)    { w.u64(math.Float64bits(v)) }
 func (w *s2writer) str(s string)     { w.uvarint(uint64(len(s))); w.b = append(w.b, s...) }
 
-// dict is an order-of-first-use string dictionary for low-cardinality
-// columns (apps, variants, phase names, bound-by resources).
+// take returns the bytes written and drops the writer's reference to
+// them, so a pooled encoder never holds on to a caller's buffer.
+func (w *s2writer) take() []byte {
+	b := w.b
+	w.b = nil
+	return b
+}
+
+// dict is an order-of-first-use string dictionary for one
+// low-cardinality column (apps, variants, phase names or bound-by
+// resources).
 type dict struct {
 	idx  map[string]int
 	strs []string
@@ -132,13 +146,56 @@ func (w *s2writer) dict(d *dict) {
 	}
 }
 
+// blockEncoder renders record runs as columnar block payloads. Its
+// dictionary and scratch columns are reused from call to call, so once
+// they have grown to a block's shape, encoding allocates nothing — the
+// property Commit's one-frame-per-record appends rest on.
+type blockEncoder struct {
+	w      s2writer
+	d      dict
+	codes  []uint64
+	phases []workload.PhaseOutcome
+}
+
 // encodeBlock renders one sorted record run as a columnar payload.
 func encodeBlock(recs []rec) []byte {
-	w := &s2writer{b: make([]byte, 0, 64*len(recs))}
+	var e blockEncoder
+	return e.appendPayload(make([]byte, 0, 64*len(recs)), recs)
+}
+
+// appendFrame appends recs to dst as one block frame: the bytes of
+// appendFrame(dst, seg2FrameBlock, encodeBlock(recs)), encoded in place.
+func (e *blockEncoder) appendFrame(dst []byte, recs []rec) []byte {
+	at := len(dst)
+	dst = e.appendPayload(append(dst, seg2FrameBlock, 0, 0, 0, 0), recs)
+	payload := dst[at+5:]
+	binary.LittleEndian.PutUint32(dst[at+1:], uint32(len(payload)))
+	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, crcTable))
+}
+
+// dictColumn writes one dictionary-coded string column of n values: the
+// dictionary in order of first use, then one code per value.
+func (e *blockEncoder) dictColumn(n int, value func(i int) string) {
+	clear(e.d.idx)
+	e.d.strs = e.d.strs[:0]
+	e.codes = e.codes[:0]
+	for i := 0; i < n; i++ {
+		e.codes = append(e.codes, e.d.code(value(i)))
+	}
+	e.w.dict(&e.d)
+	for _, c := range e.codes {
+		e.w.uvarint(c)
+	}
+}
+
+// appendPayload appends the columnar payload of recs to dst.
+func (e *blockEncoder) appendPayload(dst []byte, recs []rec) []byte {
+	w := &e.w
+	w.b = dst
 	n := len(recs)
 	w.uvarint(uint64(n))
 	if n == 0 {
-		return w.b
+		return w.take()
 	}
 
 	// Key columns. Fingerprints are sorted, so deltas pack small.
@@ -146,17 +203,7 @@ func encodeBlock(recs []rec) []byte {
 	for i := 1; i < n; i++ {
 		w.uvarint(recs[i].k.Fingerprint - recs[i-1].k.Fingerprint)
 	}
-	var apps, variants dict
-	appCodes := make([]uint64, n)
-	varCodes := make([]uint64, n)
-	for i, r := range recs {
-		appCodes[i] = apps.code(r.k.App)
-		varCodes[i] = variants.code(r.k.Variant)
-	}
-	w.dict(&apps)
-	for _, c := range appCodes {
-		w.uvarint(c)
-	}
+	e.dictColumn(n, func(i int) string { return recs[i].k.App })
 	for _, r := range recs {
 		w.uvarint(uint64(r.k.Mode))
 	}
@@ -166,10 +213,7 @@ func encodeBlock(recs []rec) []byte {
 	for _, r := range recs {
 		w.uvarint(r.k.Placement)
 	}
-	w.dict(&variants)
-	for _, c := range varCodes {
-		w.uvarint(c)
-	}
+	e.dictColumn(n, func(i int) string { return recs[i].k.Variant })
 
 	// Result headline columns. Mode/Threads are persisted independently
 	// of the key's so a record round-trips even if they ever diverge.
@@ -205,21 +249,11 @@ func encodeBlock(recs []rec) []byte {
 	for _, r := range recs {
 		w.uvarint(uint64(len(r.res.Phases)))
 	}
-	var phases []workload.PhaseOutcome
 	for _, r := range recs {
-		phases = append(phases, r.res.Phases...)
+		e.phases = append(e.phases, r.res.Phases...)
 	}
-	var names, bounds dict
-	nameCodes := make([]uint64, len(phases))
-	boundCodes := make([]uint64, len(phases))
-	for i, p := range phases {
-		nameCodes[i] = names.code(p.Phase.Name)
-		boundCodes[i] = bounds.code(string(p.Epoch.BoundBy))
-	}
-	w.dict(&names)
-	for _, c := range nameCodes {
-		w.uvarint(c)
-	}
+	phases := e.phases
+	e.dictColumn(len(phases), func(i int) string { return phases[i].Phase.Name })
 	for _, p := range phases {
 		w.f64(p.Phase.Share)
 	}
@@ -256,10 +290,7 @@ func encodeBlock(recs []rec) []byte {
 	for _, p := range phases {
 		w.f64(p.Epoch.Mult)
 	}
-	w.dict(&bounds)
-	for _, c := range boundCodes {
-		w.uvarint(c)
-	}
+	e.dictColumn(len(phases), func(i int) string { return string(phases[i].Epoch.BoundBy) })
 	for _, p := range phases {
 		w.f64(p.Epoch.HitRate)
 	}
@@ -284,7 +315,10 @@ func encodeBlock(recs []rec) []byte {
 	for _, p := range phases {
 		w.f64(float64(p.Time))
 	}
-	return w.b
+	// The scratch must not keep the caller's phase slices and names alive.
+	clear(phases)
+	e.phases = phases[:0]
+	return w.take()
 }
 
 // --- column reader ---
@@ -571,6 +605,10 @@ func decodeBlock(payload []byte) ([]rec, error) {
 
 // --- frames ---
 
+// errTornFrame reports a frame whose header or declared payload runs
+// past the end of the data: the signature of an interrupted write.
+var errTornFrame = errors.New("resultstore: frame runs past the end of the data")
+
 // appendFrame wraps a payload as [kind][len][payload][crc32c].
 func appendFrame(dst []byte, kind byte, payload []byte) []byte {
 	dst = append(dst, kind)
@@ -580,22 +618,54 @@ func appendFrame(dst []byte, kind byte, payload []byte) []byte {
 }
 
 // parseFrame reads the frame starting at data[0], returning its kind,
-// CRC-verified payload and total length.
+// CRC-verified payload and total length. A frame that runs past the end
+// of data is errTornFrame; one that fails its CRC still reports its
+// length, so a walker can step over it.
 func parseFrame(data []byte) (kind byte, payload []byte, frameLen int, err error) {
-	if len(data) < 9 {
-		return 0, nil, 0, fmt.Errorf("resultstore: v2 frame: short header")
+	if len(data) < frameOverhead {
+		return 0, nil, 0, errTornFrame
 	}
 	kind = data[0]
 	n := binary.LittleEndian.Uint32(data[1:5])
-	if n > seg2FrameMax || int(n) > len(data)-9 {
-		return 0, nil, 0, fmt.Errorf("resultstore: v2 frame: payload length %d exceeds file", n)
+	if uint64(n) > uint64(len(data)-frameOverhead) {
+		return 0, nil, 0, errTornFrame
 	}
+	frameLen = int(n) + frameOverhead
 	payload = data[5 : 5+n]
-	crc := binary.LittleEndian.Uint32(data[5+n:])
-	if crc32.Checksum(payload, crcTable) != crc {
-		return 0, nil, 0, fmt.Errorf("resultstore: v2 frame: CRC mismatch")
+	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(data[5+n:]) {
+		return kind, nil, frameLen, fmt.Errorf("resultstore: frame: CRC mismatch")
 	}
-	return kind, payload, int(n) + 9, nil
+	return kind, payload, frameLen, nil
+}
+
+// walkFrames visits the complete frames of data in order, decoding block
+// frames: visit gets each frame's offset, length and kind, a block's
+// records, and err when the frame is corrupt — it fails its CRC, is not
+// a block, or does not decode. The walk steps over a corrupt frame by
+// its declared length, so one bad frame never hides the intact frames
+// after it, and it ends early when visit returns false. A frame whose
+// header or declared payload runs past the end of data is a torn tail:
+// the walk stops there and reports it.
+func walkFrames(data []byte, visit func(off, n int, kind byte, recs []rec, err error) bool) (torn bool) {
+	for off := 0; off < len(data); {
+		kind, payload, n, err := parseFrame(data[off:])
+		if errors.Is(err, errTornFrame) {
+			return true
+		}
+		var recs []rec
+		if err == nil {
+			if kind == seg2FrameBlock {
+				recs, err = decodeBlock(payload)
+			} else {
+				err = fmt.Errorf("resultstore: frame kind %d is not a block", kind)
+			}
+		}
+		if !visit(off, n, kind, recs, err) {
+			return false
+		}
+		off += n
+	}
+	return false
 }
 
 // blockMeta is one index entry: where a block's frame lives and which
@@ -642,47 +712,59 @@ func decodeIndex(payload []byte) ([]blockMeta, error) {
 	return metas, nil
 }
 
+// seg2Layout summarizes a segment writeSeg2 wrote, so the live store's
+// stats after a compaction need no re-read.
+type seg2Layout struct {
+	size, indexBytes int64
+	blocks           int
+}
+
 // writeSeg2 renders a full v2 segment (sorted blocks, index, trailer)
 // into w. Records are sorted in place.
-func writeSeg2(w io.Writer, recs []rec) error {
+func writeSeg2(w io.Writer, recs []rec) (seg2Layout, error) {
 	sort.Slice(recs, func(i, j int) bool { return keyLess(recs[i].k, recs[j].k) })
+	var enc blockEncoder
 	buf := make([]byte, 0, 1<<16)
 	buf = append(buf, seg2FileMagic...)
 	off := int64(len(buf))
 	var metas []blockMeta
-	written := int64(0)
+	var lay seg2Layout
 	flush := func() error {
 		n, err := w.Write(buf)
-		written += int64(n)
+		lay.size += int64(n)
 		buf = buf[:0]
 		return err
 	}
 	for at := 0; at < len(recs); at += seg2BlockSize {
 		end := min(at+seg2BlockSize, len(recs))
 		chunk := recs[at:end]
-		payload := encodeBlock(chunk)
+		start := len(buf)
+		buf = enc.appendFrame(buf, chunk)
+		frameLen := len(buf) - start
 		metas = append(metas, blockMeta{
 			off:    off,
-			length: len(payload),
+			length: frameLen - frameOverhead,
 			count:  len(chunk),
 			minFp:  chunk[0].k.Fingerprint,
 			maxFp:  chunk[len(chunk)-1].k.Fingerprint,
 		})
-		buf = appendFrame(buf, seg2FrameBlock, payload)
-		off += int64(9 + len(payload))
+		off += int64(frameLen)
 		if len(buf) >= 1<<20 {
 			if err := flush(); err != nil {
-				return err
+				return lay, err
 			}
 		}
 	}
 	indexOff := off
+	start := len(buf)
 	buf = appendFrame(buf, seg2FrameIndex, encodeIndex(metas))
+	lay.indexBytes, lay.blocks = int64(len(buf)-start), len(metas)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(indexOff))
 	buf = binary.LittleEndian.AppendUint32(buf,
 		crc32.Checksum(buf[len(buf)-8:], crcTable))
 	buf = append(buf, seg2TrailerMagic...)
-	return flush()
+	err := flush()
+	return lay, err
 }
 
 // seg2 is an open v2 segment: the block index plus an open read handle;
@@ -691,7 +773,8 @@ type seg2 struct {
 	path   string
 	f      faultline.File
 	blocks []blockMeta
-	count  int // total records across blocks
+	count  int   // total records across blocks
+	size   int64 // file bytes
 
 	indexBytes int64
 	loaded     int // blocks decoded so far
@@ -735,7 +818,7 @@ func openSeg2(fs faultline.FS, path string) (*seg2, []rec, error) {
 	}
 
 	if metas, indexBytes, ok := readSeg2Index(f, size); ok {
-		s := &seg2{path: path, f: f, blocks: metas, indexBytes: indexBytes}
+		s := &seg2{path: path, f: f, blocks: metas, size: size, indexBytes: indexBytes}
 		for _, m := range metas {
 			s.count += m.count
 		}
@@ -784,41 +867,31 @@ func readSeg2Index(f faultline.File, size int64) (metas []blockMeta, indexBytes 
 	return metas, int64(len(frame)), true
 }
 
-// scanSeg2 walks the frames of a damaged segment from the top, decoding
-// every intact block; the first unreadable frame ends the scan (the
-// torn-tail rule).
+// scanSeg2 recovers a damaged segment by walking its frames from the
+// top: every intact block is decoded, corrupt blocks are skipped, and
+// the index frame or a torn tail ends the scan.
 func scanSeg2(f faultline.File, size int64) ([]rec, error) {
 	data := make([]byte, size)
 	if _, err := io.ReadFull(f, data); err != nil {
 		return nil, err
 	}
-	at := len(seg2FileMagic)
 	var recs []rec
-	for at < len(data) {
-		kind, payload, frameLen, err := parseFrame(data[at:])
-		if err != nil {
-			break // torn tail
-		}
+	walkFrames(data[len(seg2FileMagic):], func(_, _ int, kind byte, blockRecs []rec, err error) bool {
 		if kind == seg2FrameIndex {
-			break // blocks precede the index; nothing left to recover
+			return false // blocks precede the index; nothing left to recover
 		}
-		if kind != seg2FrameBlock {
-			break
+		if err == nil {
+			recs = append(recs, blockRecs...)
 		}
-		blockRecs, err := decodeBlock(payload)
-		if err != nil {
-			break
-		}
-		recs = append(recs, blockRecs...)
-		at += frameLen
-	}
+		return true
+	})
 	return recs, nil
 }
 
 // readBlock decodes block i from disk, verifying its frame CRC.
 func (s *seg2) readBlock(i int) ([]rec, error) {
 	m := s.blocks[i]
-	frame := make([]byte, 9+m.length)
+	frame := make([]byte, frameOverhead+m.length)
 	if _, err := s.f.ReadAt(frame, m.off); err != nil {
 		return nil, fmt.Errorf("resultstore: %s: block %d: %w", s.path, i, err)
 	}

@@ -1,7 +1,6 @@
 package resultstore
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -18,39 +17,41 @@ func TestParseSegName(t *testing.T) {
 	cases := []struct {
 		name string
 		seq  int
-		ver  int
+		kind int
 		ok   bool
 	}{
-		{"segment-00000001.jsonl", 1, 1, true},
-		{"segment-00000042.jsonl", 42, 1, true},
-		{"segment-00000001.seg", 1, 2, true},
-		{"segment-99999999.seg", 99999999, 2, true},
+		{"segment-00000001.log", 1, kindLog, true},
+		{"segment-00000042.log", 42, kindLog, true},
+		{"segment-00000001.seg", 1, kindSeg, true},
+		{"segment-99999999.seg", 99999999, kindSeg, true},
+		{"segment-00000007.jsonl", 7, kindJSONL, true},
 		// Near misses a Sscanf prefix match used to accept.
-		{"segment-00000001.jsonl.bak", 0, 0, false},
-		{"segment-00000001.jsonl~", 0, 0, false},
-		{"segment-00000001.jsonlx", 0, 0, false},
+		{"segment-00000001.log.bak", 0, 0, false},
+		{"segment-00000001.log~", 0, 0, false},
+		{"segment-00000001.logx", 0, 0, false},
 		{"segment-00000001.segx", 0, 0, false},
 		{"segment-00000001.seg.tmp", 0, 0, false},
+		{"segment-00000001.jsonl.bak", 0, 0, false},
 		// Wrong digit counts, signs, or stray characters.
-		{"segment-0000001.jsonl", 0, 0, false},
-		{"segment-000000001.jsonl", 0, 0, false},
-		{"segment-+0000001.jsonl", 0, 0, false},
-		{"segment--0000001.jsonl", 0, 0, false},
-		{"segment-0000000a.jsonl", 0, 0, false},
-		{"segment-00000001.json", 0, 0, false},
+		{"segment-0000001.log", 0, 0, false},
+		{"segment-000000001.log", 0, 0, false},
+		{"segment-+0000001.log", 0, 0, false},
+		{"segment--0000001.log", 0, 0, false},
+		{"segment-0000000a.log", 0, 0, false},
+		{"segment-00000001.lo", 0, 0, false},
 		{"segment-00000001", 0, 0, false},
-		{"segment-.jsonl", 0, 0, false},
-		{"Segment-00000001.jsonl", 0, 0, false},
-		{"xsegment-00000001.jsonl", 0, 0, false},
+		{"segment-.log", 0, 0, false},
+		{"Segment-00000001.log", 0, 0, false},
+		{"xsegment-00000001.log", 0, 0, false},
 		{"compact.tmp", 0, 0, false},
 		{"LOCK", 0, 0, false},
 		{"", 0, 0, false},
 	}
 	for _, c := range cases {
-		seq, ver, ok := parseSegName(c.name)
-		if ok != c.ok || seq != c.seq || ver != c.ver {
+		seq, kind, ok := parseSegName(c.name)
+		if ok != c.ok || seq != c.seq || kind != c.kind {
 			t.Errorf("parseSegName(%q) = (%d, %d, %v), want (%d, %d, %v)",
-				c.name, seq, ver, ok, c.seq, c.ver, c.ok)
+				c.name, seq, kind, ok, c.seq, c.kind, c.ok)
 		}
 	}
 }
@@ -69,8 +70,8 @@ func TestDiskIgnoresNearMissFiles(t *testing.T) {
 	}
 	// A backup copy with garbage content: a prefix match would load it
 	// and fail; an exact match skips it.
-	if err := os.WriteFile(filepath.Join(dir, "segment-00000001.jsonl.bak"),
-		[]byte("not json\n"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "segment-00000001.log.bak"),
+		[]byte("not a frame at all"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	re, err := Open(dir)
@@ -126,11 +127,11 @@ func TestBlockCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// The v1→v2 migration property: Compact on a JSON-lines store yields a
-// v2 store in which every record round-trips bit-identically
+// The log→v2 migration property: Compact on an append-log store yields
+// a v2 store in which every record round-trips bit-identically
 // (workload.Result equality), and the migrated store re-serves every
 // key as a seeded cache hit after reopening.
-func TestCompactMigratesV1ToV2(t *testing.T) {
+func TestCompactMigratesLogToV2(t *testing.T) {
 	dir := t.TempDir()
 	d, err := Open(dir)
 	if err != nil {
@@ -161,12 +162,12 @@ func TestCompactMigratesV1ToV2(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// On disk: exactly one v2 segment, no v1 segments (the empty active
+	// On disk: exactly one v2 segment, no log segments (the empty active
 	// one is removed on Close).
 	v2segs, _ := filepath.Glob(filepath.Join(dir, "segment-*.seg"))
-	v1segs, _ := filepath.Glob(filepath.Join(dir, "segment-*.jsonl"))
-	if len(v2segs) != 1 || len(v1segs) != 0 {
-		t.Fatalf("after migration: %d v2 + %d v1 segments, want 1 + 0", len(v2segs), len(v1segs))
+	logs, _ := filepath.Glob(filepath.Join(dir, "segment-*.log"))
+	if len(v2segs) != 1 || len(logs) != 0 {
+		t.Fatalf("after migration: %d v2 + %d log segments, want 1 + 0", len(v2segs), len(logs))
 	}
 
 	re, err := Open(dir)
@@ -247,8 +248,8 @@ func TestV2LazyBlockFault(t *testing.T) {
 }
 
 // A damaged trailer or index falls back to a sequential frame scan that
-// recovers every intact block — the v2 counterpart of the JSON loader's
-// truncated-line tolerance.
+// recovers every intact block — the v2 counterpart of the log's torn
+// tail tolerance.
 func TestV2TrailerFallbackRecovers(t *testing.T) {
 	dir := t.TempDir()
 	d, err := Open(dir)
@@ -346,7 +347,7 @@ func TestV2CorruptBlockIsRejected(t *testing.T) {
 }
 
 // An interrupted compaction cleanup (v2 segment renamed into place, old
-// segments not yet deleted) is finished by Open, and newer v1 appends
+// segments not yet deleted) is finished by Open, and newer log appends
 // override the v2 segment's records.
 func TestInterruptedCompactionCleanup(t *testing.T) {
 	dir := t.TempDir()
@@ -361,8 +362,8 @@ func TestInterruptedCompactionCleanup(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Hand-write the compacted v2 segment at seq 2, leaving the v1
-	// leftover in place (as if the cleanup crashed), plus a newer v1
+	// Hand-write the compacted v2 segment at seq 2, leaving the log
+	// leftover in place (as if the cleanup crashed), plus a newer log
 	// segment at seq 3 overriding k0.
 	var recs []rec
 	recs = append(recs, rec{k0, res0}, rec{k1, res1})
@@ -370,17 +371,14 @@ func TestInterruptedCompactionCleanup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeSeg2(f, recs); err != nil {
+	if _, err := writeSeg2(f, recs); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
 	override := res0
 	override.Slowdown = 99.5
-	var buf bytes.Buffer
-	if err := encodeRecord(&buf, k0, override); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, segName(3)), buf.Bytes(), 0o644); err != nil {
+	frame := appendFrame(nil, seg2FrameBlock, encodeBlock([]rec{{k0, override}}))
+	if err := os.WriteFile(filepath.Join(dir, logName(3)), frame, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -389,15 +387,15 @@ func TestInterruptedCompactionCleanup(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if _, err := os.Stat(filepath.Join(dir, segName(1))); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(dir, logName(1))); !os.IsNotExist(err) {
 		t.Error("stale pre-compaction segment not cleaned up by Open")
 	}
-	if re.Persisted() != 3 { // 2 in v2 + 1 override in v1
+	if re.Persisted() != 3 { // 2 in v2 + 1 override in the log
 		t.Errorf("Persisted = %d, want 3", re.Persisted())
 	}
 	e, loaded := re.Acquire(k0)
 	if !loaded || e.Res.Slowdown != 99.5 {
-		t.Errorf("newer v1 record did not win over v2 (loaded=%v, slowdown=%v)",
+		t.Errorf("newer log record did not win over v2 (loaded=%v, slowdown=%v)",
 			loaded, e.Res.Slowdown)
 	}
 	if e, loaded := re.Acquire(k1); !loaded || !reflect.DeepEqual(e.Res, res1) {
@@ -485,24 +483,23 @@ func TestStatReportsComposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.SegmentsV1 != 1 || st.SegmentsV2 != 1 {
-		t.Errorf("segments = %d v1 + %d v2, want 1 + 1", st.SegmentsV1, st.SegmentsV2)
+	if st.SegmentsLog != 1 || st.SegmentsV2 != 1 {
+		t.Errorf("segments = %d log + %d v2, want 1 + 1", st.SegmentsLog, st.SegmentsV2)
 	}
-	if st.Records != compacted+1 || st.RecordsV2 != compacted || st.RecordsV1 != 1 {
-		t.Errorf("records = %d (v1 %d, v2 %d), want %d (1, %d)",
-			st.Records, st.RecordsV1, st.RecordsV2, compacted+1, compacted)
+	if st.Records != compacted+1 || st.RecordsV2 != compacted || st.RecordsLog != 1 {
+		t.Errorf("records = %d (log %d, v2 %d), want %d (1, %d)",
+			st.Records, st.RecordsLog, st.RecordsV2, compacted+1, compacted)
 	}
 	if st.IndexBytes <= 0 || st.Blocks <= 0 {
 		t.Errorf("index accounting empty: index_bytes=%d blocks=%d", st.IndexBytes, st.Blocks)
 	}
-	if st.Bytes <= st.BytesV1 {
-		t.Errorf("total bytes %d should exceed v1 bytes %d", st.Bytes, st.BytesV1)
+	if st.Bytes <= st.BytesLog {
+		t.Errorf("total bytes %d should exceed log bytes %d", st.Bytes, st.BytesLog)
 	}
 
-	// The live store's view agrees and adds fault progress.
-	live := d.Stats()
-	if live.Records != compacted+1 {
-		t.Errorf("live Records = %d, want %d", live.Records, compacted+1)
+	// The live store's counters agree with the directory exactly.
+	if live := d.Stats(); live != st {
+		t.Errorf("live stats differ from the directory's:\n live %+v\n stat %+v", live, st)
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
@@ -510,9 +507,10 @@ func TestStatReportsComposition(t *testing.T) {
 }
 
 // The headline acceptance criterion: a compacted v2 store opens at
-// least 20× faster than the equivalent JSON-lines store. The default
-// population keeps the test quick; set RESULTSTORE_SPEEDUP_POINTS=1000000
-// to reproduce the 1M-point measurement from the README.
+// least 20× faster than the same records left in the append log, which
+// Open replays in full. The default population keeps the test quick;
+// set RESULTSTORE_SPEEDUP_POINTS=1000000 to reproduce the 1M-point
+// measurement from the README.
 func TestV2OpenSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("store population is not short-mode material")
@@ -531,25 +529,21 @@ func TestV2OpenSpeedup(t *testing.T) {
 		recs[i].k, recs[i].res = SyntheticRecord(i)
 	}
 
-	// Equivalent stores: one v1 JSON-lines segment vs one v2 segment.
-	v1dir, v2dir := t.TempDir(), t.TempDir()
-	var buf bytes.Buffer
-	var lines bytes.Buffer
-	for _, r := range recs {
-		buf.Reset()
-		if err := encodeRecord(&buf, r.k, r.res); err != nil {
-			t.Fatal(err)
-		}
-		lines.Write(buf.Bytes())
+	// Equivalent stores: one log segment vs one v2 segment.
+	logDir, v2dir := t.TempDir(), t.TempDir()
+	var enc blockEncoder
+	var log []byte
+	for i := range recs {
+		log = enc.appendFrame(log, recs[i:i+1])
 	}
-	if err := os.WriteFile(filepath.Join(v1dir, segName(1)), lines.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(logDir, logName(1)), log, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Create(filepath.Join(v2dir, seg2Name(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeSeg2(f, recs); err != nil {
+	if _, err := writeSeg2(f, recs); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -578,10 +572,10 @@ func TestV2OpenSpeedup(t *testing.T) {
 		return best
 	}
 	v2t := open(v2dir)
-	v1t := open(v1dir)
-	ratio := float64(v1t) / float64(v2t)
-	t.Logf("open %d points: v1 %v, v2 %v (%.0f× faster)", n, v1t, v2t, ratio)
+	logT := open(logDir)
+	ratio := float64(logT) / float64(v2t)
+	t.Logf("open %d points: log replay %v, v2 %v (%.0f× faster)", n, logT, v2t, ratio)
 	if ratio < 20 {
-		t.Errorf("v2 open only %.1f× faster than v1, want >= 20×", ratio)
+		t.Errorf("v2 open only %.1f× faster than the log replay, want >= 20×", ratio)
 	}
 }

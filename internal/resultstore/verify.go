@@ -1,7 +1,6 @@
 package resultstore
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -18,20 +17,21 @@ type VerifyReport struct {
 	Quarantined []string `json:"quarantined,omitempty"` // file names moved aside
 	RecordsOK   int      `json:"records_ok"`            // records that decoded clean
 	Salvaged    int      `json:"salvaged"`              // unique records rescued from quarantined segments
-	TornTails   int      `json:"torn_tails"`            // v1 segments ending in a torn append (normal crash signature)
+	TornTails   int      `json:"torn_tails"`            // log segments ending in a torn append (normal crash signature)
 }
 
-// Verify scrubs a store directory: it walks every segment — each v1
-// JSON-lines record decoded, each v2 block's CRC32C checked and its
-// payload decoded — quarantines corrupt segments by renaming them with
-// a ".quarantined" suffix (Open and Stat skip them; the bytes stay for
-// forensics), and salvages their still-decodable records into a fresh
-// v1 segment so a single bad block never costs the rest of its
-// segment. Corruption is reported in the returned report, never as an
-// error; the error path is for the scrub itself failing (unreadable
-// directory, store locked by a live process).
+// Verify scrubs a store directory: it walks every segment's frames —
+// each log record and each v2 block CRC-checked and decoded —
+// quarantines corrupt segments by renaming them with a ".quarantined"
+// suffix (Open and Stat skip them; the bytes stay for forensics), and
+// salvages their still-decodable records into a fresh log segment, so a
+// single bad frame never costs the rest of its segment. Corruption is
+// reported in the returned report, never as an error; the error path is
+// for the scrub itself failing (unreadable directory, store locked by a
+// live process). JSON-lines segments from older releases are left for
+// ImportJSONL.
 //
-// A torn final line of a v1 segment is the normal crash-mid-append
+// A torn final frame of a log segment is the normal crash-mid-append
 // signature, counted in TornTails and not quarantined. Salvage is safe
 // under reordering because records are content-addressed: a key is
 // derived from the workload fingerprint and evaluation is
@@ -58,16 +58,17 @@ func VerifyFS(dir string, fs faultline.FS) (VerifyReport, error) {
 	var salvage []rec
 	seen := make(map[Key]bool)
 	for _, si := range infos {
-		if si.seq > maxSeq {
-			maxSeq = si.seq
-		}
+		maxSeq = max(maxSeq, si.seq)
 		path := filepath.Join(dir, si.name)
 		var ok, torn bool
 		var recs []rec
-		if si.ver == 1 {
-			ok, torn, recs = verifyV1(fs, path)
-		} else {
+		switch si.kind {
+		case kindLog:
+			ok, torn, recs = verifyLog(fs, path)
+		case kindSeg:
 			ok, recs = verifyV2(fs, path)
+		default:
+			continue // JSON lines: ImportJSONL converts them; a scrub leaves them be
 		}
 		if torn {
 			rep.TornTails++
@@ -90,8 +91,8 @@ func VerifyFS(dir string, fs faultline.FS) (VerifyReport, error) {
 		}
 	}
 	if len(salvage) > 0 {
-		if err := writeSalvage(fs, dir, segName(maxSeq+1), salvage); err != nil {
-			return rep, err
+		if err := writeLog(fs, filepath.Join(dir, logName(maxSeq+1)), salvage); err != nil {
+			return rep, fmt.Errorf("resultstore: salvage: %w", err)
 		}
 		rep.Salvaged = len(salvage)
 		syncDir(fs, dir)
@@ -99,33 +100,17 @@ func VerifyFS(dir string, fs faultline.FS) (VerifyReport, error) {
 	return rep, nil
 }
 
-// verifyV1 decodes every line of a v1 segment. A torn unterminated
-// final line is the crash signature, not corruption; a complete line
-// that fails to decode condemns the segment. Decodable records are
-// returned either way.
-func verifyV1(fs faultline.FS, path string) (ok, torn bool, recs []rec) {
+// verifyLog walks a log segment's frames. A torn final frame is the
+// crash signature, not corruption; a complete frame that fails its CRC
+// or decode condemns the segment. Decodable records are returned either
+// way.
+func verifyLog(fs faultline.FS, path string) (ok, torn bool, recs []rec) {
 	data, err := fs.ReadFile(path)
 	if err != nil {
 		return false, false, nil
 	}
-	ok = true
-	lines := bytes.Split(data, []byte{'\n'})
-	for li, line := range lines {
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		k, res, derr := decodeRecord(line)
-		if derr != nil {
-			if li == len(lines)-1 {
-				torn = true // unterminated tail (terminated lines split before a final empty element)
-			} else {
-				ok = false
-			}
-			continue
-		}
-		recs = append(recs, rec{k: k, res: res})
-	}
-	return ok, torn, recs
+	torn, bad := readLog(data, func(r rec) { recs = append(recs, r) })
+	return bad == nil, torn, recs
 }
 
 // verifyV2 opens a v2 segment and decodes every block, CRCs checked by
@@ -153,25 +138,25 @@ func verifyV2(fs faultline.FS, path string) (ok bool, recs []rec) {
 	return ok, recs
 }
 
-// writeSalvage persists salvaged records as a fresh fsynced v1 segment.
-func writeSalvage(fs faultline.FS, dir, name string, recs []rec) error {
-	var buf bytes.Buffer
-	for _, r := range recs {
-		if err := encodeRecord(&buf, r.k, r.res); err != nil {
-			return fmt.Errorf("resultstore: salvage: %w", err)
-		}
+// writeLog writes records as a fresh log segment at path, one frame per
+// record, and fsyncs it.
+func writeLog(fs faultline.FS, path string, recs []rec) error {
+	var enc blockEncoder
+	var buf []byte
+	for i := range recs {
+		buf = enc.appendFrame(buf, recs[i:i+1])
 	}
-	f, err := fs.OpenFile(filepath.Join(dir, name), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	f, err := fs.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
-		return fmt.Errorf("resultstore: salvage: %w", err)
+		return err
 	}
-	if _, err := f.Write(buf.Bytes()); err != nil {
+	if _, err := f.Write(buf); err != nil {
 		f.Close()
-		return fmt.Errorf("resultstore: salvage: %w", err)
+		return err
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return fmt.Errorf("resultstore: salvage: %w", err)
+		return err
 	}
 	return f.Close()
 }

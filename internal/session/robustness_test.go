@@ -148,7 +148,7 @@ func TestChaosFaultyStoreKillRestartResumes(t *testing.T) {
 	// Process 1: the 4th segment write tears mid-record; an admission
 	// gate holds the sweep mid-flight so the "kill" lands mid-sweep.
 	in := faultline.New(faultline.Plan{Seed: 7, Rules: []faultline.Rule{
-		{Op: faultline.OpWrite, Path: ".jsonl", Nth: 4, Kind: faultline.Short},
+		{Op: faultline.OpWrite, Path: ".log", Nth: 4, Kind: faultline.Short},
 	}})
 	disk1, err := resultstore.OpenFS(dir, in)
 	if err != nil {
