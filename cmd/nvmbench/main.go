@@ -61,6 +61,7 @@ import (
 
 	"repro/internal/benchkit"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/resultstore"
 	"repro/internal/scenario"
@@ -273,11 +274,11 @@ func exportSpecs(dir string, w io.Writer) error {
 
 // runScenarioNamed runs one preset sweep through the machine's engine.
 func runScenarioNamed(m *core.Machine, name, format string, w io.Writer) error {
-	sp, outs, err := m.RunScenarioNamed(name)
+	sp, err := scenario.ByName(name)
 	if err != nil {
 		return err
 	}
-	return renderScenarios(m, []core.Scenario{sp}, [][]core.Outcome{outs}, format, w)
+	return runScenarios(m, []core.Scenario{sp}, format, w)
 }
 
 // runSpecs loads one spec file or a directory of them and runs each
@@ -296,20 +297,30 @@ func runSpecs(m *core.Machine, path, format string, w io.Writer) error {
 		}
 		specs = []core.Scenario{sp}
 	}
-	all := make([][]core.Outcome, 0, len(specs))
-	for _, sp := range specs {
+	return runScenarios(m, specs, format, w)
+}
+
+// runScenarios evaluates the specs one after another and renders them.
+// Runs are sequential, so the engine's Stats delta around each is
+// exactly that run's cache accounting.
+func runScenarios(m *core.Machine, specs []core.Scenario, format string, w io.Writer) error {
+	all := make([][]core.Outcome, len(specs))
+	stats := make([]engine.Stats, len(specs))
+	for i, sp := range specs {
+		before := m.Engine().Stats()
 		outs, err := m.RunScenario(sp)
 		if err != nil {
 			return err
 		}
-		all = append(all, outs)
+		after := m.Engine().Stats()
+		all[i], stats[i] = outs, engine.Stats{Hits: after.Hits - before.Hits, Misses: after.Misses - before.Misses}
 	}
-	return renderScenarios(m, specs, all, format, w)
+	return renderScenarios(m, specs, all, stats, format, w)
 }
 
-// renderScenarios prints sweep outcomes: a table plus per-spec cache
+// renderScenarios prints sweep outcomes: a table plus each run's cache
 // accounting in text mode, or a spec-keyed JSON document.
-func renderScenarios(m *core.Machine, specs []core.Scenario, all [][]core.Outcome, format string, w io.Writer) error {
+func renderScenarios(m *core.Machine, specs []core.Scenario, all [][]core.Outcome, stats []engine.Stats, format string, w io.Writer) error {
 	switch format {
 	case "json":
 		type doc struct {
@@ -326,16 +337,14 @@ func renderScenarios(m *core.Machine, specs []core.Scenario, all [][]core.Outcom
 		enc.SetIndent("", "  ")
 		return enc.Encode(docs)
 	case "text":
-		origins := m.Engine().OriginStats()
 		for i, sp := range specs {
 			if i > 0 {
 				fmt.Fprintln(w)
 			}
 			fmt.Fprintf(w, "== scenario %s: %s ==\n", sp.Name, sp.Description)
 			fmt.Fprint(w, scenario.Table(all[i]))
-			st := origins[sp.Name]
 			fmt.Fprintf(w, "points: %d, workers: %d, cache hits/misses: %d/%d\n",
-				len(all[i]), m.Engine().Workers(), st.Hits, st.Misses)
+				len(all[i]), m.Engine().Workers(), stats[i].Hits, stats[i].Misses)
 		}
 		return nil
 	default:

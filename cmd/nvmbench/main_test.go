@@ -255,7 +255,8 @@ func TestStoreWarmRunServesHits(t *testing.T) {
 	if err := runScenarioNamed(m1, preset, "text", &out1); err != nil {
 		t.Fatal(err)
 	}
-	st1 := m1.Engine().OriginStats()[preset]
+	// Fresh engines: their aggregate Stats are the run's own delta.
+	st1 := m1.Engine().Stats()
 	if st1.Misses == 0 {
 		t.Fatal("cold run computed nothing")
 	}
@@ -276,7 +277,7 @@ func TestStoreWarmRunServesHits(t *testing.T) {
 	if err := runScenarioNamed(m2, preset, "text", &out2); err != nil {
 		t.Fatal(err)
 	}
-	st2 := m2.Engine().OriginStats()[preset]
+	st2 := m2.Engine().Stats()
 	if st2.Misses != 0 || st2.Hits != st1.Hits+st1.Misses {
 		t.Errorf("warm run stats = %+v, want all %d points as hits", st2, st1.Hits+st1.Misses)
 	}

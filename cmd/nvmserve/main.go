@@ -42,7 +42,7 @@
 //	GET    /v1/presets               shipped sweep presets
 //	POST   /v1/sweeps                submit a spec (body = spec JSON, or empty with ?preset=<name>)
 //	GET    /v1/sweeps                all sessions
-//	GET    /v1/sweeps/{id}           session status (state, progress, per-origin cache hits/misses)
+//	GET    /v1/sweeps/{id}           session status (state, progress, the session's own cache hits/misses)
 //	GET    /v1/sweeps/{id}/outcomes  NDJSON outcome stream in deterministic sweep order
 //	DELETE /v1/sweeps/{id}           cancel a running sweep
 //	POST   /v1/plans                 resolve a spec through the adaptive planner (same body rules)

@@ -48,12 +48,15 @@ var _ resultstore.Store = (*blockingStore)(nil)
 
 // newGatedServer builds a daemon whose sweeps never finish until the
 // returned store is released, with the given admission bound and
-// session timeout.
+// session timeout. Its engine runs one worker, so the points the gate
+// admits are a sweep's first ones in spec order — the prefix a stream
+// can deliver; with several workers they could be scattered across the
+// sweep and a stream could not show them.
 func newGatedServer(t *testing.T, tokens, maxLive int, timeout time.Duration) (*httptest.Server, *session.Manager, *blockingStore) {
 	t.Helper()
 	gate := newBlockingStore(resultstore.NewMemory(), tokens)
 	t.Cleanup(gate.Release)
-	eng := engine.NewWithStore(platform.NewPurley().Socket(0), 4, gate)
+	eng := engine.NewWithStore(platform.NewPurley().Socket(0), 1, gate)
 	mgr := session.NewManager(eng)
 	t.Cleanup(func() { gate.Release(); mgr.Close() })
 	srv := &server{mgr: mgr, adm: newAdmission(mgr, maxLive), sessTimeout: timeout}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -52,16 +53,21 @@ func (s *server) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.health)
 	mux.HandleFunc("GET /v1/presets", s.presets)
-	mux.HandleFunc("POST /v1/sweeps", s.submit)
-	mux.HandleFunc("GET /v1/sweeps", s.list)
-	mux.HandleFunc("GET /v1/sweeps/{id}", s.status)
-	mux.HandleFunc("DELETE /v1/sweeps/{id}", s.cancel)
-	mux.HandleFunc("GET /v1/sweeps/{id}/outcomes", s.outcomes)
-	mux.HandleFunc("POST /v1/plans", s.submitPlan)
-	mux.HandleFunc("GET /v1/plans", s.listPlans)
-	mux.HandleFunc("GET /v1/plans/{id}", s.planStatus)
-	mux.HandleFunc("DELETE /v1/plans/{id}", s.cancelPlan)
-	mux.HandleFunc("GET /v1/plans/{id}/points", s.planPoints)
+	// Sweeps stream outcomes in the spec's deterministic order, each
+	// line as its point completes. Plans resolve the spec through the
+	// adaptive planner (the spec's optional "plan" block configures it)
+	// and stream real evaluations as their rounds complete, then the
+	// model-predicted remainder when the plan finishes.
+	(&kind[scenario.Outcome, session.Status, *session.Session]{
+		srv: s, noun: "sweep", stream: "outcomes",
+		submit: s.mgr.SubmitWith, get: s.mgr.Get, list: s.mgr.List,
+		encode: (*ndjson.Encoder).Outcome,
+	}).routes(mux)
+	(&kind[planner.PlannedPoint, session.PlanStatus, *session.PlanSession]{
+		srv: s, noun: "plan", stream: "points",
+		submit: s.mgr.SubmitPlanWith, get: s.mgr.GetPlan, list: s.mgr.ListPlans,
+		encode: (*ndjson.Encoder).PlannedPoint,
+	}).routes(mux)
 	if s.coord != nil {
 		s.coord.Routes(mux)
 	}
@@ -83,9 +89,9 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 }
 
 func (s *server) health(w http.ResponseWriter, r *http.Request) {
-	// Counters, not listings: List builds a full Status snapshot per
-	// session (engine origin-stats lookups included), which made the
-	// health probe O(sessions) under sustained traffic.
+	// Counts, not listings: List builds and sorts a full Status
+	// snapshot per session, which is too heavy for a probe polled under
+	// sustained traffic.
 	sweeps, plans := s.mgr.Count()
 	doc := map[string]any{
 		"status":   "ok",
@@ -141,14 +147,16 @@ func (s *server) presets(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// submitReply is the accepted-sweep document: the session id plus the
-// URLs to poll and stream it.
+// submitReply is the accepted-session document: the session id plus
+// the URLs to poll and stream it (outcomes_url for a sweep, points_url
+// for a plan).
 type submitReply struct {
-	ID       string `json:"id"`
-	Spec     string `json:"spec"`
-	Points   int    `json:"points"`
-	Status   string `json:"status_url"`
-	Outcomes string `json:"outcomes_url"`
+	ID        string `json:"id"`
+	Spec      string `json:"spec"`
+	Points    int    `json:"points"`
+	Status    string `json:"status_url"`
+	Outcomes  string `json:"outcomes_url,omitempty"`
+	PointsURL string `json:"points_url,omitempty"`
 }
 
 // readSpec resolves the request's sweep spec: the body is a scenario
@@ -194,64 +202,96 @@ func (s *server) readSpec(w http.ResponseWriter, r *http.Request) (scenario.Spec
 	return sp, true
 }
 
-// submit starts a sweep: the body is a scenario spec file (the schema
-// under specs/), or empty with ?preset=<name> to run a shipped preset.
-func (s *server) submit(w http.ResponseWriter, r *http.Request) {
-	if !s.gate(w, r) {
+// run is what the HTTP surface needs from a sweep or plan session: T
+// is its stream item, St its status document.
+type run[T, St any] interface {
+	ID() string
+	Size() int
+	Cancel()
+	Status() St
+	Stream(ctx context.Context, emit func(T) error) error
+}
+
+// kind serves one session kind — sweeps or plans — under
+// /v1/<noun>s: submit, list, status, cancel and the NDJSON stream.
+type kind[T, St any, R run[T, St]] struct {
+	srv    *server
+	noun   string // "sweep" or "plan"
+	stream string // the stream's sub-resource: "outcomes" or "points"
+	submit func(scenario.Spec, session.SubmitOptions) (R, error)
+	get    func(id string) (R, bool)
+	list   func() []St
+	encode func(*ndjson.Encoder, T) []byte
+}
+
+func (k *kind[T, St, R]) routes(mux *http.ServeMux) {
+	base := "/v1/" + k.noun + "s"
+	mux.HandleFunc("POST "+base, k.create)
+	mux.HandleFunc("GET "+base, func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, k.list())
+	})
+	mux.HandleFunc("GET "+base+"/{id}", k.status)
+	mux.HandleFunc("DELETE "+base+"/{id}", k.cancel)
+	mux.HandleFunc("GET "+base+"/{id}/"+k.stream, k.items)
+}
+
+// create starts a session: the body is a scenario spec file (the
+// schema under specs/), or empty with ?preset=<name> to run a shipped
+// preset.
+func (k *kind[T, St, R]) create(w http.ResponseWriter, r *http.Request) {
+	if !k.srv.gate(w, r) {
 		return
 	}
-	sp, ok := s.readSpec(w, r)
+	sp, ok := k.srv.readSpec(w, r)
 	if !ok {
 		return
 	}
-	sess, err := s.mgr.SubmitWith(sp, s.options())
+	sess, err := k.submit(sp, k.srv.options())
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, submitReply{
-		ID:       sess.ID(),
-		Spec:     sp.Name,
-		Points:   sess.Size(),
-		Status:   "/v1/sweeps/" + sess.ID(),
-		Outcomes: "/v1/sweeps/" + sess.ID() + "/outcomes",
-	})
-}
-
-func (s *server) list(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.mgr.List())
-}
-
-func (s *server) session(w http.ResponseWriter, r *http.Request) (*session.Session, bool) {
-	id := r.PathValue("id")
-	sess, ok := s.mgr.Get(id)
-	if !ok {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("no sweep %q", id))
-		return nil, false
+	url := "/v1/" + k.noun + "s/" + sess.ID()
+	reply := submitReply{ID: sess.ID(), Spec: sp.Name, Points: sess.Size(), Status: url}
+	if k.stream == "outcomes" {
+		reply.Outcomes = url + "/outcomes"
+	} else {
+		reply.PointsURL = url + "/points"
 	}
-	return sess, true
+	writeJSON(w, http.StatusAccepted, reply)
 }
 
-func (s *server) status(w http.ResponseWriter, r *http.Request) {
-	if sess, ok := s.session(w, r); ok {
+// find resolves the request's session id, writing the 404 itself.
+func (k *kind[T, St, R]) find(w http.ResponseWriter, r *http.Request) (R, bool) {
+	id := r.PathValue("id")
+	sess, ok := k.get(id)
+	if !ok {
+		writeErr(w, http.StatusNotFound, fmt.Errorf("no %s %q", k.noun, id))
+	}
+	return sess, ok
+}
+
+func (k *kind[T, St, R]) status(w http.ResponseWriter, r *http.Request) {
+	if sess, ok := k.find(w, r); ok {
 		writeJSON(w, http.StatusOK, sess.Status())
 	}
 }
 
-func (s *server) cancel(w http.ResponseWriter, r *http.Request) {
-	if sess, ok := s.session(w, r); ok {
+func (k *kind[T, St, R]) cancel(w http.ResponseWriter, r *http.Request) {
+	if sess, ok := k.find(w, r); ok {
 		sess.Cancel()
 		writeJSON(w, http.StatusOK, sess.Status())
 	}
 }
 
-// outcomes streams the sweep as NDJSON: one flat outcome record per line
-// (the nvmbench -format json record schema), in the spec's deterministic
-// order, each line flushed as its point completes — a client reads
-// results while the sweep is still running. If the session fails or is
-// cancelled mid-stream, the final line is an {"error": ...} object.
-func (s *server) outcomes(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.session(w, r)
+// items streams the session's log as NDJSON, one flat record per line
+// (the nvmbench -format json outcome schema, or
+// planner.PlannedPoint.MarshalJSON), each line flushed as it is
+// published — a client reads results while the session is still
+// running. If the session fails or is cancelled mid-stream, the final
+// line is an {"error": ...} object.
+func (k *kind[T, St, R]) items(w http.ResponseWriter, r *http.Request) {
+	sess, ok := k.find(w, r)
 	if !ok {
 		return
 	}
@@ -259,8 +299,8 @@ func (s *server) outcomes(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	var enc ndjson.Encoder
-	err := sess.Stream(r.Context(), func(o scenario.Outcome) error {
-		if _, err := w.Write(enc.Outcome(o)); err != nil {
+	err := sess.Stream(r.Context(), func(item T) error {
+		if _, err := w.Write(k.encode(&enc, item)); err != nil {
 			return err
 		}
 		if flusher != nil {
@@ -270,98 +310,6 @@ func (s *server) outcomes(w http.ResponseWriter, r *http.Request) {
 	})
 	if err != nil && r.Context().Err() == nil {
 		// The status line is long gone; surface the failure in-band.
-		w.Write(enc.Error(err))
-	}
-}
-
-// submitPlanReply is the accepted-plan document.
-type submitPlanReply struct {
-	ID        string `json:"id"`
-	Spec      string `json:"spec"`
-	Points    int    `json:"points"`
-	Status    string `json:"status_url"`
-	PointsURL string `json:"points_url"`
-}
-
-// submitPlan starts an adaptive plan: the spec's optional "plan" block
-// configures the planner (seed strategy, evaluation budget,
-// disagreement threshold); without one the defaults apply. The sweep is
-// resolved from a model-predicted subset of real evaluations instead of
-// exhaustively — see /v1/plans/{id} for per-round progress.
-func (s *server) submitPlan(w http.ResponseWriter, r *http.Request) {
-	if !s.gate(w, r) {
-		return
-	}
-	sp, ok := s.readSpec(w, r)
-	if !ok {
-		return
-	}
-	sess, err := s.mgr.SubmitPlanWith(sp, s.options())
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, submitPlanReply{
-		ID:        sess.ID(),
-		Spec:      sp.Name,
-		Points:    sess.Size(),
-		Status:    "/v1/plans/" + sess.ID(),
-		PointsURL: "/v1/plans/" + sess.ID() + "/points",
-	})
-}
-
-func (s *server) listPlans(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.mgr.ListPlans())
-}
-
-func (s *server) plan(w http.ResponseWriter, r *http.Request) (*session.PlanSession, bool) {
-	id := r.PathValue("id")
-	sess, ok := s.mgr.GetPlan(id)
-	if !ok {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("no plan %q", id))
-		return nil, false
-	}
-	return sess, true
-}
-
-func (s *server) planStatus(w http.ResponseWriter, r *http.Request) {
-	if sess, ok := s.plan(w, r); ok {
-		writeJSON(w, http.StatusOK, sess.Status())
-	}
-}
-
-func (s *server) cancelPlan(w http.ResponseWriter, r *http.Request) {
-	if sess, ok := s.plan(w, r); ok {
-		sess.Cancel()
-		writeJSON(w, http.StatusOK, sess.Status())
-	}
-}
-
-// planPoints streams the plan's resolved points as NDJSON: one flat
-// record per line (see planner.PlannedPoint.MarshalJSON), real
-// evaluations as their rounds complete, then the model-predicted
-// remainder when the plan finishes — a client watches the planner trade
-// evaluation for prediction live. If the plan fails or is cancelled
-// mid-stream, the final line is an {"error": ...} object.
-func (s *server) planPoints(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.plan(w, r)
-	if !ok {
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	var enc ndjson.Encoder
-	err := sess.Stream(r.Context(), func(p planner.PlannedPoint) error {
-		if _, err := w.Write(enc.PlannedPoint(p)); err != nil {
-			return err
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return nil
-	})
-	if err != nil && r.Context().Err() == nil {
 		w.Write(enc.Error(err))
 	}
 }

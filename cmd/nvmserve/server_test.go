@@ -4,11 +4,13 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -197,14 +199,14 @@ func TestSubmitSpecAndStreamOutcomes(t *testing.T) {
 		t.Errorf("first outcome = %v, want BoxLib on cached-NVM (deterministic order)", lines[0])
 	}
 
-	// Status reflects completion and full per-origin accounting.
+	// Status reflects completion and the session's own accounting.
 	var st session.Status
 	getJSON(t, ts.URL+sub.Status, &st)
 	if st.State != session.Done || st.Completed != 16 {
 		t.Errorf("status = %+v, want done 16/16", st)
 	}
 	if st.Hits+st.Misses != 16 {
-		t.Errorf("origin accounting %d hits + %d misses, want 16 total", st.Hits, st.Misses)
+		t.Errorf("session accounting %d hits + %d misses, want 16 total", st.Hits, st.Misses)
 	}
 
 	// The sweep list carries the session.
@@ -212,6 +214,87 @@ func TestSubmitSpecAndStreamOutcomes(t *testing.T) {
 	getJSON(t, ts.URL+"/v1/sweeps", &list)
 	if len(list) != 1 || list[0].ID != sub.ID {
 		t.Errorf("sweep list = %+v", list)
+	}
+}
+
+// Concurrent sweeps of one preset each report exactly their own points,
+// and a plan over the swept space afterwards computes nothing new.
+func TestSessionsCountOwnPointsOverHTTP(t *testing.T) {
+	ts, _ := newTestServer(t, resultstore.NewMemory())
+	type accepted struct {
+		ID       string `json:"id"`
+		Status   string `json:"status_url"`
+		Outcomes string `json:"outcomes_url"`
+		Points   string `json:"points_url"`
+	}
+	// run submits the preset and drains the session's stream.
+	run := func(collection string) accepted {
+		var sub accepted
+		resp, err := http.Post(ts.URL+"/v1/"+collection+"?preset=beyond-dram", "", nil)
+		if err != nil {
+			t.Error(err)
+			return sub
+		}
+		err = json.NewDecoder(resp.Body).Decode(&sub)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusAccepted {
+			t.Errorf("POST /v1/%s = %d (%v)", collection, resp.StatusCode, err)
+			return sub
+		}
+		stream, err := http.Get(ts.URL + sub.Outcomes + sub.Points)
+		if err != nil {
+			t.Error(err)
+			return sub
+		}
+		io.Copy(io.Discard, stream.Body)
+		stream.Body.Close()
+		return sub
+	}
+	type counts struct {
+		State     session.State `json:"state"`
+		Evaluated int           `json:"evaluated"`
+		Hits      uint64        `json:"cache_hits"`
+		Misses    uint64        `json:"cache_misses"`
+	}
+
+	var sweeps [2]accepted
+	var wg sync.WaitGroup
+	for i := range sweeps {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			sweeps[i] = run("sweeps")
+		}(i)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	var misses uint64
+	for _, sub := range sweeps {
+		var st counts
+		getJSON(t, ts.URL+sub.Status, &st)
+		if st.Hits+st.Misses != 16 {
+			t.Errorf("%s: %d hits + %d misses, want 16 points", sub.ID, st.Hits, st.Misses)
+		}
+		misses += st.Misses
+	}
+	if misses != 16 {
+		t.Errorf("sweeps computed %d points between them, want 16", misses)
+	}
+
+	plan := run("plans")
+	var st counts
+	getJSON(t, ts.URL+plan.Status, &st)
+	if st.State != session.Done || st.Misses != 0 || st.Hits != uint64(st.Evaluated) {
+		t.Errorf("plan after sweeps = %+v, want done with every evaluation a hit", st)
+	}
+
+	// A plan id does not resolve as a sweep.
+	var doc map[string]string
+	resp := getJSON(t, ts.URL+"/v1/sweeps/"+plan.ID, &doc)
+	if want := fmt.Sprintf("no sweep %q", plan.ID); resp.StatusCode != http.StatusNotFound || doc["error"] != want {
+		t.Errorf("GET /v1/sweeps/%s = %d %q, want 404 %q", plan.ID, resp.StatusCode, doc["error"], want)
 	}
 }
 

@@ -112,11 +112,11 @@ func AnalyzeEngine(eng *engine.Engine, w *workload.Workload, threads int) (Advic
 		return Advice{}, err
 	}
 	sock := eng.Socket()
-	ures, err := eng.Run(engine.Job{Workload: w, Mode: memsys.UncachedNVM, Threads: threads, Origin: "advisor-" + w.Name})
+	ures, err := eng.Run(engine.Job{Workload: w, Mode: memsys.UncachedNVM, Threads: threads})
 	if err != nil {
 		return Advice{}, err
 	}
-	cres, err := eng.Run(engine.Job{Workload: w, Mode: memsys.CachedNVM, Threads: threads, Origin: "advisor-" + w.Name})
+	cres, err := eng.Run(engine.Job{Workload: w, Mode: memsys.CachedNVM, Threads: threads})
 	if err != nil {
 		return Advice{}, err
 	}

@@ -21,11 +21,11 @@
 //
 // Hot-path allocation contract: a cache-hit Run is allocation-free. The
 // store's hit path is a typed sharded-map lookup (no interface boxing,
-// no global lock), per-origin accounting is a pair of atomic counters
-// per origin, and Run returns the cached Phases slice copy-on-write: the
-// slice is capacity-clamped so appending reallocates, and callers must
-// treat the shared elements as read-only (every consumer in this repo
-// only ranges over them).
+// no global lock), per-session accounting is a caller-owned pair of
+// atomic counters (Tally), and Run returns the cached Phases slice
+// copy-on-write: the slice is capacity-clamped so appending
+// reallocates, and callers must treat the shared elements as read-only
+// (every consumer in this repo only ranges over them).
 package engine
 
 import (
@@ -50,11 +50,11 @@ type Job struct {
 	Mode     memsys.Mode
 	Threads  int
 
-	// Origin names the scenario spec (or other submitter) the job came
-	// from. It is metadata only — deliberately not part of the cache key,
-	// so identical points submitted by different specs still coalesce —
-	// and feeds the per-origin accounting in OriginStats.
-	Origin string
+	// Tally, when non-nil, books the job's hit or miss on top of the
+	// engine aggregate: a session stamps its own on every job it
+	// submits. It is not part of the cache key, so identical points
+	// submitted by different sessions still coalesce.
+	Tally *Tally
 
 	// InDRAM is the per-structure placement for Placed-mode jobs
 	// (ignored otherwise).
@@ -112,11 +112,26 @@ type Stats struct {
 	Hits, Misses uint64
 }
 
-// originCounter is the per-origin accounting slot: plain atomics, so the
-// per-job increment takes no lock once the origin has been seen.
-type originCounter struct {
-	hits   atomic.Uint64
-	misses atomic.Uint64
+// Tally counts store acquisitions as hits and misses: plain atomics,
+// so booking a job takes no lock and allocates nothing. The engine
+// keeps one for its aggregate; callers own the ones they stamp on
+// jobs.
+type Tally struct {
+	hits, misses atomic.Uint64
+}
+
+// book counts one acquisition.
+func (t *Tally) book(hit bool) {
+	if hit {
+		t.hits.Add(1)
+	} else {
+		t.misses.Add(1)
+	}
+}
+
+// Stats returns the tally's counts.
+func (t *Tally) Stats() Stats {
+	return Stats{Hits: t.hits.Load(), Misses: t.misses.Load()}
 }
 
 // Engine evaluates jobs on one socket with per-mode system memoization
@@ -129,11 +144,7 @@ type Engine struct {
 	systems map[memsys.Mode]*memsys.System
 
 	store resultstore.Store
-	hits  atomic.Uint64
-	miss  atomic.Uint64
-
-	originMu sync.RWMutex
-	origins  map[string]*originCounter
+	total Tally
 }
 
 // New builds an engine for the socket backed by the in-process result
@@ -156,7 +167,6 @@ func NewWithStore(sock *platform.Socket, workers int, store resultstore.Store) *
 		workers: workers,
 		systems: make(map[memsys.Mode]*memsys.System),
 		store:   store,
-		origins: make(map[string]*originCounter),
 	}
 }
 
@@ -191,25 +201,6 @@ func (e *Engine) System(mode memsys.Mode) *memsys.System {
 	return sys
 }
 
-// originFor returns the accounting slot for an origin, creating it on
-// first sight; subsequent jobs from the same origin only pay a
-// read-lock and two atomic adds.
-func (e *Engine) originFor(origin string) *originCounter {
-	e.originMu.RLock()
-	c := e.origins[origin]
-	e.originMu.RUnlock()
-	if c != nil {
-		return c
-	}
-	e.originMu.Lock()
-	defer e.originMu.Unlock()
-	if c = e.origins[origin]; c == nil {
-		c = &originCounter{}
-		e.origins[origin] = c
-	}
-	return c
-}
-
 // Run evaluates one job through the result store. Safe for concurrent
 // use.
 //
@@ -226,7 +217,7 @@ func (e *Engine) Run(job Job) (workload.Result, error) {
 	}
 	k := job.Key()
 	en, loaded := e.store.Acquire(k)
-	e.account(job.Origin, loaded)
+	e.account(job.Tally, loaded)
 	en.Once.Do(func() {
 		if en.Seeded {
 			// Restored from a persistent store: the solved quantities are
@@ -242,21 +233,12 @@ func (e *Engine) Run(job Job) (workload.Result, error) {
 	return share(en)
 }
 
-// account books one store acquisition into the aggregate and per-origin
-// hit/miss counters.
-func (e *Engine) account(origin string, loaded bool) {
-	if loaded {
-		e.hits.Add(1)
-	} else {
-		e.miss.Add(1)
-	}
-	if origin != "" {
-		c := e.originFor(origin)
-		if loaded {
-			c.hits.Add(1)
-		} else {
-			c.misses.Add(1)
-		}
+// account books one store acquisition into the aggregate and, when
+// the job carries one, its submitter's tally.
+func (e *Engine) account(t *Tally, loaded bool) {
+	e.total.book(loaded)
+	if t != nil {
+		t.book(loaded)
 	}
 }
 
@@ -296,15 +278,15 @@ func (e *Engine) Cached(job Job) bool {
 // the resident entry wins and the remote result is discarded, so
 // concurrent local and remote evaluations of one point stay
 // byte-identical (workload.Run is pure, both computed the same values).
-// Accounting matches Run: a fresh claim books a miss (the evaluation
-// happened, just not here), a resident one a hit.
+// Accounting matches Run, job tally included: a fresh claim books a
+// miss (the evaluation happened, just not here), a resident one a hit.
 func (e *Engine) CommitRemote(job Job, res workload.Result, rerr error) (workload.Result, error) {
 	if job.Workload == nil {
 		return workload.Result{}, fmt.Errorf("engine: nil workload")
 	}
 	k := job.Key()
 	en, loaded := e.store.Acquire(k)
-	e.account(job.Origin, loaded)
+	e.account(job.Tally, loaded)
 	en.Once.Do(func() {
 		if en.Seeded {
 			en.Res.Workload = job.Workload
@@ -417,42 +399,13 @@ func FirstError(jobs []Job, errs []error) error {
 
 // Stats returns the cache accounting since construction (or the last
 // ResetStats).
-func (e *Engine) Stats() Stats {
-	return Stats{Hits: e.hits.Load(), Misses: e.miss.Load()}
-}
+func (e *Engine) Stats() Stats { return e.total.Stats() }
 
-// OriginStats returns the cache accounting broken down by job origin
-// (the scenario spec that submitted each job). Jobs with an empty Origin
-// are counted only in the aggregate Stats.
-func (e *Engine) OriginStats() map[string]Stats {
-	e.originMu.RLock()
-	defer e.originMu.RUnlock()
-	out := make(map[string]Stats, len(e.origins))
-	for k, c := range e.origins {
-		out[k] = Stats{Hits: c.hits.Load(), Misses: c.misses.Load()}
-	}
-	return out
-}
-
-// OriginStatsFor returns the accounting for one origin.
-func (e *Engine) OriginStatsFor(origin string) Stats {
-	e.originMu.RLock()
-	c := e.origins[origin]
-	e.originMu.RUnlock()
-	if c == nil {
-		return Stats{}
-	}
-	return Stats{Hits: c.hits.Load(), Misses: c.misses.Load()}
-}
-
-// ResetStats zeroes the hit/miss counters, aggregate and per-origin (the
-// cache itself is kept).
+// ResetStats zeroes the aggregate hit/miss counters (the cache itself
+// is kept; job tallies belong to their owners).
 func (e *Engine) ResetStats() {
-	e.hits.Store(0)
-	e.miss.Store(0)
-	e.originMu.Lock()
-	e.origins = make(map[string]*originCounter)
-	e.originMu.Unlock()
+	e.total.hits.Store(0)
+	e.total.misses.Store(0)
 }
 
 // forEach runs fn(0..n-1) across at most workers goroutines and waits.

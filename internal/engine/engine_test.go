@@ -292,12 +292,12 @@ func TestRunCacheHitDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// Per-origin accounting must not reintroduce allocations or a global
-// lock on the hot path: after an origin's first job, hits are two atomic
-// adds.
-func TestRunCacheHitWithOriginDoesNotAllocate(t *testing.T) {
+// Per-session accounting must not reintroduce allocations or a lock on
+// the hot path: a tallied hit is one more atomic add.
+func TestRunCacheHitWithTallyDoesNotAllocate(t *testing.T) {
 	e := New(sock(), 1)
-	job := Job{Workload: dwarfs.All()[0].New(), Mode: memsys.UncachedNVM, Threads: 48, Origin: "spec-a"}
+	var tally Tally
+	job := Job{Workload: dwarfs.All()[0].New(), Mode: memsys.UncachedNVM, Threads: 48, Tally: &tally}
 	if _, err := e.Run(job); err != nil {
 		t.Fatal(err)
 	}
@@ -307,11 +307,10 @@ func TestRunCacheHitWithOriginDoesNotAllocate(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("cache-hit Run with origin allocates %v per call, want 0", allocs)
+		t.Errorf("cache-hit Run with a tally allocates %v per call, want 0", allocs)
 	}
-	st := e.OriginStats()["spec-a"]
-	if st.Hits == 0 || st.Misses != 1 {
-		t.Errorf("origin stats = %+v, want 1 miss and many hits", st)
+	if st := tally.Stats(); st.Hits == 0 || st.Misses != 1 {
+		t.Errorf("tally = %+v, want 1 miss and many hits", st)
 	}
 }
 
@@ -347,38 +346,40 @@ func TestWorkersDefault(t *testing.T) {
 	}
 }
 
-func TestOriginStats(t *testing.T) {
+func TestTally(t *testing.T) {
 	e := New(sock(), 2)
 	w := dwarfs.All()[0].New()
-	// Two specs submit the same evaluation point: one miss attributed to
-	// the first origin, one hit to the second — the Origin tag must not
-	// split the cache.
-	if _, err := e.Run(Job{Workload: w, Mode: memsys.DRAMOnly, Threads: 48, Origin: "fig2"}); err != nil {
+	// Two sessions submit the same evaluation point: one miss booked to
+	// the first tally, one hit to the second — tallies must not split
+	// the cache.
+	var fig2, table3 Tally
+	if _, err := e.Run(Job{Workload: w, Mode: memsys.DRAMOnly, Threads: 48, Tally: &fig2}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Run(Job{Workload: w, Mode: memsys.DRAMOnly, Threads: 48, Origin: "table3"}); err != nil {
+	if _, err := e.Run(Job{Workload: w, Mode: memsys.DRAMOnly, Threads: 48, Tally: &table3}); err != nil {
 		t.Fatal(err)
 	}
-	got := e.OriginStats()
-	if got["fig2"] != (Stats{Misses: 1}) {
-		t.Errorf("fig2 stats = %+v, want 1 miss", got["fig2"])
+	if got := fig2.Stats(); got != (Stats{Misses: 1}) {
+		t.Errorf("fig2 tally = %+v, want 1 miss", got)
 	}
-	if got["table3"] != (Stats{Hits: 1}) {
-		t.Errorf("table3 stats = %+v, want 1 hit", got["table3"])
+	if got := table3.Stats(); got != (Stats{Hits: 1}) {
+		t.Errorf("table3 tally = %+v, want 1 hit", got)
 	}
-	// Untagged jobs count only in the aggregate.
+	// Untallied jobs count only in the aggregate.
 	if _, err := e.Run(Job{Workload: w, Mode: memsys.UncachedNVM, Threads: 48}); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.OriginStats(); len(got) != 2 {
-		t.Errorf("origins = %v, want fig2 and table3 only", got)
+	if fig2.Stats() != (Stats{Misses: 1}) || table3.Stats() != (Stats{Hits: 1}) {
+		t.Errorf("untallied job booked to a tally: fig2 %+v, table3 %+v", fig2.Stats(), table3.Stats())
 	}
 	if s := e.Stats(); s.Misses != 2 || s.Hits != 1 {
 		t.Errorf("aggregate stats = %+v", s)
 	}
+	// ResetStats zeroes the aggregate only: tallies belong to their
+	// owners.
 	e.ResetStats()
-	if got := e.OriginStats(); len(got) != 0 {
-		t.Errorf("origins after reset = %v", got)
+	if e.Stats() != (Stats{}) || fig2.Stats() != (Stats{Misses: 1}) {
+		t.Errorf("after reset: aggregate %+v, fig2 tally %+v", e.Stats(), fig2.Stats())
 	}
 }
 

@@ -37,7 +37,7 @@ func TestCached(t *testing.T) {
 // store exactly as a local Run would: later Runs are hits with the
 // identical result, workload descriptor reattached.
 func TestCommitRemoteMatchesLocalRun(t *testing.T) {
-	job := Job{Workload: dwarfs.All()[0].New(), Mode: memsys.UncachedNVM, Threads: 24, Origin: "remote"}
+	job := Job{Workload: dwarfs.All()[0].New(), Mode: memsys.UncachedNVM, Threads: 24}
 
 	worker := New(sock(), 1)
 	want, err := worker.Run(job)
@@ -49,6 +49,8 @@ func TestCommitRemoteMatchesLocalRun(t *testing.T) {
 	wire := want
 	wire.Workload = nil
 
+	var tally Tally
+	job.Tally = &tally
 	coord := New(sock(), 1)
 	got, err := coord.CommitRemote(job, wire, nil)
 	if err != nil {
@@ -66,6 +68,9 @@ func TestCommitRemoteMatchesLocalRun(t *testing.T) {
 	}
 	if s := coord.Stats(); s.Hits != 1 || s.Misses != 1 {
 		t.Errorf("stats = %+v, want the commit as the miss and the Run as a hit", s)
+	}
+	if s := tally.Stats(); s.Hits != 1 || s.Misses != 1 {
+		t.Errorf("job tally = %+v, want the commit's miss and the Run's hit", s)
 	}
 	if !coord.Cached(job) {
 		t.Error("committed point not reported cached")

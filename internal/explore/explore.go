@@ -111,7 +111,7 @@ func points(w *workload.Workload, sock *platform.Socket, opts []Option) ([]plann
 	for i, o := range opts {
 		pt := planner.Point{
 			Meta:     scenario.Meta{App: w.Name, Mode: o.Mode, Threads: o.Threads, Scale: 1},
-			Job:      engine.Job{Workload: w, Mode: o.Mode, Threads: o.Threads, Origin: "explore-" + w.Name},
+			Job:      engine.Job{Workload: w, Mode: o.Mode, Threads: o.Threads},
 			Feasible: true,
 		}
 		if o.Mode == memsys.Placed {

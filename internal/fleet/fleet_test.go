@@ -306,10 +306,20 @@ func TestFleetWorkerKillMidSweepByteIdentical(t *testing.T) {
 func TestFleetDedupAcrossConcurrentBatches(t *testing.T) {
 	f := startFleet(t, 2, tightOpts(), 25*time.Millisecond)
 	sp := fleetSpec("fleet-dedup")
-	_, jobs, err := sp.Expand()
-	if err != nil {
-		t.Fatal(err)
+	// Each batch is its own session: its own expansion, its own tally.
+	var batches [2][]engine.Job
+	var tallies [2]engine.Tally
+	for i := range batches {
+		_, jobs, err := sp.Expand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range jobs {
+			jobs[j].Tally = &tallies[i]
+		}
+		batches[i] = jobs
 	}
+	n := uint64(sp.Size())
 
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
@@ -317,7 +327,7 @@ func TestFleetDedupAcrossConcurrentBatches(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = f.coord.ExecuteBatch(context.Background(), sp, jobs, nil)
+			errs[i] = f.coord.ExecuteBatch(context.Background(), sp, batches[i], nil)
 		}(i)
 	}
 	wg.Wait()
@@ -331,8 +341,21 @@ func TestFleetDedupAcrossConcurrentBatches(t *testing.T) {
 	for _, w := range f.workers {
 		evaluated += w.Eng.Stats().Misses
 	}
-	if evaluated != uint64(len(jobs)) {
-		t.Errorf("workers evaluated %d points for %d unique (dup dispatch)", evaluated, len(jobs))
+	if evaluated != n {
+		t.Errorf("workers evaluated %d points for %d unique (dup dispatch)", evaluated, n)
+	}
+	// Every path books to the batch that submitted the job: remote
+	// commits to the owner, parked flights and local hits to the waiter.
+	var misses uint64
+	for i := range tallies {
+		st := tallies[i].Stats()
+		if st.Hits+st.Misses != n {
+			t.Errorf("batch %d tally %+v, want %d bookings", i, st, n)
+		}
+		misses += st.Misses
+	}
+	if misses != n {
+		t.Errorf("batches booked %d misses between them, want %d", misses, n)
 	}
 	if st := f.coord.Stats(); st.PointsCoalesced == 0 {
 		t.Errorf("no points coalesced across concurrent batches (stats %+v)", st)

@@ -138,8 +138,8 @@ type WorkerHealth struct {
 	Name string `json:"name,omitempty"`
 	// QueueDepth and InFlight are the worker's share of the dispatch
 	// window right now.
-	QueueDepth int `json:"queue_depth"`
-	InFlight   int `json:"in_flight"`
+	QueueDepth int    `json:"queue_depth"`
+	InFlight   int    `json:"in_flight"`
 	ChunksDone uint64 `json:"chunks_done"`
 	PointsDone uint64 `json:"points_done"`
 	// PointsPerSec is the EWMA throughput that sizes this worker's next
@@ -165,6 +165,6 @@ type FleetStats struct {
 	// StragglerFactor is the flagging threshold k (p50 > k× median).
 	StragglerFactor float64 `json:"straggler_factor"`
 	// MedianP50PointMS is the fleet median of the per-worker p50s.
-	MedianP50PointMS float64 `json:"median_p50_point_ms"`
+	MedianP50PointMS float64        `json:"median_p50_point_ms"`
 	PerWorker        []WorkerHealth `json:"per_worker,omitempty"`
 }

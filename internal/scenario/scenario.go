@@ -326,7 +326,7 @@ func (s Spec) EachPoint(fn func(i int, m Meta, job engine.Job) bool) error {
 			for _, mode := range s.modes() {
 				for _, th := range s.threads() {
 					if !fn(i, Meta{App: b.Label, Mode: mode, Threads: th, Scale: sc},
-						engine.Job{Workload: w, Mode: mode, Threads: th, Origin: s.Name}) {
+						engine.Job{Workload: w, Mode: mode, Threads: th}) {
 						return nil
 					}
 					i++

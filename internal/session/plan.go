@@ -1,20 +1,16 @@
 package session
 
 // Plan sessions: the asynchronous form of the adaptive sweep planner
-// (internal/planner), mirroring what Session is for exhaustive sweeps.
-// A PlanSession exposes per-round progress — how many points have been
-// evaluated for real versus carried by the model's prediction — a
-// streamable log of resolved points, and cancellation; the planner's
-// engine batches run on the manager's engine, so evaluated points share
-// the result store with every sweep session and persist across
-// restarts exactly like theirs.
+// (internal/planner) on the same core as sweep sessions. A PlanSession
+// exposes per-round progress — how many points have been evaluated for
+// real versus carried by the model's prediction — a streamable log of
+// resolved points, and cancellation; the planner's engine batches run
+// through the manager's executor, so evaluated points share the result
+// store with every sweep session and persist across restarts exactly
+// like theirs.
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/engine"
@@ -44,10 +40,9 @@ type PlanStatus struct {
 	// with a real evaluation.
 	Frontier         []planner.PlannedPoint `json:"frontier,omitempty"`
 	FrontierResolved bool                   `json:"frontier_resolved,omitempty"`
-	// Hits and Misses are the engine's per-origin cache accounting for
-	// the plan's spec name, exactly as on the sweep Status: points
-	// re-served from the result store versus actually computed, shared
-	// across every session submitting the same spec name.
+	// Hits and Misses are this plan's own cache accounting, exactly as
+	// on the sweep Status: one booking per real evaluation, re-served
+	// from the result store or computed.
 	Hits   uint64 `json:"cache_hits"`
 	Misses uint64 `json:"cache_misses"`
 	Error  string `json:"error,omitempty"`
@@ -56,80 +51,35 @@ type PlanStatus struct {
 	Finished *time.Time `json:"finished,omitempty"`
 }
 
-// PlanSession is one asynchronous planner run.
+// PlanSession is one asynchronous planner run. Its log holds the
+// resolved points in resolution order, and a stream over it ends only
+// once the plan is terminal.
 type PlanSession struct {
-	id     string
-	seq    int
-	spec   scenario.Spec
-	points int
-	eng    *engine.Engine
-	cancel context.CancelFunc
-
-	mu        sync.Mutex
-	cond      *sync.Cond
+	core[planner.PlannedPoint]
+	points    int
 	budget    int
 	rounds    []planner.Round
-	resolved  []planner.PlannedPoint
 	evaluated int
-	state     State
-	err       error
 	result    *planner.Result
-	started   time.Time
-	finished  time.Time
 }
-
-// ID returns the session's identifier.
-func (s *PlanSession) ID() string { return s.id }
-
-// Spec returns the submitted spec.
-func (s *PlanSession) Spec() scenario.Spec { return s.spec }
 
 // Size returns the configuration-space size.
 func (s *PlanSession) Size() int { return s.points }
 
-// Cancel aborts the plan between engine jobs; already-solving points
-// run to completion and commit to the result store as whole entries.
-func (s *PlanSession) Cancel() { s.cancel() }
-
-// wake re-checks every waiter's predicate after a caller context fires
-// (see Session.wake for why the empty critical section matters).
-func (s *PlanSession) wake() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cond.Broadcast()
-}
-
 // observe is the planner's progress hook: it records the round and
-// appends the points the round resolved to the stream log.
+// publishes the points the round resolved to the log.
 func (s *PlanSession) observe(p planner.Progress) {
 	s.mu.Lock()
 	s.rounds = append(s.rounds, p.Round)
-	s.resolved = append(s.resolved, p.Points...)
+	s.items = append(s.items, p.Points...)
+	s.published = len(s.items)
 	s.evaluated = p.EvaluatedTotal
 	s.mu.Unlock()
 	s.cond.Broadcast()
 }
 
-// finish transitions the session to its terminal state.
-func (s *PlanSession) finish(res *planner.Result, err error) {
-	s.mu.Lock()
-	switch {
-	case err == nil:
-		s.state, s.result = Done, res
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		s.state, s.err = Cancelled, err
-	default:
-		s.state, s.err = Failed, err
-	}
-	s.finished = time.Now()
-	s.mu.Unlock()
-	s.cond.Broadcast()
-}
-
-// Status snapshots the session, including the engine's per-origin
-// cache progress for the plan's spec.
+// Status snapshots the session, including its own cache accounting.
 func (s *PlanSession) Status() PlanStatus {
-	st := s.eng.OriginStatsFor(s.spec.Name)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := PlanStatus{
@@ -142,8 +92,6 @@ func (s *PlanSession) Status() PlanStatus {
 		Evaluated:   s.evaluated,
 		Predicted:   s.points - s.evaluated,
 		Rounds:      append([]planner.Round(nil), s.rounds...),
-		Hits:        st.Hits,
-		Misses:      st.Misses,
 		Started:     s.started,
 	}
 	if s.result != nil {
@@ -151,63 +99,8 @@ func (s *PlanSession) Status() PlanStatus {
 		out.Frontier = s.result.FrontierPoints()
 		out.FrontierResolved = s.result.FrontierResolved
 	}
-	if s.err != nil {
-		out.Error = s.err.Error()
-	}
-	if s.state.Terminal() {
-		f := s.finished
-		out.Finished = &f
-	}
+	out.Hits, out.Misses, out.Error, out.Finished = s.shared()
 	return out
-}
-
-// Stream delivers the plan's resolved points in resolution order: real
-// evaluations as their round completes, then the model-predicted
-// remainder when the plan finishes. It returns nil after the final
-// point of a successful plan; a failed or cancelled plan's error after
-// the points resolved before the failure; and ctx's error if it fires
-// first. Multiple Streams may run concurrently.
-func (s *PlanSession) Stream(ctx context.Context, emit func(planner.PlannedPoint) error) error {
-	stop := context.AfterFunc(ctx, s.wake)
-	defer stop()
-	for next := 0; ; {
-		s.mu.Lock()
-		for next >= len(s.resolved) && !s.state.Terminal() && ctx.Err() == nil {
-			s.cond.Wait()
-		}
-		batch := append([]planner.PlannedPoint(nil), s.resolved[next:]...)
-		terminal := s.state.Terminal()
-		err := s.err
-		s.mu.Unlock()
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		for _, p := range batch {
-			if eerr := emit(p); eerr != nil {
-				return eerr
-			}
-		}
-		next += len(batch)
-		if terminal && len(batch) == 0 {
-			return err
-		}
-	}
-}
-
-// Wait blocks until the plan reaches a terminal state or ctx fires,
-// returning the plan error (nil for Done).
-func (s *PlanSession) Wait(ctx context.Context) error {
-	stop := context.AfterFunc(ctx, s.wake)
-	defer stop()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for !s.state.Terminal() && ctx.Err() == nil {
-		s.cond.Wait()
-	}
-	if cerr := ctx.Err(); cerr != nil && !s.state.Terminal() {
-		return cerr
-	}
-	return s.err
 }
 
 // Result returns the resolved plan of a successfully completed session,
@@ -224,8 +117,8 @@ func (s *PlanSession) Result(ctx context.Context) (*planner.Result, error) {
 // SubmitPlan validates and expands the spec, starts resolving it
 // through the adaptive planner in the background, and returns the plan
 // session. The spec's "plan" block configures the planner (absent means
-// defaults); the spec's name becomes the jobs' cache-accounting origin,
-// exactly as with Submit.
+// defaults); every job carries the session's tally, exactly as with
+// Submit.
 func (m *Manager) SubmitPlan(sp scenario.Spec) (*PlanSession, error) {
 	return m.SubmitPlanWith(sp, SubmitOptions{})
 }
@@ -236,16 +129,11 @@ func (m *Manager) SubmitPlanWith(sp scenario.Spec, opts SubmitOptions) (*PlanSes
 	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := sessionContext(opts)
-	s := &PlanSession{
-		spec:    sp,
-		points:  len(points),
-		eng:     m.eng,
-		cancel:  cancel,
-		state:   Running,
-		started: time.Now(),
+	s := &PlanSession{points: len(points)}
+	s.spec, s.size = sp, -1
+	for i := range points {
+		points[i].Job.Tally = &s.tally
 	}
-	s.cond = sync.NewCond(&s.mu)
 	popts := planner.Options{Name: sp.Name, Observer: s.observe}
 	if sp.Plan != nil {
 		popts.Plan = *sp.Plan
@@ -253,26 +141,13 @@ func (m *Manager) SubmitPlanWith(sp scenario.Spec, opts SubmitOptions) (*PlanSes
 	// Known at submit time, so a status poll mid-run already reports the
 	// budget the planner is operating under.
 	s.budget = planner.BudgetFor(points, popts.Plan)
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		cancel()
-		return nil, fmt.Errorf("session: manager is closed")
-	}
-	m.seq++
-	s.seq = m.seq
-	s.id = fmt.Sprintf("plan-%06d", m.seq)
-	m.plans[s.id] = s
-	m.wg.Add(1)
-	m.mu.Unlock()
-	m.evict()
-	go func() {
-		defer m.wg.Done()
-		defer cancel()
+	err = s.start(m, s, "plan", opts, func(ctx context.Context) (func(), error) {
 		res, err := planner.Run(ctx, execRunner{exec: m.exec, sp: sp}, points, popts)
-		s.finish(res, err)
-		m.evict()
-	}()
+		return func() { s.result = res }, err
+	})
+	if err != nil {
+		return nil, err
+	}
 	return s, nil
 }
 
@@ -296,25 +171,7 @@ func (r execRunner) RunBatchCtx(ctx context.Context, jobs []engine.Job) ([]workl
 }
 
 // GetPlan returns a plan session by id.
-func (m *Manager) GetPlan(id string) (*PlanSession, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s, ok := m.plans[id]
-	return s, ok
-}
+func (m *Manager) GetPlan(id string) (*PlanSession, bool) { return get[*PlanSession](m, id) }
 
 // ListPlans snapshots every plan session's status, oldest first.
-func (m *Manager) ListPlans() []PlanStatus {
-	m.mu.Lock()
-	sessions := make([]*PlanSession, 0, len(m.plans))
-	for _, s := range m.plans {
-		sessions = append(sessions, s)
-	}
-	m.mu.Unlock()
-	sort.Slice(sessions, func(i, j int) bool { return sessions[i].id < sessions[j].id })
-	out := make([]PlanStatus, len(sessions))
-	for i, s := range sessions {
-		out[i] = s.Status()
-	}
-	return out
-}
+func (m *Manager) ListPlans() []PlanStatus { return snapshot(m, (*PlanSession).Status) }

@@ -176,6 +176,11 @@ func TestPlanAfterSweepIsAllHits(t *testing.T) {
 	if after := m.Engine().Stats().Misses; after != miss {
 		t.Errorf("plan recomputed %d points already swept", after-miss)
 	}
+	// The plan's own accounting: its evaluations, all hits, none of the
+	// sweep's points.
+	if st := ps.Status(); st.Misses != 0 || st.Hits != uint64(st.Evaluated) {
+		t.Errorf("plan status %d hits + %d misses, want %d hits + 0 misses", st.Hits, st.Misses, st.Evaluated)
+	}
 	if lp := m.ListPlans(); len(lp) != 1 || lp[0].ID != ps.ID() {
 		t.Errorf("ListPlans = %+v", lp)
 	}

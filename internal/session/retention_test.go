@@ -3,6 +3,7 @@ package session
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -79,6 +80,38 @@ func TestRetentionHoldsSteadyState(t *testing.T) {
 	}
 	if st := last[len(last)-1]; st.State != Done {
 		t.Errorf("newest retained session state = %s", st.State)
+	}
+}
+
+// Nothing outlives an evicted session, whatever its spec is called:
+// under a churn of uniquely named specs the heap stays flat.
+func TestRetentionFlatUnderUniqueSpecNames(t *testing.T) {
+	m := NewManager(engine.New(sock(), 2))
+	defer m.Close()
+	m.SetRetain(16)
+	churn := func(from, to int) {
+		for i := from; i < to; i++ {
+			s, err := m.Submit(tinySpec(fmt.Sprintf("unique-%05d", i)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Wait(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	// Warm up first, so the store, maps and pools are at steady state.
+	churn(0, 100)
+	before := heap()
+	churn(100, 10100)
+	if grown := int64(heap()) - int64(before); grown > 200<<10 {
+		t.Errorf("heap grew %d KB over 10,000 uniquely named sessions, want < 200 KB", grown>>10)
 	}
 }
 

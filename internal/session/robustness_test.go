@@ -219,10 +219,10 @@ func TestChaosFaultyStoreKillRestartResumes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resumed sweep failed: %v", err)
 	}
-	st := eng2.OriginStatsFor(sp.Name)
+	st := s2.Status()
 	total := uint64(s2.Size())
 	if st.Hits != uint64(persisted) || st.Misses != total-uint64(persisted) {
-		t.Errorf("resume stats = %+v, want %d hits + %d misses", st, persisted, total-uint64(persisted))
+		t.Errorf("resume stats = %d hits + %d misses, want %d hits + %d misses", st.Hits, st.Misses, persisted, total-uint64(persisted))
 	}
 	want, err := sp.Run(engine.New(sock(), 1))
 	if err != nil {

@@ -1,8 +1,8 @@
 // Package session runs declarative sweeps asynchronously: a Manager
 // accepts scenario.Spec submissions, evaluates each across the engine's
 // worker pool in the background, and exposes the run as a Session that
-// can be polled (Status — per-origin cache progress from the engine's
-// accounting), streamed (Stream — completed outcomes in the spec's
+// can be polled (Status — progress and the session's own cache hits
+// and misses), streamed (Stream — completed outcomes in the spec's
 // deterministic order, emitted as they become available) and cancelled
 // (Cancel — a context propagated through the engine's batch dispatch,
 // aborting between jobs so the result store is never left with partial
@@ -11,7 +11,11 @@
 // Plans run the same way (see plan.go): Manager.SubmitPlan resolves a
 // spec through the adaptive planner (internal/planner) instead of
 // exhaustively, with per-round evaluated-versus-predicted progress and
-// a streamable point log.
+// a streamable point log. Both kinds share one core (core.go): an
+// append-only item log with a published watermark, a terminal state
+// and an engine.Tally that the session stamps on every job it submits,
+// so its hit/miss counts cover exactly its own points, on whichever
+// path — local engine or fleet — evaluated them.
 //
 // Sessions are process-local; durability lives one layer down. When the
 // manager's engine is backed by a disk result store
@@ -19,13 +23,12 @@
 // is computed, and a restarted process re-serves those points as cache
 // hits — resubmitting the same spec "resumes" the sweep, paying only for
 // the points the previous run did not finish. The kill-and-restart test
-// in this package pins that contract via per-origin hit counts.
+// in this package pins that contract via the resumed session's hit and
+// miss counts.
 package session
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -61,12 +64,11 @@ type Status struct {
 	// Points is the sweep size; Completed the points evaluated so far.
 	Points    int `json:"points"`
 	Completed int `json:"completed"`
-	// Hits and Misses are the engine's per-origin cache accounting for
-	// this spec name: Hits counts points re-served from the result store
-	// (including points persisted by a previous process — the resume
-	// path), Misses points actually computed. Sessions submitting the
-	// same spec name within one process share the origin, so these can
-	// exceed the session's own Points.
+	// Hits and Misses are this session's own cache accounting, one
+	// booking per evaluated point: Hits counts points re-served from
+	// the result store (persisted by a previous process — the resume
+	// path — or computed by another session), Misses points this
+	// session computed.
 	Hits   uint64 `json:"cache_hits"`
 	Misses uint64 `json:"cache_misses"`
 	Error  string `json:"error,omitempty"`
@@ -75,87 +77,37 @@ type Status struct {
 	Finished *time.Time `json:"finished,omitempty"`
 }
 
-// Session is one asynchronous sweep run.
+// Session is one asynchronous sweep run. Its log holds one outcome per
+// point in the spec's order, published as the completed prefix.
 type Session struct {
-	id   string
-	seq  int
-	spec scenario.Spec
-
-	metas []scenario.Meta
-	jobs  []engine.Job
-	eng   *engine.Engine
-
-	cancel context.CancelFunc
-
-	mu        sync.Mutex
-	cond      *sync.Cond
-	results   []workload.Result
+	core[scenario.Outcome]
 	completed []bool
 	ncomplete int
-	state     State
-	err       error
-	started   time.Time
-	finished  time.Time
 }
-
-// ID returns the session's identifier.
-func (s *Session) ID() string { return s.id }
-
-// Spec returns the submitted sweep spec.
-func (s *Session) Spec() scenario.Spec { return s.spec }
 
 // Size returns the number of evaluation points in the sweep.
-func (s *Session) Size() int { return len(s.jobs) }
-
-// Cancel aborts the session: the engine batch stops between jobs, points
-// already solving run to completion (and commit to the result store as
-// whole entries), and the session transitions to Cancelled. Cancelling a
-// terminal session is a no-op.
-func (s *Session) Cancel() { s.cancel() }
-
-// wake re-runs every waiter's predicate after a caller context fires.
-// The empty critical section is load-bearing: broadcasting while holding
-// mu guarantees the signal cannot land in the window between a waiter's
-// predicate check and its cond.Wait registration (a lost wakeup that
-// would leave a disconnected streamer blocked until the next point
-// completes).
-func (s *Session) wake() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cond.Broadcast()
-}
+func (s *Session) Size() int { return s.size }
 
 // complete records one evaluated point; called from engine worker
 // goroutines, possibly concurrently and out of order.
 func (s *Session) complete(i int, res workload.Result) {
 	s.mu.Lock()
-	s.results[i] = res
+	s.items[i].Result = res
 	s.completed[i] = true
 	s.ncomplete++
-	s.mu.Unlock()
-	s.cond.Broadcast()
-}
-
-// finish transitions the session to its terminal state.
-func (s *Session) finish(err error) {
-	s.mu.Lock()
-	switch {
-	case err == nil:
-		s.state = Done
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		s.state, s.err = Cancelled, err
-	default:
-		s.state, s.err = Failed, err
+	prefix := s.published
+	for s.published < s.size && s.completed[s.published] {
+		s.published++
 	}
-	s.finished = time.Now()
+	advanced := s.published > prefix
 	s.mu.Unlock()
-	s.cond.Broadcast()
+	if advanced {
+		s.cond.Broadcast()
+	}
 }
 
-// Status snapshots the session, including the engine's per-origin cache
-// progress for the session's spec.
+// Status snapshots the session, including its own cache accounting.
 func (s *Session) Status() Status {
-	st := s.eng.OriginStatsFor(s.spec.Name)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := Status{
@@ -163,74 +115,12 @@ func (s *Session) Status() Status {
 		Spec:        s.spec.Name,
 		Description: s.spec.Description,
 		State:       s.state,
-		Points:      len(s.jobs),
+		Points:      s.size,
 		Completed:   s.ncomplete,
-		Hits:        st.Hits,
-		Misses:      st.Misses,
 		Started:     s.started,
 	}
-	if s.err != nil {
-		out.Error = s.err.Error()
-	}
-	if s.state.Terminal() {
-		f := s.finished
-		out.Finished = &f
-	}
+	out.Hits, out.Misses, out.Error, out.Finished = s.shared()
 	return out
-}
-
-// Stream delivers the sweep's outcomes in the spec's deterministic order
-// (the same order a synchronous Run returns), emitting each point as soon
-// as it and all points before it are complete. It returns nil after the
-// final outcome of a successful sweep; if the session fails or is
-// cancelled it returns the session error after the last outcome that is
-// part of the completed deterministic prefix, and if ctx fires first it
-// returns ctx's error. Multiple Streams may run concurrently.
-func (s *Session) Stream(ctx context.Context, emit func(scenario.Outcome) error) error {
-	stop := context.AfterFunc(ctx, s.wake)
-	defer stop()
-	for i := range s.jobs {
-		s.mu.Lock()
-		for !s.completed[i] && !s.state.Terminal() && ctx.Err() == nil {
-			s.cond.Wait()
-		}
-		ready := s.completed[i]
-		res := s.results[i]
-		err := s.err
-		terminal := s.state.Terminal()
-		s.mu.Unlock()
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		if !ready {
-			// Terminal without this point: the deterministic prefix ends
-			// here.
-			if terminal && err != nil {
-				return err
-			}
-			return fmt.Errorf("session %s: point %d missing after completion", s.id, i)
-		}
-		if eerr := emit(scenario.Outcome{Meta: s.metas[i], Result: res}); eerr != nil {
-			return eerr
-		}
-	}
-	return nil
-}
-
-// Wait blocks until the session reaches a terminal state or ctx fires,
-// returning the session error (nil for Done).
-func (s *Session) Wait(ctx context.Context) error {
-	stop := context.AfterFunc(ctx, s.wake)
-	defer stop()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for !s.state.Terminal() && ctx.Err() == nil {
-		s.cond.Wait()
-	}
-	if cerr := ctx.Err(); cerr != nil && !s.state.Terminal() {
-		return cerr
-	}
-	return s.err
 }
 
 // Outcomes returns the full outcome list of a successfully completed
@@ -239,13 +129,9 @@ func (s *Session) Outcomes(ctx context.Context) ([]scenario.Outcome, error) {
 	if err := s.Wait(ctx); err != nil {
 		return nil, err
 	}
-	out := make([]scenario.Outcome, len(s.metas))
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i := range s.metas {
-		out[i] = scenario.Outcome{Meta: s.metas[i], Result: s.results[i]}
-	}
-	return out, nil
+	return append([]scenario.Outcome(nil), s.items...), nil
 }
 
 // DefaultRetain is the manager's default retention cap: the total
@@ -289,23 +175,21 @@ type Manager struct {
 	eng  *engine.Engine
 	exec Executor
 
-	mu       sync.Mutex
-	seq      int
-	retain   int
-	sessions map[string]*Session
-	plans    map[string]*PlanSession
-	wg       sync.WaitGroup
-	closed   bool
+	mu     sync.Mutex
+	seq    int
+	retain int
+	runs   map[string]run
+	wg     sync.WaitGroup
+	closed bool
 }
 
 // NewManager builds a session manager over the engine.
 func NewManager(eng *engine.Engine) *Manager {
 	return &Manager{
-		eng:      eng,
-		exec:     engineExecutor{eng},
-		retain:   DefaultRetain,
-		sessions: make(map[string]*Session),
-		plans:    make(map[string]*PlanSession),
+		eng:    eng,
+		exec:   engineExecutor{eng},
+		retain: DefaultRetain,
+		runs:   make(map[string]run),
 	}
 }
 
@@ -329,13 +213,17 @@ func (m *Manager) SetRetain(n int) {
 	m.evict()
 }
 
-// Count returns the number of live sweep and plan sessions without
-// snapshotting them — a counter read per session, not a Status build,
-// so health checks stay O(1) in session-map iteration cost only.
+// Count returns the number of retained sweep and plan sessions without
+// snapshotting them, so health checks never build a Status.
 func (m *Manager) Count() (sweeps, plans int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.sessions), len(m.plans)
+	for _, r := range m.runs {
+		if _, ok := r.(*PlanSession); ok {
+			plans++
+		}
+	}
+	return len(m.runs) - plans, plans
 }
 
 // RunningCount reports the number of non-terminal sessions, sweeps and
@@ -346,76 +234,36 @@ func (m *Manager) RunningCount() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	n := 0
-	for _, s := range m.sessions {
-		if !s.terminal() {
-			n++
-		}
-	}
-	for _, s := range m.plans {
-		if !s.terminal() {
+	for _, r := range m.runs {
+		if !r.terminal() {
 			n++
 		}
 	}
 	return n
 }
 
-// terminal reports whether the session has reached a final state.
-func (s *Session) terminal() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.state.Terminal()
-}
-
-// terminal reports whether the plan has reached a final state.
-func (s *PlanSession) terminal() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.state.Terminal()
-}
-
-// evict enforces the retention cap: while the combined session count
-// exceeds it, the oldest terminal sessions (by submission sequence,
-// sweeps and plans interleaved) are dropped from the maps. Running
-// sessions are never evicted, so a burst larger than the cap shrinks
-// back down as it completes. Holding m.mu while peeking at each
-// session's state is safe: sessions never call back into the manager.
+// evict enforces the retention cap: while the session count exceeds
+// it, the oldest terminal sessions (by submission sequence, sweeps and
+// plans interleaved) are dropped. Running sessions are never evicted,
+// so a burst larger than the cap shrinks back down as it completes.
+// Holding m.mu while peeking at each session's state is safe: sessions
+// never call back into the manager.
 func (m *Manager) evict() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.retain <= 0 {
+	over := len(m.runs) - m.retain
+	if m.retain <= 0 || over <= 0 {
 		return
 	}
-	over := len(m.sessions) + len(m.plans) - m.retain
-	if over <= 0 {
-		return
-	}
-	type victim struct {
-		seq  int
-		id   string
-		plan bool
-	}
-	victims := make([]victim, 0, over)
-	for id, s := range m.sessions {
-		if s.terminal() {
-			victims = append(victims, victim{seq: s.seq, id: id})
+	victims := make([]run, 0, over)
+	for _, r := range m.runs {
+		if r.terminal() {
+			victims = append(victims, r)
 		}
 	}
-	for id, s := range m.plans {
-		if s.terminal() {
-			victims = append(victims, victim{seq: s.seq, id: id, plan: true})
-		}
-	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].seq < victims[j].seq })
-	for _, v := range victims {
-		if over <= 0 {
-			break
-		}
-		if v.plan {
-			delete(m.plans, v.id)
-		} else {
-			delete(m.sessions, v.id)
-		}
-		over--
+	sort.Slice(victims, func(i, j int) bool { return victims[i].order() < victims[j].order() })
+	for _, r := range victims[:min(over, len(victims))] {
+		delete(m.runs, r.ID())
 	}
 }
 
@@ -432,51 +280,33 @@ type SubmitOptions struct {
 }
 
 // Submit validates and expands the spec, starts evaluating it in the
-// background, and returns the session. The spec's name becomes the
-// jobs' cache-accounting origin.
+// background, and returns the session. Every job carries the session's
+// tally, so its status counts exactly its own hits and misses.
 func (m *Manager) Submit(sp scenario.Spec) (*Session, error) {
 	return m.SubmitWith(sp, SubmitOptions{})
 }
 
 // SubmitWith is Submit with per-session options.
 func (m *Manager) SubmitWith(sp scenario.Spec, opts SubmitOptions) (*Session, error) {
-	metas, jobs, err := sp.Expand()
+	s := &Session{}
+	s.spec, s.items = sp, make([]scenario.Outcome, 0, sp.Size())
+	jobs := make([]engine.Job, 0, sp.Size())
+	err := sp.EachPoint(func(_ int, meta scenario.Meta, job engine.Job) bool {
+		job.Tally = &s.tally
+		s.items = append(s.items, scenario.Outcome{Meta: meta})
+		jobs = append(jobs, job)
+		return true
+	})
 	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := sessionContext(opts)
-	s := &Session{
-		spec:      sp,
-		metas:     metas,
-		jobs:      jobs,
-		eng:       m.eng,
-		cancel:    cancel,
-		results:   make([]workload.Result, len(jobs)),
-		completed: make([]bool, len(jobs)),
-		state:     Running,
-		started:   time.Now(),
+	s.size, s.completed = len(jobs), make([]bool, len(jobs))
+	err = s.start(m, s, "sweep", opts, func(ctx context.Context) (func(), error) {
+		return nil, m.exec.ExecuteBatch(ctx, sp, jobs, s.complete)
+	})
+	if err != nil {
+		return nil, err
 	}
-	s.cond = sync.NewCond(&s.mu)
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		cancel()
-		return nil, fmt.Errorf("session: manager is closed")
-	}
-	m.seq++
-	s.seq = m.seq
-	s.id = fmt.Sprintf("sweep-%06d", m.seq)
-	m.sessions[s.id] = s
-	m.wg.Add(1)
-	m.mu.Unlock()
-	m.evict()
-	go func() {
-		defer m.wg.Done()
-		defer cancel()
-		err := m.exec.ExecuteBatch(ctx, sp, jobs, s.complete)
-		s.finish(err)
-		m.evict()
-	}()
 	return s, nil
 }
 
@@ -490,29 +320,38 @@ func sessionContext(opts SubmitOptions) (context.Context, context.CancelFunc) {
 	return context.WithCancel(context.Background())
 }
 
-// Get returns a session by id.
-func (m *Manager) Get(id string) (*Session, bool) {
+// get returns a retained session of kind S by id.
+func get[S run](m *Manager, id string) (S, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	s, ok := m.sessions[id]
+	s, ok := m.runs[id].(S)
 	return s, ok
 }
 
-// List snapshots every session's status, oldest first.
-func (m *Manager) List() []Status {
+// snapshot returns the status of every retained session of kind S,
+// oldest first.
+func snapshot[S run, St any](m *Manager, status func(S) St) []St {
 	m.mu.Lock()
-	sessions := make([]*Session, 0, len(m.sessions))
-	for _, s := range m.sessions {
-		sessions = append(sessions, s)
+	var runs []S
+	for _, r := range m.runs {
+		if s, ok := r.(S); ok {
+			runs = append(runs, s)
+		}
 	}
 	m.mu.Unlock()
-	sort.Slice(sessions, func(i, j int) bool { return sessions[i].id < sessions[j].id })
-	out := make([]Status, len(sessions))
-	for i, s := range sessions {
-		out[i] = s.Status()
+	sort.Slice(runs, func(i, j int) bool { return runs[i].order() < runs[j].order() })
+	out := make([]St, len(runs))
+	for i, s := range runs {
+		out[i] = status(s)
 	}
 	return out
 }
+
+// Get returns a sweep session by id.
+func (m *Manager) Get(id string) (*Session, bool) { return get[*Session](m, id) }
+
+// List snapshots every sweep session's status, oldest first.
+func (m *Manager) List() []Status { return snapshot(m, (*Session).Status) }
 
 // Close cancels every running session — sweeps and plans — and waits
 // for their evaluation goroutines to drain. Further Submits are
@@ -520,20 +359,13 @@ func (m *Manager) List() []Status {
 func (m *Manager) Close() {
 	m.mu.Lock()
 	m.closed = true
-	sessions := make([]*Session, 0, len(m.sessions))
-	for _, s := range m.sessions {
-		sessions = append(sessions, s)
-	}
-	plans := make([]*PlanSession, 0, len(m.plans))
-	for _, s := range m.plans {
-		plans = append(plans, s)
+	runs := make([]run, 0, len(m.runs))
+	for _, r := range m.runs {
+		runs = append(runs, r)
 	}
 	m.mu.Unlock()
-	for _, s := range sessions {
-		s.Cancel()
-	}
-	for _, s := range plans {
-		s.Cancel()
+	for _, r := range runs {
+		r.Cancel()
 	}
 	m.wg.Wait()
 }

@@ -252,13 +252,13 @@ func TestKillAndRestartResumesFromStore(t *testing.T) {
 		t.Fatalf("resumed sweep failed: %v", err)
 	}
 
-	// Per-origin accounting: every previously completed point re-served
-	// as a hit, only the remainder computed.
-	st := eng2.OriginStatsFor(sp.Name)
+	// The resumed session's own accounting: every previously completed
+	// point re-served as a hit, only the remainder computed.
+	st := s2.Status()
 	total := uint64(s2.Size())
 	if st.Hits != uint64(interrupted) || st.Misses != total-uint64(interrupted) {
-		t.Errorf("resume origin stats = %+v, want %d hits + %d misses",
-			st, interrupted, total-uint64(interrupted))
+		t.Errorf("resume stats = %d hits + %d misses, want %d hits + %d misses",
+			st.Hits, st.Misses, interrupted, total-uint64(interrupted))
 	}
 
 	// The resumed outcomes are identical to an uninterrupted run.
@@ -325,9 +325,9 @@ func TestCompactedStoreResumesAllHits(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sweep over compacted store failed: %v", err)
 	}
-	st := eng2.OriginStatsFor(sp.Name)
+	st := s2.Status()
 	if st.Hits != uint64(s2.Size()) || st.Misses != 0 {
-		t.Errorf("compacted resume stats = %+v, want %d hits + 0 misses", st, s2.Size())
+		t.Errorf("compacted resume stats = %d hits + %d misses, want %d hits + 0 misses", st.Hits, st.Misses, s2.Size())
 	}
 	if !reflect.DeepEqual(outs2, outs1) {
 		t.Error("outcomes over the compacted store differ from the original run")
@@ -335,7 +335,7 @@ func TestCompactedStoreResumesAllHits(t *testing.T) {
 }
 
 // Concurrent sessions over one shared store, polled and streamed while
-// running — the -race exercise for the session/store/OriginStats paths.
+// running — the -race exercise for the session/store/tally paths.
 func TestConcurrentSessionsSharedStore(t *testing.T) {
 	dir := t.TempDir()
 	disk, err := resultstore.Open(dir)
@@ -347,7 +347,7 @@ func TestConcurrentSessionsSharedStore(t *testing.T) {
 	defer m.Close()
 
 	// Overlapping sweeps: the sessions share most evaluation points, so
-	// the singleflight store and per-origin counters see real contention.
+	// the singleflight store and the session tallies see real contention.
 	specs := make([]scenario.Spec, 6)
 	for i := range specs {
 		specs[i] = smallSpec(fmt.Sprintf("sess-conc-%d", i))
@@ -391,6 +391,37 @@ func TestConcurrentSessionsSharedStore(t *testing.T) {
 	points := specs[0].Size()
 	if st := m.Engine().Stats(); int(st.Misses) != points {
 		t.Errorf("misses = %d, want %d (one compute per distinct point)", st.Misses, points)
+	}
+}
+
+// Two concurrent sessions of one spec each count exactly their own
+// points: together they compute every point once, and each point one
+// of them computed is a hit for the other.
+func TestConcurrentSubmitsCountOwnPoints(t *testing.T) {
+	m := NewManager(engine.New(sock(), 4))
+	defer m.Close()
+	sp := smallSpec("sess-twin")
+	var twins [2]*Session
+	for i := range twins {
+		s, err := m.Submit(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		twins[i] = s
+	}
+	var misses uint64
+	for _, s := range twins {
+		if err := s.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		st := s.Status()
+		if st.Hits+st.Misses != uint64(s.Size()) {
+			t.Errorf("%s: %d hits + %d misses, want %d points", s.ID(), st.Hits, st.Misses, s.Size())
+		}
+		misses += st.Misses
+	}
+	if misses != uint64(sp.Size()) {
+		t.Errorf("sessions computed %d points between them, want %d", misses, sp.Size())
 	}
 }
 

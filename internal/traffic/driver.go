@@ -30,12 +30,6 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
-// originStats is the engine's cumulative per-origin cache accounting as
-// of the last completed run submitting that origin.
-type originStats struct {
-	hits, misses uint64
-}
-
 // classAcc accumulates one SLO class's replay measurements. All access
 // is serialized by the driver's mutex.
 type classAcc struct {
@@ -48,7 +42,8 @@ type classAcc struct {
 	retries    int
 	firstPoint stats.Histogram
 	done       stats.Histogram
-	origins    map[string]originStats
+	hits       uint64
+	misses     uint64
 }
 
 // Replay plays the spec's arrival schedule against the target and
@@ -102,7 +97,7 @@ func Replay(ctx context.Context, target Target, sp Spec, opts Options) (*Report,
 		if a, ok := accs[c]; ok {
 			return a
 		}
-		a := &classAcc{origins: map[string]originStats{}}
+		a := &classAcc{}
 		accs[c] = a
 		return a
 	}
@@ -211,7 +206,8 @@ loop:
 				a.failed++
 				return
 			}
-			a.origins[sub.Spec.Name] = originStats{hits: st.Hits, misses: st.Misses}
+			a.hits += st.Hits
+			a.misses += st.Misses
 			if st.State != stateDone {
 				logf("traffic: run of %s ended %s: %s", sub.Spec.Name, st.State, st.Err)
 				a.failed++
@@ -261,10 +257,7 @@ func buildReport(sp Spec, target Target, seed uint64, scheduled float64, elapsed
 		if rep.ElapsedS > 0 {
 			c.AchievedRate = float64(c.Completed) / rep.ElapsedS
 		}
-		for _, os := range a.origins {
-			c.CacheHits += os.hits
-			c.CacheMisses += os.misses
-		}
+		c.CacheHits, c.CacheMisses = a.hits, a.misses
 		if n := c.CacheHits + c.CacheMisses; n > 0 {
 			c.CacheHitRate = float64(c.CacheHits) / float64(n)
 		}

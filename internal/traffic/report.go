@@ -38,8 +38,8 @@ type ClassReport struct {
 	// admission to terminal state for completed runs.
 	FirstPoint stats.LatencySummary `json:"first_point_s"`
 	Done       stats.LatencySummary `json:"done_s"`
-	// Cache accounting summed over the class's submission origins (the
-	// engine's per-origin counters at each origin's last completed run).
+	// Cache accounting summed over the class's watched runs, each run
+	// contributing the hits and misses its own status reports.
 	CacheHits    uint64  `json:"cache_hits"`
 	CacheMisses  uint64  `json:"cache_misses"`
 	CacheHitRate float64 `json:"cache_hit_rate"`

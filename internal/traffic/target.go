@@ -36,8 +36,8 @@ func (e *ShedError) Error() string {
 
 // RunStatus is the terminal snapshot of one submitted run, normalized
 // across sweeps and plans, in-process and remote: the lifecycle state
-// (the session.State vocabulary), the point count, and the per-origin
-// cache accounting at completion time.
+// (the session.State vocabulary), the point count, and the run's own
+// cache hits and misses.
 type RunStatus struct {
 	State  string
 	Points int
@@ -90,71 +90,49 @@ func (t *ManagerTarget) Submit(_ context.Context, sub Submission) (Handle, error
 		if err != nil {
 			return nil, err
 		}
-		return sweepHandle{s}, nil
+		return localHandle[scenario.Outcome]{s, func() RunStatus {
+			st := s.Status()
+			return RunStatus{State: string(st.State), Points: st.Points, Hits: st.Hits, Misses: st.Misses, Err: st.Error}
+		}}, nil
 	case Plan:
 		s, err := t.mgr.SubmitPlan(sub.Spec)
 		if err != nil {
 			return nil, err
 		}
-		return planHandle{s}, nil
+		return localHandle[planner.PlannedPoint]{s, func() RunStatus {
+			st := s.Status()
+			return RunStatus{State: string(st.State), Points: st.Points, Hits: st.Hits, Misses: st.Misses, Err: st.Error}
+		}}, nil
 	default:
 		return nil, fmt.Errorf("traffic: unknown submission kind %q", sub.Kind)
 	}
 }
 
-type sweepHandle struct {
-	s *session.Session
+// localHandle follows an in-process sweep (T = scenario.Outcome) or
+// plan (T = planner.PlannedPoint).
+type localHandle[T any] struct {
+	run interface {
+		Stream(ctx context.Context, emit func(T) error) error
+		Wait(ctx context.Context) error
+	}
+	status func() RunStatus
 }
 
-func (h sweepHandle) Watch(ctx context.Context, onFirst func()) (RunStatus, error) {
+func (h localHandle[T]) Watch(ctx context.Context, onFirst func()) (RunStatus, error) {
 	fired := false
-	h.s.Stream(ctx, func(scenario.Outcome) error {
+	h.run.Stream(ctx, func(T) error {
 		if !fired && onFirst != nil {
 			onFirst()
 			fired = true
 		}
 		return nil
 	})
-	// Stream returns when the deterministic prefix ends, which can be an
+	// A sweep's stream returns with its last point, which can be an
 	// instant before the session transitions; Wait pins the terminal
-	// state (returning the session error, which Status carries too).
-	h.s.Wait(ctx)
+	// state (returning the session error, which the status carries too).
+	h.run.Wait(ctx)
 	if err := ctx.Err(); err != nil {
 		return RunStatus{}, err
 	}
-	st := h.s.Status()
-	return RunStatus{
-		State:  string(st.State),
-		Points: st.Points,
-		Hits:   st.Hits,
-		Misses: st.Misses,
-		Err:    st.Error,
-	}, nil
-}
-
-type planHandle struct {
-	s *session.PlanSession
-}
-
-func (h planHandle) Watch(ctx context.Context, onFirst func()) (RunStatus, error) {
-	fired := false
-	h.s.Stream(ctx, func(planner.PlannedPoint) error {
-		if !fired && onFirst != nil {
-			onFirst()
-			fired = true
-		}
-		return nil
-	})
-	h.s.Wait(ctx)
-	if err := ctx.Err(); err != nil {
-		return RunStatus{}, err
-	}
-	st := h.s.Status()
-	return RunStatus{
-		State:  string(st.State),
-		Points: st.Points,
-		Hits:   st.Hits,
-		Misses: st.Misses,
-		Err:    st.Error,
-	}, nil
+	return h.status(), nil
 }

@@ -158,9 +158,10 @@ type Arrival struct {
 
 // Template is what a client submits on each arrival: exactly one of a
 // shipped scenario preset (by name) or an inline scenario spec, run as
-// a sweep (default) or an adaptive plan. The resolved spec's name is
-// the engine's cache-accounting origin, so repeated submissions of one
-// template show up as cache hits in the per-class report.
+// a sweep (default) or an adaptive plan. Every arrival of a client
+// submits the same resolved spec, so after the first run its points are
+// re-served from the result store and show up as cache hits in the
+// per-class report.
 type Template struct {
 	Preset string         `json:"preset,omitempty"`
 	Spec   *scenario.Spec `json:"spec,omitempty"`
@@ -322,7 +323,7 @@ func (t Template) validate() error {
 		}
 	default:
 		if t.Spec.Name == "" {
-			return fmt.Errorf("submit: inline spec has no name (the name is the cache origin)")
+			return fmt.Errorf("submit: inline spec has no name (a spec file needs one)")
 		}
 		if err := t.Spec.Validate(); err != nil {
 			return fmt.Errorf("submit: %w", err)
