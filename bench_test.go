@@ -201,6 +201,11 @@ func BenchmarkStoreAppend(b *testing.B) { benchkit.StoreAppend(b) }
 // baseline.
 func BenchmarkPointsStreamed(b *testing.B) { benchkit.PointsStreamed(b) }
 
+// BenchmarkPlanResolve resolves a cold 1,728-point spec through the
+// adaptive planner on a fresh engine per op. Tracked by the benchkit
+// baseline.
+func BenchmarkPlanResolve(b *testing.B) { benchkit.PlanResolve(b) }
+
 // BenchmarkTrafficBursty replays the bursty two-class traffic preset at
 // full speed through an in-process manager and reports the
 // critical-class p99 admission-to-first-point latency

@@ -26,6 +26,7 @@ import (
 	"repro/internal/memdev"
 	"repro/internal/memsys"
 	"repro/internal/ndjson"
+	"repro/internal/planner"
 	"repro/internal/platform"
 	"repro/internal/resultstore"
 	"repro/internal/scenario"
@@ -33,6 +34,7 @@ import (
 	"repro/internal/trace"
 	"repro/internal/traffic"
 	"repro/internal/units"
+	"repro/internal/xrand"
 )
 
 // Tracked returns the benchmark set the committed baseline pins. Names
@@ -58,8 +60,15 @@ func Tracked() []Bench {
 		// calibration spin cannot normalize across hosts; their alloc
 		// budgets carry the real gate.
 		{Name: "BenchmarkStoreOpen", AllocSlack: 32, TimeSlack: 0.50, F: StoreOpen},
+		{Name: "BenchmarkStoreReplay", AllocSlack: 32, TimeSlack: 0.50, F: StoreReplay},
 		{Name: "BenchmarkStoreAppend", AllocSlack: 64, TimeSlack: 0.50, F: StoreAppend},
 		{Name: "BenchmarkPointsStreamed", AllocSlack: 0, TimeSlack: 0.25, F: PointsStreamed},
+		// One plan on a single-worker engine, so its allocations nearly
+		// repeat (20,180-20,181 over runs). The slack stays below what
+		// refitting one unchanged group costs (a leave-one-out ensemble
+		// of a dozen fits, ~250 allocations), so refitting unchanged
+		// groups or allocating per prediction still fails the gate.
+		{Name: "BenchmarkPlanResolve", AllocSlack: 64, TimeSlack: 0.25, F: PlanResolve},
 		// A full closed-loop traffic replay: hundreds of concurrent
 		// sessions whose goroutine scheduling moves both wall time and
 		// allocation count, and whose gated extra (the critical-class p99
@@ -307,6 +316,37 @@ func PointsStreamed(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, o := range streamOuts {
 			streamSink += len(enc.Outcome(o))
+		}
+	}
+}
+
+// PlanResolve resolves a fixed cold 1,728-point spec shaped like the
+// end-to-end benchmark's plan-resolve workload (all eight dwarfs x three
+// modes x six thread counts x twelve seeded scales in [0.5, 8), default
+// plan) through the adaptive planner on a fresh single-worker
+// memory-store engine per op, so every evaluation is cold: the seed,
+// refine and verify rounds' engine batches plus the planner's own
+// fitting, prediction and frontier work.
+func PlanResolve(b *testing.B) {
+	r := xrand.New(1)
+	scales := make([]float64, 12)
+	for i := range scales {
+		scales[i] = r.Range(0.5, 8)
+	}
+	sp := scenario.Spec{
+		Name:    "bench-plan",
+		Apps:    dwarfs.Names(),
+		Modes:   []memsys.Mode{memsys.DRAMOnly, memsys.CachedNVM, memsys.UncachedNVM},
+		Threads: []int{8, 16, 24, 32, 40, 48},
+		Scales:  scales,
+		Plan:    &scenario.Plan{},
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng := engine.New(platform.NewPurley().Socket(0), 1)
+		if _, err := planner.RunSpec(context.Background(), eng, sp, nil); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

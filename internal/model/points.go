@@ -14,9 +14,10 @@ package model
 // budget on.
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -69,8 +70,9 @@ const maxAbsCorr = 0.999
 // FitPointModel fits log(timeSec) against the feature matrix X
 // (row-major, as produced by ConfigFeatures). Constant columns are
 // dropped, the remaining ones are ranked by absolute correlation with
-// the response and added greedily while the observation count supports
-// them (n >= kept+2), skipping near-collinear columns.
+// the response and added greedily, skipping near-collinear columns,
+// while fewer than n-1 are kept. A fit may therefore use n-1 features
+// (n >= kept+1), leaving the regression no residual degree of freedom.
 func FitPointModel(X [][]float64, timesSec []float64) (*PointModel, error) {
 	n := len(X)
 	if n == 0 || n != len(timesSec) {
@@ -86,13 +88,11 @@ func FitPointModel(X [][]float64, timesSec []float64) (*PointModel, error) {
 	m := &PointModel{meanLog: stats.Mean(y)}
 
 	p := len(X[0])
-	cols := make([][]float64, p)
-	for j := 0; j < p; j++ {
-		col := make([]float64, n)
+	cols := stats.NewMatrix(p, n)
+	for j, col := range cols {
 		for i := range X {
 			col[i] = X[i][j]
 		}
-		cols[j] = col
 	}
 	// Rank non-constant columns by |corr| with the response; ties keep
 	// the declaration order so the fit is deterministic.
@@ -100,14 +100,15 @@ func FitPointModel(X [][]float64, timesSec []float64) (*PointModel, error) {
 		j    int
 		corr float64
 	}
-	var cand []ranked
+	cand := make([]ranked, 0, p)
 	for j, col := range cols {
 		if stats.StdDev(col) == 0 {
 			continue
 		}
 		cand = append(cand, ranked{j, math.Abs(stats.Pearson(col, y))})
 	}
-	sort.SliceStable(cand, func(a, b int) bool { return cand[a].corr > cand[b].corr })
+	slices.SortStableFunc(cand, func(a, b ranked) int { return cmp.Compare(b.corr, a.corr) })
+	m.kept = make([]int, 0, p)
 	for _, c := range cand {
 		if len(m.kept) > n-2 {
 			break
@@ -123,7 +124,7 @@ func FitPointModel(X [][]float64, timesSec []float64) (*PointModel, error) {
 			m.kept = append(m.kept, c.j)
 		}
 	}
-	sort.Ints(m.kept)
+	slices.Sort(m.kept)
 
 	// Fit, backing off a feature at a time on rank deficiency; an empty
 	// kept set is the mean predictor.
@@ -132,13 +133,11 @@ func FitPointModel(X [][]float64, timesSec []float64) (*PointModel, error) {
 		for i, j := range m.kept {
 			norms[i] = stats.FitNormalizer(cols[j])
 		}
-		rows := make([][]float64, n)
-		for i := range X {
-			row := make([]float64, len(m.kept))
+		rows := stats.NewMatrix(n, len(m.kept))
+		for i, row := range rows {
 			for k, j := range m.kept {
 				row[k] = norms[k].Apply(X[i][j])
 			}
-			rows[i] = row
 		}
 		reg, err := stats.FitOLS(rows, y)
 		if err == nil {
@@ -150,16 +149,18 @@ func FitPointModel(X [][]float64, timesSec []float64) (*PointModel, error) {
 	return m, nil
 }
 
-// Predict estimates the run time in seconds for one feature vector.
+// Predict estimates the run time in seconds for one feature vector. It
+// forms Regression.Predict's dot product in place, term by term in the
+// same order, so it allocates nothing and rounds identically.
 func (m *PointModel) Predict(feat []float64) float64 {
 	if m.reg == nil {
 		return math.Exp(m.meanLog)
 	}
-	row := make([]float64, len(m.kept))
+	v := m.reg.Intercept
 	for k, j := range m.kept {
-		row[k] = m.norms[k].Apply(feat[j])
+		v += m.reg.Coef[k] * m.norms[k].Apply(feat[j])
 	}
-	return math.Exp(m.reg.Predict(row))
+	return math.Exp(v)
 }
 
 // Features reports how many regressors survived selection (0 means the
@@ -200,21 +201,19 @@ func FitPointEnsemble(X [][]float64, timesSec []float64) (*PointEnsemble, error)
 		}
 		return e, nil
 	}
+	// FitPointModel keeps no reference to its inputs, so one pair of
+	// leave-one-out slices serves every variant.
+	xs := make([][]float64, 0, len(X)-1)
+	ys := make([]float64, 0, len(X)-1)
+	e.loo = make([]*PointModel, len(X))
 	for drop := range X {
-		xs := make([][]float64, 0, len(X)-1)
-		ys := make([]float64, 0, len(X)-1)
-		for i := range X {
-			if i == drop {
-				continue
-			}
-			xs = append(xs, X[i])
-			ys = append(ys, timesSec[i])
-		}
+		xs = append(append(xs[:0], X[:drop]...), X[drop+1:]...)
+		ys = append(append(ys[:0], timesSec[:drop]...), timesSec[drop+1:]...)
 		lm, err := FitPointModel(xs, ys)
 		if err != nil {
 			return nil, err
 		}
-		e.loo = append(e.loo, lm)
+		e.loo[drop] = lm
 	}
 	return e, nil
 }

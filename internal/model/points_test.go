@@ -142,3 +142,40 @@ func TestPointEnsembleDisagreement(t *testing.T) {
 		t.Errorf("one-seed ensemble disagreement = %v, want 1", d)
 	}
 }
+
+// Predictions sit in the planner's innermost loop (every ensemble member
+// at every unevaluated point of a refit group), so neither a model's
+// prediction nor an ensemble's disagreement may allocate, and the
+// in-place dot product must round exactly like Regression.Predict over
+// the materialized normalized row.
+func TestPredictionsDoNotAllocate(t *testing.T) {
+	X, y := evalTimes(t, "Hypre", memsys.UncachedNVM, []int{1, 2, 4, 8, 16, 24, 32, 40, 48})
+	ens, err := FitPointEnsemble(X, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := ens.main
+	if m.Features() == 0 {
+		t.Fatal("fit degraded to the mean predictor; the dot product is not exercised")
+	}
+	for _, feat := range X {
+		row := make([]float64, len(m.kept))
+		for k, j := range m.kept {
+			row[k] = m.norms[k].Apply(feat[j])
+		}
+		if got, want := m.Predict(feat), math.Exp(m.reg.Predict(row)); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("in-place prediction %v, Regression.Predict gives %v", got, want)
+		}
+	}
+	probe := X[6]
+	var sink float64
+	if a := testing.AllocsPerRun(100, func() { sink += m.Predict(probe) }); a != 0 {
+		t.Errorf("PointModel.Predict allocates %v times per call", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { sink += ens.Disagreement(probe) }); a != 0 {
+		t.Errorf("PointEnsemble.Disagreement allocates %v times per call", a)
+	}
+	if sink <= 0 {
+		t.Errorf("predictions summed to %v", sink)
+	}
+}

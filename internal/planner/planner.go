@@ -27,7 +27,9 @@ package planner
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/engine"
 	"repro/internal/memsys"
@@ -221,45 +223,98 @@ func RunSpec(ctx context.Context, eng Engine, sp scenario.Spec, obs func(Progres
 	return Run(ctx, eng, points, opts)
 }
 
-// BudgetFor returns the real-evaluation budget the planner will operate
-// under for a point space: floor(BudgetFrac x points), floored at one
-// point per regression group — nothing can be predicted from a group
-// with no real evaluation (documented on scenario.Plan.BudgetFrac).
-func BudgetFor(points []Point, cfg scenario.Plan) int {
-	cfg = cfg.Defaults()
-	budget := int(cfg.BudgetFrac * float64(len(points)))
-	groups := map[string]bool{}
-	for _, p := range points {
-		groups[p.group()] = true
-	}
-	if budget < len(groups) {
-		budget = len(groups)
-	}
-	return budget
+// Space is a point space prepared for resolution: the plan validated
+// and defaulted, each point's regression group keyed once, and the
+// evaluation budget fixed before the first round — so a caller can
+// report the budget at submit time.
+type Space struct {
+	points []Point
+	opts   Options // Plan defaulted
+	groups []group
+	budget int
 }
+
+// group is one regression group: its key and its members' indices in
+// point order.
+type group struct {
+	key     string
+	members []int
+}
+
+// NewSpace validates the plan and buckets the points into regression
+// groups, sorted by key.
+func NewSpace(points []Point, opts Options) (*Space, error) {
+	if err := opts.Plan.Validate(); err != nil {
+		return nil, fmt.Errorf("planner: %w", err)
+	}
+	if len(points) == 0 {
+		return nil, fmt.Errorf("planner: empty point space")
+	}
+	opts.Plan = opts.Plan.Defaults()
+	// A point's key string is built only the first time its key inputs
+	// are seen; byKey still merges distinct inputs that spell one key.
+	type keyInputs struct {
+		group, app string
+		mode       memsys.Mode
+	}
+	byInputs := map[keyInputs]int{}
+	byKey := map[string]int{}
+	var groups []group
+	for i := range points {
+		p := &points[i]
+		in := keyInputs{p.Group, p.Meta.App, p.Meta.Mode}
+		g, ok := byInputs[in]
+		if !ok {
+			k := p.group()
+			if g, ok = byKey[k]; !ok {
+				g = len(groups)
+				byKey[k] = g
+				groups = append(groups, group{key: k})
+			}
+			byInputs[in] = g
+		}
+		groups[g].members = append(groups[g].members, i)
+	}
+	slices.SortFunc(groups, func(a, b group) int { return strings.Compare(a.key, b.key) })
+	return &Space{
+		points: points,
+		opts:   opts,
+		groups: groups,
+		budget: max(int(opts.Plan.BudgetFrac*float64(len(points))), len(groups)),
+	}, nil
+}
+
+// Budget returns the real-evaluation budget the planner operates under:
+// floor(BudgetFrac x points), floored at one point per regression group
+// — nothing can be predicted from a group with no real evaluation
+// (documented on scenario.Plan.BudgetFrac).
+func (s *Space) Budget() int { return s.budget }
 
 // Run resolves the point space. Every real evaluation flows through the
 // engine (one batch per round), so points land in its result store and
 // re-serve as cache hits on later runs.
 func Run(ctx context.Context, eng BatchRunner, points []Point, opts Options) (*Result, error) {
-	cfg := opts.Plan
-	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("planner: %w", err)
+	s, err := NewSpace(points, opts)
+	if err != nil {
+		return nil, err
 	}
-	cfg = cfg.Defaults()
-	n := len(points)
-	if n == 0 {
-		return nil, fmt.Errorf("planner: empty point space")
-	}
+	return s.Run(ctx, eng)
+}
+
+// Run resolves the space; see the package-level Run.
+func (s *Space) Run(ctx context.Context, eng BatchRunner) (*Result, error) {
+	cfg, n := s.opts.Plan, len(s.points)
 	res := &Result{
-		Name:   opts.Name,
+		Name:   s.opts.Name,
 		Points: make([]PlannedPoint, n),
-		Budget: BudgetFor(points, cfg),
+		Budget: s.budget,
 	}
-	for i, pt := range points {
+	feats := make([][]float64, n)
+	for i, pt := range s.points {
 		res.Points[i] = PlannedPoint{Point: pt, Index: i}
+		feats[i] = model.ConfigFeatures(pt.Job.Workload, pt.Meta.Threads, pt.Meta.Scale)
 	}
-	groups := groupIndices(res.Points)
+	fitted := make([]int, len(s.groups))
 
 	// Round 1: the seed, capped with per-group round-robin so a tight
 	// budget still covers every group. A quarter of the budget is held
@@ -269,12 +324,12 @@ func Run(ctx context.Context, eng BatchRunner, points []Point, opts Options) (*R
 	seedBudget := res.Budget
 	if cfg.Seed != scenario.SeedFull {
 		seedBudget -= res.Budget / 4
-		if seedBudget < len(groups.keys) {
-			seedBudget = len(groups.keys)
+		if seedBudget < len(s.groups) {
+			seedBudget = len(s.groups)
 		}
 	}
-	seed := capToBudget(seedIndices(cfg.Seed, groups, res.Points), groups, seedBudget)
-	if err := evaluate(ctx, eng, res, seed, "seed", opts.Observer); err != nil {
+	seed := capToBudget(seedIndices(cfg.Seed, s.groups, res.Points), seedBudget)
+	if err := evaluate(ctx, eng, res, seed, "seed", s.opts.Observer); err != nil {
 		return nil, err
 	}
 
@@ -285,7 +340,7 @@ func Run(ctx context.Context, eng BatchRunner, points []Point, opts Options) (*R
 		perRound = 1
 	}
 	for len(res.Rounds) < 1+cfg.MaxRounds {
-		fitAndPredict(groups, res)
+		fitAndPredict(s.groups, feats, fitted, res)
 		frontier := pareto(res.Points)
 		toEval := pickCandidates(res, frontier, cfg.Threshold, perRound)
 		if len(toEval) == 0 {
@@ -302,14 +357,14 @@ func Run(ctx context.Context, eng BatchRunner, points []Point, opts Options) (*R
 				break
 			}
 		}
-		if err := evaluate(ctx, eng, res, toEval, phase, opts.Observer); err != nil {
+		if err := evaluate(ctx, eng, res, toEval, phase, s.opts.Observer); err != nil {
 			return nil, err
 		}
 	}
 
 	// Final resolution: predict the remainder with the fully trained
 	// model and settle the frontier.
-	fitAndPredict(groups, res)
+	fitAndPredict(s.groups, feats, fitted, res)
 	res.Frontier = pareto(res.Points)
 	res.FrontierResolved = true
 	for _, idx := range res.Frontier {
@@ -325,36 +380,17 @@ func Run(ctx context.Context, eng BatchRunner, points []Point, opts Options) (*R
 	}
 	final := Round{N: len(res.Rounds) + 1, Phase: "predict", Predicted: len(predicted)}
 	res.Rounds = append(res.Rounds, final)
-	if opts.Observer != nil {
-		opts.Observer(Progress{Round: final, Points: predicted, EvaluatedTotal: res.Evaluations, Total: n})
+	if s.opts.Observer != nil {
+		s.opts.Observer(Progress{Round: final, Points: predicted, EvaluatedTotal: res.Evaluations, Total: n})
 	}
 	return res, nil
 }
 
-// groupIndices buckets point indices by regression group, keys sorted.
-type groupSet struct {
-	keys    []string
-	members map[string][]int
-}
-
-func groupIndices(points []PlannedPoint) groupSet {
-	gs := groupSet{members: map[string][]int{}}
-	for i := range points {
-		k := points[i].group()
-		if _, ok := gs.members[k]; !ok {
-			gs.keys = append(gs.keys, k)
-		}
-		gs.members[k] = append(gs.members[k], i)
-	}
-	sort.Strings(gs.keys)
-	return gs
-}
-
 // seedIndices selects the seed evaluation set per group.
-func seedIndices(strategy string, groups groupSet, points []PlannedPoint) [][]int {
+func seedIndices(strategy string, groups []group, points []PlannedPoint) [][]int {
 	var out [][]int
-	for _, k := range groups.keys {
-		m := groups.members[k]
+	for _, g := range groups {
+		m := g.members
 		switch strategy {
 		case scenario.SeedFull:
 			out = append(out, append([]int(nil), m...))
@@ -414,7 +450,7 @@ func edgeSeeds(members []int, points []PlannedPoint) []int {
 // capToBudget flattens per-group seed lists round-robin and truncates
 // at the budget, so a tight budget degrades coverage evenly instead of
 // starving the later groups.
-func capToBudget(perGroup [][]int, groups groupSet, budget int) []int {
+func capToBudget(perGroup [][]int, budget int) []int {
 	var out []int
 	for rank := 0; ; rank++ {
 		advanced := false
@@ -469,26 +505,33 @@ func evaluate(ctx context.Context, eng BatchRunner, res *Result, idxs []int, pha
 }
 
 // fitAndPredict trains each group's ensemble on its evaluated points
-// and refreshes the prediction and disagreement of the others. Groups
-// without any evaluated point (possible only under a budget smaller
-// than the group count) stay unresolved: Time 0, excluded from the
-// frontier.
-func fitAndPredict(groups groupSet, res *Result) {
-	for _, k := range groups.keys {
-		var X [][]float64
-		var y []float64
-		var rest []int
-		for _, i := range groups.members[k] {
-			p := &res.Points[i]
-			feats := model.ConfigFeatures(p.Job.Workload, p.Meta.Threads, p.Meta.Scale)
-			if p.Evaluated {
-				X = append(X, feats)
+// (features precomputed per point) and refreshes the prediction and
+// disagreement of the others. A group is refit only when its evaluated
+// set has grown since its last fit, whose size fitted[g] records:
+// evaluated sets only grow and a fit is a pure function of its members
+// in point order, so an unchanged group already carries exactly the
+// predictions a refit would give. Groups without any evaluated point
+// (possible only under a budget smaller than the group count) stay
+// unresolved: Time 0, excluded from the frontier.
+func fitAndPredict(groups []group, feats [][]float64, fitted []int, res *Result) {
+	var X [][]float64
+	var y []float64
+	var rest []int
+	for g := range groups {
+		X, y, rest = X[:0], y[:0], rest[:0]
+		for _, i := range groups[g].members {
+			if p := &res.Points[i]; p.Evaluated {
+				X = append(X, feats[i])
 				y = append(y, p.Result.Time.Seconds())
 			} else {
 				rest = append(rest, i)
 			}
 		}
-		if len(X) == 0 || len(rest) == 0 {
+		if len(X) == fitted[g] {
+			continue
+		}
+		fitted[g] = len(X)
+		if len(rest) == 0 {
 			continue
 		}
 		ens, err := model.FitPointEnsemble(X, y)
@@ -499,9 +542,8 @@ func fitAndPredict(groups groupSet, res *Result) {
 		}
 		for _, i := range rest {
 			p := &res.Points[i]
-			feats := model.ConfigFeatures(p.Job.Workload, p.Meta.Threads, p.Meta.Scale)
-			p.Predicted = units.Duration(ens.Predict(feats))
-			p.Disagreement = ens.Disagreement(feats)
+			p.Predicted = units.Duration(ens.Predict(feats[i]))
+			p.Disagreement = ens.Disagreement(feats[i])
 			p.Time = p.Predicted
 		}
 	}

@@ -138,11 +138,15 @@ func (m *Manager) SubmitPlanWith(sp scenario.Spec, opts SubmitOptions) (*PlanSes
 	if sp.Plan != nil {
 		popts.Plan = *sp.Plan
 	}
+	space, err := planner.NewSpace(points, popts)
+	if err != nil {
+		return nil, err
+	}
 	// Known at submit time, so a status poll mid-run already reports the
 	// budget the planner is operating under.
-	s.budget = planner.BudgetFor(points, popts.Plan)
+	s.budget = space.Budget()
 	err = s.start(m, s, "plan", opts, func(ctx context.Context) (func(), error) {
-		res, err := planner.Run(ctx, execRunner{exec: m.exec, sp: sp}, points, popts)
+		res, err := space.Run(ctx, execRunner{exec: m.exec, sp: sp})
 		return func() { s.result = res }, err
 	})
 	if err != nil {

@@ -183,14 +183,11 @@ func FitOLS(X [][]float64, y []float64) (*Regression, error) {
 	// Augment with the intercept column: d = p+1 unknowns.
 	d := p + 1
 	// Normal equations: (A^T A) beta = A^T y where A = [1 | X].
-	ata := make([][]float64, d)
-	for i := range ata {
-		ata[i] = make([]float64, d)
-	}
+	ata := NewMatrix(d, d)
 	aty := make([]float64, d)
+	row := make([]float64, d)
+	row[0] = 1
 	for r := 0; r < n; r++ {
-		row := make([]float64, d)
-		row[0] = 1
 		copy(row[1:], X[r])
 		for i := 0; i < d; i++ {
 			aty[i] += row[i] * y[r]
@@ -217,7 +214,7 @@ func FitOLS(X [][]float64, y []float64) (*Regression, error) {
 		}
 	}
 
-	reg := &Regression{Intercept: beta[0], Coef: append([]float64(nil), beta[1:]...)}
+	reg := &Regression{Intercept: beta[0], Coef: beta[1:]}
 
 	// Diagnostics.
 	my := Mean(y)
@@ -270,15 +267,25 @@ func (r *Regression) Predict(x []float64) float64 {
 	return v
 }
 
+// NewMatrix returns a rows x cols zero matrix whose rows share one
+// backing array: two allocations however many rows it has.
+func NewMatrix(rows, cols int) [][]float64 {
+	back := make([]float64, rows*cols)
+	m := make([][]float64, rows)
+	for i := range m {
+		m[i] = back[i*cols : (i+1)*cols : (i+1)*cols]
+	}
+	return m
+}
+
 // invertSPD inverts a symmetric positive (semi)definite matrix with
 // Gauss-Jordan elimination and partial pivoting. Returns ErrSingular when
 // a pivot collapses (rank-deficient design).
 func invertSPD(m [][]float64) ([][]float64, error) {
 	d := len(m)
 	// Working copy augmented with identity.
-	a := make([][]float64, d)
+	a := NewMatrix(d, 2*d)
 	for i := range a {
-		a[i] = make([]float64, 2*d)
 		copy(a[i], m[i])
 		a[i][d+i] = 1
 	}
