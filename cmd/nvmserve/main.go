@@ -19,8 +19,11 @@
 // process runs no HTTP server at all: it registers with the named
 // coordinator, pulls chunks, evaluates them on its own engine (its
 // -store is the worker-local cache), and posts results back. A worker
-// whose disk store degrades self-evicts and exits non-zero. See
-// internal/fleet for the protocol.
+// whose disk store degrades self-evicts and exits non-zero, and so does
+// one the coordinator refuses at join: coordinator and workers must run
+// the same build (one fleet protocol version; a mismatch is 409), and
+// a -join URL naming a daemon without -fleet is 404. See internal/fleet
+// for the protocol.
 //
 // With -store, evaluated points persist to a disk result store shared
 // with nvmbench: a restarted daemon (or a warm nvmbench -store run)

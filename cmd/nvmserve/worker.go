@@ -27,9 +27,11 @@ type workerConfig struct {
 
 // runWorker is the -worker -join entrypoint: no HTTP listener, just a
 // fleet.Worker pulling chunks from the coordinator until a signal
-// stops ctx or the local store degrades (which exits non-zero — a worker
-// that can no longer persist results should be noticed, not restarted
-// blindly into the same failing disk).
+// stops ctx, the coordinator refuses its join, or the local store
+// degrades. The last two exit non-zero: a refusal (409 from another
+// protocol version, 404 from a daemon without -fleet) will not change
+// on retry, and a worker that can no longer persist results should be
+// noticed, not restarted blindly into the same failing disk.
 func runWorker(ctx context.Context, cfg workerConfig) {
 	var store resultstore.Store = resultstore.NewMemory()
 	var disk *resultstore.Disk

@@ -515,7 +515,7 @@ func FleetDispatchWindowed(b *testing.B) {
 // wireFixture builds one realistic coalesced result batch — 256
 // engine-evaluated points in four 64-point chunks, Workload descriptors
 // stripped as on the wire — plus the byte size the same points cost as
-// plain per-chunk JSON posts (the pre-batching wire format).
+// uncompressed per-chunk JSON.
 var (
 	wireOnce       sync.Once
 	wireBatch      fleet.ResultBatch
@@ -543,7 +543,7 @@ func wireFixture() (fleet.ResultBatch, int, error) {
 		eng := engine.New(platform.NewPurley().Socket(0), 1)
 		wireBatch = fleet.ResultBatch{WorkerID: "w-000001"}
 		for lo := 0; lo < len(jobs); lo += 64 {
-			cr := fleet.ChunkResult{WorkerID: "w-000001", ChunkID: uint64(1 + lo/64), ElapsedUS: 1000}
+			cr := fleet.ChunkResult{ChunkID: uint64(1 + lo/64), ElapsedUS: 1000}
 			for i := lo; i < min(lo+64, len(jobs)); i++ {
 				res, err := eng.Run(jobs[i])
 				if err != nil {
@@ -567,8 +567,8 @@ func wireFixture() (fleet.ResultBatch, int, error) {
 
 // FleetWirePoint measures serializing that batch exactly as the worker
 // result path does (pooled JSON encode + gzip) and reports what a point
-// costs on the wire: bytes_per_point_plain is the pre-batching format
-// (one JSON document per chunk, uncompressed), bytes_per_point_gzip the
+// costs on the wire: bytes_per_point_plain is the uncompressed
+// per-chunk JSON (one document per chunk), bytes_per_point_gzip the
 // coalesced compressed batch. Both extras are informational; ns/op and
 // allocs/op carry the gate.
 func FleetWirePoint(b *testing.B) {

@@ -20,31 +20,23 @@ import (
 )
 
 // Defaults for the coordinator cadence: workers beat every Heartbeat,
-// are declared dead after DeadAfter of silence, and work long-polls
-// are held up to Poll. CI and tests tighten all three.
+// are declared dead after 4 × Heartbeat of silence, and work
+// long-polls are held up to Poll. CI and tests tighten both.
 const (
 	DefaultHeartbeat = 500 * time.Millisecond
-	DefaultDeadAfter = 4 * DefaultHeartbeat
 	DefaultPoll      = 250 * time.Millisecond
 )
 
 // Options tunes a coordinator.
 type Options struct {
-	// Heartbeat, DeadAfter, Poll override the default cadence (zero
-	// keeps each default).
-	Heartbeat, DeadAfter, Poll time.Duration
+	// Heartbeat, Poll override the default cadence (zero keeps each
+	// default).
+	Heartbeat, Poll time.Duration
 	// Window is the per-worker dispatch window: at most this many
 	// chunks queued-or-in-flight per live worker before the scheduler
 	// stops carving (zero means DefaultWindow). Coordinator chunk
 	// bookkeeping is O(workers × Window), independent of sweep size.
 	Window int
-	// StragglerFactor is the analyzer's flagging threshold k: a worker
-	// whose p50 per-point latency exceeds k× the fleet median is
-	// reported as a straggler (zero means DefaultStragglerFactor).
-	StragglerFactor float64
-	// Now injects a clock for liveness decisions (tests); nil means
-	// time.Now.
-	Now func() time.Time
 }
 
 // Coordinator is the fleet's dispatch side: a session.Executor that
@@ -91,15 +83,12 @@ func New(eng *engine.Engine, opts Options) *Coordinator {
 	if opts.Heartbeat <= 0 {
 		opts.Heartbeat = DefaultHeartbeat
 	}
-	if opts.DeadAfter <= 0 {
-		opts.DeadAfter = 4 * opts.Heartbeat
-	}
 	if opts.Poll <= 0 {
 		opts.Poll = DefaultPoll
 	}
 	c := &Coordinator{
 		eng:     eng,
-		sched:   newScheduler(opts.Heartbeat, opts.DeadAfter, opts.Poll, opts.Window, opts.StragglerFactor, opts.Now),
+		sched:   newScheduler(opts.Heartbeat, opts.Poll, opts.Window, time.Now),
 		flights: make(map[resultstore.Key]*flight),
 		stop:    make(chan struct{}),
 	}
@@ -175,7 +164,7 @@ func (c *Coordinator) FleetStats() FleetStats {
 	return FleetStats{
 		CoordinatorStats: c.Stats(),
 		Window:           c.sched.window,
-		StragglerFactor:  c.sched.straggler,
+		StragglerFactor:  DefaultStragglerFactor,
 		MedianP50PointMS: medMS,
 		PerWorker:        rows,
 	}
@@ -240,13 +229,11 @@ func (b *batch) settle(pos int, res workload.Result, err error) {
 // chunkTarget is the cold-start chunk size: points spread four chunks
 // deep per live worker — enough granularity for stealing to rebalance,
 // few enough that the per-chunk HTTP round trip amortizes. The clamp
-// is maxChunkPoints (256): with windowed dispatch the chunk count no
-// longer scales with sweep size (the scheduler carves lazily, at most
-// window chunks per worker), so the old 32-point ceiling — which at
-// 100k points forced 3000+ resident chunk structs — would only add
-// round trips. Once a worker's throughput is measured, the adaptive
-// sizer (scheduler.sizeFor) takes over and this formula is just the
-// seed.
+// is maxChunkPoints (256): the scheduler carves lazily, at most window
+// chunks per worker, so a larger chunk costs no coordinator memory and
+// saves round trips. Once a worker's throughput is measured, the
+// adaptive sizer (scheduler.sizeFor) takes over and this formula is
+// just the seed.
 func chunkTarget(points, workers int) int {
 	if workers < 1 {
 		workers = 1
@@ -295,7 +282,7 @@ func expansionMap(sp scenario.Spec, jobs []engine.Job) (identity bool, expOf []i
 	err = sp.EachPoint(func(i int, _ scenario.Meta, ej engine.Job) bool {
 		k := ej.Key()
 		if _, wanted := want[k]; wanted {
-			want[k] = i // last index wins, matching the legacy full-map build
+			want[k] = i // a key the expansion repeats maps to its last index
 		}
 		return true
 	})
@@ -324,20 +311,21 @@ func (c *Coordinator) ExecuteBatch(ctx context.Context, sp scenario.Spec, jobs [
 	if len(jobs) == 0 {
 		return nil
 	}
-	encoded, encErr := scenario.Encode(sp)
-	if encErr != nil || c.sched.liveCount() == 0 {
+	// One read of the live count decides both the mapping and the
+	// fallback, so a worker joining in between cannot skip the mapping.
+	live := c.sched.liveCount()
+	encoded, err := scenario.Encode(sp)
+	var identity bool
+	var expOf []int
+	if err == nil && live > 0 {
+		identity, expOf, err = expansionMap(sp, jobs)
+	}
+	if err != nil || live == 0 {
 		// Not dispatchable (a Custom-builder spec cannot travel) or
 		// nobody to dispatch to: the single-process path, verbatim.
 		c.fellBack.Add(1)
 		c.localPts.Add(uint64(len(jobs)))
-		_, err := c.eng.RunBatchFunc(ctx, jobs, done)
-		return err
-	}
-	identity, expOf, mapErr := expansionMap(sp, jobs)
-	if mapErr != nil {
-		c.fellBack.Add(1)
-		c.localPts.Add(uint64(len(jobs)))
-		_, err := c.eng.RunBatchFunc(ctx, jobs, done)
+		_, err = c.eng.RunBatchFunc(ctx, jobs, done)
 		return err
 	}
 
@@ -404,7 +392,7 @@ func (c *Coordinator) ExecuteBatch(ctx context.Context, sp scenario.Spec, jobs [
 		c.sched.addSource(&chunkSource{
 			b:         b,
 			runs:      runs,
-			seed:      chunkTarget(ndispatch, c.sched.liveCount()),
+			seed:      chunkTarget(ndispatch, live),
 			remaining: ndispatch,
 		})
 	}
@@ -475,12 +463,12 @@ func (c *Coordinator) runLocal(ctx context.Context, b *batch, positions []int) {
 	})
 }
 
-// resolveChunk accepts one posted chunk result, committing each point
-// through the engine's singleflight store and settling the batch and
-// any parked flights. Stale posts (requeued-and-recomputed chunks,
-// dropped batches) are discarded.
-func (c *Coordinator) resolveChunk(cr ChunkResult) {
-	ch := c.sched.complete(cr.WorkerID, cr.ChunkID, cr.ElapsedUS)
+// resolveChunk accepts one chunk result posted by workerID, committing
+// each point through the engine's singleflight store and settling the
+// batch and any parked flights. Stale posts (requeued-and-recomputed
+// chunks, dropped batches) are discarded.
+func (c *Coordinator) resolveChunk(workerID string, cr *ChunkResult) {
+	ch := c.sched.complete(workerID, cr.ChunkID, cr.ElapsedUS)
 	if ch == nil {
 		return
 	}
@@ -496,7 +484,7 @@ func (c *Coordinator) resolveChunk(cr ChunkResult) {
 			if !ok {
 				continue
 			}
-			c.abortFlight(b.jobs[pos])
+			c.settleFlight(b.jobs[pos])
 			b.settle(pos, workload.Result{}, err)
 		}
 		return
@@ -528,7 +516,7 @@ func (c *Coordinator) resolveChunk(cr ChunkResult) {
 			if !ok {
 				continue
 			}
-			c.abortFlight(b.jobs[pos])
+			c.settleFlight(b.jobs[pos])
 			b.settle(pos, workload.Result{},
 				fmt.Errorf("fleet: chunk %d: point %d missing from result", cr.ChunkID, exp))
 		}
@@ -554,10 +542,6 @@ func (c *Coordinator) settleFlight(job engine.Job) {
 		w.b.settle(w.pos, res, err)
 	}
 }
-
-// abortFlight is settleFlight for keys whose dispatch failed — same
-// release path, named for the call sites where no result committed.
-func (c *Coordinator) abortFlight(job engine.Job) { c.settleFlight(job) }
 
 // drop abandons a cancelled batch: its chunks are resolved-as-dropped
 // in the scheduler (late worker posts get discarded), flights it owns
@@ -602,7 +586,6 @@ func (c *Coordinator) Routes(mux *http.ServeMux) {
 	mux.HandleFunc("POST /fleet/v1/heartbeat", c.handleHeartbeat)
 	mux.HandleFunc("POST /fleet/v1/leave", c.handleLeave)
 	mux.HandleFunc("POST /fleet/v1/work", c.handleWork)
-	mux.HandleFunc("POST /fleet/v1/result", c.handleResult)
 	mux.HandleFunc("POST /fleet/v1/results", c.handleResults)
 	mux.HandleFunc("GET /fleet/v1/stats", c.handleStats)
 }
@@ -615,6 +598,12 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	var req JoinRequest
 	if err := decodeStrict(r.Body, &req); err != nil {
 		httpErr(w, http.StatusBadRequest, err)
+		return
+	}
+	if req.Protocol != ProtocolVersion {
+		httpErr(w, http.StatusConflict, fmt.Errorf(
+			"fleet: worker speaks protocol %d, coordinator speaks %d; run the same nvmserve build on both",
+			req.Protocol, ProtocolVersion))
 		return
 	}
 	writeJSON(w, r, c.sched.join(req.Name))
@@ -643,9 +632,10 @@ func (c *Coordinator) handleLeave(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// maxWorkChunks caps how many chunks one work response may carry
-// regardless of what the worker advertises.
-const maxWorkChunks = 16
+// maxWorkChunks caps how many chunks one work response carries. Their
+// results come back as one coalesced post, so a deeper pull amortizes
+// both directions of the round trip when the worker's queue is deep.
+const maxWorkChunks = 4
 
 func (c *Coordinator) handleWork(w http.ResponseWriter, r *http.Request) {
 	var req WorkRequest
@@ -653,15 +643,7 @@ func (c *Coordinator) handleWork(w http.ResponseWriter, r *http.Request) {
 		httpErr(w, http.StatusBadRequest, err)
 		return
 	}
-	legacy := req.MaxChunks <= 0
-	max := req.MaxChunks
-	if legacy {
-		max = 1
-	}
-	if max > maxWorkChunks {
-		max = maxWorkChunks
-	}
-	chunks, err := c.sched.pullN(r.Context(), req.WorkerID, max)
+	chunks, err := c.sched.pullN(r.Context(), req.WorkerID, maxWorkChunks)
 	if err != nil {
 		if errors.Is(err, errUnknownWorker) {
 			httpErr(w, http.StatusNotFound, err)
@@ -673,39 +655,11 @@ func (c *Coordinator) handleWork(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	if legacy {
-		ch := chunks[0]
-		writeJSON(w, r, WireChunk{ID: ch.id, Spec: ch.b.encoded, Indexes: ch.indexes})
-		return
-	}
 	out := WireWork{Chunks: make([]WireChunk, len(chunks))}
 	for i, ch := range chunks {
 		out.Chunks[i] = WireChunk{ID: ch.id, Spec: ch.b.encoded, Indexes: ch.indexes}
 	}
 	writeJSON(w, r, out)
-}
-
-// countPost records one accepted result post's wire accounting.
-func (c *Coordinator) countPost(n int64, gzipped bool) {
-	c.resultPosts.Add(1)
-	if gzipped {
-		c.resultPostsGzip.Add(1)
-	}
-	if n > 0 {
-		c.resultWireBytes.Add(uint64(n))
-	}
-}
-
-func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
-	gzipped := r.Header.Get("Content-Encoding") == "gzip"
-	var cr ChunkResult
-	if err := decodeBody(r.Body, gzipped, &cr); err != nil {
-		httpErr(w, http.StatusBadRequest, err)
-		return
-	}
-	c.countPost(r.ContentLength, gzipped)
-	c.resolveChunk(cr)
-	w.WriteHeader(http.StatusNoContent)
 }
 
 // handleResults is the coalesced return path: one post carrying every
@@ -717,13 +671,15 @@ func (c *Coordinator) handleResults(w http.ResponseWriter, r *http.Request) {
 		httpErr(w, http.StatusBadRequest, err)
 		return
 	}
-	c.countPost(r.ContentLength, gzipped)
+	c.resultPosts.Add(1)
+	if gzipped {
+		c.resultPostsGzip.Add(1)
+	}
+	if r.ContentLength > 0 {
+		c.resultWireBytes.Add(uint64(r.ContentLength))
+	}
 	for i := range rb.Results {
-		cr := rb.Results[i]
-		if cr.WorkerID == "" {
-			cr.WorkerID = rb.WorkerID
-		}
-		c.resolveChunk(cr)
+		c.resolveChunk(rb.WorkerID, &rb.Results[i])
 	}
 	w.WriteHeader(http.StatusNoContent)
 }
@@ -737,7 +693,7 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 // clears the compression floor — this is what lets a deep-queue
 // multi-chunk work response travel cheaply. Go's default HTTP
 // transport always advertises gzip and decompresses transparently, so
-// PR-9 workers benefit without knowing.
+// workers need no code for it.
 func writeJSON(w http.ResponseWriter, r *http.Request, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	b, err := json.Marshal(v)

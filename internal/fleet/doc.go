@@ -28,12 +28,14 @@
 // that worker's throughput, clamped to [1, 256] with a tail guard;
 // the static formula only seeds the cold start. Workers pull up to 4
 // chunks per long-poll and post results coalesced and gzip-compressed
-// (pooled buffers and encoders) to /fleet/v1/results; all of it is
-// negotiated request-side, so an older single-chunk plain-JSON worker
-// keeps working unchanged. GET /fleet/v1/stats exposes the
-// straggler/saturation analyzer: per-worker throughput, queue depth,
-// last chunk size and p50/p95 per-point latency, with workers beyond
-// StragglerFactor x the fleet median p50 flagged as stragglers.
+// (pooled buffers and encoders) to /fleet/v1/results. Coordinator and
+// workers ship as one binary and speak one ProtocolVersion: a join
+// carrying any other version is refused with 409 Conflict, and a
+// refused worker's Run returns the refusal instead of retrying. GET
+// /fleet/v1/stats exposes the straggler/saturation analyzer:
+// per-worker throughput, queue depth, last chunk size and p50/p95
+// per-point latency, with workers beyond DefaultStragglerFactor x the
+// fleet median p50 flagged as stragglers.
 //
 // Scheduling is pull-based work-stealing. Chunks are assigned
 // round-robin over the live workers in join order — a deterministic

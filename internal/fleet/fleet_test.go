@@ -5,10 +5,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -50,10 +52,10 @@ type testFleet struct {
 	runs    []chan error
 }
 
-// tightOpts keeps the fleet cadence test-speed: 25ms heartbeats, dead
-// after 100ms of silence, 50ms poll windows.
+// tightOpts keeps the fleet cadence test-speed: 25ms heartbeats (so
+// dead after 100ms of silence), 50ms poll windows.
 func tightOpts() Options {
-	return Options{Heartbeat: 25 * time.Millisecond, DeadAfter: 100 * time.Millisecond, Poll: 50 * time.Millisecond}
+	return Options{Heartbeat: 25 * time.Millisecond, Poll: 50 * time.Millisecond}
 }
 
 func startFleet(t *testing.T, n int, opts Options, delay time.Duration) *testFleet {
@@ -454,6 +456,57 @@ func TestWorkerStoppedMidJoinReturnsNil(t *testing.T) {
 		if err := w.Run(ctx); err != nil {
 			t.Errorf("%s: Run = %v, want nil", name, err)
 		}
+	}
+}
+
+// A coordinator that refuses a join (409 for another protocol version,
+// 404 from a daemon without -fleet) gets no retries: Run returns the
+// refusal at once instead of polling until it is stopped.
+func TestWorkerRefusedJoinReturnsError(t *testing.T) {
+	for _, code := range []int{http.StatusNotFound, http.StatusConflict} {
+		refuse := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			http.Error(w, "refused", code)
+		}))
+		t.Cleanup(refuse.Close)
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		w := &Worker{Base: refuse.URL, Eng: engine.New(sock(), 1), Name: "refused"}
+		err := w.Run(ctx)
+		cancel()
+		if err == nil || !strings.Contains(err.Error(), strconv.Itoa(code)) {
+			t.Errorf("join answered %d: Run = %v, want that refusal", code, err)
+		}
+	}
+}
+
+// The coordinator speaks one protocol version: a join carrying none (as
+// every worker built before the version existed) or another is refused
+// with 409 Conflict naming both versions, and registers nobody.
+func TestJoinRefusesOtherProtocolVersion(t *testing.T) {
+	f := startFleet(t, 0, tightOpts(), 0)
+	for _, c := range []struct {
+		body string
+		sent int
+	}{
+		{`{"name":"unversioned"}`, 0},
+		{`{"name":"old","protocol":1}`, 1},
+		{fmt.Sprintf(`{"name":"newer","protocol":%d}`, ProtocolVersion+1), ProtocolVersion + 1},
+	} {
+		resp, err := http.Post(f.ts.URL+"/fleet/v1/join", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusConflict {
+			t.Errorf("join %s = %s, want 409", c.body, resp.Status)
+		}
+		want := fmt.Sprintf("protocol %d, coordinator speaks %d", c.sent, ProtocolVersion)
+		if !strings.Contains(string(msg), want) {
+			t.Errorf("join %s refused with %q, want it to name both versions (%q)", c.body, msg, want)
+		}
+	}
+	if n := f.coord.Workers(); n != 0 {
+		t.Errorf("refused joins registered %d workers", n)
 	}
 }
 

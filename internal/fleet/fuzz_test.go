@@ -9,9 +9,10 @@ import (
 )
 
 // FuzzDecodeBody drives arbitrary bytes, plain and gzipped, through the
-// wire decoder into both bodies a peer sends: a pulled WireWork and a
-// posted ResultBatch. Nothing may panic, and a body that decodes must
-// re-encode through encodePost and decode back to the same document.
+// wire decoder into every body a peer sends: the join, work, heartbeat
+// and leave requests, a pulled WireWork and a posted ResultBatch.
+// Nothing may panic, and a body that decodes must re-encode through
+// encodePost and decode back to the same document.
 func FuzzDecodeBody(f *testing.F) {
 	spec, err := scenario.Encode(fleetSpec("fuzz-wire"))
 	if err != nil {
@@ -37,7 +38,7 @@ func FuzzDecodeBody(f *testing.F) {
 	seeds = append(seeds, seed{append([]byte(nil), buf.Bytes()...), gzipped})
 	putBuf(buf)
 	for _, rb := range []ResultBatch{
-		{WorkerID: "w-000001", Results: []ChunkResult{{WorkerID: "w-000001", ChunkID: 1, Error: "bad spec"}}},
+		{WorkerID: "w-000001", Results: []ChunkResult{{ChunkID: 1, Error: "bad spec"}}},
 		{WorkerID: "w-000001", Results: realResults(f, 64)},
 	} {
 		data, gzipped, err := EncodeResultBatch(rb)
@@ -45,6 +46,16 @@ func FuzzDecodeBody(f *testing.F) {
 			f.Fatal(err)
 		}
 		seeds = append(seeds, seed{data, gzipped})
+	}
+	for _, req := range []any{
+		JoinRequest{Name: "w0", Protocol: ProtocolVersion},
+		Heartbeat{WorkerID: "w-000001"},
+	} {
+		data, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, seed{data, false})
 	}
 	for _, s := range seeds {
 		f.Add(s.data, s.gzipped)
@@ -54,6 +65,9 @@ func FuzzDecodeBody(f *testing.F) {
 		f.Add(flipped, s.gzipped)
 	}
 	f.Fuzz(func(t *testing.T, data []byte, gzipped bool) {
+		reencodes[JoinRequest](t, data, gzipped)
+		reencodes[WorkRequest](t, data, gzipped)
+		reencodes[Heartbeat](t, data, gzipped)
 		reencodes[WireWork](t, data, gzipped)
 		reencodes[ResultBatch](t, data, gzipped)
 	})

@@ -3,14 +3,12 @@ package fleet
 // The coordinator/worker wire protocol: strict-JSON request and reply
 // documents for the coordinator endpoints —
 //
-//	POST /fleet/v1/join       JoinRequest   -> JoinReply
+//	POST /fleet/v1/join       JoinRequest   -> JoinReply (409: another protocol version)
 //	POST /fleet/v1/heartbeat  Heartbeat     -> 204 (404: unknown worker, rejoin)
 //	POST /fleet/v1/leave      Heartbeat     -> 204 (queued chunks re-queue)
-//	POST /fleet/v1/work       WorkRequest   -> WireChunk (max_chunks absent)
-//	                                           or WireWork (max_chunks > 0),
+//	POST /fleet/v1/work       WorkRequest   -> WireWork (up to maxWorkChunks chunks),
 //	                                           or 204 after the long-poll window
-//	POST /fleet/v1/result     ChunkResult   -> 204
-//	POST /fleet/v1/results    ResultBatch   -> 204 (coalesced posts)
+//	POST /fleet/v1/results    ResultBatch   -> 204 (gzip Content-Encoding optional)
 //	GET  /fleet/v1/stats      -> FleetStats (straggler analyzer)
 //
 // Results travel as the solved quantities only: like the disk store's
@@ -18,18 +16,14 @@ package fleet
 // reattached by the coordinator from the job at commit time
 // (engine.CommitRemote). encoding/json round-trips float64 bit-exactly,
 // so a fleet-evaluated point is byte-identical to a local one — the
-// same guarantee the v1 segment codec pins with its round-trip fuzz
-// test.
+// property FuzzDecodeBody's round trip checks.
 //
-// Compatibility is negotiated request-side so a PR-9 worker keeps
-// working against a newer coordinator: every extension rides on fields
-// the worker chooses to send (max_chunks, elapsed_us, a gzip
-// Content-Encoding header on posts, the /results endpoint) and the
-// coordinator answers in kind — a request without them gets the
-// original single-chunk, plain-JSON exchange. Response compression
+// Coordinator and workers ship as one binary and speak one protocol
+// version: a join that carries any other ProtocolVersion, or none, is
+// refused with 409 Conflict, so a version-skewed worker stops at join
+// instead of failing later on a strict decode. Response compression
 // needs no protocol at all: Go's HTTP transport advertises
-// Accept-Encoding: gzip and decompresses transparently on both old and
-// new workers.
+// Accept-Encoding: gzip and decompresses transparently.
 
 import (
 	"bytes"
@@ -42,11 +36,17 @@ import (
 	"repro/internal/workload"
 )
 
+// ProtocolVersion is the wire protocol this build speaks. A worker
+// sends it in every join; the coordinator refuses any other value.
+const ProtocolVersion = 2
+
 // JoinRequest registers a worker with the coordinator.
 type JoinRequest struct {
 	// Name labels the worker in health reports (host:pid style); the
 	// coordinator assigns the authoritative WorkerID.
 	Name string `json:"name"`
+	// Protocol is the worker's ProtocolVersion.
+	Protocol int `json:"protocol"`
 }
 
 // JoinReply carries the worker's assigned identity and the cadence the
@@ -64,20 +64,14 @@ type Heartbeat struct {
 	WorkerID string `json:"worker_id"`
 }
 
-// WorkRequest pulls the next chunk for a worker; the coordinator holds
+// WorkRequest pulls the next chunks for a worker; the coordinator holds
 // the request up to its poll window when no work is available.
 type WorkRequest struct {
 	WorkerID string `json:"worker_id"`
-	// MaxChunks advertises how many chunks the worker accepts per
-	// long-poll. Absent or zero (a PR-9 worker) keeps the legacy
-	// single-WireChunk response; positive switches the response to a
-	// WireWork document carrying up to that many chunks when the
-	// worker's queue is deep.
-	MaxChunks int `json:"max_chunks,omitempty"`
 }
 
-// WireWork is the multi-chunk work response, sent only to workers that
-// negotiated it via WorkRequest.MaxChunks.
+// WireWork is the work response: up to maxWorkChunks chunks, more than
+// one only when the worker's queue is deep.
 type WireWork struct {
 	Chunks []WireChunk `json:"chunks"`
 }
@@ -112,19 +106,18 @@ type PointResult struct {
 // worker could not evaluate the chunk at all, and the coordinator
 // fails the batch rather than re-queueing what cannot succeed.
 type ChunkResult struct {
-	WorkerID string        `json:"worker_id"`
-	ChunkID  uint64        `json:"chunk_id"`
-	Points   []PointResult `json:"points,omitempty"`
-	Error    string        `json:"error,omitempty"`
+	ChunkID uint64        `json:"chunk_id"`
+	Points  []PointResult `json:"points,omitempty"`
+	Error   string        `json:"error,omitempty"`
 	// ElapsedUS self-reports the chunk's evaluation wall time in
-	// microseconds — the adaptive sizer's preferred throughput sample,
-	// free of queueing and post-coalescing delay. Absent (a PR-9
-	// worker) the coordinator falls back to the pull→post interval.
+	// microseconds — the adaptive sizer's throughput sample, free of
+	// queueing and post-coalescing delay. A chunk-level error carries
+	// none, so a chunk that did no work feeds no sample.
 	ElapsedUS int64 `json:"elapsed_us,omitempty"`
 }
 
-// ResultBatch coalesces several completed chunks into one POST — the
-// multi-chunk pull's return path (/fleet/v1/results).
+// ResultBatch coalesces the chunks one pull completed into one POST
+// (/fleet/v1/results); WorkerID names the poster for all of them.
 type ResultBatch struct {
 	WorkerID string        `json:"worker_id"`
 	Results  []ChunkResult `json:"results"`

@@ -2,6 +2,14 @@ package fleet
 
 import "testing"
 
+func mkChunks(b *batch, n int) []*chunk {
+	out := make([]*chunk, n)
+	for i := range out {
+		out[i] = &chunk{b: b, indexes: []int{i}}
+	}
+	return out
+}
+
 func TestQueueFIFOAndStealEnds(t *testing.T) {
 	var q chunkQueue
 	cs := mkChunks(&batch{}, 5)

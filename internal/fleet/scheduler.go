@@ -14,9 +14,6 @@ type chunk struct {
 	id      uint64
 	b       *batch
 	indexes []int
-	// pulledAt stamps the dispatch (first pull); completion latency
-	// feeds the puller's EWMA when the worker does not self-report.
-	pulledAt time.Time
 	// resolved flips when the chunk's results have been accepted (or
 	// its batch dropped); copies still sitting in a queue after a
 	// requeue race are lazily skipped.
@@ -78,7 +75,8 @@ type Stats struct {
 	ChunksLive    int `json:"chunks_live"`
 	ChunksLiveMax int `json:"chunks_live_max"`
 	// Stragglers counts live workers currently flagged by the analyzer
-	// (per-point p50 latency above StragglerFactor × fleet median).
+	// (per-point p50 latency above DefaultStragglerFactor × fleet
+	// median).
 	Stragglers int `json:"stragglers"`
 }
 
@@ -92,10 +90,9 @@ var errUnknownWorker = fmt.Errorf("fleet: unknown worker")
 // operations are map/deque manipulations, never evaluation.
 type scheduler struct {
 	heartbeat time.Duration
-	deadAfter time.Duration
+	deadAfter time.Duration // 4 × heartbeat
 	poll      time.Duration
-	window    int     // max queued+in-flight chunks per worker
-	straggler float64 // straggler flag threshold k
+	window    int // max queued+in-flight chunks per worker
 	now       func() time.Time
 
 	mu   sync.Mutex
@@ -105,7 +102,7 @@ type scheduler struct {
 
 	workers map[string]*workerState
 	order   []*workerState // live workers in join order
-	rr      int            // round-robin assignment cursor
+	rr      int            // round-robin requeue cursor
 	orphans chunkQueue
 	// sources are the active batches' lazy chunk cursors, registration
 	// order; refill carves from the front one until it runs dry.
@@ -126,22 +123,15 @@ type scheduler struct {
 	dispatched, completed, stolen, requeued uint64
 }
 
-func newScheduler(heartbeat, deadAfter, poll time.Duration, window int, straggler float64, now func() time.Time) *scheduler {
-	if now == nil {
-		now = time.Now
-	}
+func newScheduler(heartbeat, poll time.Duration, window int, now func() time.Time) *scheduler {
 	if window < 1 {
 		window = DefaultWindow
 	}
-	if straggler <= 1 {
-		straggler = DefaultStragglerFactor
-	}
 	return &scheduler{
 		heartbeat:   heartbeat,
-		deadAfter:   deadAfter,
+		deadAfter:   4 * heartbeat,
 		poll:        poll,
 		window:      window,
-		straggler:   straggler,
 		now:         now,
 		wake:        make(chan struct{}),
 		workers:     make(map[string]*workerState),
@@ -270,7 +260,7 @@ func (s *scheduler) evict(w *workerState) {
 			continue
 		}
 		s.requeued++
-		s.place(c, "requeue")
+		s.place(c)
 	}
 	// The survivors inherited the dead worker's chunks; top up whatever
 	// window capacity remains.
@@ -278,9 +268,9 @@ func (s *scheduler) evict(w *workerState) {
 	s.wakeAll()
 }
 
-// place assigns one chunk round-robin over the live workers in join
+// place re-queues one chunk round-robin over the live workers in join
 // order, or parks it with the orphans. Callers hold mu.
-func (s *scheduler) place(c *chunk, kind string) {
+func (s *scheduler) place(c *chunk) {
 	if len(s.order) == 0 {
 		s.orphans.push(c)
 		return
@@ -288,21 +278,7 @@ func (s *scheduler) place(c *chunk, kind string) {
 	w := s.order[s.rr%len(s.order)]
 	s.rr++
 	w.queue.push(c)
-	s.record(c, w, kind)
-}
-
-// enqueue places pre-materialized chunks across the fleet and wakes
-// pullers. The coordinator's batch path registers a lazy chunkSource
-// via addSource instead; enqueue remains for scheduler-level tests and
-// small fixed chunk sets.
-func (s *scheduler) enqueue(chunks []*chunk) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, c := range chunks {
-		s.admit(c)
-		s.place(c, "assign")
-	}
-	s.wakeAll()
+	s.record(c, w, "requeue")
 }
 
 // admit assigns a fresh chunk its id and registers it outstanding,
@@ -329,9 +305,8 @@ func (s *scheduler) addSource(src *chunkSource) {
 
 // refill tops every worker's deque up to the dispatch window, carving
 // chunks lazily from the front source. One chunk per worker per pass,
-// workers in join order — the same round-robin placement order the
-// upfront sharding produced, now interleaved with completions.
-// Callers hold mu.
+// workers in join order: round-robin placement, interleaved with
+// completions. Callers hold mu.
 func (s *scheduler) refill() {
 	for len(s.sources) > 0 && len(s.order) > 0 {
 		progressed := false
@@ -401,16 +376,6 @@ func (s *scheduler) sizeFor(w *workerState, src *chunkSource) int {
 // without any single chunk monopolizing the tail.
 func (s *scheduler) horizon() time.Duration { return 4 * s.poll }
 
-// pull returns the next chunk for a worker (nil on an empty poll
-// window); see pullN.
-func (s *scheduler) pull(ctx context.Context, id string) (*chunk, error) {
-	chunks, err := s.pullN(ctx, id, 1)
-	if err != nil || len(chunks) == 0 {
-		return nil, err
-	}
-	return chunks[0], nil
-}
-
 // pullN returns up to max chunks for a worker: the front of its own
 // (window-refilled) queue, orphans, or — when all are empty — the back
 // of the longest live queue (a steal from the straggler). Only the
@@ -420,9 +385,6 @@ func (s *scheduler) pull(ctx context.Context, id string) (*chunk, error) {
 // window and retries, returning an empty slice on timeout. A pull
 // refreshes the worker's heartbeat.
 func (s *scheduler) pullN(ctx context.Context, id string, max int) ([]*chunk, error) {
-	if max < 1 {
-		max = 1
-	}
 	timeout := time.NewTimer(s.poll)
 	defer timeout.Stop()
 	for {
@@ -435,7 +397,6 @@ func (s *scheduler) pullN(ctx context.Context, id string, max int) ([]*chunk, er
 		w.lastBeat = s.now()
 		s.refill()
 		if c := s.take(w); c != nil {
-			pulled := s.now()
 			out := []*chunk{c}
 			for len(out) < max {
 				extra := s.takeOwn(w)
@@ -445,7 +406,6 @@ func (s *scheduler) pullN(ctx context.Context, id string, max int) ([]*chunk, er
 				out = append(out, extra)
 			}
 			for _, c := range out {
-				c.pulledAt = pulled
 				w.inflight[c.id] = c
 				s.dispatched++
 			}
@@ -464,18 +424,11 @@ func (s *scheduler) pullN(ctx context.Context, id string, max int) ([]*chunk, er
 	}
 }
 
-// take pops the next unresolved chunk for a worker. Callers hold mu.
+// take pops the next unresolved chunk for a worker: its own share
+// (takeOwn), else a steal. Callers hold mu.
 func (s *scheduler) take(w *workerState) *chunk {
-	for c := w.queue.popFront(); c != nil; c = w.queue.popFront() {
-		if !c.resolved {
-			return c
-		}
-	}
-	for c := s.orphans.popFront(); c != nil; c = s.orphans.popFront() {
-		if !c.resolved {
-			s.record(c, w, "requeue")
-			return c
-		}
+	if c := s.takeOwn(w); c != nil {
+		return c
 	}
 	// Steal from the longest live queue, join order breaking ties — the
 	// victim keeps its front (oldest) chunks, the thief takes the back.
@@ -498,8 +451,7 @@ func (s *scheduler) take(w *workerState) *chunk {
 }
 
 // takeOwn pops the next unresolved chunk from the worker's own queue or
-// the orphans — the no-steal subset of take, for multi-chunk pulls.
-// Callers hold mu.
+// the orphans. Callers hold mu.
 func (s *scheduler) takeOwn(w *workerState) *chunk {
 	for c := w.queue.popFront(); c != nil; c = w.queue.popFront() {
 		if !c.resolved {
@@ -518,12 +470,11 @@ func (s *scheduler) takeOwn(w *workerState) *chunk {
 // complete accepts a chunk's results: the chunk is resolved wherever it
 // currently sits, and the posting worker's in-flight slot is cleared.
 // elapsedUS is the worker's self-reported evaluation wall time for the
-// chunk (0 falls back to the pull→post interval on the scheduler's own
-// clock); it feeds the worker's EWMA throughput and latency ring, then
-// freed window capacity is re-carved. It returns nil when the chunk is
-// unknown or already resolved (a zombie's late post after a
-// requeue-and-recompute, or a dropped batch) — the caller discards the
-// results.
+// chunk (0 for a chunk-level error, which did no work); it feeds the
+// worker's EWMA throughput and latency ring, then freed window
+// capacity is re-carved. It returns nil when the chunk is unknown or
+// already resolved (a zombie's late post after a requeue-and-recompute,
+// or a dropped batch) — the caller discards the results.
 func (s *scheduler) complete(workerID string, chunkID uint64, elapsedUS int64) *chunk {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -549,18 +500,16 @@ func (s *scheduler) complete(workerID string, chunkID uint64, elapsedUS int64) *
 }
 
 // observe folds one completed chunk into the posting worker's
-// throughput EWMA and latency ring. Callers hold mu.
+// throughput EWMA and latency ring; a chunk without a measured
+// evaluation time counts as done but feeds no sample. Callers hold mu.
 func (s *scheduler) observe(w *workerState, c *chunk, elapsedUS int64) {
 	points := len(c.indexes)
 	w.chunksDone++
 	w.pointsDone += uint64(points)
-	elapsed := time.Duration(elapsedUS) * time.Microsecond
-	if elapsedUS <= 0 && !c.pulledAt.IsZero() {
-		elapsed = s.now().Sub(c.pulledAt)
-	}
-	if elapsed <= 0 || points == 0 {
+	if elapsedUS <= 0 || points == 0 {
 		return
 	}
+	elapsed := time.Duration(elapsedUS) * time.Microsecond
 	pps := float64(points) / elapsed.Seconds()
 	if w.ewmaPps == 0 {
 		w.ewmaPps = pps
@@ -697,7 +646,7 @@ func (s *scheduler) healthLocked() []WorkerHealth {
 			P50PointMS:    p50 * 1e3,
 			P95PointMS:    w.lat.quantile(0.95) * 1e3,
 			// One measured worker alone has no fleet to straggle behind.
-			Straggler: med > 0 && s.measuredLocked() >= 2 && p50 > s.straggler*med,
+			Straggler: med > 0 && s.measuredLocked() >= 2 && p50 > DefaultStragglerFactor*med,
 		})
 	}
 	return rows

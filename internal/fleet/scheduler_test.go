@@ -8,32 +8,41 @@ import (
 	"time"
 )
 
-// schedOpts is the test cadence; the fake clock makes liveness
+// testScheduler runs the test cadence (25ms heartbeats, so dead after
+// 100ms of silence; 10ms polls); the fake clock makes liveness
 // decisions explicit.
 func testScheduler(now *time.Time) *scheduler {
-	return newScheduler(25*time.Millisecond, 100*time.Millisecond, 10*time.Millisecond,
-		0, 0, func() time.Time { return *now })
+	return newScheduler(25*time.Millisecond, 10*time.Millisecond, 0, func() time.Time { return *now })
 }
 
-func mkChunks(b *batch, n int) []*chunk {
-	out := make([]*chunk, n)
-	for i := range out {
-		out[i] = &chunk{b: b, indexes: []int{i}}
-	}
-	return out
+// addChunks registers a source of n one-point chunks for b: seeded at
+// one point, it carves chunk ids 1..n round-robin over the live
+// workers in join order, within their dispatch windows.
+func addChunks(s *scheduler, b *batch, n int) {
+	s.addSource(&chunkSource{b: b, runs: []span{{lo: 0, hi: n}}, seed: 1, remaining: n})
 }
 
-// pullNow pulls with an already-cancelled context so an empty scheduler
-// returns immediately instead of parking out the poll window.
+// pullNow pulls one chunk with an already-cancelled context so an
+// empty scheduler returns nil immediately instead of parking out the
+// poll window.
 func pullNow(t *testing.T, s *scheduler, id string) *chunk {
+	t.Helper()
+	if chunks := pullUpTo(t, s, id, 1); len(chunks) > 0 {
+		return chunks[0]
+	}
+	return nil
+}
+
+// pullUpTo pulls up to max chunks without parking.
+func pullUpTo(t *testing.T, s *scheduler, id string, max int) []*chunk {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	c, err := s.pull(ctx, id)
+	chunks, err := s.pullN(ctx, id, max)
 	if err != nil && !errors.Is(err, context.Canceled) {
-		t.Fatalf("pull(%s): %v", id, err)
+		t.Fatalf("pullN(%s): %v", id, err)
 	}
-	return c
+	return chunks
 }
 
 // The determinism contract: the same chunk set against the same worker
@@ -46,8 +55,7 @@ func TestSchedulerDeterministicAssignment(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			s.join("w")
 		}
-		b := &batch{id: "b-1"}
-		s.enqueue(mkChunks(b, 8))
+		addChunks(s, &batch{id: "b-1"}, 8)
 		return s.Trace()
 	}
 	first := build()
@@ -81,8 +89,7 @@ func TestSchedulerSteal(t *testing.T) {
 	s.EnableTrace()
 	w1 := s.join("one").WorkerID
 	w2 := s.join("two").WorkerID
-	b := &batch{id: "b-1"}
-	s.enqueue(mkChunks(b, 4)) // rr: 1,3 on w1; 2,4 on w2
+	addChunks(s, &batch{id: "b-1"}, 4) // rr: 1,3 on w1; 2,4 on w2
 
 	// w2 drains its own queue then steals w1's back chunk (id 3).
 	got := []uint64{}
@@ -117,8 +124,7 @@ func TestSchedulerReapRequeuesWhole(t *testing.T) {
 	s.EnableTrace()
 	w1 := s.join("one").WorkerID
 	w2 := s.join("two").WorkerID
-	b := &batch{id: "b-1"}
-	s.enqueue(mkChunks(b, 4)) // 1,3 on w1; 2,4 on w2
+	addChunks(s, &batch{id: "b-1"}, 4) // 1,3 on w1; 2,4 on w2
 
 	// w1 pulls chunk 1 in flight, then goes silent; w2 keeps beating.
 	if c := pullNow(t, s, w1); c == nil || c.id != 1 {
@@ -157,7 +163,7 @@ func TestSchedulerReapRequeuesWhole(t *testing.T) {
 	if s.heartbeatFrom(w1) {
 		t.Error("reaped worker heartbeat accepted")
 	}
-	if _, err := s.pull(context.Background(), w1); !errors.Is(err, errUnknownWorker) {
+	if _, err := s.pullN(context.Background(), w1, 1); !errors.Is(err, errUnknownWorker) {
 		t.Errorf("reaped worker pull err = %v, want errUnknownWorker", err)
 	}
 }
@@ -169,8 +175,7 @@ func TestSchedulerZombiePostAccepted(t *testing.T) {
 	s := testScheduler(&now)
 	w1 := s.join("one").WorkerID
 	w2 := s.join("two").WorkerID
-	b := &batch{id: "b-1"}
-	s.enqueue(mkChunks(b, 2))
+	addChunks(s, &batch{id: "b-1"}, 2)
 	c := pullNow(t, s, w1)
 	if c == nil {
 		t.Fatal("no chunk")
@@ -200,7 +205,7 @@ func TestSchedulerReclaim(t *testing.T) {
 	s := testScheduler(&now)
 	w1 := s.join("one").WorkerID
 	b := &batch{id: "b-1"}
-	s.enqueue(mkChunks(b, 3))
+	addChunks(s, b, 3)
 	if got := s.reclaim(b); got != nil {
 		t.Fatalf("reclaim with a live worker returned %d chunks", len(got))
 	}
@@ -216,5 +221,30 @@ func TestSchedulerReclaim(t *testing.T) {
 	}
 	if st := s.stats(); st.Pending != 0 {
 		t.Errorf("pending = %d after reclaim, want 0", st.Pending)
+	}
+}
+
+// A chunk-level error result carries no elapsed_us: the chunk counts as
+// done, but its pull-to-post interval, which measured no work, feeds
+// neither the worker's throughput EWMA nor its latency ring.
+func TestSchedulerErrorChunkTakesNoSample(t *testing.T) {
+	now := time.Unix(0, 0)
+	s := testScheduler(&now)
+	w := s.join("one").WorkerID
+	addChunks(s, &batch{id: "b-1"}, 1)
+	c := pullNow(t, s, w)
+	if c == nil {
+		t.Fatal("no chunk")
+	}
+	now = now.Add(50 * time.Millisecond)
+	if got := s.complete(w, c.id, 0); got != c {
+		t.Fatalf("complete = %v, want the pulled chunk", got)
+	}
+	ws := s.workers[w]
+	if ws.ewmaPps != 0 || ws.lat.n != 0 {
+		t.Errorf("error chunk sampled: ewma %.1f pps, %d latency samples; want none", ws.ewmaPps, ws.lat.n)
+	}
+	if ws.chunksDone != 1 {
+		t.Errorf("chunks done = %d, want 1", ws.chunksDone)
 	}
 }

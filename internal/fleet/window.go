@@ -3,14 +3,14 @@ package fleet
 import "sort"
 
 // Windowed dispatch: instead of sharding a batch's whole dispatch set
-// into chunk structs upfront (at 100k points and the legacy 32-point
-// clamp that is thousands of chunks resident before the first pull),
-// the coordinator registers one chunkSource per batch — a cursor over
-// the dispatch set compressed into ascending expansion-index runs —
-// and the scheduler carves chunks from it lazily, keeping at most
-// Options.Window chunks queued-or-in-flight per live worker. Chunk
-// bookkeeping is therefore O(workers·window), independent of sweep
-// size; the counter test in window_test.go pins the bound.
+// into chunk structs upfront (at 100k points, hundreds of chunks
+// resident before the first pull), the coordinator registers one
+// chunkSource per batch — a cursor over the dispatch set compressed
+// into ascending expansion-index runs — and the scheduler carves
+// chunks from it lazily, keeping at most Options.Window chunks
+// queued-or-in-flight per live worker. Chunk bookkeeping is therefore
+// O(workers·window), independent of sweep size; the counter test in
+// window_test.go pins the bound.
 
 // DefaultWindow is the per-worker dispatch window: how many chunks may
 // sit queued-or-in-flight on one worker before the scheduler stops

@@ -103,8 +103,7 @@ func TestChunkTargetClamp(t *testing.T) {
 // worker's stays proportionally small.
 func TestAdaptiveChunkSizingTrace(t *testing.T) {
 	now := time.Unix(0, 0)
-	s := newScheduler(25*time.Millisecond, 100*time.Millisecond, 50*time.Millisecond,
-		0, 0, func() time.Time { return now })
+	s := newScheduler(25*time.Millisecond, 50*time.Millisecond, 0, func() time.Time { return now })
 	fast := s.join("fast").WorkerID
 	slow := s.join("slow").WorkerID
 
@@ -112,8 +111,8 @@ func TestAdaptiveChunkSizingTrace(t *testing.T) {
 	s.addSource(&chunkSource{b: b, runs: []span{{lo: 0, hi: 1000}}, seed: 10, remaining: 1000})
 
 	// Cold start: both workers' windows fill with seed-sized chunks.
-	fastChunks := pullAll(t, s, fast)
-	slowChunks := pullAll(t, s, slow)
+	fastChunks := pullUpTo(t, s, fast, maxWorkChunks)
+	slowChunks := pullUpTo(t, s, slow, maxWorkChunks)
 	if len(fastChunks) != DefaultWindow || len(slowChunks) != DefaultWindow {
 		t.Fatalf("cold pull = %d/%d chunks, want %d each", len(fastChunks), len(slowChunks), DefaultWindow)
 	}
@@ -145,18 +144,6 @@ func TestAdaptiveChunkSizingTrace(t *testing.T) {
 	if c := pullOne(t, s, fast); len(c.indexes) != wantTail {
 		t.Errorf("tail-guarded chunk = %d points, want %d", len(c.indexes), wantTail)
 	}
-}
-
-// pullAll drains a worker's currently queued chunks without parking.
-func pullAll(t *testing.T, s *scheduler, id string) []*chunk {
-	t.Helper()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	out, err := s.pullN(ctx, id, maxWorkChunks)
-	if err != nil && err != context.Canceled {
-		t.Fatalf("pullN(%s): %v", id, err)
-	}
-	return out
 }
 
 // pullOne pulls exactly one chunk without parking, failing if none is
@@ -280,7 +267,7 @@ func realResults(t testing.TB, n int) []ChunkResult {
 	var out []ChunkResult
 	for lo := 0; lo < n; lo += 64 {
 		hi := min(lo+64, n)
-		cr := ChunkResult{WorkerID: "w-000001", ChunkID: uint64(1 + lo/64), ElapsedUS: 1000}
+		cr := ChunkResult{ChunkID: uint64(1 + lo/64), ElapsedUS: 1000}
 		for i := lo; i < hi; i++ {
 			res, err := eng.Run(jobs[i])
 			if err != nil {
@@ -295,8 +282,8 @@ func realResults(t testing.TB, n int) []ChunkResult {
 }
 
 // The acceptance criterion on wire efficiency: the coalesced gzip post
-// carries at least 3× fewer bytes per point than the per-chunk
-// plain-JSON posts the previous protocol used for the same results.
+// carries at least 3× fewer bytes per point than the same results as
+// uncompressed per-chunk JSON.
 func TestWireBytesPerPointReduced(t *testing.T) {
 	results := realResults(t, 256)
 	points := 0
@@ -329,7 +316,7 @@ func TestWireBytesPerPointReduced(t *testing.T) {
 // The pooled codec round-trips: what encodePost writes, decodeBody
 // reads back identically, both plain and gzipped.
 func TestEncodePostDecodeBodyRoundTrip(t *testing.T) {
-	small := ResultBatch{WorkerID: "w-000001", Results: []ChunkResult{{WorkerID: "w-000001", ChunkID: 1}}}
+	small := ResultBatch{WorkerID: "w-000001", Results: []ChunkResult{{ChunkID: 1}}}
 	big := ResultBatch{WorkerID: "w-000001", Results: realResults(t, 64)}
 	for name, rb := range map[string]ResultBatch{"small-plain": small, "big-gzip": big} {
 		buf, gzipped, err := encodePost(rb)
@@ -391,94 +378,6 @@ func TestEncodePostSteadyStateAllocs(t *testing.T) {
 	// O(body-size) buffer and gzip-state churn the pools eliminate.
 	if allocs > 24 {
 		t.Errorf("encodePost steady state allocates %.0f objects/post, want <= 24", allocs)
-	}
-}
-
-// postJSON posts one document and returns the response body (nil on
-// 204).
-func postJSON(t *testing.T, url string, v any) []byte {
-	t.Helper()
-	body, err := json.Marshal(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		msg, _ := io.ReadAll(resp.Body)
-		t.Fatalf("POST %s: %s: %s", url, resp.Status, msg)
-	}
-	if resp.StatusCode == http.StatusNoContent {
-		return nil
-	}
-	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-// Old workers keep working: a request without max_chunks gets the
-// legacy single-WireChunk document (strictly decodable), and plain
-// single-chunk /result posts are still accepted and never counted as
-// compressed.
-func TestLegacySingleChunkProtocolCompat(t *testing.T) {
-	f := startFleet(t, 0, tightOpts(), 0)
-	var jr JoinReply
-	if err := json.Unmarshal(postJSON(t, f.ts.URL+"/fleet/v1/join", JoinRequest{Name: "legacy"}), &jr); err != nil {
-		t.Fatal(err)
-	}
-
-	sp := fleetSpec("fleet-legacy")
-	_, jobs, err := sp.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- f.coord.ExecuteBatch(context.Background(), sp, jobs, nil) }()
-
-	// Pull and post exactly as a PR-9 worker would: no max_chunks,
-	// strict single-chunk decode, plain /result posts, no elapsed_us.
-	eng := engine.New(sock(), 1)
-	w := &Worker{Eng: eng, specs: map[uint64][]engine.Job{}}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if time.Now().After(deadline) {
-			t.Fatal("legacy drain never finished")
-		}
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatal(err)
-			}
-			st := f.coord.Stats()
-			if st.ResultPostsGzip != 0 {
-				t.Errorf("legacy plain posts counted as gzip (stats %+v)", st)
-			}
-			if st.PointsRemote == 0 {
-				t.Error("legacy worker served nothing remotely")
-			}
-			return
-		default:
-		}
-		body := postJSON(t, f.ts.URL+"/fleet/v1/work", WorkRequest{WorkerID: jr.WorkerID})
-		if body == nil {
-			continue
-		}
-		var ch WireChunk
-		if err := decodeStrict(bytes.NewReader(body), &ch); err != nil {
-			t.Fatalf("legacy work response is not a bare WireChunk: %v\n%s", err, body)
-		}
-		cr, ok := w.evaluate(context.Background(), &ch)
-		if !ok {
-			t.Fatal("evaluate cancelled unexpectedly")
-		}
-		cr.WorkerID = jr.WorkerID
-		cr.ElapsedUS = 0 // a PR-9 worker does not self-report
-		postJSON(t, f.ts.URL+"/fleet/v1/result", cr)
 	}
 }
 

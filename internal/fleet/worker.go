@@ -61,10 +61,11 @@ type Worker struct {
 
 // Run joins the coordinator and serves work until ctx fires (graceful:
 // a leave is posted and Run returns nil, even when ctx fires before a
-// join lands) or the local store degrades (ErrStoreDegraded, also after
-// a leave). Transient coordinator unavailability is retried with a flat
-// backoff; a coordinator that forgot this worker (404) is rejoined
-// transparently.
+// join lands), the coordinator refuses a join (the 4xx reply's error),
+// or the local store degrades (ErrStoreDegraded, also after a leave).
+// Transient coordinator unavailability is retried with a flat backoff;
+// a coordinator that forgot this worker (404 on a pull or heartbeat)
+// is rejoined transparently.
 func (w *Worker) Run(ctx context.Context) error {
 	if w.Client == nil {
 		w.Client = http.DefaultClient
@@ -72,8 +73,8 @@ func (w *Worker) Run(ctx context.Context) error {
 	if w.specs == nil {
 		w.specs = make(map[uint64][]engine.Job)
 	}
-	if !w.join(ctx) {
-		return nil
+	if joined, err := w.join(ctx); !joined {
+		return err
 	}
 	hbCtx, stopHB := context.WithCancel(ctx)
 	defer stopHB()
@@ -83,9 +84,11 @@ func (w *Worker) Run(ctx context.Context) error {
 			w.leave()
 			return nil
 		}
-		if w.rejoinNeeded() && !w.join(ctx) {
-			w.leave()
-			return nil
+		if w.rejoinNeeded() {
+			if joined, err := w.join(ctx); !joined {
+				w.leave()
+				return err
+			}
 		}
 		chunks, status, err := w.pullWork(ctx)
 		if err != nil {
@@ -158,10 +161,14 @@ func (w *Worker) rejoinNeeded() bool {
 	return w.lost
 }
 
-// join registers (or re-registers) with the coordinator, retrying until
-// it succeeds or ctx fires; it reports whether it joined.
-func (w *Worker) join(ctx context.Context) bool {
-	body, _ := json.Marshal(JoinRequest{Name: w.Name})
+// join registers (or re-registers) with the coordinator and reports
+// whether it joined. Transport errors and 5xx replies are retried until
+// ctx fires (joined false, nil error), because a coordinator may be
+// restarting. A 4xx reply is final and returned: the coordinator
+// refused this worker (409: another protocol version; 404: a daemon
+// without -fleet), and asking again cannot change its answer.
+func (w *Worker) join(ctx context.Context) (bool, error) {
+	body, _ := json.Marshal(JoinRequest{Name: w.Name, Protocol: ProtocolVersion})
 	for {
 		var reply JoinReply
 		status, err := w.post(ctx, "/fleet/v1/join", body, &reply)
@@ -169,10 +176,13 @@ func (w *Worker) join(ctx context.Context) bool {
 			w.mu.Lock()
 			w.id, w.reply, w.lost = reply.WorkerID, reply, false
 			w.mu.Unlock()
-			return true
+			return true, nil
+		}
+		if status >= 400 && status < 500 {
+			return false, err
 		}
 		if sleepCtx(ctx, 100*time.Millisecond) != nil {
-			return false
+			return false, nil
 		}
 	}
 }
@@ -213,16 +223,10 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 	}
 }
 
-// workerMaxChunks advertises how many chunks this worker accepts per
-// long-poll. Their results come back as one coalesced post, so a
-// deeper pull amortizes both directions of the round trip when the
-// coordinator's queue is deep.
-const workerMaxChunks = 4
-
 // pullWork long-polls the next chunks: (nil, 200-class, nil) means the
 // window expired empty.
 func (w *Worker) pullWork(ctx context.Context) ([]WireChunk, int, error) {
-	body, _ := json.Marshal(WorkRequest{WorkerID: w.ID(), MaxChunks: workerMaxChunks})
+	body, _ := json.Marshal(WorkRequest{WorkerID: w.ID()})
 	var work WireWork
 	status, err := w.post(ctx, "/fleet/v1/work", body, &work)
 	if err != nil {
@@ -239,7 +243,7 @@ func (w *Worker) pullWork(ctx context.Context) ([]WireChunk, int, error) {
 // spec, bad index) reports a chunk-level error. ok is false when the
 // context fired mid-chunk — the result must not be posted.
 func (w *Worker) evaluate(ctx context.Context, ch *WireChunk) (ChunkResult, bool) {
-	out := ChunkResult{WorkerID: w.ID(), ChunkID: ch.ID}
+	out := ChunkResult{ChunkID: ch.ID}
 	jobs, err := w.expand(ch.Spec)
 	if err != nil {
 		out.Error = err.Error()
@@ -249,7 +253,7 @@ func (w *Worker) evaluate(ctx context.Context, ch *WireChunk) (ChunkResult, bool
 	out.Points = make([]PointResult, 0, len(ch.Indexes))
 	for _, idx := range ch.Indexes {
 		if idx < 0 || idx >= len(jobs) {
-			return ChunkResult{WorkerID: out.WorkerID, ChunkID: ch.ID,
+			return ChunkResult{ChunkID: ch.ID,
 				Error: fmt.Sprintf("index %d out of range (%d points)", idx, len(jobs))}, true
 		}
 		if w.EvalDelay > 0 {
