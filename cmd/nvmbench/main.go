@@ -35,8 +35,9 @@
 // -store-stats inspects such a directory read-only (segment formats,
 // points, index size, estimated open cost) and -store-compact folds its
 // append log into one indexed binary columnar (v2) segment that later
-// runs open in near-constant time, first importing any JSON-lines
-// segments an older release left (the store does not open until then).
+// runs open in near-constant time. A directory holding the JSON-lines
+// segments of an older release does not open: this release does not
+// read them, and deleting the directory recomputes its points.
 // -store-verify scrubs the directory after a crash or suspected
 // corruption: checksums are walked, corrupt segments quarantined with
 // their decodable records salvaged, and torn final records (interrupted
@@ -87,7 +88,7 @@ func main() {
 	benchTol := flag.Float64("bench-tol", 0.10, "tolerated normalized time/op regression for -bench-gate")
 	benchCount := flag.Int("bench-count", 3, "runs per tracked benchmark; the median ns/op and max allocs/op are kept")
 	storeStats := flag.String("store-stats", "", "print a result store directory's on-disk composition and estimated open cost, then exit")
-	storeCompact := flag.String("store-compact", "", "compact a result store directory into one binary columnar (v2) segment, importing JSON-lines segments from older releases first, then exit")
+	storeCompact := flag.String("store-compact", "", "compact a result store directory into one binary columnar (v2) segment, then exit")
 	storeVerify := flag.String("store-verify", "", "scrub a result store directory: walk every segment's checksums, quarantine corrupt segments (salvaging their decodable records), then exit")
 	flag.Parse()
 	measureTracked := func() benchkit.Suite {
@@ -485,17 +486,8 @@ func runStoreVerify(dir string, w io.Writer) error {
 }
 
 // runStoreCompact rewrites a store directory into a single v2 binary
-// columnar segment and reports the before and after composition. It
-// first imports any JSON-lines segments an older release left, which
-// Open refuses.
+// columnar segment and reports the before and after composition.
 func runStoreCompact(dir string, w io.Writer) error {
-	imported, err := resultstore.ImportJSONL(dir)
-	if err != nil {
-		return err
-	}
-	if imported > 0 {
-		fmt.Fprintf(w, "imported %d point(s) from JSON-lines segments into the append log\n", imported)
-	}
 	before, err := resultstore.Stat(dir)
 	if err != nil {
 		return err

@@ -33,10 +33,10 @@
 // Results are persistent and servable: internal/resultstore puts the
 // engine's result cache behind a pluggable Store interface — the
 // in-process sharded map (still 0 allocs/op on a cache hit) or a
-// disk-backed content-addressed store (append-only JSON-lines segments
-// keyed by workload fingerprint, crash-tolerant, compactable) that
-// re-serves previously computed points as cache hits across process
-// restarts. internal/session runs sweeps asynchronously on top
+// disk-backed content-addressed store (an append log of CRC32C-framed
+// binary records keyed by workload fingerprint, crash-tolerant, and
+// compactable into one indexed columnar segment) that re-serves
+// previously computed points as cache hits across process restarts. internal/session runs sweeps asynchronously on top
 // (Submit / Status / Stream / Cancel, with cancellation propagated into
 // engine batch dispatch so partial results are never persisted), and
 // cmd/nvmserve exposes the whole stack as an HTTP/JSON daemon: POST a

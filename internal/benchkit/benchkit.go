@@ -102,12 +102,6 @@ func calibrationSpin(b *testing.B) {
 	}
 }
 
-// Measure runs the benches under testing.Benchmark (plus the calibration
-// spin) once each and returns the suite.
-func Measure(benches []Bench) Suite {
-	return MeasureCount(benches, 1)
-}
-
 // MeasureCount measures every bench (and the calibration spin) count
 // times and keeps the per-record median ns/op and the maximum
 // allocs/op, so one noisy-neighbour sample on a shared runner cannot

@@ -145,7 +145,7 @@ func TestGoBenchText(t *testing.T) {
 }
 
 // The tracked set must stay measurable end to end: run the cheapest
-// tracked bench through testing.Benchmark via Measure's machinery. Uses
+// tracked bench through testing.Benchmark via MeasureCount's machinery. Uses
 // a tiny inline bench to keep the suite fast; the full set runs in CI's
 // bench job and via nvmbench -bench-json.
 func TestMeasureRecords(t *testing.T) {
@@ -153,12 +153,12 @@ func TestMeasureRecords(t *testing.T) {
 		t.Skip("measuring spins ~2s of wall clock")
 	}
 	var sink []byte
-	s := Measure([]Bench{{Name: "BenchmarkTiny", AllocSlack: 1, F: func(b *testing.B) {
+	s := MeasureCount([]Bench{{Name: "BenchmarkTiny", AllocSlack: 1, F: func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			sink = make([]byte, 16)
 		}
-	}}})
+	}}}, 1)
 	_ = sink
 	if s.CalibrationNs <= 0 {
 		t.Fatalf("calibration = %v, want > 0", s.CalibrationNs)

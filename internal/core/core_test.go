@@ -104,12 +104,12 @@ func TestRunAllBatched(t *testing.T) {
 		t.Errorf("outcome order broken: %+v", outs)
 	}
 	// RunApp on the same point is served from the engine cache.
-	m.Engine().ResetStats()
+	before := m.Engine().Stats()
 	if _, err := m.RunApp("HACC", UncachedNVM, 24); err != nil {
 		t.Fatal(err)
 	}
-	if s := m.Engine().Stats(); s.Hits != 1 || s.Misses != 0 {
-		t.Errorf("stats = %+v, want a pure cache hit", s)
+	if s := m.Engine().Stats(); s.Hits != before.Hits+1 || s.Misses != before.Misses {
+		t.Errorf("stats = %+v after %+v, want one more cache hit and no miss", s, before)
 	}
 }
 

@@ -397,16 +397,9 @@ func FirstError(jobs []Job, errs []error) error {
 	return nil
 }
 
-// Stats returns the cache accounting since construction (or the last
-// ResetStats).
+// Stats returns the cache accounting since construction; callers that
+// want one run's share subtract a snapshot taken before it.
 func (e *Engine) Stats() Stats { return e.total.Stats() }
-
-// ResetStats zeroes the aggregate hit/miss counters (the cache itself
-// is kept; job tallies belong to their owners).
-func (e *Engine) ResetStats() {
-	e.total.hits.Store(0)
-	e.total.misses.Store(0)
-}
 
 // forEach runs fn(0..n-1) across at most workers goroutines and waits.
 // Indexes are claimed in chunks off one atomic cursor, so the

@@ -324,17 +324,6 @@ func TestBatchNilWorkloadErrors(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	e := New(sock(), 1)
-	if _, err := e.Run(Job{Workload: dwarfs.All()[0].New(), Mode: memsys.DRAMOnly, Threads: 8}); err != nil {
-		t.Fatal(err)
-	}
-	e.ResetStats()
-	if s := e.Stats(); s.Hits != 0 || s.Misses != 0 {
-		t.Errorf("stats after reset = %+v", s)
-	}
-}
-
 func TestWorkersDefault(t *testing.T) {
 	e := New(sock(), 0)
 	if e.Workers() < 1 {
@@ -374,12 +363,6 @@ func TestTally(t *testing.T) {
 	}
 	if s := e.Stats(); s.Misses != 2 || s.Hits != 1 {
 		t.Errorf("aggregate stats = %+v", s)
-	}
-	// ResetStats zeroes the aggregate only: tallies belong to their
-	// owners.
-	e.ResetStats()
-	if e.Stats() != (Stats{}) || fig2.Stats() != (Stats{Misses: 1}) {
-		t.Errorf("after reset: aggregate %+v, fig2 tally %+v", e.Stats(), fig2.Stats())
 	}
 }
 

@@ -45,9 +45,11 @@ import (
 // nothing was written to it. Compact writes the v2 segment via a temp
 // file + fsync + rename, so a crash at any point leaves a loadable store.
 //
-// Older releases appended JSON lines to segment-NNNNNNNN.jsonl files.
-// Open refuses a directory that still holds them; ImportJSONL, behind
-// nvmbench -store-compact, converts them into log segments.
+// Older releases appended JSON lines to segment-NNNNNNNN.jsonl files,
+// which this release does not read. Open refuses a directory that still
+// holds them, and Stat and Verify leave them alone. The store caches a
+// pure function of its keys, so deleting such a directory loses nothing
+// a recompute does not restore.
 
 // Disk is the persistent result store: a Memory index over on-disk
 // segments (log segments for appends, a binary columnar v2 segment from
@@ -75,7 +77,7 @@ type Disk struct {
 
 // Segment file kinds, by name extension.
 const (
-	kindJSONL = iota + 1 // ".jsonl": JSON lines from older releases, read only by ImportJSONL
+	kindJSONL = iota + 1 // ".jsonl": JSON lines from older releases, never read
 	kindLog              // ".log": the append log
 	kindSeg              // ".seg": a compacted v2 segment
 )
@@ -124,29 +126,34 @@ type segInfo struct {
 	kind int
 }
 
-// scanDir lists the segment files in dir, ordered by sequence number.
-func scanDir(fs faultline.FS, dir string) ([]segInfo, error) {
+// scanDir lists the log and v2 segment files in dir, ordered by sequence
+// number, and counts the JSON-lines segments it leaves out.
+func scanDir(fs faultline.FS, dir string) (infos []segInfo, jsonl int, err error) {
 	entries, err := fs.ReadDir(dir)
 	if err != nil {
-		return nil, fmt.Errorf("resultstore: %w", err)
+		return nil, 0, fmt.Errorf("resultstore: %w", err)
 	}
-	var infos []segInfo
 	for _, e := range entries {
 		if e.IsDir() {
 			continue
 		}
-		if seq, kind, ok := parseSegName(e.Name()); ok {
+		seq, kind, ok := parseSegName(e.Name())
+		switch {
+		case !ok:
+		case kind == kindJSONL:
+			jsonl++
+		default:
 			infos = append(infos, segInfo{name: e.Name(), seq: seq, kind: kind})
 		}
 	}
 	sort.Slice(infos, func(i, j int) bool { return infos[i].seq < infos[j].seq })
-	return infos, nil
+	return infos, jsonl, nil
 }
 
 // splitLive separates a directory scan into the newest v2 segment (nil
 // if none), the log segments that postdate it, and the stale leftovers
 // of an interrupted compaction cleanup (any log or v2 segment numbered
-// below the newest v2 segment). JSON-lines segments are in none of them.
+// below the newest v2 segment).
 func splitLive(infos []segInfo) (v2 *segInfo, logs, stale []segInfo) {
 	v2seq := -1
 	for i := range infos {
@@ -157,7 +164,6 @@ func splitLive(infos []segInfo) (v2 *segInfo, logs, stale []segInfo) {
 	}
 	for _, si := range infos {
 		switch {
-		case si.kind == kindJSONL:
 		case si.seq < v2seq:
 			stale = append(stale, si)
 		case si.kind == kindLog:
@@ -223,7 +229,7 @@ func mergeRecs(older, newer []rec) []rec {
 // another live process holds the directory (share results across
 // processes sequentially, or through one nvmserve daemon). It also
 // refuses a directory that still holds JSON-lines segments from an
-// older release, naming the import that converts them.
+// older release, which it does not read.
 func Open(dir string) (*Disk, error) { return OpenFS(dir, faultline.OS{}) }
 
 // OpenFS is Open over an explicit filesystem seam — the real OS in
@@ -255,20 +261,16 @@ func OpenFS(dir string, fs faultline.FS) (*Disk, error) {
 // earlier one for its key, so the newest occurrence wins; they postdate
 // the v2 segment, whose records only fill the keys they leave.
 func (d *Disk) load() error {
-	infos, err := scanDir(d.fs, d.dir)
+	infos, jsonl, err := scanDir(d.fs, d.dir)
 	if err != nil {
 		return err
 	}
-	legacy := 0
+	if jsonl > 0 {
+		return fmt.Errorf("resultstore: %s holds %d JSON-lines segment(s) from an older release, which this release does not read; deleting the directory recomputes its points",
+			d.dir, jsonl)
+	}
 	for _, si := range infos {
 		d.nextSeq = max(d.nextSeq, si.seq+1)
-		if si.kind == kindJSONL {
-			legacy++
-		}
-	}
-	if legacy > 0 {
-		return fmt.Errorf("resultstore: %s holds %d JSON-lines segment(s) from an older release; import them with nvmbench -store-compact %s",
-			d.dir, legacy, d.dir)
 	}
 	v2, logs, stale := splitLive(infos)
 	for _, si := range logs {
@@ -608,7 +610,7 @@ func (d *Disk) Compact() (retErr error) {
 	}
 	// Collect the segments to retire before the compacted one exists, so
 	// it can never delete itself.
-	old, err := scanDir(d.fs, d.dir)
+	old, _, err := scanDir(d.fs, d.dir)
 	if err != nil {
 		d.fs.Remove(tmpPath)
 		return err
@@ -645,7 +647,7 @@ func (d *Disk) Compact() (retErr error) {
 // directory: the newest v2 segment (all blocks decoded) overlaid by the
 // log segments that postdate it. Caller holds mu.
 func (d *Disk) loadAllLocked() ([]rec, error) {
-	infos, err := scanDir(d.fs, d.dir)
+	infos, _, err := scanDir(d.fs, d.dir)
 	if err != nil {
 		return nil, err
 	}
@@ -724,7 +726,7 @@ func StatFS(dir string, fs faultline.FS) (Stats, error) {
 	if fs == nil {
 		fs = faultline.OS{}
 	}
-	infos, err := scanDir(fs, dir)
+	infos, _, err := scanDir(fs, dir)
 	if err != nil {
 		return Stats{}, err
 	}
@@ -736,8 +738,6 @@ func StatFS(dir string, fs faultline.FS) (Stats, error) {
 			st.SegmentsLog++
 		case kindSeg:
 			st.SegmentsV2++
-		default:
-			continue
 		}
 		st.Bytes += fileSize(fs, filepath.Join(dir, si.name))
 	}

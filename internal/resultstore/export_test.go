@@ -1,15 +1,16 @@
 package resultstore
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"math"
+
 	"repro/internal/workload"
 )
 
 // Test hooks for the external resultstore_test package (which needs
 // scenario/engine — importers of this package — to seed real records).
-
-// DecodeJSONRecord parses one line of an older release's JSON-lines
-// segment, as ImportJSONL does.
-var DecodeJSONRecord = decodeJSONRecord
 
 // TestRec mirrors the internal rec type for block-codec tests.
 type TestRec struct {
@@ -90,4 +91,37 @@ func SetBlockSizeForTest(n int) (restore func()) {
 	old := seg2BlockSize
 	seg2BlockSize = n
 	return func() { seg2BlockSize = old }
+}
+
+// withIndex renders a v2 segment from its leading bytes (file magic and
+// block frames) followed by an index frame listing metas and a valid
+// trailer, whether or not metas describe those blocks.
+func withIndex(blocks []byte, metas []blockMeta) []byte {
+	indexOff := len(blocks)
+	buf := appendFrame(bytes.Clone(blocks), seg2FrameIndex, encodeIndex(metas))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(indexOff))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[len(buf)-8:], crcTable))
+	return append(buf, seg2TrailerMagic...)
+}
+
+// CraftedSegmentForTest renders a v2 segment that holds no blocks: the
+// file magic, then a valid index frame and trailer whose one entry
+// claims a block of length bytes spanning every fingerprint.
+func CraftedSegmentForTest(length uint64) []byte {
+	return withIndex([]byte(seg2FileMagic), []blockMeta{{
+		off: int64(len(seg2FileMagic)), length: int(length), count: 1, maxFp: math.MaxUint64}})
+}
+
+// BlockRangesForTest returns the fingerprint range of every entry in
+// the open store's v2 segment index; none without one.
+func (d *Disk) BlockRangesForTest() [][2]uint64 {
+	s := d.seg2.Load()
+	if s == nil {
+		return nil
+	}
+	ranges := make([][2]uint64, len(s.blocks))
+	for i, b := range s.blocks {
+		ranges[i] = [2]uint64{b.minFp, b.maxFp}
+	}
+	return ranges
 }

@@ -2,7 +2,6 @@ package resultstore_test
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,7 +12,6 @@ import (
 	"repro/internal/platform"
 	"repro/internal/resultstore"
 	"repro/internal/scenario"
-	"repro/internal/workload"
 )
 
 // beyondDram returns the beyond-dram preset sweep's evaluation points as
@@ -45,50 +43,6 @@ func beyondDram(tb testing.TB) []resultstore.TestRec {
 		recs[i] = resultstore.TestRec{Key: k, Res: res}
 	}
 	return recs
-}
-
-// FuzzRecordRoundTrip drives the JSON-lines import — the only reader
-// left for the record format older releases appended — with arbitrary
-// lines: a malformed line must come back as an error, never a panic, and
-// every record the import accepts must replay from the append log
-// exactly, re-encoding to the identical frame. The corpus is seeded with
-// real records: every evaluation point of the beyond-dram preset sweep,
-// as an older release wrote it.
-func FuzzRecordRoundTrip(f *testing.F) {
-	for _, r := range beyondDram(f) {
-		line, err := json.Marshal(struct {
-			V      int             `json:"v"`
-			Key    resultstore.Key `json:"key"`
-			Result workload.Result `json:"result"`
-		}{1, r.Key, r.Res})
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(line)
-	}
-	f.Add([]byte(`{"v":1,"key":{},"result":{}}`))
-	f.Add([]byte(`{"v":2,"key":{},"result":{}}`))
-	f.Add([]byte(`{"v":1`))
-	f.Add([]byte(`null`))
-	f.Add([]byte(`{"v":1,"key":{"Threads":1e99},"result":{}}`))
-	f.Fuzz(func(t *testing.T, line []byte) {
-		k, res, err := resultstore.DecodeJSONRecord(line)
-		if err != nil {
-			return
-		}
-		frame := resultstore.AppendLogFrameForTest(nil, k, res)
-		frames, torn := resultstore.WalkLogForTest(frame)
-		if torn || len(frames) != 1 || frames[0].Err != nil || len(frames[0].Recs) != 1 {
-			t.Fatalf("imported record does not replay: torn=%v frames=%+v", torn, frames)
-		}
-		got := frames[0].Recs[0]
-		if got.Key != k {
-			t.Errorf("key drifted through the log: %+v vs %+v", got.Key, k)
-		}
-		if re := resultstore.AppendLogFrameForTest(nil, got.Key, got.Res); !bytes.Equal(re, frame) {
-			t.Errorf("replayed record re-encodes to a different frame")
-		}
-	})
 }
 
 // FuzzSegmentV2RoundTrip drives the v2 binary block codec with arbitrary
@@ -135,10 +89,13 @@ func FuzzSegmentV2RoundTrip(f *testing.F) {
 	})
 }
 
-// beyondDramLog runs the beyond-dram sweep against a disk store and
-// returns the log segment it leaves: real frames, exactly as Commit
-// writes them.
-func beyondDramLog(f *testing.F) []byte {
+// beyondDramSegment runs the beyond-dram sweep against a disk store,
+// compacting it when ext is ".seg", and returns the one segment file
+// with that extension it leaves: real bytes, exactly as Commit (".log")
+// or Compact (".seg", in blocks of four records so the index has several
+// entries) writes them.
+func beyondDramSegment(f *testing.F, ext string) []byte {
+	defer resultstore.SetBlockSizeForTest(4)()
 	dir := f.TempDir()
 	d, err := resultstore.Open(dir)
 	if err != nil {
@@ -151,12 +108,17 @@ func beyondDramLog(f *testing.F) []byte {
 	if _, err := sp.Run(engine.NewWithStore(platform.NewPurley().Socket(0), 1, d)); err != nil {
 		f.Fatal(err)
 	}
+	if ext == ".seg" {
+		if err := d.Compact(); err != nil {
+			f.Fatal(err)
+		}
+	}
 	if err := d.Close(); err != nil {
 		f.Fatal(err)
 	}
-	segs, err := filepath.Glob(filepath.Join(dir, "*.log"))
+	segs, err := filepath.Glob(filepath.Join(dir, "*"+ext))
 	if err != nil || len(segs) != 1 {
-		f.Fatalf("log segments = %v (%v), want 1", segs, err)
+		f.Fatalf("%s segments = %v (%v), want 1", ext, segs, err)
 	}
 	data, err := os.ReadFile(segs[0])
 	if err != nil {
@@ -175,7 +137,7 @@ func beyondDramLog(f *testing.F) []byte {
 // corrupt. The corpus is seeded with the log a real beyond-dram sweep
 // leaves, plus truncations and bit flips of it.
 func FuzzAppendLog(f *testing.F) {
-	log := beyondDramLog(f)
+	log := beyondDramSegment(f, ".log")
 	flipped := bytes.Clone(log)
 	flipped[len(flipped)/3] ^= 0x10
 	f.Add(log, uint32(len(log)), uint32(0))
@@ -270,6 +232,52 @@ func sameFrames(a, b []resultstore.LogFrame) bool {
 // equal records.
 func sameFrame(a, b resultstore.LogFrame) bool {
 	return a.Off == b.Off && a.Len == b.Len && (a.Err == nil) == (b.Err == nil)
+}
+
+// FuzzOpenSegment drives the v2 segment open path — trailer, index and
+// lazily faulted blocks — with arbitrary bytes written as a store's only
+// segment. Open, Acquires that fault in every indexed block, Stat and
+// Verify must return, never panic or allocate what a damaged index
+// claims, and a store Verify has scrubbed must open. The corpus is
+// seeded with a real compacted beyond-dram segment, a truncation and a
+// bit flip of it, and two crafted indexes whose one entry claims a block
+// of 2^40 or 2^64-20 bytes with no block bytes behind it.
+func FuzzOpenSegment(f *testing.F) {
+	seg := beyondDramSegment(f, ".seg")
+	flipped := bytes.Clone(seg)
+	flipped[len(seg)/2] ^= 0x10
+	f.Add(seg)
+	f.Add(seg[:len(seg)-1])
+	f.Add(flipped)
+	f.Add(resultstore.CraftedSegmentForTest(1 << 40))
+	f.Add(resultstore.CraftedSegmentForTest(1<<64 - 20))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "segment-00000001.seg"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if d, err := resultstore.OpenFS(dir, nil); err == nil {
+			for _, r := range d.BlockRangesForTest() {
+				d.Acquire(resultstore.Key{Fingerprint: r[0]})
+				d.Acquire(resultstore.Key{Fingerprint: r[1]})
+			}
+			d.Close() // reports a block that failed to decode; that is allowed
+		}
+		if _, err := resultstore.Stat(dir); err != nil {
+			t.Fatalf("Stat: %v", err)
+		}
+		if _, err := resultstore.Verify(dir); err != nil {
+			t.Fatalf("Verify: %v", err)
+		}
+		d, err := resultstore.OpenFS(dir, nil)
+		if err != nil {
+			t.Fatalf("scrubbed store does not open: %v", err)
+		}
+		if err := d.Close(); err != nil {
+			t.Fatalf("scrubbed store: %v", err)
+		}
+	})
 }
 
 // TestFrameCRCRejectsBitFlips deterministically pins the CRC property

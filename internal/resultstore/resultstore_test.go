@@ -2,8 +2,6 @@ package resultstore
 
 import (
 	"bytes"
-	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -382,58 +380,41 @@ func TestCommitSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// legacyLine renders a record as older releases appended it: one line
-// of a JSON-lines segment.
-func legacyLine(t *testing.T, k Key, res workload.Result) []byte {
-	t.Helper()
-	b, err := json.Marshal(jsonRecord{V: 1, Key: k, Result: res})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return append(b, '\n')
-}
-
-// A directory an older release appended JSON lines to does not open,
-// and the error names the import. ImportJSONL converts every segment in
-// place — same sequence numbers, so the newer record still wins, and the
-// torn final line of a crash is dropped — after which the store opens
-// and re-serves every record bit-identically.
-func TestImportJSONL(t *testing.T) {
+// A directory an older release appended JSON lines to does not open.
+// This release reads no JSON, and the error says so and that deleting
+// the directory recomputes its points. Stat and Verify leave the
+// segment where it is, neither counting nor quarantining it.
+func TestOpenRefusesJSONLines(t *testing.T) {
 	dir := t.TempDir()
-	k0, res0 := solved(t, 0, memsys.CachedNVM, 48)
-	k1, res1 := solved(t, 1, memsys.UncachedNVM, 24)
-	newer := res0
-	newer.Slowdown *= 2
-	first := append(legacyLine(t, k0, res0), legacyLine(t, k1, res1)...)
-	second := append(legacyLine(t, k0, newer), `{"v":1,"key":{"App":"torn`...)
-	for seq, data := range map[int][]byte{1: first, 2: second} {
-		name := fmt.Sprintf("segment-%08d.jsonl", seq)
-		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "nvmbench -store-compact") {
-		t.Fatalf("Open on JSON-lines segments = %v, want a refusal naming the import", err)
-	}
-	n, err := ImportJSONL(dir)
-	if err != nil || n != 3 {
-		t.Fatalf("ImportJSONL = %d, %v; want 3 records", n, err)
-	}
-	if left, _ := filepath.Glob(filepath.Join(dir, "*.jsonl")); len(left) != 0 {
-		t.Fatalf("JSON-lines segments left after import: %v", left)
-	}
-	d, err := Open(dir)
-	if err != nil {
+	path := filepath.Join(dir, "segment-00000001.jsonl")
+	line := []byte(`{"v":1,"key":{"App":"HACC","Threads":48},"result":{}}` + "\n")
+	if err := os.WriteFile(path, line, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close()
-	if d.Persisted() != 2 {
-		t.Fatalf("Persisted = %d, want 2", d.Persisted())
+	_, err := Open(dir)
+	if err == nil {
+		t.Fatal("Open on a JSON-lines segment succeeded")
 	}
-	for k, want := range map[Key]workload.Result{k0: newer, k1: res1} {
-		e, loaded := d.Acquire(k)
-		if !loaded || !reflect.DeepEqual(e.Res, want) {
-			t.Errorf("imported record %s/%v not re-served exactly (loaded=%v)", k.App, k.Mode, loaded)
+	for _, want := range []string{"JSON-lines", "does not read", "deleting the directory recomputes"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("Open error %q does not say %q", err, want)
 		}
+	}
+	if strings.Contains(err.Error(), "-store-compact") {
+		t.Errorf("Open error %q points at an import that no longer exists", err)
+	}
+	st, err := Stat(dir)
+	if err != nil || st.Records != 0 || st.SegmentsLog+st.SegmentsV2 != 0 || st.Bytes != 0 {
+		t.Errorf("Stat = %+v, %v; want an empty store", st, err)
+	}
+	rep, err := Verify(dir)
+	if err != nil || rep.SegmentsOK != 0 || rep.RecordsOK != 0 || len(rep.Quarantined) != 0 || rep.Salvaged != 0 {
+		t.Errorf("Verify = %+v, %v; want nothing scrubbed", rep, err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, line) {
+		t.Errorf("JSON-lines segment not left in place: %q, %v", got, err)
+	}
+	if segs, _ := filepath.Glob(filepath.Join(dir, "segment-*")); len(segs) != 1 {
+		t.Errorf("segment files after Open, Stat and Verify = %v, want only the JSON-lines one", segs)
 	}
 }

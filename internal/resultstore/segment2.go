@@ -48,8 +48,9 @@ import (
 // plus the index and nothing else; blocks decode lazily on the first
 // Acquire whose fingerprint lands in their range. If the trailer or
 // index is unreadable (a torn file that escaped the temp+rename
-// discipline), Open falls back to a sequential frame scan that loads
-// every intact block eagerly and drops the torn tail.
+// discipline), or the index entries do not tile the blocks before it,
+// Open falls back to a sequential frame scan that loads every intact
+// block eagerly and drops the torn tail.
 //
 // v2 segments are written only by Compact (temp file + fsync + rename).
 // Live appends use the same block frames: the append log (see disk.go)
@@ -835,7 +836,8 @@ func openSeg2(fs faultline.FS, path string) (*seg2, []rec, error) {
 }
 
 // readSeg2Index reads the trailer and index frame; ok is false when
-// either is damaged and the caller should fall back to a scan.
+// either is damaged, or the index does not tile the file's blocks, and
+// the caller should fall back to a scan.
 func readSeg2Index(f faultline.File, size int64) (metas []blockMeta, indexBytes int64, ok bool) {
 	if size < int64(len(seg2FileMagic))+seg2TrailerLen {
 		return nil, 0, false
@@ -861,10 +863,28 @@ func readSeg2Index(f faultline.File, size int64) (metas []blockMeta, indexBytes 
 		return nil, 0, false
 	}
 	metas, err = decodeIndex(payload)
-	if err != nil {
+	if err != nil || !tiles(metas, indexOff) {
 		return nil, 0, false
 	}
 	return metas, int64(len(frame)), true
+}
+
+// tiles reports whether index entries tile the bytes between the file
+// magic and the index frame: every block frame starts where the one
+// before it ends, and the last ends where the index begins. writeSeg2
+// always writes such an index. One that does not is crafted or damaged,
+// and trusting it would let readBlock allocate whatever length an entry
+// claims.
+func tiles(metas []blockMeta, indexOff int64) bool {
+	end := int64(len(seg2FileMagic))
+	for _, m := range metas {
+		if m.off != end || m.count < 0 || m.length < 0 ||
+			int64(m.length) > indexOff-end-frameOverhead {
+			return false
+		}
+		end += frameOverhead + int64(m.length)
+	}
+	return end == indexOff
 }
 
 // scanSeg2 recovers a damaged segment by walking its frames from the

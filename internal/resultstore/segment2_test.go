@@ -1,6 +1,8 @@
 package resultstore
 
 import (
+	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -249,55 +251,82 @@ func TestV2LazyBlockFault(t *testing.T) {
 
 // A damaged trailer or index falls back to a sequential frame scan that
 // recovers every intact block — the v2 counterpart of the log's torn
-// tail tolerance.
+// tail tolerance. So does an index whose CRC holds but whose entries do
+// not tile the blocks before it: trusting one would let Acquire, Stat or
+// Verify read and allocate whatever an entry claims. A crafted file
+// with an index and no blocks then holds no records.
 func TestV2TrailerFallbackRecovers(t *testing.T) {
-	dir := t.TempDir()
-	d, err := Open(dir)
+	defer SetBlockSizeForTest(4)()
+	const n = 16
+	recs := make([]rec, n)
+	for i := range recs {
+		recs[i].k, recs[i].res = SyntheticRecord(i)
+	}
+	var buf bytes.Buffer
+	if _, err := writeSeg2(&buf, recs); err != nil {
+		t.Fatal(err)
+	}
+	seg := buf.Bytes()
+	indexOff := binary.LittleEndian.Uint64(seg[len(seg)-seg2TrailerLen:])
+	_, payload, _, err := parseFrame(seg[indexOff:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 16
-	for i := 0; i < n; i++ {
-		k, res := SyntheticRecord(i)
-		d.Commit(k, res, nil)
+	metas, err := decodeIndex(payload)
+	if err != nil || len(metas) != n/4 {
+		t.Fatalf("pristine index: %d entries, %v; want %d", len(metas), err, n/4)
 	}
-	if err := d.Compact(); err != nil {
-		t.Fatal(err)
+	reindex := func(tamper func(m []blockMeta) []blockMeta) []byte {
+		return withIndex(seg[:indexOff], tamper(append([]blockMeta(nil), metas...)))
+	}
+	openDamaged := func(data []byte) (string, *Disk) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, seg2Name(1)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		d, err := Open(dir)
+		if err != nil {
+			t.Fatalf("damaged v2 segment broke Open: %v", err)
+		}
+		return dir, d
+	}
+	for name, data := range map[string][]byte{
+		"torn trailer and index": seg[:len(seg)-seg2TrailerLen-10],
+		"length 2^40":            reindex(func(m []blockMeta) []blockMeta { m[1].length = 1 << 40; return m }),
+		"length 2^64-20":         reindex(func(m []blockMeta) []blockMeta { m[1].length = -20; return m }),
+		"negative count":         reindex(func(m []blockMeta) []blockMeta { m[0].count = -1; return m }),
+		"gap":                    reindex(func(m []blockMeta) []blockMeta { m[2].off++; return m }),
+		"overlap":                reindex(func(m []blockMeta) []blockMeta { m[2].off--; return m }),
+		"short last block":       reindex(func(m []blockMeta) []blockMeta { return m[:len(m)-1] }),
+	} {
+		dir, d := openDamaged(data)
+		// Fallback loads eagerly: everything is resident.
+		if d.Persisted() != n || d.Len() != n {
+			t.Errorf("%s: Persisted %d, resident %d; want all %d", name, d.Persisted(), d.Len(), n)
+		}
+		for i := 0; i < n; i++ {
+			k, res := SyntheticRecord(i)
+			if e, loaded := d.Acquire(k); !loaded || !reflect.DeepEqual(e.Res, res) {
+				t.Fatalf("%s: key %d not recovered intact (loaded=%v)", name, i, loaded)
+			}
+		}
+		if err := d.Close(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if st, err := Stat(dir); err != nil || st.Records != n || st.Blocks != 0 {
+			t.Errorf("%s: Stat = %+v, %v; want %d records and no index", name, st, err, n)
+		}
+	}
+
+	dir, d := openDamaged(CraftedSegmentForTest(1 << 40))
+	if k, _ := SyntheticRecord(0); d.Persisted() != 0 || d.Probe(k) {
+		t.Errorf("block-less segment: Persisted %d; want 0 and every key a miss", d.Persisted())
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	segs, _ := filepath.Glob(filepath.Join(dir, "segment-*.seg"))
-	if len(segs) != 1 {
-		t.Fatalf("v2 segments = %d, want 1", len(segs))
-	}
-	data, err := os.ReadFile(segs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Tear off the trailer and half the index frame.
-	if err := os.WriteFile(segs[0], data[:len(data)-seg2TrailerLen-10], 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	re, err := Open(dir)
-	if err != nil {
-		t.Fatalf("torn v2 segment broke Open: %v", err)
-	}
-	defer re.Close()
-	if re.Persisted() != n {
-		t.Fatalf("Persisted after fallback = %d, want %d", re.Persisted(), n)
-	}
-	// Fallback loads eagerly: everything is resident.
-	if got := re.Len(); got != n {
-		t.Fatalf("resident entries after fallback = %d, want %d", got, n)
-	}
-	for i := 0; i < n; i++ {
-		k, res := SyntheticRecord(i)
-		e, loaded := re.Acquire(k)
-		if !loaded || !reflect.DeepEqual(e.Res, res) {
-			t.Fatalf("key %d not recovered intact (loaded=%v)", i, loaded)
-		}
+	if st, err := Stat(dir); err != nil || st.Records != 0 {
+		t.Errorf("block-less segment: Stat = %+v, %v; want 0 records", st, err)
 	}
 }
 

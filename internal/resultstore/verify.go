@@ -28,8 +28,8 @@ type VerifyReport struct {
 // single bad frame never costs the rest of its segment. Corruption is
 // reported in the returned report, never as an error; the error path is
 // for the scrub itself failing (unreadable directory, store locked by a
-// live process). JSON-lines segments from older releases are left for
-// ImportJSONL.
+// live process). JSON-lines segments from older releases are left
+// alone: this release does not read them.
 //
 // A torn final frame of a log segment is the normal crash-mid-append
 // signature, counted in TornTails and not quarantined. Salvage is safe
@@ -49,7 +49,7 @@ func VerifyFS(dir string, fs faultline.FS) (VerifyReport, error) {
 		return VerifyReport{}, err
 	}
 	defer unlock(lock)
-	infos, err := scanDir(fs, dir)
+	infos, _, err := scanDir(fs, dir)
 	if err != nil {
 		return VerifyReport{}, err
 	}
@@ -67,8 +67,6 @@ func VerifyFS(dir string, fs faultline.FS) (VerifyReport, error) {
 			ok, torn, recs = verifyLog(fs, path)
 		case kindSeg:
 			ok, recs = verifyV2(fs, path)
-		default:
-			continue // JSON lines: ImportJSONL converts them; a scrub leaves them be
 		}
 		if torn {
 			rep.TornTails++
