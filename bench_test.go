@@ -167,6 +167,24 @@ func BenchmarkScenarioParallel(b *testing.B) { benchkit.ScenarioParallel(b) }
 
 // --- tracked hot-path benches (internal/benchkit baseline set) ---
 
+var calSink uint64
+
+// BenchmarkCalibrationSpin is the bench gate's time normalizer: a fixed
+// pure-CPU workload of 2^20 xorshift64 rounds per op, allocation-free
+// and input-independent. The gate divides every tracked ns/op by the
+// spin's ns/op from the same run, so it must run alongside them.
+func BenchmarkCalibrationSpin(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		x := uint64(0x9E3779B97F4A7C15)
+		for j := 0; j < 1<<20; j++ {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+		}
+		calSink = x
+	}
+}
+
 // BenchmarkAddrsimCrossval is one cross-validation workload unit
 // through the streaming address simulator. Tracked by the benchkit
 // baseline.

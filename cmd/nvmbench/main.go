@@ -11,9 +11,7 @@
 //	nvmbench -spec specs/beyond-dram.json [-format json]
 //	nvmbench -spec mysweeps/ [-workers 8]
 //	nvmbench -export-specs specs
-//	nvmbench -bench-json BENCH_0.json
-//	nvmbench -bench-gate BENCH_0.json [-bench-tol 0.10]
-//	nvmbench -bench-baseline-txt BENCH_0.json
+//	go test -run '^$' -bench <tracked> -benchmem -count=5 . | nvmbench -bench-gate BENCH_0.txt
 //	nvmbench -store-stats results/
 //	nvmbench -store-compact results/
 //	nvmbench -store-verify results/
@@ -43,13 +41,12 @@
 // their decodable records salvaged, and torn final records (interrupted
 // appends) tolerated.
 //
-// The -bench-* flags drive the performance baseline (internal/benchkit):
-// -bench-json measures the tracked hot-path benchmarks and writes a
-// machine-readable suite, -bench-gate measures them and fails on any
-// allocs/op regression or a >tol calibration-normalized time/op
-// regression against a committed baseline (CI runs this against
-// BENCH_0.json), and -bench-baseline-txt renders a baseline for
-// benchstat.
+// -bench-gate is the performance gate (internal/benchkit): it reads a
+// `go test -bench` run of the tracked hot-path benchmarks and the
+// calibration spin from stdin, and fails on any allocs/op regression
+// past a bench's slack, or a calibration-normalized time/op regression
+// past its tolerance, against a baseline in the same format (CI gates
+// against BENCH_0.txt). <tracked> is the CI bench job's -bench regexp.
 package main
 
 import (
@@ -82,33 +79,14 @@ func main() {
 	low := flag.Int("low", 24, "low concurrency level (Fig 6)")
 	samples := flag.Int("samples", 200, "trace resolution in samples")
 	format := flag.String("format", "text", "output format: text|json")
-	benchJSON := flag.String("bench-json", "", "measure the tracked hot-path benchmarks and write the suite as JSON to this path, then exit")
-	benchGate := flag.String("bench-gate", "", "measure the tracked benchmarks and gate them against this baseline file, then exit (non-zero on regression)")
-	benchTxt := flag.String("bench-baseline-txt", "", "print this baseline file in go-bench text format (for benchstat), then exit")
-	benchTol := flag.Float64("bench-tol", 0.10, "tolerated normalized time/op regression for -bench-gate")
-	benchCount := flag.Int("bench-count", 3, "runs per tracked benchmark; the median ns/op and max allocs/op are kept")
+	benchGate := flag.String("bench-gate", "", "gate the go test -bench output read from stdin against this baseline file, then exit (non-zero on regression)")
 	storeStats := flag.String("store-stats", "", "print a result store directory's on-disk composition and estimated open cost, then exit")
 	storeCompact := flag.String("store-compact", "", "compact a result store directory into one binary columnar (v2) segment, then exit")
 	storeVerify := flag.String("store-verify", "", "scrub a result store directory: walk every segment's checksums, quarantine corrupt segments (salvaging their decodable records), then exit")
 	flag.Parse()
-	measureTracked := func() benchkit.Suite {
-		return benchkit.MeasureCount(benchkit.Tracked(), *benchCount)
-	}
 
-	if *benchTxt != "" {
-		if err := printBaselineTxt(*benchTxt, os.Stdout); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *benchJSON != "" {
-		if err := writeBenchJSON(*benchJSON, os.Stdout, measureTracked); err != nil {
-			fatal(err)
-		}
-		return
-	}
 	if *benchGate != "" {
-		ok, err := gateBench(*benchGate, *benchTol, os.Stdout, measureTracked)
+		ok, err := gateBench(*benchGate, os.Stdin, os.Stdout)
 		if err != nil {
 			fatal(err)
 		}
@@ -353,41 +331,33 @@ func renderScenarios(m *core.Machine, specs []core.Scenario, all [][]core.Outcom
 	}
 }
 
-// writeBenchJSON measures the tracked benchmarks and writes the suite
-// (wrapped as a gate-ready baseline document) to path. Re-pinning an
-// existing baseline file keeps its Note and historical Before suite.
-func writeBenchJSON(path string, w io.Writer, measure func() benchkit.Suite) error {
-	doc := benchkit.Baseline{
-		Note: "tracked hot-path benchmark suite; regenerate with nvmbench -bench-json",
-	}
-	if prev, err := benchkit.Load(path); err == nil {
-		doc.Note = prev.Note
-		doc.Before = prev.Before
-	}
-	doc.Suite = measure()
-	if err := doc.Write(path); err != nil {
-		return err
-	}
-	s := doc.Suite
-	fmt.Fprintf(w, "wrote %d benchmark records to %s (calibration %.0f ns/op)\n",
-		len(s.Records), path, s.CalibrationNs)
-	return nil
-}
-
-// gateBench measures the tracked benchmarks and gates them against the
-// committed baseline: any allocs/op increase past a record's slack
-// fails, and any calibration-normalized time/op ratio above 1+tol
-// fails. It reports whether the gate passed.
-func gateBench(baselinePath string, tol float64, w io.Writer, measure func() benchkit.Suite) (bool, error) {
-	base, err := benchkit.Load(baselinePath)
+// gateBench gates a `go test -bench` run of the tracked benchmarks,
+// read from cur, against the baseline file in the same format: any
+// allocs/op increase past a bench's slack fails, and so does any
+// calibration-normalized time/op ratio above its tolerance. It reports
+// whether the gate passed.
+func gateBench(baselinePath string, cur io.Reader, w io.Writer) (bool, error) {
+	f, err := os.Open(baselinePath)
 	if err != nil {
 		return false, err
 	}
-	cur := measure()
-	fmt.Fprint(w, benchkit.Diff(base.Suite, cur))
-	regs := benchkit.Gate(base.Suite, cur, tol)
+	defer f.Close()
+	base, err := benchkit.Parse(f)
+	if err != nil {
+		return false, fmt.Errorf("%s: %w", baselinePath, err)
+	}
+	run, err := benchkit.Parse(cur)
+	if err != nil {
+		return false, fmt.Errorf("current run: %w", err)
+	}
+	tracked := benchkit.Tracked()
+	regs, err := benchkit.Gate(tracked, base, run)
+	if err != nil {
+		return false, err
+	}
+	fmt.Fprint(w, benchkit.Diff(tracked, base, run))
 	if len(regs) == 0 {
-		fmt.Fprintf(w, "bench gate PASS against %s (time tolerance %.0f%%)\n", baselinePath, 100*tol)
+		fmt.Fprintf(w, "bench gate PASS against %s (time tolerance %.0f%%)\n", baselinePath, 100*benchkit.Tolerance)
 		return true, nil
 	}
 	fmt.Fprintf(w, "bench gate FAIL against %s:\n", baselinePath)
@@ -395,17 +365,6 @@ func gateBench(baselinePath string, tol float64, w io.Writer, measure func() ben
 		fmt.Fprintf(w, "  REGRESSION %s\n", r)
 	}
 	return false, nil
-}
-
-// printBaselineTxt renders a baseline file in go-bench text format so
-// benchstat can compare it against a fresh `go test -bench` run.
-func printBaselineTxt(path string, w io.Writer) error {
-	base, err := benchkit.Load(path)
-	if err != nil {
-		return err
-	}
-	_, err = io.WriteString(w, base.Suite.GoBenchText())
-	return err
 }
 
 // Rough single-thread throughputs for the open-cost estimate, measured

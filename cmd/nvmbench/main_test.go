@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -142,100 +144,82 @@ func TestRunSpecsBadInput(t *testing.T) {
 	}
 }
 
-// --- benchmark baseline plumbing ---
+// --- benchmark gate plumbing ---
 
-func fakeSuite(ns float64, allocs int64) benchkit.Suite {
-	return benchkit.Suite{
-		GoVersion: "go1.24", GOOS: "linux", GOARCH: "amd64",
-		CalibrationNs: 1000,
-		Records: []benchkit.Record{
-			{Name: "BenchmarkFake", Iterations: 10, NsPerOp: ns, AllocsPerOp: allocs},
-		},
+// benchOutput renders go test -bench lines for the calibration spin and
+// every tracked bench, with the given tracked ns/op and allocs/op, the
+// -GOMAXPROCS suffix included as go test prints it.
+func benchOutput(ns float64, allocs int64) string {
+	var b strings.Builder
+	b.WriteString("goos: linux\ngoarch: amd64\npkg: repro\n")
+	fmt.Fprintf(&b, "%s-2\t500\t2000000 ns/op\t0 B/op\t0 allocs/op\n", benchkit.CalibrationName)
+	for _, be := range benchkit.Tracked() {
+		fmt.Fprintf(&b, "%s-2\t100\t%g ns/op\t64 B/op\t%d allocs/op\n", be.Name, ns, allocs)
 	}
+	b.WriteString("PASS\n")
+	return b.String()
 }
 
 func TestWriteBenchJSONAndGate(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "bench.json")
-	measure := func() benchkit.Suite { return fakeSuite(500, 3) }
-	var out strings.Builder
-	if err := writeBenchJSON(path, &out, measure); err != nil {
+	path := filepath.Join(t.TempDir(), "BENCH_0.txt")
+	if err := os.WriteFile(path, []byte(benchOutput(500, 3)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "1 benchmark records") {
-		t.Errorf("unexpected output %q", out.String())
+	gateRun := func(cur string) (bool, string, error) {
+		var out strings.Builder
+		ok, err := gateBench(path, strings.NewReader(cur), &out)
+		return ok, out.String(), err
 	}
 
 	// Same numbers: gate passes.
-	ok, err := gateBench(path, 0.10, io.Discard, measure)
-	if err != nil || !ok {
-		t.Fatalf("identical run should pass the gate: ok=%v err=%v", ok, err)
+	if ok, out, err := gateRun(benchOutput(500, 3)); err != nil || !ok {
+		t.Fatalf("identical run should pass the gate: ok=%v err=%v\n%s", ok, err, out)
 	}
 
 	// Alloc regression: gate fails with a diagnostic.
-	var diag strings.Builder
-	ok, err = gateBench(path, 0.10, &diag, func() benchkit.Suite { return fakeSuite(500, 4) })
+	ok, out, err := gateRun(benchOutput(500, 4))
 	if err != nil || ok {
 		t.Fatalf("alloc regression should fail the gate: ok=%v err=%v", ok, err)
 	}
-	if !strings.Contains(diag.String(), "REGRESSION") || !strings.Contains(diag.String(), "allocs/op") {
-		t.Errorf("diagnostic should name the regression, got %q", diag.String())
+	if !strings.Contains(out, "REGRESSION BenchmarkTraceBuild: allocs/op 3 -> 4") {
+		t.Errorf("diagnostic should name the regression, got %q", out)
 	}
 
-	// Time regression beyond tolerance fails; within tolerance passes.
-	ok, _ = gateBench(path, 0.10, io.Discard, func() benchkit.Suite { return fakeSuite(600, 3) })
-	if ok {
+	// Time regression beyond the 10% tolerance fails; within it passes.
+	if ok, _, _ := gateRun(benchOutput(600, 3)); ok {
 		t.Error("20% time regression should fail a 10% gate")
 	}
-	ok, _ = gateBench(path, 0.30, io.Discard, func() benchkit.Suite { return fakeSuite(600, 3) })
-	if !ok {
-		t.Error("20% time regression should pass a 30% gate")
+	if ok, out, _ := gateRun(benchOutput(525, 3)); !ok {
+		t.Errorf("5%% time regression should pass a 10%% gate:\n%s", out)
+	}
+
+	// A run missing a tracked bench fails and names it.
+	cur := strings.Replace(benchOutput(500, 3), "BenchmarkStoreAppend-2", "BenchmarkStoreAppendX-2", 1)
+	ok, out, err = gateRun(cur)
+	if err != nil || ok || !strings.Contains(out, "REGRESSION BenchmarkStoreAppend: missing from current run") {
+		t.Errorf("missing bench: ok=%v err=%v\n%s", ok, err, out)
+	}
+
+	// A run without the calibration spin cannot be judged.
+	cur = strings.Replace(benchOutput(500, 3), benchkit.CalibrationName, "BenchmarkSomethingElse", 1)
+	if _, _, err := gateRun(cur); err == nil || !strings.Contains(err.Error(), benchkit.CalibrationName) {
+		t.Errorf("run without calibration: error = %v, want one naming %s", err, benchkit.CalibrationName)
+	}
+	if _, err := gateBench(filepath.Join(t.TempDir(), "missing.txt"), strings.NewReader(""), io.Discard); err == nil {
+		t.Error("missing baseline should fail")
 	}
 }
 
-// Re-pinning an existing baseline must keep the historical before-suite
-// and the hand-written note, replacing only the gating suite.
-func TestWriteBenchJSONPreservesHistory(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "bench.json")
-	before := fakeSuite(900, 10)
-	doc := benchkit.Baseline{Note: "headline numbers", Before: &before, Suite: fakeSuite(500, 3)}
-	if err := doc.Write(path); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeBenchJSON(path, io.Discard, func() benchkit.Suite { return fakeSuite(400, 2) }); err != nil {
-		t.Fatal(err)
-	}
-	back, err := benchkit.Load(path)
+// The committed baseline pins every tracked bench and the calibration
+// spin: gated against itself it passes.
+func TestCommittedBaselineGates(t *testing.T) {
+	data, err := os.ReadFile("../../BENCH_0.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Note != "headline numbers" {
-		t.Errorf("note lost on re-pin: %q", back.Note)
-	}
-	if back.Before == nil || back.Before.Records[0].AllocsPerOp != 10 {
-		t.Error("before-suite lost on re-pin")
-	}
-	if back.Suite.Records[0].AllocsPerOp != 2 {
-		t.Errorf("gating suite not replaced: %+v", back.Suite.Records[0])
-	}
-}
-
-func TestPrintBaselineTxt(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "bench.json")
-	if err := writeBenchJSON(path, io.Discard, func() benchkit.Suite { return fakeSuite(500, 3) }); err != nil {
-		t.Fatal(err)
-	}
 	var out strings.Builder
-	if err := printBaselineTxt(path, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "BenchmarkFake") || !strings.Contains(out.String(), "ns/op") {
-		t.Errorf("not benchstat-consumable: %q", out.String())
-	}
-	if err := printBaselineTxt(filepath.Join(dir, "missing.json"), io.Discard); err == nil {
-		t.Error("missing baseline should fail")
+	if ok, err := gateBench("../../BENCH_0.txt", bytes.NewReader(data), &out); err != nil || !ok {
+		t.Fatalf("BENCH_0.txt against itself: ok=%v err=%v\n%s", ok, err, out.String())
 	}
 }
 

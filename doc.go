@@ -88,11 +88,13 @@
 // single-process path (see the README's Fleet section).
 //
 // The hot paths are performance-pinned as well: internal/benchkit
-// measures a tracked benchmark set (streaming address simulation,
+// declares a tracked benchmark set (streaming address simulation,
 // packed-tag DRAM cache, trace reconstruction, engine cache hits, the
 // full-cartesian sweep, the bursty traffic replay with its p99
-// first-point latency extra) and gates it against the committed BENCH_0.json
-// baseline — any allocs/op regression or >10% calibration-normalized
-// time/op regression fails (cmd/nvmbench -bench-gate; see the README's
+// first-point latency extra), which this package's bench_test.go runs
+// next to BenchmarkCalibrationSpin. One `go test -bench` run of them is
+// gated against the committed BENCH_0.txt, itself saved go test output —
+// any allocs/op regression or >10% calibration-normalized time/op
+// regression fails (cmd/nvmbench -bench-gate; see the README's
 // Performance section for budgets and workflow).
 package repro

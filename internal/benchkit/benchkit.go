@@ -1,152 +1,122 @@
-// Package benchkit gives the repo a machine-readable performance
-// baseline: it measures a tracked set of hot-path benchmarks with
-// testing.Benchmark, serializes the results as JSON (the committed
-// BENCH_0.json), and gates later runs against that baseline.
+// Package benchkit gates the repo's tracked hot-path benchmarks against
+// a committed baseline. Both sides are `go test -bench` output, the
+// text benchstat reads: the baseline is BENCH_0.txt, and the current
+// run is one `go test -bench` of the tracked set plus the calibration
+// spin, so that one run is the only measurement. Re-pinning the
+// baseline is saving such a run as BENCH_0.txt.
 //
 // Two metrics are gated differently because they travel differently
 // across machines:
 //
 //   - allocs/op is deterministic and machine-independent, so any
-//     regression beyond a record's declared slack fails the gate.
+//     regression beyond a bench's declared slack fails the gate.
 //
 //   - time/op depends on the host, so raw nanoseconds from another
-//     machine are not comparable. Every suite therefore records the
-//     ns/op of a fixed pure-CPU calibration spin measured in the same
-//     run, and the gate compares calibration-normalized ratios:
-//     (cur.ns/cur.spin) / (base.ns/base.spin). A ratio above 1+tol
-//     (tol = 0.10 in CI) fails.
+//     machine are not comparable. Every run therefore carries the ns/op
+//     of a fixed pure-CPU calibration spin (BenchmarkCalibrationSpin)
+//     measured alongside the tracked benches, and the gate compares
+//     calibration-normalized ratios: (cur.ns/cur.spin) /
+//     (base.ns/base.spin). A ratio above 1+Tolerance+TimeSlack fails.
 package benchkit
 
 import (
-	"encoding/json"
+	"bufio"
 	"fmt"
-	"os"
-	"runtime"
+	"io"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
-	"testing"
 )
 
-// Record is one benchmark measurement.
-type Record struct {
-	Name       string  `json:"name"`
-	Iterations int     `json:"iterations"`
-	NsPerOp    float64 `json:"ns_per_op"`
-	BytesPerOp int64   `json:"bytes_per_op"`
-	// AllocsPerOp is gated strictly: a current run may not exceed the
-	// baseline by more than AllocSlack.
-	AllocsPerOp int64 `json:"allocs_per_op"`
+// CalibrationName is the benchmark whose ns/op normalizes time/op
+// across hosts. Its body is the fixed spin in the repo-root
+// bench_test.go; the baseline and the current run must both carry it.
+const CalibrationName = "BenchmarkCalibrationSpin"
+
+// Tolerance is the calibration-normalized time/op regression any
+// tracked bench may show before the gate fails; a bench's TimeSlack
+// widens it.
+const Tolerance = 0.10
+
+// Bench is one tracked benchmark and the regression it tolerates.
+type Bench struct {
+	// Name is the `go test -bench` name without the -GOMAXPROCS suffix.
+	Name string
 	// AllocSlack is the tolerated absolute allocs/op increase before the
 	// gate fails — zero for deterministic single-goroutine benches, a few
 	// for benches whose alloc count depends on scheduling (parallel
 	// singleflight duplicates) or map growth points.
-	AllocSlack int64 `json:"alloc_slack,omitempty"`
-	// TimeSlack widens the gate's time tolerance for this record
-	// (effective tolerance = tol + TimeSlack). Nanosecond-scale
+	AllocSlack int64
+	// TimeSlack widens the gate's time tolerance for this bench
+	// (effective tolerance = Tolerance + TimeSlack). Nanosecond-scale
 	// microbenches are memory-latency- rather than ALU-bound, so the
 	// calibration spin normalizes them poorly across microarchitectures;
 	// they declare extra slack rather than flake.
-	TimeSlack float64 `json:"time_slack,omitempty"`
-	// Extras carries the benchmark's b.ReportMetric values (per-record
-	// median across runs, like ns/op). Only latency-shaped extras —
-	// keys ending in "_ns" — are gated, compared calibration-normalized
-	// like time/op under the same TimeSlack; anything else
-	// (points_per_sec, bytes_per_point_*) is informational, since
-	// higher-is-worse does not hold for it.
-	Extras map[string]float64 `json:"extras,omitempty"`
+	TimeSlack float64
 }
 
-// Suite is one run of the tracked benchmarks on one machine.
-type Suite struct {
-	GoVersion string `json:"go_version"`
-	GOOS      string `json:"goos"`
-	GOARCH    string `json:"goarch"`
-	// CalibrationNs is the ns/op of the fixed calibration spin measured
-	// in the same run, the time/op normalizer. Zero means the suite
-	// predates calibration and its times are informational only.
-	CalibrationNs float64  `json:"calibration_ns_per_op"`
-	Records       []Record `json:"records"`
-}
+// Record is one benchmark's metrics keyed by unit: "ns/op", "B/op",
+// "allocs/op" and each b.ReportMetric unit.
+type Record map[string]float64
 
-// Baseline is the committed BENCH_0.json document: the gating suite plus
-// an optional historical "before" suite documenting the numbers the
-// perf work started from.
-type Baseline struct {
-	Note   string `json:"note,omitempty"`
-	Before *Suite `json:"before,omitempty"`
-	Suite  Suite  `json:"baseline"`
-}
+// Run is one parsed `go test -bench` output, keyed by benchmark name
+// without its -GOMAXPROCS suffix.
+type Run map[string]Record
 
-// Bench is one tracked benchmark.
-type Bench struct {
-	Name       string
-	AllocSlack int64
-	TimeSlack  float64
-	F          func(*testing.B)
-}
-
-var calSink uint64
-
-// calibrationSpin is the fixed pure-CPU workload whose ns/op normalizes
-// time comparisons across machines: 2^20 xorshift64 rounds per op,
-// allocation-free and input-independent.
-func calibrationSpin(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		x := uint64(0x9E3779B97F4A7C15)
-		for j := 0; j < 1<<20; j++ {
-			x ^= x << 13
-			x ^= x >> 7
-			x ^= x << 17
+// Parse reads `go test -bench` output. The repeats of one benchmark
+// (-count) fold into one Record: B/op and allocs/op keep their maximum,
+// so one lucky scheduling cannot hide an allocation, and every other
+// metric keeps its median, so one noisy-neighbour sample on a shared
+// runner cannot fake a time regression. Lines other than benchmark
+// results (headers, PASS, ok) are skipped.
+func Parse(r io.Reader) (Run, error) {
+	samples := map[string]map[string][]float64{}
+	sc := bufio.NewScanner(r)
+	for line := 1; sc.Scan(); line++ {
+		f := strings.Fields(sc.Text())
+		// go test prints a bare name line before a benchmark's log output.
+		if len(f) < 2 || !strings.HasPrefix(f[0], "Benchmark") {
+			continue
 		}
-		calSink = x
-	}
-}
-
-// MeasureCount measures every bench (and the calibration spin) count
-// times and keeps the per-record median ns/op and the maximum
-// allocs/op, so one noisy-neighbour sample on a shared runner cannot
-// fake a time regression and one lucky scheduling cannot hide an
-// allocation one. Counts below 1 become 1.
-func MeasureCount(benches []Bench, count int) Suite {
-	if count < 1 {
-		count = 1
-	}
-	s := Suite{
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-	}
-	cals := make([]float64, count)
-	for i := range cals {
-		cal := testing.Benchmark(calibrationSpin)
-		cals[i] = float64(cal.T.Nanoseconds()) / float64(cal.N)
-	}
-	s.CalibrationNs = median(cals)
-	s.Records = make([]Record, 0, len(benches))
-	ns := make([]float64, count)
-	for _, be := range benches {
-		rec := Record{Name: be.Name, AllocSlack: be.AllocSlack, TimeSlack: be.TimeSlack}
-		extras := map[string][]float64{}
-		for i := range ns {
-			r := testing.Benchmark(be.F)
-			ns[i] = float64(r.T.Nanoseconds()) / float64(r.N)
-			rec.Iterations = r.N
-			rec.BytesPerOp = max(rec.BytesPerOp, r.AllocedBytesPerOp())
-			rec.AllocsPerOp = max(rec.AllocsPerOp, r.AllocsPerOp())
-			for k, v := range r.Extra {
-				extras[k] = append(extras[k], v)
+		if _, err := strconv.Atoi(f[1]); err != nil || len(f)%2 != 0 {
+			return nil, fmt.Errorf("benchkit: line %d: malformed benchmark result %q", line, sc.Text())
+		}
+		name := f[0]
+		if i := strings.LastIndexByte(name, '-'); i > 0 {
+			if _, err := strconv.Atoi(name[i+1:]); err == nil {
+				name = name[:i]
 			}
 		}
-		rec.NsPerOp = median(ns)
-		if len(extras) > 0 {
-			rec.Extras = make(map[string]float64, len(extras))
-			for k, vs := range extras {
-				rec.Extras[k] = median(vs)
+		metrics := samples[name]
+		if metrics == nil {
+			metrics = map[string][]float64{}
+			samples[name] = metrics
+		}
+		for i := 2; i < len(f); i += 2 {
+			v, err := strconv.ParseFloat(f[i], 64)
+			if err != nil {
+				return nil, fmt.Errorf("benchkit: line %d: %s: %w", line, f[i+1], err)
+			}
+			metrics[f[i+1]] = append(metrics[f[i+1]], v)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("benchkit: %w", err)
+	}
+	run := make(Run, len(samples))
+	for name, metrics := range samples {
+		rec := make(Record, len(metrics))
+		for unit, vs := range metrics {
+			if unit == "B/op" || unit == "allocs/op" {
+				rec[unit] = slices.Max(vs)
+			} else {
+				rec[unit] = median(vs)
 			}
 		}
-		s.Records = append(s.Records, rec)
+		run[name] = rec
 	}
-	return s
+	return run, nil
 }
 
 // median returns the middle value (mean of the middle two for even
@@ -159,38 +129,6 @@ func median(vals []float64) float64 {
 		return sorted[n/2]
 	}
 	return (sorted[n/2-1] + sorted[n/2]) / 2
-}
-
-// Load reads a Baseline document. A bare Suite (no "baseline" wrapper)
-// is accepted too, for hand-rolled files.
-func Load(path string) (Baseline, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Baseline{}, fmt.Errorf("benchkit: %w", err)
-	}
-	var b Baseline
-	if err := json.Unmarshal(data, &b); err != nil {
-		return Baseline{}, fmt.Errorf("benchkit: %s: %w", path, err)
-	}
-	if len(b.Suite.Records) == 0 {
-		var s Suite
-		if err := json.Unmarshal(data, &s); err == nil && len(s.Records) > 0 {
-			b.Suite = s
-		}
-	}
-	if len(b.Suite.Records) == 0 {
-		return Baseline{}, fmt.Errorf("benchkit: %s: no baseline records", path)
-	}
-	return b, nil
-}
-
-// Write serializes a Baseline document.
-func (b Baseline) Write(path string) error {
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // Regression is one gate failure.
@@ -215,59 +153,56 @@ func (r Regression) String() string {
 	}
 }
 
-// Gate compares a current suite against the baseline and returns every
-// regression: any allocs/op increase beyond a record's slack, and any
-// calibration-normalized time/op or "_ns"-extra ratio above 1+timeTol
-// (skipped when either suite lacks calibration).
-func Gate(base, cur Suite, timeTol float64) []Regression {
-	current := make(map[string]Record, len(cur.Records))
-	for _, r := range cur.Records {
-		current[r.Name] = r
+// Gate compares the current run against the baseline for every tracked
+// bench and returns each regression: an allocs/op increase beyond the
+// bench's AllocSlack, a calibration-normalized time/op or "_ns"-extra
+// ratio above 1+Tolerance+TimeSlack, and a bench or gated metric the
+// current run lacks. A run without the calibration spin, or a baseline
+// without a tracked bench, cannot be judged and is an error.
+func Gate(benches []Bench, base, cur Run) ([]Regression, error) {
+	baseCal, curCal := base[CalibrationName]["ns/op"], cur[CalibrationName]["ns/op"]
+	if baseCal <= 0 {
+		return nil, fmt.Errorf("benchkit: baseline has no %s result", CalibrationName)
+	}
+	if curCal <= 0 {
+		return nil, fmt.Errorf("benchkit: current run has no %s result", CalibrationName)
 	}
 	var regs []Regression
-	for _, b := range base.Records {
-		c, ok := current[b.Name]
+	for _, be := range benches {
+		b, ok := base[be.Name]
 		if !ok {
-			regs = append(regs, Regression{Name: b.Name, Kind: "missing"})
+			return nil, fmt.Errorf("benchkit: baseline has no %s result", be.Name)
+		}
+		c, ok := cur[be.Name]
+		if !ok {
+			regs = append(regs, Regression{Name: be.Name, Kind: "missing"})
 			continue
 		}
-		if c.AllocsPerOp > b.AllocsPerOp+b.AllocSlack {
-			regs = append(regs, Regression{
-				Name: b.Name, Kind: "allocs/op",
-				Base: float64(b.AllocsPerOp), Cur: float64(c.AllocsPerOp),
-				Ratio: float64(c.AllocsPerOp) / float64(max(b.AllocsPerOp, 1)),
-			})
-		}
-		if base.CalibrationNs > 0 && cur.CalibrationNs > 0 && b.NsPerOp > 0 {
-			ratio := (c.NsPerOp / cur.CalibrationNs) / (b.NsPerOp / base.CalibrationNs)
-			if ratio > 1+timeTol+b.TimeSlack {
-				regs = append(regs, Regression{
-					Name: b.Name, Kind: "time/op",
-					Base: b.NsPerOp, Cur: c.NsPerOp, Ratio: ratio,
-				})
-			}
-		}
-		// Latency-shaped extras ("_ns" keys: percentiles, per-point
-		// times) travel like time/op: host-dependent nanoseconds, gated
-		// calibration-normalized under the record's TimeSlack. Other
-		// extras (throughputs, byte counts) are informational — the gate
-		// would read an improved points/sec as a regression.
-		for k, bv := range b.Extras {
-			if !strings.HasSuffix(k, "_ns") {
-				continue
-			}
-			cv, ok := c.Extras[k]
-			if !ok {
-				regs = append(regs, Regression{Name: b.Name + "/" + k, Kind: "missing"})
-				continue
-			}
-			if base.CalibrationNs > 0 && cur.CalibrationNs > 0 && bv > 0 {
-				ratio := (cv / cur.CalibrationNs) / (bv / base.CalibrationNs)
-				if ratio > 1+timeTol+b.TimeSlack {
-					regs = append(regs, Regression{
-						Name: b.Name, Kind: "extra:" + k,
-						Base: bv, Cur: cv, Ratio: ratio,
-					})
+		for unit, bv := range b {
+			cv, ok := c[unit]
+			switch {
+			case unit != "allocs/op" && unit != "ns/op" && !strings.HasSuffix(unit, "_ns"):
+				// B/op, throughputs and byte counts are informational:
+				// the gate would read an improved points/sec as a
+				// regression.
+			case !ok:
+				regs = append(regs, Regression{Name: be.Name + "/" + unit, Kind: "missing"})
+			case unit == "allocs/op":
+				if cv > bv+float64(be.AllocSlack) {
+					regs = append(regs, Regression{Name: be.Name, Kind: unit, Base: bv, Cur: cv, Ratio: cv / max(bv, 1)})
+				}
+			default:
+				// Latency-shaped extras ("_ns" keys: percentiles,
+				// per-point times) travel like time/op: host-dependent
+				// nanoseconds, gated calibration-normalized under the
+				// bench's TimeSlack.
+				ratio := (cv / curCal) / (bv / baseCal)
+				if bv > 0 && ratio > 1+Tolerance+be.TimeSlack {
+					kind := "extra:" + unit
+					if unit == "ns/op" {
+						kind = "time/op"
+					}
+					regs = append(regs, Regression{Name: be.Name, Kind: kind, Base: bv, Cur: cv, Ratio: ratio})
 				}
 			}
 		}
@@ -278,45 +213,26 @@ func Gate(base, cur Suite, timeTol float64) []Regression {
 		}
 		return regs[i].Kind < regs[j].Kind
 	})
-	return regs
+	return regs, nil
 }
 
-// Diff renders a fixed-width comparison of a current suite against the
-// baseline, with calibration-normalized time ratios.
-func Diff(base, cur Suite) string {
-	current := make(map[string]Record, len(cur.Records))
-	for _, r := range cur.Records {
-		current[r.Name] = r
-	}
+// Diff renders a fixed-width comparison of the tracked benches'
+// ns/op, calibration-normalized time ratio and allocs/op. It expects
+// runs Gate accepted.
+func Diff(benches []Bench, base, cur Run) string {
+	baseCal, curCal := base[CalibrationName]["ns/op"], cur[CalibrationName]["ns/op"]
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-34s %14s %14s %7s %10s %10s\n",
 		"benchmark", "base ns/op", "cur ns/op", "ratio", "base al/op", "cur al/op")
-	for _, r := range base.Records {
-		c, ok := current[r.Name]
-		if !ok {
-			fmt.Fprintf(&b, "%-34s %14.0f %14s\n", r.Name, r.NsPerOp, "(missing)")
+	for _, be := range benches {
+		r, c := base[be.Name], cur[be.Name]
+		if c == nil {
+			fmt.Fprintf(&b, "%-34s %14.0f %14s\n", be.Name, r["ns/op"], "(missing)")
 			continue
 		}
-		ratio := 0.0
-		if base.CalibrationNs > 0 && cur.CalibrationNs > 0 && r.NsPerOp > 0 {
-			ratio = (c.NsPerOp / cur.CalibrationNs) / (r.NsPerOp / base.CalibrationNs)
-		}
-		fmt.Fprintf(&b, "%-34s %14.0f %14.0f %6.2fx %10d %10d\n",
-			r.Name, r.NsPerOp, c.NsPerOp, ratio, r.AllocsPerOp, c.AllocsPerOp)
-	}
-	return b.String()
-}
-
-// GoBenchText renders a suite in `go test -bench` output format, so
-// benchstat can compare the committed baseline against a fresh
-// bench.txt (strip the -P GOMAXPROCS suffixes from the fresh run first;
-// see the CI workflow).
-func (s Suite) GoBenchText() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "goos: %s\ngoarch: %s\n", s.GOOS, s.GOARCH)
-	for _, r := range s.Records {
-		fmt.Fprintf(&b, "%s \t%8d\t%12.1f ns/op\t%8d B/op\t%8d allocs/op\n",
-			r.Name, r.Iterations, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp)
+		ratio := (c["ns/op"] / curCal) / (r["ns/op"] / baseCal)
+		fmt.Fprintf(&b, "%-34s %14.0f %14.0f %6.2fx %10.0f %10.0f\n",
+			be.Name, r["ns/op"], c["ns/op"], ratio, r["allocs/op"], c["allocs/op"])
 	}
 	return b.String()
 }

@@ -1,42 +1,101 @@
 package benchkit
 
 import (
-	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 )
 
-func baseSuite() Suite {
-	return Suite{
-		GoVersion: "go1.24", GOOS: "linux", GOARCH: "amd64",
-		CalibrationNs: 1000,
-		Records: []Record{
-			{Name: "BenchmarkA", Iterations: 100, NsPerOp: 500, BytesPerOp: 64, AllocsPerOp: 3},
-			{Name: "BenchmarkB", Iterations: 100, NsPerOp: 2000, BytesPerOp: 0, AllocsPerOp: 0, AllocSlack: 2},
-		},
+var gated = []Bench{{Name: "BenchmarkA"}, {Name: "BenchmarkB", AllocSlack: 2}}
+
+func baseRun() Run {
+	return Run{
+		CalibrationName: {"ns/op": 1000},
+		"BenchmarkA":    {"ns/op": 500, "B/op": 64, "allocs/op": 3},
+		"BenchmarkB":    {"ns/op": 2000, "B/op": 0, "allocs/op": 0},
+	}
+}
+
+func gate(t *testing.T, benches []Bench, base, cur Run) []Regression {
+	t.Helper()
+	regs, err := Gate(benches, base, cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return regs
+}
+
+// Parse folds -count repeats the way the gate reads them: median
+// ns/op and extras, max B/op and allocs/op, -GOMAXPROCS suffix gone,
+// and everything but result lines skipped.
+func TestParse(t *testing.T) {
+	out := `goos: linux
+goarch: amd64
+pkg: repro
+cpu: Intel(R) Xeon(R) Processor
+BenchmarkCalibrationSpin-2   	     484	   2494103 ns/op
+BenchmarkLoad-2              	     100	       400.5 ns/op	   2000 p99_ns	      64 B/op	       3 allocs/op
+BenchmarkLoad-2              	     100	       500 ns/op	   1000 p99_ns	      80 B/op	       2 allocs/op
+BenchmarkLoad-2              	     100	       900 ns/op	   3000 p99_ns	      64 B/op	       4 allocs/op
+BenchmarkLogs
+BenchmarkLogs-2              	      10	       700 ns/op
+--- BENCH: BenchmarkLogs-2
+    bench_test.go:12: hello
+BenchmarkNoSuffix            	      10	        7.25 ns/op
+PASS
+ok  	repro	12.345s
+`
+	run, err := Parse(strings.NewReader(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Run{
+		CalibrationName:     {"ns/op": 2494103},
+		"BenchmarkLoad":     {"ns/op": 500, "p99_ns": 2000, "B/op": 80, "allocs/op": 4},
+		"BenchmarkLogs":     {"ns/op": 700},
+		"BenchmarkNoSuffix": {"ns/op": 7.25},
+	}
+	if len(run) != len(want) {
+		t.Fatalf("parsed %v, want %v", run, want)
+	}
+	for name, rec := range want {
+		for unit, v := range rec {
+			if got := run[name][unit]; got != v {
+				t.Errorf("%s %s = %v, want %v", name, unit, got, v)
+			}
+		}
+		if len(run[name]) != len(rec) {
+			t.Errorf("%s = %v, want %v", name, run[name], rec)
+		}
+	}
+
+	for _, bad := range []string{
+		"BenchmarkA-2 many 500 ns/op",
+		"BenchmarkA-2 10 500 ns/op 3",
+		"BenchmarkA-2 10 fast ns/op",
+	} {
+		if _, err := Parse(strings.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "line 1") {
+			t.Errorf("Parse(%q) error = %v, want a line 1 error", bad, err)
+		}
 	}
 }
 
 func TestGateClean(t *testing.T) {
-	base := baseSuite()
-	cur := baseSuite()
-	if regs := Gate(base, cur, 0.10); len(regs) != 0 {
-		t.Fatalf("identical suites should pass, got %v", regs)
+	if regs := gate(t, gated, baseRun(), baseRun()); len(regs) != 0 {
+		t.Fatalf("identical runs should pass, got %v", regs)
 	}
 }
 
 func TestGateAllocRegression(t *testing.T) {
-	base := baseSuite()
-	cur := baseSuite()
-	cur.Records[0].AllocsPerOp = 4 // slack 0: fails
-	cur.Records[1].AllocsPerOp = 2 // slack 2: tolerated
-	regs := Gate(base, cur, 0.10)
+	cur := baseRun()
+	cur["BenchmarkA"]["allocs/op"] = 4 // slack 0: fails
+	cur["BenchmarkB"]["allocs/op"] = 2 // slack 2: tolerated
+	cur["BenchmarkB"]["B/op"] = 1 << 20
+	regs := gate(t, gated, baseRun(), cur)
 	if len(regs) != 1 || regs[0].Name != "BenchmarkA" || regs[0].Kind != "allocs/op" {
 		t.Fatalf("want one allocs/op regression on BenchmarkA, got %v", regs)
 	}
-	cur.Records[1].AllocsPerOp = 3 // now past its slack
-	if regs := Gate(base, cur, 0.10); len(regs) != 2 {
+	cur["BenchmarkB"]["allocs/op"] = 3 // now past its slack
+	if regs := gate(t, gated, baseRun(), cur); len(regs) != 2 {
 		t.Fatalf("want both benches flagged, got %v", regs)
 	}
 }
@@ -45,19 +104,17 @@ func TestGateAllocRegression(t *testing.T) {
 // (every number doubled, including the spin) must pass, a genuinely
 // slower benchmark must fail.
 func TestGateTimeNormalization(t *testing.T) {
-	base := baseSuite()
-	slowMachine := baseSuite()
-	slowMachine.CalibrationNs *= 2
-	for i := range slowMachine.Records {
-		slowMachine.Records[i].NsPerOp *= 2
+	slowMachine := baseRun()
+	for _, rec := range slowMachine {
+		rec["ns/op"] *= 2
 	}
-	if regs := Gate(base, slowMachine, 0.10); len(regs) != 0 {
+	if regs := gate(t, gated, baseRun(), slowMachine); len(regs) != 0 {
 		t.Fatalf("uniformly slower machine should pass the normalized gate, got %v", regs)
 	}
 
-	slowBench := baseSuite()
-	slowBench.Records[0].NsPerOp *= 1.25
-	regs := Gate(base, slowBench, 0.10)
+	slowBench := baseRun()
+	slowBench["BenchmarkA"]["ns/op"] *= 1.25
+	regs := gate(t, gated, baseRun(), slowBench)
 	if len(regs) != 1 || regs[0].Kind != "time/op" {
 		t.Fatalf("want one time/op regression, got %v", regs)
 	}
@@ -66,156 +123,82 @@ func TestGateTimeNormalization(t *testing.T) {
 	}
 }
 
-// A record's TimeSlack widens its own time tolerance without touching
+// A bench's TimeSlack widens its own time tolerance without touching
 // the others — the escape hatch for latency-bound microbenches the
 // calibration spin normalizes poorly.
 func TestGateTimeSlackPerRecord(t *testing.T) {
-	base := baseSuite()
-	base.Records[0].TimeSlack = 0.50
-	cur := baseSuite()
-	cur.Records[0].NsPerOp *= 1.4 // within 10%+50%
-	cur.Records[1].NsPerOp *= 1.4 // past plain 10%
-	regs := Gate(base, cur, 0.10)
+	benches := []Bench{{Name: "BenchmarkA", TimeSlack: 0.50}, {Name: "BenchmarkB"}}
+	cur := baseRun()
+	cur["BenchmarkA"]["ns/op"] *= 1.4 // within 10%+50%
+	cur["BenchmarkB"]["ns/op"] *= 1.4 // past plain 10%
+	regs := gate(t, benches, baseRun(), cur)
 	if len(regs) != 1 || regs[0].Name != "BenchmarkB" || regs[0].Kind != "time/op" {
 		t.Fatalf("want only BenchmarkB flagged, got %v", regs)
 	}
 }
 
-// Without calibration (a hand-rolled or historical suite) time is
-// informational only; allocs still gate.
-func TestGateSkipsTimeWithoutCalibration(t *testing.T) {
-	base := baseSuite()
-	base.CalibrationNs = 0
-	cur := baseSuite()
-	cur.Records[0].NsPerOp *= 10
-	if regs := Gate(base, cur, 0.10); len(regs) != 0 {
-		t.Fatalf("time gate should be skipped without calibration, got %v", regs)
-	}
-}
-
 func TestGateMissingBench(t *testing.T) {
-	base := baseSuite()
-	cur := baseSuite()
-	cur.Records = cur.Records[:1]
-	regs := Gate(base, cur, 0.10)
+	cur := baseRun()
+	delete(cur, "BenchmarkB")
+	regs := gate(t, gated, baseRun(), cur)
 	if len(regs) != 1 || regs[0].Kind != "missing" || regs[0].Name != "BenchmarkB" {
 		t.Fatalf("want BenchmarkB flagged missing, got %v", regs)
 	}
-}
-
-func TestBaselineRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "bench.json")
-	before := baseSuite()
-	doc := Baseline{Note: "test", Before: &before, Suite: baseSuite()}
-	if err := doc.Write(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Note != "test" || back.Before == nil || len(back.Suite.Records) != 2 {
-		t.Fatalf("round trip lost data: %+v", back)
-	}
-	if !reflect.DeepEqual(back.Suite.Records[0], doc.Suite.Records[0]) {
-		t.Fatalf("record changed: %+v vs %+v", back.Suite.Records[0], doc.Suite.Records[0])
+	if !strings.Contains(regs[0].String(), "BenchmarkB: missing from current run") {
+		t.Errorf("regression text %q does not name the bench", regs[0])
 	}
 }
 
-func TestLoadRejectsEmpty(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "empty.json")
-	if err := (Baseline{}).Write(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(path); err == nil {
-		t.Fatal("empty baseline should be rejected")
-	}
-}
-
-func TestGoBenchText(t *testing.T) {
-	out := baseSuite().GoBenchText()
-	if !strings.Contains(out, "BenchmarkA") || !strings.Contains(out, "ns/op") || !strings.Contains(out, "allocs/op") {
-		t.Fatalf("not go-bench formatted:\n%s", out)
-	}
-	if !strings.HasPrefix(out, "goos: linux") {
-		t.Fatalf("missing goos header:\n%s", out)
-	}
-}
-
-// The tracked set must stay measurable end to end: run the cheapest
-// tracked bench through testing.Benchmark via MeasureCount's machinery. Uses
-// a tiny inline bench to keep the suite fast; the full set runs in CI's
-// bench job and via nvmbench -bench-json.
-func TestMeasureRecords(t *testing.T) {
-	if testing.Short() {
-		t.Skip("measuring spins ~2s of wall clock")
-	}
-	var sink []byte
-	s := MeasureCount([]Bench{{Name: "BenchmarkTiny", AllocSlack: 1, F: func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sink = make([]byte, 16)
+// A run or baseline the gate cannot judge is an error that names what
+// is missing, never a silent pass: without the calibration spin there
+// is no time gate, and a tracked bench the baseline lacks has no pin.
+func TestGateRequiresCalibrationAndPins(t *testing.T) {
+	noCal := baseRun()
+	delete(noCal, CalibrationName)
+	for name, tc := range map[string]struct{ base, cur Run }{
+		"baseline":    {noCal, baseRun()},
+		"current run": {baseRun(), noCal},
+	} {
+		_, err := Gate(gated, tc.base, tc.cur)
+		if err == nil || !strings.Contains(err.Error(), name+" has no "+CalibrationName) {
+			t.Errorf("%s without calibration: error = %v", name, err)
 		}
-	}}}, 1)
-	_ = sink
-	if s.CalibrationNs <= 0 {
-		t.Fatalf("calibration = %v, want > 0", s.CalibrationNs)
 	}
-	if len(s.Records) != 1 || s.Records[0].Name != "BenchmarkTiny" {
-		t.Fatalf("records = %+v", s.Records)
-	}
-	r := s.Records[0]
-	if r.Iterations <= 0 || r.NsPerOp <= 0 || r.AllocsPerOp != 1 || r.AllocSlack != 1 {
-		t.Fatalf("record = %+v", r)
+	_, err := Gate(append(gated, Bench{Name: "BenchmarkC"}), baseRun(), baseRun())
+	if err == nil || !strings.Contains(err.Error(), "baseline has no BenchmarkC") {
+		t.Errorf("baseline without a tracked bench: error = %v", err)
 	}
 }
 
 func TestTrackedWellFormed(t *testing.T) {
 	seen := map[string]bool{}
 	for _, b := range Tracked() {
-		if b.Name == "" || b.F == nil {
-			t.Fatalf("malformed tracked bench %+v", b)
-		}
 		if !strings.HasPrefix(b.Name, "Benchmark") {
-			t.Errorf("%s: tracked names must match go test -bench output", b.Name)
+			t.Errorf("%q: tracked names must match go test -bench output", b.Name)
 		}
-		if seen[b.Name] {
+		if b.Name == CalibrationName || seen[b.Name] {
 			t.Errorf("duplicate tracked bench %s", b.Name)
 		}
 		seen[b.Name] = true
 	}
 }
 
-// Extras gate like time/op: calibration-normalized, under the record's
-// TimeSlack, and a vanished extra is flagged missing.
+// Extras gate like time/op: calibration-normalized, under the bench's
+// TimeSlack, and a vanished extra is flagged missing. Extras without
+// the "_ns" suffix are informational.
 func TestGateExtras(t *testing.T) {
-	base := Suite{
-		CalibrationNs: 1000,
-		Records: []Record{{
-			Name: "BenchmarkLoad", NsPerOp: 500,
-			Extras: map[string]float64{"p99_first_point_ns": 2e6},
-		}},
+	benches := []Bench{{Name: "BenchmarkLoad"}}
+	run := func(cal, ns, p99, pps float64) Run {
+		return Run{
+			CalibrationName: {"ns/op": cal},
+			"BenchmarkLoad": {"ns/op": ns, "p99_first_point_ns": p99, "points_per_sec": pps},
+		}
 	}
-	ok := Suite{
-		CalibrationNs: 1000,
-		Records: []Record{{
-			Name: "BenchmarkLoad", NsPerOp: 500,
-			Extras: map[string]float64{"p99_first_point_ns": 2.1e6},
-		}},
-	}
-	if regs := Gate(base, ok, 0.10); len(regs) != 0 {
+	base := run(1000, 500, 2e6, 100)
+	if regs := gate(t, benches, base, run(1000, 500, 2.1e6, 10)); len(regs) != 0 {
 		t.Fatalf("5%% extra drift within tolerance flagged: %v", regs)
 	}
-	slow := Suite{
-		CalibrationNs: 1000,
-		Records: []Record{{
-			Name: "BenchmarkLoad", NsPerOp: 500,
-			Extras: map[string]float64{"p99_first_point_ns": 3e6},
-		}},
-	}
-	regs := Gate(base, slow, 0.10)
+	regs := gate(t, benches, base, run(1000, 500, 3e6, 100))
 	if len(regs) != 1 || regs[0].Kind != "extra:p99_first_point_ns" {
 		t.Fatalf("50%% extra regression not flagged: %v", regs)
 	}
@@ -224,21 +207,12 @@ func TestGateExtras(t *testing.T) {
 	}
 	// A faster calibration spin on the current host excuses a
 	// proportionally slower raw number.
-	fast := Suite{
-		CalibrationNs: 2000,
-		Records: []Record{{
-			Name: "BenchmarkLoad", NsPerOp: 1000,
-			Extras: map[string]float64{"p99_first_point_ns": 4e6},
-		}},
-	}
-	if regs := Gate(base, fast, 0.10); len(regs) != 0 {
+	if regs := gate(t, benches, base, run(2000, 1000, 4e6, 100)); len(regs) != 0 {
 		t.Fatalf("normalized extra flagged: %v", regs)
 	}
-	gone := Suite{
-		CalibrationNs: 1000,
-		Records:       []Record{{Name: "BenchmarkLoad", NsPerOp: 500}},
-	}
-	regs = Gate(base, gone, 0.10)
+	gone := run(1000, 500, 0, 100)
+	delete(gone["BenchmarkLoad"], "p99_first_point_ns")
+	regs = gate(t, benches, base, gone)
 	if len(regs) != 1 || regs[0].Kind != "missing" || regs[0].Name != "BenchmarkLoad/p99_first_point_ns" {
 		t.Fatalf("dropped extra not flagged missing: %v", regs)
 	}

@@ -1,7 +1,8 @@
 // The tracked hot-path benchmark set. These definitions are the single
-// source of truth: the repo-root bench_test.go wraps them so `go test
-// -bench` measures exactly what `nvmbench -bench-json` / `-bench-gate`
-// measures.
+// source of truth: the repo-root bench_test.go wraps each body as the
+// Benchmark function of the same name, and `nvmbench -bench-gate`
+// judges that `go test -bench` run against BENCH_0.txt under the slack
+// Tracked declares.
 package benchkit
 
 import (
@@ -37,38 +38,39 @@ import (
 	"repro/internal/xrand"
 )
 
-// Tracked returns the benchmark set the committed baseline pins. Names
-// match the `go test -bench` names (with the -P suffix stripped).
+// Tracked returns the benchmark set the committed baseline pins, with
+// the only copy of each bench's alloc and time slack. Names match the
+// `go test -bench` names (with the -P suffix stripped).
 func Tracked() []Bench {
 	return []Bench{
 		// Scheduling-independent point count (216 misses) but the shard
 		// maps have growth points; leave a little slack.
-		{Name: "BenchmarkScenarioSequential", AllocSlack: 8, F: ScenarioSequential},
+		{Name: "BenchmarkScenarioSequential", AllocSlack: 8},
 		// Racing workers can duplicate singleflight entries, and wall time
 		// under GOMAXPROCS fan-out swings with scheduler/neighbour noise
 		// the single-threaded calibration spin cannot see.
-		{Name: "BenchmarkScenarioParallel", AllocSlack: 32, TimeSlack: 0.25, F: ScenarioParallel},
+		{Name: "BenchmarkScenarioParallel", AllocSlack: 32, TimeSlack: 0.25},
 		// WPQ pending-set map churn has rare growth points.
-		{Name: "BenchmarkAddrsimCrossval", AllocSlack: 8, F: AddrsimCrossval},
+		{Name: "BenchmarkAddrsimCrossval", AllocSlack: 8},
 		// The nanosecond-scale benches are memory-latency-bound, which the
 		// ALU calibration spin normalizes poorly across microarchitectures;
 		// their alloc budgets stay strict but time gets extra slack.
-		{Name: "BenchmarkAddressCache", AllocSlack: 0, TimeSlack: 0.50, F: AddressCache},
-		{Name: "BenchmarkTraceBuild", AllocSlack: 0, F: TraceBuild},
-		{Name: "BenchmarkEngineCacheHit", AllocSlack: 0, TimeSlack: 0.50, F: EngineCacheHit},
+		{Name: "BenchmarkAddressCache", AllocSlack: 0, TimeSlack: 0.50},
+		{Name: "BenchmarkTraceBuild", AllocSlack: 0},
+		{Name: "BenchmarkEngineCacheHit", AllocSlack: 0, TimeSlack: 0.50},
 		// The store benches hit the filesystem, whose cost the ALU
 		// calibration spin cannot normalize across hosts; their alloc
 		// budgets carry the real gate.
-		{Name: "BenchmarkStoreOpen", AllocSlack: 32, TimeSlack: 0.50, F: StoreOpen},
-		{Name: "BenchmarkStoreReplay", AllocSlack: 32, TimeSlack: 0.50, F: StoreReplay},
-		{Name: "BenchmarkStoreAppend", AllocSlack: 64, TimeSlack: 0.50, F: StoreAppend},
-		{Name: "BenchmarkPointsStreamed", AllocSlack: 0, TimeSlack: 0.25, F: PointsStreamed},
+		{Name: "BenchmarkStoreOpen", AllocSlack: 32, TimeSlack: 0.50},
+		{Name: "BenchmarkStoreReplay", AllocSlack: 32, TimeSlack: 0.50},
+		{Name: "BenchmarkStoreAppend", AllocSlack: 64, TimeSlack: 0.50},
+		{Name: "BenchmarkPointsStreamed", AllocSlack: 0, TimeSlack: 0.25},
 		// One plan on a single-worker engine, so its allocations nearly
 		// repeat (20,180-20,181 over runs). The slack stays below what
 		// refitting one unchanged group costs (a leave-one-out ensemble
 		// of a dozen fits, ~250 allocations), so refitting unchanged
 		// groups or allocating per prediction still fails the gate.
-		{Name: "BenchmarkPlanResolve", AllocSlack: 64, TimeSlack: 0.25, F: PlanResolve},
+		{Name: "BenchmarkPlanResolve", AllocSlack: 64, TimeSlack: 0.25},
 		// A full closed-loop traffic replay: hundreds of concurrent
 		// sessions whose goroutine scheduling moves both wall time and
 		// allocation count, and whose gated extra (the critical-class p99
@@ -78,7 +80,7 @@ func Tracked() []Bench {
 		// carry generous slack: the metric is pinned to catch
 		// order-of-magnitude serving regressions (stream stalls, lost
 		// wakeups, poll-loop delays), not percent-level drift.
-		{Name: "BenchmarkTrafficBursty", AllocSlack: 1 << 14, TimeSlack: 1.50, F: TrafficBursty},
+		{Name: "BenchmarkTrafficBursty", AllocSlack: 1 << 14, TimeSlack: 1.50},
 		// A full fleet dispatch round per op: HTTP long-polls, JSON chunk
 		// and result bodies, and four worker goroutines' scheduling all
 		// allocate, so the budget is a documented envelope (the true
@@ -86,20 +88,20 @@ func Tracked() []Bench {
 		// internal/fleet's 0-alloc test), and wall time over loopback HTTP
 		// swings with the network stack — generous slack, gate catches
 		// order-of-magnitude dispatch regressions.
-		{Name: "BenchmarkFleetScheduler", AllocSlack: 1 << 14, TimeSlack: 1.50, F: FleetScheduler},
+		{Name: "BenchmarkFleetScheduler", AllocSlack: 1 << 14, TimeSlack: 1.50},
 		// The 100k-scale dispatch shape at benchmark-friendly size: a
 		// 4096-point cold sweep through the windowed scheduler and the
 		// batched, compressed result path. Same envelope rationale as
 		// FleetScheduler, scaled by the 64x larger op; the gated extra
 		// per_point_ns pins dispatch cost per point, points_per_sec is
 		// the informational headline.
-		{Name: "BenchmarkFleetDispatchWindowed", AllocSlack: 1 << 17, TimeSlack: 1.50, F: FleetDispatchWindowed},
+		{Name: "BenchmarkFleetDispatchWindowed", AllocSlack: 1 << 17, TimeSlack: 1.50},
 		// Pure wire-format cost: serializing a coalesced 256-point result
 		// batch the way workers post it. CPU-bound (JSON + gzip), so the
 		// calibration spin normalizes it well; the bytes_per_point_*
 		// extras are informational (lower is better — the gate must not
 		// read a smaller payload as a regression).
-		{Name: "BenchmarkFleetWirePoint", AllocSlack: 32, TimeSlack: 0.25, F: FleetWirePoint},
+		{Name: "BenchmarkFleetWirePoint", AllocSlack: 32, TimeSlack: 0.25},
 	}
 }
 

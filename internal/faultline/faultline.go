@@ -178,7 +178,7 @@ func ParsePlan(data []byte) (Plan, error) {
 	if err := dec.Decode(&p); err != nil {
 		return Plan{}, fmt.Errorf("faultline: parsing plan: %w", err)
 	}
-	if dec.More() {
+	if _, err := dec.Token(); err != io.EOF {
 		return Plan{}, fmt.Errorf("faultline: plan has trailing data")
 	}
 	if err := p.Validate(); err != nil {

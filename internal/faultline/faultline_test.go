@@ -35,6 +35,10 @@ func TestParsePlan(t *testing.T) {
 		`{"rules": [{"op": "write", "nth": 1, "kind": "melt"}]}`,
 		`{"rules": [{"op": "write", "nth": 1, "kind": "delay"}]}`, // delay w/o delay_ms
 		`{"rules": [{"op": "write", "nth": 1}], "extra": true}`,   // unknown field
+		`{"rules": []}}`,        // trailing data: a stray closing brace
+		`{"rules": []}]`,        // a stray closing bracket
+		`{"rules": []} {}`,      // a second document
+		`{"rules": []} garbage`, // trailing garbage
 	}
 	for _, s := range bad {
 		if _, err := ParsePlan([]byte(s)); err == nil {

@@ -138,7 +138,7 @@ func decodeStrict(r io.Reader, v any) error {
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("fleet: decoding %T: %w", v, err)
 	}
-	if dec.More() {
+	if _, err := dec.Token(); err != io.EOF {
 		return fmt.Errorf("fleet: %T: trailing data", v)
 	}
 	return nil

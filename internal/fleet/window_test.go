@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -345,6 +346,28 @@ func TestDecodeBodyRejectsCorruptGzip(t *testing.T) {
 	var rb ResultBatch
 	if err := decodeBody(bytes.NewReader([]byte("not gzip at all")), true, &rb); err == nil {
 		t.Error("corrupt gzip stream decoded without error")
+	}
+}
+
+// decodeStrict takes exactly one document: anything after it but
+// whitespace, a stray closing delimiter included, is rejected.
+func TestDecodeStrictRejectsTrailingData(t *testing.T) {
+	for body, ok := range map[string]bool{
+		`{"worker_id":"w-1"}`:          true,
+		"{\"worker_id\":\"w-1\"}\n \t": true,
+		`{"worker_id":"w-1"}}`:         false,
+		`{"worker_id":"w-1"}]`:         false,
+		`{"worker_id":"w-1"} {}`:       false,
+		`{"worker_id":"w-1"} x`:        false,
+	} {
+		var hb Heartbeat
+		err := decodeStrict(strings.NewReader(body), &hb)
+		if ok && (err != nil || hb.WorkerID != "w-1") {
+			t.Errorf("decodeStrict(%q) = %v, %+v; want w-1", body, err, hb)
+		}
+		if !ok && (err == nil || !strings.Contains(err.Error(), "trailing data")) {
+			t.Errorf("decodeStrict(%q) error = %v, want trailing data", body, err)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package traffic
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -40,6 +41,9 @@ func ParseSpec(data []byte, src string) (Spec, error) {
 	if err := dec.Decode(&s); err != nil {
 		return Spec{}, specError(data, src, err)
 	}
+	if rest := bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
+		return Spec{}, positioned(data, src, int64(len(data)-len(rest)), errors.New("trailing data after the spec"))
+	}
 	if err := s.Validate(); err != nil {
 		return Spec{}, fmt.Errorf("%s: %w", src, err)
 	}
@@ -62,6 +66,12 @@ func specError(data []byte, src string, err error) error {
 			}
 		}
 	}
+	return positioned(data, src, off, err)
+}
+
+// positioned prefixes err with src and, when off is a byte offset into
+// data, its line:col.
+func positioned(data []byte, src string, off int64, err error) error {
 	if off < 0 || off > int64(len(data)) {
 		return fmt.Errorf("%s: %w", src, err)
 	}

@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -112,6 +113,30 @@ func TestParseErrorCarriesPosition(t *testing.T) {
 	_, err := ParseSpec(data, "bad.json")
 	if err == nil || !strings.Contains(err.Error(), "bad.json:3:") {
 		t.Fatalf("error = %v, want a bad.json:3:<col> position", err)
+	}
+}
+
+// ParseSpec takes exactly one document: anything after it but
+// whitespace is rejected at its file:line:col.
+func TestParseRejectsTrailingData(t *testing.T) {
+	valid, err := Encode(Presets()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := bytes.Count(valid, []byte("\n")) + 1 // the line after the spec
+	if _, err := ParseSpec(append(valid, " \n\t\r\n"...), "ok.json"); err != nil {
+		t.Fatalf("trailing whitespace rejected: %v", err)
+	}
+	for _, tail := range []string{"garbage", "{}", "}", "]", "  \n{}"} {
+		_, err := ParseSpec(append(valid[:len(valid):len(valid)], tail...), "bad.json")
+		line, col := next, 1
+		if tail == "  \n{}" {
+			line++
+		}
+		want := fmt.Sprintf("bad.json:%d:%d: trailing data after the spec", line, col)
+		if err == nil || err.Error() != want {
+			t.Errorf("tail %q: error = %v, want %q", tail, err, want)
+		}
 	}
 }
 
