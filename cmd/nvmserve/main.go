@@ -13,9 +13,10 @@
 //
 // Fleet: with -fleet the daemon becomes a coordinator — it additionally
 // mounts the /fleet/v1/* worker endpoints, and sweep/plan batches are
-// sharded into chunks dispatched across joined workers (work-stealing,
-// heartbeat-based failure recovery; with no workers joined everything
-// runs locally, byte-for-byte identical). With -worker -join <url> the
+// sharded into chunks that joined workers pull (a worker holds at most
+// four in flight; heartbeat-based failure recovery re-queues a dead
+// worker's chunks whole; with no workers joined everything runs
+// locally, byte-for-byte identical). With -worker -join <url> the
 // process runs no HTTP server at all: it registers with the named
 // coordinator, pulls chunks, evaluates them on its own engine (its
 // -store is the worker-local cache), and posts results back. A worker
@@ -102,7 +103,6 @@ func main() {
 	join := flag.String("join", "", "coordinator base URL for -worker (e.g. http://127.0.0.1:8080)")
 	workerName := flag.String("worker-name", "", "worker label in the coordinator's health report (default host:pid)")
 	heartbeat := flag.Duration("fleet-heartbeat", fleet.DefaultHeartbeat, "coordinator: worker heartbeat cadence; a worker silent for 4x this is declared dead and its chunks re-queue")
-	fleetWindow := flag.Int("fleet-window", fleet.DefaultWindow, "coordinator: per-worker dispatch window — at most this many chunks queued-or-in-flight per live worker; chunk bookkeeping stays O(workers x window) regardless of sweep size")
 	workerDelay := flag.Duration("worker-delay", 0, "worker: deterministic extra latency per evaluated point — scheduler drills and CI smoke only")
 	flag.Parse()
 
@@ -140,7 +140,6 @@ func main() {
 		drain:       *drain,
 		fleet:       *fleetMode,
 		heartbeat:   *heartbeat,
-		fleetWindow: *fleetWindow,
 	})
 	if err != nil {
 		fatal(err)
@@ -158,7 +157,6 @@ type serveConfig struct {
 	drain       time.Duration
 	fleet       bool
 	heartbeat   time.Duration
-	fleetWindow int
 }
 
 // serve runs the daemon on l until ctx is cancelled, then shuts it down
@@ -193,9 +191,9 @@ func serve(ctx context.Context, l net.Listener, cfg serveConfig) error {
 	mgr.SetRetain(cfg.retain)
 	var coord *fleet.Coordinator
 	if cfg.fleet {
-		coord = fleet.New(eng, fleet.Options{Heartbeat: cfg.heartbeat, Window: cfg.fleetWindow})
+		coord = fleet.New(eng, fleet.Options{Heartbeat: cfg.heartbeat})
 		mgr.SetExecutor(coord)
-		fmt.Printf("nvmserve: coordinator mode (heartbeat %s, window %d)\n", cfg.heartbeat, cfg.fleetWindow)
+		fmt.Printf("nvmserve: coordinator mode (heartbeat %s)\n", cfg.heartbeat)
 	}
 	srv := &http.Server{Handler: (&server{
 		mgr:         mgr,

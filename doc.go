@@ -76,10 +76,10 @@
 // The stack also scales past one machine: internal/fleet federates
 // nvmserve daemons into a coordinator/worker cluster behind the same
 // public API. The coordinator plugs into session.Manager as its batch
-// executor, shards sweep and plan batches into chunks, and dispatches
-// them over a strict-JSON HTTP protocol to workers (nvmserve -worker
-// -join) with pull-based work-stealing and deterministic round-robin
-// placement; the fingerprint-keyed result store is the fleet-wide
+// executor, and workers (nvmserve -worker -join) pull chunks of sweep
+// and plan batches over a strict-JSON HTTP protocol, each chunk carved
+// when a worker asks for it, at most four in flight per worker; the
+// fingerprint-keyed result store is the fleet-wide
 // dedup tier, so only cold points travel and concurrent identical
 // points coalesce. Streams, ordering, cancellation and error text are
 // byte-identical to a local run; a worker killed mid-sweep has its

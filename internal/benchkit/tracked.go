@@ -83,11 +83,9 @@ func Tracked() []Bench {
 		{Name: "BenchmarkTrafficBursty", AllocSlack: 1 << 14, TimeSlack: 1.50},
 		// A full fleet dispatch round per op: HTTP long-polls, JSON chunk
 		// and result bodies, and four worker goroutines' scheduling all
-		// allocate, so the budget is a documented envelope (the true
-		// zero-alloc contract lives on the chunk-queue hot path, pinned by
-		// internal/fleet's 0-alloc test), and wall time over loopback HTTP
-		// swings with the network stack — generous slack, gate catches
-		// order-of-magnitude dispatch regressions.
+		// allocate, so the budget is a documented envelope, and wall time
+		// over loopback HTTP swings with the network stack — generous
+		// slack, gate catches order-of-magnitude dispatch regressions.
 		{Name: "BenchmarkFleetScheduler", AllocSlack: 1 << 14, TimeSlack: 1.50},
 		// The 100k-scale dispatch shape at benchmark-friendly size: a
 		// 4096-point cold sweep through the windowed scheduler and the

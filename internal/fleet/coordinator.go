@@ -32,11 +32,6 @@ type Options struct {
 	// Heartbeat, Poll override the default cadence (zero keeps each
 	// default).
 	Heartbeat, Poll time.Duration
-	// Window is the per-worker dispatch window: at most this many
-	// chunks queued-or-in-flight per live worker before the scheduler
-	// stops carving (zero means DefaultWindow). Coordinator chunk
-	// bookkeeping is O(workers × Window), independent of sweep size.
-	Window int
 }
 
 // Coordinator is the fleet's dispatch side: a session.Executor that
@@ -88,7 +83,7 @@ func New(eng *engine.Engine, opts Options) *Coordinator {
 	}
 	c := &Coordinator{
 		eng:     eng,
-		sched:   newScheduler(opts.Heartbeat, opts.Poll, opts.Window, time.Now),
+		sched:   newScheduler(opts.Heartbeat, opts.Poll, time.Now),
 		flights: make(map[resultstore.Key]*flight),
 		stop:    make(chan struct{}),
 	}
@@ -121,8 +116,8 @@ func (c *Coordinator) Engine() *engine.Engine { return c.eng }
 // Workers reports the live worker count.
 func (c *Coordinator) Workers() int { return c.sched.liveCount() }
 
-// Stats snapshots the fleet health block: membership, chunk flow, and
-// the local/remote point split.
+// CoordinatorStats is the fleet health block: the scheduler's
+// membership and chunk-flow counters plus the local/remote point split.
 type CoordinatorStats struct {
 	Stats
 	// PointsLocal counts points served by the coordinator itself (store
@@ -144,6 +139,7 @@ type CoordinatorStats struct {
 	ResultBytesWire uint64 `json:"result_bytes_wire"`
 }
 
+// Stats snapshots the fleet health block.
 func (c *Coordinator) Stats() CoordinatorStats {
 	return CoordinatorStats{
 		Stats:           c.sched.stats(),
@@ -163,7 +159,7 @@ func (c *Coordinator) FleetStats() FleetStats {
 	rows, medMS := c.sched.health()
 	return FleetStats{
 		CoordinatorStats: c.Stats(),
-		Window:           c.sched.window,
+		Window:           maxWorkChunks,
 		StragglerFactor:  DefaultStragglerFactor,
 		MedianP50PointMS: medMS,
 		PerWorker:        rows,
@@ -227,13 +223,13 @@ func (b *batch) settle(pos int, res workload.Result, err error) {
 }
 
 // chunkTarget is the cold-start chunk size: points spread four chunks
-// deep per live worker — enough granularity for stealing to rebalance,
-// few enough that the per-chunk HTTP round trip amortizes. The clamp
-// is maxChunkPoints (256): the scheduler carves lazily, at most window
-// chunks per worker, so a larger chunk costs no coordinator memory and
-// saves round trips. Once a worker's throughput is measured, the
-// adaptive sizer (scheduler.sizeFor) takes over and this formula is
-// just the seed.
+// deep per live worker — enough granularity for the pulls to spread
+// the batch over the fleet, few enough that the per-chunk HTTP round
+// trip amortizes. The clamp is maxChunkPoints (256): pulls carve
+// lazily, at most maxWorkChunks per worker, so a larger chunk costs no
+// coordinator memory and saves round trips. Once a worker's throughput
+// is measured, the adaptive sizer (scheduler.sizeFor) takes over and
+// this formula is just the seed.
 func chunkTarget(points, workers int) int {
 	if workers < 1 {
 		workers = 1
@@ -347,8 +343,8 @@ func (c *Coordinator) ExecuteBatch(ctx context.Context, sp scenario.Spec, jobs [
 	// locally), already dispatched by a concurrent batch (park on its
 	// flight), dispatchable (feed the chunk source), or
 	// wire-inexpressible (local). The dispatch set is kept as
-	// contiguous expansion-index runs, not chunk structs: the scheduler
-	// carves chunks from it lazily as workers drain their windows.
+	// contiguous expansion-index runs, not chunk structs: workers' pulls
+	// carve chunks from it lazily.
 	var local []int   // batch positions served here
 	var runs []span   // dispatchable expansion indexes, compressed
 	var dispExp []int // non-identity only: dispatched expansion indexes
@@ -632,11 +628,6 @@ func (c *Coordinator) handleLeave(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// maxWorkChunks caps how many chunks one work response carries. Their
-// results come back as one coalesced post, so a deeper pull amortizes
-// both directions of the round trip when the worker's queue is deep.
-const maxWorkChunks = 4
-
 func (c *Coordinator) handleWork(w http.ResponseWriter, r *http.Request) {
 	var req WorkRequest
 	if err := decodeStrict(r.Body, &req); err != nil {
@@ -690,8 +681,8 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 
 // writeJSON writes v as JSON, gzip-compressing through the pooled
 // writer when the client advertised Accept-Encoding: gzip and the body
-// clears the compression floor — this is what lets a deep-queue
-// multi-chunk work response travel cheaply. Go's default HTTP
+// clears the compression floor — this is what lets a multi-chunk work
+// response travel cheaply. Go's default HTTP
 // transport always advertises gzip and decompresses transparently, so
 // workers need no code for it.
 func writeJSON(w http.ResponseWriter, r *http.Request, v any) {

@@ -20,32 +20,32 @@
 // Dispatch is windowed so sweeps scale to 100k+ points: instead of
 // sharding a batch into all its chunks upfront, the coordinator
 // registers one chunkSource per batch (the remaining expansion-index
-// runs) and carves chunks lazily, keeping at most Window (default 4)
-// chunks queued-or-in-flight per live worker — chunk bookkeeping is
-// O(workers x window) regardless of sweep size. Chunk size adapts per
-// worker: an EWMA of measured points/sec (workers self-report
-// elapsed_us per chunk) sizes the next carve to ~4 poll windows of
-// that worker's throughput, clamped to [1, 256] with a tail guard;
-// the static formula only seeds the cold start. Workers pull up to 4
-// chunks per long-poll and post results coalesced and gzip-compressed
-// (pooled buffers and encoders) to /fleet/v1/results. Coordinator and
-// workers ship as one binary and speak one ProtocolVersion: a join
-// carrying any other version is refused with 409 Conflict, and a
-// refused worker's Run returns the refusal instead of retrying. GET
-// /fleet/v1/stats exposes the straggler/saturation analyzer:
-// per-worker throughput, queue depth, last chunk size and p50/p95
-// per-point latency, with workers beyond DefaultStragglerFactor x the
-// fleet median p50 flagged as stragglers.
+// runs), and a worker's pull carves the next chunks from it, never
+// leaving that worker more than 4 in flight (maxWorkChunks) — chunk
+// bookkeeping is O(workers x 4) regardless of sweep size. Chunk size
+// adapts per worker: an EWMA of measured points/sec (workers
+// self-report elapsed_us per chunk) sizes the next carve to ~4 poll
+// windows of that worker's throughput, clamped to [1, 256] with a tail
+// guard; the static formula only seeds the cold start. Workers pull up
+// to 4 chunks per long-poll and post results coalesced and
+// gzip-compressed (pooled buffers and encoders) to /fleet/v1/results.
+// Coordinator and workers ship as one binary and speak one
+// ProtocolVersion: a join carrying any other version is refused with
+// 409 Conflict, and a refused worker's Run returns the refusal instead
+// of retrying. GET /fleet/v1/stats exposes the straggler/saturation
+// analyzer: per-worker throughput, in-flight chunks, last chunk size
+// and p50/p95 per-point latency, with workers beyond
+// DefaultStragglerFactor x the fleet median p50 flagged as stragglers.
 //
-// Scheduling is pull-based work-stealing. Chunks are assigned
-// round-robin over the live workers in join order — a deterministic
-// placement, pinned by the scheduler's assignment trace — and each
-// worker long-polls /fleet/v1/work for the front of its own queue.
-// An idle worker whose queue is empty steals the newest chunk from the
-// back of the longest live queue, so a straggler sheds the work it has
-// not started. Workers heartbeat; one that goes silent past the dead
-// interval has its queued and in-flight chunks re-queued whole to the
-// survivors (points are pure and commits are singleflight, so a zombie
+// Scheduling is carve on pull: a worker's long-poll on /fleet/v1/work
+// is the only place chunks are created and handed out. It first takes
+// the chunks re-queued from dead or departed workers, oldest first,
+// then carves fresh ones sized for the puller from the front batch.
+// Nothing is pre-assigned, so there is nothing to rebalance: a fast
+// worker simply comes back for more sooner, and a straggler holds only
+// what it pulled. Workers heartbeat; one that goes silent past the
+// dead interval has its in-flight chunks re-queued whole for the next
+// pull (points are pure and commits are singleflight, so a zombie
 // worker's late result is simply discarded). With no live workers the
 // coordinator reclaims its chunks and evaluates locally — a fleet of
 // zero degenerates to exactly the single-process path.

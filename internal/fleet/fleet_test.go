@@ -223,7 +223,7 @@ func TestFleetPlanByteIdenticalToLocal(t *testing.T) {
 
 // killableTransport severs a worker's link mid-run: it dies on the
 // Nth result post (and every request after), so the worker is
-// guaranteed to be holding an undeliverable in-flight chunk — exactly
+// guaranteed to be holding undeliverable in-flight chunks — exactly
 // what the coordinator sees when a worker process is killed mid-chunk.
 type killableTransport struct {
 	killAt  int64 // die on this result post
@@ -242,19 +242,15 @@ func (k *killableTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 	return k.base.RoundTrip(r)
 }
 
-// Killing a worker mid-sweep re-queues its chunks whole onto the
+// Killing a worker mid-sweep re-queues its chunks whole for the
 // survivors, and the client-visible stream is byte-identical to the
 // single-process run — the acceptance criterion's golden comparison.
 func TestFleetWorkerKillMidSweepByteIdentical(t *testing.T) {
-	// Window 1 keeps the worker on one chunk per pull (and so one post
-	// per chunk), which is what lets the kill land between deliveries.
-	opts := tightOpts()
-	opts.Window = 1
-	f := startFleet(t, 0, opts, 0)
-	// The doomed worker's link dies on its second result post: one chunk
-	// lands, the next is evaluated but undeliverable — an in-flight
-	// chunk the coordinator must re-queue whole.
-	kt := &killableTransport{killAt: 2, base: http.DefaultTransport}
+	f := startFleet(t, 0, tightOpts(), 0)
+	// The doomed worker's link dies on its first result post: the chunks
+	// of its first pull are evaluated but undeliverable — in-flight
+	// chunks the coordinator must re-queue whole.
+	kt := &killableTransport{killAt: 1, base: http.DefaultTransport}
 	f.addWorker(t, "doomed", 5*time.Millisecond, &http.Client{Transport: kt})
 	f.waitWorkers(t, 1)
 
@@ -268,8 +264,8 @@ func TestFleetWorkerKillMidSweepByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Once the link is severed, bring up the survivor that inherits the
-	// queued chunks (steal) and the dead worker's in-flight one (requeue).
+	// Once the link is severed, bring up the survivor that pulls the dead
+	// worker's re-queued chunks and carves the rest.
 	deadline := time.Now().Add(10 * time.Second)
 	for !kt.dead.Load() {
 		if time.Now().After(deadline) {

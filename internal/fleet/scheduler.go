@@ -15,19 +15,19 @@ type chunk struct {
 	b       *batch
 	indexes []int
 	// resolved flips when the chunk's results have been accepted (or
-	// its batch dropped); copies still sitting in a queue after a
-	// requeue race are lazily skipped.
+	// its batch dropped); a resolved chunk leaves the requeue, and one
+	// still in a worker's in-flight set is not re-queued when that
+	// worker goes.
 	resolved bool
 }
 
 // workerState is the scheduler's view of one registered worker.
 type workerState struct {
-	id     string
-	name   string
-	joined int // join sequence, the round-robin and steal tiebreak order
-	queue  chunkQueue
+	id   string
+	name string
 	// inflight holds chunks pulled but not yet resolved, keyed by chunk
-	// id — what gets re-queued whole if the worker goes silent.
+	// id — at most maxWorkChunks, re-queued whole if the worker goes
+	// silent or leaves.
 	inflight map[uint64]*chunk
 	lastBeat time.Time
 
@@ -41,37 +41,25 @@ type workerState struct {
 	lastChunkSize int
 }
 
-// Assignment is one entry of the scheduler's placement trace: which
-// worker a chunk went to, and how. Kind is "assign" (round-robin
-// placement), "steal" (an idle worker took it from the back of the
-// victim's queue) or "requeue" (re-placed after its worker died or
-// left). The trace is the determinism contract's witness: the same
-// batch against the same worker set yields the identical assign
-// sequence (see EnableTrace and the scheduler tests).
-type Assignment struct {
-	Chunk  uint64
-	Worker string
-	Kind   string
-}
-
 // Stats is the coordinator's health-report block: fleet membership and
 // chunk-flow counters.
 type Stats struct {
-	Workers  int `json:"workers"` // live registrations
-	Dead     int `json:"dead"`    // cumulative reaped (heartbeat silence)
-	Left     int `json:"left"`    // cumulative graceful leaves
+	Workers int `json:"workers"` // live registrations
+	Dead    int `json:"dead"`    // cumulative reaped (heartbeat silence)
+	Left    int `json:"left"`    // cumulative graceful leaves
+	// Pending counts chunks re-queued from dead or departed workers
+	// that wait for a pull; InFlight the chunks live workers hold.
 	Pending  int `json:"chunks_pending"`
 	InFlight int `json:"chunks_in_flight"`
 
 	Dispatched uint64 `json:"chunks_dispatched"`
 	Completed  uint64 `json:"chunks_completed"`
-	Stolen     uint64 `json:"chunks_stolen"`
 	Requeued   uint64 `json:"chunks_requeued"`
 
 	// ChunksLive / ChunksLiveMax count materialized-but-unresolved chunk
-	// structs (now / high-water): with windowed dispatch the max stays
-	// O(workers × window) no matter how many points a batch holds — the
-	// bound the 100k-point counter test asserts.
+	// structs (now / high-water): chunks are carved only on a pull, so
+	// the max stays O(workers × maxWorkChunks) no matter how many points
+	// a batch holds — the bound the 100k-point counter test asserts.
 	ChunksLive    int `json:"chunks_live"`
 	ChunksLiveMax int `json:"chunks_live_max"`
 	// Stragglers counts live workers currently flagged by the analyzer
@@ -84,15 +72,16 @@ type Stats struct {
 // rejoin (its chunks were re-queued when it was declared dead).
 var errUnknownWorker = fmt.Errorf("fleet: unknown worker")
 
-// scheduler is the coordinator's chunk placement state: per-worker
-// deques, the orphan queue (chunks with no live worker to hold them),
-// and the pull/steal/requeue machinery. One mutex guards it all —
-// operations are map/deque manipulations, never evaluation.
+// scheduler is the coordinator's chunk dispatch state. A worker's pull
+// is the only place chunks are created and handed out: it first takes
+// chunks re-queued from dead or departed workers, then carves fresh
+// ones from the front batch's chunkSource, never leaving the worker
+// more than maxWorkChunks in flight. One mutex guards it all —
+// operations are map and slice manipulations, never evaluation.
 type scheduler struct {
 	heartbeat time.Duration
 	deadAfter time.Duration // 4 × heartbeat
 	poll      time.Duration
-	window    int // max queued+in-flight chunks per worker
 	now       func() time.Time
 
 	mu   sync.Mutex
@@ -102,36 +91,30 @@ type scheduler struct {
 
 	workers map[string]*workerState
 	order   []*workerState // live workers in join order
-	rr      int            // round-robin requeue cursor
-	orphans chunkQueue
+	// requeue holds the chunks of dead or departed workers in chunk-id
+	// order (oldest first); pulls take them before carving fresh ones.
+	requeue []*chunk
 	// sources are the active batches' lazy chunk cursors, registration
-	// order; refill carves from the front one until it runs dry.
+	// order; pulls carve from the front one until it runs dry.
 	sources []*chunkSource
 	// outstanding tracks every unresolved chunk by id, wherever it
 	// sits, so a result can be accepted from any worker (including a
 	// zombie whose chunk was already re-queued but not yet recomputed).
 	outstanding map[uint64]*chunk
 	// chunksLive / maxChunksLive count materialized unresolved chunks —
-	// the windowed-dispatch memory bound's witness.
+	// the witness of the dispatch window's memory bound.
 	chunksLive    int
 	maxChunksLive int
 
-	trace   []Assignment
-	traceOn bool
-
-	dead, left                              int
-	dispatched, completed, stolen, requeued uint64
+	dead, left                      int
+	dispatched, completed, requeued uint64
 }
 
-func newScheduler(heartbeat, poll time.Duration, window int, now func() time.Time) *scheduler {
-	if window < 1 {
-		window = DefaultWindow
-	}
+func newScheduler(heartbeat, poll time.Duration, now func() time.Time) *scheduler {
 	return &scheduler{
 		heartbeat:   heartbeat,
 		deadAfter:   4 * heartbeat,
 		poll:        poll,
-		window:      window,
 		now:         now,
 		wake:        make(chan struct{}),
 		workers:     make(map[string]*workerState),
@@ -146,28 +129,6 @@ func (s *scheduler) wakeAll() {
 	s.wake = make(chan struct{})
 }
 
-// record appends a trace entry when tracing is on. Callers hold mu.
-func (s *scheduler) record(c *chunk, w *workerState, kind string) {
-	if s.traceOn {
-		s.trace = append(s.trace, Assignment{Chunk: c.id, Worker: w.id, Kind: kind})
-	}
-}
-
-// EnableTrace turns on assignment tracing (tests); Trace snapshots it.
-func (s *scheduler) EnableTrace() {
-	s.mu.Lock()
-	s.traceOn = true
-	s.mu.Unlock()
-}
-
-func (s *scheduler) Trace() []Assignment {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Assignment, len(s.trace))
-	copy(out, s.trace)
-	return out
-}
-
 // join registers a worker and returns its assigned identity.
 func (s *scheduler) join(name string) JoinReply {
 	s.mu.Lock()
@@ -176,16 +137,11 @@ func (s *scheduler) join(name string) JoinReply {
 	w := &workerState{
 		id:       fmt.Sprintf("w-%06d", s.seq),
 		name:     name,
-		joined:   s.seq,
 		inflight: make(map[uint64]*chunk),
 		lastBeat: s.now(),
 	}
 	s.workers[w.id] = w
 	s.order = append(s.order, w)
-	// A fresh worker means carving capacity; top its window up and let
-	// idle pulls re-check.
-	s.refill()
-	s.wakeAll()
 	return JoinReply{
 		WorkerID:    w.id,
 		HeartbeatMS: s.heartbeat.Milliseconds(),
@@ -237,9 +193,8 @@ func (s *scheduler) reap() {
 	}
 }
 
-// evict removes a worker and re-queues its unresolved chunks whole —
-// queued and in-flight alike — round-robin over the survivors (the
-// orphan queue when there are none). Callers hold mu.
+// evict removes a worker and re-queues its unresolved in-flight chunks
+// whole, keeping the requeue in chunk-id order. Callers hold mu.
 func (s *scheduler) evict(w *workerState) {
 	delete(s.workers, w.id)
 	for i, o := range s.order {
@@ -248,37 +203,14 @@ func (s *scheduler) evict(w *workerState) {
 			break
 		}
 	}
-	chunks := w.queue.drain(nil)
 	for _, c := range w.inflight {
-		chunks = append(chunks, c)
-	}
-	// In-flight map iteration is unordered; requeue deterministically by
-	// chunk id so recovery placement is reproducible too.
-	sortChunks(chunks)
-	for _, c := range chunks {
-		if c.resolved {
-			continue
+		if !c.resolved {
+			s.requeued++
+			s.requeue = append(s.requeue, c)
 		}
-		s.requeued++
-		s.place(c)
 	}
-	// The survivors inherited the dead worker's chunks; top up whatever
-	// window capacity remains.
-	s.refill()
+	sortChunks(s.requeue)
 	s.wakeAll()
-}
-
-// place re-queues one chunk round-robin over the live workers in join
-// order, or parks it with the orphans. Callers hold mu.
-func (s *scheduler) place(c *chunk) {
-	if len(s.order) == 0 {
-		s.orphans.push(c)
-		return
-	}
-	w := s.order[s.rr%len(s.order)]
-	s.rr++
-	w.queue.push(c)
-	s.record(c, w, "requeue")
 }
 
 // admit assigns a fresh chunk its id and registers it outstanding,
@@ -293,39 +225,12 @@ func (s *scheduler) admit(c *chunk) {
 	}
 }
 
-// addSource registers a batch's lazy chunk cursor and carves the first
-// window of chunks.
+// addSource registers a batch's lazy chunk cursor for pulls to carve.
 func (s *scheduler) addSource(src *chunkSource) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.sources = append(s.sources, src)
-	s.refill()
 	s.wakeAll()
-}
-
-// refill tops every worker's deque up to the dispatch window, carving
-// chunks lazily from the front source. One chunk per worker per pass,
-// workers in join order: round-robin placement, interleaved with
-// completions. Callers hold mu.
-func (s *scheduler) refill() {
-	for len(s.sources) > 0 && len(s.order) > 0 {
-		progressed := false
-		for _, w := range s.order {
-			if w.queue.len()+len(w.inflight) >= s.window {
-				continue
-			}
-			c := s.carve(w)
-			if c == nil {
-				return
-			}
-			w.queue.push(c)
-			s.record(c, w, "assign")
-			progressed = true
-		}
-		if !progressed {
-			return
-		}
-	}
 }
 
 // carve materializes the next chunk for w from the first non-exhausted
@@ -350,8 +255,8 @@ func (s *scheduler) carve(w *workerState) *chunk {
 // worker's EWMA points/sec times the sizing horizon — slow workers get
 // proportionally smaller chunks. Two guards bound it: the remaining
 // work split at least two ways per live worker (so the sweep tail
-// stays stealable), and the hard [minChunkPoints, maxChunkPoints]
-// clamp. Callers hold mu.
+// stays spread over the fleet), and the hard [minChunkPoints,
+// maxChunkPoints] clamp. Callers hold mu.
 func (s *scheduler) sizeFor(w *workerState, src *chunkSource) int {
 	size := src.seed
 	if w != nil && w.ewmaPps > 0 {
@@ -372,18 +277,14 @@ func (s *scheduler) sizeFor(w *workerState, src *chunkSource) int {
 }
 
 // horizon is the wall time one adaptively sized chunk should represent:
-// a few long-poll windows, so a worker's queue outlives its round trips
+// a few long-poll windows, so a worker's pull outlives its round trips
 // without any single chunk monopolizing the tail.
 func (s *scheduler) horizon() time.Duration { return 4 * s.poll }
 
-// pullN returns up to max chunks for a worker: the front of its own
-// (window-refilled) queue, orphans, or — when all are empty — the back
-// of the longest live queue (a steal from the straggler). Only the
-// first chunk may be stolen; extras come from the worker's own share,
-// so a deep queue drains multi-chunk per long-poll without one worker
-// stripping another. With no work anywhere it parks up to the poll
-// window and retries, returning an empty slice on timeout. A pull
-// refreshes the worker's heartbeat.
+// pullN hands a worker up to max chunks (take), never leaving it more
+// than maxWorkChunks in flight. With nothing to hand out it parks up to
+// the poll window and retries, returning an empty slice on timeout. A
+// pull refreshes the worker's heartbeat.
 func (s *scheduler) pullN(ctx context.Context, id string, max int) ([]*chunk, error) {
 	timeout := time.NewTimer(s.poll)
 	defer timeout.Stop()
@@ -395,20 +296,7 @@ func (s *scheduler) pullN(ctx context.Context, id string, max int) ([]*chunk, er
 			return nil, errUnknownWorker
 		}
 		w.lastBeat = s.now()
-		s.refill()
-		if c := s.take(w); c != nil {
-			out := []*chunk{c}
-			for len(out) < max {
-				extra := s.takeOwn(w)
-				if extra == nil {
-					break
-				}
-				out = append(out, extra)
-			}
-			for _, c := range out {
-				w.inflight[c.id] = c
-				s.dispatched++
-			}
+		if out := s.take(w, max); len(out) > 0 {
 			s.mu.Unlock()
 			return out, nil
 		}
@@ -424,57 +312,58 @@ func (s *scheduler) pullN(ctx context.Context, id string, max int) ([]*chunk, er
 	}
 }
 
-// take pops the next unresolved chunk for a worker: its own share
-// (takeOwn), else a steal. Callers hold mu.
-func (s *scheduler) take(w *workerState) *chunk {
-	if c := s.takeOwn(w); c != nil {
-		return c
-	}
-	// Steal from the longest live queue, join order breaking ties — the
-	// victim keeps its front (oldest) chunks, the thief takes the back.
-	var victim *workerState
-	for _, o := range s.order {
-		if o != w && o.queue.len() > 0 && (victim == nil || o.queue.len() > victim.queue.len()) {
-			victim = o
-		}
-	}
-	if victim != nil {
-		for c := victim.queue.popBack(); c != nil; c = victim.queue.popBack() {
-			if !c.resolved {
-				s.stolen++
-				s.record(c, w, "steal")
-				return c
+// take moves up to max chunks into w's in-flight set, within its
+// maxWorkChunks cap: re-queued chunks first, oldest first, then fresh
+// carves. Callers hold mu.
+func (s *scheduler) take(w *workerState, max int) []*chunk {
+	var out []*chunk
+	for len(out) < max && len(w.inflight) < maxWorkChunks {
+		c := s.popRequeued()
+		if c == nil {
+			if c = s.carve(w); c == nil {
+				break
 			}
 		}
+		w.inflight[c.id] = c
+		s.dispatched++
+		out = append(out, c)
 	}
-	return nil
+	return out
 }
 
-// takeOwn pops the next unresolved chunk from the worker's own queue or
-// the orphans. Callers hold mu.
-func (s *scheduler) takeOwn(w *workerState) *chunk {
-	for c := w.queue.popFront(); c != nil; c = w.queue.popFront() {
+// popRequeued pops the oldest re-queued chunk, nil when there is none.
+// Callers hold mu.
+func (s *scheduler) popRequeued() *chunk {
+	if len(s.requeue) == 0 {
+		return nil
+	}
+	c := s.requeue[0]
+	s.requeue[0] = nil
+	s.requeue = s.requeue[1:]
+	return c
+}
+
+// pruneRequeue drops resolved chunks from the requeue, so it holds
+// only work still waiting for a pull. Callers hold mu.
+func (s *scheduler) pruneRequeue() {
+	kept := s.requeue[:0]
+	for _, c := range s.requeue {
 		if !c.resolved {
-			return c
+			kept = append(kept, c)
 		}
 	}
-	for c := s.orphans.popFront(); c != nil; c = s.orphans.popFront() {
-		if !c.resolved {
-			s.record(c, w, "requeue")
-			return c
-		}
-	}
-	return nil
+	clear(s.requeue[len(kept):])
+	s.requeue = kept
 }
 
 // complete accepts a chunk's results: the chunk is resolved wherever it
-// currently sits, and the posting worker's in-flight slot is cleared.
-// elapsedUS is the worker's self-reported evaluation wall time for the
-// chunk (0 for a chunk-level error, which did no work); it feeds the
-// worker's EWMA throughput and latency ring, then freed window
-// capacity is re-carved. It returns nil when the chunk is unknown or
-// already resolved (a zombie's late post after a requeue-and-recompute,
-// or a dropped batch) — the caller discards the results.
+// currently sits, the posting worker's in-flight slot is cleared, and
+// parked pulls re-check. elapsedUS is the worker's self-reported
+// evaluation wall time for the chunk (0 for a chunk-level error, which
+// did no work); it feeds the worker's EWMA throughput and latency
+// ring. It returns nil when the chunk is unknown or already resolved
+// (a zombie's late post after a requeue-and-recompute, or a dropped
+// batch) — the caller discards the results.
 func (s *scheduler) complete(workerID string, chunkID uint64, elapsedUS int64) *chunk {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -494,7 +383,7 @@ func (s *scheduler) complete(workerID string, chunkID uint64, elapsedUS int64) *
 	if w != nil {
 		s.observe(w, c, elapsedUS)
 	}
-	s.refill()
+	s.pruneRequeue() // a zombie's post may resolve a re-queued copy
 	s.wakeAll()
 	return c
 }
@@ -520,7 +409,7 @@ func (s *scheduler) observe(w *workerState, c *chunk, elapsedUS int64) {
 }
 
 // dropBatch resolves every outstanding chunk of a batch (cancellation)
-// and removes its chunk source: queued copies are skipped lazily,
+// and removes its chunk source: re-queued chunks leave the requeue,
 // in-flight results will be discarded on arrival, the uncarved
 // remainder is never materialized.
 func (s *scheduler) dropBatch(b *batch) {
@@ -533,6 +422,7 @@ func (s *scheduler) dropBatch(b *batch) {
 			s.chunksLive--
 		}
 	}
+	s.pruneRequeue()
 	s.removeSource(b)
 }
 
@@ -549,7 +439,7 @@ func (s *scheduler) removeSource(b *batch) {
 }
 
 // reclaim hands a batch's unresolved chunks back to the caller —
-// the no-live-workers fallback. Only orphaned chunks can exist then;
+// the no-live-workers fallback. Only re-queued chunks can exist then;
 // they are removed from outstanding and returned sorted by id, followed
 // by the batch's uncarved remainder materialized at the maximum chunk
 // size (the caller evaluates locally, so granularity no longer
@@ -563,12 +453,13 @@ func (s *scheduler) reclaim(b *batch) []*chunk {
 	var out []*chunk
 	for id, c := range s.outstanding {
 		if c.b == b {
-			c.resolved = true // queued copies skip lazily
+			c.resolved = true
 			delete(s.outstanding, id)
 			s.chunksLive--
 			out = append(out, c)
 		}
 	}
+	s.pruneRequeue()
 	sortChunks(out)
 	for _, src := range s.sources {
 		if src.b != b {
@@ -600,14 +491,12 @@ func (s *scheduler) stats() Stats {
 		Left:          s.left,
 		Dispatched:    s.dispatched,
 		Completed:     s.completed,
-		Stolen:        s.stolen,
 		Requeued:      s.requeued,
+		Pending:       len(s.requeue),
 		ChunksLive:    s.chunksLive,
 		ChunksLiveMax: s.maxChunksLive,
 	}
-	st.Pending = s.orphans.unresolved()
 	for _, w := range s.order {
-		st.Pending += w.queue.unresolved()
 		st.InFlight += len(w.inflight)
 	}
 	for _, r := range s.healthLocked() {
@@ -637,7 +526,6 @@ func (s *scheduler) healthLocked() []WorkerHealth {
 		rows = append(rows, WorkerHealth{
 			ID:            w.id,
 			Name:          w.name,
-			QueueDepth:    w.queue.unresolved(),
 			InFlight:      len(w.inflight),
 			ChunksDone:    w.chunksDone,
 			PointsDone:    w.pointsDone,
@@ -685,8 +573,8 @@ func (s *scheduler) measuredLocked() int {
 	return n
 }
 
-// sortChunks orders chunks by id (insertion sort; requeue sets are a
-// handful of chunks).
+// sortChunks orders chunks by id (insertion sort: the requeue is a
+// handful of chunks, already sorted up to the newest evictions).
 func sortChunks(cs []*chunk) {
 	for i := 1; i < len(cs); i++ {
 		for j := i; j > 0 && cs[j].id < cs[j-1].id; j-- {

@@ -3,7 +3,10 @@ package fleet
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -12,12 +15,11 @@ import (
 // 100ms of silence; 10ms polls); the fake clock makes liveness
 // decisions explicit.
 func testScheduler(now *time.Time) *scheduler {
-	return newScheduler(25*time.Millisecond, 10*time.Millisecond, 0, func() time.Time { return *now })
+	return newScheduler(25*time.Millisecond, 10*time.Millisecond, func() time.Time { return *now })
 }
 
 // addChunks registers a source of n one-point chunks for b: seeded at
-// one point, it carves chunk ids 1..n round-robin over the live
-// workers in join order, within their dispatch windows.
+// one point, pulls carve chunk ids 1..n in pull order.
 func addChunks(s *scheduler, b *batch, n int) {
 	s.addSource(&chunkSource{b: b, runs: []span{{lo: 0, hi: n}}, seed: 1, remaining: n})
 }
@@ -45,90 +47,63 @@ func pullUpTo(t *testing.T, s *scheduler, id string, max int) []*chunk {
 	return chunks
 }
 
-// The determinism contract: the same chunk set against the same worker
-// set produces the identical assignment trace, run after run.
-func TestSchedulerDeterministicAssignment(t *testing.T) {
-	build := func() []Assignment {
-		now := time.Unix(0, 0)
-		s := testScheduler(&now)
-		s.EnableTrace()
-		for i := 0; i < 3; i++ {
-			s.join("w")
-		}
-		addChunks(s, &batch{id: "b-1"}, 8)
-		return s.Trace()
-	}
-	first := build()
-	if len(first) != 8 {
-		t.Fatalf("trace has %d entries, want 8", len(first))
-	}
-	for i, a := range first {
-		if a.Kind != "assign" {
-			t.Errorf("entry %d kind %q, want assign", i, a.Kind)
-		}
-	}
-	// Round-robin in join order: chunk i lands on worker i mod 3.
-	for i, a := range first {
-		want := []string{"w-000001", "w-000002", "w-000003"}[i%3]
-		if a.Worker != want {
-			t.Errorf("chunk %d on %s, want %s", a.Chunk, a.Worker, want)
-		}
-	}
-	for run := 0; run < 3; run++ {
-		if again := build(); !reflect.DeepEqual(first, again) {
-			t.Fatalf("run %d trace differs:\n%v\n%v", run, first, again)
-		}
-	}
-}
-
-// An idle worker steals from the back of the longest queue; the victim
-// keeps its front chunks.
-func TestSchedulerSteal(t *testing.T) {
+// Chunks exist only once a worker pulls: joins and a registered source
+// carve nothing, and a pull materializes only what it hands out.
+func TestSchedulerCarvesOnlyOnPull(t *testing.T) {
 	now := time.Unix(0, 0)
 	s := testScheduler(&now)
-	s.EnableTrace()
 	w1 := s.join("one").WorkerID
-	w2 := s.join("two").WorkerID
-	addChunks(s, &batch{id: "b-1"}, 4) // rr: 1,3 on w1; 2,4 on w2
-
-	// w2 drains its own queue then steals w1's back chunk (id 3).
-	got := []uint64{}
-	for i := 0; i < 3; i++ {
-		c := pullNow(t, s, w2)
-		if c == nil {
-			t.Fatalf("pull %d returned nothing", i)
-		}
-		got = append(got, c.id)
+	s.join("two")
+	addChunks(s, &batch{id: "b-1"}, 100)
+	if st := s.stats(); st.ChunksLive != 0 || st.Dispatched != 0 {
+		t.Fatalf("before any pull: %d chunks live, %d dispatched; want none", st.ChunksLive, st.Dispatched)
 	}
-	if want := []uint64{2, 4, 3}; !reflect.DeepEqual(got, want) {
-		t.Errorf("w2 pulled %v, want %v (own front, own front, steal back)", got, want)
+	got := pullUpTo(t, s, w1, 2)
+	if len(got) != 2 || got[0].id != 1 || got[1].id != 2 {
+		t.Fatalf("first pull = %v, want chunks 1 and 2", got)
 	}
-	if s.stats().Stolen != 1 {
-		t.Errorf("stolen = %d, want 1", s.stats().Stolen)
-	}
-	// w1 keeps its oldest chunk.
-	if c := pullNow(t, s, w1); c == nil || c.id != 1 {
-		t.Errorf("w1 pulled %v, want chunk 1", c)
-	}
-	tr := s.Trace()
-	if last := tr[len(tr)-1]; last.Kind != "steal" || last.Chunk != 3 || last.Worker != w2 {
-		t.Errorf("trace steal entry = %+v", last)
+	if st := s.stats(); st.ChunksLive != 2 || st.InFlight != 2 {
+		t.Errorf("after one pull: %d chunks live, %d in flight; want 2 and 2", st.ChunksLive, st.InFlight)
 	}
 }
 
-// A silent worker is reaped and its chunks — queued and in-flight alike
-// — re-queue whole onto the survivors, sorted by id.
+// A worker holding maxWorkChunks chunks in flight gets nothing more
+// until one of them completes — however much work is waiting.
+func TestSchedulerCapsInFlightPerWorker(t *testing.T) {
+	now := time.Unix(0, 0)
+	s := testScheduler(&now)
+	w1 := s.join("one").WorkerID
+	s.join("two")
+	addChunks(s, &batch{id: "b-1"}, 20)
+	held := pullUpTo(t, s, w1, maxWorkChunks+1)
+	if len(held) != maxWorkChunks {
+		t.Fatalf("first pull = %d chunks, want the cap %d", len(held), maxWorkChunks)
+	}
+	if got := pullUpTo(t, s, w1, 1); len(got) != 0 {
+		t.Fatalf("pull at the cap handed out %d chunks, want 0", len(got))
+	}
+	s.complete(w1, held[0].id, 0)
+	if got := pullUpTo(t, s, w1, maxWorkChunks); len(got) != 1 {
+		t.Errorf("pull after one completion = %d chunks, want 1", len(got))
+	}
+}
+
+// A silent worker is reaped and its in-flight chunks re-queue whole;
+// the next pull gets them back in id order before any fresh carve.
 func TestSchedulerReapRequeuesWhole(t *testing.T) {
 	now := time.Unix(0, 0)
 	s := testScheduler(&now)
-	s.EnableTrace()
 	w1 := s.join("one").WorkerID
 	w2 := s.join("two").WorkerID
-	addChunks(s, &batch{id: "b-1"}, 4) // 1,3 on w1; 2,4 on w2
+	addChunks(s, &batch{id: "b-1"}, 8)
 
-	// w1 pulls chunk 1 in flight, then goes silent; w2 keeps beating.
-	if c := pullNow(t, s, w1); c == nil || c.id != 1 {
-		t.Fatalf("w1 pull = %v, want chunk 1", c)
+	// w1 pulls chunks 1-3 and w2 chunk 4; then w1 goes silent while w2
+	// keeps beating.
+	if got := pullUpTo(t, s, w1, 3); len(got) != 3 {
+		t.Fatalf("w1 pulled %d chunks, want 3", len(got))
+	}
+	if c := pullNow(t, s, w2); c == nil || c.id != 4 {
+		t.Fatalf("w2 pull = %v, want chunk 4", c)
 	}
 	now = now.Add(150 * time.Millisecond)
 	if !s.heartbeatFrom(w2) {
@@ -140,24 +115,22 @@ func TestSchedulerReapRequeuesWhole(t *testing.T) {
 	if st.Workers != 1 || st.Dead != 1 {
 		t.Fatalf("stats after reap = %+v, want 1 live 1 dead", st)
 	}
-	if st.Requeued != 2 {
-		t.Errorf("requeued = %d, want 2 (in-flight chunk 1 + queued chunk 3)", st.Requeued)
+	if st.Requeued != 3 || st.Pending != 3 {
+		t.Errorf("requeued %d, pending %d; want w1's 3 in-flight chunks for both", st.Requeued, st.Pending)
 	}
-	if st.InFlight != 0 {
-		t.Errorf("in-flight = %d after evict, want 0", st.InFlight)
+	if st.InFlight != 1 {
+		t.Errorf("in-flight = %d after evict, want w2's 1", st.InFlight)
 	}
-	// Requeue placement is id-sorted: chunk 1 before chunk 3.
-	var requeued []uint64
-	for _, a := range s.Trace() {
-		if a.Kind == "requeue" {
-			requeued = append(requeued, a.Chunk)
-			if a.Worker != w2 {
-				t.Errorf("requeue of %d on %s, want %s", a.Chunk, a.Worker, w2)
-			}
-		}
+	s.complete(w2, 4, 0)
+	var ids []uint64
+	for _, c := range pullUpTo(t, s, w2, maxWorkChunks) {
+		ids = append(ids, c.id)
 	}
-	if want := []uint64{1, 3}; !reflect.DeepEqual(requeued, want) {
-		t.Errorf("requeue order %v, want %v", requeued, want)
+	if want := []uint64{1, 2, 3, 5}; !reflect.DeepEqual(ids, want) {
+		t.Errorf("survivor pulled %v, want %v (re-queued in id order, then a fresh carve)", ids, want)
+	}
+	if st := s.stats(); st.Pending != 0 {
+		t.Errorf("pending = %d after the survivor's pull, want 0", st.Pending)
 	}
 	// The dead worker's id is gone: heartbeat and pull both say rejoin.
 	if s.heartbeatFrom(w1) {
@@ -182,13 +155,13 @@ func TestSchedulerZombiePostAccepted(t *testing.T) {
 	}
 	now = now.Add(150 * time.Millisecond)
 	s.heartbeatFrom(w2)
-	s.reap() // w1 dead, chunk re-queued to w2
+	s.reap() // w1 dead, chunk re-queued
 
 	// w1's post races the recompute and wins: accepted once.
 	if got := s.complete(w1, c.id, 0); got != c {
 		t.Fatalf("zombie post rejected: %v", got)
 	}
-	// w2 pulls the requeued copy but it is already resolved — skipped.
+	// The zombie post resolved the re-queued copy: w2 never gets it.
 	if got := pullNow(t, s, w2); got != nil && got.id == c.id {
 		t.Error("resolved chunk handed out again")
 	}
@@ -199,13 +172,17 @@ func TestSchedulerZombiePostAccepted(t *testing.T) {
 }
 
 // With every worker gone, reclaim hands a batch's chunks back for
-// local evaluation — and reports nothing while any worker survives.
+// local evaluation — the re-queued ones in id order, then the uncarved
+// remainder — and reports nothing while any worker survives.
 func TestSchedulerReclaim(t *testing.T) {
 	now := time.Unix(0, 0)
 	s := testScheduler(&now)
 	w1 := s.join("one").WorkerID
 	b := &batch{id: "b-1"}
 	addChunks(s, b, 3)
+	if got := pullUpTo(t, s, w1, 2); len(got) != 2 {
+		t.Fatalf("pulled %d chunks, want 2", len(got))
+	}
 	if got := s.reclaim(b); got != nil {
 		t.Fatalf("reclaim with a live worker returned %d chunks", len(got))
 	}
@@ -214,13 +191,14 @@ func TestSchedulerReclaim(t *testing.T) {
 	if len(got) != 3 {
 		t.Fatalf("reclaimed %d chunks, want 3", len(got))
 	}
-	for i := 1; i < len(got); i++ {
-		if got[i-1].id >= got[i].id {
-			t.Errorf("reclaim order not id-sorted: %d before %d", got[i-1].id, got[i].id)
-		}
+	if got[0].id != 1 || got[1].id != 2 {
+		t.Errorf("reclaim starts with chunks %d, %d; want the re-queued 1, 2", got[0].id, got[1].id)
 	}
-	if st := s.stats(); st.Pending != 0 {
-		t.Errorf("pending = %d after reclaim, want 0", st.Pending)
+	if !reflect.DeepEqual(got[2].indexes, []int{2}) {
+		t.Errorf("reclaimed remainder = %v, want the uncarved index 2", got[2].indexes)
+	}
+	if st := s.stats(); st.Pending != 0 || st.ChunksLive != 0 {
+		t.Errorf("after reclaim: %d pending, %d live; want 0 and 0", st.Pending, st.ChunksLive)
 	}
 }
 
@@ -246,5 +224,90 @@ func TestSchedulerErrorChunkTakesNoSample(t *testing.T) {
 	}
 	if ws.chunksDone != 1 {
 		t.Errorf("chunks done = %d, want 1", ws.chunksDone)
+	}
+}
+
+// Four workers pull and complete concurrently while a fifth, holding a
+// full window, goes silent and is reaped mid-run: every index is
+// resolved exactly once, the dead worker's chunks included, and no
+// chunk is left live.
+func TestSchedulerConcurrentPullsWithReap(t *testing.T) {
+	var clock atomic.Int64 // fake nanoseconds, shared by every goroutine
+	s := newScheduler(25*time.Millisecond, 10*time.Millisecond,
+		func() time.Time { return time.Unix(0, clock.Load()) })
+	const points = 3000
+	live := make([]string, 4)
+	for i := range live {
+		live[i] = s.join(fmt.Sprintf("live-%d", i)).WorkerID
+	}
+	doomed := s.join("doomed").WorkerID
+	s.addSource(&chunkSource{b: &batch{id: "b-1"}, runs: []span{{lo: 0, hi: points}}, seed: 5, remaining: points})
+	held := pullUpTo(t, s, doomed, maxWorkChunks)
+	if len(held) != maxWorkChunks {
+		t.Fatalf("doomed worker pulled %d chunks, want %d", len(held), maxWorkChunks)
+	}
+
+	var counts [points]atomic.Int32
+	var resolved atomic.Int64
+	quarter := make(chan struct{})
+	var quarterOnce sync.Once
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	var wg sync.WaitGroup
+	for _, id := range live {
+		wg.Add(1)
+		go func(id string) {
+			defer wg.Done()
+			for resolved.Load() < points && ctx.Err() == nil {
+				chunks, err := s.pullN(ctx, id, maxWorkChunks)
+				if err != nil {
+					if ctx.Err() == nil {
+						t.Errorf("pull by %s: %v", id, err)
+					}
+					return
+				}
+				for _, c := range chunks {
+					// 1 ms per point: adaptive chunks of ~40 points.
+					if s.complete(id, c.id, int64(1000*len(c.indexes))) == nil {
+						continue
+					}
+					for _, i := range c.indexes {
+						counts[i].Add(1)
+					}
+					if resolved.Add(int64(len(c.indexes))) >= points/4 {
+						quarterOnce.Do(func() { close(quarter) })
+					}
+				}
+			}
+		}(id)
+	}
+	// Once a quarter of the sweep is in, let the doomed worker's silence
+	// cross the dead interval while the live four beat.
+	select {
+	case <-quarter:
+	case <-ctx.Done():
+	}
+	clock.Add(int64(150 * time.Millisecond))
+	for _, id := range live {
+		s.heartbeatFrom(id)
+	}
+	s.reap()
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		t.Fatalf("run did not finish: %d of %d points resolved", resolved.Load(), points)
+	}
+
+	for i := range counts {
+		if n := counts[i].Load(); n != 1 {
+			t.Errorf("index %d resolved %d times, want exactly once", i, n)
+		}
+	}
+	st := s.stats()
+	if st.Workers != 4 || st.Dead != 1 || st.Requeued != maxWorkChunks {
+		t.Errorf("stats %+v, want 4 live, 1 dead, %d requeued", st, maxWorkChunks)
+	}
+	if st.ChunksLive != 0 || st.Pending != 0 || st.InFlight != 0 {
+		t.Errorf("after the run: %d live, %d pending, %d in flight; want all 0",
+			st.ChunksLive, st.Pending, st.InFlight)
 	}
 }

@@ -1,23 +1,23 @@
 package fleet
 
-import "sort"
+import "repro/internal/stats"
 
 // Windowed dispatch: instead of sharding a batch's whole dispatch set
 // into chunk structs upfront (at 100k points, hundreds of chunks
 // resident before the first pull), the coordinator registers one
 // chunkSource per batch — a cursor over the dispatch set compressed
-// into ascending expansion-index runs — and the scheduler carves
-// chunks from it lazily, keeping at most Options.Window chunks
-// queued-or-in-flight per live worker. Chunk bookkeeping is therefore
-// O(workers·window), independent of sweep size; the counter test in
-// window_test.go pins the bound.
+// into ascending expansion-index runs — and a worker's pull carves the
+// next chunks from it, never leaving that worker more than
+// maxWorkChunks in flight. Chunk bookkeeping is therefore
+// O(workers × maxWorkChunks), independent of sweep size; the counter
+// test in window_test.go pins the bound.
 
-// DefaultWindow is the per-worker dispatch window: how many chunks may
-// sit queued-or-in-flight on one worker before the scheduler stops
-// carving for it. Small enough to bound coordinator memory and keep
-// the tail stealable, large enough that a worker never idles waiting
-// for the next long-poll round trip.
-const DefaultWindow = 4
+// maxWorkChunks is the dispatch window: the most chunks one worker may
+// hold in flight, and so the most one work response carries. Small
+// enough to bound coordinator memory; deep enough that one pull, whose
+// results come back as one coalesced post, amortizes both directions
+// of the round trip.
+const maxWorkChunks = 4
 
 // DefaultStragglerFactor is the analyzer's flagging threshold: a live
 // worker whose p50 per-point chunk latency exceeds this multiple of
@@ -117,28 +117,23 @@ func (r *latRing) push(v float64) {
 	}
 }
 
-// quantile returns the q-quantile (0..1, nearest-rank) of the ring's
-// samples, 0 with no samples.
+// quantile returns the q-quantile (0..1, nearest-rank: stats.Quantile)
+// of the ring's samples, 0 with no samples.
 func (r *latRing) quantile(q float64) float64 {
 	if r.n == 0 {
 		return 0
 	}
-	sorted := make([]float64, r.n)
-	copy(sorted, r.buf[:r.n])
-	sort.Float64s(sorted)
-	k := int(q * float64(r.n-1))
-	return sorted[k]
+	return stats.Quantile(r.buf[:r.n], q)
 }
 
 // WorkerHealth is one worker's row in the fleet stats document: the
-// straggler analyzer's view of its throughput, queue depth and chunk
-// latency distribution.
+// straggler analyzer's view of its throughput, in-flight chunks and
+// chunk latency distribution.
 type WorkerHealth struct {
 	ID   string `json:"id"`
 	Name string `json:"name,omitempty"`
-	// QueueDepth and InFlight are the worker's share of the dispatch
-	// window right now.
-	QueueDepth int    `json:"queue_depth"`
+	// InFlight is the worker's share of the dispatch window right now:
+	// the chunks it holds, at most maxWorkChunks.
 	InFlight   int    `json:"in_flight"`
 	ChunksDone uint64 `json:"chunks_done"`
 	PointsDone uint64 `json:"points_done"`
@@ -160,7 +155,7 @@ type WorkerHealth struct {
 // counter block plus the per-worker analyzer rows.
 type FleetStats struct {
 	CoordinatorStats
-	// Window is the per-worker dispatch window W.
+	// Window is the per-worker dispatch window, maxWorkChunks.
 	Window int `json:"window"`
 	// StragglerFactor is the flagging threshold k (p50 > k× median).
 	StragglerFactor float64 `json:"straggler_factor"`

@@ -7,6 +7,8 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -30,7 +32,8 @@ func bigSpec(name string, n int) scenario.Spec {
 // The tentpole's memory bound: a 100k-point sweep across an 8-worker
 // in-process fleet completes with chunk bookkeeping bounded by the
 // dispatch window — the high-water count of materialized unresolved
-// chunks never exceeds workers × window, no matter the sweep size.
+// chunks never exceeds workers × maxWorkChunks, no matter the sweep
+// size.
 func TestWindowedDispatchBoundsLiveChunks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("100k-point sweep")
@@ -42,7 +45,7 @@ func TestWindowedDispatchBoundsLiveChunks(t *testing.T) {
 	const n = 8
 	// Default cadence, not the tight test one: 8 busy in-process engines
 	// can stall a 25ms heartbeat long enough to get a worker spuriously
-	// reaped, and a reap requeues chunks outside the carving window.
+	// reaped, and a reap re-queues chunks outside the dispatch window.
 	f := startFleet(t, n, Options{}, 0)
 	sp := bigSpec("fleet-100k", points)
 	_, jobs, err := sp.Expand()
@@ -60,11 +63,11 @@ func TestWindowedDispatchBoundsLiveChunks(t *testing.T) {
 		t.Errorf("%d of %d points travelled (stats %+v)", st.PointsRemote, len(jobs), st)
 	}
 	// The bound is workers × window; the ×2 headroom tolerates one
-	// spurious worker reap (its requeued chunks transiently stack on the
-	// survivors). The pre-windowing coordinator materialized
-	// points/chunkTarget ≈ 390+ chunks upfront at this scale — orders of
-	// magnitude past this assertion.
-	if bound := 2 * n * DefaultWindow; st.ChunksLiveMax > bound {
+	// spurious worker reap (its re-queued chunks stay live while the
+	// survivors hold full windows). The pre-windowing coordinator
+	// materialized points/chunkTarget ≈ 390+ chunks upfront at this
+	// scale — orders of magnitude past this assertion.
+	if bound := 2 * n * maxWorkChunks; st.ChunksLiveMax > bound {
 		t.Errorf("chunks_live_max = %d, want <= 2 x workers x window = %d (windowed dispatch leak)",
 			st.ChunksLiveMax, bound)
 	}
@@ -104,7 +107,7 @@ func TestChunkTargetClamp(t *testing.T) {
 // worker's stays proportionally small.
 func TestAdaptiveChunkSizingTrace(t *testing.T) {
 	now := time.Unix(0, 0)
-	s := newScheduler(25*time.Millisecond, 50*time.Millisecond, 0, func() time.Time { return now })
+	s := newScheduler(25*time.Millisecond, 50*time.Millisecond, func() time.Time { return now })
 	fast := s.join("fast").WorkerID
 	slow := s.join("slow").WorkerID
 
@@ -114,8 +117,8 @@ func TestAdaptiveChunkSizingTrace(t *testing.T) {
 	// Cold start: both workers' windows fill with seed-sized chunks.
 	fastChunks := pullUpTo(t, s, fast, maxWorkChunks)
 	slowChunks := pullUpTo(t, s, slow, maxWorkChunks)
-	if len(fastChunks) != DefaultWindow || len(slowChunks) != DefaultWindow {
-		t.Fatalf("cold pull = %d/%d chunks, want %d each", len(fastChunks), len(slowChunks), DefaultWindow)
+	if len(fastChunks) != maxWorkChunks || len(slowChunks) != maxWorkChunks {
+		t.Fatalf("cold pull = %d/%d chunks, want %d each", len(fastChunks), len(slowChunks), maxWorkChunks)
 	}
 	for _, c := range append(fastChunks, slowChunks...) {
 		if len(c.indexes) != 10 {
@@ -169,11 +172,7 @@ func TestStragglerFlaggedAndSweepByteIdentical(t *testing.T) {
 	if raceEnabled {
 		t.Skip("wall-clock latency ratios are unreliable under race instrumentation")
 	}
-	// Window 1 keeps chunks one-at-a-time so the adaptive size, not the
-	// tail guard, dominates mid-sweep carving.
-	opts := tightOpts()
-	opts.Window = 1
-	f := startFleet(t, 0, opts, 0)
+	f := startFleet(t, 0, tightOpts(), 0)
 	f.addWorker(t, "fast-0", 500*time.Microsecond, nil)
 	f.addWorker(t, "fast-1", 500*time.Microsecond, nil)
 	f.addWorker(t, "fast-2", 500*time.Microsecond, nil)
@@ -426,9 +425,9 @@ func TestStatsEndpointAndResponseCompression(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&fs); err != nil {
 		t.Fatal(err)
 	}
-	if fs.Window != DefaultWindow || fs.StragglerFactor != DefaultStragglerFactor {
+	if fs.Window != maxWorkChunks || fs.StragglerFactor != DefaultStragglerFactor {
 		t.Errorf("stats window/factor = %d/%.1f, want %d/%.1f",
-			fs.Window, fs.StragglerFactor, DefaultWindow, DefaultStragglerFactor)
+			fs.Window, fs.StragglerFactor, maxWorkChunks, DefaultStragglerFactor)
 	}
 	if len(fs.PerWorker) != 2 {
 		t.Fatalf("stats carries %d worker rows, want 2", len(fs.PerWorker))
@@ -468,6 +467,85 @@ func TestStatsEndpointAndResponseCompression(t *testing.T) {
 		}
 	} else if len(body) >= gzipMinBytes {
 		t.Errorf("stats response (%d bytes, past the floor) not compressed", len(body))
+	}
+}
+
+// The operator-facing document: GET /fleet/v1/stats (the same
+// FleetStats the fleet block of /healthz serves) carries exactly these
+// top-level and per-worker keys, so removing or renaming a field is a
+// deliberate edit here.
+func TestFleetStatsDocumentKeys(t *testing.T) {
+	f := startFleet(t, 1, tightOpts(), 0)
+	sp := bigSpec("fleet-keys", 24)
+	_, jobs, err := sp.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.coord.ExecuteBatch(context.Background(), sp, jobs, nil); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(f.ts.URL + "/fleet/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var doc map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	keys := func(m map[string]any) []string {
+		out := make([]string, 0, len(m))
+		for k := range m {
+			out = append(out, k)
+		}
+		sort.Strings(out)
+		return out
+	}
+	wantTop := []string{
+		"chunks_completed", "chunks_dispatched", "chunks_in_flight", "chunks_live",
+		"chunks_live_max", "chunks_pending", "chunks_requeued", "dead", "fallbacks",
+		"left", "median_p50_point_ms", "per_worker", "points_coalesced", "points_local",
+		"points_remote", "result_bytes_wire", "result_posts", "result_posts_gzip",
+		"straggler_factor", "stragglers", "window", "workers",
+	}
+	if got := keys(doc); !reflect.DeepEqual(got, wantTop) {
+		t.Errorf("stats keys:\n got %v\nwant %v", got, wantTop)
+	}
+	rows, _ := doc["per_worker"].([]any)
+	if len(rows) != 1 {
+		t.Fatalf("per_worker = %v, want one row", doc["per_worker"])
+	}
+	row, _ := rows[0].(map[string]any)
+	wantRow := []string{
+		"chunks_done", "id", "in_flight", "last_chunk_size", "name",
+		"p50_point_ms", "p95_point_ms", "points_done", "points_per_sec", "straggler",
+	}
+	if got := keys(row); !reflect.DeepEqual(got, wantRow) {
+		t.Errorf("per-worker keys:\n got %v\nwant %v", got, wantRow)
+	}
+}
+
+// The analyzer's ring quantiles are nearest-rank (stats.Quantile): over
+// samples 1..10 the p95 is the 10th value, not the 9th.
+func TestLatRingQuantileNearestRank(t *testing.T) {
+	for _, c := range []struct {
+		n                int
+		wantP50, wantP95 float64
+	}{
+		{10, 5, 10},
+		{32, 16, 31},
+	} {
+		var r latRing
+		for v := 1; v <= c.n; v++ {
+			r.push(float64(v))
+		}
+		if p50, p95 := r.quantile(0.50), r.quantile(0.95); p50 != c.wantP50 || p95 != c.wantP95 {
+			t.Errorf("samples 1..%d: p50 %v, p95 %v; want %v, %v", c.n, p50, p95, c.wantP50, c.wantP95)
+		}
+	}
+	var empty latRing
+	if q := empty.quantile(0.95); q != 0 {
+		t.Errorf("empty ring p95 = %v, want 0", q)
 	}
 }
 

@@ -258,13 +258,10 @@ func (h *remoteHandle) Retries() int { return h.retries }
 
 // Watch consumes the run's NDJSON stream (invoking onFirst at the first
 // data line), then polls the status document until the state is
-// terminal.
+// terminal. A stream answered with any status but 200 (an evicted
+// session's 404, a 5xx) is an error, and onFirst never fires.
 func (h *remoteHandle) Watch(ctx context.Context, onFirst func()) (RunStatus, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, h.t.base+h.stream, nil)
-	if err != nil {
-		return RunStatus{}, err
-	}
-	resp, err := h.t.client.Do(req)
+	resp, err := h.t.get(ctx, h.stream)
 	if err != nil {
 		return RunStatus{}, err
 	}
@@ -314,20 +311,31 @@ func (h *remoteHandle) Watch(ctx context.Context, onFirst func()) (RunStatus, er
 	}
 }
 
-func (t *RemoteTarget) getStatus(ctx context.Context, path string) (remoteStatus, error) {
+// get issues GET path and returns the response when it is 200 OK; any
+// other status becomes an error carrying up to 4 KiB of its body.
+func (t *RemoteTarget) get(ctx context.Context, path string) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, t.base+path, nil)
 	if err != nil {
-		return remoteStatus{}, err
+		return nil, err
 	}
 	resp, err := t.client.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		resp.Body.Close()
+		return nil, fmt.Errorf("traffic: GET %s: %s: %s", path, resp.Status, bytes.TrimSpace(msg))
+	}
+	return resp, nil
+}
+
+func (t *RemoteTarget) getStatus(ctx context.Context, path string) (remoteStatus, error) {
+	resp, err := t.get(ctx, path)
 	if err != nil {
 		return remoteStatus{}, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return remoteStatus{}, fmt.Errorf("traffic: GET %s: %s: %s", path, resp.Status, bytes.TrimSpace(msg))
-	}
 	var st remoteStatus
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		return remoteStatus{}, fmt.Errorf("traffic: decoding %s: %w", path, err)

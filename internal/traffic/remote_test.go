@@ -107,3 +107,29 @@ func TestRemoteTargetSubmitRejection(t *testing.T) {
 		t.Fatalf("submit error = %v, want the daemon's message", err)
 	}
 }
+
+// A stream answered with anything but 200 — the 404 of a session the
+// daemon's -retain cap evicted, whose indented JSON body opens with a
+// bare "{" line, or a 5xx — is an error, and books no first point.
+func TestRemoteTargetWatchRejectsNonOKStream(t *testing.T) {
+	for _, code := range []int{http.StatusNotFound, http.StatusInternalServerError} {
+		mux := http.NewServeMux()
+		mux.HandleFunc("GET /v1/sweeps/{id}/outcomes", func(w http.ResponseWriter, r *http.Request) {
+			w.WriteHeader(code)
+			fmt.Fprint(w, "{\n  \"error\": \"no sweep \\\"sweep-000001\\\"\"\n}\n")
+		})
+		srv := httptest.NewServer(mux)
+		h := &remoteHandle{t: NewRemoteTarget(srv.URL, srv.Client()),
+			status: "/v1/sweeps/sweep-000001", stream: "/v1/sweeps/sweep-000001/outcomes"}
+		fired := false
+		_, err := h.Watch(context.Background(), func() { fired = true })
+		srv.Close()
+		want := fmt.Sprintf("traffic: GET /v1/sweeps/sweep-000001/outcomes: %d %s: {", code, http.StatusText(code))
+		if err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("%d stream: Watch error = %v, want prefix %q", code, err, want)
+		}
+		if fired {
+			t.Errorf("%d stream fired onFirst", code)
+		}
+	}
+}
