@@ -106,6 +106,9 @@ func main() {
 	workerDelay := flag.Duration("worker-delay", 0, "worker: deterministic extra latency per evaluated point — scheduler drills and CI smoke only")
 	flag.Parse()
 
+	if *faultPlan != "" && *storeDir == "" {
+		fatal(errors.New("-fault-plan requires -store"))
+	}
 	if *workerMode {
 		if *join == "" {
 			fatal(errors.New("-worker requires -join <coordinator URL>"))
@@ -122,9 +125,6 @@ func main() {
 			delay:     *workerDelay,
 		})
 		return
-	}
-	if *faultPlan != "" && *storeDir == "" {
-		fatal(errors.New("-fault-plan requires -store"))
 	}
 	l, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -163,27 +163,10 @@ type serveConfig struct {
 // in order — sessions cancelled, streams drained, store closed. It
 // returns what stopped it early, or what closing the store reported.
 func serve(ctx context.Context, l net.Listener, cfg serveConfig) error {
-	var store resultstore.Store = resultstore.NewMemory()
-	var disk *resultstore.Disk
-	if cfg.storeDir != "" {
-		fs := faultline.FS(faultline.OS{})
-		if cfg.faultPlan != "" {
-			plan, err := faultline.LoadPlan(cfg.faultPlan)
-			if err != nil {
-				l.Close()
-				return err
-			}
-			fs = faultline.New(plan)
-			fmt.Printf("nvmserve: injecting faults from %s (seed %d, %d rules)\n",
-				cfg.faultPlan, plan.Seed, len(plan.Rules))
-		}
-		d, err := resultstore.OpenFS(cfg.storeDir, fs)
-		if err != nil {
-			l.Close()
-			return err
-		}
-		store, disk = d, d
-		fmt.Printf("nvmserve: result store %s (%d records)\n", d.Dir(), d.Persisted())
+	store, disk, err := openStore(cfg.storeDir, cfg.faultPlan, "")
+	if err != nil {
+		l.Close()
+		return err
 	}
 
 	eng := engine.NewWithStore(platform.NewPurley().Socket(0), cfg.workers, store)
@@ -207,7 +190,6 @@ func serve(ctx context.Context, l net.Listener, cfg serveConfig) error {
 	go func() { done <- srv.Serve(l) }()
 	fmt.Printf("nvmserve: listening on %s (%d workers)\n", l.Addr(), eng.Workers())
 
-	var err error
 	select {
 	case err = <-done: // Serve only returns on failure
 	case <-ctx.Done():
@@ -233,6 +215,32 @@ func serve(ctx context.Context, l net.Listener, cfg serveConfig) error {
 		err = cerr
 	}
 	return err
+}
+
+// openStore opens the engine's result store: in memory without -store,
+// else the disk store at dir, over a fault injector when faultPlan names
+// a plan. It prints what it opened, each line prefixed "nvmserve: "
+// plus role ("" for the daemon, "worker " for a worker).
+func openStore(dir, faultPlan, role string) (resultstore.Store, *resultstore.Disk, error) {
+	if dir == "" {
+		return resultstore.NewMemory(), nil, nil
+	}
+	fs := faultline.FS(faultline.OS{})
+	if faultPlan != "" {
+		plan, err := faultline.LoadPlan(faultPlan)
+		if err != nil {
+			return nil, nil, err
+		}
+		fs = faultline.New(plan)
+		fmt.Printf("nvmserve: %sinjecting faults from %s (seed %d, %d rules)\n",
+			role, faultPlan, plan.Seed, len(plan.Rules))
+	}
+	d, err := resultstore.OpenFS(dir, fs)
+	if err != nil {
+		return nil, nil, err
+	}
+	fmt.Printf("nvmserve: %sresult store %s (%d records)\n", role, d.Dir(), d.Persisted())
+	return d, d, nil
 }
 
 func fatal(err error) {

@@ -2,16 +2,13 @@ package main
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"os"
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/faultline"
 	"repro/internal/fleet"
 	"repro/internal/platform"
-	"repro/internal/resultstore"
 	"repro/internal/traffic"
 )
 
@@ -33,28 +30,9 @@ type workerConfig struct {
 // on retry, and a worker that can no longer persist results should be
 // noticed, not restarted blindly into the same failing disk.
 func runWorker(ctx context.Context, cfg workerConfig) {
-	var store resultstore.Store = resultstore.NewMemory()
-	var disk *resultstore.Disk
-	if cfg.faultPlan != "" && cfg.storeDir == "" {
-		fatal(errors.New("-fault-plan requires -store"))
-	}
-	if cfg.storeDir != "" {
-		fs := faultline.FS(faultline.OS{})
-		if cfg.faultPlan != "" {
-			plan, err := faultline.LoadPlan(cfg.faultPlan)
-			if err != nil {
-				fatal(err)
-			}
-			fs = faultline.New(plan)
-			fmt.Printf("nvmserve: worker injecting faults from %s (seed %d, %d rules)\n",
-				cfg.faultPlan, plan.Seed, len(plan.Rules))
-		}
-		d, err := resultstore.OpenFS(cfg.storeDir, fs)
-		if err != nil {
-			fatal(err)
-		}
-		store, disk = d, d
-		fmt.Printf("nvmserve: worker result store %s (%d records)\n", d.Dir(), d.Persisted())
+	store, disk, err := openStore(cfg.storeDir, cfg.faultPlan, "worker ")
+	if err != nil {
+		fatal(err)
 	}
 
 	name := cfg.name
@@ -73,7 +51,7 @@ func runWorker(ctx context.Context, cfg workerConfig) {
 	}
 
 	fmt.Printf("nvmserve: worker %q joining %s (%d engine workers)\n", name, cfg.join, eng.Workers())
-	err := w.Run(ctx)
+	err = w.Run(ctx)
 	if cerr := store.Close(); cerr != nil && err == nil {
 		err = cerr
 	}

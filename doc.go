@@ -19,16 +19,19 @@
 // paper's sweep shapes plus stress sweeps beyond them — run via
 // cmd/nvmbench -scenario or core.Machine.RunScenarioNamed.
 //
-// Scenarios are also data: every scenario.Spec round-trips through a
-// JSON schema (scenario.LoadSpec / LoadDir / Encode), so new sweeps —
+// Scenarios are also data: scenario.Spec's struct tags are its JSON
+// schema (scenario.LoadSpec / LoadDir / Encode), so new sweeps —
 // including resized and fused multi-application workloads — open from
 // spec files without recompiling (cmd/nvmbench -spec). The 13 presets
 // ship as specs/*.json, pinned byte-for-byte against the Go literals by
-// specs_test.go. The reproduced numbers themselves are pinned too: the
-// golden corpus under internal/experiments/testdata/golden holds one
-// canonical text artifact per experiment and preset, compared
-// byte-for-byte by `go test -run Golden` and regenerated with -update,
-// so behaviour-preserving refactors are provably so.
+// specs_test.go. Spec, traffic and fault-plan files share one codec,
+// internal/jsonfile: a strict decoder whose errors read file:line:col,
+// and the encoder that renders every shipped file. The reproduced
+// numbers themselves are pinned too: the golden corpus under
+// internal/experiments/testdata/golden holds one canonical text
+// artifact per experiment and preset, compared byte-for-byte by
+// `go test -run Golden` and regenerated with -update, so
+// behaviour-preserving refactors are provably so.
 //
 // Results are persistent and servable: internal/resultstore puts the
 // engine's result cache behind a pluggable Store interface — the

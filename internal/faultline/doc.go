@@ -14,9 +14,11 @@
 // between. Chaos tests pin recovery behaviour against that sequence
 // instead of against luck.
 //
-// Plans are strict JSON (unknown fields rejected), so a chaos harness
-// can ship them as files next to scenario and traffic specs (the CI
-// chaos drill's plan lives at faultplans/chaos-1pct.json):
+// Plans are strict JSON, decoded by the codec scenario and traffic specs
+// share (internal/jsonfile: unknown fields and trailing data rejected,
+// errors at file:line:col), so a chaos harness can ship them as files
+// next to those specs (the CI chaos drill's plan lives at
+// faultplans/chaos-1pct.json):
 //
 //	{"seed": 7, "rules": [
 //	  {"op": "write", "prob": 0.01, "kind": "short"},

@@ -1,8 +1,6 @@
 package faultline
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -10,6 +8,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/jsonfile"
 )
 
 // Op classifies the filesystem operations a rule can match.
@@ -169,20 +169,17 @@ func (p Plan) Validate() error {
 	return nil
 }
 
-// ParsePlan decodes a strict-JSON fault plan: unknown fields are
-// rejected and the plan is validated.
-func ParsePlan(data []byte) (Plan, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
+// ParsePlan decodes and validates a fault plan from file bytes. It
+// decodes through internal/jsonfile, the codec of scenario and traffic
+// specs: unknown fields and trailing data are rejected, and src names
+// the source (a path) so decode errors read src:line:col.
+func ParsePlan(data []byte, src string) (Plan, error) {
 	var p Plan
-	if err := dec.Decode(&p); err != nil {
-		return Plan{}, fmt.Errorf("faultline: parsing plan: %w", err)
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return Plan{}, fmt.Errorf("faultline: plan has trailing data")
+	if err := jsonfile.Decode(data, src, &p); err != nil {
+		return Plan{}, err
 	}
 	if err := p.Validate(); err != nil {
-		return Plan{}, err
+		return Plan{}, fmt.Errorf("%s: %w", src, err)
 	}
 	return p, nil
 }
@@ -193,11 +190,7 @@ func LoadPlan(path string) (Plan, error) {
 	if err != nil {
 		return Plan{}, fmt.Errorf("faultline: %w", err)
 	}
-	p, err := ParsePlan(data)
-	if err != nil {
-		return Plan{}, fmt.Errorf("faultline: %s: %w", path, err)
-	}
-	return p, nil
+	return ParsePlan(data, path)
 }
 
 // Event records one injected fault, in injection order.

@@ -16,7 +16,7 @@ func TestParsePlan(t *testing.T) {
 		{"op": "read", "path": ".seg", "nth": 3, "kind": "flip"},
 		{"op": "sync", "nth": 1},
 		{"op": "open", "prob": 1, "kind": "delay", "delay_ms": 0.5}
-	]}`))
+	]}`), "plan.json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,9 +41,24 @@ func TestParsePlan(t *testing.T) {
 		`{"rules": []} garbage`, // trailing garbage
 	}
 	for _, s := range bad {
-		if _, err := ParsePlan([]byte(s)); err == nil {
+		if _, err := ParsePlan([]byte(s), "bad.json"); err == nil {
 			t.Errorf("ParsePlan(%s) accepted invalid plan", s)
 		}
+	}
+}
+
+// A typo in a plan file names the file and its own line:col, like a
+// typo in a scenario or traffic spec.
+func TestLoadPlanErrorPosition(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "typo.json")
+	plan := "{\"seed\": 7, \"rules\": [\n  {\"op\": \"write\", \"nht\": 1}\n]}\n"
+	if err := os.WriteFile(path, []byte(plan), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := LoadPlan(path)
+	want := path + `:2:20: json: unknown field "nht"`
+	if err == nil || err.Error() != want {
+		t.Errorf("LoadPlan error = %v, want %q", err, want)
 	}
 }
 

@@ -22,7 +22,7 @@ func FuzzParsePlan(f *testing.F) {
 		f.Add([]byte(`{"rules": []}` + tail))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := ParsePlan(data)
+		p, err := ParsePlan(data, "fuzz.json")
 		if err != nil {
 			return
 		}
@@ -33,7 +33,7 @@ func FuzzParsePlan(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted plan failed to marshal: %v", err)
 		}
-		back, err := ParsePlan(b)
+		back, err := ParsePlan(b, "marshaled.json")
 		if err != nil {
 			t.Fatalf("marshaled plan %s failed to re-parse: %v", b, err)
 		}

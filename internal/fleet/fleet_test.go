@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -471,6 +472,70 @@ func TestWorkerRefusedJoinReturnsError(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), strconv.Itoa(code)) {
 			t.Errorf("join answered %d: Run = %v, want that refusal", code, err)
 		}
+	}
+}
+
+// A coordinator that forgets its workers, as a restarted one does, gets
+// each of them back exactly once. The heartbeat already asleep when the
+// rejoin lands must not beat with the old id and, on that id's 404,
+// send the fresh registration to join again: every extra join is one
+// more worker in the coordinator's count until the reaper drops it.
+func TestWorkerRejoinsOnceAfterCoordinatorForgets(t *testing.T) {
+	var (
+		mu      sync.Mutex
+		joins   int
+		current string
+		forgot  bool
+	)
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req Heartbeat // every non-join body carries worker_id
+		if r.URL.Path != "/fleet/v1/join" {
+			if err := decodeStrict(r.Body, &req); err != nil {
+				t.Errorf("%s: %v", r.URL.Path, err)
+			}
+		}
+		mu.Lock()
+		known := req.WorkerID == current
+		switch {
+		case r.URL.Path == "/fleet/v1/join":
+			joins++
+			current = fmt.Sprintf("w-%d", joins)
+			reply, _ := json.Marshal(JoinReply{WorkerID: current, HeartbeatMS: 100})
+			mu.Unlock()
+			w.Write(reply)
+			return
+		case r.URL.Path == "/fleet/v1/work" && known && !forgot:
+			// The restart: every registration is forgotten, once.
+			forgot, current, known = true, "", false
+		}
+		mu.Unlock()
+		switch {
+		case r.URL.Path == "/fleet/v1/leave":
+			w.WriteHeader(http.StatusNoContent)
+		case !known:
+			http.Error(w, "unknown worker", http.StatusNotFound)
+		case r.URL.Path == "/fleet/v1/work":
+			// An empty long-poll window, kept short.
+			select {
+			case <-r.Context().Done():
+			case <-time.After(20 * time.Millisecond):
+			}
+			w.WriteHeader(http.StatusNoContent)
+		default:
+			w.WriteHeader(http.StatusNoContent)
+		}
+	}))
+	t.Cleanup(stub.Close)
+	ctx, cancel := context.WithTimeout(context.Background(), 650*time.Millisecond)
+	defer cancel()
+	w := &Worker{Base: stub.URL, Eng: engine.New(sock(), 1), Name: "rejoiner"}
+	if err := w.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if joins != 2 {
+		t.Errorf("worker joined %d times across six heartbeats and one forgetful restart, want 2", joins)
 	}
 }
 

@@ -128,10 +128,13 @@ type ResultBatch struct {
 const maxBodyBytes = 8 << 20
 
 // decodeStrict parses one JSON document, rejecting unknown fields at
-// every nesting level and trailing data — the same codec convention as
-// the scenario, traffic and faultline file formats, applied to the
-// wire so a version-skewed fleet fails loudly instead of silently
-// dropping fields.
+// every nesting level and trailing data — the same convention as the
+// scenario, traffic and faultline file formats, applied to the wire so
+// a version-skewed fleet fails loudly instead of silently dropping
+// fields. It stays apart from those files' decoder (internal/jsonfile)
+// because it reads a request or reply stream capped at maxBodyBytes,
+// never holding a whole file in hand: a wire error names the document
+// type, and a line:col into a body nobody can see would say nothing.
 func decodeStrict(r io.Reader, v any) error {
 	dec := json.NewDecoder(io.LimitReader(r, maxBodyBytes))
 	dec.DisallowUnknownFields()

@@ -203,11 +203,14 @@ func (w *Worker) leave() {
 // heartbeatLoop beats at the coordinator's requested cadence. A 404
 // flags the main loop to rejoin; transport errors are left to the
 // pull loop's own retry (beating a dead coordinator adds nothing).
+// The main loop may rejoin while a beat sleeps or travels, so each beat
+// reads the id after its sleep, and a 404 counts only while the id it
+// answers is still current: a stale beat must not send a freshly
+// rejoined worker to join again, registering it twice.
 func (w *Worker) heartbeatLoop(ctx context.Context) {
 	for {
 		w.mu.Lock()
 		every := time.Duration(w.reply.HeartbeatMS) * time.Millisecond
-		id := w.id
 		w.mu.Unlock()
 		if every <= 0 {
 			every = DefaultHeartbeat
@@ -215,10 +218,15 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 		if err := sleepCtx(ctx, every); err != nil {
 			return
 		}
+		id := w.ID()
 		body, _ := json.Marshal(Heartbeat{WorkerID: id})
 		status, _ := w.post(ctx, "/fleet/v1/heartbeat", body, nil)
 		if status == http.StatusNotFound {
-			w.markLost()
+			w.mu.Lock()
+			if w.id == id {
+				w.lost = true
+			}
+			w.mu.Unlock()
 		}
 	}
 }

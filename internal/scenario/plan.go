@@ -34,24 +34,24 @@ const ObjectiveTime = "time"
 type Plan struct {
 	// Seed names the seed strategy: SeedEdges (default), SeedStride or
 	// SeedFull.
-	Seed string
+	Seed string `json:"seed,omitempty"`
 	// BudgetFrac caps real evaluations at this fraction of the expanded
 	// point count (default 0.5). The planner submits at most
 	// floor(BudgetFrac * points) jobs to the engine, floored at one
 	// point per regression group — nothing can be predicted from a
 	// group with no real evaluation.
-	BudgetFrac float64
+	BudgetFrac float64 `json:"budget_frac,omitempty"`
 	// Threshold is the relative prediction-disagreement level above
 	// which a predicted point is submitted for real evaluation
 	// (default 0.05): disagreement is the leave-one-out ensemble spread
 	// divided by the mean prediction.
-	Threshold float64
+	Threshold float64 `json:"threshold,omitempty"`
 	// Objective names the quantity the frontier minimizes alongside DRAM
 	// use; only ObjectiveTime is defined.
-	Objective string
+	Objective string `json:"objective,omitempty"`
 	// MaxRounds bounds the refine/verify iterations after the seed round
 	// (default 8).
-	MaxRounds int
+	MaxRounds int `json:"max_rounds,omitempty"`
 }
 
 // Defaults returns the plan with zero-valued knobs replaced by their

@@ -7,11 +7,12 @@
 // (see presets.go) open arbitrary sweeps — including non-paper ones like
 // the full-cartesian stress sweep — to cmd/nvmbench and the public API.
 //
-// Specs are also files: the JSON schema in specfile.go round-trips every
-// serializable Spec (LoadSpec / LoadDir / Encode), the presets ship as
-// specs/*.json at the repository root, and the sized/composite stanzas
-// declare derived workloads — resized registry applications and fused
-// multi-application pipelines — without writing Go.
+// Specs are also files: Spec's struct tags are the JSON schema, which
+// round-trips every serializable Spec (LoadSpec / LoadDir / Encode), the
+// presets ship as specs/*.json at the repository root, and the
+// sized/composite stanzas declare derived workloads — resized registry
+// applications and fused multi-application pipelines — without writing
+// Go.
 package scenario
 
 import (
@@ -42,21 +43,21 @@ type Custom struct {
 // 4x one.
 type Sized struct {
 	// App names the dwarf-registry application to resize.
-	App string
+	App string `json:"app"`
 	// Scale multiplies the footprint, per-phase working sets and baseline
 	// time.
-	Scale float64
+	Scale float64 `json:"scale"`
 	// Label names the sweep rows; empty defaults to "App-xScale".
-	Label string
+	Label string `json:"label,omitempty"`
 }
 
 // Part is one member application of a Composite workload.
 type Part struct {
 	// App names the dwarf-registry application.
-	App string
+	App string `json:"app"`
 	// Weight is the part's share of execution time; weights are
 	// normalized over the composite.
-	Weight float64
+	Weight float64 `json:"weight"`
 }
 
 // Composite declares a fused multi-application workload: the parts'
@@ -67,48 +68,48 @@ type Part struct {
 // analysis stage) — a sweep shape the paper never ran but the spec files
 // open up.
 type Composite struct {
-	Label string
-	Parts []Part
+	Label string `json:"label"`
+	Parts []Part `json:"parts"`
 }
 
 // Spec declares a sweep. Zero-valued axes take paper defaults: all eight
 // registry applications, the three paper-wide modes, 48 threads, scale 1.
 //
-// A Spec is data: it marshals to and from the JSON schema in specfile.go
-// (see LoadSpec), except for the Custom field, whose builders are Go
-// closures. The workload sources — Apps, Custom, Workloads, Sized,
+// A Spec is data: its struct tags are the spec-file schema (see
+// LoadSpec), and only the Custom field, whose builders are Go closures,
+// has no file form. The workload sources — Apps, Custom, Workloads, Sized,
 // Composite — are additive; when any of them is set, Apps contributes
 // only the applications it explicitly names.
 type Spec struct {
-	Name        string
-	Description string
+	Name        string `json:"name"`
+	Description string `json:"description,omitempty"`
 
 	// Apps lists dwarf-registry applications.
-	Apps []string
+	Apps []string `json:"apps,omitempty"`
 	// Custom lists explicit workload builders (Go code only; a spec
 	// carrying Custom entries cannot be marshaled to a file).
-	Custom []Custom
+	Custom []Custom `json:"-"`
 	// Workloads lists full inline workload descriptors (the
 	// internal/workload JSON schema in spec files).
-	Workloads []*workload.Workload
+	Workloads []*workload.Workload `json:"workloads,omitempty"`
 	// Sized lists resized registry applications.
-	Sized []Sized
+	Sized []Sized `json:"sized,omitempty"`
 	// Composite lists fused multi-application workloads.
-	Composite []Composite
-	// Modes lists the memory configurations to sweep.
-	Modes []memsys.Mode
+	Composite []Composite `json:"composite,omitempty"`
+	// Modes lists the memory configurations to sweep, by name in files.
+	Modes Modes `json:"modes,omitempty"`
 	// Threads lists the concurrency levels to sweep.
-	Threads []int
+	Threads []int `json:"threads,omitempty"`
 	// Scales lists footprint multipliers: each scales the workload's
 	// footprint, per-phase working sets and baseline time linearly,
 	// modelling the same code on a proportionally larger (or smaller)
 	// problem — the axis behind the capacity-pressure sweeps.
-	Scales []float64
+	Scales []float64 `json:"scales,omitempty"`
 	// Plan, when non-nil, configures the adaptive sweep planner
 	// (internal/planner): the sweep is resolved from a seeded,
 	// model-predicted subset of real evaluations instead of
 	// exhaustively. Nil means the classic exhaustive sweep.
-	Plan *Plan
+	Plan *Plan `json:"plan,omitempty"`
 }
 
 // Meta labels one expanded evaluation point.

@@ -7,62 +7,22 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"regexp"
 	"sort"
 	"strings"
 
+	"repro/internal/jsonfile"
 	"repro/internal/memsys"
-	"repro/internal/workload"
 )
 
-// The spec-file schema: a sweep as data, so new scenarios open without
+// The spec-file schema is the struct tags on Spec, Sized, Composite,
+// Part and Plan: a sweep as data, so new scenarios open without
 // recompiling. Modes are the paper's names ("DRAM", "cached-NVM",
 // "uncached-NVM"); workload sources beyond registry apps are the inline
 // workload schema (internal/workload), resized registry applications
-// ("sized") and fused multi-application workloads ("composite"). Every
-// preset marshals to this schema byte-stably — the files under specs/
-// are generated by nvmbench -export-specs and pinned by test.
-
-type jsonSized struct {
-	App   string  `json:"app"`
-	Scale float64 `json:"scale"`
-	Label string  `json:"label,omitempty"`
-}
-
-type jsonPart struct {
-	App    string  `json:"app"`
-	Weight float64 `json:"weight"`
-}
-
-type jsonComposite struct {
-	Label string     `json:"label"`
-	Parts []jsonPart `json:"parts"`
-}
-
-// jsonPlan is the optional "plan" block: the adaptive-planner knobs.
-// Fields mirror scenario.Plan; zero values mean "default" and are
-// omitted on encode so a defaulted plan round-trips as {"plan": {}}
-// only when explicitly present.
-type jsonPlan struct {
-	Seed       string  `json:"seed,omitempty"`
-	BudgetFrac float64 `json:"budget_frac,omitempty"`
-	Threshold  float64 `json:"threshold,omitempty"`
-	Objective  string  `json:"objective,omitempty"`
-	MaxRounds  int     `json:"max_rounds,omitempty"`
-}
-
-type jsonSpec struct {
-	Name        string               `json:"name"`
-	Description string               `json:"description,omitempty"`
-	Apps        []string             `json:"apps,omitempty"`
-	Workloads   []*workload.Workload `json:"workloads,omitempty"`
-	Sized       []jsonSized          `json:"sized,omitempty"`
-	Composite   []jsonComposite      `json:"composite,omitempty"`
-	Modes       []string             `json:"modes,omitempty"`
-	Threads     []int                `json:"threads,omitempty"`
-	Scales      []float64            `json:"scales,omitempty"`
-	Plan        *jsonPlan            `json:"plan,omitempty"`
-}
+// ("sized") and fused multi-application workloads ("composite"). Files
+// decode through internal/jsonfile's strict decoder, and every preset
+// encodes byte-stably — the files under specs/ are generated by
+// nvmbench -export-specs and pinned by test.
 
 // MarshalJSON renders an outcome as a flat record — the schema behind
 // nvmbench's -format json scenario output: the evaluation point, the
@@ -139,6 +99,44 @@ func ParseMode(name string) (memsys.Mode, error) {
 		name, strings.Join(names, ", "))
 }
 
+// Modes is a spec's memory-mode axis. Files carry it as mode names:
+// the paper's canonical spellings on encode, anything ParseMode
+// accepts on decode.
+type Modes []memsys.Mode
+
+// MarshalJSON writes the modes by name.
+func (ms Modes) MarshalJSON() ([]byte, error) {
+	names := make([]string, len(ms))
+	for i, m := range ms {
+		names[i] = m.String()
+	}
+	return json.Marshal(names)
+}
+
+// UnmarshalJSON reads mode names through ParseMode.
+func (ms *Modes) UnmarshalJSON(data []byte) error {
+	var names []string
+	if err := json.Unmarshal(data, &names); err != nil {
+		// The offset in err is relative to the list, not the file, so it
+		// must not be reported as a file position.
+		return fmt.Errorf("modes: %v", err)
+	}
+	var out Modes
+	for _, name := range names {
+		m, err := ParseMode(name)
+		if err != nil {
+			return err
+		}
+		out = append(out, m)
+	}
+	*ms = out
+	return nil
+}
+
+// specFields is Spec without its methods, so encoding/json reads the
+// struct tags instead of recursing into Spec's codec.
+type specFields Spec
+
 // MarshalJSON encodes the spec in the file schema. Specs carrying Custom
 // builders cannot be serialized: a Go closure has no file form — declare
 // the workload as an inline descriptor, a sized app or a composite
@@ -147,106 +145,40 @@ func (s Spec) MarshalJSON() ([]byte, error) {
 	if len(s.Custom) > 0 {
 		return nil, fmt.Errorf("scenario %s: Custom builders are Go closures and cannot be marshaled; use Workloads, Sized or Composite", s.Name)
 	}
-	js := jsonSpec{
-		Name:        s.Name,
-		Description: s.Description,
-		Apps:        s.Apps,
-		Workloads:   s.Workloads,
-		Threads:     s.Threads,
-		Scales:      s.Scales,
-	}
-	for _, sz := range s.Sized {
-		js.Sized = append(js.Sized, jsonSized{App: sz.App, Scale: sz.Scale, Label: sz.Label})
-	}
-	for _, c := range s.Composite {
-		jc := jsonComposite{Label: c.Label}
-		for _, p := range c.Parts {
-			jc.Parts = append(jc.Parts, jsonPart{App: p.App, Weight: p.Weight})
-		}
-		js.Composite = append(js.Composite, jc)
-	}
-	for _, m := range s.Modes {
-		js.Modes = append(js.Modes, m.String())
-	}
-	if s.Plan != nil {
-		js.Plan = &jsonPlan{
-			Seed:       s.Plan.Seed,
-			BudgetFrac: s.Plan.BudgetFrac,
-			Threshold:  s.Plan.Threshold,
-			Objective:  s.Plan.Objective,
-			MaxRounds:  s.Plan.MaxRounds,
-		}
-	}
-	return json.Marshal(js)
+	return json.Marshal(specFields(s))
 }
 
 // UnmarshalJSON decodes the file schema, rejecting unknown fields so a
-// typoed axis name fails loudly instead of silently sweeping defaults.
+// typoed axis name fails loudly instead of silently sweeping defaults —
+// also where a spec is nested in another document (a traffic file's
+// submit template) whose decoder's strictness stops at this method.
 // Structural decoding only; LoadSpec/ParseSpec run Validate on top.
 func (s *Spec) UnmarshalJSON(data []byte) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	var js jsonSpec
-	if err := dec.Decode(&js); err != nil {
+	var f specFields
+	if err := dec.Decode(&f); err != nil {
 		return err
 	}
-	out := Spec{
-		Name:        js.Name,
-		Description: js.Description,
-		Apps:        js.Apps,
-		Workloads:   js.Workloads,
-		Threads:     js.Threads,
-		Scales:      js.Scales,
-	}
-	for _, sz := range js.Sized {
-		out.Sized = append(out.Sized, Sized{App: sz.App, Scale: sz.Scale, Label: sz.Label})
-	}
-	for _, jc := range js.Composite {
-		c := Composite{Label: jc.Label}
-		for _, p := range jc.Parts {
-			c.Parts = append(c.Parts, Part{App: p.App, Weight: p.Weight})
-		}
-		out.Composite = append(out.Composite, c)
-	}
-	for _, name := range js.Modes {
-		m, err := ParseMode(name)
-		if err != nil {
-			return fmt.Errorf("scenario %s: %w", js.Name, err)
-		}
-		out.Modes = append(out.Modes, m)
-	}
-	if js.Plan != nil {
-		out.Plan = &Plan{
-			Seed:       js.Plan.Seed,
-			BudgetFrac: js.Plan.BudgetFrac,
-			Threshold:  js.Plan.Threshold,
-			Objective:  js.Plan.Objective,
-			MaxRounds:  js.Plan.MaxRounds,
-		}
-	}
-	*s = out
+	*s = Spec(f)
 	return nil
 }
 
 // Encode renders the spec as an indented spec file (the exact bytes
 // WriteSpecs ships under specs/).
 func Encode(s Spec) ([]byte, error) {
-	b, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
+	return jsonfile.Encode(s)
 }
 
-var unknownField = regexp.MustCompile(`json: unknown field "([^"]+)"`)
-
 // ParseSpec decodes and validates one spec from file bytes. src names
-// the source (a path) for error messages; decode errors carry line:col
-// positions so a broken file points at its own defect.
+// the source (a path) for error messages; decode errors carry
+// src:line:col positions so a broken file points at its own defect.
 func ParseSpec(data []byte, src string) (Spec, error) {
 	var s Spec
-	if err := json.Unmarshal(data, &s); err != nil {
-		return Spec{}, specError(data, src, err)
+	// Decoding the fields directly skips UnmarshalJSON's second pass:
+	// jsonfile.Decode is strict already.
+	if err := jsonfile.Decode(data, src, (*specFields)(&s)); err != nil {
+		return Spec{}, err
 	}
 	if s.Name == "" {
 		return Spec{}, fmt.Errorf("%s: spec has no name", src)
@@ -255,36 +187,6 @@ func ParseSpec(data []byte, src string) (Spec, error) {
 		return Spec{}, fmt.Errorf("%s: %w", src, err)
 	}
 	return s, nil
-}
-
-// specError upgrades a decode error with a line:col position when one
-// can be recovered (offset-carrying errors, unknown fields).
-func specError(data []byte, src string, err error) error {
-	var off int64 = -1
-	switch e := err.(type) {
-	case *json.SyntaxError:
-		off = e.Offset
-	case *json.UnmarshalTypeError:
-		off = e.Offset
-	default:
-		if m := unknownField.FindStringSubmatch(err.Error()); m != nil {
-			if i := bytes.Index(data, []byte(`"`+m[1]+`"`)); i >= 0 {
-				off = int64(i) + 1
-			}
-		}
-	}
-	if off < 0 || off > int64(len(data)) {
-		return fmt.Errorf("%s: %w", src, err)
-	}
-	line, col := 1, 1
-	for _, c := range data[:off] {
-		col++
-		if c == '\n' {
-			line++
-			col = 1
-		}
-	}
-	return fmt.Errorf("%s:%d:%d: %w", src, line, col, err)
 }
 
 // LoadSpec reads and validates one spec file.

@@ -214,6 +214,13 @@ func TestParseSpecErrorQuality(t *testing.T) {
 		{"bad-composite", `{"name": "x", "composite": [{"label": "c", "parts": []}]}`, "no parts"},
 		{"bad-sized", `{"name": "x", "sized": [{"app": "FFT", "scale": 0}]}`, "non-positive scale"},
 		{"nested-unknown-field", `{"name": "x", "workloads": [{"name": "w", "seeed": 42}]}`, `unknown field "seeed"`},
+		// Sized, Composite, Part and Plan decode through their struct tags
+		// alone, so strictness must reach into each of them.
+		{"sized-unknown-field", "{\"name\": \"x\", \"sized\": [{\"app\": \"FFT\", \"scale\": 2,\n  \"lable\": \"big\"}]}", `bad.json:2:4: json: unknown field "lable"`},
+		{"composite-unknown-field", "{\"name\": \"x\", \"composite\": [{\"label\": \"c\",\n  \"partz\": []}]}", `bad.json:2:4: json: unknown field "partz"`},
+		{"parts-unknown-field", "{\"name\": \"x\", \"composite\": [{\"label\": \"c\", \"parts\": [{\"app\": \"FFT\",\n  \"wieght\": 1}]}]}", `bad.json:2:4: json: unknown field "wieght"`},
+		{"plan-unknown-field", "{\"name\": \"x\", \"plan\": {\"seed\": \"edges\",\n  \"budget\": 0.5}}", `bad.json:2:4: json: unknown field "budget"`},
+		{"trailing-data", "{\"name\": \"x\", \"apps\": [\"FFT\"]}\n\n  {}", "bad.json:3:3: trailing data after the document"},
 		{"dup-label", `{"name": "x", "apps": ["FFT"], "composite": [{"label": "FFT", "parts": [{"app": "Hypre", "weight": 1}]}]}`, "duplicate workload label"},
 	}
 	for _, c := range cases {

@@ -133,7 +133,7 @@ func TestParseRejectsTrailingData(t *testing.T) {
 		if tail == "  \n{}" {
 			line++
 		}
-		want := fmt.Sprintf("bad.json:%d:%d: trailing data after the spec", line, col)
+		want := fmt.Sprintf("bad.json:%d:%d: trailing data after the document", line, col)
 		if err == nil || err.Error() != want {
 			t.Errorf("tail %q: error = %v, want %q", tail, err, want)
 		}
