@@ -126,21 +126,14 @@ func BenchmarkHitModelClosedForm(b *testing.B) {
 
 // benchRegistry regenerates the full experiment registry on a fresh
 // context per iteration (so the engine cache never carries over between
-// iterations) with the given worker count; parallel selects the
-// engine-fanned path.
-func benchRegistry(b *testing.B, workers int, parallel bool) {
+// iterations) with the given worker count.
+func benchRegistry(b *testing.B, workers int) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ctx := experiments.NewContext()
 		ctx.TraceSamples = 100
 		ctx.Engine.SetWorkers(workers)
-		var err error
-		if parallel {
-			_, err = experiments.RunAllParallel(ctx)
-		} else {
-			_, err = experiments.RunAll(ctx)
-		}
-		if err != nil {
+		if _, err := experiments.RunAll(ctx); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -148,13 +141,13 @@ func benchRegistry(b *testing.B, workers int, parallel bool) {
 
 // BenchmarkRegistrySequential is the sequential baseline: every
 // experiment in registry order on a single engine worker.
-func BenchmarkRegistrySequential(b *testing.B) { benchRegistry(b, 1, false) }
+func BenchmarkRegistrySequential(b *testing.B) { benchRegistry(b, 1) }
 
 // BenchmarkRegistryParallel fans the registry across GOMAXPROCS engine
 // workers. Output is byte-identical to the sequential run (the
 // experiments package property-tests this); on a multi-core machine the
 // wall-clock gap is the engine's speedup.
-func BenchmarkRegistryParallel(b *testing.B) { benchRegistry(b, runtime.GOMAXPROCS(0), true) }
+func BenchmarkRegistryParallel(b *testing.B) { benchRegistry(b, runtime.GOMAXPROCS(0)) }
 
 // BenchmarkScenarioSequential sweeps the 216-point full-cartesian
 // stress scenario (all apps x all modes x the full thread ladder) on

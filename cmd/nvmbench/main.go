@@ -5,25 +5,25 @@
 //
 //	nvmbench -list
 //	nvmbench -run fig2
-//	nvmbench -run all [-parallel] [-threads 48] [-low 24] [-samples 200]
+//	nvmbench -run all [-workers 1] [-threads 48] [-low 24] [-samples 200]
 //	nvmbench -scenario full-cartesian [-workers 8]
 //	nvmbench -scenario full-cartesian -store results/   # warm runs are near-instant
 //	nvmbench -spec specs/beyond-dram.json [-format json]
 //	nvmbench -spec mysweeps/ [-workers 8]
-//	nvmbench -export-specs specs
 //	go test -run '^$' -bench <tracked> -benchmem -count=5 . | nvmbench -bench-gate BENCH_0.txt
 //	nvmbench -store-stats results/
 //	nvmbench -store-compact results/
 //	nvmbench -store-verify results/
 //
 // Each experiment prints its rows/series plus the paper-shape checks
-// (who wins, by what factor) with PASS/DEVIATION status. With -parallel
-// the experiments fan out across the evaluation engine's worker pool;
-// the output is byte-identical to the sequential run. -scenario runs a
+// (who wins, by what factor) with PASS/DEVIATION status. The
+// experiments fan out across the evaluation engine's worker pool
+// (-workers; 1 runs them one after another in registry order), and the
+// output is byte-identical whatever the worker count. -scenario runs a
 // named sweep preset (see -list); -spec runs user-authored spec files —
 // one file or a whole directory — through the same engine, so new
-// sweeps open without recompiling. -export-specs dumps the presets as
-// spec files, the seed corpus for authoring new ones.
+// sweeps open without recompiling. The presets themselves ship as spec
+// files under specs/, the seed corpus for authoring new ones.
 //
 // -store backs the engine with the disk result store
 // (internal/resultstore): every evaluated point is appended to the store
@@ -72,8 +72,6 @@ func main() {
 	scen := flag.String("scenario", "", "run a named scenario preset instead of an experiment")
 	spec := flag.String("spec", "", "run scenario spec file(s): a *.json path or a directory of them")
 	storeDir := flag.String("store", "", "back the engine with a disk result store at this directory: evaluated points persist and later runs re-serve them as cache hits")
-	exportDir := flag.String("export-specs", "", "write every preset as a spec file under this directory, then exit")
-	parallel := flag.Bool("parallel", false, "fan experiments across the engine's worker pool")
 	workers := flag.Int("workers", 0, "engine worker count (0 = GOMAXPROCS)")
 	threads := flag.Int("threads", 48, "full concurrency level")
 	low := flag.Int("low", 24, "low concurrency level (Fig 6)")
@@ -127,13 +125,6 @@ func main() {
 		return
 	}
 
-	if *exportDir != "" {
-		if err := exportSpecs(*exportDir, os.Stdout); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
 	m := core.NewMachine()
 	if *storeDir != "" {
 		d, err := resultstore.Open(*storeDir)
@@ -166,7 +157,7 @@ func main() {
 		var conflicts []string
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "run", "parallel", "threads", "low", "samples":
+			case "run", "threads", "low", "samples":
 				conflicts = append(conflicts, "-"+f.Name)
 			}
 		})
@@ -191,15 +182,7 @@ func main() {
 
 	var reports []core.Report
 	if *run == "all" {
-		var (
-			rs  []core.Report
-			err error
-		)
-		if *parallel {
-			rs, err = m.RunAllExperimentsParallel()
-		} else {
-			rs, err = m.RunAllExperiments()
-		}
+		rs, err := m.RunAllExperiments()
 		if err != nil {
 			fatal(err)
 		}
@@ -239,16 +222,6 @@ func main() {
 	if deviations > 0 {
 		os.Exit(1)
 	}
-}
-
-// exportSpecs writes every preset as a spec file under dir.
-func exportSpecs(dir string, w io.Writer) error {
-	presets := scenario.Presets()
-	if err := scenario.WriteSpecs(dir, presets); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "wrote %d spec files to %s\n", len(presets), dir)
-	return nil
 }
 
 // runScenarioNamed runs one preset sweep through the machine's engine.

@@ -30,24 +30,6 @@ func TestUnknownPresetErrorListsNames(t *testing.T) {
 	}
 }
 
-func TestExportSpecsRoundTrips(t *testing.T) {
-	dir := t.TempDir()
-	var out strings.Builder
-	if err := exportSpecs(dir, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), dir) {
-		t.Errorf("export summary %q does not name the directory", out.String())
-	}
-	specs, err := scenario.LoadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(specs) != len(scenario.Presets()) {
-		t.Errorf("exported %d specs, want %d", len(specs), len(scenario.Presets()))
-	}
-}
-
 // userSpec is the README's worked example: a spec a user would author
 // by hand, exercising the sized and composite stanzas.
 const userSpec = `{

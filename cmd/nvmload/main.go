@@ -10,7 +10,6 @@
 //	nvmload -spec traffic/bursty-two-class.json -target http://127.0.0.1:8080
 //	nvmload -spec bursty-two-class -inprocess -report json
 //	nvmload -spec mixed-plan-load -inprocess -duration 2s -seed 7
-//	nvmload -export-specs traffic
 //
 // A traffic spec (internal/traffic; shipped presets under traffic/ at
 // the repository root) declares clients with rate fractions, arrival
@@ -59,7 +58,6 @@ func main() {
 	maxInFlight := flag.Int("max-inflight", 0, "cap concurrently outstanding runs (0 = unlimited)")
 	report := flag.String("report", "table", "report format: table|json")
 	requireClean := flag.Bool("require-clean", false, "exit non-zero unless every offered arrival was submitted and completed")
-	exportDir := flag.String("export-specs", "", "write every traffic preset as a spec file under this directory, then exit")
 	retries := flag.Int("retries", 0, "retry budget per submission: 429/5xx/connection failures are retried with exponential backoff + full jitter, honoring Retry-After (remote targets only)")
 	retryBase := flag.Duration("retry-base", 0, "first retry backoff window; doubles per retry (default 100ms)")
 	rateScale := flag.Float64("rate-scale", 1, "multiply the spec's aggregate rate (e.g. 4 for an overload drill at 4x the declared load)")
@@ -67,13 +65,6 @@ func main() {
 
 	if *list {
 		listPresets(os.Stdout)
-		return
-	}
-	if *exportDir != "" {
-		if err := traffic.WriteSpecs(*exportDir, traffic.Presets()); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %d traffic specs under %s\n", len(traffic.Presets()), *exportDir)
 		return
 	}
 	if *spec == "" {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -24,7 +25,11 @@ func TestResolveSpec(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	if err := traffic.WriteSpecs(dir, traffic.Presets()[:1]); err != nil {
+	b, err := traffic.Encode(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "bursty-two-class.json"), b, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	sp, err = resolveSpec(filepath.Join(dir, "bursty-two-class.json"))

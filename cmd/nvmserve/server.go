@@ -139,9 +139,10 @@ func (s *server) presets(w http.ResponseWriter, r *http.Request) {
 		Description string `json:"description"`
 		Points      int    `json:"points"`
 	}
+	ps := scenario.Presets()
 	// Non-nil so an empty catalogue encodes as [] rather than null.
-	out := make([]preset, 0, len(scenario.Presets()))
-	for _, sp := range scenario.Presets() {
+	out := make([]preset, 0, len(ps))
+	for _, sp := range ps {
 		out = append(out, preset{Name: sp.Name, Description: sp.Description, Points: sp.Size()})
 	}
 	writeJSON(w, http.StatusOK, out)

@@ -326,6 +326,7 @@ func TestSubmitRejectsBadInput(t *testing.T) {
 		{"syntax", "/v1/sweeps", `{"name": "x", "apps": [`, http.StatusBadRequest},
 		{"unknown app", "/v1/sweeps", `{"name": "x", "apps": ["NoSuchApp"]}`, http.StatusBadRequest},
 		{"unknown axis", "/v1/sweeps", `{"name": "x", "threadz": [8]}`, http.StatusBadRequest},
+		{"footprint overflow", "/v1/sweeps", `{"name":"h","apps":["XSBench"],"modes":["uncached-NVM"],"scales":[1e12]}`, http.StatusBadRequest},
 		{"unknown preset", "/v1/sweeps?preset=nope", "", http.StatusNotFound},
 	}
 	for _, tc := range cases {

@@ -12,21 +12,22 @@
 // set, thread sweep, footprint scales) as data, and internal/engine
 // executes them as (workload, mode, threads) job batches across a
 // worker pool with per-mode system memoization and result caching.
-// Parallel execution is deterministic: reports are byte-identical to
-// the sequential path, and cmd/nvmbench's -parallel flag (or
-// core.Machine.RunAllExperimentsParallel) regenerates the full
-// evaluation fanned across GOMAXPROCS. Named scenario presets — the
-// paper's sweep shapes plus stress sweeps beyond them — run via
+// Parallel execution is deterministic: cmd/nvmbench -run all (or
+// core.Machine.RunAllExperiments) regenerates the full evaluation
+// fanned across the engine's workers, and the reports are
+// byte-identical whatever the worker count. Named scenario presets —
+// the paper's sweep shapes plus stress sweeps beyond them — run via
 // cmd/nvmbench -scenario or core.Machine.RunScenarioNamed.
 //
 // Scenarios are also data: scenario.Spec's struct tags are its JSON
 // schema (scenario.LoadSpec / LoadDir / Encode), so new sweeps —
 // including resized and fused multi-application workloads — open from
 // spec files without recompiling (cmd/nvmbench -spec). The 13 presets
-// ship as specs/*.json, pinned byte-for-byte against the Go literals by
-// specs_test.go. Spec, traffic and fault-plan files share one codec,
-// internal/jsonfile: a strict decoder whose errors read file:line:col,
-// and the encoder that renders every shipped file. The reproduced
+// are the files specs/*.json, embedded by package specs; specs_test.go
+// pins each file to the bytes scenario.Encode writes for it. Spec,
+// traffic and fault-plan files share one codec, internal/jsonfile: a
+// strict decoder whose errors read file:line:col, and the encoder that
+// renders every shipped file. The reproduced
 // numbers themselves are pinned too: the golden corpus under
 // internal/experiments/testdata/golden holds one canonical text
 // artifact per experiment and preset, compared byte-for-byte by
@@ -63,18 +64,19 @@
 // progress and an NDJSON point stream (session.Manager.SubmitPlan).
 //
 // The serving path is exercised under load, not just per request:
-// internal/traffic declares traffic as data — a strict-JSON spec
-// (traffic/*.json, pinned like the scenario presets) of clients with
-// SLO classes (critical/batch/background), deterministic seeded arrival
-// processes (poisson, gamma, on/off bursty) shaped by ramp/steady/
-// spike/drain phases, each submitting a preset or inline scenario as a
-// sweep or a plan. A closed-loop driver (traffic.Replay) replays the
-// spec against an in-process session.Manager or a remote nvmserve URL
-// and reports per-class admission-to-first-point and admission-to-done
-// latency percentiles, achieved vs offered rate, and cache hit rates;
-// cmd/nvmload is the CLI. The daemon itself stays bounded under that
-// load: session retention is capped (nvmserve -retain), evicting the
-// oldest terminal sessions while their points persist in the store.
+// internal/traffic declares traffic as data — a strict-JSON spec (the
+// presets are traffic/*.json, embedded like the scenario presets) of
+// clients with SLO classes (critical/batch/background), deterministic
+// seeded arrival processes (poisson, gamma, on/off bursty) shaped by
+// ramp/steady/spike/drain phases, each submitting a preset or inline
+// scenario as a sweep or a plan. A closed-loop driver (traffic.Replay)
+// replays the spec against an in-process session.Manager or a remote
+// nvmserve URL and reports per-class admission-to-first-point and
+// admission-to-done latency percentiles, achieved vs offered rate, and
+// cache hit rates; cmd/nvmload is the CLI. The daemon itself stays
+// bounded under that load: session retention is capped (nvmserve
+// -retain), evicting the oldest terminal sessions while their points
+// persist in the store.
 //
 // The stack also scales past one machine: internal/fleet federates
 // nvmserve daemons into a coordinator/worker cluster behind the same

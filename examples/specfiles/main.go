@@ -51,11 +51,11 @@ func main() {
 	}
 	fmt.Print(scenario.Table(outs))
 
-	// Round-trip: a Spec is data, so presets export as seed files for
-	// authoring new sweeps (nvmbench -export-specs does this for specs/).
+	// Round-trip: a Spec is data, and Encode renders it in the form
+	// every shipped preset file under specs/ takes.
 	b, err := scenario.Encode(sp)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nthe spec as nvmbench -export-specs would write it:\n%s", b)
+	fmt.Printf("\nthe spec in shipped-file form:\n%s", b)
 }

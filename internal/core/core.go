@@ -149,16 +149,12 @@ func (m *Machine) Experiment(id string) (Report, error) {
 // Experiments lists the available experiment ids in paper order.
 func (m *Machine) Experiments() []string { return experiments.IDs() }
 
-// RunAllExperiments regenerates the full evaluation sequentially.
+// RunAllExperiments regenerates the full evaluation with the
+// experiments fanned across the engine's worker pool, returning the
+// reports in registry order. They are byte-identical whatever the
+// worker count; one worker runs the experiments in that order.
 func (m *Machine) RunAllExperiments() ([]Report, error) {
 	return experiments.RunAll(m.ctx)
-}
-
-// RunAllExperimentsParallel regenerates the full evaluation with the
-// experiments fanned across the engine's worker pool. Reports are
-// byte-identical to RunAllExperiments, in the same registry order.
-func (m *Machine) RunAllExperimentsParallel() ([]Report, error) {
-	return experiments.RunAllParallel(m.ctx)
 }
 
 // Engine exposes the machine's concurrent evaluation engine (worker

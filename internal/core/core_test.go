@@ -116,6 +116,7 @@ func TestRunAllBatched(t *testing.T) {
 func TestRunAllExperimentsParallelMatches(t *testing.T) {
 	seqM := NewMachine()
 	seqM.Context().TraceSamples = 60
+	seqM.Engine().SetWorkers(1)
 	seq, err := seqM.RunAllExperiments()
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +124,7 @@ func TestRunAllExperimentsParallelMatches(t *testing.T) {
 	parM := NewMachine()
 	parM.Context().TraceSamples = 60
 	parM.Engine().SetWorkers(4)
-	par, err := parM.RunAllExperimentsParallel()
+	par, err := parM.RunAllExperiments()
 	if err != nil {
 		t.Fatal(err)
 	}

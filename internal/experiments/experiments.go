@@ -20,7 +20,7 @@ import (
 // Context carries the shared experiment environment. All evaluation
 // flows through the Engine, so repeated sweep points (Fig 2, Table III
 // and Fig 6 share the full-concurrency runs) are computed once, and the
-// whole registry can be regenerated in parallel (RunAllParallel) with
+// whole registry regenerates across the engine's workers (RunAll) with
 // byte-identical output.
 type Context struct {
 	Machine *platform.Machine
@@ -177,26 +177,14 @@ func IDs() []string {
 	return out
 }
 
-// RunAll executes every experiment sequentially and returns the reports
-// in registry order.
+// RunAll fans the experiments across the engine's worker pool and
+// returns the reports in registry order; one worker runs them one after
+// another in that order. Every experiment is a pure function of the
+// context and the engine's cache is shared read-only, so the reports
+// are byte-identical whatever the worker count (the determinism
+// property test asserts this). Every experiment runs; on failure the
+// error is the first in registry order.
 func RunAll(c *Context) ([]Report, error) {
-	var out []Report
-	for _, e := range Registry() {
-		r, err := e.Fn(c)
-		if err != nil {
-			return out, fmt.Errorf("%s: %w", e.ID, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// RunAllParallel fans the experiments across the engine's worker pool
-// and returns the reports in registry order. Every experiment is a pure
-// function of the context and the engine's cache is shared read-only, so
-// the reports are byte-identical to RunAll's (the determinism property
-// test asserts this).
-func RunAllParallel(c *Context) ([]Report, error) {
 	reg := Registry()
 	return engine.Map(c.Engine.Workers(), len(reg), func(i int) (Report, error) {
 		r, err := reg[i].Fn(c)

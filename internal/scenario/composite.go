@@ -18,18 +18,21 @@ import (
 // (the parts' rate metrics are not commensurable).
 func Fuse(c Composite) (*workload.Workload, error) {
 	if c.Label == "" {
-		return nil, fmt.Errorf("scenario: composite with empty label")
+		return nil, fmt.Errorf("composite with empty label")
 	}
 	if len(c.Parts) == 0 {
-		return nil, fmt.Errorf("scenario: composite %q has no parts", c.Label)
+		return nil, fmt.Errorf("composite %q has no parts", c.Label)
 	}
 	var totalW float64
 	for _, p := range c.Parts {
-		if p.Weight <= 0 {
-			return nil, fmt.Errorf("scenario: composite %q: non-positive weight %v for %s",
+		if !positive(p.Weight) {
+			return nil, fmt.Errorf("composite %q: weight %v for %s is not finite and positive",
 				c.Label, p.Weight, p.App)
 		}
 		totalW += p.Weight
+	}
+	if !positive(totalW) {
+		return nil, fmt.Errorf("composite %q: weights sum past the float64 range", c.Label)
 	}
 
 	out := &workload.Workload{
@@ -46,7 +49,7 @@ func Fuse(c Composite) (*workload.Workload, error) {
 	for _, p := range c.Parts {
 		e, err := dwarfs.ByName(p.App)
 		if err != nil {
-			return nil, fmt.Errorf("scenario: composite %q: %w", c.Label, err)
+			return nil, fmt.Errorf("composite %q: %w", c.Label, err)
 		}
 		pw := e.New()
 		w := p.Weight / totalW
@@ -83,7 +86,7 @@ func Fuse(c Composite) (*workload.Workload, error) {
 	out.ThreadReadAmplification = thRead
 	out.Work = work
 	if err := out.Validate(); err != nil {
-		return nil, fmt.Errorf("scenario: composite %q: %w", c.Label, err)
+		return nil, fmt.Errorf("composite %q: %w", c.Label, err)
 	}
 	return out, nil
 }

@@ -2,117 +2,78 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 
-	"repro/internal/memsys"
+	"repro/specs"
 )
 
-// Presets returns the named scenarios: one per paper sweep (the
-// experiment functions in internal/experiments declare these shapes when
-// regenerating the figures) followed by sweeps beyond the paper's
-// evaluation — the full-cartesian stress sweep, the capacity-pressure
-// sweep and the hyperthread-oversubscription ladder.
-func Presets() []Spec {
-	return []Spec{
-		{
-			Name:        "paper-overview",
-			Description: "Fig 2 shape: all eight applications on the three configurations at full concurrency",
-		},
-		{
-			Name:        "uncached-characterization",
-			Description: "Table III shape: all applications on uncached NVM at full concurrency",
-			Modes:       []memsys.Mode{memsys.UncachedNVM},
-		},
-		{
-			Name:        "hypre-trace",
-			Description: "Fig 4 shape: Hypre on DRAM-only versus cached NVM",
-			Apps:        []string{"Hypre"},
-			Modes:       []memsys.Mode{memsys.DRAMOnly, memsys.CachedNVM},
-		},
-		{
-			Name:        "write-throttling",
-			Description: "Fig 5 shape: Laghos and SuperLU on DRAM-only versus uncached NVM",
-			Apps:        []string{"Laghos", "SuperLU"},
-			Modes:       []memsys.Mode{memsys.DRAMOnly, memsys.UncachedNVM},
-		},
-		{
-			Name:        "contention",
-			Description: "Fig 6 shape: all applications and modes at half versus full concurrency",
-			Threads:     []int{24, 48},
-		},
-		{
-			Name:        "ft-divergence",
-			Description: "Fig 7 shape: FT on uncached NVM at 8 versus 24 threads",
-			Apps:        []string{"FFT"},
-			Modes:       []memsys.Mode{memsys.UncachedNVM},
-			Threads:     []int{8, 24},
-		},
-		{
-			Name:        "scalapack-phases",
-			Description: "Fig 8 shape: ScaLAPACK on uncached NVM at 16 versus 36 threads",
-			Apps:        []string{"ScaLAPACK"},
-			Modes:       []memsys.Mode{memsys.UncachedNVM},
-			Threads:     []int{16, 36},
-		},
-		{
-			Name:        "beyond-dram",
-			Description: "Fig 3 shape: BoxLib and Hypre on cached versus uncached NVM as footprints grow past DRAM",
-			Apps:        []string{"BoxLib", "Hypre"},
-			Modes:       []memsys.Mode{memsys.CachedNVM, memsys.UncachedNVM},
-			Scales:      []float64{0.5, 1, 2, 4},
-		},
-		{
-			Name:        "prediction-concurrency",
-			Description: "Fig 10 shape: XSBench and FT on cached NVM across the concurrency sweep",
-			Apps:        []string{"XSBench", "FFT"},
-			Modes:       []memsys.Mode{memsys.CachedNVM},
-			Threads:     []int{8, 16, 24, 32, 36, 40, 48},
-		},
-		{
-			Name:        "prediction-datasize",
-			Description: "Fig 11 shape: XSBench and ScaLAPACK on cached NVM across growing data sizes",
-			Apps:        []string{"XSBench", "ScaLAPACK"},
-			Modes:       []memsys.Mode{memsys.CachedNVM},
-			Threads:     []int{36},
-			Scales:      []float64{1, 2, 4, 8},
-		},
-		{
-			Name: "full-cartesian",
-			Description: "stress sweep beyond the paper: all applications x all modes x the full " +
-				"thread ladder (216 evaluation points)",
-			Threads: []int{1, 2, 4, 8, 16, 24, 32, 40, 48},
-		},
-		{
-			Name: "capacity-pressure",
-			Description: "capacity sweep beyond the paper: every application from half to eight times " +
-				"its paper footprint on both NVM configurations",
-			Modes:  []memsys.Mode{memsys.CachedNVM, memsys.UncachedNVM},
-			Scales: []float64{0.5, 1, 2, 4, 8},
-		},
-		{
-			Name: "ht-oversubscription",
-			Description: "hyperthreading ladder beyond the paper: all applications and modes from the " +
-				"physical-core count up to full SMT",
-			Threads: []int{24, 28, 32, 36, 40, 44, 48},
-		},
+// presets decodes the shipped spec files once, on first use. A shipped
+// file that fails to decode is a build defect, which the repository's
+// spec-file tests catch, so it panics with the file:line:col error.
+var presets = sync.OnceValue(func() []Spec {
+	ps, err := loadFS(specs.FS, "specs")
+	if err != nil {
+		panic(err)
 	}
+	return ps
+})
+
+// Presets returns the named scenarios, the spec files under specs/ at
+// the repository root, in file-name order: one per paper sweep (the
+// experiment functions in internal/experiments declare these shapes
+// when regenerating the figures) plus sweeps beyond the paper's
+// evaluation — the full-cartesian stress sweep, the capacity-pressure
+// sweep and the hyperthread-oversubscription ladder. Each call returns
+// fresh copies, which the caller may modify.
+func Presets() []Spec {
+	ps := presets()
+	out := make([]Spec, len(ps))
+	for i, s := range ps {
+		out[i] = s.clone()
+	}
+	return out
 }
 
-// Names lists the preset names in registry order.
+// Names lists the preset names in file-name order.
 func Names() []string {
 	var out []string
-	for _, s := range Presets() {
+	for _, s := range presets() {
 		out = append(out, s.Name)
 	}
 	return out
 }
 
-// ByName returns the named preset.
+// ByName returns a fresh copy of the named preset, matched
+// case-insensitively.
 func ByName(name string) (Spec, error) {
-	for _, s := range Presets() {
+	for _, s := range presets() {
 		if strings.EqualFold(s.Name, name) {
-			return s, nil
+			return s.clone(), nil
 		}
 	}
 	return Spec{}, fmt.Errorf("scenario: unknown preset %q (have %s)", name, strings.Join(Names(), ", "))
+}
+
+// clone returns a copy of a decoded spec (which has no Custom builders)
+// whose slices and plan are its own. Inline workload descriptors stay
+// shared: like the engine, which shares one descriptor across every job
+// built from it, a spec treats them as read-only.
+func (s Spec) clone() Spec {
+	s.Apps = slices.Clone(s.Apps)
+	s.Workloads = slices.Clone(s.Workloads)
+	s.Sized = slices.Clone(s.Sized)
+	s.Composite = slices.Clone(s.Composite)
+	for i := range s.Composite {
+		s.Composite[i].Parts = slices.Clone(s.Composite[i].Parts)
+	}
+	s.Modes = slices.Clone(s.Modes)
+	s.Threads = slices.Clone(s.Threads)
+	s.Scales = slices.Clone(s.Scales)
+	if s.Plan != nil {
+		p := *s.Plan
+		s.Plan = &p
+	}
+	return s
 }

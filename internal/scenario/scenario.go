@@ -4,19 +4,20 @@
 // into the engine's (workload, mode, threads) job list in a fixed
 // deterministic order. Experiments declare their sweeps as Specs and
 // submit them to the engine instead of looping inline, and named presets
-// (see presets.go) open arbitrary sweeps — including non-paper ones like
-// the full-cartesian stress sweep — to cmd/nvmbench and the public API.
+// (Presets) open arbitrary sweeps — including non-paper ones like the
+// full-cartesian stress sweep — to cmd/nvmbench and the public API.
 //
 // Specs are also files: Spec's struct tags are the JSON schema, which
 // round-trips every serializable Spec (LoadSpec / LoadDir / Encode), the
-// presets ship as specs/*.json at the repository root, and the
-// sized/composite stanzas declare derived workloads — resized registry
-// applications and fused multi-application pipelines — without writing
-// Go.
+// presets are the files specs/*.json at the repository root, embedded in
+// the binary, and the sized/composite stanzas declare derived workloads
+// — resized registry applications and fused multi-application pipelines
+// — without writing Go.
 package scenario
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/dwarfs"
@@ -169,134 +170,140 @@ func (s Spec) Size() int {
 	return napps * len(s.modes()) * len(s.threads()) * len(s.scales())
 }
 
-// Validate checks the spec against the registry and the thread limits.
+// Validate checks the spec against the registry and the thread limits,
+// and that every scale, weight and scaled footprint is in range.
 func (s Spec) Validate() error {
-	for _, app := range s.Apps {
-		if _, err := dwarfs.ByName(app); err != nil {
-			return fmt.Errorf("scenario %s: %w", s.Name, err)
-		}
-	}
+	_, err := s.sources()
+	return err
+}
+
+// source is one built workload source of a sweep: the label its rows
+// carry and its unscaled workload.
+type source struct {
+	label string
+	base  *workload.Workload
+}
+
+// sources validates the spec and builds its workload sources in
+// canonical order: registry apps, Custom, inline Workloads, Sized,
+// Composite. EachPoint expands exactly what was checked, so no source is
+// built twice. A Custom builder that returns nil is left for EachPoint
+// to report.
+func (s Spec) sources() ([]source, error) {
 	for _, c := range s.Custom {
 		if c.New == nil {
-			return fmt.Errorf("scenario %s: custom workload %q has no builder", s.Name, c.Label)
+			return nil, fmt.Errorf("scenario %s: custom workload %q has no builder", s.Name, c.Label)
 		}
 	}
 	for i, w := range s.Workloads {
 		if w == nil {
-			return fmt.Errorf("scenario %s: workloads[%d] is null", s.Name, i)
+			return nil, fmt.Errorf("scenario %s: workloads[%d] is null", s.Name, i)
 		}
 		if err := w.Validate(); err != nil {
-			return fmt.Errorf("scenario %s: %w", s.Name, err)
-		}
-	}
-	for _, sz := range s.Sized {
-		if _, err := dwarfs.ByName(sz.App); err != nil {
-			return fmt.Errorf("scenario %s: sized: %w", s.Name, err)
-		}
-		if sz.Scale <= 0 {
-			return fmt.Errorf("scenario %s: sized %q: non-positive scale %v", s.Name, sz.App, sz.Scale)
-		}
-	}
-	for _, c := range s.Composite {
-		if c.Label == "" {
-			return fmt.Errorf("scenario %s: composite with empty label", s.Name)
-		}
-		if len(c.Parts) == 0 {
-			return fmt.Errorf("scenario %s: composite %q has no parts", s.Name, c.Label)
-		}
-		for _, p := range c.Parts {
-			if _, err := dwarfs.ByName(p.App); err != nil {
-				return fmt.Errorf("scenario %s: composite %q: %w", s.Name, c.Label, err)
-			}
-			if p.Weight <= 0 {
-				return fmt.Errorf("scenario %s: composite %q: non-positive weight %v for %s",
-					s.Name, c.Label, p.Weight, p.App)
-			}
+			return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 		}
 	}
 	for _, mode := range s.modes() {
 		if mode == memsys.Placed {
-			return fmt.Errorf("scenario %s: Placed mode needs a per-structure plan; use internal/placement", s.Name)
+			return nil, fmt.Errorf("scenario %s: Placed mode needs a per-structure plan; use internal/placement", s.Name)
 		}
 	}
 	for _, th := range s.threads() {
 		if th < 1 || th > workload.MaxThreads {
-			return fmt.Errorf("scenario %s: threads %d out of [1,%d]", s.Name, th, workload.MaxThreads)
+			return nil, fmt.Errorf("scenario %s: threads %d out of [1,%d]", s.Name, th, workload.MaxThreads)
 		}
 	}
-	for _, sc := range s.scales() {
-		if sc <= 0 {
-			return fmt.Errorf("scenario %s: non-positive scale %v", s.Name, sc)
+	scales := s.scales()
+	for _, sc := range scales {
+		if !positive(sc) {
+			return nil, fmt.Errorf("scenario %s: scale %v is not finite and positive", s.Name, sc)
 		}
 	}
 	if s.Plan != nil {
 		if err := s.Plan.Validate(); err != nil {
-			return fmt.Errorf("scenario %s: %w", s.Name, err)
+			return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 		}
 	}
 	if s.Size() == 0 {
-		return fmt.Errorf("scenario %s: empty sweep", s.Name)
+		return nil, fmt.Errorf("scenario %s: empty sweep", s.Name)
 	}
-	// The sources are additive, so two of them carrying one label would
-	// render indistinguishable rows and collide in Index lookups.
-	if bs, err := s.builders(); err == nil {
-		seen := map[string]bool{}
-		for _, b := range bs {
-			if seen[b.Label] {
-				return fmt.Errorf("scenario %s: duplicate workload label %q across sources", s.Name, b.Label)
-			}
-			seen[b.Label] = true
-		}
-	}
-	return nil
-}
 
-// builders resolves the sweep's workload constructors in canonical
-// source order: registry apps, Custom, inline Workloads, Sized,
-// Composite.
-func (s Spec) builders() ([]Custom, error) {
-	var out []Custom
-	for _, app := range s.apps() {
+	apps := s.apps()
+	out := make([]source, 0, len(apps)+s.customSources())
+	for _, app := range apps {
 		e, err := dwarfs.ByName(app)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 		}
-		out = append(out, Custom{Label: e.Name, New: e.New})
+		out = append(out, source{e.Name, e.New()})
 	}
-	out = append(out, s.Custom...)
+	for _, c := range s.Custom {
+		out = append(out, source{c.Label, c.New()})
+	}
 	for _, w := range s.Workloads {
-		w := w
-		out = append(out, Custom{Label: w.Name, New: func() *workload.Workload { return w }})
+		out = append(out, source{w.Name, w})
 	}
 	for _, sz := range s.Sized {
-		sz := sz
 		e, err := dwarfs.ByName(sz.App)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("scenario %s: sized: %w", s.Name, err)
+		}
+		if !positive(sz.Scale) {
+			return nil, fmt.Errorf("scenario %s: sized %q: scale %v is not finite and positive", s.Name, sz.App, sz.Scale)
+		}
+		base := e.New()
+		if err := checkFootprint(base, sz.Scale); err != nil {
+			return nil, fmt.Errorf("scenario %s: sized %q: %w", s.Name, sz.App, err)
 		}
 		label := sz.Label
 		if label == "" {
 			label = fmt.Sprintf("%s-x%g", e.Name, sz.Scale)
 		}
-		out = append(out, Custom{Label: label, New: func() *workload.Workload {
-			w := Scaled(e.New(), sz.Scale)
-			w.Name = label
-			return w
-		}})
+		w := Scaled(base, sz.Scale)
+		w.Name = label
+		out = append(out, source{label, w})
 	}
 	for _, c := range s.Composite {
-		c := c
-		out = append(out, Custom{Label: c.Label, New: func() *workload.Workload {
-			w, err := Fuse(c)
-			if err != nil {
-				// Validate catches every error Fuse can produce; a nil
-				// here surfaces as Expand's nil-workload error.
-				return nil
+		w, err := Fuse(c)
+		if err != nil {
+			return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
+		}
+		out = append(out, source{c.Label, w})
+	}
+
+	seen := map[string]bool{}
+	for _, src := range out {
+		// The sources are additive, so two of them carrying one label
+		// would render indistinguishable rows and collide in Index
+		// lookups.
+		if seen[src.label] {
+			return nil, fmt.Errorf("scenario %s: duplicate workload label %q across sources", s.Name, src.label)
+		}
+		seen[src.label] = true
+		if src.base == nil {
+			continue
+		}
+		for _, sc := range scales {
+			if err := checkFootprint(src.base, sc); err != nil {
+				return nil, fmt.Errorf("scenario %s: %s: %w", s.Name, src.label, err)
 			}
-			return w
-		}})
+		}
 	}
 	return out, nil
+}
+
+// positive reports whether x is finite and above zero, the range of
+// every scale and composite weight.
+func positive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+
+// checkFootprint rejects a scale under which Scaled could not represent
+// w's footprint: it truncates the product to whole bytes, and past 2^63
+// the conversion overflows.
+func checkFootprint(w *workload.Workload, scale float64) error {
+	if f := float64(w.Footprint) * scale; !(f >= 1 && f < 1<<63) {
+		return fmt.Errorf("scale %g gives a footprint of %g bytes, outside [1, 2^63)", scale, f)
+	}
+	return nil
 }
 
 // EachPoint streams the sweep's expansion in the spec's canonical
@@ -309,24 +316,20 @@ func (s Spec) builders() ([]Custom, error) {
 // count — the seam the fleet coordinator's windowed dispatch carves
 // chunks from at 100k-point scale.
 func (s Spec) EachPoint(fn func(i int, m Meta, job engine.Job) bool) error {
-	if err := s.Validate(); err != nil {
-		return err
-	}
-	builders, err := s.builders()
+	srcs, err := s.sources()
 	if err != nil {
 		return err
 	}
 	i := 0
-	for _, b := range builders {
-		base := b.New()
-		if base == nil {
-			return fmt.Errorf("scenario %s: builder for %q returned a nil workload", s.Name, b.Label)
+	for _, src := range srcs {
+		if src.base == nil {
+			return fmt.Errorf("scenario %s: builder for %q returned a nil workload", s.Name, src.label)
 		}
 		for _, sc := range s.scales() {
-			w := Scaled(base, sc)
+			w := Scaled(src.base, sc)
 			for _, mode := range s.modes() {
 				for _, th := range s.threads() {
-					if !fn(i, Meta{App: b.Label, Mode: mode, Threads: th, Scale: sc},
+					if !fn(i, Meta{App: src.label, Mode: mode, Threads: th, Scale: sc},
 						engine.Job{Workload: w, Mode: mode, Threads: th}) {
 						return nil
 					}

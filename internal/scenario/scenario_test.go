@@ -1,7 +1,9 @@
 package scenario
 
 import (
+	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/dwarfs"
@@ -52,6 +54,39 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// Every lookup hands out its own copy: callers writing into theirs at
+// once (run under -race) change neither the registry nor what the next
+// caller gets.
+func TestPresetsAreCopies(t *testing.T) {
+	sp, err := ByName("prediction-datasize")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Encode(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sp, _ := ByName("prediction-datasize")
+			sp.Apps[0], sp.Modes[0], sp.Threads[0], sp.Scales[0] = "FFT", memsys.DRAMOnly, 1, 99
+			for _, p := range Presets() {
+				if len(p.Scales) > 0 {
+					p.Scales[0] = 99
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	got, _ := ByName("prediction-datasize")
+	if b, _ := Encode(got); string(b) != string(want) {
+		t.Errorf("preset changed after callers wrote into their copies:\n got %s\nwant %s", b, want)
+	}
+}
+
 func TestExpandCanonicalOrder(t *testing.T) {
 	sp := Spec{
 		Name:    "order",
@@ -85,6 +120,12 @@ func TestValidateRejects(t *testing.T) {
 		{Name: "bad-threads", Threads: []int{0}},
 		{Name: "bad-threads-high", Threads: []int{workload.MaxThreads + 1}},
 		{Name: "bad-scale", Scales: []float64{-1}},
+		{Name: "nan-scale", Scales: []float64{math.NaN()}},
+		{Name: "inf-scale", Scales: []float64{math.Inf(1)}},
+		{Name: "nan-sized", Sized: []Sized{{App: "FFT", Scale: math.NaN()}}},
+		{Name: "inf-sized", Sized: []Sized{{App: "FFT", Scale: math.Inf(1)}}},
+		{Name: "nan-weight", Composite: []Composite{{Label: "c", Parts: []Part{{App: "FFT", Weight: math.NaN()}}}}},
+		{Name: "inf-weight", Composite: []Composite{{Label: "c", Parts: []Part{{App: "FFT", Weight: math.Inf(1)}}}}},
 		{Name: "placed", Modes: []memsys.Mode{memsys.Placed}},
 		{Name: "nil-builder", Custom: []Custom{{Label: "x"}}},
 	}

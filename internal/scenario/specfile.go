@@ -5,9 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"repro/internal/jsonfile"
@@ -20,9 +20,10 @@ import (
 // "uncached-NVM"); workload sources beyond registry apps are the inline
 // workload schema (internal/workload), resized registry applications
 // ("sized") and fused multi-application workloads ("composite"). Files
-// decode through internal/jsonfile's strict decoder, and every preset
-// encodes byte-stably — the files under specs/ are generated by
-// nvmbench -export-specs and pinned by test.
+// decode through internal/jsonfile's strict decoder. The presets are
+// the files under specs/ (see Presets), and each one's bytes are
+// exactly what Encode renders for it, which the repository's spec-file
+// tests pin.
 
 // MarshalJSON renders an outcome as a flat record — the schema behind
 // nvmbench's -format json scenario output: the evaluation point, the
@@ -164,8 +165,8 @@ func (s *Spec) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// Encode renders the spec as an indented spec file (the exact bytes
-// WriteSpecs ships under specs/).
+// Encode renders the spec as an indented spec file: for a preset, the
+// exact bytes of its file under specs/.
 func Encode(s Spec) ([]byte, error) {
 	return jsonfile.Encode(s)
 }
@@ -203,25 +204,31 @@ func LoadSpec(path string) (Spec, error) {
 // a broken spec does not hide defects in the files after it, and the
 // returned error (errors.Join) names every failing file.
 func LoadDir(dir string) ([]Spec, error) {
-	entries, err := os.ReadDir(dir)
+	return loadFS(os.DirFS(dir), dir)
+}
+
+// loadFS is LoadDir over the root of any file system — a directory on
+// disk, or the preset files embedded in the binary. dir names the root
+// in errors.
+func loadFS(fsys fs.FS, dir string) ([]Spec, error) {
+	entries, err := fs.ReadDir(fsys, ".")
 	if err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
-	}
-	var paths []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".json") {
-			paths = append(paths, filepath.Join(dir, e.Name()))
-		}
-	}
-	sort.Strings(paths)
-	if len(paths) == 0 {
-		return nil, fmt.Errorf("scenario: no *.json specs in %s", dir)
+		return nil, fmt.Errorf("scenario: reading %s: %w", dir, err)
 	}
 	var specs []Spec
 	var errs []error
 	seen := map[string]string{}
-	for _, p := range paths {
-		s, err := LoadSpec(p)
+	for _, e := range entries {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".json") {
+			continue
+		}
+		p := filepath.Join(dir, e.Name())
+		data, err := fs.ReadFile(fsys, e.Name())
+		if err != nil {
+			errs = append(errs, fmt.Errorf("scenario: reading %s: %w", p, err))
+			continue
+		}
+		s, err := ParseSpec(data, p)
 		if err != nil {
 			errs = append(errs, err)
 			continue
@@ -236,27 +243,8 @@ func LoadDir(dir string) ([]Spec, error) {
 	if len(errs) > 0 {
 		return nil, errors.Join(errs...)
 	}
+	if len(specs) == 0 {
+		return nil, fmt.Errorf("scenario: no *.json specs in %s", dir)
+	}
 	return specs, nil
-}
-
-// WriteSpecs exports the specs as <name>.json files under dir (created
-// if missing) — the exporter behind nvmbench -export-specs and the
-// generator of the pinned specs/ tree.
-func WriteSpecs(dir string, specs []Spec) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("scenario: %w", err)
-	}
-	for _, s := range specs {
-		if s.Name == "" {
-			return fmt.Errorf("scenario: cannot export a nameless spec")
-		}
-		b, err := Encode(s)
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(filepath.Join(dir, s.Name+".json"), b, 0o644); err != nil {
-			return fmt.Errorf("scenario: %w", err)
-		}
-	}
-	return nil
 }

@@ -212,7 +212,7 @@ func TestParseSpecErrorQuality(t *testing.T) {
 		{"no-name", `{"threads": [8]}`, "no name"},
 		{"bad-threads", `{"name": "x", "threads": [0]}`, "threads 0"},
 		{"bad-composite", `{"name": "x", "composite": [{"label": "c", "parts": []}]}`, "no parts"},
-		{"bad-sized", `{"name": "x", "sized": [{"app": "FFT", "scale": 0}]}`, "non-positive scale"},
+		{"bad-sized", `{"name": "x", "sized": [{"app": "FFT", "scale": 0}]}`, "scale 0 is not finite and positive"},
 		{"nested-unknown-field", `{"name": "x", "workloads": [{"name": "w", "seeed": 42}]}`, `unknown field "seeed"`},
 		// Sized, Composite, Part and Plan decode through their struct tags
 		// alone, so strictness must reach into each of them.
@@ -222,6 +222,15 @@ func TestParseSpecErrorQuality(t *testing.T) {
 		{"plan-unknown-field", "{\"name\": \"x\", \"plan\": {\"seed\": \"edges\",\n  \"budget\": 0.5}}", `bad.json:2:4: json: unknown field "budget"`},
 		{"trailing-data", "{\"name\": \"x\", \"apps\": [\"FFT\"]}\n\n  {}", "bad.json:3:3: trailing data after the document"},
 		{"dup-label", `{"name": "x", "apps": ["FFT"], "composite": [{"label": "FFT", "parts": [{"app": "Hypre", "weight": 1}]}]}`, "duplicate workload label"},
+		// Sizes whose scaled footprint leaves [1, 2^63) bytes: past 2^63
+		// it would overflow, under 1 it would truncate to 0 bytes.
+		{"scale-overflows", `{"name": "h", "apps": ["XSBench"], "modes": ["uncached-NVM"], "scales": [1e12]}`, "XSBench: scale 1e+12 gives a footprint of"},
+		{"scale-underflows", `{"name": "h", "apps": ["XSBench"], "scales": [1e-300]}`, "XSBench: scale 1e-300 gives a footprint of"},
+		{"sized-overflows", `{"name": "h", "sized": [{"app": "XSBench", "scale": 1e12}]}`, `sized "XSBench": scale 1e+12 gives a footprint of`},
+		{"sized-underflows", `{"name": "h", "sized": [{"app": "XSBench", "scale": 1e-300}]}`, `sized "XSBench": scale 1e-300 gives a footprint of`},
+		{"inline-negative-footprint", `{"name": "h", "workloads": [` + inlineWorkload(t, -5) + `]}`, "non-positive footprint"},
+		{"inline-huge-footprint", `{"name": "h", "workloads": [` + inlineWorkload(t, 1e12) + `]}`, "footprint"},
+		{"weights-overflow", `{"name": "h", "composite": [{"label": "c", "parts": [{"app": "Hypre", "weight": 1e308}, {"app": "FFT", "weight": 1e308}]}]}`, "weights sum past the float64 range"},
 	}
 	for _, c := range cases {
 		_, err := ParseSpec([]byte(c.src), "bad.json")
@@ -235,10 +244,36 @@ func TestParseSpecErrorQuality(t *testing.T) {
 	}
 }
 
+// inlineWorkload renders a registry workload as an inline spec-file
+// descriptor with its footprint set to gib GiB.
+func inlineWorkload(t *testing.T, gib float64) string {
+	t.Helper()
+	b, err := json.Marshal(dwarfs.All()[0].New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var w map[string]any
+	if err := json.Unmarshal(b, &w); err != nil {
+		t.Fatal(err)
+	}
+	w["footprint_gib"] = gib
+	b, err = json.Marshal(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
 func TestLoadSpecAndDir(t *testing.T) {
 	dir := t.TempDir()
-	if err := WriteSpecs(dir, Presets()); err != nil {
-		t.Fatal(err)
+	for _, sp := range Presets() {
+		b, err := Encode(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, sp.Name+".json"), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// One file loads alone.
 	sp, err := LoadSpec(filepath.Join(dir, "beyond-dram.json"))

@@ -2,75 +2,31 @@ package traffic
 
 import (
 	"fmt"
+	"io/fs"
 
-	"repro/internal/memsys"
-	"repro/internal/scenario"
+	shipped "repro/traffic"
 )
 
 // Presets returns the shipped traffic specs — the load shapes the
-// harness, CI and the tracked benchmark replay. Like the scenario
-// presets they are exported to pinned files (traffic/ at the repo
-// root, via nvmload -export-specs) and guarded byte-for-byte by test.
+// harness, CI and the tracked benchmark replay: the files under
+// traffic/ at the repository root, in file-name order. Each call
+// decodes them afresh, so callers own what they get. A shipped file
+// that fails to decode is a build defect, which the repository's
+// traffic-file tests catch, so it panics with the file:line:col error.
 func Presets() []Spec {
-	return []Spec{
-		{
-			Name:        "bursty-two-class",
-			Description: "Canonical serving load: a bursty critical interactive cohort over a small repeated sweep, next to a poisson batch cohort replaying the beyond-dram preset, through ramp/steady/spike/drain",
-			Seed:        42,
-			Rate:        24,
-			Clients: []Client{
-				{
-					ID:           "interactive",
-					RateFraction: 0.75,
-					Class:        Critical,
-					Arrival:      Arrival{Process: Bursty, Burst: 6, Factor: 8},
-					Submit: Template{Spec: &scenario.Spec{
-						Name:        "traffic-interactive",
-						Description: "Two-point interactive probe: XSBench on cached NVM at 24 and 48 threads",
-						Apps:        []string{"XSBench"},
-						Modes:       []memsys.Mode{memsys.CachedNVM},
-						Threads:     []int{24, 48},
-					}},
-				},
-				{
-					ID:           "batch-sweeps",
-					RateFraction: 0.25,
-					Class:        Batch,
-					Arrival:      Arrival{Process: Poisson},
-					Submit:       Template{Preset: "beyond-dram"},
-				},
-			},
-			Phases: []Phase{
-				{Name: "warmup", Kind: Ramp, Duration: 1, Level: 1},
-				{Name: "cruise", Kind: Steady, Duration: 2, Level: 1},
-				{Name: "rush", Kind: Spike, Duration: 0.5, Level: 3},
-				{Name: "cooldown", Kind: Drain, Duration: 0.5},
-			},
-		},
-		{
-			Name:        "mixed-plan-load",
-			Description: "Steady mixed load: gamma-arrival critical plans over prediction-concurrency beside background poisson sweeps of hypre-trace",
-			Seed:        7,
-			Rate:        10,
-			Duration:    3,
-			Clients: []Client{
-				{
-					ID:           "planners",
-					RateFraction: 0.4,
-					Class:        Critical,
-					Arrival:      Arrival{Process: Gamma, CV: 2},
-					Submit:       Template{Preset: "prediction-concurrency", Kind: Plan},
-				},
-				{
-					ID:           "trawlers",
-					RateFraction: 0.6,
-					Class:        Background,
-					Arrival:      Arrival{Process: Poisson},
-					Submit:       Template{Preset: "hypre-trace"},
-				},
-			},
-		},
+	// The embedded directory holds only the *.json files it was built
+	// from, so neither the listing nor a read of a listed file can fail.
+	entries, _ := fs.ReadDir(shipped.FS, ".")
+	out := make([]Spec, len(entries))
+	for i, e := range entries {
+		data, _ := fs.ReadFile(shipped.FS, e.Name())
+		s, err := ParseSpec(data, "traffic/"+e.Name())
+		if err != nil {
+			panic(err)
+		}
+		out[i] = s
 	}
+	return out
 }
 
 // ByName returns the shipped traffic preset with the given name.

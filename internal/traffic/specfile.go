@@ -3,7 +3,6 @@ package traffic
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"repro/internal/jsonfile"
 )
@@ -14,12 +13,12 @@ import (
 // are rejected at every nesting level — the decoder's
 // DisallowUnknownFields propagates into Client/Arrival/Template/Phase,
 // and an inline scenario spec is strict through scenario.Spec's own
-// UnmarshalJSON. The files under traffic/ at the repository root are
-// generated by nvmload -export-specs and pinned byte-for-byte by test,
-// exactly like specs/.
+// UnmarshalJSON. The presets are the files under traffic/ at the
+// repository root (see Presets), and each one's bytes are exactly what
+// Encode renders for it, which the repository's traffic-file tests pin.
 
-// Encode renders the spec as an indented traffic file (the exact bytes
-// WriteSpecs ships under traffic/).
+// Encode renders the spec as an indented traffic file: for a preset,
+// the exact bytes of its file under traffic/.
 func Encode(s Spec) ([]byte, error) {
 	return jsonfile.Encode(s)
 }
@@ -45,26 +44,4 @@ func LoadSpec(path string) (Spec, error) {
 		return Spec{}, fmt.Errorf("traffic: %w", err)
 	}
 	return ParseSpec(data, path)
-}
-
-// WriteSpecs exports the specs as <name>.json files under dir (created
-// if missing) — the exporter behind nvmload -export-specs and the
-// generator of the pinned traffic/ tree.
-func WriteSpecs(dir string, specs []Spec) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("traffic: %w", err)
-	}
-	for _, s := range specs {
-		if s.Name == "" {
-			return fmt.Errorf("traffic: cannot export a nameless spec")
-		}
-		b, err := Encode(s)
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(filepath.Join(dir, s.Name+".json"), b, 0o644); err != nil {
-			return fmt.Errorf("traffic: %w", err)
-		}
-	}
-	return nil
 }

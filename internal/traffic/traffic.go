@@ -107,7 +107,8 @@ const (
 )
 
 // Spec declares a traffic workload. The zero value is invalid; specs
-// come from presets.go or from files via ParseSpec/LoadSpec.
+// come from files, the shipped presets (Presets) or any other, via
+// ParseSpec/LoadSpec.
 type Spec struct {
 	Name        string `json:"name"`
 	Description string `json:"description,omitempty"`

@@ -134,6 +134,9 @@ func (w *Workload) Validate() error {
 	if w.Name == "" {
 		return fmt.Errorf("workload: empty name")
 	}
+	if w.Footprint <= 0 {
+		return fmt.Errorf("workload %s: non-positive footprint %d bytes", w.Name, int64(w.Footprint))
+	}
 	if w.BaselineTime <= 0 {
 		return fmt.Errorf("workload %s: non-positive baseline time", w.Name)
 	}

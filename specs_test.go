@@ -1,16 +1,16 @@
 package repro
 
-// Load-through guard for the shipped scenario spec files: specs/*.json
-// and the Go preset literals in internal/scenario must stay in exact
-// agreement, in both directions — the files decode to the literals, and
-// the literals encode to the files byte-for-byte. Regenerate the tree
-// with `go run ./cmd/nvmbench -export-specs specs` after editing a
-// preset.
+// The shipped scenario spec files are the presets: internal/scenario
+// embeds specs/*.json and decodes them. These tests pin that each file
+// is in the form Encode writes — the fleet ships Encode bytes and
+// workers key their expansion cache on them — and that the registry is
+// what the directory holds.
 
 import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/scenario"
@@ -21,47 +21,35 @@ func TestSpecFilesMatchPresets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	presets := scenario.Presets()
-	if len(specs) != len(presets) {
-		t.Fatalf("specs/ holds %d specs, presets() has %d", len(specs), len(presets))
-	}
-	byName := map[string]scenario.Spec{}
-	for _, s := range specs {
-		byName[s.Name] = s
-	}
-	for _, want := range presets {
-		got, ok := byName[want.Name]
-		if !ok {
-			t.Errorf("preset %q has no specs/%s.json", want.Name, want.Name)
-			continue
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("preset %q drifted from its spec file:\nfile: %+v\nGo:   %+v", want.Name, got, want)
-		}
+	if presets := scenario.Presets(); !reflect.DeepEqual(presets, specs) {
+		t.Errorf("the preset registry differs from specs/:\nregistry: %+v\nspecs/:   %+v", presets, specs)
 	}
 }
 
 func TestSpecFileBytesPinned(t *testing.T) {
-	for _, sp := range scenario.Presets() {
+	paths, err := filepath.Glob(filepath.Join("specs", "*.json"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no spec files under specs/ (%v)", err)
+	}
+	for _, path := range paths {
+		sp, err := scenario.LoadSpec(path)
+		if err != nil {
+			t.Error(err)
+			continue
+		}
+		if stem := strings.TrimSuffix(filepath.Base(path), ".json"); sp.Name != stem {
+			t.Errorf("%s: spec name %q, want its file stem %q", path, sp.Name, stem)
+		}
 		want, err := scenario.Encode(sp)
 		if err != nil {
-			t.Fatalf("%s: %v", sp.Name, err)
+			t.Fatalf("%s: %v", path, err)
 		}
-		path := filepath.Join("specs", sp.Name+".json")
 		got, err := os.ReadFile(path)
 		if err != nil {
-			t.Fatalf("%s: %v (regenerate with `go run ./cmd/nvmbench -export-specs specs`)", sp.Name, err)
+			t.Fatal(err)
 		}
 		if string(got) != string(want) {
-			t.Errorf("%s is stale; regenerate with `go run ./cmd/nvmbench -export-specs specs`", path)
+			t.Errorf("%s is not in encoded form; write it as scenario.Encode renders it:\n%s", path, want)
 		}
-	}
-	// No stray spec files beyond the presets.
-	entries, err := os.ReadDir("specs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != len(scenario.Presets()) {
-		t.Errorf("specs/ holds %d entries, want exactly the %d presets", len(entries), len(scenario.Presets()))
 	}
 }

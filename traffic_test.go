@@ -1,56 +1,62 @@
 package repro
 
-// Load-through guard for the shipped traffic spec files: traffic/*.json
-// and the Go preset literals in internal/traffic must stay in exact
-// agreement, in both directions — the files decode to the literals, and
-// the literals encode to the files byte-for-byte. Regenerate the tree
-// with `go run ./cmd/nvmload -export-specs traffic` after editing a
-// preset.
+// The shipped traffic spec files are the presets: internal/traffic
+// embeds traffic/*.json and decodes them. These tests pin that each
+// file is in the form Encode writes and that the registry is what the
+// directory holds.
 
 import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/traffic"
 )
 
 func TestTrafficFilesMatchPresets(t *testing.T) {
-	for _, want := range traffic.Presets() {
-		path := filepath.Join("traffic", want.Name+".json")
-		got, err := traffic.LoadSpec(path)
+	paths, err := filepath.Glob(filepath.Join("traffic", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var specs []traffic.Spec
+	for _, path := range paths {
+		sp, err := traffic.LoadSpec(path)
 		if err != nil {
-			t.Errorf("%v (regenerate with `go run ./cmd/nvmload -export-specs traffic`)", err)
-			continue
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("preset %q drifted from its spec file:\nfile: %+v\nGo:   %+v", want.Name, got, want)
-		}
+		specs = append(specs, sp)
+	}
+	if presets := traffic.Presets(); !reflect.DeepEqual(presets, specs) {
+		t.Errorf("the preset registry differs from traffic/:\nregistry: %+v\ntraffic/: %+v", presets, specs)
 	}
 }
 
 func TestTrafficFileBytesPinned(t *testing.T) {
-	for _, sp := range traffic.Presets() {
+	paths, err := filepath.Glob(filepath.Join("traffic", "*.json"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no traffic files under traffic/ (%v)", err)
+	}
+	for _, path := range paths {
+		sp, err := traffic.LoadSpec(path)
+		if err != nil {
+			t.Error(err)
+			continue
+		}
+		if stem := strings.TrimSuffix(filepath.Base(path), ".json"); sp.Name != stem {
+			t.Errorf("%s: spec name %q, want its file stem %q", path, sp.Name, stem)
+		}
 		want, err := traffic.Encode(sp)
 		if err != nil {
-			t.Fatalf("%s: %v", sp.Name, err)
+			t.Fatalf("%s: %v", path, err)
 		}
-		path := filepath.Join("traffic", sp.Name+".json")
 		got, err := os.ReadFile(path)
 		if err != nil {
-			t.Fatalf("%s: %v (regenerate with `go run ./cmd/nvmload -export-specs traffic`)", sp.Name, err)
+			t.Fatal(err)
 		}
 		if string(got) != string(want) {
-			t.Errorf("%s is stale; regenerate with `go run ./cmd/nvmload -export-specs traffic`", path)
+			t.Errorf("%s is not in encoded form; write it as traffic.Encode renders it:\n%s", path, want)
 		}
-	}
-	// No stray spec files beyond the presets.
-	entries, err := os.ReadDir("traffic")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != len(traffic.Presets()) {
-		t.Errorf("traffic/ holds %d entries, want exactly the %d presets", len(entries), len(traffic.Presets()))
 	}
 }
