@@ -230,16 +230,16 @@ func BenchmarkTrafficBursty(b *testing.B) { benchkit.TrafficBursty(b) }
 func BenchmarkFleetScheduler(b *testing.B) { benchkit.FleetScheduler(b) }
 
 // BenchmarkFleetDispatchWindowed drives a cold 4096-point sweep through
-// the windowed dispatcher and the batched, compressed result path on
-// the same four-worker loopback fleet — the 100k-scale dispatch shape
-// at benchmark size. Reports per_point_ns (gated) and points_per_sec
+// the windowed dispatcher and the batched binary result path on the
+// same four-worker loopback fleet — the 100k-scale dispatch shape at
+// benchmark size. Reports per_point_ns (gated) and points_per_sec
 // (informational). Tracked by the benchkit baseline.
 func BenchmarkFleetDispatchWindowed(b *testing.B) { benchkit.FleetDispatchWindowed(b) }
 
-// BenchmarkFleetWirePoint serializes a coalesced 256-point result batch
-// exactly as workers post it and reports bytes/point on the wire before
-// (plain per-chunk JSON) and after (gzip-coalesced) compression.
-// Tracked by the benchkit baseline.
+// BenchmarkFleetWirePoint encodes a coalesced 256-point result post in
+// the workers' codec, block frames in a binary body, into reused
+// buffers, and reports its bytes/point on the wire. Tracked by the
+// benchkit baseline.
 func BenchmarkFleetWirePoint(b *testing.B) { benchkit.FleetWirePoint(b) }
 
 // BenchmarkMicroDeviceMatrix regenerates the Section II device

@@ -256,35 +256,34 @@ func share(en *resultstore.Entry) (workload.Result, error) {
 	return res, nil
 }
 
-// Cached reports whether the job's result is already completed in the
-// result store (including records persisted by a previous process) —
-// the probe the fleet coordinator runs before dispatching a point to a
-// worker. Stores without the remote-lookup seam (resultstore.Prober)
-// report nothing cached, which only costs a redundant dispatch.
-func (e *Engine) Cached(job Job) bool {
-	if job.Workload == nil {
-		return false
-	}
+// Cached reports whether the result under key k is already completed
+// in the result store (including records persisted by a previous
+// process) — the probe the fleet coordinator runs before dispatching a
+// point to a worker, with the key it derived once for the job. Stores
+// without the remote-lookup seam (resultstore.Prober) report nothing
+// cached, which only costs a redundant dispatch.
+func (e *Engine) Cached(k Key) bool {
 	p, ok := e.store.(resultstore.Prober)
-	return ok && p.Probe(job.Key())
+	return ok && p.Probe(k)
 }
 
 // CommitRemote completes a job with a result computed elsewhere (a
-// fleet worker): the entry is claimed through the same singleflight
-// Once as a local evaluation, the remote quantities are committed to
-// the store with the job's descriptor reattached, and the returned
-// result carries the same copy-on-write Phases contract as Run. If the
-// key was already completed — or is being computed locally right now —
-// the resident entry wins and the remote result is discarded, so
-// concurrent local and remote evaluations of one point stay
-// byte-identical (workload.Run is pure, both computed the same values).
-// Accounting matches Run, job tally included: a fresh claim books a
-// miss (the evaluation happened, just not here), a resident one a hit.
-func (e *Engine) CommitRemote(job Job, res workload.Result, rerr error) (workload.Result, error) {
+// fleet worker), under k, which must be job.Key(): the caller derived
+// it once and passes it in so the fingerprint is not hashed again. The
+// entry is claimed through the same singleflight Once as a local
+// evaluation, the remote quantities are committed to the store with the
+// job's descriptor reattached, and the returned result carries the same
+// copy-on-write Phases contract as Run. If the key was already
+// completed — or is being computed locally right now — the resident
+// entry wins and the remote result is discarded, so concurrent local
+// and remote evaluations of one point stay byte-identical (workload.Run
+// is pure, both computed the same values). Accounting matches Run, job
+// tally included: a fresh claim books a miss (the evaluation happened,
+// just not here), a resident one a hit.
+func (e *Engine) CommitRemote(job Job, k Key, res workload.Result, rerr error) (workload.Result, error) {
 	if job.Workload == nil {
 		return workload.Result{}, fmt.Errorf("engine: nil workload")
 	}
-	k := job.Key()
 	en, loaded := e.store.Acquire(k)
 	e.account(job.Tally, loaded)
 	en.Once.Do(func() {

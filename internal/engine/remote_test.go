@@ -11,24 +11,21 @@ import (
 )
 
 // Cached is the coordinator's dispatch probe: false until the point's
-// result is committed, true after, never for a nil workload.
+// result is committed, true after.
 func TestCached(t *testing.T) {
 	e := New(sock(), 2)
 	job := Job{Workload: dwarfs.All()[0].New(), Mode: memsys.CachedNVM, Threads: 48}
-	if e.Cached(job) {
+	if e.Cached(job.Key()) {
 		t.Error("fresh engine reports a cached point")
-	}
-	if e.Cached(Job{Mode: memsys.DRAMOnly, Threads: 48}) {
-		t.Error("nil-workload job reports cached")
 	}
 	if _, err := e.Run(job); err != nil {
 		t.Fatal(err)
 	}
-	if !e.Cached(job) {
+	if !e.Cached(job.Key()) {
 		t.Error("evaluated point not reported cached")
 	}
 	// An identical job value probes the same slot.
-	if !e.Cached(Job{Workload: dwarfs.All()[0].New(), Mode: memsys.CachedNVM, Threads: 48}) {
+	if !e.Cached(Job{Workload: dwarfs.All()[0].New(), Mode: memsys.CachedNVM, Threads: 48}.Key()) {
 		t.Error("content-identical job not reported cached")
 	}
 }
@@ -52,7 +49,7 @@ func TestCommitRemoteMatchesLocalRun(t *testing.T) {
 	var tally Tally
 	job.Tally = &tally
 	coord := New(sock(), 1)
-	got, err := coord.CommitRemote(job, wire, nil)
+	got, err := coord.CommitRemote(job, job.Key(), wire, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +69,7 @@ func TestCommitRemoteMatchesLocalRun(t *testing.T) {
 	if s := tally.Stats(); s.Hits != 1 || s.Misses != 1 {
 		t.Errorf("job tally = %+v, want the commit's miss and the Run's hit", s)
 	}
-	if !coord.Cached(job) {
+	if !coord.Cached(job.Key()) {
 		t.Error("committed point not reported cached")
 	}
 }
@@ -83,7 +80,7 @@ func TestCommitRemoteError(t *testing.T) {
 	e := New(sock(), 1)
 	job := Job{Workload: dwarfs.All()[0].New(), Mode: memsys.DRAMOnly, Threads: 48}
 	boom := errors.New("worker exploded")
-	if _, err := e.CommitRemote(job, workload.Result{}, boom); !errors.Is(err, boom) {
+	if _, err := e.CommitRemote(job, job.Key(), workload.Result{}, boom); !errors.Is(err, boom) {
 		t.Fatalf("CommitRemote err = %v, want the remote error", err)
 	}
 	if _, err := e.Run(job); err == nil || err.Error() != boom.Error() {
@@ -105,7 +102,7 @@ func TestCommitRemoteRacesRun(t *testing.T) {
 	wire := local
 	wire.Workload = nil
 	wire.Time = wire.Time * 2
-	got, err := e.CommitRemote(job, wire, nil)
+	got, err := e.CommitRemote(job, job.Key(), wire, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +113,7 @@ func TestCommitRemoteRacesRun(t *testing.T) {
 
 func TestCommitRemoteNilWorkload(t *testing.T) {
 	e := New(sock(), 1)
-	if _, err := e.CommitRemote(Job{Threads: 48}, workload.Result{}, nil); err == nil {
+	if _, err := e.CommitRemote(Job{Threads: 48}, Key{}, workload.Result{}, nil); err == nil {
 		t.Fatal("nil-workload commit accepted")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strings"
@@ -50,10 +51,8 @@ type Coordinator struct {
 	batchSeq            atomic.Uint64
 	localPts, remotePts atomic.Uint64
 	coalesced, fellBack atomic.Uint64
-	// Result-wire accounting: posts received, how many arrived
-	// gzip-compressed, and the on-the-wire (post-compression) bytes.
-	resultPosts, resultPostsGzip atomic.Uint64
-	resultWireBytes              atomic.Uint64
+	// Result-wire accounting: posts accepted and their body bytes.
+	resultPosts, resultWireBytes atomic.Uint64
 	stop                         chan struct{}
 	stopOnce                     sync.Once
 }
@@ -130,12 +129,10 @@ type CoordinatorStats struct {
 	// Fallbacks counts batches (or batch remainders) that reverted to
 	// local evaluation.
 	Fallbacks uint64 `json:"fallbacks"`
-	// ResultPosts counts result posts accepted; ResultPostsGzip how
-	// many of them arrived gzip-compressed; ResultBytesWire the
-	// as-received (post-compression) body bytes — the wire-efficiency
-	// counters the CI smoke asserts on.
+	// ResultPosts counts result posts accepted and ResultBytesWire
+	// their body bytes — the wire-efficiency counters the CI smoke
+	// asserts on.
 	ResultPosts     uint64 `json:"result_posts"`
-	ResultPostsGzip uint64 `json:"result_posts_gzip"`
 	ResultBytesWire uint64 `json:"result_bytes_wire"`
 }
 
@@ -148,7 +145,6 @@ func (c *Coordinator) Stats() CoordinatorStats {
 		PointsCoalesced: c.coalesced.Load(),
 		Fallbacks:       c.fellBack.Load(),
 		ResultPosts:     c.resultPosts.Load(),
-		ResultPostsGzip: c.resultPostsGzip.Load(),
 		ResultBytesWire: c.resultWireBytes.Load(),
 	}
 }
@@ -171,6 +167,11 @@ type batch struct {
 	id      string
 	encoded []byte
 	jobs    []engine.Job
+	// keys holds each job's cache key, derived once per batch: the store
+	// probe, the in-flight table, the result check and the commit all
+	// read it. A job without a workload has the zero key, which no
+	// flight, store entry or expansion point carries.
+	keys []resultstore.Key
 	// identity marks the common cold-sweep case where batch position i
 	// IS expansion index i (the session submitted the spec's own
 	// expansion, in order) — no per-point map is materialized at all.
@@ -244,23 +245,21 @@ func chunkTarget(points, workers int) int {
 	return size
 }
 
-// expansionMap relates batch positions to the spec's expansion indexes
-// without materializing the expansion. The fast path — the session
-// submitted exactly the spec's own expansion, in order, as every cold
-// sweep does — streams the enumeration once to verify keys match
-// positionally and returns identity=true with no allocation per point.
-// Otherwise (plan rounds submit subsets) it builds an O(len(jobs)) map
-// from wanted keys to expansion indexes; expOf[i] is then jobs[i]'s
-// expansion index, -1 when the job is not expressible on the wire.
-func expansionMap(sp scenario.Spec, jobs []engine.Job) (identity bool, expOf []int, err error) {
-	if len(jobs) == sp.Size() {
+// expansionMap relates batch positions, given by their jobs' keys, to
+// the spec's expansion indexes without materializing the expansion.
+// The fast path — the session submitted exactly the spec's own
+// expansion, in order, as every cold sweep does — streams the
+// enumeration once to verify keys match positionally and returns
+// identity=true with no allocation per point. Otherwise (plan rounds
+// submit subsets) it builds an O(len(keys)) map from wanted keys to
+// expansion indexes; expOf[i] is then position i's expansion index, -1
+// when its job is not expressible on the wire.
+func expansionMap(sp scenario.Spec, keys []resultstore.Key) (identity bool, expOf []int, err error) {
+	if len(keys) == sp.Size() {
 		match := true
 		err = sp.EachPoint(func(i int, _ scenario.Meta, ej engine.Job) bool {
-			if jobs[i].Workload == nil || jobs[i].Key() != ej.Key() {
-				match = false
-				return false
-			}
-			return true
+			match = keys[i] == ej.Key()
+			return match
 		})
 		if err != nil {
 			return false, nil, err
@@ -269,11 +268,9 @@ func expansionMap(sp scenario.Spec, jobs []engine.Job) (identity bool, expOf []i
 			return true, nil, nil
 		}
 	}
-	want := make(map[resultstore.Key]int, len(jobs))
-	for i := range jobs {
-		if jobs[i].Workload != nil {
-			want[jobs[i].Key()] = -1
-		}
+	want := make(map[resultstore.Key]int, len(keys))
+	for _, k := range keys {
+		want[k] = -1
 	}
 	err = sp.EachPoint(func(i int, _ scenario.Meta, ej engine.Job) bool {
 		k := ej.Key()
@@ -285,14 +282,9 @@ func expansionMap(sp scenario.Spec, jobs []engine.Job) (identity bool, expOf []i
 	if err != nil {
 		return false, nil, err
 	}
-	expOf = make([]int, len(jobs))
-	for i := range jobs {
-		expOf[i] = -1
-		if jobs[i].Workload != nil {
-			if exp, ok := want[jobs[i].Key()]; ok {
-				expOf[i] = exp
-			}
-		}
+	expOf = make([]int, len(keys))
+	for i, k := range keys {
+		expOf[i] = want[k]
 	}
 	return false, expOf, nil
 }
@@ -311,10 +303,17 @@ func (c *Coordinator) ExecuteBatch(ctx context.Context, sp scenario.Spec, jobs [
 	// fallback, so a worker joining in between cannot skip the mapping.
 	live := c.sched.liveCount()
 	encoded, err := scenario.Encode(sp)
+	var keys []resultstore.Key
 	var identity bool
 	var expOf []int
 	if err == nil && live > 0 {
-		identity, expOf, err = expansionMap(sp, jobs)
+		keys = make([]resultstore.Key, len(jobs))
+		for i, job := range jobs {
+			if job.Workload != nil {
+				keys[i] = job.Key()
+			}
+		}
+		identity, expOf, err = expansionMap(sp, keys)
 	}
 	if err != nil || live == 0 {
 		// Not dispatchable (a Custom-builder spec cannot travel) or
@@ -329,6 +328,7 @@ func (c *Coordinator) ExecuteBatch(ctx context.Context, sp scenario.Spec, jobs [
 		id:       fmt.Sprintf("b-%06d", c.batchSeq.Add(1)),
 		encoded:  encoded,
 		jobs:     jobs,
+		keys:     keys,
 		identity: identity,
 		done:     done,
 		errs:     make([]error, len(jobs)),
@@ -350,8 +350,8 @@ func (c *Coordinator) ExecuteBatch(ctx context.Context, sp scenario.Spec, jobs [
 	var dispExp []int // non-identity only: dispatched expansion indexes
 	ndispatch := 0
 	cached := make([]bool, len(jobs))
-	for i := range jobs {
-		cached[i] = c.eng.Cached(jobs[i])
+	for i, k := range keys {
+		cached[i] = c.eng.Cached(k)
 	}
 	c.mu.Lock()
 	for i := range jobs {
@@ -363,7 +363,7 @@ func (c *Coordinator) ExecuteBatch(ctx context.Context, sp scenario.Spec, jobs [
 			local = append(local, i)
 			continue
 		}
-		k := jobs[i].Key()
+		k := keys[i]
 		if fl := c.flights[k]; fl != nil {
 			fl.waiters = append(fl.waiters, waiter{b: b, pos: i})
 			c.coalesced.Add(1)
@@ -453,7 +453,7 @@ func (c *Coordinator) runLocal(ctx context.Context, b *batch, positions []int) {
 			return struct{}{}, nil
 		}
 		res, err := c.eng.Run(b.jobs[pos])
-		c.settleFlight(b.jobs[pos])
+		c.settleFlight(b.keys[pos])
 		b.settle(pos, res, err)
 		return struct{}{}, nil
 	})
@@ -469,54 +469,70 @@ func (c *Coordinator) resolveChunk(workerID string, cr *ChunkResult) {
 		return
 	}
 	b := ch.b
-	if cr.Error != "" {
-		// The worker could not evaluate the chunk at all (undecodable
-		// spec, index out of range): an infrastructure bug, not a point
-		// failure — requeueing cannot succeed, so the affected points
-		// fail the batch.
-		err := fmt.Errorf("fleet: chunk %d: %s", cr.ChunkID, cr.Error)
+	recs, err := checkChunk(ch, cr)
+	if err != nil {
+		// The worker could not evaluate the chunk at all, or its answer
+		// is not one for the chunk it was given: an infrastructure bug,
+		// not a point failure. Requeueing cannot succeed, so the chunk's
+		// points fail the batch and none of its records is committed.
+		err = fmt.Errorf("fleet: chunk %d: %w", cr.ChunkID, err)
 		for _, exp := range ch.indexes {
-			pos, ok := b.pos(exp)
-			if !ok {
-				continue
-			}
-			c.settleFlight(b.jobs[pos])
+			pos, _ := b.pos(exp)
+			c.settleFlight(b.keys[pos])
 			b.settle(pos, workload.Result{}, err)
 		}
 		return
 	}
-	covered := make(map[int]bool, len(cr.Points))
-	for _, pt := range cr.Points {
-		pos, ok := b.pos(pt.Index)
-		if !ok || !member(ch.indexes, pt.Index) || covered[pt.Index] {
-			continue // not this chunk's point; ignore
-		}
-		covered[pt.Index] = true
-		job := b.jobs[pos]
+	failed := cr.Failed
+	for _, exp := range ch.indexes {
+		pos, _ := b.pos(exp)
 		var res workload.Result
 		var rerr error
-		if pt.Error != "" {
-			rerr = errors.New(pt.Error)
-		} else if pt.Result != nil {
-			res = *pt.Result
+		if len(failed) > 0 && failed[0].Index == exp {
+			rerr, failed = errors.New(failed[0].Error), failed[1:]
 		} else {
-			rerr = fmt.Errorf("fleet: chunk %d: point %d carries neither result nor error", cr.ChunkID, pt.Index)
+			res, recs = recs[0].Res, recs[1:]
 		}
-		committed, err := c.eng.CommitRemote(job, res, rerr)
-		c.settleFlight(job)
+		committed, err := c.eng.CommitRemote(b.jobs[pos], b.keys[pos], res, rerr)
+		c.settleFlight(b.keys[pos])
 		b.settle(pos, committed, err)
 	}
-	for _, exp := range ch.indexes {
-		if !covered[exp] {
-			pos, ok := b.pos(exp)
-			if !ok {
-				continue
-			}
-			c.settleFlight(b.jobs[pos])
-			b.settle(pos, workload.Result{},
-				fmt.Errorf("fleet: chunk %d: point %d missing from result", cr.ChunkID, exp))
-		}
+}
+
+// checkChunk holds a chunk result to the chunk it answers: no
+// chunk-level error, failed indexes ascending and inside the chunk, and
+// a frame that parses whole and holds one record per remaining index,
+// in chunk order, each under the key the coordinator derived for that
+// point. It returns the frame's records.
+func checkChunk(ch *chunk, cr *ChunkResult) ([]resultstore.Record, error) {
+	if cr.Error != "" {
+		return nil, errors.New(cr.Error)
 	}
+	recs, n, err := resultstore.ParseBlock(cr.Frame)
+	if err != nil {
+		return nil, err
+	}
+	if n != len(cr.Frame) {
+		return nil, fmt.Errorf("%d bytes after the result frame", len(cr.Frame)-n)
+	}
+	failed, want := cr.Failed, 0
+	for _, exp := range ch.indexes {
+		if len(failed) > 0 && failed[0].Index == exp {
+			failed = failed[1:]
+			continue
+		}
+		if pos, _ := ch.b.pos(exp); want < len(recs) && recs[want].Key != ch.b.keys[pos] {
+			return nil, fmt.Errorf("point %d: record key is not the point's key", exp)
+		}
+		want++
+	}
+	if len(failed) > 0 {
+		return nil, fmt.Errorf("failed point %d is not in the chunk", failed[0].Index)
+	}
+	if want != len(recs) {
+		return nil, fmt.Errorf("%d records for %d points", len(recs), want)
+	}
+	return recs, nil
 }
 
 // settleFlight releases the batches parked on a key after its result
@@ -524,8 +540,7 @@ func (c *Coordinator) resolveChunk(workerID string, cr *ChunkResult) {
 // cache hit — and settles its own position. (If the key in fact never
 // committed, the local run computes it; either way every waiter
 // settles with the store's authoritative result.)
-func (c *Coordinator) settleFlight(job engine.Job) {
-	k := job.Key()
+func (c *Coordinator) settleFlight(k resultstore.Key) {
 	c.mu.Lock()
 	fl := c.flights[k]
 	delete(c.flights, k)
@@ -653,22 +668,22 @@ func (c *Coordinator) handleWork(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, r, out)
 }
 
-// handleResults is the coalesced return path: one post carrying every
-// chunk the worker finished since its last pull, usually gzipped.
+// handleResults is the coalesced return path: one binary post carrying
+// every chunk the worker finished since its last pull. A body past
+// maxBodyBytes or one that does not decode is refused whole; a chunk
+// that does not answer its chunk fails alone (resolveChunk).
 func (c *Coordinator) handleResults(w http.ResponseWriter, r *http.Request) {
-	gzipped := r.Header.Get("Content-Encoding") == "gzip"
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	var rb ResultBatch
-	if err := decodeBody(r.Body, gzipped, &rb); err != nil {
+	if err == nil {
+		err = rb.Decode(body)
+	}
+	if err != nil {
 		httpErr(w, http.StatusBadRequest, err)
 		return
 	}
 	c.resultPosts.Add(1)
-	if gzipped {
-		c.resultPostsGzip.Add(1)
-	}
-	if r.ContentLength > 0 {
-		c.resultWireBytes.Add(uint64(r.ContentLength))
-	}
+	c.resultWireBytes.Add(uint64(len(body)))
 	for i := range rb.Results {
 		c.resolveChunk(rb.WorkerID, &rb.Results[i])
 	}
@@ -706,10 +721,4 @@ func writeJSON(w http.ResponseWriter, r *http.Request, v any) {
 
 func acceptsGzip(r *http.Request) bool {
 	return r != nil && strings.Contains(r.Header.Get("Accept-Encoding"), "gzip")
-}
-
-// member reports whether x is in the ascending slice s.
-func member(s []int, x int) bool {
-	i := sort.SearchInts(s, x)
-	return i < len(s) && s[i] == x
 }

@@ -6,16 +6,18 @@
 // registered workers — with streams, deterministic ordering,
 // cancellation and error text byte-identical to a local run.
 //
-// The shared dedup tier is the fingerprint-keyed result store: before
-// dispatching a point the coordinator probes its store (the
-// resultstore.Prober seam — a disk store answers for every previous
-// process too) and serves resident points locally; only cold points
-// travel. Workers evaluate chunks through their own engine (with its
-// own cache) and post the quantities back; the coordinator commits
-// them through engine.CommitRemote, so a point any worker evaluated is
-// every later sweep's cache hit, and identical points dispatched by
-// concurrent sessions are coalesced fleet-wide (an in-flight table
-// parks duplicates until the first dispatch lands).
+// The shared dedup tier is the fingerprint-keyed result store: the
+// coordinator derives each job's cache key once per batch, probes its
+// store with it before dispatching a point (the resultstore.Prober
+// seam — a disk store answers for every previous process too) and
+// serves resident points locally; only cold points travel. Workers
+// evaluate chunks through their own engine (with its own cache) and
+// post the records back as store block frames; the coordinator checks
+// each record's key against the one it derived and commits it through
+// engine.CommitRemote, so a point any worker evaluated is every later
+// sweep's cache hit, and identical points dispatched by concurrent
+// sessions are coalesced fleet-wide (an in-flight table parks
+// duplicates until the first dispatch lands).
 //
 // Dispatch is windowed so sweeps scale to 100k+ points: instead of
 // sharding a batch into all its chunks upfront, the coordinator
@@ -27,8 +29,8 @@
 // self-report elapsed_us per chunk) sizes the next carve to ~4 poll
 // windows of that worker's throughput, clamped to [1, 256] with a tail
 // guard; the static formula only seeds the cold start. Workers pull up
-// to 4 chunks per long-poll and post results coalesced and
-// gzip-compressed (pooled buffers and encoders) to /fleet/v1/results.
+// to 4 chunks per long-poll and post their results coalesced into one
+// binary body to /fleet/v1/results.
 // Coordinator and workers ship as one binary and speak one
 // ProtocolVersion: a join carrying any other version is refused with
 // 409 Conflict, and a refused worker's Run returns the refusal instead
@@ -55,7 +57,10 @@
 // memory) self-evicts — it finishes and posts its current chunk,
 // deregisters, and exits — so a machine with a failing disk drains
 // from the fleet instead of silently computing results that will not
-// persist. The wire protocol (protocol.go) is strict JSON end to end:
-// unknown fields are rejected at every nesting level, exactly like the
-// scenario, traffic and faultline codecs.
+// persist. The wire protocol (protocol.go) is strict throughout. Its
+// JSON documents reject unknown fields at every nesting level, exactly
+// like the scenario, traffic and faultline codecs. A result body must
+// decode whole, and each of its chunks must answer the chunk it names —
+// a bad CRC, a record count or failed index that does not fit, or a
+// record under another point's key fails that chunk alone.
 package fleet

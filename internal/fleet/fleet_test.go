@@ -27,6 +27,7 @@ import (
 	"repro/internal/resultstore"
 	"repro/internal/scenario"
 	"repro/internal/session"
+	"repro/internal/workload"
 )
 
 func sock() *platform.Socket { return platform.NewPurley().Socket(0) }
@@ -403,6 +404,136 @@ func TestFleetCustomSpecRunsLocal(t *testing.T) {
 	st := f.coord.Stats()
 	if st.Fallbacks == 0 || st.PointsRemote != 0 {
 		t.Errorf("stats %+v, want local fallback for a Custom spec", st)
+	}
+}
+
+// A batch holding a job without a workload fails with the local path's
+// exact error while a worker is live, instead of panicking the
+// coordinator: such a job has no key, runs locally, and no flight is
+// looked up for it.
+func TestFleetNilWorkloadFailsLikeLocal(t *testing.T) {
+	f := startFleet(t, 1, tightOpts(), 0)
+	sp := fleetSpec("fleet-nil")
+	_, jobs, err := sp.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs[3].Workload = nil
+	_, want := engine.New(sock(), 2).RunBatchFunc(context.Background(), jobs, nil)
+	got := f.coord.ExecuteBatch(context.Background(), sp, jobs, nil)
+	if want == nil || got == nil || got.Error() != want.Error() {
+		t.Errorf("fleet error = %v, want the local path's %v", got, want)
+	}
+}
+
+// tamperResults is a worker transport that forges the first chunk of
+// the first result post it carries and passes everything else through.
+type tamperResults struct {
+	forge func(cr *ChunkResult, recs []resultstore.Record)
+
+	mu     sync.Mutex
+	forged bool
+	keys   []resultstore.Key // the forged chunk's honest record keys
+}
+
+func (tr *tamperResults) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.URL.Path != "/fleet/v1/results" {
+		return http.DefaultTransport.RoundTrip(req) // heartbeats and pulls never wait on mu
+	}
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	if tr.forged {
+		return http.DefaultTransport.RoundTrip(req)
+	}
+	body, err := io.ReadAll(req.Body)
+	if err != nil {
+		return nil, err
+	}
+	var rb ResultBatch
+	if err := rb.Decode(body); err != nil {
+		return nil, err
+	}
+	cr := &rb.Results[0]
+	recs, _, err := resultstore.ParseBlock(cr.Frame)
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range recs {
+		tr.keys = append(tr.keys, r.Key)
+	}
+	tr.forge(cr, recs)
+	tr.forged = true
+	body = rb.Append(nil)
+	req = req.Clone(req.Context())
+	req.Body, req.ContentLength = io.NopCloser(bytes.NewReader(body)), int64(len(body))
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+func (tr *tamperResults) forgedKeys() []resultstore.Key {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	return tr.keys
+}
+
+// A result chunk that does not answer the chunk it was given fails that
+// chunk's points with a chunk-level error and commits none of them —
+// least of all under a forged key — while the batch's other chunks,
+// the rest of the same post included, still land.
+func TestForgedChunkFailsAlone(t *testing.T) {
+	reframe := func(cr *ChunkResult, recs []resultstore.Record) {
+		cr.Frame = resultstore.AppendBlock(nil, recs)
+	}
+	for _, tc := range []struct {
+		name, want string
+		forge      func(cr *ChunkResult, recs []resultstore.Record)
+	}{
+		{"record under another index's key", "record key is not the point's key",
+			func(cr *ChunkResult, recs []resultstore.Record) {
+				recs[0].Key = recs[1].Key
+				reframe(cr, recs)
+			}},
+		{"missing record", "records for",
+			func(cr *ChunkResult, recs []resultstore.Record) { reframe(cr, recs[:len(recs)-1]) }},
+		{"failed index outside the chunk", "is not in the chunk",
+			func(cr *ChunkResult, _ []resultstore.Record) {
+				cr.Failed = append(cr.Failed, PointError{Index: 1 << 30, Error: "boom"})
+			}},
+		{"flipped frame byte", "CRC mismatch",
+			func(cr *ChunkResult, _ []resultstore.Record) { cr.Frame[len(cr.Frame)/2] ^= 0x10 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := &tamperResults{forge: tc.forge}
+			f := startFleet(t, 0, tightOpts(), 0)
+			f.addWorker(t, "w0", 0, &http.Client{Transport: tr})
+			f.waitWorkers(t, 1)
+			sp := fleetSpec("fleet-forged", 1, 2, 3, 4)
+			_, jobs, err := sp.Expand()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var landed atomic.Int64
+			err = f.coord.ExecuteBatch(context.Background(), sp, jobs, func(int, workload.Result) { landed.Add(1) })
+			forged := tr.forgedKeys()
+			if len(forged) < 2 {
+				t.Fatalf("forged a chunk of %d records, want one of at least 2", len(forged))
+			}
+			if err == nil || !strings.Contains(err.Error(), "fleet: chunk ") || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("batch error = %v, want a chunk-level %q", err, tc.want)
+			}
+			if got, want := landed.Load(), int64(len(jobs)-len(forged)); got != want {
+				t.Errorf("%d points landed, want %d: all but the forged chunk's", got, want)
+			}
+			isForged := make(map[resultstore.Key]bool)
+			for _, k := range forged {
+				isForged[k] = true
+			}
+			for i, job := range jobs {
+				k := job.Key()
+				if committed := f.coord.Engine().Cached(k); committed == isForged[k] {
+					t.Errorf("point %d: committed = %v, want %v", i, committed, !isForged[k])
+				}
+			}
+		})
 	}
 }
 

@@ -5,14 +5,18 @@ import (
 	"encoding/json"
 	"testing"
 
+	"repro/internal/resultstore"
 	"repro/internal/scenario"
 )
 
-// FuzzDecodeBody drives arbitrary bytes, plain and gzipped, through the
-// wire decoder into every body a peer sends: the join, work, heartbeat
-// and leave requests, a pulled WireWork and a posted ResultBatch.
-// Nothing may panic, and a body that decodes must re-encode through
-// encodePost and decode back to the same document.
+// FuzzDecodeBody drives arbitrary bytes through every decoder a peer's
+// body meets: the strict JSON of the join, work, heartbeat and leave
+// requests and of a pulled WireWork, and the binary result body.
+// Nothing may panic. A JSON document that decodes must re-encode and
+// decode back to the same document; a result body that decodes must
+// re-encode to exactly its own bytes, and every frame it carries goes
+// through resultstore.ParseBlock, which must keep a frame it accepts
+// stable across a re-encode.
 func FuzzDecodeBody(f *testing.F) {
 	spec, err := scenario.Encode(fleetSpec("fuzz-wire"))
 	if err != nil {
@@ -22,79 +26,88 @@ func FuzzDecodeBody(f *testing.F) {
 	for i := 0; i < 4; i++ {
 		work.Chunks = append(work.Chunks, WireChunk{ID: uint64(i + 1), Spec: spec, Indexes: []int{3 * i, 3*i + 1, 3*i + 2}})
 	}
-	plain, err := json.Marshal(work)
-	if err != nil {
-		f.Fatal(err)
-	}
-	type seed struct {
-		data    []byte
-		gzipped bool
-	}
-	seeds := []seed{{plain, false}}
-	buf, gzipped, err := encodePost(work)
-	if err != nil || !gzipped {
-		f.Fatalf("multi-chunk work: gzipped %v, err %v", gzipped, err)
-	}
-	seeds = append(seeds, seed{append([]byte(nil), buf.Bytes()...), gzipped})
-	putBuf(buf)
-	for _, rb := range []ResultBatch{
-		{WorkerID: "w-000001", Results: []ChunkResult{{ChunkID: 1, Error: "bad spec"}}},
-		{WorkerID: "w-000001", Results: realResults(f, 64)},
-	} {
-		data, gzipped, err := EncodeResultBatch(rb)
-		if err != nil {
-			f.Fatal(err)
-		}
-		seeds = append(seeds, seed{data, gzipped})
-	}
-	for _, req := range []any{
+	var docs [][]byte
+	for _, doc := range []any{
+		work,
 		JoinRequest{Name: "w0", Protocol: ProtocolVersion},
 		Heartbeat{WorkerID: "w-000001"},
 	} {
-		data, err := json.Marshal(req)
+		data, err := json.Marshal(doc)
 		if err != nil {
 			f.Fatal(err)
 		}
-		seeds = append(seeds, seed{data, false})
+		docs = append(docs, data)
 	}
-	for _, s := range seeds {
-		f.Add(s.data, s.gzipped)
-		f.Add(s.data[:len(s.data)/2], s.gzipped)
-		flipped := append([]byte(nil), s.data...)
-		flipped[len(flipped)/2] ^= 0x10
-		f.Add(flipped, s.gzipped)
+	for _, data := range docs {
+		f.Add(data)
+		f.Add(data[:len(data)/2])
+		f.Add(flipped(data, len(data)/2))
 	}
-	f.Fuzz(func(t *testing.T, data []byte, gzipped bool) {
-		reencodes[JoinRequest](t, data, gzipped)
-		reencodes[WorkRequest](t, data, gzipped)
-		reencodes[Heartbeat](t, data, gzipped)
-		reencodes[WireWork](t, data, gzipped)
-		reencodes[ResultBatch](t, data, gzipped)
+	// Real result posts: two 64-point chunks, one point of the first
+	// failed, and an error-only chunk. Each also goes in truncated inside
+	// its last frame and with a byte flipped in its header and in a frame.
+	for _, rb := range []ResultBatch{
+		{WorkerID: "w-000001", Results: realResults(f, 128, 5)},
+		{WorkerID: "w-000001", Results: []ChunkResult{{ChunkID: 1, Error: "bad spec"}}},
+	} {
+		body := rb.Append(nil)
+		f.Add(body)
+		f.Add(body[:len(body)/2])
+		f.Add(body[:len(body)-3])
+		f.Add(flipped(body, 3))
+		f.Add(flipped(body, len(body)-5))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		reencodes[JoinRequest](t, data)
+		reencodes[WorkRequest](t, data)
+		reencodes[Heartbeat](t, data)
+		reencodes[WireWork](t, data)
+		var rb ResultBatch
+		if rb.Decode(data) != nil {
+			return
+		}
+		if re := rb.Append(nil); !bytes.Equal(re, data) {
+			t.Fatalf("result body re-encodes to other bytes:\n%x\n%x", data, re)
+		}
+		for _, cr := range rb.Results {
+			recs, _, err := resultstore.ParseBlock(cr.Frame)
+			if err != nil {
+				continue
+			}
+			frame := resultstore.AppendBlock(nil, recs)
+			back, _, err := resultstore.ParseBlock(frame)
+			if err != nil || !bytes.Equal(resultstore.AppendBlock(nil, back), frame) {
+				t.Fatalf("chunk %d: a parsed frame does not survive a re-encode (%v)", cr.ChunkID, err)
+			}
+		}
 	})
 }
 
-// reencodes checks the wire round trip for one body type: if data
-// decodes as a T, encodePost's rendering of it decodes to the same
-// document. Documents compare as canonical JSON, because a raw spec
-// comes back compacted.
-func reencodes[T any](t *testing.T, data []byte, gzipped bool) {
+// flipped returns a copy of data with one bit of byte i flipped.
+func flipped(data []byte, i int) []byte {
+	out := bytes.Clone(data)
+	out[i] ^= 0x10
+	return out
+}
+
+// reencodes checks the JSON round trip for one body type: if data
+// decodes as a T, its re-encoding decodes to the same document.
+// Documents compare as canonical JSON, because a raw spec comes back
+// compacted.
+func reencodes[T any](t *testing.T, data []byte) {
 	var first T
-	if decodeBody(bytes.NewReader(data), gzipped, &first) != nil {
+	if decodeStrict(bytes.NewReader(data), &first) != nil {
 		return
 	}
-	buf, gz, err := encodePost(first)
+	enc, err := json.Marshal(first)
 	if err != nil {
 		t.Fatalf("decoded %T does not re-encode: %v", first, err)
 	}
 	var second T
-	err = decodeBody(bytes.NewReader(buf.Bytes()), gz, &second)
-	putBuf(buf)
-	if err != nil {
+	if err := decodeStrict(bytes.NewReader(enc), &second); err != nil {
 		t.Fatalf("re-encoded %T does not decode: %v", first, err)
 	}
-	a, _ := json.Marshal(first)
-	b, _ := json.Marshal(second)
-	if !bytes.Equal(a, b) {
-		t.Fatalf("%T changed across the round trip:\n%s\n%s", first, a, b)
+	if again, _ := json.Marshal(second); !bytes.Equal(enc, again) {
+		t.Fatalf("%T changed across the round trip:\n%s\n%s", first, enc, again)
 	}
 }

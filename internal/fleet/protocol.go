@@ -1,22 +1,26 @@
 package fleet
 
-// The coordinator/worker wire protocol: strict-JSON request and reply
-// documents for the coordinator endpoints —
+// The coordinator/worker wire protocol: strict-JSON documents for
+// joining, beating, leaving, pulling work and reading stats, and one
+// binary body for posting results —
 //
 //	POST /fleet/v1/join       JoinRequest   -> JoinReply (409: another protocol version)
 //	POST /fleet/v1/heartbeat  Heartbeat     -> 204 (404: unknown worker, rejoin)
 //	POST /fleet/v1/leave      Heartbeat     -> 204 (queued chunks re-queue)
 //	POST /fleet/v1/work       WorkRequest   -> WireWork (up to maxWorkChunks chunks),
 //	                                           or 204 after the long-poll window
-//	POST /fleet/v1/results    ResultBatch   -> 204 (gzip Content-Encoding optional)
+//	POST /fleet/v1/results    ResultBatch   -> 204 (binary body, ResultBatch.Append)
 //	GET  /fleet/v1/stats      -> FleetStats (straggler analyzer)
 //
-// Results travel as the solved quantities only: like the disk store's
-// records, the Workload descriptor pointer is stripped on the wire and
-// reattached by the coordinator from the job at commit time
-// (engine.CommitRemote). encoding/json round-trips float64 bit-exactly,
-// so a fleet-evaluated point is byte-identical to a local one — the
-// property FuzzDecodeBody's round trip checks.
+// Results travel in the store's own record codec: each chunk's solved
+// points are one resultstore block frame, the CRC32C-framed, bit-exact
+// codec the append log writes, so a fleet-evaluated point is
+// byte-identical to a local one. Like the log's records, a frame's
+// records carry their cache keys and no Workload descriptor: the
+// coordinator checks every key against the key it derived for that
+// point and reattaches its own descriptor at commit
+// (engine.CommitRemote), so a worker cannot write under a key it was
+// not given.
 //
 // Coordinator and workers ship as one binary and speak one protocol
 // version: a join that carries any other ProtocolVersion, or none, is
@@ -26,19 +30,19 @@ package fleet
 // Accept-Encoding: gzip and decompresses transparently.
 
 import (
-	"bytes"
 	"compress/gzip"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
-
-	"repro/internal/workload"
 )
 
 // ProtocolVersion is the wire protocol this build speaks. A worker
 // sends it in every join; the coordinator refuses any other value.
-const ProtocolVersion = 2
+const ProtocolVersion = 3
 
 // JoinRequest registers a worker with the coordinator.
 type JoinRequest struct {
@@ -92,39 +96,137 @@ type WireChunk struct {
 	Indexes []int `json:"indexes"`
 }
 
-// PointResult is one evaluated point of a chunk: the expansion index it
-// answers, and either the solved quantities (Workload stripped) or the
-// evaluation error, never both.
-type PointResult struct {
-	Index  int              `json:"index"`
-	Result *workload.Result `json:"result,omitempty"`
-	Error  string           `json:"error,omitempty"`
-}
-
-// ChunkResult posts a completed chunk back. Error reports a
-// chunk-level failure (undecodable spec, index out of range) — the
-// worker could not evaluate the chunk at all, and the coordinator
-// fails the batch rather than re-queueing what cannot succeed.
+// ChunkResult is one completed chunk of a result post. Error reports a
+// chunk-level failure (undecodable spec, index out of range): the
+// worker could not evaluate the chunk at all, and the coordinator fails
+// its points rather than re-queueing what cannot succeed. Otherwise
+// Failed lists the points whose evaluation failed, and Frame holds the
+// chunk's other points, in chunk order, as one resultstore block frame.
 type ChunkResult struct {
-	ChunkID uint64        `json:"chunk_id"`
-	Points  []PointResult `json:"points,omitempty"`
-	Error   string        `json:"error,omitempty"`
+	ChunkID uint64
 	// ElapsedUS self-reports the chunk's evaluation wall time in
 	// microseconds — the adaptive sizer's throughput sample, free of
 	// queueing and post-coalescing delay. A chunk-level error carries
 	// none, so a chunk that did no work feeds no sample.
-	ElapsedUS int64 `json:"elapsed_us,omitempty"`
+	ElapsedUS int64
+	Error     string
+	Failed    []PointError
+	Frame     []byte
+}
+
+// PointError is one chunk point whose evaluation failed: its expansion
+// index and the error's text.
+type PointError struct {
+	Index int
+	Error string
 }
 
 // ResultBatch coalesces the chunks one pull completed into one POST
 // (/fleet/v1/results); WorkerID names the poster for all of them.
 type ResultBatch struct {
-	WorkerID string        `json:"worker_id"`
-	Results  []ChunkResult `json:"results"`
+	WorkerID string
+	Results  []ChunkResult
+}
+
+// Append appends rb's binary body to dst: the worker id, then per chunk
+// its id, elapsed_us, error, failed points and frame, to the end of the
+// body. Integers are uvarints (a signed one as its two's-complement
+// bits) and strings and frames are uvarint-length-prefixed. dst grows
+// at most once, to maxLen, before anything is written.
+func (rb *ResultBatch) Append(dst []byte) []byte {
+	dst = slices.Grow(dst, rb.maxLen())
+	dst = appendBytes(dst, rb.WorkerID)
+	for _, cr := range rb.Results {
+		dst = binary.AppendUvarint(dst, cr.ChunkID)
+		dst = binary.AppendUvarint(dst, uint64(cr.ElapsedUS))
+		dst = appendBytes(dst, cr.Error)
+		dst = binary.AppendUvarint(dst, uint64(len(cr.Failed)))
+		for _, pe := range cr.Failed {
+			dst = binary.AppendUvarint(dst, uint64(pe.Index))
+			dst = appendBytes(dst, pe.Error)
+		}
+		dst = appendBytes(dst, cr.Frame)
+	}
+	return dst
+}
+
+// maxLen bounds the length of rb's body: its strings and frames, and
+// every varint at its longest.
+func (rb *ResultBatch) maxLen() int {
+	n := binary.MaxVarintLen64 + len(rb.WorkerID)
+	for _, cr := range rb.Results {
+		n += 5*binary.MaxVarintLen64 + len(cr.Error) + len(cr.Frame)
+		for _, pe := range cr.Failed {
+			n += 2*binary.MaxVarintLen64 + len(pe.Error)
+		}
+	}
+	return n
+}
+
+// appendBytes appends s behind its uvarint length.
+func appendBytes[T string | []byte](dst []byte, s T) []byte {
+	return append(binary.AppendUvarint(dst, uint64(len(s))), s...)
+}
+
+// Decode parses a result body strictly: every varint minimal and every
+// length inside the body, so a body that decodes re-encodes through
+// Append to exactly its own bytes. Frames alias data and are not parsed
+// here: the coordinator parses each one against the chunk it answers.
+func (rb *ResultBatch) Decode(data []byte) error {
+	r := bodyReader{b: data}
+	*rb = ResultBatch{WorkerID: string(r.bytes())}
+	for r.err == nil && len(r.b) > 0 {
+		var cr ChunkResult
+		cr.ChunkID = r.uvarint()
+		cr.ElapsedUS = int64(r.uvarint())
+		cr.Error = string(r.bytes())
+		for n := r.uvarint(); n > 0 && r.err == nil; n-- {
+			cr.Failed = append(cr.Failed, PointError{Index: int(r.uvarint()), Error: string(r.bytes())})
+		}
+		cr.Frame = r.bytes()
+		rb.Results = append(rb.Results, cr)
+	}
+	return r.err
+}
+
+// bodyReader consumes a result body; the first malformed field sticks.
+type bodyReader struct {
+	b   []byte
+	err error
+}
+
+var errBadBody = errors.New("fleet: result body: truncated or non-minimal varint")
+
+// uvarint reads one uvarint, rejecting an over-long encoding (one that
+// ends in a zero byte), which would re-encode to other bytes.
+func (r *bodyReader) uvarint() uint64 {
+	v, n := binary.Uvarint(r.b)
+	if r.err == nil && (n <= 0 || n > 1 && r.b[n-1] == 0) {
+		r.err = errBadBody
+	}
+	if r.err != nil {
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+// bytes reads one length-prefixed string or frame, aliasing the body.
+func (r *bodyReader) bytes() []byte {
+	n := r.uvarint()
+	if r.err == nil && n > uint64(len(r.b)) {
+		r.err = errBadBody
+	}
+	if r.err != nil {
+		return nil
+	}
+	s := r.b[:n:n]
+	r.b = r.b[n:]
+	return s
 }
 
 // maxBodyBytes bounds any protocol body. Chunks dominate: a spec is a
-// few KiB and a chunk result carries tens of ~400-byte points.
+// few KiB and a chunk result carries up to 256 ~300-byte records.
 const maxBodyBytes = 8 << 20
 
 // decodeStrict parses one JSON document, rejecting unknown fields at
@@ -147,114 +249,16 @@ func decodeStrict(r io.Reader, v any) error {
 	return nil
 }
 
-// Pooled POST-body codec: the worker's steady-state result path
-// serializes every completed batch, so the buffers, the json.Encoder's
-// target and the gzip state are all reused instead of reallocated per
-// request (the AllocsPerRun test pins the steady state). The same
-// pools back the coordinator's compressed responses and request-body
-// decompression.
-
-// gzipMinBytes is the compression floor: bodies smaller than this ship
-// plain, since gzip's ~20-byte framing and CPU buy nothing on a
-// heartbeat-sized document.
+// gzipMinBytes is the response compression floor: bodies smaller than
+// this ship plain, since gzip's ~20-byte framing and CPU buy nothing on
+// a heartbeat-sized document.
 const gzipMinBytes = 512
 
-var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
+// gzwPool reuses the coordinator's response gzip writers.
 var gzwPool = sync.Pool{New: func() any {
 	zw, _ := gzip.NewWriterLevel(nil, gzip.BestSpeed)
 	return zw
 }}
-
-var gzrPool sync.Pool // *gzip.Reader, lazily constructed
-
-func getBuf() *bytes.Buffer {
-	buf := bufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	return buf
-}
-
-// putBuf returns a buffer to the pool. Oversized one-off buffers are
-// dropped so a single huge batch cannot pin its high-water mark
-// forever.
-func putBuf(buf *bytes.Buffer) {
-	if buf != nil && buf.Cap() <= 4<<20 {
-		bufPool.Put(buf)
-	}
-}
-
-// encodePost serializes v into a pooled buffer, gzip-compressing
-// through a pooled writer when the JSON clears the compression floor;
-// gzipped reports which (the caller sets Content-Encoding from it).
-// Return the buffer via putBuf when the request cycle is done.
-func encodePost(v any) (buf *bytes.Buffer, gzipped bool, err error) {
-	plain := getBuf()
-	if err := json.NewEncoder(plain).Encode(v); err != nil {
-		putBuf(plain)
-		return nil, false, err
-	}
-	if plain.Len() < gzipMinBytes {
-		return plain, false, nil
-	}
-	zbuf := getBuf()
-	zw := gzwPool.Get().(*gzip.Writer)
-	zw.Reset(zbuf)
-	_, err = zw.Write(plain.Bytes())
-	if cerr := zw.Close(); err == nil {
-		err = cerr
-	}
-	gzwPool.Put(zw)
-	putBuf(plain)
-	if err != nil {
-		putBuf(zbuf)
-		return nil, false, err
-	}
-	return zbuf, true, nil
-}
-
-// decodeBody is decodeStrict behind optional gzip: when gzipped (the
-// request carried Content-Encoding: gzip) the stream is decompressed
-// through a pooled reader first. The body size limit applies to the
-// compressed bytes; the decompressed document is still decoded
-// strictly.
-func decodeBody(r io.Reader, gzipped bool, v any) error {
-	if !gzipped {
-		return decodeStrict(r, v)
-	}
-	limited := io.LimitReader(r, maxBodyBytes)
-	zr, _ := gzrPool.Get().(*gzip.Reader)
-	var err error
-	if zr == nil {
-		zr, err = gzip.NewReader(limited)
-	} else {
-		err = zr.Reset(limited)
-	}
-	if err != nil {
-		return fmt.Errorf("fleet: decoding %T: %w", v, err)
-	}
-	err = decodeStrict(zr, v)
-	if cerr := zr.Close(); err == nil && cerr != nil {
-		err = fmt.Errorf("fleet: decoding %T: %w", v, cerr)
-	}
-	gzrPool.Put(zr)
-	return err
-}
-
-// EncodeResultBatch renders rb exactly as the worker's result path puts
-// it on the wire — pooled JSON encode, gzip above the compression floor
-// — and returns a copy of the payload plus whether it was compressed.
-// It exists for benchmarks and tooling that measure the wire format
-// from outside the package; the worker itself stays on the pooled
-// zero-copy path.
-func EncodeResultBatch(rb ResultBatch) ([]byte, bool, error) {
-	buf, gzipped, err := encodePost(rb)
-	if err != nil {
-		return nil, false, err
-	}
-	out := append([]byte(nil), buf.Bytes()...)
-	putBuf(buf)
-	return out, gzipped, nil
-}
 
 // specSum is the worker-side expansion cache key: FNV-1a over the
 // spec's encoded bytes.

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/resultstore"
 	"repro/internal/scenario"
 	"repro/internal/session"
 	"repro/internal/workload"
@@ -253,98 +254,98 @@ func workerRows(c *Coordinator) map[string]WorkerHealth {
 }
 
 // realResults builds a realistic completed-chunk payload by actually
-// evaluating n points of the standard spec — the wire-efficiency tests
-// measure real result documents, not toy strings.
-func realResults(t testing.TB, n int) []ChunkResult {
+// evaluating n points of the standard spec, in chunks of 64 framed the
+// way a worker frames them — the wire-efficiency tests measure real
+// result bodies, not toy strings. The point at index failAt, when in
+// range, is reported failed instead of framed.
+func realResults(t testing.TB, n, failAt int) []ChunkResult {
 	t.Helper()
 	sp := bigSpec("wire-fixture", n)
 	_, jobs, err := sp.Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs = jobs[:n]
 	eng := engine.New(sock(), 1)
 	var out []ChunkResult
 	for lo := 0; lo < n; lo += 64 {
-		hi := min(lo+64, n)
 		cr := ChunkResult{ChunkID: uint64(1 + lo/64), ElapsedUS: 1000}
-		for i := lo; i < hi; i++ {
+		var recs []resultstore.Record
+		for i := lo; i < min(lo+64, n); i++ {
+			if i == failAt {
+				cr.Failed = append(cr.Failed, PointError{Index: i, Error: "engine: nil workload"})
+				continue
+			}
 			res, err := eng.Run(jobs[i])
 			if err != nil {
 				t.Fatal(err)
 			}
 			res.Workload = nil
-			cr.Points = append(cr.Points, PointResult{Index: i, Result: &res})
+			recs = append(recs, resultstore.Record{Key: jobs[i].Key(), Res: res})
 		}
+		cr.Frame = resultstore.AppendBlock(nil, recs)
 		out = append(out, cr)
 	}
 	return out
 }
 
-// The acceptance criterion on wire efficiency: the coalesced gzip post
-// carries at least 3× fewer bytes per point than the same results as
-// uncompressed per-chunk JSON.
+// The wire-efficiency bound: a coalesced 256-point result body costs at
+// most 320 bytes per point (268 when written), inside the 512 the CI
+// smoke asserts. Plain JSON results, about 660 bytes per point, fail
+// both.
 func TestWireBytesPerPointReduced(t *testing.T) {
-	results := realResults(t, 256)
-	points := 0
-	oldBytes := 0
-	for i := range results {
-		body, err := json.Marshal(results[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		oldBytes += len(body)
-		points += len(results[i].Points)
+	const points = 256
+	rb := ResultBatch{WorkerID: "w-000001", Results: realResults(t, points, -1)}
+	perPoint := float64(len(rb.Append(nil))) / points
+	t.Logf("wire bytes/point: %.1f", perPoint)
+	if perPoint > 320 {
+		t.Errorf("result body costs %.1f bytes/point, want <= 320", perPoint)
 	}
-	buf, gzipped, err := encodePost(ResultBatch{WorkerID: "w-000001", Results: results})
-	if err != nil {
+}
+
+// A result body round-trips: what Append writes, Decode reads back to
+// the same chunks, and each frame parses to the records that went in.
+func TestResultBodyRoundTrip(t *testing.T) {
+	want := ResultBatch{WorkerID: "w-000001", Results: append(realResults(t, 128, 5),
+		ChunkResult{ChunkID: 9, Error: "bad spec"})}
+	body := want.Append(nil)
+	var got ResultBatch
+	if err := got.Decode(body); err != nil {
 		t.Fatal(err)
 	}
-	defer putBuf(buf)
-	if !gzipped {
-		t.Fatal("a multi-chunk result batch should clear the compression floor")
+	if got.WorkerID != want.WorkerID || len(got.Results) != len(want.Results) {
+		t.Fatalf("decoded %q with %d chunks, want %q with %d", got.WorkerID, len(got.Results),
+			want.WorkerID, len(want.Results))
 	}
-	oldPer := float64(oldBytes) / float64(points)
-	newPer := float64(buf.Len()) / float64(points)
-	t.Logf("wire bytes/point: plain per-chunk %.1f, coalesced gzip %.1f (%.1fx)",
-		oldPer, newPer, oldPer/newPer)
-	if oldPer < 3*newPer {
-		t.Errorf("bytes/point %.1f -> %.1f, want >= 3x reduction", oldPer, newPer)
+	for i, g := range got.Results {
+		w := want.Results[i]
+		if g.ChunkID != w.ChunkID || g.ElapsedUS != w.ElapsedUS || g.Error != w.Error ||
+			!reflect.DeepEqual(g.Failed, w.Failed) || !bytes.Equal(g.Frame, w.Frame) {
+			t.Errorf("chunk %d: decoded %+v, want %+v", i, g, w)
+		}
+	}
+	if re := got.Append(nil); !bytes.Equal(re, body) {
+		t.Error("decoded body re-encodes to other bytes")
+	}
+	if got.Results[0].Failed[0].Index != 5 {
+		t.Errorf("chunk 0 failed points = %+v, want index 5", got.Results[0].Failed)
 	}
 }
 
-// The pooled codec round-trips: what encodePost writes, decodeBody
-// reads back identically, both plain and gzipped.
-func TestEncodePostDecodeBodyRoundTrip(t *testing.T) {
-	small := ResultBatch{WorkerID: "w-000001", Results: []ChunkResult{{ChunkID: 1}}}
-	big := ResultBatch{WorkerID: "w-000001", Results: realResults(t, 64)}
-	for name, rb := range map[string]ResultBatch{"small-plain": small, "big-gzip": big} {
-		buf, gzipped, err := encodePost(rb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if wantGz := name == "big-gzip"; gzipped != wantGz {
-			t.Errorf("%s: gzipped = %v, want %v", name, gzipped, wantGz)
-		}
+// Decode refuses a body it cannot read whole: empty, truncated anywhere,
+// a length past the end, or a varint encoded longer than it needs.
+func TestResultBodyRejectsMalformed(t *testing.T) {
+	rb := ResultBatch{WorkerID: "w-000001", Results: realResults(t, 64, 3)}
+	body := rb.Append(nil)
+	for _, cut := range []int{0, 1, 5, len(body) / 2, len(body) - 1} {
 		var back ResultBatch
-		if err := decodeBody(bytes.NewReader(buf.Bytes()), gzipped, &back); err != nil {
-			t.Fatalf("%s: decode: %v", name, err)
-		}
-		putBuf(buf)
-		want, _ := json.Marshal(rb)
-		got, _ := json.Marshal(back)
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s: round trip altered the document", name)
+		if err := back.Decode(body[:cut]); err == nil {
+			t.Errorf("body cut to %d of %d bytes decoded", cut, len(body))
 		}
 	}
-}
-
-// decodeBody rejects a gzip body whose compressed stream is corrupt
-// instead of handing garbage to the strict decoder.
-func TestDecodeBodyRejectsCorruptGzip(t *testing.T) {
-	var rb ResultBatch
-	if err := decodeBody(bytes.NewReader([]byte("not gzip at all")), true, &rb); err == nil {
-		t.Error("corrupt gzip stream decoded without error")
+	long := append([]byte{0x88, 0x00}, body[1:]...) // worker id length 8, over-long
+	var back ResultBatch
+	if err := back.Decode(long); err == nil {
+		t.Error("over-long varint decoded")
 	}
 }
 
@@ -370,36 +371,62 @@ func TestDecodeStrictRejectsTrailingData(t *testing.T) {
 	}
 }
 
-// The steady-state result-post path allocates a bounded, small number
-// of objects per post: the body buffer, the gzip writer and its
-// internals all come from pools. This pins the satellite's
-// pooled-encoder rework (the old path json.Marshal'd a fresh slice per
-// post).
-func TestEncodePostSteadyStateAllocs(t *testing.T) {
+// The worker's result encode path, evaluate's AppendBlock(nil, recs)
+// per chunk and postResults' Append(nil), allocates once per frame and
+// once for the body: the frame is encoded in the store's pooled scratch
+// and copied out, and Append sizes the body before writing it.
+func TestResultBodySteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates allocation counts")
 	}
-	rb := ResultBatch{WorkerID: "w-000001", Results: realResults(t, 128)}
-	// Warm the pools (first calls construct buffers and the gzip writer).
-	for i := 0; i < 4; i++ {
-		buf, _, err := encodePost(rb)
-		if err != nil {
+	rb := ResultBatch{WorkerID: "w-000001", Results: realResults(t, 128, 5)}
+	recs := make([][]resultstore.Record, len(rb.Results))
+	for i := range rb.Results {
+		var err error
+		if recs[i], _, err = resultstore.ParseBlock(rb.Results[i].Frame); err != nil {
 			t.Fatal(err)
 		}
-		putBuf(buf)
 	}
-	allocs := testing.AllocsPerRun(50, func() {
-		buf, _, err := encodePost(rb)
-		if err != nil {
-			t.Fatal(err)
+	encode := func() {
+		for i := range rb.Results {
+			rb.Results[i].Frame = resultstore.AppendBlock(nil, recs[i])
 		}
-		putBuf(buf)
-	})
-	// The JSON encoder's reflection path allocates a handful of
-	// temporaries for a 128-point document; what must NOT appear is the
-	// O(body-size) buffer and gzip-state churn the pools eliminate.
-	if allocs > 24 {
-		t.Errorf("encodePost steady state allocates %.0f objects/post, want <= 24", allocs)
+		rb.Append(nil)
+	}
+	encode() // warm the pooled encoder
+	want := float64(len(rb.Results) + 1)
+	if allocs := testing.AllocsPerRun(50, encode); allocs != want {
+		t.Errorf("result encode allocates %.0f objects/post, want %.0f: one per frame, one for the body", allocs, want)
+	}
+}
+
+// The results endpoint reads a body of any framing up to maxBodyBytes,
+// and refuses a larger one whole without counting it as a post.
+func TestResultsEndpointBodyLimit(t *testing.T) {
+	f := startFleet(t, 0, tightOpts(), 0)
+	empty := (&ResultBatch{WorkerID: "w-000001"}).Append(nil)
+	huge := make([]byte, maxBodyBytes+1)
+	for _, tc := range []struct {
+		name string
+		body io.Reader
+		want int
+	}{
+		// A reader without a length travels chunked.
+		{"chunked", struct{ io.Reader }{bytes.NewReader(empty)}, http.StatusNoContent},
+		{"oversize", bytes.NewReader(huge), http.StatusBadRequest},
+		{"oversize chunked", struct{ io.Reader }{bytes.NewReader(huge)}, http.StatusBadRequest},
+	} {
+		resp, err := http.Post(f.ts.URL+"/fleet/v1/results", "application/octet-stream", tc.body)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s body: status %d, want %d", tc.name, resp.StatusCode, tc.want)
+		}
+	}
+	if posts := f.coord.FleetStats().ResultPosts; posts != 1 {
+		t.Errorf("%d result posts counted, want 1: the oversize bodies are refused", posts)
 	}
 }
 
@@ -432,11 +459,8 @@ func TestStatsEndpointAndResponseCompression(t *testing.T) {
 	if len(fs.PerWorker) != 2 {
 		t.Fatalf("stats carries %d worker rows, want 2", len(fs.PerWorker))
 	}
-	if fs.ResultPostsGzip == 0 {
-		t.Errorf("no compressed result posts observed (stats %+v)", fs.CoordinatorStats)
-	}
-	if fs.ResultBytesWire == 0 {
-		t.Error("no result wire bytes accounted")
+	if fs.ResultPosts == 0 || fs.ResultBytesWire == 0 || fs.ResultBytesWire >= 512*fs.PointsRemote {
+		t.Errorf("want result posts with wire bytes accounted, under 512 per remote point (stats %+v)", fs.CoordinatorStats)
 	}
 
 	// Raw request advertising gzip: a response past the floor comes
@@ -505,7 +529,7 @@ func TestFleetStatsDocumentKeys(t *testing.T) {
 		"chunks_completed", "chunks_dispatched", "chunks_in_flight", "chunks_live",
 		"chunks_live_max", "chunks_pending", "chunks_requeued", "dead", "fallbacks",
 		"left", "median_p50_point_ms", "per_worker", "points_coalesced", "points_local",
-		"points_remote", "result_bytes_wire", "result_posts", "result_posts_gzip",
+		"points_remote", "result_bytes_wire", "result_posts",
 		"straggler_factor", "stragglers", "window", "workers",
 	}
 	if got := keys(doc); !reflect.DeepEqual(got, wantTop) {

@@ -258,7 +258,7 @@ func (w *Worker) evaluate(ctx context.Context, ch *WireChunk) (ChunkResult, bool
 		return out, true
 	}
 	start := time.Now()
-	out.Points = make([]PointResult, 0, len(ch.Indexes))
+	recs := make([]resultstore.Record, 0, len(ch.Indexes))
 	for _, idx := range ch.Indexes {
 		if idx < 0 || idx >= len(jobs) {
 			return ChunkResult{ChunkID: ch.ID,
@@ -270,17 +270,16 @@ func (w *Worker) evaluate(ctx context.Context, ch *WireChunk) (ChunkResult, bool
 			}
 		}
 		res, err := w.Eng.Run(jobs[idx])
-		pt := PointResult{Index: idx}
 		if err != nil {
-			pt.Error = err.Error()
-		} else {
-			// The Workload descriptor does not travel; the coordinator
-			// reattaches its own (content-identical) descriptor at commit.
-			res.Workload = nil
-			pt.Result = &res
+			out.Failed = append(out.Failed, PointError{Index: idx, Error: err.Error()})
+			continue
 		}
-		out.Points = append(out.Points, pt)
+		// The Workload descriptor does not travel; the coordinator
+		// reattaches its own (content-identical) descriptor at commit.
+		res.Workload = nil
+		recs = append(recs, resultstore.Record{Key: jobs[idx].Key(), Res: res})
 	}
+	out.Frame = resultstore.AppendBlock(nil, recs)
 	// Self-report the evaluation wall time for the adaptive sizer,
 	// clamped to 1µs so a measured chunk never reads as unmeasured.
 	out.ElapsedUS = max(1, time.Since(start).Microseconds())
@@ -318,24 +317,15 @@ func (w *Worker) expand(spec []byte) ([]engine.Job, error) {
 }
 
 // postResults delivers one pull's completed chunks as a single
-// coalesced /fleet/v1/results post, gzip-compressed past the floor,
-// with a short retry. The serialized body lives in a pooled buffer and
-// travels through the pooled gzip writer, so the steady-state result
-// path allocates nothing per post (pinned by AllocsPerRun in
-// protocol_test.go).
+// coalesced binary /fleet/v1/results post, with a short retry. Each post
+// gets a fresh body: net/http may still read a request body after Do
+// returns, so a buffer is not reused across posts.
 func (w *Worker) postResults(ctx context.Context, results []ChunkResult) error {
-	buf, gzipped, err := encodePost(ResultBatch{WorkerID: w.ID(), Results: results})
-	if err != nil {
-		return err
-	}
-	defer putBuf(buf)
-	encoding := ""
-	if gzipped {
-		encoding = "gzip"
-	}
+	rb := ResultBatch{WorkerID: w.ID(), Results: results}
+	body := rb.Append(nil)
 	var last error
 	for attempt := 0; attempt < 3; attempt++ {
-		status, err := w.postEnc(ctx, "/fleet/v1/results", buf.Bytes(), encoding, nil)
+		status, err := w.postAs(ctx, "/fleet/v1/results", "application/octet-stream", body, nil)
 		if err == nil && status < 300 {
 			return nil
 		}
@@ -353,20 +343,16 @@ func (w *Worker) postResults(ctx context.Context, results []ChunkResult) error {
 // post runs one JSON POST, decoding the reply into out when it is
 // non-nil and the response carries a body.
 func (w *Worker) post(ctx context.Context, path string, body []byte, out any) (int, error) {
-	return w.postEnc(ctx, path, body, "", out)
+	return w.postAs(ctx, path, "application/json", body, out)
 }
 
-// postEnc is post with an optional Content-Encoding on the request
-// body (the pre-compressed coalesced result path).
-func (w *Worker) postEnc(ctx context.Context, path string, body []byte, encoding string, out any) (int, error) {
+// postAs is post with the request body's Content-Type.
+func (w *Worker) postAs(ctx context.Context, path, contentType string, body []byte, out any) (int, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.Base+path, bytes.NewReader(body))
 	if err != nil {
 		return 0, err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	if encoding != "" {
-		req.Header.Set("Content-Encoding", encoding)
-	}
+	req.Header.Set("Content-Type", contentType)
 	resp, err := w.Client.Do(req)
 	if err != nil {
 		return 0, err

@@ -113,10 +113,12 @@ func parseSegName(name string) (seq, kind int, ok bool) {
 	return 0, 0, false
 }
 
-// rec pairs a key with its result during segment loading.
-type rec struct {
-	k   Key
-	res workload.Result
+// Record is one stored point: its cache key and its solved quantities,
+// without the Workload descriptor. It is the unit of the block codec
+// that log appends, compacted segments and fleet result posts share.
+type Record struct {
+	Key Key
+	Res workload.Result
 }
 
 // segInfo is one segment file found in a store directory.
@@ -181,8 +183,8 @@ func splitLive(infos []segInfo) (v2 *segInfo, logs, stale []segInfo) {
 // failed write ends a segment, so a torn record is always its last — and
 // a restart starts a fresh segment, so a store can accumulate several
 // tail-torn segments.
-func readLog(data []byte, add func(rec)) (torn bool, bad error) {
-	torn = walkFrames(data, func(off, _ int, _ byte, recs []rec, err error) bool {
+func readLog(data []byte, add func(Record)) (torn bool, bad error) {
+	torn = walkFrames(data, func(off, _ int, _ byte, recs []Record, err error) bool {
 		if err != nil {
 			if bad == nil {
 				bad = fmt.Errorf("frame at offset %d: %w", off, err)
@@ -199,23 +201,23 @@ func readLog(data []byte, add func(rec)) (torn bool, bad error) {
 
 // mergeRecs overlays newer records on older ones, later wins, preserving
 // first-appearance order.
-func mergeRecs(older, newer []rec) []rec {
+func mergeRecs(older, newer []Record) []Record {
 	index := make(map[Key]int, len(older)+len(newer))
-	merged := make([]rec, 0, len(older)+len(newer))
+	merged := make([]Record, 0, len(older)+len(newer))
 	for _, r := range older {
-		if at, ok := index[r.k]; ok {
+		if at, ok := index[r.Key]; ok {
 			merged[at] = r
 			continue
 		}
-		index[r.k] = len(merged)
+		index[r.Key] = len(merged)
 		merged = append(merged, r)
 	}
 	for _, r := range newer {
-		if at, ok := index[r.k]; ok {
+		if at, ok := index[r.Key]; ok {
 			merged[at] = r
 			continue
 		}
-		index[r.k] = len(merged)
+		index[r.Key] = len(merged)
 		merged = append(merged, r)
 	}
 	return merged
@@ -301,9 +303,9 @@ func (d *Disk) replay(si segInfo, live bool) (added int, err error) {
 		return 0, fmt.Errorf("resultstore: %w", err)
 	}
 	n := 0
-	_, bad := readLog(data, func(r rec) {
+	_, bad := readLog(data, func(r Record) {
 		n++
-		if d.mem.seed(r.k, r.res, live) {
+		if d.mem.seed(r.Key, r.Res, live) {
 			added++
 		}
 	})
@@ -346,7 +348,7 @@ func (d *Disk) loadSeg2(si segInfo, stale []segInfo) error {
 	d.st.RecordsV2 = len(recovered)
 	d.st.Bytes += fileSize(d.fs, path)
 	for _, r := range recovered {
-		d.mem.seed(r.k, r.res, false)
+		d.mem.seed(r.Key, r.Res, false)
 	}
 	for _, old := range stale {
 		if old.kind == kindLog {
@@ -448,7 +450,7 @@ func (d *Disk) fault(s *seg2, fp uint64) {
 			}
 		} else {
 			for _, r := range recs {
-				d.mem.seed(r.k, r.res, false)
+				d.mem.seed(r.Key, r.Res, false)
 			}
 		}
 		b.loaded = true
@@ -456,9 +458,9 @@ func (d *Disk) fault(s *seg2, fp uint64) {
 	}
 }
 
-// appendEncoder is Commit's scratch: a block encoder and the frame it
-// renders into, pooled so each record is encoded outside mu without
-// allocating.
+// appendEncoder is Commit's and AppendBlock's scratch: a block encoder
+// and the frame it renders into, pooled so each record is encoded
+// outside mu without allocating.
 type appendEncoder struct {
 	blockEncoder
 	frame []byte
@@ -479,7 +481,7 @@ func (d *Disk) Commit(k Key, res workload.Result, err error) {
 	}
 	e := appendEncoders.Get().(*appendEncoder)
 	defer appendEncoders.Put(e)
-	e.frame = e.appendFrame(e.frame[:0], []rec{{k, res}})
+	e.frame = e.appendFrame(e.frame[:0], []Record{{k, res}})
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed || d.writeErr != nil {
@@ -636,7 +638,7 @@ func (d *Disk) Compact() (retErr error) {
 	// faulted in have no disk reader any more (the new segment is read
 	// lazily only by the next process).
 	for _, r := range recs {
-		d.mem.seed(r.k, r.res, false)
+		d.mem.seed(r.Key, r.Res, false)
 	}
 	d.persisted = len(recs)
 	d.st = Stats{SegmentsV2: 1, RecordsV2: len(recs), Bytes: lay.size, IndexBytes: lay.indexBytes, Blocks: lay.blocks}
@@ -646,13 +648,13 @@ func (d *Disk) Compact() (retErr error) {
 // loadAllLocked fully materializes every live record in the store
 // directory: the newest v2 segment (all blocks decoded) overlaid by the
 // log segments that postdate it. Caller holds mu.
-func (d *Disk) loadAllLocked() ([]rec, error) {
+func (d *Disk) loadAllLocked() ([]Record, error) {
 	infos, _, err := scanDir(d.fs, d.dir)
 	if err != nil {
 		return nil, err
 	}
 	v2Info, logs, _ := splitLive(infos)
-	var v2recs []rec
+	var v2recs []Record
 	if v2Info != nil {
 		path := filepath.Join(d.dir, v2Info.name)
 		if s := d.seg2.Load(); s != nil && s.path == path {
@@ -669,14 +671,14 @@ func (d *Disk) loadAllLocked() ([]rec, error) {
 			return nil, err
 		}
 	}
-	var logRecs []rec
+	var logRecs []Record
 	for _, si := range logs {
 		path := filepath.Join(d.dir, si.name)
 		data, err := d.fs.ReadFile(path)
 		if err != nil {
 			return nil, fmt.Errorf("resultstore: %w", err)
 		}
-		if _, bad := readLog(data, func(r rec) { logRecs = append(logRecs, r) }); bad != nil {
+		if _, bad := readLog(data, func(r Record) { logRecs = append(logRecs, r) }); bad != nil {
 			return nil, fmt.Errorf("resultstore: %s: %w", path, bad)
 		}
 	}
@@ -746,7 +748,7 @@ func StatFS(dir string, fs faultline.FS) (Stats, error) {
 		if err != nil {
 			continue // deleted underneath us
 		}
-		readLog(data, func(rec) { st.RecordsLog++ })
+		readLog(data, func(Record) { st.RecordsLog++ })
 		st.BytesLog += int64(len(data))
 	}
 	if v2Info != nil {

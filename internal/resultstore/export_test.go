@@ -5,80 +5,27 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"math"
-
-	"repro/internal/workload"
 )
 
 // Test hooks for the external resultstore_test package (which needs
 // scenario/engine — importers of this package — to seed real records).
 
-// TestRec mirrors the internal rec type for block-codec tests.
-type TestRec struct {
-	Key Key
-	Res workload.Result
-}
-
-func toRecs(in []TestRec) []rec {
-	out := make([]rec, len(in))
-	for i, r := range in {
-		out[i] = rec{k: r.Key, res: r.Res}
-	}
-	return out
-}
-
-func fromRecs(in []rec) []TestRec {
-	out := make([]TestRec, len(in))
-	for i, r := range in {
-		out[i] = TestRec{Key: r.k, Res: r.res}
-	}
-	return out
-}
-
-// EncodeBlockForTest encodes records as one v2 columnar block payload.
-func EncodeBlockForTest(recs []TestRec) []byte { return encodeBlock(toRecs(recs)) }
-
-// DecodeBlockForTest decodes a v2 columnar block payload.
-func DecodeBlockForTest(payload []byte) ([]TestRec, error) {
-	recs, err := decodeBlock(payload)
-	if err != nil {
-		return nil, err
-	}
-	return fromRecs(recs), nil
-}
-
-// AppendFrameForTest wraps a payload as a CRC32C-checked v2 frame.
-func AppendFrameForTest(dst []byte, kind byte, payload []byte) []byte {
-	return appendFrame(dst, kind, payload)
-}
-
-// ParseFrameForTest parses and CRC-verifies the frame at data[0].
-func ParseFrameForTest(data []byte) (kind byte, payload []byte, frameLen int, err error) {
-	return parseFrame(data)
-}
-
 // FrameBlockKind is the block frame kind byte.
 const FrameBlockKind = seg2FrameBlock
 
-// AppendLogFrameForTest appends one record as the log frame Commit
-// writes.
-func AppendLogFrameForTest(dst []byte, k Key, res workload.Result) []byte {
-	var e blockEncoder
-	return e.appendFrame(dst, []rec{{k, res}})
-}
-
 // LogFrame is one frame of a log segment as the frame walker saw it.
 type LogFrame struct {
-	Off, Len int       // where the frame sits in the walked data
-	Recs     []TestRec // its records, when it is intact
-	Err      error     // why it is corrupt, otherwise
+	Off, Len int      // where the frame sits in the walked data
+	Recs     []Record // its records, when it is intact
+	Err      error    // why it is corrupt, otherwise
 }
 
 // WalkLogForTest walks a log segment's frames with the walker replay,
 // Verify and Stat use, returning every frame it visited and whether the
 // data ends in a torn tail.
 func WalkLogForTest(data []byte) (frames []LogFrame, torn bool) {
-	torn = walkFrames(data, func(off, n int, _ byte, recs []rec, err error) bool {
-		frames = append(frames, LogFrame{Off: off, Len: n, Recs: fromRecs(recs), Err: err})
+	torn = walkFrames(data, func(off, n int, _ byte, recs []Record, err error) bool {
+		frames = append(frames, LogFrame{Off: off, Len: n, Recs: recs, Err: err})
 		return true
 	})
 	return frames, torn

@@ -17,7 +17,7 @@ import (
 // beyondDram returns the beyond-dram preset sweep's evaluation points as
 // store records, descriptors stripped. The first key takes one exotic
 // but schema-valid shape: placement and variant set.
-func beyondDram(tb testing.TB) []resultstore.TestRec {
+func beyondDram(tb testing.TB) []resultstore.Record {
 	tb.Helper()
 	sp, err := scenario.ByName("beyond-dram")
 	if err != nil {
@@ -27,7 +27,7 @@ func beyondDram(tb testing.TB) []resultstore.TestRec {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	recs := make([]resultstore.TestRec, len(outs))
+	recs := make([]resultstore.Record, len(outs))
 	for i, o := range outs {
 		k := resultstore.Key{
 			App:         o.App,
@@ -40,7 +40,7 @@ func beyondDram(tb testing.TB) []resultstore.TestRec {
 		}
 		res := o.Result
 		res.Workload = nil
-		recs[i] = resultstore.TestRec{Key: k, Res: res}
+		recs[i] = resultstore.Record{Key: k, Res: res}
 	}
 	return recs
 }
@@ -57,29 +57,20 @@ func FuzzSegmentV2RoundTrip(f *testing.F) {
 	sort.Slice(recs, func(i, j int) bool {
 		return recs[i].Key.Fingerprint < recs[j].Key.Fingerprint
 	})
-	f.Add(resultstore.AppendFrameForTest(nil, resultstore.FrameBlockKind,
-		resultstore.EncodeBlockForTest(recs)))
-	f.Add(resultstore.AppendFrameForTest(nil, resultstore.FrameBlockKind,
-		resultstore.EncodeBlockForTest(recs[:1])))
-	f.Add(resultstore.AppendFrameForTest(nil, resultstore.FrameBlockKind,
-		resultstore.EncodeBlockForTest(nil)))
+	f.Add(resultstore.AppendBlock(nil, recs))
+	f.Add(resultstore.AppendBlock(nil, recs[:1]))
+	f.Add(resultstore.AppendBlock(nil, nil))
 	f.Add([]byte{resultstore.FrameBlockKind, 0, 0, 0})                            // short header
 	f.Add([]byte{resultstore.FrameBlockKind, 4, 0, 0, 0, 1, 2, 3, 4, 0, 0, 0, 0}) // bad CRC
 
 	f.Fuzz(func(t *testing.T, frame []byte) {
-		kind, payload, _, err := resultstore.ParseFrameForTest(frame)
-		if err != nil || kind != resultstore.FrameBlockKind {
-			return // corrupt or foreign frames are rejected, never decoded
-		}
-		recs, err := resultstore.DecodeBlockForTest(payload)
+		recs, _, err := resultstore.ParseBlock(frame)
 		if err != nil {
-			return // structurally invalid payload, rejected cleanly
+			return // corrupt, foreign or undecodable frames are rejected cleanly
 		}
-		// A payload that decodes must round-trip exactly through the
-		// columnar encoder (the blocks Compact writes are sorted, so
-		// re-sort before comparing re-encoded output).
-		re := resultstore.EncodeBlockForTest(recs)
-		recs2, err := resultstore.DecodeBlockForTest(re)
+		// A block that decodes must round-trip exactly through the
+		// columnar encoder.
+		recs2, _, err := resultstore.ParseBlock(resultstore.AppendBlock(nil, recs))
 		if err != nil {
 			t.Fatalf("re-encoded block failed to decode: %v", err)
 		}
@@ -160,8 +151,7 @@ func FuzzAppendLog(f *testing.F) {
 				continue
 			}
 			intact = append(intact, fr)
-			re := resultstore.AppendFrameForTest(nil, resultstore.FrameBlockKind,
-				resultstore.EncodeBlockForTest(fr.Recs))
+			re := resultstore.AppendBlock(nil, fr.Recs)
 			if !bytes.Equal(re, data[fr.Off:end]) {
 				t.Fatalf("frame at %d: its records re-encode to a different frame", fr.Off)
 			}
@@ -284,23 +274,22 @@ func FuzzOpenSegment(f *testing.F) {
 // the fuzz target probes: flipping any single byte of a framed block is
 // detected.
 func TestFrameCRCRejectsBitFlips(t *testing.T) {
-	var recs []resultstore.TestRec
+	var recs []resultstore.Record
 	for i := 0; i < 5; i++ {
 		k, res := resultstore.SyntheticRecord(i)
-		recs = append(recs, resultstore.TestRec{Key: k, Res: res})
+		recs = append(recs, resultstore.Record{Key: k, Res: res})
 	}
 	sort.Slice(recs, func(i, j int) bool {
 		return recs[i].Key.Fingerprint < recs[j].Key.Fingerprint
 	})
-	frame := resultstore.AppendFrameForTest(nil, resultstore.FrameBlockKind,
-		resultstore.EncodeBlockForTest(recs))
-	if _, _, _, err := resultstore.ParseFrameForTest(frame); err != nil {
+	frame := resultstore.AppendBlock(nil, recs)
+	if _, _, err := resultstore.ParseBlock(frame); err != nil {
 		t.Fatalf("pristine frame rejected: %v", err)
 	}
 	for i := 5; i < len(frame); i++ { // every payload and CRC byte
 		corrupt := append([]byte(nil), frame...)
 		corrupt[i] ^= 0x01
-		if _, _, _, err := resultstore.ParseFrameForTest(corrupt); err == nil {
+		if _, _, err := resultstore.ParseBlock(corrupt); err == nil {
 			t.Fatalf("bit flip at byte %d not detected by CRC", i)
 		}
 	}

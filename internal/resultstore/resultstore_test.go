@@ -338,7 +338,7 @@ func TestCommitWritesBlockFrames(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		k, res := SyntheticRecord(i)
 		d.Commit(k, res, nil)
-		want = appendFrame(want, seg2FrameBlock, encodeBlock([]rec{{k, res}}))
+		want = appendFrame(want, seg2FrameBlock, encodeBlock([]Record{{k, res}}))
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)

@@ -36,7 +36,8 @@ import (
 //
 // A block's payload is columnar: records are globally sorted by
 // fingerprint (full cache-key order for ties), fingerprints are stored
-// as one raw u64 plus uvarint deltas, low-cardinality strings (app,
+// as one raw u64 plus wrapping uvarint deltas, small because the
+// records are sorted, low-cardinality strings (app,
 // variant, phase name, bound-by resource) are dictionary-coded, small
 // integers are varint-packed, and float64 quantities are raw IEEE bits
 // so every record round-trips bit-identically. The per-phase quantities
@@ -56,7 +57,8 @@ import (
 // Live appends use the same block frames: the append log (see disk.go)
 // is a bare sequence of one-record block frames, so appends, replay,
 // Verify, Stat and the recovery scan above share one record codec and
-// one frame walker.
+// one frame walker. AppendBlock and ParseBlock export that codec: fleet
+// result posts carry one block frame per chunk, records in chunk order.
 
 const (
 	seg2FileMagic    = "RSTORE2\n"
@@ -158,15 +160,15 @@ type blockEncoder struct {
 	phases []workload.PhaseOutcome
 }
 
-// encodeBlock renders one sorted record run as a columnar payload.
-func encodeBlock(recs []rec) []byte {
+// encodeBlock renders one record run as a columnar payload.
+func encodeBlock(recs []Record) []byte {
 	var e blockEncoder
 	return e.appendPayload(make([]byte, 0, 64*len(recs)), recs)
 }
 
 // appendFrame appends recs to dst as one block frame: the bytes of
 // appendFrame(dst, seg2FrameBlock, encodeBlock(recs)), encoded in place.
-func (e *blockEncoder) appendFrame(dst []byte, recs []rec) []byte {
+func (e *blockEncoder) appendFrame(dst []byte, recs []Record) []byte {
 	at := len(dst)
 	dst = e.appendPayload(append(dst, seg2FrameBlock, 0, 0, 0, 0), recs)
 	payload := dst[at+5:]
@@ -190,7 +192,7 @@ func (e *blockEncoder) dictColumn(n int, value func(i int) string) {
 }
 
 // appendPayload appends the columnar payload of recs to dst.
-func (e *blockEncoder) appendPayload(dst []byte, recs []rec) []byte {
+func (e *blockEncoder) appendPayload(dst []byte, recs []Record) []byte {
 	w := &e.w
 	w.b = dst
 	n := len(recs)
@@ -199,59 +201,61 @@ func (e *blockEncoder) appendPayload(dst []byte, recs []rec) []byte {
 		return w.take()
 	}
 
-	// Key columns. Fingerprints are sorted, so deltas pack small.
-	w.u64(recs[0].k.Fingerprint)
+	// Key columns. Fingerprints are wrapping deltas, which pack small
+	// only when the run is sorted: Compact's blocks are, while fleet
+	// frames keep chunk order and pay up to 10 bytes a delta.
+	w.u64(recs[0].Key.Fingerprint)
 	for i := 1; i < n; i++ {
-		w.uvarint(recs[i].k.Fingerprint - recs[i-1].k.Fingerprint)
+		w.uvarint(recs[i].Key.Fingerprint - recs[i-1].Key.Fingerprint)
 	}
-	e.dictColumn(n, func(i int) string { return recs[i].k.App })
+	e.dictColumn(n, func(i int) string { return recs[i].Key.App })
 	for _, r := range recs {
-		w.uvarint(uint64(r.k.Mode))
-	}
-	for _, r := range recs {
-		w.uvarint(uint64(r.k.Threads))
+		w.uvarint(uint64(r.Key.Mode))
 	}
 	for _, r := range recs {
-		w.uvarint(r.k.Placement)
+		w.uvarint(uint64(r.Key.Threads))
 	}
-	e.dictColumn(n, func(i int) string { return recs[i].k.Variant })
+	for _, r := range recs {
+		w.uvarint(r.Key.Placement)
+	}
+	e.dictColumn(n, func(i int) string { return recs[i].Key.Variant })
 
 	// Result headline columns. Mode/Threads are persisted independently
 	// of the key's so a record round-trips even if they ever diverge.
 	for _, r := range recs {
-		w.uvarint(uint64(r.res.Mode))
+		w.uvarint(uint64(r.Res.Mode))
 	}
 	for _, r := range recs {
-		w.uvarint(uint64(r.res.Threads))
+		w.uvarint(uint64(r.Res.Threads))
 	}
 	for _, r := range recs {
-		w.f64(float64(r.res.Time))
+		w.f64(float64(r.Res.Time))
 	}
 	for _, r := range recs {
-		w.f64(r.res.FoMValue)
+		w.f64(r.Res.FoMValue)
 	}
 	for _, r := range recs {
-		w.f64(r.res.Slowdown)
+		w.f64(r.Res.Slowdown)
 	}
 	for _, r := range recs {
-		w.f64(float64(r.res.AvgDRAMRead))
+		w.f64(float64(r.Res.AvgDRAMRead))
 	}
 	for _, r := range recs {
-		w.f64(float64(r.res.AvgDRAMWrite))
+		w.f64(float64(r.Res.AvgDRAMWrite))
 	}
 	for _, r := range recs {
-		w.f64(float64(r.res.AvgNVMRead))
+		w.f64(float64(r.Res.AvgNVMRead))
 	}
 	for _, r := range recs {
-		w.f64(float64(r.res.AvgNVMWrite))
+		w.f64(float64(r.Res.AvgNVMWrite))
 	}
 
 	// Phase columns, flattened phase-major behind a per-record count.
 	for _, r := range recs {
-		w.uvarint(uint64(len(r.res.Phases)))
+		w.uvarint(uint64(len(r.Res.Phases)))
 	}
 	for _, r := range recs {
-		e.phases = append(e.phases, r.res.Phases...)
+		e.phases = append(e.phases, r.Res.Phases...)
 	}
 	phases := e.phases
 	e.dictColumn(len(phases), func(i int) string { return phases[i].Phase.Name })
@@ -435,7 +439,7 @@ func (r *s2reader) coded(what string, d []string) string {
 }
 
 // decodeBlock parses one columnar block payload back into records.
-func decodeBlock(payload []byte) ([]rec, error) {
+func decodeBlock(payload []byte) ([]Record, error) {
 	r := &s2reader{b: payload}
 	n := r.count("records", 8)
 	if r.err != nil {
@@ -447,58 +451,58 @@ func decodeBlock(payload []byte) ([]rec, error) {
 		}
 		return nil, nil
 	}
-	recs := make([]rec, n)
+	recs := make([]Record, n)
 
 	fp := r.u64("fingerprint")
-	recs[0].k.Fingerprint = fp
+	recs[0].Key.Fingerprint = fp
 	for i := 1; i < n; i++ {
 		fp += r.uvarint("fingerprint delta")
-		recs[i].k.Fingerprint = fp
+		recs[i].Key.Fingerprint = fp
 	}
 	apps := r.dict("app")
 	for i := range recs {
-		recs[i].k.App = r.coded("app", apps)
+		recs[i].Key.App = r.coded("app", apps)
 	}
 	for i := range recs {
-		recs[i].k.Mode = memsys.Mode(r.uvarint("key mode"))
+		recs[i].Key.Mode = memsys.Mode(r.uvarint("key mode"))
 	}
 	for i := range recs {
-		recs[i].k.Threads = int(r.uvarint("key threads"))
+		recs[i].Key.Threads = int(r.uvarint("key threads"))
 	}
 	for i := range recs {
-		recs[i].k.Placement = r.uvarint("placement")
+		recs[i].Key.Placement = r.uvarint("placement")
 	}
 	variants := r.dict("variant")
 	for i := range recs {
-		recs[i].k.Variant = r.coded("variant", variants)
+		recs[i].Key.Variant = r.coded("variant", variants)
 	}
 
 	for i := range recs {
-		recs[i].res.Mode = memsys.Mode(r.uvarint("result mode"))
+		recs[i].Res.Mode = memsys.Mode(r.uvarint("result mode"))
 	}
 	for i := range recs {
-		recs[i].res.Threads = int(r.uvarint("result threads"))
+		recs[i].Res.Threads = int(r.uvarint("result threads"))
 	}
 	for i := range recs {
-		recs[i].res.Time = units.Duration(r.f64("time"))
+		recs[i].Res.Time = units.Duration(r.f64("time"))
 	}
 	for i := range recs {
-		recs[i].res.FoMValue = r.f64("fom")
+		recs[i].Res.FoMValue = r.f64("fom")
 	}
 	for i := range recs {
-		recs[i].res.Slowdown = r.f64("slowdown")
+		recs[i].Res.Slowdown = r.f64("slowdown")
 	}
 	for i := range recs {
-		recs[i].res.AvgDRAMRead = units.Bandwidth(r.f64("avg dram read"))
+		recs[i].Res.AvgDRAMRead = units.Bandwidth(r.f64("avg dram read"))
 	}
 	for i := range recs {
-		recs[i].res.AvgDRAMWrite = units.Bandwidth(r.f64("avg dram write"))
+		recs[i].Res.AvgDRAMWrite = units.Bandwidth(r.f64("avg dram write"))
 	}
 	for i := range recs {
-		recs[i].res.AvgNVMRead = units.Bandwidth(r.f64("avg nvm read"))
+		recs[i].Res.AvgNVMRead = units.Bandwidth(r.f64("avg nvm read"))
 	}
 	for i := range recs {
-		recs[i].res.AvgNVMWrite = units.Bandwidth(r.f64("avg nvm write"))
+		recs[i].Res.AvgNVMWrite = units.Bandwidth(r.f64("avg nvm write"))
 	}
 
 	counts := make([]int, n)
@@ -597,7 +601,7 @@ func decodeBlock(payload []byte) ([]rec, error) {
 	at := 0
 	for i := range recs {
 		if counts[i] > 0 {
-			recs[i].res.Phases = phases[at : at+counts[i] : at+counts[i]]
+			recs[i].Res.Phases = phases[at : at+counts[i] : at+counts[i]]
 		}
 		at += counts[i]
 	}
@@ -639,6 +643,34 @@ func parseFrame(data []byte) (kind byte, payload []byte, frameLen int, err error
 	return kind, payload, frameLen, nil
 }
 
+// AppendBlock appends recs to dst as one block frame, in the order
+// given: the frame a log append writes, holding any number of records.
+// The frame is encoded in Commit's pooled scratch and copied onto dst,
+// so AppendBlock allocates at most once: to grow dst when the frame
+// does not fit.
+func AppendBlock(dst []byte, recs []Record) []byte {
+	e := appendEncoders.Get().(*appendEncoder)
+	defer appendEncoders.Put(e)
+	e.frame = e.appendFrame(e.frame[:0], recs)
+	return append(dst, e.frame...)
+}
+
+// ParseBlock reads the block frame at the start of data and returns its
+// records and the frame's length. A frame that runs past the end of
+// data is torn and reports length 0. A complete frame that fails its
+// CRC, is not a block or does not decode is an error that still reports
+// its length, so a walker can step over it.
+func ParseBlock(data []byte) (recs []Record, frameLen int, err error) {
+	kind, payload, frameLen, err := parseFrame(data)
+	if err == nil && kind != seg2FrameBlock {
+		err = fmt.Errorf("resultstore: frame kind %d is not a block", kind)
+	}
+	if err == nil {
+		recs, err = decodeBlock(payload)
+	}
+	return recs, frameLen, err
+}
+
 // walkFrames visits the complete frames of data in order, decoding block
 // frames: visit gets each frame's offset, length and kind, a block's
 // records, and err when the frame is corrupt — it fails its CRC, is not
@@ -647,21 +679,13 @@ func parseFrame(data []byte) (kind byte, payload []byte, frameLen int, err error
 // after it, and it ends early when visit returns false. A frame whose
 // header or declared payload runs past the end of data is a torn tail:
 // the walk stops there and reports it.
-func walkFrames(data []byte, visit func(off, n int, kind byte, recs []rec, err error) bool) (torn bool) {
+func walkFrames(data []byte, visit func(off, n int, kind byte, recs []Record, err error) bool) (torn bool) {
 	for off := 0; off < len(data); {
-		kind, payload, n, err := parseFrame(data[off:])
+		recs, n, err := ParseBlock(data[off:])
 		if errors.Is(err, errTornFrame) {
 			return true
 		}
-		var recs []rec
-		if err == nil {
-			if kind == seg2FrameBlock {
-				recs, err = decodeBlock(payload)
-			} else {
-				err = fmt.Errorf("resultstore: frame kind %d is not a block", kind)
-			}
-		}
-		if !visit(off, n, kind, recs, err) {
+		if !visit(off, n, data[off], recs, err) {
 			return false
 		}
 		off += n
@@ -722,8 +746,8 @@ type seg2Layout struct {
 
 // writeSeg2 renders a full v2 segment (sorted blocks, index, trailer)
 // into w. Records are sorted in place.
-func writeSeg2(w io.Writer, recs []rec) (seg2Layout, error) {
-	sort.Slice(recs, func(i, j int) bool { return keyLess(recs[i].k, recs[j].k) })
+func writeSeg2(w io.Writer, recs []Record) (seg2Layout, error) {
+	sort.Slice(recs, func(i, j int) bool { return keyLess(recs[i].Key, recs[j].Key) })
 	var enc blockEncoder
 	buf := make([]byte, 0, 1<<16)
 	buf = append(buf, seg2FileMagic...)
@@ -746,8 +770,8 @@ func writeSeg2(w io.Writer, recs []rec) (seg2Layout, error) {
 			off:    off,
 			length: frameLen - frameOverhead,
 			count:  len(chunk),
-			minFp:  chunk[0].k.Fingerprint,
-			maxFp:  chunk[len(chunk)-1].k.Fingerprint,
+			minFp:  chunk[0].Key.Fingerprint,
+			maxFp:  chunk[len(chunk)-1].Key.Fingerprint,
 		})
 		off += int64(frameLen)
 		if len(buf) >= 1<<20 {
@@ -793,7 +817,7 @@ func (s *seg2) close() {
 // fallback scans frames from the start, eagerly decoding every intact
 // block and dropping the torn tail; the records are then returned for
 // immediate seeding and the handle is nil.
-func openSeg2(fs faultline.FS, path string) (*seg2, []rec, error) {
+func openSeg2(fs faultline.FS, path string) (*seg2, []Record, error) {
 	f, err := fs.Open(path)
 	if err != nil {
 		return nil, nil, fmt.Errorf("resultstore: %w", err)
@@ -890,13 +914,13 @@ func tiles(metas []blockMeta, indexOff int64) bool {
 // scanSeg2 recovers a damaged segment by walking its frames from the
 // top: every intact block is decoded, corrupt blocks are skipped, and
 // the index frame or a torn tail ends the scan.
-func scanSeg2(f faultline.File, size int64) ([]rec, error) {
+func scanSeg2(f faultline.File, size int64) ([]Record, error) {
 	data := make([]byte, size)
 	if _, err := io.ReadFull(f, data); err != nil {
 		return nil, err
 	}
-	var recs []rec
-	walkFrames(data[len(seg2FileMagic):], func(_, _ int, kind byte, blockRecs []rec, err error) bool {
+	var recs []Record
+	walkFrames(data[len(seg2FileMagic):], func(_, _ int, kind byte, blockRecs []Record, err error) bool {
 		if kind == seg2FrameIndex {
 			return false // blocks precede the index; nothing left to recover
 		}
@@ -909,7 +933,7 @@ func scanSeg2(f faultline.File, size int64) ([]rec, error) {
 }
 
 // readBlock decodes block i from disk, verifying its frame CRC.
-func (s *seg2) readBlock(i int) ([]rec, error) {
+func (s *seg2) readBlock(i int) ([]Record, error) {
 	m := s.blocks[i]
 	frame := make([]byte, frameOverhead+m.length)
 	if _, err := s.f.ReadAt(frame, m.off); err != nil {
@@ -942,8 +966,8 @@ func (s *seg2) inRange(fp uint64) bool {
 }
 
 // readAll decodes every block (for Compact and recovery paths).
-func (s *seg2) readAll() ([]rec, error) {
-	var recs []rec
+func (s *seg2) readAll() ([]Record, error) {
+	var recs []Record
 	for i := range s.blocks {
 		blockRecs, err := s.readBlock(i)
 		if err != nil {

@@ -87,23 +87,23 @@ func TestDiskIgnoresNearMissFiles(t *testing.T) {
 }
 
 func TestBlockCodecRoundTrip(t *testing.T) {
-	var recs []rec
+	var recs []Record
 	for i := 0; i < 3; i++ {
 		k, res := solved(t, i, memsys.Mode(i%4), 12+i)
-		recs = append(recs, rec{k, res})
+		recs = append(recs, Record{k, res})
 	}
 	for i := 0; i < 40; i++ {
 		k, res := SyntheticRecord(i)
-		recs = append(recs, rec{k, res})
+		recs = append(recs, Record{k, res})
 	}
 	// Edge shapes: extreme key fields, no phases.
 	k, res := SyntheticRecord(1000)
 	k.Placement = 1<<63 + 12345
 	k.Variant = "missOverlap=1.5"
-	recs = append(recs, rec{k, res})
+	recs = append(recs, Record{k, res})
 	k2 := k
 	k2.Variant = ""
-	recs = append(recs, rec{k2, workload.Result{}})
+	recs = append(recs, Record{k2, workload.Result{}})
 
 	payload := encodeBlock(recs)
 	got, err := decodeBlock(payload)
@@ -114,11 +114,11 @@ func TestBlockCodecRoundTrip(t *testing.T) {
 		t.Fatalf("decoded %d records, want %d", len(got), len(recs))
 	}
 	for i := range recs {
-		if got[i].k != recs[i].k {
-			t.Errorf("record %d key = %+v, want %+v", i, got[i].k, recs[i].k)
+		if got[i].Key != recs[i].Key {
+			t.Errorf("record %d key = %+v, want %+v", i, got[i].Key, recs[i].Key)
 		}
-		if !reflect.DeepEqual(got[i].res, recs[i].res) {
-			t.Errorf("record %d result differs:\n got %+v\nwant %+v", i, got[i].res, recs[i].res)
+		if !reflect.DeepEqual(got[i].Res, recs[i].Res) {
+			t.Errorf("record %d result differs:\n got %+v\nwant %+v", i, got[i].Res, recs[i].Res)
 		}
 	}
 
@@ -258,9 +258,9 @@ func TestV2LazyBlockFault(t *testing.T) {
 func TestV2TrailerFallbackRecovers(t *testing.T) {
 	defer SetBlockSizeForTest(4)()
 	const n = 16
-	recs := make([]rec, n)
+	recs := make([]Record, n)
 	for i := range recs {
-		recs[i].k, recs[i].res = SyntheticRecord(i)
+		recs[i].Key, recs[i].Res = SyntheticRecord(i)
 	}
 	var buf bytes.Buffer
 	if _, err := writeSeg2(&buf, recs); err != nil {
@@ -394,8 +394,8 @@ func TestInterruptedCompactionCleanup(t *testing.T) {
 	// Hand-write the compacted v2 segment at seq 2, leaving the log
 	// leftover in place (as if the cleanup crashed), plus a newer log
 	// segment at seq 3 overriding k0.
-	var recs []rec
-	recs = append(recs, rec{k0, res0}, rec{k1, res1})
+	var recs []Record
+	recs = append(recs, Record{k0, res0}, Record{k1, res1})
 	f, err := os.Create(filepath.Join(dir, seg2Name(2)))
 	if err != nil {
 		t.Fatal(err)
@@ -406,7 +406,7 @@ func TestInterruptedCompactionCleanup(t *testing.T) {
 	f.Close()
 	override := res0
 	override.Slowdown = 99.5
-	frame := appendFrame(nil, seg2FrameBlock, encodeBlock([]rec{{k0, override}}))
+	frame := appendFrame(nil, seg2FrameBlock, encodeBlock([]Record{{k0, override}}))
 	if err := os.WriteFile(filepath.Join(dir, logName(3)), frame, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -553,9 +553,9 @@ func TestV2OpenSpeedup(t *testing.T) {
 		n = v
 	}
 
-	recs := make([]rec, n)
+	recs := make([]Record, n)
 	for i := range recs {
-		recs[i].k, recs[i].res = SyntheticRecord(i)
+		recs[i].Key, recs[i].Res = SyntheticRecord(i)
 	}
 
 	// Equivalent stores: one log segment vs one v2 segment.

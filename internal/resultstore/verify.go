@@ -55,13 +55,13 @@ func VerifyFS(dir string, fs faultline.FS) (VerifyReport, error) {
 	}
 	rep := VerifyReport{Dir: dir}
 	maxSeq := 0
-	var salvage []rec
+	var salvage []Record
 	seen := make(map[Key]bool)
 	for _, si := range infos {
 		maxSeq = max(maxSeq, si.seq)
 		path := filepath.Join(dir, si.name)
 		var ok, torn bool
-		var recs []rec
+		var recs []Record
 		switch si.kind {
 		case kindLog:
 			ok, torn, recs = verifyLog(fs, path)
@@ -82,8 +82,8 @@ func VerifyFS(dir string, fs faultline.FS) (VerifyReport, error) {
 		}
 		rep.Quarantined = append(rep.Quarantined, si.name)
 		for _, r := range recs {
-			if !seen[r.k] {
-				seen[r.k] = true
+			if !seen[r.Key] {
+				seen[r.Key] = true
 				salvage = append(salvage, r)
 			}
 		}
@@ -102,12 +102,12 @@ func VerifyFS(dir string, fs faultline.FS) (VerifyReport, error) {
 // crash signature, not corruption; a complete frame that fails its CRC
 // or decode condemns the segment. Decodable records are returned either
 // way.
-func verifyLog(fs faultline.FS, path string) (ok, torn bool, recs []rec) {
+func verifyLog(fs faultline.FS, path string) (ok, torn bool, recs []Record) {
 	data, err := fs.ReadFile(path)
 	if err != nil {
 		return false, false, nil
 	}
-	torn, bad := readLog(data, func(r rec) { recs = append(recs, r) })
+	torn, bad := readLog(data, func(r Record) { recs = append(recs, r) })
 	return bad == nil, torn, recs
 }
 
@@ -115,7 +115,7 @@ func verifyLog(fs faultline.FS, path string) (ok, torn bool, recs []rec) {
 // the frame walk. A damaged trailer or index (the handle-less recovery
 // path) or any failing block condemns the segment; intact blocks'
 // records are returned either way.
-func verifyV2(fs faultline.FS, path string) (ok bool, recs []rec) {
+func verifyV2(fs faultline.FS, path string) (ok bool, recs []Record) {
 	s, recovered, err := openSeg2(fs, path)
 	if err != nil {
 		return false, nil
@@ -138,7 +138,7 @@ func verifyV2(fs faultline.FS, path string) (ok bool, recs []rec) {
 
 // writeLog writes records as a fresh log segment at path, one frame per
 // record, and fsyncs it.
-func writeLog(fs faultline.FS, path string, recs []rec) error {
+func writeLog(fs faultline.FS, path string, recs []Record) error {
 	var enc blockEncoder
 	var buf []byte
 	for i := range recs {
