@@ -53,11 +53,12 @@ func (s *server) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.health)
 	mux.HandleFunc("GET /v1/presets", s.presets)
-	// Sweeps stream outcomes in the spec's deterministic order, each
-	// line as its point completes. Plans resolve the spec through the
-	// adaptive planner (the spec's optional "plan" block configures it)
-	// and stream real evaluations as their rounds complete, then the
-	// model-predicted remainder when the plan finishes.
+	// Sweeps stream outcomes in the spec's deterministic order as their
+	// points complete (items says how lines are written and flushed).
+	// Plans resolve the spec through the adaptive planner (the spec's
+	// optional "plan" block configures it) and stream real evaluations
+	// as their rounds complete, then the model-predicted remainder when
+	// the plan finishes.
 	(&kind[scenario.Outcome, session.Status, *session.Session]{
 		srv: s, noun: "sweep", stream: "outcomes",
 		submit: s.mgr.SubmitWith, get: s.mgr.Get, list: s.mgr.List,
@@ -210,7 +211,7 @@ type run[T, St any] interface {
 	Size() int
 	Cancel()
 	Status() St
-	Stream(ctx context.Context, emit func(T) error) error
+	StreamBatches(ctx context.Context, emit func([]T) error) error
 }
 
 // kind serves one session kind — sweeps or plans — under
@@ -287,10 +288,13 @@ func (k *kind[T, St, R]) cancel(w http.ResponseWriter, r *http.Request) {
 
 // items streams the session's log as NDJSON, one flat record per line
 // (the nvmbench -format json outcome schema, or
-// planner.PlannedPoint.MarshalJSON), each line flushed as it is
-// published — a client reads results while the session is still
-// running. If the session fails or is cancelled mid-stream, the final
-// line is an {"error": ...} object.
+// planner.PlannedPoint.MarshalJSON). It writes the log a published
+// batch at a time and flushes once per batch before waiting again: a
+// stream keeping up with the session flushes each line as its point
+// lands, so a client reads results while the session is still running,
+// and a stream that fell behind (or a finished session's) goes out in
+// as few writes as its size allows. If the session fails or is
+// cancelled mid-stream, the final line is an {"error": ...} object.
 func (k *kind[T, St, R]) items(w http.ResponseWriter, r *http.Request) {
 	sess, ok := k.find(w, r)
 	if !ok {
@@ -300,9 +304,11 @@ func (k *kind[T, St, R]) items(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	var enc ndjson.Encoder
-	err := sess.Stream(r.Context(), func(item T) error {
-		if _, err := w.Write(k.encode(&enc, item)); err != nil {
-			return err
+	err := sess.StreamBatches(r.Context(), func(batch []T) error {
+		for _, item := range batch {
+			if _, err := w.Write(k.encode(&enc, item)); err != nil {
+				return err
+			}
 		}
 		if flusher != nil {
 			flusher.Flush()

@@ -15,8 +15,10 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/ndjson"
 	"repro/internal/platform"
 	"repro/internal/resultstore"
+	"repro/internal/scenario"
 	"repro/internal/session"
 )
 
@@ -532,5 +534,71 @@ func TestRetentionEvictsOverHTTP(t *testing.T) {
 	}
 	if resp := getJSON(t, ts.URL+"/v1/sweeps/"+ids[len(ids)-1], nil); resp.StatusCode != http.StatusOK {
 		t.Errorf("retained session GET = %d, want 200", resp.StatusCode)
+	}
+}
+
+// flushCounter is a ResponseWriter that counts Flush calls.
+type flushCounter struct {
+	*httptest.ResponseRecorder
+	flushes int
+}
+
+func (f *flushCounter) Flush() {
+	f.flushes++
+	f.ResponseRecorder.Flush()
+}
+
+// A stream goes out one published batch at a time, flushed once per
+// batch: a finished session has published its whole log, so its
+// stream flushes once, not once per line. (A caught-up stream still
+// flushes each line as its point lands; the shutdown-drain test reads
+// gated lines live.) The sweep's bytes are the per-point rendering of
+// its outcomes.
+func TestFinishedStreamFlushesOnce(t *testing.T) {
+	mgr := session.NewManager(engine.New(platform.NewPurley().Socket(0), 4))
+	t.Cleanup(mgr.Close)
+	h := (&server{mgr: mgr}).handler()
+	sp, err := scenario.ByName("full-cartesian")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep, err := mgr.Submit(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := mgr.SubmitPlan(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs, err := sweep.Outcomes(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := plan.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	var enc ndjson.Encoder
+	for _, o := range outs {
+		want.Write(enc.Outcome(o))
+	}
+
+	for _, url := range []string{
+		"/v1/sweeps/" + sweep.ID() + "/outcomes",
+		"/v1/plans/" + plan.ID() + "/points",
+	} {
+		rec := &flushCounter{ResponseRecorder: httptest.NewRecorder()}
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil))
+		body := rec.Body.String()
+		if rec.Code != http.StatusOK || strings.Count(body, "\n") != 216 || strings.Contains(body, `"error"`) {
+			t.Fatalf("GET %s: %d with %d lines, want 200 with 216 and no error line",
+				url, rec.Code, strings.Count(body, "\n"))
+		}
+		if rec.flushes != 1 {
+			t.Errorf("GET %s flushed %d times, want once", url, rec.flushes)
+		}
+		if strings.HasSuffix(url, "/outcomes") && body != want.String() {
+			t.Errorf("GET %s: stream bytes differ from the per-point rendering", url)
+		}
 	}
 }

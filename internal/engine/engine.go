@@ -79,14 +79,17 @@ type Key = resultstore.Key
 // variant. The fleet coordinator uses it to probe the shared store
 // before dispatching a point and to coalesce identical points across
 // concurrently dispatched batches. The workload must be non-nil.
-func (j Job) Key() Key {
+func (j Job) Key() Key { return j.keyWith(j.Workload.Fingerprint()) }
+
+// keyWith is Key with the workload's fingerprint already derived.
+func (j Job) keyWith(fingerprint uint64) Key {
 	k := Key{
-		App:     j.Workload.Name,
-		Mode:    j.Mode,
-		Threads: j.Threads,
-		Variant: j.Variant,
+		App:         j.Workload.Name,
+		Fingerprint: fingerprint,
+		Mode:        j.Mode,
+		Threads:     j.Threads,
+		Variant:     j.Variant,
 	}
-	k.Fingerprint = j.Workload.Fingerprint()
 	if len(j.InDRAM) > 0 {
 		names := make([]string, 0, len(j.InDRAM))
 		for name, in := range j.InDRAM {
@@ -103,6 +106,27 @@ func (j Job) Key() Key {
 		k.Placement = h.Sum64()
 	}
 	return k
+}
+
+// Keyer derives job keys one workload at a time. Scenario expansion
+// emits each (app, scale) workload under one pointer for modes ×
+// threads consecutive jobs, so Key hashes a fingerprint only when a
+// job's Workload pointer differs from the previous job's. It remembers
+// that one fingerprint and nothing else: use a Keyer for one pass over
+// jobs whose workloads do not change during it — a claimed index
+// range, a batch, an expansion — and a fresh one for the next. The
+// zero value is ready to use.
+type Keyer struct {
+	w           *workload.Workload
+	fingerprint uint64
+}
+
+// Key returns job.Key(). The workload must be non-nil.
+func (kr *Keyer) Key(job Job) Key {
+	if job.Workload != kr.w {
+		kr.w, kr.fingerprint = job.Workload, job.Workload.Fingerprint()
+	}
+	return job.keyWith(kr.fingerprint)
 }
 
 // Stats reports the engine's cache accounting.
@@ -209,13 +233,25 @@ func (e *Engine) System(mode memsys.Mode) *memsys.System {
 // corrupting the cache, and the shared elements must be treated as
 // read-only. A cache-hit Run performs no allocation.
 func (e *Engine) Run(job Job) (workload.Result, error) {
-	if job.Workload == nil {
-		return workload.Result{}, fmt.Errorf("engine: nil workload")
+	if err := job.check(); err != nil {
+		return workload.Result{}, err
 	}
-	if job.Tweak != nil && job.Variant == "" {
-		return workload.Result{}, fmt.Errorf("engine: job with Tweak needs a Variant tag for cache identity")
+	return e.run(job, job.Key())
+}
+
+// check rejects a job Run cannot key or evaluate.
+func (j Job) check() error {
+	if j.Workload == nil {
+		return fmt.Errorf("engine: nil workload")
 	}
-	k := job.Key()
+	if j.Tweak != nil && j.Variant == "" {
+		return fmt.Errorf("engine: job with Tweak needs a Variant tag for cache identity")
+	}
+	return nil
+}
+
+// run is Run for a checked job under its key k.
+func (e *Engine) run(job Job, k Key) (workload.Result, error) {
 	en, loaded := e.store.Acquire(k)
 	e.account(job.Tally, loaded)
 	en.Once.Do(func() {
@@ -338,23 +374,34 @@ func (e *Engine) RunBatchCtx(ctx context.Context, jobs []Job) ([]workload.Result
 // goroutines, possibly concurrently and out of submission order — the
 // feed behind streaming sweep sessions. Jobs skipped by cancellation or
 // failed by evaluation never reach done.
+//
+// Each worker keys its claimed index range through one Keyer, so a
+// workload shared by consecutive jobs is fingerprinted once per range
+// rather than once per job; the results are those of Run.
 func (e *Engine) RunBatchFunc(ctx context.Context, jobs []Job, done func(i int, res workload.Result)) ([]workload.Result, error) {
 	results := make([]workload.Result, len(jobs))
 	errs := make([]error, len(jobs))
 	var cancelled atomic.Bool
-	run := func(i int) {
-		// Abort between jobs: claimed-but-unstarted indexes drain fast
-		// once the context fires.
-		if cancelled.Load() {
-			return
-		}
-		if ctx.Err() != nil {
-			cancelled.Store(true)
-			return
-		}
-		results[i], errs[i] = e.Run(jobs[i])
-		if errs[i] == nil && done != nil {
-			done(i, results[i])
+	run := func(lo, hi int) {
+		var keys Keyer
+		for i := lo; i < hi; i++ {
+			// Abort between jobs: claimed-but-unstarted indexes drain
+			// fast once the context fires.
+			if cancelled.Load() {
+				return
+			}
+			if ctx.Err() != nil {
+				cancelled.Store(true)
+				return
+			}
+			job := jobs[i]
+			if errs[i] = job.check(); errs[i] != nil {
+				continue
+			}
+			results[i], errs[i] = e.run(job, keys.Key(job))
+			if errs[i] == nil && done != nil {
+				done(i, results[i])
+			}
 		}
 	}
 	forEach(e.workers, len(jobs), run)
@@ -400,19 +447,20 @@ func FirstError(jobs []Job, errs []error) error {
 // want one run's share subtract a snapshot taken before it.
 func (e *Engine) Stats() Stats { return e.total.Stats() }
 
-// forEach runs fn(0..n-1) across at most workers goroutines and waits.
-// Indexes are claimed in chunks off one atomic cursor, so the
-// synchronization cost is one atomic add per chunk instead of one
-// channel operation per job; chunks are kept small relative to n/workers
-// so heterogeneous job costs (cache hits vs fresh solves) still balance.
-func forEach(workers, n int, fn func(int)) {
+// forEach covers the indexes 0..n-1 across at most workers goroutines
+// and waits, handing each worker its whole claimed range as fn(lo, hi)
+// for the half-open [lo, hi). Ranges are claimed off one atomic
+// cursor, so the synchronization cost is one atomic add per range
+// instead of one channel operation per job; ranges are kept small
+// relative to n/workers so heterogeneous job costs (cache hits vs
+// fresh solves) still balance. A single worker gets all of 0..n-1 as
+// one range.
+func forEach(workers, n int, fn func(lo, hi int)) {
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
+		fn(0, n)
 		return
 	}
 	chunk := n / (workers * 8)
@@ -431,12 +479,7 @@ func forEach(workers, n int, fn func(int)) {
 				if lo >= n {
 					return
 				}
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
-					fn(i)
-				}
+				fn(lo, min(hi, n))
 			}
 		}()
 	}
@@ -450,7 +493,11 @@ func forEach(workers, n int, fn func(int)) {
 func Map[T any](workers, n int, fn func(int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	errs := make([]error, n)
-	forEach(workers, n, func(i int) { out[i], errs[i] = fn(i) })
+	forEach(workers, n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i], errs[i] = fn(i)
+		}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return out, err

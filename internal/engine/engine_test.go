@@ -11,6 +11,7 @@ import (
 	"repro/internal/dwarfs"
 	"repro/internal/memsys"
 	"repro/internal/platform"
+	"repro/internal/resultstore"
 	"repro/internal/workload"
 )
 
@@ -439,5 +440,73 @@ func TestRunBatchFuncReportsEachJob(t *testing.T) {
 		if !reflect.DeepEqual(res, results[i]) {
 			t.Errorf("job %d hook result differs from batch result", i)
 		}
+	}
+}
+
+// RunBatchFunc keys each claimed index range through one Keyer. Every
+// job must land under its own Job.Key() whatever the order of the
+// workloads in a range: one coming back after another, equal content
+// under distinct pointers, a nil, placements and a tweaked variant.
+// Nothing is remembered past a range: a workload changed in place
+// between batches misses under its new key.
+func TestBatchKeysPerWorkloadRun(t *testing.T) {
+	all := dwarfs.All()
+	a, b, twin := all[0].New(), all[1].New(), all[1].New() // twin: b's content, another pointer
+	entry, err := dwarfs.ByName("ScaLAPACK")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := entry.New()
+	jobs := []Job{
+		{Workload: a, Mode: memsys.DRAMOnly, Threads: 24},
+		{Workload: a, Mode: memsys.DRAMOnly, Threads: 48},
+		{Workload: b, Mode: memsys.CachedNVM, Threads: 48},
+		{Workload: a, Mode: memsys.UncachedNVM, Threads: 48},  // a after b
+		{Workload: twin, Mode: memsys.CachedNVM, Threads: 48}, // b's key
+		{Workload: twin, Mode: memsys.CachedNVM, Threads: 24},
+		{Workload: nil, Mode: memsys.DRAMOnly, Threads: 48},
+		{Workload: p, Mode: memsys.Placed, Threads: 48, InDRAM: map[string]bool{p.Structures[0].Name: true}},
+		{Workload: p, Mode: memsys.Placed, Threads: 48, InDRAM: map[string]bool{p.Structures[1].Name: true}},
+		{Workload: a, Mode: memsys.CachedNVM, Threads: 48, Variant: "missOverlap=1.5",
+			Tweak: func(s *memsys.System) { s.MissOverlap = 1.5 }},
+		{Workload: a, Mode: memsys.CachedNVM, Threads: 48},
+	}
+	const wantErr = "engine: job 6 (<nil> on DRAM @ 48): engine: nil workload"
+	for _, workers := range []int{1, 3} {
+		e := New(sock(), workers)
+		if _, err := e.RunBatch(jobs); err == nil || err.Error() != wantErr {
+			t.Fatalf("workers=%d: batch error = %v, want %q", workers, err, wantErr)
+		}
+		distinct := map[Key]bool{}
+		for i, job := range jobs {
+			if job.Workload == nil {
+				continue
+			}
+			k := job.Key()
+			distinct[k] = true
+			if !e.Cached(k) {
+				t.Errorf("workers=%d: job %d not resident under its Job.Key()", workers, i)
+			}
+		}
+		if n := e.Store().(*resultstore.Memory).Len(); n != len(distinct) || n != 9 {
+			t.Errorf("workers=%d: store holds %d entries, want the %d distinct keys (9)", workers, n, len(distinct))
+		}
+	}
+
+	e := New(sock(), 1)
+	if _, err := e.RunBatch(jobs[:2]); err != nil {
+		t.Fatal(err)
+	}
+	old := jobs[0].Key()
+	a.Footprint *= 2
+	before := e.Stats()
+	if _, err := e.RunBatch(jobs[:2]); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Stats(); got.Misses-before.Misses != 2 || got.Hits != before.Hits {
+		t.Errorf("after changing a's footprint: stats %+v → %+v, want 2 new misses", before, got)
+	}
+	if k := jobs[0].Key(); k == old || !e.Cached(k) {
+		t.Errorf("changed workload not resident under its new key (old %v, new %v)", old, k)
 	}
 }

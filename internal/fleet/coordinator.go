@@ -167,9 +167,10 @@ type batch struct {
 	id      string
 	encoded []byte
 	jobs    []engine.Job
-	// keys holds each job's cache key, derived once per batch: the store
-	// probe, the in-flight table, the result check and the commit all
-	// read it. A job without a workload has the zero key, which no
+	// keys holds each job's cache key, derived once per batch through
+	// one engine.Keyer (a fingerprint per workload, not per job): the
+	// store probe, the in-flight table, the result check and the commit
+	// all read it. A job without a workload has the zero key, which no
 	// flight, store entry or expansion point carries.
 	keys []resultstore.Key
 	// identity marks the common cold-sweep case where batch position i
@@ -253,12 +254,15 @@ func chunkTarget(points, workers int) int {
 // identity=true with no allocation per point. Otherwise (plan rounds
 // submit subsets) it builds an O(len(keys)) map from wanted keys to
 // expansion indexes; expOf[i] is then position i's expansion index, -1
-// when its job is not expressible on the wire.
+// when its job is not expressible on the wire. Each pass keys the
+// enumeration through its own engine.Keyer, one fingerprint per
+// expanded workload.
 func expansionMap(sp scenario.Spec, keys []resultstore.Key) (identity bool, expOf []int, err error) {
 	if len(keys) == sp.Size() {
 		match := true
+		var kr engine.Keyer
 		err = sp.EachPoint(func(i int, _ scenario.Meta, ej engine.Job) bool {
-			match = keys[i] == ej.Key()
+			match = keys[i] == kr.Key(ej)
 			return match
 		})
 		if err != nil {
@@ -272,8 +276,9 @@ func expansionMap(sp scenario.Spec, keys []resultstore.Key) (identity bool, expO
 	for _, k := range keys {
 		want[k] = -1
 	}
+	var kr engine.Keyer
 	err = sp.EachPoint(func(i int, _ scenario.Meta, ej engine.Job) bool {
-		k := ej.Key()
+		k := kr.Key(ej)
 		if _, wanted := want[k]; wanted {
 			want[k] = i // a key the expansion repeats maps to its last index
 		}
@@ -308,9 +313,10 @@ func (c *Coordinator) ExecuteBatch(ctx context.Context, sp scenario.Spec, jobs [
 	var expOf []int
 	if err == nil && live > 0 {
 		keys = make([]resultstore.Key, len(jobs))
+		var kr engine.Keyer
 		for i, job := range jobs {
 			if job.Workload != nil {
-				keys[i] = job.Key()
+				keys[i] = kr.Key(job)
 			}
 		}
 		identity, expOf, err = expansionMap(sp, keys)

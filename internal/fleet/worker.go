@@ -55,8 +55,16 @@ type Worker struct {
 	lost  bool // a 404 told us the coordinator forgot us; rejoin
 
 	// specs caches spec expansions keyed by specSum so one sweep's
-	// chunks expand once.
-	specs map[uint64][]engine.Job
+	// chunks expand, and key, once.
+	specs map[uint64]expansion
+}
+
+// expansion is one spec's jobs with their cache keys, index aligned:
+// a record's key comes from here, so a point's fingerprint is hashed
+// only inside Engine.Run.
+type expansion struct {
+	jobs []engine.Job
+	keys []resultstore.Key
 }
 
 // Run joins the coordinator and serves work until ctx fires (graceful:
@@ -71,7 +79,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		w.Client = http.DefaultClient
 	}
 	if w.specs == nil {
-		w.specs = make(map[uint64][]engine.Job)
+		w.specs = make(map[uint64]expansion)
 	}
 	if joined, err := w.join(ctx); !joined {
 		return err
@@ -252,11 +260,12 @@ func (w *Worker) pullWork(ctx context.Context) ([]WireChunk, int, error) {
 // context fired mid-chunk — the result must not be posted.
 func (w *Worker) evaluate(ctx context.Context, ch *WireChunk) (ChunkResult, bool) {
 	out := ChunkResult{ChunkID: ch.ID}
-	jobs, err := w.expand(ch.Spec)
+	ex, err := w.expand(ch.Spec)
 	if err != nil {
 		out.Error = err.Error()
 		return out, true
 	}
+	jobs := ex.jobs
 	start := time.Now()
 	recs := make([]resultstore.Record, 0, len(ch.Indexes))
 	for _, idx := range ch.Indexes {
@@ -277,7 +286,7 @@ func (w *Worker) evaluate(ctx context.Context, ch *WireChunk) (ChunkResult, bool
 		// The Workload descriptor does not travel; the coordinator
 		// reattaches its own (content-identical) descriptor at commit.
 		res.Workload = nil
-		recs = append(recs, resultstore.Record{Key: jobs[idx].Key(), Res: res})
+		recs = append(recs, resultstore.Record{Key: ex.keys[idx], Res: res})
 	}
 	out.Frame = resultstore.AppendBlock(nil, recs)
 	// Self-report the evaluation wall time for the adaptive sizer,
@@ -286,22 +295,26 @@ func (w *Worker) evaluate(ctx context.Context, ch *WireChunk) (ChunkResult, bool
 	return out, true
 }
 
-// expand parses and expands a spec, cached by content hash.
-func (w *Worker) expand(spec []byte) ([]engine.Job, error) {
+// expand parses, expands and keys a spec, cached by content hash.
+func (w *Worker) expand(spec []byte) (expansion, error) {
 	sum := specSum(spec)
 	w.mu.Lock()
-	jobs, ok := w.specs[sum]
+	ex, ok := w.specs[sum]
 	w.mu.Unlock()
 	if ok {
-		return jobs, nil
+		return ex, nil
 	}
 	sp, err := scenario.ParseSpec(spec, "chunk")
 	if err != nil {
-		return nil, err
+		return expansion{}, err
 	}
-	_, jobs, err = sp.Expand()
-	if err != nil {
-		return nil, err
+	if _, ex.jobs, err = sp.Expand(); err != nil {
+		return expansion{}, err
+	}
+	ex.keys = make([]resultstore.Key, len(ex.jobs))
+	var kr engine.Keyer
+	for i, job := range ex.jobs {
+		ex.keys[i] = kr.Key(job)
 	}
 	w.mu.Lock()
 	if len(w.specs) >= 8 {
@@ -311,9 +324,9 @@ func (w *Worker) expand(spec []byte) ([]engine.Job, error) {
 			break
 		}
 	}
-	w.specs[sum] = jobs
+	w.specs[sum] = ex
 	w.mu.Unlock()
-	return jobs, nil
+	return ex, nil
 }
 
 // postResults delivers one pull's completed chunks as a single

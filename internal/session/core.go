@@ -143,14 +143,18 @@ func (c *core[T]) shared() (hits, misses uint64, errText string, finished *time.
 	return st.Hits, st.Misses, errText, finished
 }
 
-// Stream delivers the session's log in order, each item once it is
-// published. It returns nil after the last item of a successful run —
-// for a sweep as soon as its last point is out, for a plan once the
-// plan is done; if the session fails or is cancelled it returns the
-// session error after the items published before that; and if ctx
-// fires first it returns ctx's error. Multiple Streams may run
-// concurrently.
-func (c *core[T]) Stream(ctx context.Context, emit func(T) error) error {
+// StreamBatches delivers the session's log in order, a batch at a
+// time: each wake hands emit every item published since the last one,
+// so a caught-up stream gets each item as it lands and a lagging one
+// gets everything it fell behind on at once. The batch aliases the
+// log's published prefix, which is never written again; emit must not
+// modify it and must not keep it past its return. StreamBatches
+// returns nil after the last item of a successful run — for a sweep as
+// soon as its last point is out, for a plan once the plan is done; if
+// the session fails or is cancelled it returns the session error after
+// the items published before that; and if ctx fires first it returns
+// ctx's error. Multiple streams may run concurrently.
+func (c *core[T]) StreamBatches(ctx context.Context, emit func([]T) error) error {
 	stop := context.AfterFunc(ctx, c.wake)
 	defer stop()
 	for next := 0; next != c.size; {
@@ -158,7 +162,7 @@ func (c *core[T]) Stream(ctx context.Context, emit func(T) error) error {
 		for next == c.published && !c.state.Terminal() && ctx.Err() == nil {
 			c.cond.Wait()
 		}
-		batch, err := c.items[next:c.published], c.err
+		batch, err := c.items[next:c.published:c.published], c.err
 		c.mu.Unlock()
 		if cerr := ctx.Err(); cerr != nil {
 			return cerr
@@ -170,14 +174,25 @@ func (c *core[T]) Stream(ctx context.Context, emit func(T) error) error {
 			}
 			return err
 		}
-		for _, it := range batch {
-			if eerr := emit(it); eerr != nil {
-				return eerr
-			}
+		if eerr := emit(batch); eerr != nil {
+			return eerr
 		}
 		next += len(batch)
 	}
 	return nil
+}
+
+// Stream is StreamBatches one item at a time: emit sees every item in
+// log order, with the same return rules.
+func (c *core[T]) Stream(ctx context.Context, emit func(T) error) error {
+	return c.StreamBatches(ctx, func(batch []T) error {
+		for _, it := range batch {
+			if err := emit(it); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 // Wait blocks until the session reaches a terminal state or ctx fires,

@@ -3,7 +3,8 @@
 // worker pool in the background, and exposes the run as a Session that
 // can be polled (Status — progress and the session's own cache hits
 // and misses), streamed (Stream — completed outcomes in the spec's
-// deterministic order, emitted as they become available) and cancelled
+// deterministic order, emitted as they become available; StreamBatches
+// hands them over a published batch at a time) and cancelled
 // (Cancel — a context propagated through the engine's batch dispatch,
 // aborting between jobs so the result store is never left with partial
 // entries).
