@@ -177,8 +177,8 @@ const cacheStreamBuf = 1024
 // RunCacheStream drives the next n requests of the stream through a
 // direct-mapped cache of the given capacity in O(1) memory, with an
 // initial warm-up pass of n/4 requests excluded from statistics. For a
-// fresh generator the result is identical to
-// RunCache(capacity, g.Generate(n)).
+// fresh generator the result is identical to driving the materialized
+// g.Generate(n) through the same cache with the same warm-up.
 func RunCacheStream(capacity units.Bytes, g *Generator, n int) CacheResult {
 	c := dramcache.NewCache(capacity)
 	var buf [cacheStreamBuf]Request
@@ -194,18 +194,6 @@ func RunCacheStream(capacity units.Bytes, g *Generator, n int) CacheResult {
 	drive(warm)
 	c.Reset()
 	drive(n - warm)
-	return cacheResult(c)
-}
-
-// RunCache drives a materialized request slice through a direct-mapped
-// cache of the given capacity, with an initial warm-up pass excluded
-// from statistics. Prefer RunCacheStream for long streams.
-func RunCache(capacity units.Bytes, reqs []Request) CacheResult {
-	c := dramcache.NewCache(capacity)
-	warm := len(reqs) / 4
-	c.AccessBatch(reqs[:warm])
-	c.Reset()
-	c.AccessBatch(reqs[warm:])
 	return cacheResult(c)
 }
 
@@ -231,7 +219,8 @@ type WPQResult struct {
 // through a WPQ at the given arrival bandwidth (bytes/s of 64-byte
 // stores) in O(1) memory and returns the achieved combining. Reads in
 // the stream advance time but do not enter the queue. For a fresh
-// generator the result is identical to RunWPQ(q, g.Generate(n), arrival).
+// generator the result is identical to driving the materialized
+// g.Generate(n) through the queue at the same arrival rate.
 func RunWPQStream(q *memdev.WPQ, g *Generator, n int, arrival units.Bandwidth) WPQResult {
 	if arrival <= 0 {
 		arrival = units.GBps(10)
@@ -240,25 +229,6 @@ func RunWPQStream(q *memdev.WPQ, g *Generator, n int, arrival units.Bandwidth) W
 	now := 0.0
 	for i := 0; i < n; i++ {
 		r := g.Next()
-		now += interval
-		if !r.Write {
-			continue
-		}
-		now += q.Store(now, uint64(r.Line))
-	}
-	q.Flush()
-	return wpqResult(q)
-}
-
-// RunWPQ drives a materialized request slice through the WPQ. Prefer
-// RunWPQStream for long streams.
-func RunWPQ(q *memdev.WPQ, reqs []Request, arrival units.Bandwidth) WPQResult {
-	if arrival <= 0 {
-		arrival = units.GBps(10)
-	}
-	interval := units.CacheLine / float64(arrival)
-	now := 0.0
-	for _, r := range reqs {
 		now += interval
 		if !r.Write {
 			continue

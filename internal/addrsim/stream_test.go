@@ -13,6 +13,37 @@ import (
 	"repro/internal/units"
 )
 
+// RunCache drives a materialized request slice through a direct-mapped
+// cache of the given capacity, with an initial warm-up pass excluded
+// from statistics. It is the oracle RunCacheStream must match.
+func RunCache(capacity units.Bytes, reqs []Request) CacheResult {
+	c := dramcache.NewCache(capacity)
+	warm := len(reqs) / 4
+	c.AccessBatch(reqs[:warm])
+	c.Reset()
+	c.AccessBatch(reqs[warm:])
+	return cacheResult(c)
+}
+
+// RunWPQ drives a materialized request slice through the WPQ. It is
+// the oracle RunWPQStream must match.
+func RunWPQ(q *memdev.WPQ, reqs []Request, arrival units.Bandwidth) WPQResult {
+	if arrival <= 0 {
+		arrival = units.GBps(10)
+	}
+	interval := units.CacheLine / float64(arrival)
+	now := 0.0
+	for _, r := range reqs {
+		now += interval
+		if !r.Write {
+			continue
+		}
+		now += q.Store(now, uint64(r.Line))
+	}
+	q.Flush()
+	return wpqResult(q)
+}
+
 func TestNextMatchesGenerate(t *testing.T) {
 	const n = 4096
 	for _, p := range memdev.Patterns() {

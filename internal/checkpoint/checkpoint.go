@@ -165,53 +165,3 @@ func LaghosConfig() Config {
 		Steps:         50,
 	}
 }
-
-// IntervalPoint is one entry of an interval sweep.
-type IntervalPoint struct {
-	Interval int
-	Overhead float64
-}
-
-// SweepIntervals evaluates the overhead across snapshot intervals —
-// the schedule-tuning question the Fig 9 study raises (how often can a
-// job snapshot on each tier before the overhead bites).
-func SweepIntervals(t Tier, base Config, intervals []int) ([]IntervalPoint, error) {
-	var out []IntervalPoint
-	for _, iv := range intervals {
-		cfg := base
-		cfg.Interval = iv
-		if cfg.Steps < iv {
-			cfg.Steps = iv
-		}
-		o, err := Overhead(t, cfg)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, IntervalPoint{Interval: iv, Overhead: o})
-	}
-	return out, nil
-}
-
-// MaxIntervalUnder returns the smallest snapshot interval whose overhead
-// stays at or below the budget on the tier (more frequent snapshots mean
-// better resilience, so smaller is better).
-func MaxIntervalUnder(t Tier, base Config, budget float64) (int, error) {
-	if budget <= 0 {
-		return 0, fmt.Errorf("checkpoint: non-positive overhead budget")
-	}
-	for iv := 1; iv <= 10000; iv++ {
-		cfg := base
-		cfg.Interval = iv
-		if cfg.Steps < iv {
-			cfg.Steps = iv
-		}
-		o, err := Overhead(t, cfg)
-		if err != nil {
-			return 0, err
-		}
-		if o <= budget {
-			return iv, nil
-		}
-	}
-	return 0, fmt.Errorf("checkpoint: no interval meets budget %v on %s", budget, t.Name)
-}

@@ -2,118 +2,11 @@ package dense
 
 import (
 	"testing"
-	"testing/quick"
 
 	"repro/internal/memsys"
 	"repro/internal/platform"
 	"repro/internal/workload"
-	"repro/internal/xrand"
 )
-
-func randomMatrix(rows, cols int, seed uint64) *Matrix {
-	m := NewMatrix(rows, cols)
-	r := xrand.New(seed)
-	for i := range m.Data {
-		m.Data[i] = r.Range(-1, 1)
-	}
-	return m
-}
-
-func TestMatMulSerialSmall(t *testing.T) {
-	a := NewMatrix(2, 3)
-	a.FillIndexed(func(i, j int) float64 { return float64(i*3 + j + 1) }) // 1..6
-	b := NewMatrix(3, 2)
-	b.FillIndexed(func(i, j int) float64 { return float64(i*2 + j + 1) }) // 1..6
-	c, err := MatMulSerial(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][]float64{{22, 28}, {49, 64}}
-	for i := range want {
-		for j := range want[i] {
-			if c.At(i, j) != want[i][j] {
-				t.Errorf("C[%d][%d] = %v, want %v", i, j, c.At(i, j), want[i][j])
-			}
-		}
-	}
-}
-
-func TestMatMulDimensionMismatch(t *testing.T) {
-	if _, err := MatMulSerial(NewMatrix(2, 3), NewMatrix(2, 3)); err == nil {
-		t.Error("mismatched dims should fail")
-	}
-	if _, err := PDGEMM(NewMatrix(2, 3), NewMatrix(2, 3), Grid{Pr: 1, Pc: 1, NB: 2}); err == nil {
-		t.Error("mismatched dims should fail in PDGEMM")
-	}
-}
-
-func TestPDGEMMInvalidGrid(t *testing.T) {
-	a := randomMatrix(4, 4, 1)
-	if _, err := PDGEMM(a, a, Grid{}); err == nil {
-		t.Error("zero grid should fail")
-	}
-}
-
-func TestPDGEMMMatchesSerial(t *testing.T) {
-	for _, cfg := range []struct {
-		m, k, n    int
-		pr, pc, nb int
-	}{
-		{16, 16, 16, 2, 2, 4},
-		{17, 13, 19, 2, 3, 5}, // non-divisible edges
-		{32, 8, 24, 3, 2, 7},
-		{5, 5, 5, 4, 4, 2}, // more processes than blocks in a dim
-	} {
-		a := randomMatrix(cfg.m, cfg.k, 11)
-		b := randomMatrix(cfg.k, cfg.n, 13)
-		want, err := MatMulSerial(a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := PDGEMM(a, b, Grid{Pr: cfg.pr, Pc: cfg.pc, NB: cfg.nb})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := MaxAbsDiff(want, got); d > 1e-12 {
-			t.Errorf("config %+v: max diff %v", cfg, d)
-		}
-	}
-}
-
-func TestGridOwner(t *testing.T) {
-	g := Grid{Pr: 2, Pc: 3, NB: 4}
-	pr, pc := g.Owner(5, 7)
-	if pr != 1 || pc != 1 {
-		t.Errorf("Owner(5,7) = (%d,%d), want (1,1)", pr, pc)
-	}
-	if g.BlockCount(9) != 3 {
-		t.Errorf("BlockCount(9) = %d, want 3", g.BlockCount(9))
-	}
-}
-
-// Property: PDGEMM is exact for identity: A*I == A for any grid shape.
-func TestPDGEMMIdentityProperty(t *testing.T) {
-	f := func(prRaw, pcRaw, nbRaw uint8) bool {
-		pr := int(prRaw%3) + 1
-		pc := int(pcRaw%3) + 1
-		nb := int(nbRaw%6) + 1
-		a := randomMatrix(12, 12, uint64(prRaw)<<16|uint64(pcRaw)<<8|uint64(nbRaw))
-		id := NewMatrix(12, 12)
-		for i := 0; i < 12; i++ {
-			id.Set(i, i, 1)
-		}
-		c, err := PDGEMM(a, id, Grid{Pr: pr, Pc: pc, NB: nb})
-		if err != nil {
-			return false
-		}
-		return MaxAbsDiff(a, c) < 1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
-	}
-}
-
-// --- workload profile ---
 
 func sock() *platform.Socket { return platform.NewPurley().Socket(0) }
 
@@ -180,7 +73,7 @@ func TestPanelShareGrowsWithConcurrency(t *testing.T) {
 // high/low-concurrency performance ratio trails the DRAM ratio. (The
 // paper additionally observes cached below uncached; our model places
 // uncached lowest because its update stage is read-bound and NVM reads
-// scale with threads — deviation recorded in EXPERIMENTS.md.)
+// scale with threads, a known deviation from the paper.)
 func TestCachedContentionVisible(t *testing.T) {
 	w := WorkloadPaper()
 	dram := memsys.New(sock(), memsys.DRAMOnly)

@@ -1,3 +1,12 @@
+// Package dense describes the Dense Linear Algebra dwarf: the memory
+// behaviour of a ScaLAPACK PDGEMM run, the paper's representative of
+// strided access to dense array structures. The workload descriptor
+// models the SUMMA-style multiplication of N x N matrices over a 2D
+// block-cyclic process grid as two phases: a latency-sensitive panel
+// broadcast that barely parallelizes, and the bandwidth-bound rank-k
+// update whose scattered C-block stores are the write contention that
+// write-aware placement removes. Its per-structure split (A, B, C and
+// workspace) is what placement works from.
 package dense
 
 import (

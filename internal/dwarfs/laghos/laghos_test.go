@@ -9,110 +9,6 @@ import (
 	"repro/internal/workload"
 )
 
-func TestNewSedovValidates(t *testing.T) {
-	if _, err := NewSedov(2, 1); err == nil {
-		t.Error("too few zones should fail")
-	}
-	if _, err := NewSedov(10, 0); err == nil {
-		t.Error("zero blast energy should fail")
-	}
-}
-
-func TestInitialCondition(t *testing.T) {
-	s, err := NewSedov(100, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(s.TotalMass()-1) > 1e-12 {
-		t.Errorf("total mass = %v, want 1", s.TotalMass())
-	}
-	// Blast zone is hot, background cold.
-	if s.E[0] <= s.E[50] {
-		t.Error("blast energy not deposited")
-	}
-	if s.P[0] <= s.P[50] {
-		t.Error("blast pressure missing")
-	}
-}
-
-func TestMassConservation(t *testing.T) {
-	s, _ := NewSedov(100, 0.3)
-	m0 := s.TotalMass()
-	for i := 0; i < 100; i++ {
-		dt := s.StableDt(0.3)
-		if err := s.Step(dt); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if math.Abs(s.TotalMass()-m0) > 1e-12 {
-		t.Errorf("mass drifted: %v -> %v", m0, s.TotalMass())
-	}
-}
-
-func TestEnergyConservation(t *testing.T) {
-	s, _ := NewSedov(200, 0.3)
-	e0 := s.TotalEnergy()
-	for i := 0; i < 200; i++ {
-		dt := s.StableDt(0.2)
-		if err := s.Step(dt); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e1 := s.TotalEnergy()
-	// Staggered-grid hydro with artificial viscosity conserves total
-	// energy to discretization error.
-	if rel := math.Abs(e1-e0) / e0; rel > 0.05 {
-		t.Errorf("energy drift = %v (%v -> %v)", rel, e0, e1)
-	}
-}
-
-func TestShockPropagatesOutward(t *testing.T) {
-	s, _ := NewSedov(200, 0.5)
-	var radii []float64
-	for i := 0; i < 300; i++ {
-		dt := s.StableDt(0.25)
-		if err := s.Step(dt); err != nil {
-			t.Fatal(err)
-		}
-		if i%100 == 99 {
-			radii = append(radii, s.ShockRadius())
-		}
-	}
-	for i := 1; i < len(radii); i++ {
-		if radii[i] <= radii[i-1] {
-			t.Errorf("shock stalled: radii %v", radii)
-		}
-	}
-	if radii[len(radii)-1] < 0.05 {
-		t.Errorf("shock barely moved: %v", radii)
-	}
-}
-
-func TestPositivity(t *testing.T) {
-	s, _ := NewSedov(100, 1.0)
-	for i := 0; i < 200; i++ {
-		dt := s.StableDt(0.2)
-		if err := s.Step(dt); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := range s.Rho {
-		if s.Rho[i] <= 0 || s.P[i] < 0 || s.E[i] < 0 {
-			t.Fatalf("negative state at zone %d: rho=%v p=%v e=%v", i, s.Rho[i], s.P[i], s.E[i])
-		}
-	}
-}
-
-func TestStableDtPositive(t *testing.T) {
-	s, _ := NewSedov(50, 0.2)
-	dt := s.StableDt(0.3)
-	if dt <= 0 || math.IsInf(dt, 0) {
-		t.Errorf("dt = %v", dt)
-	}
-}
-
-// --- workload profile ---
-
 func TestWorkloadPaperValid(t *testing.T) {
 	w := WorkloadPaper()
 	if err := w.Validate(); err != nil {

@@ -1,3 +1,12 @@
+// Package laghos describes the memory behaviour of Laghos, the
+// Lagrangian high-order finite-element hydrodynamics mini-app from the
+// BLAST project (Dobrev/Kolev/Rieben, SIAM J. Sci. Comput. 2012),
+// running the paper's Sedov blast wave Q3-Q2 3D input. The workload
+// descriptor models each step's two phases, corner-force assembly over
+// quadrature points and the mass-matrix solve, as moderate,
+// latency-exposed traffic whose writes stay below the NVM
+// write-throttling threshold. That is why Laghos lands in the paper's
+// insensitive tier.
 package laghos
 
 import (

@@ -1,143 +1,12 @@
 package montecarlo
 
 import (
-	"math"
-	"sort"
 	"testing"
 
 	"repro/internal/memsys"
 	"repro/internal/platform"
 	"repro/internal/workload"
 )
-
-func sim(t *testing.T) *Simulation {
-	t.Helper()
-	s, err := New(SmallParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
-func TestNewValidates(t *testing.T) {
-	if _, err := New(Params{}); err == nil {
-		t.Error("empty params should fail")
-	}
-	if _, err := New(Params{NNuclides: 1, PointsPerGrid: 1, NMaterials: 1, MaxNucPerMat: 1}); err == nil {
-		t.Error("PointsPerGrid < 2 should fail")
-	}
-}
-
-func TestUnionGridSorted(t *testing.T) {
-	s := sim(t)
-	if !sort.Float64sAreSorted(s.UnionGrid) {
-		t.Error("unionized grid must be sorted")
-	}
-	want := 12 * 100
-	if len(s.UnionGrid) != want {
-		t.Errorf("union grid size %d, want %d", len(s.UnionGrid), want)
-	}
-}
-
-func TestNuclideEnergiesSorted(t *testing.T) {
-	s := sim(t)
-	for n, nuc := range s.Nuclides {
-		if !sort.Float64sAreSorted(nuc.Energy) {
-			t.Errorf("nuclide %d energies not sorted", n)
-		}
-		if len(nuc.Energy) != len(nuc.XS) {
-			t.Errorf("nuclide %d: energy/xs length mismatch", n)
-		}
-	}
-}
-
-// The acceleration index must agree with direct binary search on each
-// nuclide grid — this is the invariant that makes XSBench's unionized
-// lookup exact.
-func TestIndexConsistency(t *testing.T) {
-	s := sim(t)
-	for ui, e := range s.UnionGrid {
-		for n := range s.Nuclides {
-			idx := int(s.Index[ui][n])
-			nuc := &s.Nuclides[n]
-			if idx < 0 || idx >= len(nuc.Energy) {
-				t.Fatalf("index out of range: union %d nuclide %d -> %d", ui, n, idx)
-			}
-			// nuc.Energy[idx] <= e unless e is below the nuclide's
-			// first point.
-			if nuc.Energy[idx] > e && idx != 0 {
-				t.Fatalf("index points above e: union %d nuclide %d", ui, n)
-			}
-			if idx+1 < len(nuc.Energy) && nuc.Energy[idx+1] <= e {
-				t.Fatalf("index not tight: union %d nuclide %d", ui, n)
-			}
-		}
-	}
-}
-
-func TestSearchUnionBrackets(t *testing.T) {
-	s := sim(t)
-	for _, e := range []float64{s.UnionGrid[0], s.UnionGrid[500], s.UnionGrid[len(s.UnionGrid)-1]} {
-		i := s.searchUnion(e)
-		if i < 0 || i >= len(s.UnionGrid)-1 {
-			t.Errorf("searchUnion(%v) = %d out of range", e, i)
-		}
-		if s.UnionGrid[i] > e {
-			t.Errorf("searchUnion(%v) bracket starts above", e)
-		}
-	}
-}
-
-func TestMacroXSPositive(t *testing.T) {
-	s := sim(t)
-	for m := range s.Materials {
-		xs := s.MacroXS(m, s.UnionGrid[len(s.UnionGrid)/2])
-		for c, v := range xs {
-			if v <= 0 || math.IsNaN(v) {
-				t.Errorf("material %d channel %d xs = %v", m, c, v)
-			}
-		}
-	}
-}
-
-// Interpolation must be bounded by the bracketing pointwise values,
-// scaled by densities.
-func TestMacroXSInterpolationBounds(t *testing.T) {
-	s := sim(t)
-	mat := s.Materials[0]
-	// Pick an energy strictly inside nuclide 0's grid.
-	n0 := mat.Nuclides[0]
-	nuc := s.Nuclides[n0]
-	e := (nuc.Energy[50] + nuc.Energy[51]) / 2
-	xs := s.MacroXS(0, e)
-	// Compute loose bounds from min/max micro XS times total density.
-	var dens float64
-	for _, d := range mat.Densities {
-		dens += d
-	}
-	for c := range xs {
-		if xs[c] < 0 || xs[c] > dens*100 {
-			t.Errorf("channel %d xs %v outside loose bounds", c, xs[c])
-		}
-	}
-}
-
-func TestRunLookupsDeterministic(t *testing.T) {
-	a, _ := New(SmallParams())
-	b, _ := New(SmallParams())
-	if a.RunLookups(5000) != b.RunLookups(5000) {
-		t.Error("same-seed lookups must produce the same checksum")
-	}
-}
-
-func TestRunLookupsChecksumNonzero(t *testing.T) {
-	s := sim(t)
-	if sum := s.RunLookups(100); sum <= 0 {
-		t.Errorf("checksum = %v", sum)
-	}
-}
-
-// --- workload profile ---
 
 func TestWorkloadXLValid(t *testing.T) {
 	w := WorkloadXL()
@@ -209,34 +78,5 @@ func TestWorkloadConcurrencyGain(t *testing.T) {
 	ratio := hi.FoMValue / lo.FoMValue
 	if ratio < 1.25 {
 		t.Errorf("concurrency gain = %v, want > 1.25", ratio)
-	}
-}
-
-func TestRunLookupsParallelDeterministic(t *testing.T) {
-	s, _ := New(SmallParams())
-	a := s.RunLookupsParallel(5000, 4, 99)
-	b := s.RunLookupsParallel(5000, 4, 99)
-	if a != b {
-		t.Error("parallel lookups must be deterministic for fixed seed/workers")
-	}
-	if a <= 0 {
-		t.Errorf("checksum = %v", a)
-	}
-}
-
-func TestRunLookupsParallelWorkerCounts(t *testing.T) {
-	s, _ := New(SmallParams())
-	// Different worker counts partition differently but must stay in the
-	// same statistical range (each lookup samples the same distribution).
-	ref := s.RunLookupsParallel(20000, 1, 7) / 20000
-	for _, w := range []int{2, 8, 48} {
-		got := s.RunLookupsParallel(20000, w, 7) / 20000
-		if got < ref*0.9 || got > ref*1.1 {
-			t.Errorf("workers=%d: mean lookup %v deviates from %v", w, got, ref)
-		}
-	}
-	// Degenerate inputs clamp.
-	if v := s.RunLookupsParallel(3, 10, 1); v <= 0 {
-		t.Error("n < workers should still run")
 	}
 }

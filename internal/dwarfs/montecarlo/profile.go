@@ -1,3 +1,11 @@
+// Package montecarlo describes the Monte Carlo dwarf: the memory
+// behaviour of XSBench's continuous-energy neutron cross-section lookups
+// over a unionized energy grid (Tramm et al., PHYSOR 2014), the paper's
+// representative of repeated random data access. The workload
+// descriptor models each lookup's binary search and per-nuclide gathers
+// as uniformly random reads over the whole footprint with negligible
+// writes, sized to the paper's XL input or to any footprint for the
+// Fig 11 data-size sweep.
 package montecarlo
 
 import (

@@ -1,152 +1,12 @@
 package nbody
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/memsys"
 	"repro/internal/platform"
 	"repro/internal/workload"
 )
-
-func sim(t *testing.T) *Simulation {
-	t.Helper()
-	s, err := New(SmallParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
-func TestNewValidates(t *testing.T) {
-	if _, err := New(Params{N: 1, Box: 1, Cells: 1}); err == nil {
-		t.Error("N < 2 should fail")
-	}
-	if _, err := New(Params{N: 10, Box: 0, Cells: 1}); err == nil {
-		t.Error("zero box should fail")
-	}
-}
-
-func TestWrap(t *testing.T) {
-	if w := wrap(-0.5, 10); w != 9.5 {
-		t.Errorf("wrap(-0.5) = %v", w)
-	}
-	if w := wrap(10.5, 10); math.Abs(w-0.5) > 1e-12 {
-		t.Errorf("wrap(10.5) = %v", w)
-	}
-}
-
-func TestMinImage(t *testing.T) {
-	if d := minImage(7, 10); d != -3 {
-		t.Errorf("minImage(7,10) = %v, want -3", d)
-	}
-	if d := minImage(-7, 10); d != 3 {
-		t.Errorf("minImage(-7,10) = %v, want 3", d)
-	}
-	if d := minImage(2, 10); d != 2 {
-		t.Errorf("minImage(2,10) = %v, want 2", d)
-	}
-}
-
-// Binning invariant: every particle appears in exactly one cell list.
-func TestBinCoversAllParticles(t *testing.T) {
-	s := sim(t)
-	s.Bin()
-	seen := make([]bool, len(s.Pos))
-	for c := range s.head {
-		for j := s.head[c]; j >= 0; j = s.next[j] {
-			if seen[j] {
-				t.Fatalf("particle %d appears twice", j)
-			}
-			seen[j] = true
-			if s.cellOf(s.Pos[j]) != c {
-				t.Fatalf("particle %d in wrong cell", j)
-			}
-		}
-	}
-	for i, ok := range seen {
-		if !ok {
-			t.Fatalf("particle %d missing from bins", i)
-		}
-	}
-}
-
-// Newton's third law: total force sums to ~zero (pairwise symmetric
-// within the neighbour range).
-func TestForcesSumToZero(t *testing.T) {
-	s := sim(t)
-	f := s.Forces()
-	var sum Vec3
-	for _, fi := range f {
-		sum = sum.Add(fi)
-	}
-	var mag float64
-	for _, fi := range f {
-		mag += math.Abs(fi.X) + math.Abs(fi.Y) + math.Abs(fi.Z)
-	}
-	tol := 1e-9 * mag
-	if math.Abs(sum.X) > tol || math.Abs(sum.Y) > tol || math.Abs(sum.Z) > tol {
-		t.Errorf("net force = %+v (total magnitude %v)", sum, mag)
-	}
-}
-
-// Two isolated particles attract each other along the separation line.
-func TestTwoBodyAttraction(t *testing.T) {
-	s, _ := New(Params{N: 2, Box: 100, Cells: 2, Seed: 1})
-	s.Pos[0] = Vec3{40, 50, 50}
-	s.Pos[1] = Vec3{60, 50, 50}
-	// Too far for neighbour cells? Cells=2 -> cell size 50: neighbours
-	// cover everything.
-	f := s.Forces()
-	if f[0].X <= 0 {
-		t.Errorf("particle 0 should be pulled +x, got %v", f[0].X)
-	}
-	if f[1].X >= 0 {
-		t.Errorf("particle 1 should be pulled -x, got %v", f[1].X)
-	}
-	if math.Abs(f[0].X+f[1].X) > 1e-12 {
-		t.Error("two-body forces must be equal and opposite")
-	}
-}
-
-// Leapfrog conserves momentum.
-func TestStepConservesMomentum(t *testing.T) {
-	s := sim(t)
-	before := s.Momentum()
-	for i := 0; i < 5; i++ {
-		s.Step(0.01)
-	}
-	after := s.Momentum()
-	var scale float64
-	for _, v := range s.Vel {
-		scale += math.Abs(v.X) + math.Abs(v.Y) + math.Abs(v.Z)
-	}
-	tol := 1e-9 * (scale + 1)
-	if math.Abs(after.X-before.X) > tol || math.Abs(after.Y-before.Y) > tol || math.Abs(after.Z-before.Z) > tol {
-		t.Errorf("momentum drift: %+v -> %+v", before, after)
-	}
-}
-
-func TestStepKeepsParticlesInBox(t *testing.T) {
-	s := sim(t)
-	for i := 0; i < 3; i++ {
-		s.Step(0.05)
-	}
-	for i, p := range s.Pos {
-		if p.X < 0 || p.X >= s.Box || p.Y < 0 || p.Y >= s.Box || p.Z < 0 || p.Z >= s.Box {
-			t.Fatalf("particle %d escaped: %+v", i, p)
-		}
-	}
-}
-
-func TestKineticEnergyPositive(t *testing.T) {
-	s := sim(t)
-	if s.KineticEnergy() <= 0 {
-		t.Error("kinetic energy should be positive with random velocities")
-	}
-}
-
-// --- workload profile ---
 
 func TestWorkloadPaperValid(t *testing.T) {
 	w := WorkloadPaper()

@@ -1,3 +1,10 @@
+// Package nbody describes the N-Body Methods dwarf: the memory
+// behaviour of HACC (Habib et al., SC'13), run as the paper's CORAL
+// benchmark. The workload descriptor models the short-range force
+// kernel (cell-linked softened gravity, the short-range part of HACC's
+// P3M) and the leapfrog drift-kick update. Both move so little data
+// for their arithmetic that HACC is the paper's least memory-sensitive
+// application.
 package nbody
 
 import (

@@ -1,3 +1,11 @@
+// Package sparse describes the Sparse Linear Algebra dwarf: the memory
+// behaviour of SuperLU's PDGSSVX driver (Li, ACM TOMS 2005), a sparse LU
+// factorization with partial pivoting and fill-in, on the paper's
+// University of Florida inputs. The workload descriptor models the
+// write-throttled panel factorization, whose scattered fill-in stores
+// come to dominate execution on uncached NVM, and the read-heavy update
+// stage, over an active working set that stays small however large the
+// factored matrix grows.
 package sparse
 
 import (

@@ -1,182 +1,12 @@
 package sparse
 
 import (
-	"math"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/memsys"
 	"repro/internal/platform"
 	"repro/internal/workload"
-	"repro/internal/xrand"
 )
-
-// luProduct reconstructs (P*A)[k][j] = (L*U)[k][j] densely for testing.
-func luProduct(f *LU) [][]float64 {
-	n := f.N
-	// Dense L (unit diagonal) and U in pivot coordinates.
-	l := make([][]float64, n)
-	u := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		l[i] = make([]float64, n)
-		u[i] = make([]float64, n)
-		l[i][i] = 1
-	}
-	// invPerm: original row -> pivot position.
-	inv := make([]int, n)
-	for k, orig := range f.Perm {
-		inv[orig] = k
-	}
-	for j := 0; j < n; j++ {
-		for idx, origRow := range f.LRows[j] {
-			l[inv[origRow]][j] = f.LVals[j][idx]
-		}
-		for idx, k := range f.URows[j] {
-			u[k][j] = f.UVals[j][idx]
-		}
-	}
-	// Multiply.
-	out := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		out[i] = make([]float64, n)
-		for k := 0; k < n; k++ {
-			if l[i][k] == 0 {
-				continue
-			}
-			for j := 0; j < n; j++ {
-				out[i][j] += l[i][k] * u[k][j]
-			}
-		}
-	}
-	return out
-}
-
-func TestFactorizeReconstructsPA(t *testing.T) {
-	a := RandomSparse(30, 5, 7)
-	f, err := Factorize(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lu := luProduct(f)
-	for k := 0; k < a.N; k++ {
-		orig := f.Perm[k]
-		for j := 0; j < a.N; j++ {
-			want := a.At(orig, j)
-			if math.Abs(lu[k][j]-want) > 1e-9 {
-				t.Fatalf("PA[%d][%d]: LU=%v A=%v", k, j, lu[k][j], want)
-			}
-		}
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	a := RandomSparse(40, 4, 9)
-	f, err := Factorize(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := make([]bool, a.N)
-	for _, p := range f.Perm {
-		if p < 0 || p >= a.N || seen[p] {
-			t.Fatalf("Perm not a permutation: %v", f.Perm)
-		}
-		seen[p] = true
-	}
-}
-
-func TestSolveMatchesMatVec(t *testing.T) {
-	a := RandomSparse(50, 6, 11)
-	f, err := Factorize(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := xrand.New(13)
-	xStar := make([]float64, a.N)
-	for i := range xStar {
-		xStar[i] = r.Range(-2, 2)
-	}
-	b := a.MatVec(xStar)
-	x, err := f.Solve(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range x {
-		if math.Abs(x[i]-xStar[i]) > 1e-8 {
-			t.Fatalf("x[%d] = %v, want %v", i, x[i], xStar[i])
-		}
-	}
-}
-
-func TestSolveRHSLengthCheck(t *testing.T) {
-	a := RandomSparse(10, 3, 1)
-	f, _ := Factorize(a)
-	if _, err := f.Solve(make([]float64, 5)); err == nil {
-		t.Error("short rhs should fail")
-	}
-}
-
-func TestFactorizeSingular(t *testing.T) {
-	// A column of zeros is structurally singular.
-	m := &CSC{N: 3, ColPtr: []int{0, 1, 1, 2}, RowIdx: []int{0, 2}, Values: []float64{1, 1}}
-	if _, err := Factorize(m); err == nil {
-		t.Error("singular matrix should fail")
-	}
-	if _, err := Factorize(&CSC{}); err == nil {
-		t.Error("empty matrix should fail")
-	}
-}
-
-func TestFactorFlopsCounted(t *testing.T) {
-	a := RandomSparse(30, 5, 17)
-	f, _ := Factorize(a)
-	if f.FactorFlops <= 0 {
-		t.Error("factor flops should be counted")
-	}
-}
-
-func TestPivotingUsed(t *testing.T) {
-	// A matrix with a tiny diagonal forces row swaps.
-	m := &CSC{N: 2, ColPtr: []int{0, 2, 4}, RowIdx: []int{0, 1, 0, 1}, Values: []float64{1e-14, 1, 1, 1e-14}}
-	f, err := Factorize(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Perm[0] != 1 {
-		t.Errorf("expected pivot row 1 first, got perm %v", f.Perm)
-	}
-}
-
-// Property: Factorize + Solve recovers random solutions across seeds.
-func TestFactorSolveProperty(t *testing.T) {
-	f := func(seed uint16) bool {
-		a := RandomSparse(20, 4, uint64(seed)+1)
-		fac, err := Factorize(a)
-		if err != nil {
-			return false
-		}
-		r := xrand.New(uint64(seed) * 31)
-		xs := make([]float64, a.N)
-		for i := range xs {
-			xs[i] = r.Range(-1, 1)
-		}
-		b := a.MatVec(xs)
-		x, err := fac.Solve(b)
-		if err != nil {
-			return false
-		}
-		for i := range x {
-			if math.Abs(x[i]-xs[i]) > 1e-7 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
-// --- workload profile ---
 
 func sock() *platform.Socket { return platform.NewPurley().Socket(0) }
 

@@ -1,3 +1,10 @@
+// Package spectral describes the Spectral Methods dwarf: the memory
+// behaviour of NPB-FT, a discrete 3D fast Fourier transform, the paper's
+// representative of data-permutation-heavy computation. The workload
+// descriptor models the contiguous butterfly passes and the pencil
+// transposes between dimension passes. The transposes rewrite every
+// element at a hostile stride once per pass, which makes FT the paper's
+// most write-throttled workload.
 package spectral
 
 import (

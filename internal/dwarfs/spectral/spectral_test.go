@@ -1,147 +1,12 @@
 package spectral
 
 import (
-	"math"
-	"math/cmplx"
 	"testing"
 
 	"repro/internal/memsys"
 	"repro/internal/platform"
 	"repro/internal/workload"
-	"repro/internal/xrand"
 )
-
-func randomGrid(nx, ny, nz int, seed uint64) *Grid3D {
-	g, err := NewGrid3D(nx, ny, nz)
-	if err != nil {
-		panic(err)
-	}
-	r := xrand.New(seed)
-	for i := range g.Data {
-		g.Data[i] = complex(r.Range(-1, 1), r.Range(-1, 1))
-	}
-	return g
-}
-
-func TestNewGridValidates(t *testing.T) {
-	if _, err := NewGrid3D(3, 4, 4); err == nil {
-		t.Error("non-power-of-two dimension should fail")
-	}
-	if _, err := NewGrid3D(0, 4, 4); err == nil {
-		t.Error("zero dimension should fail")
-	}
-	if _, err := NewGrid3D(4, 8, 2); err != nil {
-		t.Errorf("valid dims rejected: %v", err)
-	}
-}
-
-func TestFFT1DKnownTransform(t *testing.T) {
-	// DFT of a constant signal concentrates at bin 0.
-	a := []complex128{1, 1, 1, 1}
-	fft1D(a, -1)
-	if cmplx.Abs(a[0]-4) > 1e-12 {
-		t.Errorf("bin 0 = %v, want 4", a[0])
-	}
-	for i := 1; i < 4; i++ {
-		if cmplx.Abs(a[i]) > 1e-12 {
-			t.Errorf("bin %d = %v, want 0", i, a[i])
-		}
-	}
-	// DFT of a unit impulse is flat.
-	b := []complex128{1, 0, 0, 0}
-	fft1D(b, -1)
-	for i, v := range b {
-		if cmplx.Abs(v-1) > 1e-12 {
-			t.Errorf("impulse bin %d = %v, want 1", i, v)
-		}
-	}
-}
-
-func TestFFT1DSingleFrequency(t *testing.T) {
-	// x[n] = exp(2 pi i k n / N) transforms to N at forward bin N-k
-	// (forward uses sign -1: X[m] = sum x[n] exp(-2 pi i m n / N)).
-	const n, k = 16, 3
-	a := make([]complex128, n)
-	for i := range a {
-		a[i] = cmplx.Exp(complex(0, 2*math.Pi*float64(k*i)/n))
-	}
-	fft1D(a, -1)
-	for m := 0; m < n; m++ {
-		want := 0.0
-		if m == k {
-			want = n
-		}
-		if math.Abs(cmplx.Abs(a[m])-want) > 1e-9 {
-			t.Errorf("bin %d magnitude = %v, want %v", m, cmplx.Abs(a[m]), want)
-		}
-	}
-}
-
-func TestForwardInverseRoundTrip(t *testing.T) {
-	g := randomGrid(8, 4, 16, 3)
-	back := Inverse3D(Forward3D(g))
-	if d := MaxAbsDiff(g, back); d > 1e-10 {
-		t.Errorf("round trip max diff = %v", d)
-	}
-}
-
-func TestParseval(t *testing.T) {
-	g := randomGrid(8, 8, 8, 5)
-	f := Forward3D(g)
-	n := float64(g.Nx * g.Ny * g.Nz)
-	if rel := math.Abs(f.Energy()/n-g.Energy()) / g.Energy(); rel > 1e-10 {
-		t.Errorf("Parseval violated: rel err %v", rel)
-	}
-}
-
-func TestForwardConstantGrid(t *testing.T) {
-	g, _ := NewGrid3D(4, 4, 4)
-	for i := range g.Data {
-		g.Data[i] = 1
-	}
-	f := Forward3D(g)
-	if cmplx.Abs(f.At(0, 0, 0)-64) > 1e-9 {
-		t.Errorf("DC bin = %v, want 64", f.At(0, 0, 0))
-	}
-	var off float64
-	for i, v := range f.Data {
-		if i != 0 {
-			off += cmplx.Abs(v)
-		}
-	}
-	if off > 1e-9 {
-		t.Errorf("non-DC energy = %v, want 0", off)
-	}
-}
-
-func TestTransposesAreInverses(t *testing.T) {
-	g := randomGrid(4, 8, 2, 7)
-	// transposeXY twice is identity.
-	if d := MaxAbsDiff(g, g.transposeXY().transposeXY()); d != 0 {
-		t.Errorf("XY^2 diff %v", d)
-	}
-	if d := MaxAbsDiff(g, g.transposeXZ().transposeXZ()); d != 0 {
-		t.Errorf("XZ^2 diff %v", d)
-	}
-	// Element mapping spot check.
-	tr := g.transposeXY()
-	if tr.At(1, 3, 0) != g.At(3, 1, 0) {
-		t.Error("XY transpose maps wrong element")
-	}
-}
-
-func TestGridIndexing(t *testing.T) {
-	g, _ := NewGrid3D(4, 4, 4)
-	g.Set(1, 2, 3, 5)
-	if g.At(1, 2, 3) != 5 {
-		t.Error("Set/At roundtrip failed")
-	}
-	if g.Index(0, 0, 0) != 0 || g.Index(3, 3, 3) != 63 {
-		t.Error("corner indices wrong")
-	}
-}
-
-// --- workload profile ---
 
 func sock() *platform.Socket { return platform.NewPurley().Socket(0) }
 

@@ -1,3 +1,9 @@
+// Package structured describes the Structured Grids dwarf: the memory
+// behaviour of Hypre, which the paper runs with its AMS solver on a 3D
+// electromagnetic diffusion problem. The workload descriptor models
+// stencil-regular residual and restriction sweeps plus an
+// SpMV-dominated smoother whose sparse gathers collapse on NVM: a
+// read-dominated solve with few writes.
 package structured
 
 import (

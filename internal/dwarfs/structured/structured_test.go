@@ -1,130 +1,12 @@
 package structured
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/memsys"
 	"repro/internal/platform"
 	"repro/internal/workload"
-	"repro/internal/xrand"
 )
-
-func TestNewGridValidates(t *testing.T) {
-	if _, err := NewGrid(0, 2, 2); err == nil {
-		t.Error("zero dimension should fail")
-	}
-	g, err := NewGrid(3, 4, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(g.Data) != 60 {
-		t.Errorf("grid size %d, want 60", len(g.Data))
-	}
-}
-
-func TestApplyStencilInterior(t *testing.T) {
-	g, _ := NewGrid(3, 3, 3)
-	// Unit impulse at the center.
-	g.Data[g.Index(1, 1, 1)] = 1
-	out := NewGridLike(g)
-	ApplyStencil(g, out)
-	if out.Data[g.Index(1, 1, 1)] != 6 {
-		t.Errorf("center = %v, want 6", out.Data[g.Index(1, 1, 1)])
-	}
-	for _, n := range [][3]int{{0, 1, 1}, {2, 1, 1}, {1, 0, 1}, {1, 2, 1}, {1, 1, 0}, {1, 1, 2}} {
-		if v := out.Data[g.Index(n[0], n[1], n[2])]; v != -1 {
-			t.Errorf("neighbour %v = %v, want -1", n, v)
-		}
-	}
-	if out.Data[g.Index(0, 0, 0)] != 0 {
-		t.Error("corner should be untouched by center impulse")
-	}
-}
-
-// The stencil operator must be symmetric: <Au, v> == <u, Av> — required
-// for CG correctness.
-func TestStencilSymmetry(t *testing.T) {
-	r := xrand.New(11)
-	u, _ := NewGrid(5, 4, 3)
-	v, _ := NewGrid(5, 4, 3)
-	for i := range u.Data {
-		u.Data[i] = r.Range(-1, 1)
-		v.Data[i] = r.Range(-1, 1)
-	}
-	au, av := NewGridLike(u), NewGridLike(v)
-	ApplyStencil(u, au)
-	ApplyStencil(v, av)
-	left := dot(au.Data, v.Data)
-	right := dot(u.Data, av.Data)
-	if math.Abs(left-right) > 1e-10*math.Abs(left) {
-		t.Errorf("asymmetry: <Au,v>=%v <u,Av>=%v", left, right)
-	}
-}
-
-// The operator must be positive definite: <Au, u> > 0 for u != 0.
-func TestStencilPositiveDefinite(t *testing.T) {
-	r := xrand.New(13)
-	for trial := 0; trial < 10; trial++ {
-		u, _ := NewGrid(4, 4, 4)
-		for i := range u.Data {
-			u.Data[i] = r.Range(-1, 1)
-		}
-		au := NewGridLike(u)
-		ApplyStencil(u, au)
-		if q := dot(au.Data, u.Data); q <= 0 {
-			t.Fatalf("trial %d: <Au,u> = %v, want > 0", trial, q)
-		}
-	}
-}
-
-// Manufactured solution: pick x*, compute b = A x*, solve, compare.
-func TestSolveManufactured(t *testing.T) {
-	r := xrand.New(17)
-	xStar, _ := NewGrid(8, 8, 8)
-	for i := range xStar.Data {
-		xStar.Data[i] = r.Range(-1, 1)
-	}
-	b := NewGridLike(xStar)
-	ApplyStencil(xStar, b)
-
-	x := NewGridLike(xStar) // zero initial guess
-	res := Solve(b, x, 1e-10, 2000)
-	if !res.Converged {
-		t.Fatalf("CG did not converge: %+v", res)
-	}
-	var maxDiff float64
-	for i := range x.Data {
-		if d := math.Abs(x.Data[i] - xStar.Data[i]); d > maxDiff {
-			maxDiff = d
-		}
-	}
-	if maxDiff > 1e-7 {
-		t.Errorf("solution max error = %v", maxDiff)
-	}
-}
-
-func TestSolveZeroRHS(t *testing.T) {
-	b, _ := NewGrid(4, 4, 4)
-	x := NewGridLike(b)
-	res := Solve(b, x, 1e-12, 100)
-	if !res.Converged || res.Iterations != 0 {
-		t.Errorf("zero RHS should converge immediately: %+v", res)
-	}
-}
-
-func TestSolveResidualDecreases(t *testing.T) {
-	b, _ := NewGrid(6, 6, 6)
-	b.Data[b.Index(3, 3, 3)] = 1
-	x := NewGridLike(b)
-	few := Solve(b, x.Clone(), 0, 5)
-	many := Solve(b, x, 0, 50)
-	if many.Residual >= few.Residual {
-		t.Errorf("residual should fall: %v after 5, %v after 50", few.Residual, many.Residual)
-	}
-}
-
-// --- workload profile ---
 
 func sock() *platform.Socket { return platform.NewPurley().Socket(0) }
 

@@ -1,3 +1,9 @@
+// Package unstructured describes the Unstructured Grids dwarf: the
+// memory behaviour of BoxLib/AMReX block-structured AMR (Bell et al.)
+// running the paper's spherical chemical wave propagation input. The
+// workload descriptor models the patch advance, whose flux-register and
+// coarse-fine updates scatter writes through multi-level indirection,
+// and the indirection-heavy regrid phase.
 package unstructured
 
 import (

@@ -1,142 +1,12 @@
 package unstructured
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/memsys"
 	"repro/internal/platform"
 	"repro/internal/workload"
 )
-
-func TestNewValidates(t *testing.T) {
-	if _, err := New(4, 64); err == nil {
-		t.Error("tiny grid should fail")
-	}
-}
-
-func TestInitialSeed(t *testing.T) {
-	a, err := New(64, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Coarse[32*64+32] != 1 {
-		t.Error("centre should be burned")
-	}
-	if a.Coarse[0] != 0 {
-		t.Error("corner should be unburned")
-	}
-	if len(a.Patches) == 0 {
-		t.Error("initial regrid should refine the seed boundary")
-	}
-}
-
-func TestBounds(t *testing.T) {
-	a, _ := New(48, 48)
-	for i := 0; i < 40; i++ {
-		a.Step(0.2)
-	}
-	for i, u := range a.Coarse {
-		if u < 0 || u > 1 {
-			t.Fatalf("cell %d out of [0,1]: %v", i, u)
-		}
-	}
-}
-
-func TestWavePropagatesOutward(t *testing.T) {
-	a, _ := New(96, 96)
-	r0 := a.FrontRadius()
-	var radii []float64
-	for i := 0; i < 60; i++ {
-		a.Step(0.2)
-		if i%20 == 19 {
-			radii = append(radii, a.FrontRadius())
-		}
-	}
-	prev := r0
-	for i, r := range radii {
-		if r <= prev {
-			t.Errorf("front stalled at checkpoint %d: %v (radii %v)", i, r, radii)
-		}
-		prev = r
-	}
-	if a.BurnedFraction() <= 0.01 {
-		t.Errorf("burned fraction = %v, wave did not spread", a.BurnedFraction())
-	}
-}
-
-// Refinement must track the front: patches should cover the front cells
-// and stay a modest fraction of the domain (the point of AMR).
-func TestRefinementTracksFront(t *testing.T) {
-	a, _ := New(96, 96)
-	for i := 0; i < 40; i++ {
-		a.Step(0.2)
-	}
-	covered, front := 0, 0
-	for y := 0; y < a.NY; y++ {
-		for x := 0; x < a.NX; x++ {
-			if a.gradMag(x, y) > a.GradThresh {
-				front++
-				for _, p := range a.Patches {
-					if p.Box.Contains(x, y) {
-						covered++
-						break
-					}
-				}
-			}
-		}
-	}
-	if front == 0 {
-		t.Fatal("no front cells found")
-	}
-	if covered != front {
-		t.Errorf("only %d/%d front cells covered by patches", covered, front)
-	}
-	if rf := a.RefinedFraction(); rf > 0.8 {
-		t.Errorf("refined fraction = %v; AMR should not refine everywhere", rf)
-	}
-}
-
-// Restriction must be the inverse of prolongation for patch data that
-// has not been advanced.
-func TestProlongRestrictConsistency(t *testing.T) {
-	a, _ := New(32, 32)
-	before := append([]float64(nil), a.Coarse...)
-	// Fresh patches were just prolonged; restricting them immediately
-	// must reproduce the coarse data exactly (piecewise-constant).
-	for _, p := range a.Patches {
-		a.restrict(p)
-	}
-	for i := range before {
-		if math.Abs(a.Coarse[i]-before[i]) > 1e-14 {
-			t.Fatalf("cell %d changed by prolong+restrict: %v -> %v", i, before[i], a.Coarse[i])
-		}
-	}
-}
-
-func TestRegridRefreshesPatches(t *testing.T) {
-	a, _ := New(64, 64)
-	n0 := len(a.Patches)
-	for i := 0; i < 30; i++ {
-		a.Step(0.2)
-	}
-	// The expanding front is longer: more tiles flagged.
-	if len(a.Patches) <= n0 {
-		t.Errorf("patch count should grow with the front: %d -> %d", n0, len(a.Patches))
-	}
-}
-
-func TestBoxHelpers(t *testing.T) {
-	b := Box{X0: 2, Y0: 3, X1: 5, Y1: 7}
-	if !b.Contains(2, 3) || b.Contains(5, 3) || b.Contains(2, 7) {
-		t.Error("Contains boundary semantics wrong")
-	}
-	if b.Area() != 12 {
-		t.Errorf("Area = %d, want 12", b.Area())
-	}
-}
-
-// --- workload profile ---
 
 func sock() *platform.Socket { return platform.NewPurley().Socket(0) }
 

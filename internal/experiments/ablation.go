@@ -13,9 +13,9 @@ import (
 
 // Ablation sweeps the simulator's free constants and verifies that the
 // paper's headline conclusion — the three-tier classification of
-// Table III — is robust to them. This is the calibration-sensitivity
-// study DESIGN.md calls out: if the tiers only appeared for one magic
-// constant, the reproduction would be an artifact.
+// Table III — is robust to them. This is a calibration-sensitivity
+// study: if the tiers only appeared for one magic constant, the
+// reproduction would be an artifact.
 //
 // Swept knobs:
 //   - MissOverlap (Memory-mode fill overlap), 0.4 .. 0.8;

@@ -96,7 +96,8 @@ type Report struct {
 	// Body is the formatted rows/series the paper reports.
 	Body string
 	// Checks summarizes the paper-shape assertions evaluated inline
-	// (used by EXPERIMENTS.md generation and the verification tests).
+	// (rendered as PASS/DEVIATION lines and asserted by the
+	// verification tests).
 	Checks []Check
 }
 

@@ -230,24 +230,6 @@ func Pareto(evals []Evaluation) []Evaluation {
 	return front
 }
 
-// Best returns the fastest feasible evaluation.
-func Best(evals []Evaluation) (Evaluation, error) {
-	var best *Evaluation
-	for i := range evals {
-		e := &evals[i]
-		if !e.Feasible {
-			continue
-		}
-		if best == nil || e.Time < best.Time {
-			best = e
-		}
-	}
-	if best == nil {
-		return Evaluation{}, fmt.Errorf("explore: no feasible option")
-	}
-	return *best, nil
-}
-
 // BestUnder returns the fastest feasible evaluation whose DRAM usage
 // stays within the budget — the "reduce DRAM usage 60%" question of
 // Section V-B.

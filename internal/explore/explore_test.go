@@ -2,6 +2,7 @@ package explore
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -74,7 +75,7 @@ func TestBestIsDRAMBacked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	best, err := Best(evals)
+	best, err := BestUnder(evals, units.Bytes(math.MaxInt64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +249,7 @@ func TestBeyondDRAMFeasibility(t *testing.T) {
 	if evals[0].Feasible {
 		t.Error("DRAM-only should be infeasible beyond capacity")
 	}
-	best, err := Best(evals)
+	best, err := BestUnder(evals, units.Bytes(math.MaxInt64))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,8 +90,8 @@ func TestFig10ConcurrencySweep(t *testing.T) {
 			n++
 		}
 		// Average accuracy stays usable (the paper reports 92-95%; our
-		// synthetic counters are harsher at the extremes — recorded in
-		// EXPERIMENTS.md).
+		// synthetic counters are harsher at the extremes, a known
+		// deviation from the paper).
 		if avg := sum / float64(n); avg < 0.60 {
 			t.Errorf("%s average accuracy = %v, want >= 0.60", w.Name, avg)
 		}
@@ -118,7 +118,7 @@ func TestFig11DataSizeSweep(t *testing.T) {
 	}
 	// Training size is near-exact; accuracy degrades beyond the DRAM
 	// capacity (the paper sees the dip only at 545 GB; our harsher
-	// single-socket cache model dips earlier — EXPERIMENTS.md).
+	// single-socket cache model dips earlier, a known deviation).
 	if accs[0] < 0.95 {
 		t.Errorf("XSBench 67 GB accuracy = %v, want >= 0.95", accs[0])
 	}

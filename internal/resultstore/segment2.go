@@ -160,14 +160,9 @@ type blockEncoder struct {
 	phases []workload.PhaseOutcome
 }
 
-// encodeBlock renders one record run as a columnar payload.
-func encodeBlock(recs []Record) []byte {
-	var e blockEncoder
-	return e.appendPayload(make([]byte, 0, 64*len(recs)), recs)
-}
-
 // appendFrame appends recs to dst as one block frame: the bytes of
-// appendFrame(dst, seg2FrameBlock, encodeBlock(recs)), encoded in place.
+// appendFrame(dst, seg2FrameBlock, payload) for recs' columnar payload,
+// encoded in place.
 func (e *blockEncoder) appendFrame(dst []byte, recs []Record) []byte {
 	at := len(dst)
 	dst = e.appendPayload(append(dst, seg2FrameBlock, 0, 0, 0, 0), recs)

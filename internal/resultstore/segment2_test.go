@@ -15,6 +15,12 @@ import (
 	"repro/internal/workload"
 )
 
+// encodeBlock renders one record run as a columnar payload.
+func encodeBlock(recs []Record) []byte {
+	var e blockEncoder
+	return e.appendPayload(make([]byte, 0, 64*len(recs)), recs)
+}
+
 func TestParseSegName(t *testing.T) {
 	cases := []struct {
 		name string

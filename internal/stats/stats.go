@@ -69,21 +69,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// ZScores returns (xs - mean) / std elementwise. If the standard deviation
-// is zero (constant feature) it returns all zeros, which drops the feature
-// from a regression rather than producing NaNs.
-func ZScores(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	m, s := Mean(xs), StdDev(xs)
-	if s == 0 {
-		return out
-	}
-	for i, x := range xs {
-		out[i] = (x - m) / s
-	}
-	return out
-}
-
 // Normalizer captures a feature's training-set mean and deviation so the
 // same affine transform can be applied to unseen samples at predict time.
 type Normalizer struct {
@@ -349,24 +334,4 @@ func PruneCorrelated(features [][]float64, threshold float64) []int {
 		}
 	}
 	return keep
-}
-
-// MAPE returns the mean absolute percentage error of predictions vs
-// observations, skipping zero observations.
-func MAPE(pred, obs []float64) float64 {
-	if len(pred) != len(obs) || len(pred) == 0 {
-		return 0
-	}
-	sum, n := 0.0, 0
-	for i := range pred {
-		if obs[i] == 0 {
-			continue
-		}
-		sum += math.Abs(pred[i]-obs[i]) / math.Abs(obs[i])
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
 }

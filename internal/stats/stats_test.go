@@ -48,26 +48,6 @@ func TestMinPanicsOnEmpty(t *testing.T) {
 	Min(nil)
 }
 
-func TestZScores(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	zs := ZScores(xs)
-	if !almost(Mean(zs), 0, 1e-12) {
-		t.Errorf("z-scores mean = %v", Mean(zs))
-	}
-	if !almost(StdDev(zs), 1, 1e-12) {
-		t.Errorf("z-scores std = %v", StdDev(zs))
-	}
-}
-
-func TestZScoresConstant(t *testing.T) {
-	zs := ZScores([]float64{5, 5, 5})
-	for _, z := range zs {
-		if z != 0 {
-			t.Errorf("constant z-scores should be 0, got %v", zs)
-		}
-	}
-}
-
 func TestNormalizer(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	n := FitNormalizer(xs)
@@ -208,20 +188,6 @@ func TestPruneCorrelated(t *testing.T) {
 	}
 }
 
-func TestMAPE(t *testing.T) {
-	pred := []float64{110, 90}
-	obs := []float64{100, 100}
-	if !almost(MAPE(pred, obs), 0.1, 1e-12) {
-		t.Errorf("MAPE = %v, want 0.1", MAPE(pred, obs))
-	}
-	if MAPE([]float64{1}, []float64{0}) != 0 {
-		t.Error("MAPE should skip zero observations")
-	}
-	if MAPE(nil, nil) != 0 {
-		t.Error("MAPE of empty should be 0")
-	}
-}
-
 // Property: fitting recovers a random linear model exactly (no noise).
 func TestFitOLSRecoveryProperty(t *testing.T) {
 	r := xrand.New(101)
@@ -243,30 +209,6 @@ func TestFitOLSRecoveryProperty(t *testing.T) {
 		return almost(reg.Intercept, b0, 1e-6) && almost(reg.Coef[0], b1, 1e-6) && almost(reg.Coef[1], b2, 1e-6)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: z-scores are invariant to affine shifts of the input.
-func TestZScoreShiftInvariance(t *testing.T) {
-	f := func(shift float64) bool {
-		if math.IsNaN(shift) || math.IsInf(shift, 0) || math.Abs(shift) > 1e6 {
-			return true
-		}
-		xs := []float64{1, 2, 3, 4, 5, 6}
-		shifted := make([]float64, len(xs))
-		for i, x := range xs {
-			shifted[i] = x + shift
-		}
-		z1, z2 := ZScores(xs), ZScores(shifted)
-		for i := range z1 {
-			if !almost(z1[i], z2[i], 1e-6) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
 }

@@ -1,5 +1,5 @@
 // Package units defines the byte, bandwidth, and time quantities used
-// throughout the simulator, together with formatting and parsing helpers.
+// throughout the simulator, together with formatting helpers.
 //
 // The simulator works in SI-ish units internally: bytes, bytes/second, and
 // seconds (float64). The constants here mirror the conventions of the paper
@@ -10,8 +10,6 @@ package units
 import (
 	"fmt"
 	"math"
-	"strconv"
-	"strings"
 )
 
 // Byte quantities. Capacities use binary prefixes (a "16-GB DIMM" holds
@@ -67,9 +65,6 @@ type Duration float64
 
 // GB constructs a capacity of n binary gigabytes.
 func GB(n float64) Bytes { return Bytes(n * GiB) }
-
-// MB constructs a capacity of n binary megabytes.
-func MB(n float64) Bytes { return Bytes(n * MiB) }
 
 // GBps constructs a bandwidth of n decimal gigabytes per second.
 func GBps(n float64) Bandwidth { return Bandwidth(n * GBPerSec) }
@@ -165,46 +160,6 @@ func (d Duration) String() string {
 	default:
 		return fmt.Sprintf("%.0f ns", v/Nanosecond)
 	}
-}
-
-// ParseBytes parses strings like "192GiB", "1.5 TiB", "490 GB" (binary
-// semantics for both GB and GiB spellings, matching capacity conventions),
-// and bare byte counts like "4096".
-func ParseBytes(s string) (Bytes, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return 0, fmt.Errorf("units: empty byte quantity")
-	}
-	// Split numeric prefix from unit suffix.
-	i := 0
-	for i < len(s) && (s[i] == '.' || s[i] == '-' || s[i] == '+' || (s[i] >= '0' && s[i] <= '9')) {
-		i++
-	}
-	num, unit := s[:i], strings.TrimSpace(s[i:])
-	v, err := strconv.ParseFloat(num, 64)
-	if err != nil {
-		return 0, fmt.Errorf("units: bad byte quantity %q: %v", s, err)
-	}
-	u := strings.ToUpper(unit)
-	if u == "" || u == "B" {
-		return Bytes(v), nil
-	}
-	u = strings.TrimSuffix(u, "IB")
-	u = strings.TrimSuffix(u, "B")
-	mult := 1.0
-	switch u {
-	case "K":
-		mult = KiB
-	case "M":
-		mult = MiB
-	case "G":
-		mult = GiB
-	case "T":
-		mult = TiB
-	default:
-		return 0, fmt.Errorf("units: unknown byte unit %q", unit)
-	}
-	return Bytes(v * mult), nil
 }
 
 // Clamp returns x limited to the closed interval [lo, hi].

@@ -19,9 +19,6 @@ func TestConstructors(t *testing.T) {
 	if GB(1) != GiB {
 		t.Errorf("GB(1) = %d, want %d", GB(1), int64(GiB))
 	}
-	if MB(2) != 2*MiB {
-		t.Errorf("MB(2) = %d", MB(2))
-	}
 	if GBps(39).GBpsValue() != 39 {
 		t.Errorf("GBps round trip: %v", GBps(39).GBpsValue())
 	}
@@ -112,40 +109,6 @@ func TestDurationString(t *testing.T) {
 	for _, c := range cases {
 		if got := c.d.String(); got != c.want {
 			t.Errorf("Duration(%v).String() = %q, want %q", float64(c.d), got, c.want)
-		}
-	}
-}
-
-func TestParseBytes(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Bytes
-	}{
-		{"192GiB", 192 * GiB},
-		{"1.5 TiB", Bytes(1.5 * TiB)},
-		{"490 GB", 490 * GiB},
-		{"16G", 16 * GiB},
-		{"4096", 4096},
-		{"64 B", 64},
-		{"128kb", 128 * KiB},
-		{"2 MiB", 2 * MiB},
-	}
-	for _, c := range cases {
-		got, err := ParseBytes(c.in)
-		if err != nil {
-			t.Errorf("ParseBytes(%q) error: %v", c.in, err)
-			continue
-		}
-		if got != c.want {
-			t.Errorf("ParseBytes(%q) = %d, want %d", c.in, got, c.want)
-		}
-	}
-}
-
-func TestParseBytesErrors(t *testing.T) {
-	for _, in := range []string{"", "abc", "12 XB", "GB", "1.2.3 GB"} {
-		if _, err := ParseBytes(in); err == nil {
-			t.Errorf("ParseBytes(%q) succeeded, want error", in)
 		}
 	}
 }

@@ -2,8 +2,8 @@
 // generator (xoshiro256**) plus the distributions the simulator needs.
 //
 // Every stochastic component of the simulator (address-stream generators,
-// measurement noise in synthesised hardware counters, Monte Carlo lookup
-// sequences) takes an explicit *xrand.Rand so that experiments are exactly
+// measurement noise in synthesised hardware counters, traffic arrival
+// gaps) takes an explicit *xrand.Rand so that experiments are exactly
 // reproducible across runs and platforms. math/rand is avoided to keep the
 // generator's sequence stable regardless of Go version.
 package xrand
@@ -120,55 +120,4 @@ func (r *Rand) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Shuffle permutes the first n elements using swap, Fisher-Yates style.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// Zipf draws from a bounded Zipf distribution over [0, n) with exponent s.
-// Sampling uses inverse-CDF over precomputed weights held by the Zipf
-// struct; construct with NewZipf for repeated draws.
-type Zipf struct {
-	cdf []float64
-	r   *Rand
-}
-
-// NewZipf prepares a Zipf sampler over [0, n) with exponent s > 0.
-// XSBench-style unionized-grid lookups are approximately uniform, but the
-// flux-weighted variant is Zipf-like; both are exercised in tests.
-func NewZipf(r *Rand, n int, s float64) *Zipf {
-	if n <= 0 {
-		panic("xrand: NewZipf with non-positive n")
-	}
-	cdf := make([]float64, n)
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += 1 / math.Pow(float64(i+1), s)
-		cdf[i] = sum
-	}
-	for i := range cdf {
-		cdf[i] /= sum
-	}
-	return &Zipf{cdf: cdf, r: r}
-}
-
-// Draw returns the next Zipf-distributed index in [0, n).
-func (z *Zipf) Draw() int {
-	u := z.r.Float64()
-	// Binary search the CDF.
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }

@@ -158,51 +158,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestShuffle(t *testing.T) {
-	r := New(23)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	orig := append([]int(nil), xs...)
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	sum := 0
-	for _, v := range xs {
-		sum += v
-	}
-	if sum != 45 {
-		t.Errorf("Shuffle lost elements: %v (was %v)", xs, orig)
-	}
-}
-
-func TestZipfSkew(t *testing.T) {
-	r := New(29)
-	z := NewZipf(r, 100, 1.0)
-	counts := make([]int, 100)
-	for i := 0; i < 100000; i++ {
-		counts[z.Draw()]++
-	}
-	if counts[0] <= counts[50] {
-		t.Errorf("Zipf(1.0) not skewed: counts[0]=%d counts[50]=%d", counts[0], counts[50])
-	}
-	// Roughly: P(0)/P(1) ~ 2 for s=1.
-	ratio := float64(counts[0]) / float64(counts[1])
-	if ratio < 1.5 || ratio > 2.7 {
-		t.Errorf("Zipf head ratio = %v, want ~2", ratio)
-	}
-}
-
-func TestZipfUniformExponentZero(t *testing.T) {
-	r := New(31)
-	z := NewZipf(r, 10, 0)
-	counts := make([]int, 10)
-	for i := 0; i < 100000; i++ {
-		counts[z.Draw()]++
-	}
-	for i, c := range counts {
-		if c < 8500 || c > 11500 {
-			t.Errorf("Zipf(0) bucket %d count %d, want ~10000", i, c)
-		}
-	}
-}
-
 // Property: Range stays within bounds for any ordered pair.
 func TestRangeProperty(t *testing.T) {
 	r := New(37)
