@@ -67,6 +67,31 @@ type PointModel struct {
 // maxAbsCorr is the collinearity guard between kept regressors.
 const maxAbsCorr = 0.999
 
+// FitWorkspace is the working storage of point-model fits: the log-time
+// vector, the column matrix, the candidate ranking, the design rows, the
+// least-squares workspace and the leave-one-out inputs. A fit through it
+// allocates only what the returned model keeps (its kept columns, their
+// normalizers and its Regression), so an ensemble's main fit and its
+// leave-one-out variants share one, and so may successive ensembles.
+// The zero value is ready to use; a FitWorkspace serves one goroutine at
+// a time.
+type FitWorkspace struct {
+	ols  stats.OLS
+	logT []float64
+	cols stats.Matrix
+	cand []ranked
+	rows stats.Matrix
+	looX [][]float64
+	looT []float64
+}
+
+// ranked is a candidate regressor: its column and its absolute
+// correlation with the response.
+type ranked struct {
+	j    int
+	corr float64
+}
+
 // FitPointModel fits log(timeSec) against the feature matrix X
 // (row-major, as produced by ConfigFeatures). Constant columns are
 // dropped, the remaining ones are ranked by absolute correlation with
@@ -74,11 +99,18 @@ const maxAbsCorr = 0.999
 // while fewer than n-1 are kept. A fit may therefore use n-1 features
 // (n >= kept+1), leaving the regression no residual degree of freedom.
 func FitPointModel(X [][]float64, timesSec []float64) (*PointModel, error) {
+	var w FitWorkspace
+	return w.fitPointModel(X, timesSec)
+}
+
+// fitPointModel is FitPointModel on the workspace's storage.
+func (w *FitWorkspace) fitPointModel(X [][]float64, timesSec []float64) (*PointModel, error) {
 	n := len(X)
 	if n == 0 || n != len(timesSec) {
 		return nil, fmt.Errorf("model: point fit needs matching non-empty X (%d) and times (%d)", n, len(timesSec))
 	}
-	y := make([]float64, n)
+	w.logT = slices.Grow(w.logT[:0], n)[:n]
+	y := w.logT
 	for i, t := range timesSec {
 		if t <= 0 {
 			return nil, fmt.Errorf("model: non-positive time %v at point %d", t, i)
@@ -88,7 +120,7 @@ func FitPointModel(X [][]float64, timesSec []float64) (*PointModel, error) {
 	m := &PointModel{meanLog: stats.Mean(y)}
 
 	p := len(X[0])
-	cols := stats.NewMatrix(p, n)
+	cols := w.cols.Shape(p, n)
 	for j, col := range cols {
 		for i := range X {
 			col[i] = X[i][j]
@@ -96,17 +128,14 @@ func FitPointModel(X [][]float64, timesSec []float64) (*PointModel, error) {
 	}
 	// Rank non-constant columns by |corr| with the response; ties keep
 	// the declaration order so the fit is deterministic.
-	type ranked struct {
-		j    int
-		corr float64
-	}
-	cand := make([]ranked, 0, p)
+	cand := slices.Grow(w.cand[:0], p)
 	for j, col := range cols {
 		if stats.StdDev(col) == 0 {
 			continue
 		}
 		cand = append(cand, ranked{j, math.Abs(stats.Pearson(col, y))})
 	}
+	w.cand = cand
 	slices.SortStableFunc(cand, func(a, b ranked) int { return cmp.Compare(b.corr, a.corr) })
 	m.kept = make([]int, 0, p)
 	for _, c := range cand {
@@ -127,24 +156,24 @@ func FitPointModel(X [][]float64, timesSec []float64) (*PointModel, error) {
 	slices.Sort(m.kept)
 
 	// Fit, backing off a feature at a time on rank deficiency; an empty
-	// kept set is the mean predictor.
-	for len(m.kept) > 0 {
-		norms := make([]stats.Normalizer, len(m.kept))
-		for i, j := range m.kept {
-			norms[i] = stats.FitNormalizer(cols[j])
-		}
-		rows := stats.NewMatrix(n, len(m.kept))
+	// kept set is the mean predictor. A column's normalizer does not
+	// depend on the others, so a back-off keeps a prefix of them.
+	norms := make([]stats.Normalizer, len(m.kept))
+	for i, j := range m.kept {
+		norms[i] = stats.FitNormalizer(cols[j])
+	}
+	for ; len(m.kept) > 0; m.kept = m.kept[:len(m.kept)-1] {
+		k := len(m.kept)
+		rows := w.rows.Shape(n, k)
 		for i, row := range rows {
-			for k, j := range m.kept {
-				row[k] = norms[k].Apply(X[i][j])
+			for c, j := range m.kept {
+				row[c] = norms[c].Apply(X[i][j])
 			}
 		}
-		reg, err := stats.FitOLS(rows, y)
-		if err == nil {
-			m.norms, m.reg = norms, reg
+		if reg, err := w.ols.Fit(rows, y); err == nil {
+			m.norms, m.reg = norms[:k], reg
 			return m, nil
 		}
-		m.kept = m.kept[:len(m.kept)-1]
 	}
 	return m, nil
 }
@@ -188,7 +217,14 @@ type PointEnsemble struct {
 // variants would all collapse to near-identical means, so the ensemble
 // instead reports the training spread as its disagreement).
 func FitPointEnsemble(X [][]float64, timesSec []float64) (*PointEnsemble, error) {
-	main, err := FitPointModel(X, timesSec)
+	var w FitWorkspace
+	return w.FitPointEnsemble(X, timesSec)
+}
+
+// FitPointEnsemble is the package-level FitPointEnsemble with every fit
+// on the workspace's storage.
+func (w *FitWorkspace) FitPointEnsemble(X [][]float64, timesSec []float64) (*PointEnsemble, error) {
+	main, err := w.fitPointModel(X, timesSec)
 	if err != nil {
 		return nil, err
 	}
@@ -201,20 +237,20 @@ func FitPointEnsemble(X [][]float64, timesSec []float64) (*PointEnsemble, error)
 		}
 		return e, nil
 	}
-	// FitPointModel keeps no reference to its inputs, so one pair of
+	// A fit keeps no reference to its inputs, so one pair of
 	// leave-one-out slices serves every variant.
-	xs := make([][]float64, 0, len(X)-1)
-	ys := make([]float64, 0, len(X)-1)
+	xs, ys := w.looX[:0], w.looT[:0]
 	e.loo = make([]*PointModel, len(X))
 	for drop := range X {
 		xs = append(append(xs[:0], X[:drop]...), X[drop+1:]...)
 		ys = append(append(ys[:0], timesSec[:drop]...), timesSec[drop+1:]...)
-		lm, err := FitPointModel(xs, ys)
+		lm, err := w.fitPointModel(xs, ys)
 		if err != nil {
 			return nil, err
 		}
 		e.loo[drop] = lm
 	}
+	w.looX, w.looT = xs, ys
 	return e, nil
 }
 

@@ -179,3 +179,52 @@ func TestPredictionsDoNotAllocate(t *testing.T) {
 		t.Errorf("predictions summed to %v", sink)
 	}
 }
+
+// An ensemble refits its model once per left-out observation, so its
+// working storage must come from the FitWorkspace and each fit may
+// allocate only what the model keeps. A 20-observation ensemble is 21
+// models; through a reused workspace it allocates exactly what they
+// keep, and FitPointEnsemble adds one workspace's buffers, however many
+// models it fits.
+func TestEnsembleFitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector inflates allocation counts")
+	}
+	const (
+		// A PointModel, its kept columns, their normalizers, its
+		// Regression and the Regression's one coefficient-and-diagnostics
+		// slice.
+		perModel = 5
+		// The PointEnsemble and its variant list.
+		perEnsemble = 2
+		// The log times, the column matrix (2), the candidate ranking,
+		// the design rows (2), the leave-one-out rows and times, and the
+		// OLS design row, Aᵀy, AᵀA (2) and Gauss-Jordan matrix (2).
+		workspace = 14
+	)
+	threads := make([]int, 20)
+	for i := range threads {
+		threads[i] = 6 + 2*i
+	}
+	X, y := evalTimes(t, "Hypre", memsys.UncachedNVM, threads)
+	kept := float64((len(X)+1)*perModel + perEnsemble)
+
+	var ens *PointEnsemble
+	var err error
+	if a := testing.AllocsPerRun(20, func() { ens, err = FitPointEnsemble(X, y) }); a > kept+workspace {
+		t.Errorf("FitPointEnsemble: %v allocations for %d observations, want at most %v", a, len(X), kept+workspace)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ens.main.Features() == 0 || len(ens.loo) != len(X) {
+		t.Fatalf("ensemble has %d features and %d variants; the regression path is not exercised", ens.main.Features(), len(ens.loo))
+	}
+	var w FitWorkspace
+	if a := testing.AllocsPerRun(20, func() { ens, err = w.FitPointEnsemble(X, y) }); a > kept {
+		t.Errorf("reused FitWorkspace: %v allocations for %d observations, want at most %v", a, len(X), kept)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -21,12 +21,15 @@
 // frontier computation are all pure functions of the point list and the
 // evaluated results, and the engine's batches are deterministic, so a
 // plan run is byte-reproducible — the golden corpus pins two presets'
-// plans end to end.
+// plans end to end. The regression groups are fit in parallel, each by
+// one goroutine, so the CPU count changes no bit of a plan.
 package planner
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -224,13 +227,16 @@ func RunSpec(ctx context.Context, eng Engine, sp scenario.Spec, obs func(Progres
 }
 
 // Space is a point space prepared for resolution: the plan validated
-// and defaulted, each point's regression group keyed once, and the
-// evaluation budget fixed before the first round — so a caller can
-// report the budget at submit time.
+// and defaulted, each point's regression group and application keyed
+// once, and the evaluation budget fixed before the first round — so a
+// caller can report the budget at submit time.
 type Space struct {
 	points []Point
 	opts   Options // Plan defaulted
 	groups []group
+	// apps lists each application's point indices, applications in
+	// order of first appearance: the frontier's buckets.
+	apps   [][]int
 	budget int
 }
 
@@ -242,7 +248,7 @@ type group struct {
 }
 
 // NewSpace validates the plan and buckets the points into regression
-// groups, sorted by key.
+// groups, sorted by key, and into the frontier's per-application lists.
 func NewSpace(points []Point, opts Options) (*Space, error) {
 	if err := opts.Plan.Validate(); err != nil {
 		return nil, fmt.Errorf("planner: %w", err)
@@ -259,9 +265,18 @@ func NewSpace(points []Point, opts Options) (*Space, error) {
 	}
 	byInputs := map[keyInputs]int{}
 	byKey := map[string]int{}
+	byApp := map[string]int{}
 	var groups []group
+	var apps [][]int
 	for i := range points {
 		p := &points[i]
+		a, ok := byApp[p.Meta.App]
+		if !ok {
+			a = len(apps)
+			byApp[p.Meta.App] = a
+			apps = append(apps, nil)
+		}
+		apps[a] = append(apps[a], i)
 		in := keyInputs{p.Group, p.Meta.App, p.Meta.Mode}
 		g, ok := byInputs[in]
 		if !ok {
@@ -280,6 +295,7 @@ func NewSpace(points []Point, opts Options) (*Space, error) {
 		points: points,
 		opts:   opts,
 		groups: groups,
+		apps:   apps,
 		budget: max(int(opts.Plan.BudgetFrac*float64(len(points))), len(groups)),
 	}, nil
 }
@@ -315,6 +331,7 @@ func (s *Space) Run(ctx context.Context, eng BatchRunner) (*Result, error) {
 		feats[i] = model.ConfigFeatures(pt.Job.Workload, pt.Meta.Threads, pt.Meta.Scale)
 	}
 	fitted := make([]int, len(s.groups))
+	scratch := make([]fitScratch, min(runtime.GOMAXPROCS(0), len(s.groups)))
 
 	// Round 1: the seed, capped with per-group round-robin so a tight
 	// budget still covers every group. A quarter of the budget is held
@@ -340,8 +357,8 @@ func (s *Space) Run(ctx context.Context, eng BatchRunner) (*Result, error) {
 		perRound = 1
 	}
 	for len(res.Rounds) < 1+cfg.MaxRounds {
-		fitAndPredict(s.groups, feats, fitted, res)
-		frontier := pareto(res.Points)
+		fitAndPredict(s.groups, feats, fitted, scratch, res)
+		frontier := pareto(res.Points, s.apps)
 		toEval := pickCandidates(res, frontier, cfg.Threshold, perRound)
 		if len(toEval) == 0 {
 			break
@@ -364,15 +381,15 @@ func (s *Space) Run(ctx context.Context, eng BatchRunner) (*Result, error) {
 
 	// Final resolution: predict the remainder with the fully trained
 	// model and settle the frontier.
-	fitAndPredict(s.groups, feats, fitted, res)
-	res.Frontier = pareto(res.Points)
+	fitAndPredict(s.groups, feats, fitted, scratch, res)
+	res.Frontier = pareto(res.Points, s.apps)
 	res.FrontierResolved = true
 	for _, idx := range res.Frontier {
 		if !res.Points[idx].Evaluated {
 			res.FrontierResolved = false
 		}
 	}
-	var predicted []PlannedPoint
+	predicted := make([]PlannedPoint, 0, n-res.Evaluations)
 	for i := range res.Points {
 		if !res.Points[i].Evaluated {
 			predicted = append(predicted, res.Points[i])
@@ -513,39 +530,71 @@ func evaluate(ctx context.Context, eng BatchRunner, res *Result, idxs []int, pha
 // predictions a refit would give. Groups without any evaluated point
 // (possible only under a budget smaller than the group count) stay
 // unresolved: Time 0, excluded from the frontier.
-func fitAndPredict(groups []group, feats [][]float64, fitted []int, res *Result) {
-	var X [][]float64
-	var y []float64
-	var rest []int
+//
+// The grown groups are dealt round-robin to one task per scratch, and
+// the tasks run in parallel. A group's fit reads and writes only its own
+// members, so the result does not depend on which task fits it, and the
+// order each scratch sees its groups in, hence its allocations, does not
+// depend on scheduling.
+func fitAndPredict(groups []group, feats [][]float64, fitted []int, scratch []fitScratch, res *Result) {
+	var grown []int
 	for g := range groups {
-		X, y, rest = X[:0], y[:0], rest[:0]
+		evaluated := 0
 		for _, i := range groups[g].members {
-			if p := &res.Points[i]; p.Evaluated {
-				X = append(X, feats[i])
-				y = append(y, p.Result.Time.Seconds())
-			} else {
-				rest = append(rest, i)
+			if res.Points[i].Evaluated {
+				evaluated++
 			}
 		}
-		if len(X) == fitted[g] {
+		if evaluated == fitted[g] {
 			continue
 		}
-		fitted[g] = len(X)
-		if len(rest) == 0 {
-			continue
+		fitted[g] = evaluated
+		if evaluated < len(groups[g].members) {
+			grown = append(grown, g)
 		}
-		ens, err := model.FitPointEnsemble(X, y)
-		if err != nil {
-			// Degenerate group data (e.g. zero-time results); leave the
-			// rest unresolved rather than predicting nonsense.
-			continue
+	}
+	tasks := min(len(scratch), len(grown))
+	// The tasks cannot fail, so Map has no error to report.
+	_, _ = engine.Map(tasks, tasks, func(t int) (struct{}, error) {
+		for k := t; k < len(grown); k += tasks {
+			scratch[t].fit(groups[grown[k]].members, feats, res)
 		}
-		for _, i := range rest {
-			p := &res.Points[i]
-			p.Predicted = units.Duration(ens.Predict(feats[i]))
-			p.Disagreement = ens.Disagreement(feats[i])
-			p.Time = p.Predicted
+		return struct{}{}, nil
+	})
+}
+
+// fitScratch is one fit task's reusable storage: the point-model
+// workspace and a group's training set and remainder.
+type fitScratch struct {
+	ws   model.FitWorkspace
+	X    [][]float64
+	y    []float64
+	rest []int
+}
+
+// fit trains one group's ensemble on its evaluated members and predicts
+// the rest.
+func (sc *fitScratch) fit(members []int, feats [][]float64, res *Result) {
+	sc.X, sc.y, sc.rest = sc.X[:0], sc.y[:0], sc.rest[:0]
+	for _, i := range members {
+		if p := &res.Points[i]; p.Evaluated {
+			sc.X = append(sc.X, feats[i])
+			sc.y = append(sc.y, p.Result.Time.Seconds())
+		} else {
+			sc.rest = append(sc.rest, i)
 		}
+	}
+	ens, err := sc.ws.FitPointEnsemble(sc.X, sc.y)
+	if err != nil {
+		// Degenerate group data (e.g. zero-time results); leave the
+		// rest unresolved rather than predicting nonsense.
+		return
+	}
+	for _, i := range sc.rest {
+		p := &res.Points[i]
+		p.Predicted = units.Duration(ens.Predict(feats[i]))
+		p.Disagreement = ens.Disagreement(feats[i])
+		p.Time = p.Predicted
 	}
 }
 
@@ -589,52 +638,65 @@ func pickCandidates(res *Result, frontier []int, threshold float64, perRound int
 	return out
 }
 
+// frontKey is a frontier candidate's sort key, compact so the sort
+// moves 24 bytes per point rather than a PlannedPoint.
+type frontKey struct {
+	time units.Duration
+	dram units.Bytes
+	idx  int
+}
+
+// compareFrontKeys orders keys by time, then DRAM, then index. No key
+// holds a NaN time, so plain comparisons order the floats.
+func compareFrontKeys(a, b frontKey) int {
+	switch {
+	case a.time < b.time:
+		return -1
+	case a.time > b.time:
+		return 1
+	case a.dram != b.dram:
+		return cmp.Compare(a.dram, b.dram)
+	}
+	return cmp.Compare(a.idx, b.idx)
+}
+
 // pareto returns the indices of the per-application non-dominated
 // feasible resolved points (minimizing time and DRAM use), ordered by
-// application appearance then time then DRAM.
-func pareto(points []PlannedPoint) []int {
-	byApp := map[string][]int{}
-	var apps []string
-	for i := range points {
-		app := points[i].Meta.App
-		if _, ok := byApp[app]; !ok {
-			apps = append(apps, app)
-		}
-		byApp[app] = append(byApp[app], i)
-	}
+// application appearance then time then DRAM then index. apps lists
+// each application's point indices (Space.apps). A point is resolved
+// when its time is positive: zero, negative and NaN times are not.
+//
+// Each application's candidates are sorted by (time, DRAM, index) and
+// swept once. Within a run of equal times, only the points at the run's
+// least DRAM can survive, and they do when every strictly faster point
+// uses more DRAM than they do.
+func pareto(points []PlannedPoint, apps [][]int) []int {
 	var out []int
-	for _, app := range apps {
-		m := byApp[app]
-		var front []int
+	var keys []frontKey
+	for _, m := range apps {
+		keys = slices.Grow(keys[:0], len(m))
 		for _, i := range m {
-			e := &points[i]
-			if !e.Feasible || e.Time <= 0 {
-				continue
-			}
-			dominated := false
-			for _, j := range m {
-				f := &points[j]
-				if !f.Feasible || f.Time <= 0 || i == j {
-					continue
-				}
-				if f.Time <= e.Time && f.DRAMUsed <= e.DRAMUsed &&
-					(f.Time < e.Time || f.DRAMUsed < e.DRAMUsed) {
-					dominated = true
-					break
-				}
-			}
-			if !dominated {
-				front = append(front, i)
+			if p := &points[i]; p.Feasible && p.Time > 0 {
+				keys = append(keys, frontKey{p.Time, p.DRAMUsed, i})
 			}
 		}
-		sort.SliceStable(front, func(a, b int) bool {
-			pa, pb := &points[front[a]], &points[front[b]]
-			if pa.Time != pb.Time {
-				return pa.Time < pb.Time
+		slices.SortFunc(keys, compareFrontKeys)
+		// least is the least DRAM among the points swept so far, all of
+		// them faster than the current run.
+		var least units.Bytes
+		for lo := 0; lo < len(keys); {
+			hi := lo + 1
+			for hi < len(keys) && keys[hi].time == keys[lo].time {
+				hi++
 			}
-			return pa.DRAMUsed < pb.DRAMUsed
-		})
-		out = append(out, front...)
+			if d := keys[lo].dram; lo == 0 || d < least {
+				for k := lo; k < hi && keys[k].dram == d; k++ {
+					out = append(out, keys[k].idx)
+				}
+				least = d
+			}
+			lo = hi
+		}
 	}
 	return out
 }

@@ -131,6 +131,9 @@ func (m *Manager) SubmitPlanWith(sp scenario.Spec, opts SubmitOptions) (*PlanSes
 	}
 	s := &PlanSession{points: len(points)}
 	s.spec, s.size = sp, -1
+	// The plan publishes every point exactly once: evaluated ones in
+	// their round, the rest in the final predict round.
+	s.items = make([]planner.PlannedPoint, 0, len(points))
 	for i := range points {
 		points[i].Job.Tally = &s.tally
 	}

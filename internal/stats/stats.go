@@ -1,15 +1,17 @@
 // Package stats implements the statistical machinery used by the profiler
 // and the Section V-A prediction model: descriptive statistics, z-score
 // normalization, moving averages, and multivariate linear regression by
-// ordinary least squares (normal equations solved with partially pivoted
-// Gaussian elimination), with the diagnostics (R², t-statistics, p-values)
-// the paper uses to prune highly correlated hardware events.
+// ordinary least squares (the normal equations solved by inverting AᵀA
+// with partially pivoted Gauss-Jordan elimination), with the diagnostics
+// (R², t-statistics, p-values) the paper uses to prune highly correlated
+// hardware events.
 package stats
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
@@ -149,8 +151,26 @@ type Regression struct {
 }
 
 // FitOLS fits y ≈ X·beta + intercept by ordinary least squares.
-// X is row-major: X[i] is the feature vector for observation i.
+// X is row-major: X[i] is the feature vector for observation i. It is
+// OLS.Fit on a fresh workspace.
 func FitOLS(X [][]float64, y []float64) (*Regression, error) {
+	var w OLS
+	return w.Fit(X, y)
+}
+
+// OLS is the working storage of a least-squares fit: the design row
+// with its intercept column, AᵀA and Aᵀy, and the matrix Gauss-Jordan
+// elimination reduces to invert AᵀA. A fit through it allocates only
+// the Regression it returns, so a caller fitting many small models in
+// turn keeps one OLS. The zero value is ready to use; an OLS serves one
+// goroutine at a time.
+type OLS struct {
+	row, aty []float64
+	ata, aug Matrix
+}
+
+// Fit is FitOLS on the workspace's storage.
+func (w *OLS) Fit(X [][]float64, y []float64) (*Regression, error) {
 	n := len(X)
 	if n == 0 || n != len(y) {
 		return nil, fmt.Errorf("stats: FitOLS needs matching non-empty X (%d) and y (%d)", n, len(y))
@@ -168,9 +188,15 @@ func FitOLS(X [][]float64, y []float64) (*Regression, error) {
 	// Augment with the intercept column: d = p+1 unknowns.
 	d := p + 1
 	// Normal equations: (A^T A) beta = A^T y where A = [1 | X].
-	ata := NewMatrix(d, d)
-	aty := make([]float64, d)
-	row := make([]float64, d)
+	ata := w.ata.Shape(d, d)
+	for _, r := range ata {
+		clear(r)
+	}
+	w.aty = slices.Grow(w.aty[:0], d)[:d]
+	aty := w.aty
+	clear(aty)
+	w.row = slices.Grow(w.row[:0], d)[:d]
+	row := w.row
 	row[0] = 1
 	for r := 0; r < n; r++ {
 		copy(row[1:], X[r])
@@ -188,11 +214,13 @@ func FitOLS(X [][]float64, y []float64) (*Regression, error) {
 	}
 
 	// Solve with (A^T A) inverse so we also get coefficient variances.
-	inv, err := invertSPD(ata)
+	inv, err := w.invertSPD(ata)
 	if err != nil {
 		return nil, err
 	}
-	beta := make([]float64, d)
+	// The coefficients and both diagnostic vectors share one allocation.
+	vecs := make([]float64, d+2*p)
+	beta := vecs[:d:d]
 	for i := 0; i < d; i++ {
 		for j := 0; j < d; j++ {
 			beta[i] += inv[i][j] * aty[j]
@@ -225,8 +253,8 @@ func FitOLS(X [][]float64, y []float64) (*Regression, error) {
 	}
 	sigma2 := ssRes / dof
 	reg.Sigma = math.Sqrt(sigma2)
-	reg.TStats = make([]float64, p)
-	reg.PValues = make([]float64, p)
+	reg.TStats = vecs[d : d+p : d+p]
+	reg.PValues = vecs[d+p:]
 	for j := 0; j < p; j++ {
 		se := math.Sqrt(sigma2 * inv[j+1][j+1])
 		if se == 0 {
@@ -252,26 +280,36 @@ func (r *Regression) Predict(x []float64) float64 {
 	return v
 }
 
-// NewMatrix returns a rows x cols zero matrix whose rows share one
-// backing array: two allocations however many rows it has.
-func NewMatrix(rows, cols int) [][]float64 {
-	back := make([]float64, rows*cols)
-	m := make([][]float64, rows)
-	for i := range m {
-		m[i] = back[i*cols : (i+1)*cols : (i+1)*cols]
+// Matrix is reusable storage for a row-major matrix whose rows share
+// one backing array. The zero value holds nothing.
+type Matrix struct {
+	back []float64
+	rows [][]float64
+}
+
+// Shape returns the storage as a rows x cols matrix, reallocating only
+// when it is too small. Entries keep whatever they last held; a fresh
+// Matrix's are zero.
+func (m *Matrix) Shape(rows, cols int) [][]float64 {
+	m.back = slices.Grow(m.back[:0], rows*cols)[:rows*cols]
+	m.rows = slices.Grow(m.rows[:0], rows)[:rows]
+	for i := range m.rows {
+		m.rows[i] = m.back[i*cols : (i+1)*cols : (i+1)*cols]
 	}
-	return m
+	return m.rows
 }
 
 // invertSPD inverts a symmetric positive (semi)definite matrix with
 // Gauss-Jordan elimination and partial pivoting. Returns ErrSingular when
-// a pivot collapses (rank-deficient design).
-func invertSPD(m [][]float64) ([][]float64, error) {
+// a pivot collapses (rank-deficient design). The inverse's rows are views
+// into the workspace, valid until its next fit.
+func (w *OLS) invertSPD(m [][]float64) ([][]float64, error) {
 	d := len(m)
 	// Working copy augmented with identity.
-	a := NewMatrix(d, 2*d)
+	a := w.aug.Shape(d, 2*d)
 	for i := range a {
 		copy(a[i], m[i])
+		clear(a[i][d:])
 		a[i][d+i] = 1
 	}
 	for col := 0; col < d; col++ {
@@ -303,11 +341,12 @@ func invertSPD(m [][]float64) ([][]float64, error) {
 			}
 		}
 	}
-	inv := make([][]float64, d)
-	for i := range inv {
-		inv[i] = a[i][d:]
+	// The inverse is the right half of each row; the left half is no
+	// longer read, so the row views are re-sliced in place.
+	for i := range a {
+		a[i] = a[i][d:]
 	}
-	return inv, nil
+	return a, nil
 }
 
 // normCDF is the standard normal CDF via erf.
