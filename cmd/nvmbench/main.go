@@ -27,9 +27,10 @@
 //
 // -store backs the engine with the disk result store
 // (internal/resultstore): every evaluated point is appended to the store
-// directory as it completes, and any later run — nvmbench or the
-// nvmserve daemon — sharing the directory re-serves those points as
-// cache hits, so a repeated sweep costs only its cold points.
+// directory, one log frame per range of points an engine worker claimed,
+// and any later run — nvmbench or the nvmserve daemon — sharing the
+// directory re-serves those points as cache hits, so a repeated sweep
+// costs only its cold points.
 // -store-stats inspects such a directory read-only (segment formats,
 // points, index size, estimated open cost) and -store-compact folds its
 // append log into one indexed binary columnar (v2) segment that later
@@ -342,10 +343,12 @@ func gateBench(baselinePath string, cur io.Reader, w io.Writer) (bool, error) {
 
 // Rough single-thread throughputs for the open-cost estimate, measured
 // on a 2-vCPU host: Open replays every log segment in full (57,600
-// points, about 22 MB of log, replay in about 160 ms), a v2 segment
-// only has its block index read and decoded.
+// points appended by engine batches, one frame per claimed range: about
+// 18 MB of log, replayed in about 110 ms; a log of one-record frames
+// replays at about 90 MB/s, so the estimate reads low for one), a v2
+// segment only has its block index read and decoded.
 const (
-	logReplayBytesPerSec = 130e6
+	logReplayBytesPerSec = 165e6
 	v2IndexBytesPerSec   = 500e6
 	v2IndexFixedSeconds  = 100e-6 // open/trailer/flock floor
 )

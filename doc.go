@@ -38,7 +38,8 @@
 // engine's result cache behind a pluggable Store interface — the
 // in-process sharded map (still 0 allocs/op on a cache hit) or a
 // disk-backed content-addressed store (an append log of CRC32C-framed
-// binary records keyed by workload fingerprint, crash-tolerant, and
+// binary record blocks keyed by workload fingerprint, one block per
+// range of points an engine worker claimed, crash-tolerant, and
 // compactable into one indexed columnar segment) that re-serves
 // previously computed points as cache hits across process restarts. internal/session runs sweeps asynchronously on top
 // (Submit / Status / Stream / Cancel, with cancellation propagated into

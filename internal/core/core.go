@@ -57,8 +57,8 @@ type ResultStore = resultstore.Store
 
 // NewMachineWithStore builds the testbed over an explicit result store.
 // With a disk store (resultstore.Open) every evaluated sweep point is
-// persisted as it completes and re-served as a cache hit by later
-// processes — the warm-cache path behind nvmbench -store and the
+// persisted — a batch worker appends each claimed index range when the
+// range ends — and re-served as a cache hit by later processes — the warm-cache path behind nvmbench -store and the
 // nvmserve daemon. The machine does not close the store; its owner does.
 func NewMachineWithStore(store ResultStore) *Machine {
 	return &Machine{ctx: experiments.NewContextWithStore(store)}

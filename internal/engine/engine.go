@@ -14,10 +14,12 @@
 //
 // The result cache is pluggable (internal/resultstore): the default is
 // the in-process sharded map, and a disk-backed store turns the engine
-// persistent — every computed point is appended as it completes, and a
+// persistent — every computed point is appended to the store, and a
 // restarted process re-serves previously computed points as cache hits.
 // Resumable sweep sessions (internal/session) and the nvmserve daemon
-// are built on that.
+// are built on that. Run commits each fresh point on its own; a batch
+// worker commits the points it solved in one claimed index range
+// together when the range ends, as one store append.
 //
 // Hot-path allocation contract: a cache-hit Run is allocation-free. The
 // store's hit path is a typed sharded-map lookup (no interface boxing,
@@ -236,7 +238,7 @@ func (e *Engine) Run(job Job) (workload.Result, error) {
 	if err := job.check(); err != nil {
 		return workload.Result{}, err
 	}
-	return e.run(job, job.Key())
+	return e.run(job, job.Key(), nil)
 }
 
 // check rejects a job Run cannot key or evaluate.
@@ -250,8 +252,11 @@ func (j Job) check() error {
 	return nil
 }
 
-// run is Run for a checked job under its key k.
-func (e *Engine) run(job Job, k Key) (workload.Result, error) {
+// run is Run for a checked job under its key k. A freshly computed
+// result is committed to the store at once, or, when recs is non-nil and
+// the evaluation succeeded, appended to *recs for the caller to commit
+// with the rest of its range.
+func (e *Engine) run(job Job, k Key, recs *[]resultstore.Record) (workload.Result, error) {
 	en, loaded := e.store.Acquire(k)
 	e.account(job.Tally, loaded)
 	en.Once.Do(func() {
@@ -263,7 +268,12 @@ func (e *Engine) run(job Job, k Key) (workload.Result, error) {
 			return
 		}
 		en.Res, en.Err = e.compute(job)
-		e.store.Commit(k, en.Res, en.Err)
+		switch {
+		case recs == nil:
+			e.store.Commit(k, en.Res, en.Err)
+		case en.Err == nil:
+			*recs = append(*recs, resultstore.Record{Key: k, Res: en.Res})
+		}
 		en.MarkDone()
 	})
 	return share(en)
@@ -377,13 +387,19 @@ func (e *Engine) RunBatchCtx(ctx context.Context, jobs []Job) ([]workload.Result
 //
 // Each worker keys its claimed index range through one Keyer, so a
 // workload shared by consecutive jobs is fingerprinted once per range
-// rather than once per job; the results are those of Run.
+// rather than once per job; the results are those of Run. The worker
+// gathers the range's freshly computed results in a pooled buffer and
+// commits them with one CommitBatch when the range ends, on the cancel
+// path too, so a disk store appends one frame per range: done can see a
+// point up to one range before the store persists it.
 func (e *Engine) RunBatchFunc(ctx context.Context, jobs []Job, done func(i int, res workload.Result)) ([]workload.Result, error) {
 	results := make([]workload.Result, len(jobs))
 	errs := make([]error, len(jobs))
 	var cancelled atomic.Bool
 	run := func(lo, hi int) {
 		var keys Keyer
+		recs := recBufs.Get().(*[]resultstore.Record)
+		defer e.commitRange(recs)
 		for i := lo; i < hi; i++ {
 			// Abort between jobs: claimed-but-unstarted indexes drain
 			// fast once the context fires.
@@ -398,7 +414,7 @@ func (e *Engine) RunBatchFunc(ctx context.Context, jobs []Job, done func(i int, 
 			if errs[i] = job.check(); errs[i] != nil {
 				continue
 			}
-			results[i], errs[i] = e.run(job, keys.Key(job))
+			results[i], errs[i] = e.run(job, keys.Key(job), recs)
 			if errs[i] == nil && done != nil {
 				done(i, results[i])
 			}
@@ -409,6 +425,19 @@ func (e *Engine) RunBatchFunc(ctx context.Context, jobs []Job, done func(i int, 
 		return results, CancelError(err)
 	}
 	return results, FirstError(jobs, errs)
+}
+
+// recBufs pools the buffers batch workers gather a range's records in,
+// so steady-state range commits allocate nothing per record.
+var recBufs = sync.Pool{New: func() any { return new([]resultstore.Record) }}
+
+// commitRange commits the records a worker gathered in one range and
+// returns the buffer to its pool, cleared so it keeps no result alive.
+func (e *Engine) commitRange(recs *[]resultstore.Record) {
+	e.store.CommitBatch(*recs)
+	clear(*recs)
+	*recs = (*recs)[:0]
+	recBufs.Put(recs)
 }
 
 // CancelError wraps a batch's context error in the engine's cancelled
@@ -447,26 +476,31 @@ func FirstError(jobs []Job, errs []error) error {
 // want one run's share subtract a snapshot taken before it.
 func (e *Engine) Stats() Stats { return e.total.Stats() }
 
+// maxRange caps a claimed index range at the v2 block target of 1,024
+// records, so a range commits at most one block's worth of records and a
+// torn frame loses at most one range.
+const maxRange = 1024
+
 // forEach covers the indexes 0..n-1 across at most workers goroutines
 // and waits, handing each worker its whole claimed range as fn(lo, hi)
 // for the half-open [lo, hi). Ranges are claimed off one atomic
 // cursor, so the synchronization cost is one atomic add per range
 // instead of one channel operation per job; ranges are kept small
 // relative to n/workers so heterogeneous job costs (cache hits vs
-// fresh solves) still balance. A single worker gets all of 0..n-1 as
-// one range.
+// fresh solves) still balance. No range holds more than maxRange
+// indexes; a single worker takes 0..n-1 in order, in ranges of
+// maxRange.
 func forEach(workers, n int, fn func(lo, hi int)) {
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
-		fn(0, n)
+		for lo := 0; lo < n; lo += maxRange {
+			fn(lo, min(lo+maxRange, n))
+		}
 		return
 	}
-	chunk := n / (workers * 8)
-	if chunk < 1 {
-		chunk = 1
-	}
+	chunk := min(max(n/(workers*8), 1), maxRange)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

@@ -510,3 +510,97 @@ func TestBatchKeysPerWorkloadRun(t *testing.T) {
 		t.Errorf("changed workload not resident under its new key (old %v, new %v)", old, k)
 	}
 }
+
+// freshStore hands out a never-used entry on every Acquire, so each run
+// of the same jobs solves them all again on a store that does no map
+// work, and checks each range commit it receives. It takes no lock:
+// single-worker engines only.
+type freshStore struct {
+	resultstore.Store
+	entries []resultstore.Entry
+	next    int
+	commits int // records received through CommitBatch
+	errs    []string
+}
+
+func newFreshStore(n int) *freshStore {
+	return &freshStore{Store: resultstore.NewMemory(), entries: make([]resultstore.Entry, n)}
+}
+
+func (s *freshStore) Acquire(resultstore.Key) (*resultstore.Entry, bool) {
+	s.next++
+	return &s.entries[s.next-1], false
+}
+
+// CommitBatch checks the range cap, and that the buffer's spare capacity
+// was cleared by the commit before: a pooled buffer must not keep
+// earlier ranges' results alive.
+func (s *freshStore) CommitBatch(recs []resultstore.Record) {
+	if len(recs) > maxRange {
+		s.errs = append(s.errs, fmt.Sprintf("range commit of %d records, over %d", len(recs), maxRange))
+	}
+	for _, r := range recs[len(recs):cap(recs)] {
+		if r.Res.Workload != nil || r.Res.Phases != nil {
+			s.errs = append(s.errs, "range buffer kept a committed record")
+			break
+		}
+	}
+	s.commits += len(recs)
+}
+
+// Steady-state range commits allocate nothing per record: a batch
+// worker gathers its range's records in a pooled buffer, so a cold
+// batch allocates what its solves allocate plus a constant per batch.
+func TestRangeCommitBufferAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	var jobs []Job
+	for _, entry := range dwarfs.All() {
+		w := entry.New()
+		for _, mode := range memsys.Modes() {
+			for th := 1; th <= 48; th++ {
+				jobs = append(jobs, Job{Workload: w, Mode: mode, Threads: th})
+			}
+		}
+	}
+	if len(jobs) <= maxRange {
+		t.Fatalf("%d jobs fit one range; want several", len(jobs))
+	}
+	const runs = 8
+	engines := make([]*Engine, runs+1)
+	stores := make([]*freshStore, runs+1)
+	for i := range engines {
+		stores[i] = newFreshStore(len(jobs))
+		engines[i] = NewWithStore(sock(), 1, stores[i])
+		for _, mode := range memsys.Modes() {
+			engines[i].System(mode) // build the systems off the clock
+		}
+	}
+	e := engines[0]
+	solves := testing.AllocsPerRun(runs, func() {
+		for _, job := range jobs {
+			if _, err := e.compute(job); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	next := 0
+	batch := testing.AllocsPerRun(runs, func() {
+		if _, err := engines[next].RunBatch(jobs); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	if extra := batch - solves; extra > 8 {
+		t.Errorf("a %d-job cold batch allocates %.0f objects beyond its solves' %.0f, want <= 8", len(jobs), extra, solves)
+	}
+	for i, s := range stores {
+		if s.commits != len(jobs) {
+			t.Errorf("run %d committed %d records, want %d", i, s.commits, len(jobs))
+		}
+		for _, msg := range s.errs {
+			t.Errorf("run %d: %s", i, msg)
+		}
+	}
+}

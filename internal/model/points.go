@@ -23,12 +23,17 @@ import (
 	"repro/internal/workload"
 )
 
-// ConfigFeatures returns the regressors for one sweep point of a
-// workload: problem size, Amdahl dilation, hyperthread oversubscription
-// and bandwidth-contention pressure. The response the planner pairs
-// them with is log run time, so the size and dilation terms enter in
-// log form too.
-func ConfigFeatures(w *workload.Workload, threads int, scale float64) []float64 {
+// NumConfigFeatures is the number of regressors AppendConfigFeatures
+// appends per point.
+const NumConfigFeatures = 4
+
+// AppendConfigFeatures appends the regressors for one sweep point of a
+// workload to dst: problem size, Amdahl dilation, hyperthread
+// oversubscription and bandwidth-contention pressure. The response the
+// planner pairs them with is log run time, so the size and dilation
+// terms enter in log form too. Appending lets a caller lay many points'
+// features out in one backing slice.
+func AppendConfigFeatures(dst []float64, w *workload.Workload, threads int, scale float64) []float64 {
 	if scale <= 0 {
 		scale = 1
 	}
@@ -44,12 +49,12 @@ func ConfigFeatures(w *workload.Workload, threads int, scale float64) []float64 
 	if threads > workload.PhysicalCores {
 		ht = float64(threads-workload.PhysicalCores) / workload.PhysicalCores
 	}
-	return []float64{
+	return append(dst,
 		math.Log(scale),
-		math.Log(base / sp),
+		math.Log(base/sp),
 		ht,
-		float64(threads) / workload.MaxThreads,
-	}
+		float64(threads)/workload.MaxThreads,
+	)
 }
 
 // PointModel is a fitted log-time regression over configuration
@@ -93,7 +98,7 @@ type ranked struct {
 }
 
 // FitPointModel fits log(timeSec) against the feature matrix X
-// (row-major, as produced by ConfigFeatures). Constant columns are
+// (row-major, as produced by AppendConfigFeatures). Constant columns are
 // dropped, the remaining ones are ranked by absolute correlation with
 // the response and added greedily, skipping near-collinear columns,
 // while fewer than n-1 are kept. A fit may therefore use n-1 features

@@ -27,7 +27,7 @@ func evalTimes(t *testing.T, app string, mode memsys.Mode, threads []int) ([][]f
 		if err != nil {
 			t.Fatal(err)
 		}
-		X = append(X, ConfigFeatures(w, th, 1))
+		X = append(X, AppendConfigFeatures(nil, w, th, 1))
 		y = append(y, res.Time.Seconds())
 	}
 	return X, y

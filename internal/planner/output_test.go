@@ -132,7 +132,7 @@ func TestIncrementalFitMatchesFreshFit(t *testing.T) {
 			for _, i := range members {
 				p := &res.Points[i]
 				if p.Evaluated {
-					X = append(X, model.ConfigFeatures(p.Job.Workload, p.Meta.Threads, p.Meta.Scale))
+					X = append(X, model.AppendConfigFeatures(nil, p.Job.Workload, p.Meta.Threads, p.Meta.Scale))
 					y = append(y, p.Result.Time.Seconds())
 				} else {
 					rest = append(rest, i)
@@ -147,7 +147,7 @@ func TestIncrementalFitMatchesFreshFit(t *testing.T) {
 			}
 			for _, i := range rest {
 				p := &res.Points[i]
-				f := model.ConfigFeatures(p.Job.Workload, p.Meta.Threads, p.Meta.Scale)
+				f := model.AppendConfigFeatures(nil, p.Job.Workload, p.Meta.Threads, p.Meta.Scale)
 				if pred := units.Duration(ens.Predict(f)); math.Float64bits(float64(pred)) != math.Float64bits(float64(p.Predicted)) {
 					t.Errorf("%s: point %d (%s) predicted %v, fresh fit gives %v", sp.Name, i, k, p.Predicted, pred)
 				}

@@ -325,10 +325,15 @@ func (s *Space) Run(ctx context.Context, eng BatchRunner) (*Result, error) {
 		Points: make([]PlannedPoint, n),
 		Budget: s.budget,
 	}
+	// Every point's features share one backing slice; each row is
+	// capacity-clamped to its own NumConfigFeatures values.
 	feats := make([][]float64, n)
+	backing := make([]float64, 0, n*model.NumConfigFeatures)
 	for i, pt := range s.points {
 		res.Points[i] = PlannedPoint{Point: pt, Index: i}
-		feats[i] = model.ConfigFeatures(pt.Job.Workload, pt.Meta.Threads, pt.Meta.Scale)
+		at := len(backing)
+		backing = model.AppendConfigFeatures(backing, pt.Job.Workload, pt.Meta.Threads, pt.Meta.Scale)
+		feats[i] = backing[at:len(backing):len(backing)]
 	}
 	fitted := make([]int, len(s.groups))
 	scratch := make([]fitScratch, min(runtime.GOMAXPROCS(0), len(s.groups)))

@@ -16,10 +16,12 @@ import (
 // The on-disk format: a store directory holds two kinds of segment file,
 // both made of the CRC32C-checked block frames of segment2.go. Fresh
 // results append to a log segment named segment-NNNNNNNN.log: a bare
-// sequence of block frames, one record per frame — the cache Key plus
-// the solved workload.Result with the Workload descriptor pointer
-// stripped (descriptors are reattached from the job at hit time; see
-// Entry.Seeded) — which Open replays in full. Compact rewrites every
+// sequence of block frames, one per commit — a single record from
+// Commit, or the run of records an engine worker solved in one claimed
+// index range from CommitBatch. A record is the cache Key plus the
+// solved workload.Result with the Workload descriptor pointer stripped
+// (descriptors are reattached from the job at hit time; see
+// Entry.Seeded). Open replays the log in full. Compact rewrites every
 // live record into a single columnar segment named segment-NNNNNNNN.seg
 // (format v2; see segment2.go), which Open maps back in by reading only
 // its trailer and block index — blocks decode lazily on the first
@@ -35,15 +37,17 @@ import (
 // and any segment numbered below the newest v2 segment is a leftover of
 // an interrupted compaction cleanup that Open finishes deleting.
 //
-// Durability: each record is encoded outside the store's lock and
-// written to the active log segment in one write(2); fsync happens on
-// Sync, Compact and Close. A crash can therefore lose at most the
-// records of the current OS write-back window and can leave a torn final
-// frame, which Open tolerates (the tail record is dropped, everything
-// before it loads). Every Open starts a fresh log segment, never
-// appending to an old (possibly torn) one; Close removes it again if
-// nothing was written to it. Compact writes the v2 segment via a temp
-// file + fsync + rename, so a crash at any point leaves a loadable store.
+// Durability: each commit's frame is encoded outside the store's lock
+// and written to the active log segment in one write(2); fsync happens
+// on Sync, Compact and Close. A crash can therefore lose the records of
+// the current OS write-back window, plus the records engine workers
+// still hold for the ranges in flight, and can leave a torn final frame,
+// which Open tolerates (the torn frame's records are dropped, everything
+// before it loads; a resumed sweep recomputes them). Every Open starts a
+// fresh log segment, never appending to an old (possibly torn) one;
+// Close removes it again if nothing was written to it. Compact writes
+// the v2 segment via a temp file + fsync + rename, so a crash at any
+// point leaves a loadable store.
 //
 // Older releases appended JSON lines to segment-NNNNNNNN.jsonl files,
 // which this release does not read. Open refuses a directory that still
@@ -111,14 +115,6 @@ func parseSegName(name string) (seq, kind int, ok bool) {
 		return seq, kindJSONL, true
 	}
 	return 0, 0, false
-}
-
-// Record is one stored point: its cache key and its solved quantities,
-// without the Workload descriptor. It is the unit of the block codec
-// that log appends, compacted segments and fleet result posts share.
-type Record struct {
-	Key Key
-	Res workload.Result
 }
 
 // segInfo is one segment file found in a store directory.
@@ -401,12 +397,17 @@ func (d *Disk) Dir() string { return d.dir }
 // points are re-served as cache hits after a restart. A record still
 // inside an undecoded v2 block is faulted in first — the resident hit
 // path stays allocation-free, and keys outside every block's
-// fingerprint range skip the fault machinery entirely.
+// fingerprint range skip the fault machinery entirely. Without a v2
+// segment there is nothing to fault, so Acquire is the index's own.
 func (d *Disk) Acquire(k Key) (*Entry, bool) {
+	s := d.seg2.Load()
+	if s == nil {
+		return d.mem.Acquire(k)
+	}
 	if e := d.mem.lookup(k); e != nil {
 		return e, true
 	}
-	if s := d.seg2.Load(); s != nil && s.inRange(k.Fingerprint) {
+	if s.inRange(k.Fingerprint) {
 		d.fault(s, k.Fingerprint)
 	}
 	return d.mem.Acquire(k)
@@ -417,10 +418,14 @@ func (d *Disk) Acquire(k Key) (*Entry, bool) {
 // in the covering v2 block first, so compacted records answer probes
 // without a singleflight slot ever being created for a mere lookup.
 func (d *Disk) Probe(k Key) bool {
+	s := d.seg2.Load()
+	if s == nil {
+		return d.mem.Probe(k)
+	}
 	if e := d.mem.lookup(k); e != nil {
 		return e.Done()
 	}
-	if s := d.seg2.Load(); s != nil && s.inRange(k.Fingerprint) {
+	if s.inRange(k.Fingerprint) {
 		d.fault(s, k.Fingerprint)
 	}
 	return d.mem.Probe(k)
@@ -458,8 +463,8 @@ func (d *Disk) fault(s *seg2, fp uint64) {
 	}
 }
 
-// appendEncoder is Commit's and AppendBlock's scratch: a block encoder
-// and the frame it renders into, pooled so each record is encoded
+// appendEncoder is the append path's and AppendBlock's scratch: a block
+// encoder and the frame it renders into, pooled so each frame is encoded
 // outside mu without allocating.
 type appendEncoder struct {
 	blockEncoder
@@ -468,20 +473,35 @@ type appendEncoder struct {
 
 var appendEncoders = sync.Pool{New: func() any { return new(appendEncoder) }}
 
-// Commit appends a freshly computed result to the active log segment as
-// one block frame, encoded before mu is taken so the lock covers only
-// the single write. Failed evaluations are never persisted. Append
-// errors are sticky: the first one flips the store into read-only
-// degraded mode — later commits become no-ops on disk while the
-// in-memory entries keep serving the process — surfaced by Degraded,
-// Stats and Close.
+// Commit appends one freshly computed result to the active log segment
+// as a one-record block frame (see CommitBatch). Failed evaluations are
+// never persisted.
 func (d *Disk) Commit(k Key, res workload.Result, err error) {
 	if err != nil {
 		return
 	}
+	d.writeFrame([]Record{{k, res}})
+}
+
+// CommitBatch appends a run of freshly computed results to the active
+// log segment as one block frame, encoded before mu is taken so the lock
+// covers only the single write; an empty run writes nothing. Append
+// errors are sticky: the first one flips the store into read-only
+// degraded mode — later commits become no-ops on disk while the
+// in-memory entries keep serving the process — surfaced by Degraded,
+// Stats and Close.
+func (d *Disk) CommitBatch(recs []Record) {
+	if len(recs) > 0 {
+		d.writeFrame(recs)
+	}
+}
+
+// writeFrame writes recs to the active log segment as one block frame in
+// one write.
+func (d *Disk) writeFrame(recs []Record) {
 	e := appendEncoders.Get().(*appendEncoder)
 	defer appendEncoders.Put(e)
-	e.frame = e.appendFrame(e.frame[:0], []Record{{k, res}})
+	e.frame = e.appendFrame(e.frame[:0], recs)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed || d.writeErr != nil {
@@ -495,8 +515,8 @@ func (d *Disk) Commit(k Key, res workload.Result, err error) {
 		d.writeErr = werr
 		return
 	}
-	d.persisted++
-	d.st.RecordsLog++
+	d.persisted += len(recs)
+	d.st.RecordsLog += len(recs)
 }
 
 // Len reports the number of resident cache entries. Records inside
@@ -506,7 +526,9 @@ func (d *Disk) Commit(k Key, res workload.Result, err error) {
 func (d *Disk) Len() int { return d.mem.Len() }
 
 // Persisted reports the number of records live on disk (restored at Open
-// plus appended since).
+// plus appended since). It trails the points an engine has completed by
+// the ranges its workers have in flight: a worker commits a claimed
+// range's records when the range ends.
 func (d *Disk) Persisted() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()

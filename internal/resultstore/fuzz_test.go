@@ -80,11 +80,12 @@ func FuzzSegmentV2RoundTrip(f *testing.F) {
 	})
 }
 
-// beyondDramSegment runs the beyond-dram sweep against a disk store,
-// compacting it when ext is ".seg", and returns the one segment file
-// with that extension it leaves: real bytes, exactly as Commit (".log")
-// or Compact (".seg", in blocks of four records so the index has several
-// entries) writes them.
+// beyondDramSegment runs the beyond-dram sweep against a disk store on
+// one engine worker, compacting it when ext is ".seg", and returns the
+// one segment file with that extension it leaves: real bytes, exactly as
+// a batch's range commit (".log": the worker's one range, as one
+// 16-record frame) or Compact (".seg", in blocks of four records so the
+// index has several entries) writes them.
 func beyondDramSegment(f *testing.F, ext string) []byte {
 	defer resultstore.SetBlockSizeForTest(4)()
 	dir := f.TempDir()
@@ -107,15 +108,39 @@ func beyondDramSegment(f *testing.F, ext string) []byte {
 	if err := d.Close(); err != nil {
 		f.Fatal(err)
 	}
+	return onlySegment(f, dir, ext)
+}
+
+// onlySegment returns the bytes of the one segment file with extension
+// ext in dir.
+func onlySegment(tb testing.TB, dir, ext string) []byte {
+	tb.Helper()
 	segs, err := filepath.Glob(filepath.Join(dir, "*"+ext))
 	if err != nil || len(segs) != 1 {
-		f.Fatalf("%s segments = %v (%v), want 1", ext, segs, err)
+		tb.Fatalf("%s segments = %v (%v), want 1", ext, segs, err)
 	}
 	data, err := os.ReadFile(segs[0])
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	return data
+}
+
+// directLog commits the beyond-dram sweep's records to a disk store one
+// Commit at a time and returns the log it leaves: one-record frames.
+func directLog(f *testing.F) []byte {
+	dir := f.TempDir()
+	d, err := resultstore.Open(dir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, r := range beyondDram(f) {
+		d.Commit(r.Key, r.Res, nil)
+	}
+	if err := d.Close(); err != nil {
+		f.Fatal(err)
+	}
+	return onlySegment(f, dir, ".log")
 }
 
 // FuzzAppendLog drives the frame walker that replays log segments (and
@@ -125,17 +150,27 @@ func beyondDramSegment(f *testing.F, ext string) []byte {
 // cutting the data inside a frame makes that frame a torn tail and
 // leaves every frame before the cut as it was; and flipping one bit of
 // an intact frame's payload or checksum condemns that frame alone as
-// corrupt. The corpus is seeded with the log a real beyond-dram sweep
-// leaves, plus truncations and bit flips of it.
+// corrupt. The corpus is seeded with both log layouts a real
+// beyond-dram sweep leaves — one-record frames from direct Commit calls
+// and the multi-record frame of an engine batch's range commit — and
+// with the two back to back, cuts inside the multi-record frame (which
+// must drop it whole as a torn tail), truncations and bit flips.
 func FuzzAppendLog(f *testing.F) {
-	log := beyondDramSegment(f, ".log")
-	flipped := bytes.Clone(log)
+	direct := directLog(f)
+	batched := beyondDramSegment(f, ".log")
+	if frames, torn := resultstore.WalkLogForTest(batched); torn || len(frames) != 1 || len(frames[0].Recs) < 2 {
+		f.Fatalf("engine batch log: %d frames (torn=%v), want one multi-record frame", len(frames), torn)
+	}
+	mixed := append(bytes.Clone(direct), batched...)
+	flipped := bytes.Clone(mixed)
 	flipped[len(flipped)/3] ^= 0x10
-	f.Add(log, uint32(len(log)), uint32(0))
-	f.Add(log[:len(log)-1], uint32(len(log)/2), uint32(7))
-	f.Add(log[:len(log)/2], uint32(3), uint32(1<<20))
-	f.Add(log[:5], uint32(2), uint32(0))
-	f.Add(flipped, uint32(len(log)), uint32(12345))
+	f.Add(direct, uint32(len(direct)), uint32(0))
+	f.Add(batched, uint32(len(batched)/2), uint32(3))
+	f.Add(mixed, uint32(len(direct)+len(batched)/2), uint32(7))
+	f.Add(mixed[:len(mixed)-1], uint32(len(direct)), uint32(7))
+	f.Add(direct[:len(direct)/2], uint32(3), uint32(1<<20))
+	f.Add(mixed[:5], uint32(2), uint32(0))
+	f.Add(flipped, uint32(len(mixed)), uint32(12345))
 	f.Add([]byte{}, uint32(0), uint32(0))
 
 	f.Fuzz(func(t *testing.T, data []byte, cut, flip uint32) {

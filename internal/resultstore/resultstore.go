@@ -12,12 +12,14 @@
 //     typed map lookup — no allocation — which keeps the engine's
 //     cache-hit Run at 0 allocs/op.
 //   - Disk: a crash-tolerant content-addressed store layered on Memory.
-//     Results append to log segment files as they are computed — one
-//     CRC32C-framed binary block per record, the record codec the
-//     compacted format uses — and are re-loaded as pre-seeded entries on
-//     Open, so a restarted process re-serves every previously computed
-//     point as a cache hit (the mechanism behind resumable sweep sessions
-//     and nvmbench's -store warm cache). Compact folds the log into a
+//     Results append to log segment files as CRC32C-framed binary
+//     blocks — the record codec the compacted format uses, one block per
+//     commit: a single record from Commit, or a whole run of records
+//     from CommitBatch, which the engine calls once per claimed index
+//     range — and are re-loaded as pre-seeded entries on Open, so a
+//     restarted process re-serves every previously computed point as a
+//     cache hit (the mechanism behind resumable sweep sessions and
+//     nvmbench's -store warm cache). Compact folds the log into a
 //     single binary columnar (v2) segment — sorted, dictionary/varint
 //     encoded blocks plus a block index (see segment2.go for the format)
 //     — which Open reads index-only: records stay on disk and fault in
@@ -29,11 +31,11 @@
 // The singleflight protocol: Acquire returns the Entry for a key,
 // creating it if this is the key's first submission (loaded reports
 // which). The caller completes the entry exactly once through its Once;
-// after computing a fresh result it calls Commit so persistent stores can
-// record it. Entries restored from disk carry Seeded == true: their
-// quantitative fields are populated but the Workload descriptor pointer
-// is not persisted, and the engine reattaches it from the job at first
-// use.
+// after computing a fresh result it calls Commit, or gathers it into a
+// CommitBatch, so persistent stores can record it. Entries restored from
+// disk carry Seeded == true: their quantitative fields are populated but
+// the Workload descriptor pointer is not persisted, and the engine
+// reattaches it from the job at first use.
 package resultstore
 
 import (
@@ -112,12 +114,21 @@ func (e *Entry) MarkDone() { e.done.Store(true) }
 // pre-completed from a persistent store).
 func (e *Entry) Done() bool { return e.done.Load() || e.Seeded }
 
+// Record is one stored point: its cache key and its solved quantities.
+// The block codec, which log appends, compacted segments and fleet
+// result posts share, stores it without the Workload descriptor.
+type Record struct {
+	Key Key
+	Res workload.Result
+}
+
 // Store is the pluggable result cache the engine runs against.
 //
 // Implementations must make Acquire safe for concurrent use and
-// allocation-free on the hit path (an existing entry). Commit is called
-// at most once per key, by the goroutine that completed the entry, after
-// the result is computed; in-memory stores may ignore it.
+// allocation-free on the hit path (an existing entry). Each freshly
+// computed result is recorded at most once, through Commit or inside one
+// CommitBatch, by the goroutine that completed its entry, after the
+// result is computed; in-memory stores may ignore both.
 type Store interface {
 	// Acquire returns the singleflight slot for a key, creating it if
 	// this is the first submission. loaded reports whether the slot
@@ -128,6 +139,12 @@ type Store interface {
 	// stores append it durably; failed evaluations (err != nil) are never
 	// persisted — errors stay process-local singleflight state.
 	Commit(k Key, res workload.Result, err error)
+
+	// CommitBatch records a run of freshly computed, successful results
+	// as one unit: a persistent store appends them as one block frame in
+	// one write, so the run persists whole or, torn by a crash, not at
+	// all. The store does not keep recs after returning.
+	CommitBatch(recs []Record)
 
 	// Len reports the number of entries resident in the store.
 	Len() int
@@ -201,6 +218,9 @@ func (s *Memory) Acquire(k Key) (e *Entry, loaded bool) {
 
 // Commit is a no-op: Memory keeps results only in its entries.
 func (s *Memory) Commit(Key, workload.Result, error) {}
+
+// CommitBatch is a no-op, like Commit.
+func (s *Memory) CommitBatch([]Record) {}
 
 // Len reports the number of resident entries (completed or in flight).
 func (s *Memory) Len() int {

@@ -380,6 +380,36 @@ func TestCommitSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// A range commit encodes its run of records into the same pooled frame
+// buffer and writes it in one call, so in steady state a 1,024-record
+// CommitBatch allocates no more than one Commit: nothing per record.
+func TestRangeCommitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	d, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	recs := make([]Record, 1024)
+	for i := range recs {
+		recs[i].Key, recs[i].Res = SyntheticRecord(i)
+	}
+	for i := 0; i < 4; i++ {
+		d.CommitBatch(recs) // grow the pooled encoder to a full range
+	}
+	if allocs := testing.AllocsPerRun(20, func() { d.CommitBatch(recs) }); allocs > 2 {
+		t.Errorf("CommitBatch allocates %.1f objects per %d records, want <= 2", allocs, len(recs))
+	}
+	if err := d.Degraded(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := d.Persisted(), 25*len(recs); got != want {
+		t.Errorf("Persisted = %d, want %d", got, want)
+	}
+}
+
 // A directory an older release appended JSON lines to does not open.
 // This release reads no JSON, and the error says so and that deleting
 // the directory recomputes its points. Stat and Verify leave the

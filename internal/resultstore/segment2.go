@@ -55,9 +55,10 @@ import (
 //
 // v2 segments are written only by Compact (temp file + fsync + rename).
 // Live appends use the same block frames: the append log (see disk.go)
-// is a bare sequence of one-record block frames, so appends, replay,
-// Verify, Stat and the recovery scan above share one record codec and
-// one frame walker. AppendBlock and ParseBlock export that codec: fleet
+// is a bare sequence of unsorted block frames, one per commit — a single
+// record, or an engine worker's claimed index range — so appends,
+// replay, Verify, Stat and the recovery scan above share one record
+// codec and one frame walker. AppendBlock and ParseBlock export that codec: fleet
 // result posts carry one block frame per chunk, records in chunk order.
 
 const (
@@ -152,7 +153,9 @@ func (w *s2writer) dict(d *dict) {
 // blockEncoder renders record runs as columnar block payloads. Its
 // dictionary and scratch columns are reused from call to call, so once
 // they have grown to a block's shape, encoding allocates nothing — the
-// property Commit's one-frame-per-record appends rest on.
+// property the log's per-commit appends rest on. The column loops walk
+// records and phases by index: a Record is 168 bytes, so ranging by
+// value would copy each one once per column.
 type blockEncoder struct {
 	w      s2writer
 	d      dict
@@ -204,116 +207,116 @@ func (e *blockEncoder) appendPayload(dst []byte, recs []Record) []byte {
 		w.uvarint(recs[i].Key.Fingerprint - recs[i-1].Key.Fingerprint)
 	}
 	e.dictColumn(n, func(i int) string { return recs[i].Key.App })
-	for _, r := range recs {
-		w.uvarint(uint64(r.Key.Mode))
+	for i := range recs {
+		w.uvarint(uint64(recs[i].Key.Mode))
 	}
-	for _, r := range recs {
-		w.uvarint(uint64(r.Key.Threads))
+	for i := range recs {
+		w.uvarint(uint64(recs[i].Key.Threads))
 	}
-	for _, r := range recs {
-		w.uvarint(r.Key.Placement)
+	for i := range recs {
+		w.uvarint(recs[i].Key.Placement)
 	}
 	e.dictColumn(n, func(i int) string { return recs[i].Key.Variant })
 
 	// Result headline columns. Mode/Threads are persisted independently
 	// of the key's so a record round-trips even if they ever diverge.
-	for _, r := range recs {
-		w.uvarint(uint64(r.Res.Mode))
+	for i := range recs {
+		w.uvarint(uint64(recs[i].Res.Mode))
 	}
-	for _, r := range recs {
-		w.uvarint(uint64(r.Res.Threads))
+	for i := range recs {
+		w.uvarint(uint64(recs[i].Res.Threads))
 	}
-	for _, r := range recs {
-		w.f64(float64(r.Res.Time))
+	for i := range recs {
+		w.f64(float64(recs[i].Res.Time))
 	}
-	for _, r := range recs {
-		w.f64(r.Res.FoMValue)
+	for i := range recs {
+		w.f64(recs[i].Res.FoMValue)
 	}
-	for _, r := range recs {
-		w.f64(r.Res.Slowdown)
+	for i := range recs {
+		w.f64(recs[i].Res.Slowdown)
 	}
-	for _, r := range recs {
-		w.f64(float64(r.Res.AvgDRAMRead))
+	for i := range recs {
+		w.f64(float64(recs[i].Res.AvgDRAMRead))
 	}
-	for _, r := range recs {
-		w.f64(float64(r.Res.AvgDRAMWrite))
+	for i := range recs {
+		w.f64(float64(recs[i].Res.AvgDRAMWrite))
 	}
-	for _, r := range recs {
-		w.f64(float64(r.Res.AvgNVMRead))
+	for i := range recs {
+		w.f64(float64(recs[i].Res.AvgNVMRead))
 	}
-	for _, r := range recs {
-		w.f64(float64(r.Res.AvgNVMWrite))
+	for i := range recs {
+		w.f64(float64(recs[i].Res.AvgNVMWrite))
 	}
 
 	// Phase columns, flattened phase-major behind a per-record count.
-	for _, r := range recs {
-		w.uvarint(uint64(len(r.Res.Phases)))
+	for i := range recs {
+		w.uvarint(uint64(len(recs[i].Res.Phases)))
 	}
-	for _, r := range recs {
-		e.phases = append(e.phases, r.Res.Phases...)
+	for i := range recs {
+		e.phases = append(e.phases, recs[i].Res.Phases...)
 	}
 	phases := e.phases
 	e.dictColumn(len(phases), func(i int) string { return phases[i].Phase.Name })
-	for _, p := range phases {
-		w.f64(p.Phase.Share)
+	for i := range phases {
+		w.f64(phases[i].Phase.Share)
 	}
-	for _, p := range phases {
-		w.f64(float64(p.Phase.ReadBW))
+	for i := range phases {
+		w.f64(float64(phases[i].Phase.ReadBW))
 	}
-	for _, p := range phases {
-		w.f64(float64(p.Phase.WriteBW))
+	for i := range phases {
+		w.f64(float64(phases[i].Phase.WriteBW))
 	}
-	for _, p := range phases {
-		w.uvarint(uint64(len(p.Phase.ReadMix)))
+	for i := range phases {
+		w.uvarint(uint64(len(phases[i].Phase.ReadMix)))
 	}
-	for _, p := range phases {
-		for _, c := range p.Phase.ReadMix {
+	for i := range phases {
+		for _, c := range phases[i].Phase.ReadMix {
 			w.varint(int64(c.Pattern))
 			w.f64(c.Weight)
 		}
 	}
-	for _, p := range phases {
-		w.varint(int64(p.Phase.WritePattern))
+	for i := range phases {
+		w.varint(int64(phases[i].Phase.WritePattern))
 	}
-	for _, p := range phases {
-		w.varint(int64(p.Phase.WorkingSet))
+	for i := range phases {
+		w.varint(int64(phases[i].Phase.WorkingSet))
 	}
-	for _, p := range phases {
-		w.f64(p.Phase.LatencyBound)
+	for i := range phases {
+		w.f64(phases[i].Phase.LatencyBound)
 	}
-	for _, p := range phases {
-		w.f64(p.Phase.AliasFactor)
+	for i := range phases {
+		w.f64(phases[i].Phase.AliasFactor)
 	}
-	for _, p := range phases {
-		w.varint(int64(p.Phase.Iterations))
+	for i := range phases {
+		w.varint(int64(phases[i].Phase.Iterations))
 	}
-	for _, p := range phases {
-		w.f64(p.Epoch.Mult)
+	for i := range phases {
+		w.f64(phases[i].Epoch.Mult)
 	}
 	e.dictColumn(len(phases), func(i int) string { return string(phases[i].Epoch.BoundBy) })
-	for _, p := range phases {
-		w.f64(p.Epoch.HitRate)
+	for i := range phases {
+		w.f64(phases[i].Epoch.HitRate)
 	}
-	for _, p := range phases {
-		w.f64(float64(p.Epoch.DRAMRead))
+	for i := range phases {
+		w.f64(float64(phases[i].Epoch.DRAMRead))
 	}
-	for _, p := range phases {
-		w.f64(float64(p.Epoch.DRAMWrite))
+	for i := range phases {
+		w.f64(float64(phases[i].Epoch.DRAMWrite))
 	}
-	for _, p := range phases {
-		w.f64(float64(p.Epoch.NVMRead))
+	for i := range phases {
+		w.f64(float64(phases[i].Epoch.NVMRead))
 	}
-	for _, p := range phases {
-		w.f64(float64(p.Epoch.NVMWrite))
+	for i := range phases {
+		w.f64(float64(phases[i].Epoch.NVMWrite))
 	}
-	for _, p := range phases {
-		w.f64(p.Epoch.BWMult)
+	for i := range phases {
+		w.f64(phases[i].Epoch.BWMult)
 	}
-	for _, p := range phases {
-		w.f64(p.Epoch.LatMult)
+	for i := range phases {
+		w.f64(phases[i].Epoch.LatMult)
 	}
-	for _, p := range phases {
-		w.f64(float64(p.Time))
+	for i := range phases {
+		w.f64(float64(phases[i].Time))
 	}
 	// The scratch must not keep the caller's phase slices and names alive.
 	clear(phases)

@@ -20,9 +20,11 @@
 //
 // Sessions are process-local; durability lives one layer down. When the
 // manager's engine is backed by a disk result store
-// (resultstore.Disk), every point a session completes is persisted as it
-// is computed, and a restarted process re-serves those points as cache
-// hits — resubmitting the same spec "resumes" the sweep, paying only for
+// (resultstore.Disk), every point a session completes is persisted — an
+// engine worker appends the points of each index range it claimed when
+// the range ends, so a streamed point can reach a client up to one range
+// before its record reaches the log — and a restarted process re-serves
+// the persisted points as cache hits — resubmitting the same spec "resumes" the sweep, paying only for
 // the points the previous run did not finish. The kill-and-restart test
 // in this package pins that contract via the resumed session's hit and
 // miss counts.
