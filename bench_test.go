@@ -207,6 +207,11 @@ func BenchmarkStoreReplay(b *testing.B) { benchkit.StoreReplay(b) }
 // and closes it. Tracked by the benchkit baseline.
 func BenchmarkStoreAppend(b *testing.B) { benchkit.StoreAppend(b) }
 
+// BenchmarkStoreAcquire acquires a cold 7,200-point sweep into an
+// in-memory store holding 250k–500k keys, then the same keys as hits.
+// Tracked by the benchkit baseline.
+func BenchmarkStoreAcquire(b *testing.B) { benchkit.StoreAcquire(b) }
+
 // BenchmarkPointsStreamed renders the beyond-dram sweep through the
 // zero-allocation NDJSON streaming encoder. Tracked by the benchkit
 // baseline.

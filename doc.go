@@ -36,7 +36,7 @@
 //
 // Results are persistent and servable: internal/resultstore puts the
 // engine's result cache behind a pluggable Store interface — the
-// in-process sharded map (still 0 allocs/op on a cache hit) or a
+// in-process sharded index (still 0 allocs/op on a cache hit) or a
 // disk-backed content-addressed store (an append log of CRC32C-framed
 // binary record blocks keyed by workload fingerprint, one block per
 // range of points an engine worker claimed, crash-tolerant, and

@@ -63,6 +63,12 @@ func Tracked() []Bench {
 		{Name: "BenchmarkStoreOpen", AllocSlack: 32, TimeSlack: 0.50},
 		{Name: "BenchmarkStoreReplay", AllocSlack: 32, TimeSlack: 0.50},
 		{Name: "BenchmarkStoreAppend", AllocSlack: 64, TimeSlack: 0.50},
+		// Index lookups and inserts at daemon scale: memory-latency- and
+		// GC-bound like EngineCacheHit, so time gets the same slack. Its
+		// allocations repeat exactly from run to run; the slack covers map
+		// growth points landing in a different op. One object per point
+		// or per workload more (7,200 or 400 per op) still fails.
+		{Name: "BenchmarkStoreAcquire", AllocSlack: 16, TimeSlack: 0.50},
 		{Name: "BenchmarkPointsStreamed", AllocSlack: 0, TimeSlack: 0.25},
 		// One plan. The engine stays single-worker, while the fits use
 		// every CPU: each fit task is dealt its groups in a fixed order,
@@ -289,6 +295,92 @@ func StoreAppend(b *testing.B) {
 		b.StopTimer()
 		os.RemoveAll(dir)
 		b.StartTimer()
+	}
+}
+
+// StoreAcquire's shape: each op acquires one storeAcquireSweep-point
+// sweep, into a store that starts at storeAcquireResident keys, about
+// what a daemon holds after 35 such sweeps — an index far larger than
+// the CPU caches.
+const (
+	storeAcquireResident = 250_000
+	storeAcquireSweep    = 7_200
+)
+
+// acquireFixture is StoreAcquire's in-memory store and the source of
+// its fresh sweeps. It is built once per process and rebuilt, off the
+// clock, whenever the sweeps acquired into it have doubled it, so
+// every op runs against 250k–500k resident keys and a -count=5 run
+// stays within a few hundred MB.
+type acquireFixture struct {
+	mem      *resultstore.Memory
+	resident int
+	fps      *xrand.Rand
+	apps     []string
+	keys     []resultstore.Key
+}
+
+var storeAcquire acquireFixture
+
+// build starts a fresh store holding storeAcquireResident keys.
+func (f *acquireFixture) build() {
+	if f.fps == nil {
+		f.fps, f.apps = xrand.New(1), dwarfs.Names()
+		f.keys = make([]resultstore.Key, storeAcquireSweep)
+	}
+	f.mem, f.resident = resultstore.NewMemory(), 0
+	for f.resident < storeAcquireResident {
+		for _, k := range f.next() {
+			f.mem.Acquire(k)
+		}
+	}
+}
+
+// next returns a sweep no earlier one shares a key with: 400 workloads
+// of three modes × six thread counts, each workload's points back to
+// back, as scenario expansion emits them. The slice is reused.
+func (f *acquireFixture) next() []resultstore.Key {
+	const points = 3 * 6 // modes × thread counts
+	modes := [...]memsys.Mode{memsys.DRAMOnly, memsys.CachedNVM, memsys.UncachedNVM}
+	for i := 0; i < len(f.keys); i += points {
+		app, fp := f.apps[i/points%len(f.apps)], f.fps.Uint64()
+		for j := range points {
+			f.keys[i+j] = resultstore.Key{App: app, Fingerprint: fp, Mode: modes[j/6], Threads: 8 * (1 + j%6)}
+		}
+	}
+	f.resident += len(f.keys)
+	return f.keys
+}
+
+// StoreAcquire measures the store's index at daemon scale: per op, one
+// cold 7,200-point sweep acquired into an in-memory store that already
+// holds 250k–500k keys, then the same keys again as hits. Disk layers
+// on the same index, so this is the lookup every solved or re-served
+// point pays.
+func StoreAcquire(b *testing.B) {
+	f := &storeAcquire
+	if f.mem == nil {
+		f.build()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if f.resident >= 2*storeAcquireResident {
+			b.StopTimer()
+			f.build()
+			b.StartTimer()
+		}
+		keys := f.next()
+		for _, k := range keys {
+			if _, loaded := f.mem.Acquire(k); loaded {
+				b.Fatalf("cold key %+v reported loaded", k)
+			}
+		}
+		for _, k := range keys {
+			if _, loaded := f.mem.Acquire(k); !loaded {
+				b.Fatalf("key %+v missed right after its insert", k)
+			}
+		}
 	}
 }
 

@@ -13,7 +13,7 @@
 // internal/experiments).
 //
 // The result cache is pluggable (internal/resultstore): the default is
-// the in-process sharded map, and a disk-backed store turns the engine
+// the in-process sharded index, and a disk-backed store turns the engine
 // persistent — every computed point is appended to the store, and a
 // restarted process re-serves previously computed points as cache hits.
 // Resumable sweep sessions (internal/session) and the nvmserve daemon
@@ -22,12 +22,13 @@
 // together when the range ends, as one store append.
 //
 // Hot-path allocation contract: a cache-hit Run is allocation-free. The
-// store's hit path is a typed sharded-map lookup (no interface boxing,
-// no global lock), per-session accounting is a caller-owned pair of
-// atomic counters (Tally), and Run returns the cached Phases slice
-// copy-on-write: the slice is capacity-clamped so appending
-// reallocates, and callers must treat the shared elements as read-only
-// (every consumer in this repo only ranges over them).
+// store's hit path is one shard lock and one typed map lookup per
+// workload (no interface boxing, no global lock), per-session
+// accounting is a caller-owned pair of atomic counters (Tally), and Run
+// returns the cached Phases slice copy-on-write: the slice is
+// capacity-clamped so appending reallocates, and callers must treat the
+// shared elements as read-only (every consumer in this repo only ranges
+// over them).
 package engine
 
 import (

@@ -7,10 +7,12 @@
 //
 // Two implementations ship:
 //
-//   - Memory: the engine's original 64-shard in-process map, moved here
-//     behavior-preserving. Acquire on a hit is a shard read-lock and one
-//     typed map lookup — no allocation — which keeps the engine's
-//     cache-hit Run at 0 allocs/op.
+//   - Memory: the in-process index, 64 shards that each map a workload
+//     to the group of its (Mode, Threads) points and keep the entries
+//     in fixed chunks that never move (see shard). Acquire on a hit is
+//     one shard lock, one typed map lookup per workload and a scan of
+//     its points — no allocation — which keeps the engine's cache-hit
+//     Run at 0 allocs/op.
 //   - Disk: a crash-tolerant content-addressed store layered on Memory.
 //     Results append to log segment files as CRC32C-framed binary
 //     blocks — the record codec the compacted format uses, one block per
@@ -57,30 +59,6 @@ type Key struct {
 	Threads     int
 	Placement   uint64
 	Variant     string
-}
-
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-// Hash is an allocation-free FNV-1a over every key field, used to pick
-// the cache shard.
-func (k Key) Hash() uint64 {
-	h := uint64(fnvOffset64)
-	for i := 0; i < len(k.App); i++ {
-		h = (h ^ uint64(k.App[i])) * fnvPrime64
-	}
-	for _, v := range [...]uint64{k.Fingerprint, uint64(k.Mode), uint64(k.Threads), k.Placement} {
-		for s := 0; s < 64; s += 8 {
-			h = (h ^ (v >> s & 0xff)) * fnvPrime64
-		}
-	}
-	h = (h ^ 0xff) * fnvPrime64 // field separator
-	for i := 0; i < len(k.Variant); i++ {
-		h = (h ^ uint64(k.Variant[i])) * fnvPrime64
-	}
-	return h
 }
 
 // Entry is a singleflight cache slot: the first goroutine to claim it
@@ -171,20 +149,116 @@ type Prober interface {
 	Probe(k Key) bool
 }
 
-// shardCount spreads the cache across independent locks so worker-pool
-// lookups do not serialize. Must be a power of two.
-const shardCount = 64
+// The index's shape: shardCount shards, each keeping its entries in
+// chunks of chunkSize slots.
+const (
+	shardBits  = 6
+	shardCount = 1 << shardBits
+	chunkBits  = 5
+	chunkSize  = 1 << chunkBits
+)
 
-// shard is one lock-striped slice of the cache. The typed map keeps hit
-// lookups allocation-free (no interface boxing).
-type shard struct {
-	mu sync.RWMutex
-	m  map[Key]*Entry
+// workloadKey is the part of a Key that a workload's points share.
+type workloadKey struct {
+	App         string
+	Fingerprint uint64
+	Placement   uint64
+	Variant     string
 }
 
-// Memory is the in-process result store: the engine's original 64-shard
-// singleflight map, behavior-preserving. The zero value is not usable;
-// call NewMemory.
+// point maps one (Mode, Threads) point of a workload to its slot in the
+// shard's chunks.
+type point struct {
+	mode    memsys.Mode
+	threads int
+	slot    int
+}
+
+// group is one workload's points, held by value in its shard's map: the
+// first inline, so a one-point workload allocates nothing of its own,
+// and the rest in a list behind a pointer, which grows by doubling
+// without writing the map again. Points hold slot numbers rather than
+// pointers, so the lists are pointer-free and the collector does not
+// scan them.
+type group struct {
+	first point
+	more  *[]point
+}
+
+// find returns the slot of the (mode, threads) point, or -1.
+func (g *group) find(mode memsys.Mode, threads int) int {
+	if g.first.mode == mode && g.first.threads == threads {
+		return g.first.slot
+	}
+	if g.more == nil {
+		return -1
+	}
+	more := *g.more
+	for i := range more {
+		if p := &more[i]; p.mode == mode && p.threads == threads {
+			return p.slot
+		}
+	}
+	return -1
+}
+
+// shard is one of the index's independent parts, so worker-pool
+// lookups do not serialize; Memory picks a key's shard by a
+// multiplicative hash of its fingerprint. Inside a shard, a typed map
+// (no interface boxing, so lookups allocate nothing) takes a workload —
+// the key minus its mode and thread count — to the group of its (Mode,
+// Threads) points, because scenario expansion and the engine's Keyer
+// visit a workload's modes × threads points back to back: a hit or an
+// insert touches one map entry per workload, not one per point. The
+// entries live in fixed chunks that never move, so a slot's *Entry stays
+// valid for the store's life, and the collector marks a few chunks
+// instead of one object per point. One plain mutex guards each
+// lookup-or-insert: the workers of one batch often share a workload's
+// shard, and a read lock that upgraded to insert would take it twice.
+type shard struct {
+	mu     sync.Mutex
+	groups map[workloadKey]group
+	chunks []*[chunkSize]Entry
+	n      int // slots in use
+}
+
+// slot returns the entry for a key and whether it already existed. A
+// missing key gets a fresh slot when create is set, and nil otherwise.
+// Caller holds mu.
+func (sh *shard) slot(k Key, create bool) (e *Entry, loaded bool) {
+	wk := workloadKey{App: k.App, Fingerprint: k.Fingerprint, Placement: k.Placement, Variant: k.Variant}
+	g, ok := sh.groups[wk]
+	if ok {
+		if i := g.find(k.Mode, k.Threads); i >= 0 {
+			return &sh.chunks[i>>chunkBits][i&(chunkSize-1)], true
+		}
+	}
+	if !create {
+		return nil, false
+	}
+	p := point{mode: k.Mode, threads: k.Threads, slot: sh.n}
+	if sh.n&(chunkSize-1) == 0 {
+		sh.chunks = append(sh.chunks, new([chunkSize]Entry))
+	}
+	sh.n++
+	switch {
+	case !ok:
+		if sh.groups == nil {
+			sh.groups = make(map[workloadKey]group)
+		}
+		sh.groups[wk] = group{first: p}
+	case g.more == nil:
+		more := append(make([]point, 0, 4), p)
+		g.more = &more
+		sh.groups[wk] = g
+	default:
+		*g.more = append(*g.more, p)
+	}
+	return &sh.chunks[p.slot>>chunkBits][p.slot&(chunkSize-1)], false
+}
+
+// Memory is the in-process result store: the sharded singleflight index
+// above. The zero value is not usable; call NewMemory.
 type Memory struct {
 	shards [shardCount]shard
 }
@@ -192,28 +266,21 @@ type Memory struct {
 // NewMemory returns an empty in-memory store.
 func NewMemory() *Memory { return &Memory{} }
 
+// shard picks a key's shard from its fingerprint alone, so all of a
+// workload's points share one.
+func (s *Memory) shard(k Key) *shard {
+	return &s.shards[(k.Fingerprint*0x9e3779b97f4a7c15)>>(64-shardBits)]
+}
+
 // Acquire returns the singleflight slot for a key, creating it if this
-// is the first submission. The hit path is a shard read-lock and one
-// typed map lookup — no allocation.
+// is the first submission. A hit is one shard lock, one typed map lookup
+// for the key's workload and a scan of its points — no allocation.
 func (s *Memory) Acquire(k Key) (e *Entry, loaded bool) {
-	sh := &s.shards[k.Hash()&(shardCount-1)]
-	sh.mu.RLock()
-	e = sh.m[k]
-	sh.mu.RUnlock()
-	if e != nil {
-		return e, true
-	}
+	sh := s.shard(k)
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if e = sh.m[k]; e != nil {
-		return e, true
-	}
-	if sh.m == nil {
-		sh.m = make(map[Key]*Entry)
-	}
-	e = &Entry{}
-	sh.m[k] = e
-	return e, false
+	e, loaded = sh.slot(k, true)
+	sh.mu.Unlock()
+	return e, loaded
 }
 
 // Commit is a no-op: Memory keeps results only in its entries.
@@ -227,9 +294,9 @@ func (s *Memory) Len() int {
 	n := 0
 	for i := range s.shards {
 		sh := &s.shards[i]
-		sh.mu.RLock()
-		n += len(sh.m)
-		sh.mu.RUnlock()
+		sh.mu.Lock()
+		n += sh.n
+		sh.mu.Unlock()
 	}
 	return n
 }
@@ -241,10 +308,10 @@ func (s *Memory) Close() error { return nil }
 // one — the read-only probe Disk uses to decide whether a lazy v2 block
 // fault is needed before committing to entry creation. Allocation-free.
 func (s *Memory) lookup(k Key) *Entry {
-	sh := &s.shards[k.Hash()&(shardCount-1)]
-	sh.mu.RLock()
-	e := sh.m[k]
-	sh.mu.RUnlock()
+	sh := s.shard(k)
+	sh.mu.Lock()
+	e, _ := sh.slot(k, false)
+	sh.mu.Unlock()
 	return e
 }
 
@@ -258,20 +325,17 @@ func (s *Memory) Probe(k Key) bool {
 // seed installs a pre-completed entry for a key — the path persistent
 // stores use to restore results — and reports whether the key was new.
 // An existing entry is kept unless replace is set: a newer log record
-// replaces an older one while Open replays, but a key a live
-// computation may hold (lazy block faults, compaction) is never
-// replaced.
+// overwrites an older one in place while Open replays, when no caller
+// holds an entry yet, but a key a live computation may hold (lazy block
+// faults, compaction) is never replaced.
 func (s *Memory) seed(k Key, res workload.Result, replace bool) bool {
-	sh := &s.shards[k.Hash()&(shardCount-1)]
+	sh := s.shard(k)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sh.m == nil {
-		sh.m = make(map[Key]*Entry)
-	}
-	_, exists := sh.m[k]
+	e, exists := sh.slot(k, true)
 	if exists && !replace {
 		return false
 	}
-	sh.m[k] = &Entry{Res: res, Seeded: true}
+	e.Res, e.Seeded = res, true
 	return !exists
 }

@@ -53,17 +53,6 @@ func TestMemoryAcquireSingleflight(t *testing.T) {
 	}
 }
 
-func TestKeyHashSpreads(t *testing.T) {
-	k1 := Key{App: "XSBench", Fingerprint: 1, Mode: memsys.CachedNVM, Threads: 48}
-	k2 := k1
-	k2.Threads = 24
-	k3 := k1
-	k3.Variant = "x"
-	if k1.Hash() == k2.Hash() || k1.Hash() == k3.Hash() {
-		t.Error("key variations collide") // astronomically unlikely for FNV
-	}
-}
-
 func TestDiskPersistsAndReloads(t *testing.T) {
 	dir := t.TempDir()
 	d, err := Open(dir)
