@@ -118,7 +118,7 @@ func BenchmarkAddressCache(b *testing.B) { benchkit.AddressCache(b) }
 func BenchmarkHitModelClosedForm(b *testing.B) {
 	h := dramcache.HitModel{Capacity: 96 * units.GiB}
 	for i := 0; i < b.N; i++ {
-		_ = h.Rate(units.Bytes(i%256)*units.GiB/2, memdev.Stencil)
+		_ = h.RateParams(units.Bytes(i%256)*units.GiB/2, memdev.Stencil.ConflictSensitivity(), memdev.Stencil.SpatialLocality())
 	}
 }
 

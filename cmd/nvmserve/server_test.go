@@ -570,8 +570,14 @@ func TestFinishedStreamFlushesOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs, err := sweep.Outcomes(context.Background())
-	if err != nil {
+	if err := sweep.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var outs []scenario.Outcome
+	if err := sweep.Stream(context.Background(), func(o scenario.Outcome) error {
+		outs = append(outs, o)
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if err := plan.Wait(context.Background()); err != nil {

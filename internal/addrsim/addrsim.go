@@ -8,10 +8,9 @@
 // sweep against dramcache.HitModel.
 //
 // The generator is a stream: Next produces one request at a time and
-// Fill/Each batch it, so RunCacheStream and RunWPQStream drive
-// arbitrarily long streams in O(1) memory. Generate materializes a slice
-// for callers that need one; the streaming and materialized paths emit
-// identical sequences (verified by equivalence tests).
+// Fill batches it, so RunCacheStream and RunWPQStream drive arbitrarily
+// long streams in O(1) memory. Their tests compare them with drivers
+// over a materialized slice of the same requests.
 package addrsim
 
 import (
@@ -66,16 +65,6 @@ func NewGenerator(p memdev.Pattern, region units.Bytes, writeRatio float64, stre
 		rng:        xrand.New(seed),
 		perStream:  perStream,
 		pos:        make([]int64, streams),
-	}
-}
-
-// rewind resets the positional state (stream interleaving and per-stream
-// cursors) without touching the random stream, restoring the starting
-// point of a fresh generator's address walk.
-func (g *Generator) rewind() {
-	g.n = 0
-	for i := range g.pos {
-		g.pos[i] = 0
 	}
 }
 
@@ -141,25 +130,6 @@ func (g *Generator) Fill(buf []Request) {
 	}
 }
 
-// Each streams n requests through the visitor without materializing
-// them.
-func (g *Generator) Each(n int, fn func(Request)) {
-	for i := 0; i < n; i++ {
-		fn(g.Next())
-	}
-}
-
-// Generate produces n requests as a slice. It is a compatibility wrapper
-// over the streaming API: it rewinds the positional state (each call
-// restarts the address walk, while the random stream continues), so its
-// output is identical to draining Next from a fresh generator.
-func (g *Generator) Generate(n int) []Request {
-	g.rewind()
-	reqs := make([]Request, n)
-	g.Fill(reqs)
-	return reqs
-}
-
 // CacheResult summarizes a stream driven through a DRAM cache.
 type CacheResult struct {
 	HitRate       float64
@@ -177,8 +147,8 @@ const cacheStreamBuf = 1024
 // RunCacheStream drives the next n requests of the stream through a
 // direct-mapped cache of the given capacity in O(1) memory, with an
 // initial warm-up pass of n/4 requests excluded from statistics. For a
-// fresh generator the result is identical to driving the materialized
-// g.Generate(n) through the same cache with the same warm-up.
+// fresh generator the result is identical to driving its first n
+// requests, materialized, through the same cache with the same warm-up.
 func RunCacheStream(capacity units.Bytes, g *Generator, n int) CacheResult {
 	c := dramcache.NewCache(capacity)
 	var buf [cacheStreamBuf]Request
@@ -219,8 +189,8 @@ type WPQResult struct {
 // through a WPQ at the given arrival bandwidth (bytes/s of 64-byte
 // stores) in O(1) memory and returns the achieved combining. Reads in
 // the stream advance time but do not enter the queue. For a fresh
-// generator the result is identical to driving the materialized
-// g.Generate(n) through the queue at the same arrival rate.
+// generator the result is identical to driving its first n requests,
+// materialized, through the queue at the same arrival rate.
 func RunWPQStream(q *memdev.WPQ, g *Generator, n int, arrival units.Bandwidth) WPQResult {
 	if arrival <= 0 {
 		arrival = units.GBps(10)

@@ -72,14 +72,14 @@ func TestHitModelOrderingMatchesCache(t *testing.T) {
 	if measured[memdev.Sequential] < 0.9 {
 		t.Errorf("sequential operational hit rate = %v", measured[memdev.Sequential])
 	}
-	if m := model.Rate(ws, memdev.Sequential); m < 0.9 {
+	if m := hitRate(model, ws, memdev.Sequential); m < 0.9 {
 		t.Errorf("sequential model hit rate = %v", m)
 	}
 	// Closed-form and operational agree within a coarse band for the
 	// regular patterns (irregular generators have generator-specific
 	// reuse the closed form intentionally averages over).
 	for _, p := range []memdev.Pattern{memdev.Sequential, memdev.Stencil, memdev.Strided} {
-		m := model.Rate(ws, p)
+		m := hitRate(model, ws, p)
 		d := m - measured[p]
 		if d > 0.35 || d < -0.35 {
 			t.Errorf("%v: model %v vs operational %v", p, m, measured[p])
@@ -94,11 +94,16 @@ func TestThrashRegimeAgreement(t *testing.T) {
 	model := dramcache.HitModel{Capacity: capacity}
 	g := NewGenerator(memdev.Sequential, capacity*4, 0.1, 1, 5)
 	res := RunCache(capacity, g.Generate(100000))
-	m := model.Rate(capacity*4, memdev.Sequential)
+	m := hitRate(model, capacity*4, memdev.Sequential)
 	if res.HitRate > 0.2 {
 		t.Errorf("operational thrash hit rate = %v", res.HitRate)
 	}
 	if m > res.HitRate+0.45 {
 		t.Errorf("model thrash rate %v too optimistic vs %v", m, res.HitRate)
 	}
+}
+
+// hitRate is the closed-form hit model's rate for one pattern.
+func hitRate(h dramcache.HitModel, workingSet units.Bytes, p memdev.Pattern) float64 {
+	return h.RateParams(workingSet, p.ConflictSensitivity(), p.SpatialLocality())
 }

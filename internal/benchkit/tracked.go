@@ -159,8 +159,8 @@ func AddrsimCrossval(b *testing.B) {
 // per op over a pre-generated stencil stream.
 func AddressCache(b *testing.B) {
 	c := dramcache.NewCache(4 * units.MiB)
-	g := addrsim.NewGenerator(memdev.Stencil, 8*units.MiB, 0.2, 8, 1)
-	reqs := g.Generate(1 << 16)
+	reqs := make([]addrsim.Request, 1<<16)
+	addrsim.NewGenerator(memdev.Stencil, 8*units.MiB, 0.2, 8, 1).Fill(reqs)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

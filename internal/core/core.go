@@ -13,8 +13,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/dwarfs"
 	"repro/internal/engine"
 	"repro/internal/experiments"
@@ -64,9 +62,6 @@ func NewMachineWithStore(store ResultStore) *Machine {
 	return &Machine{ctx: experiments.NewContextWithStore(store)}
 }
 
-// Store exposes the machine's result store.
-func (m *Machine) Store() ResultStore { return m.ctx.Engine.Store() }
-
 // Platform exposes the underlying hardware description.
 func (m *Machine) Platform() *platform.Machine { return m.ctx.Machine }
 
@@ -99,18 +94,10 @@ func (m *Machine) RunApp(app string, mode Mode, threads int) (Result, error) {
 	return m.ctx.RunAt(w, mode, threads)
 }
 
-// RunWorkload evaluates a custom workload descriptor.
-func (m *Machine) RunWorkload(w *workload.Workload, mode Mode, threads int) (Result, error) {
-	if w == nil {
-		return Result{}, fmt.Errorf("core: nil workload")
-	}
-	return m.ctx.RunAt(w, mode, threads)
-}
-
 // RunScenario expands a declarative sweep and evaluates it across the
 // engine's worker pool, returning outcomes in the spec's canonical
-// order. Use scenario presets (Scenarios lists them) or construct a Spec
-// directly for arbitrary sweeps.
+// order. Use scenario presets (scenario.Names lists them) or construct a
+// Spec directly for arbitrary sweeps.
 func (m *Machine) RunScenario(sp Scenario) ([]Outcome, error) {
 	return m.ctx.RunScenario(sp)
 }
@@ -124,9 +111,6 @@ func (m *Machine) RunScenarioNamed(name string) (Scenario, []Outcome, error) {
 	outs, err := m.RunScenario(sp)
 	return sp, outs, err
 }
-
-// Scenarios lists the preset scenario names.
-func (m *Machine) Scenarios() []string { return scenario.Names() }
 
 // RunAll evaluates the full cartesian product of the given applications,
 // modes and thread counts as one engine batch. Empty slices take the
@@ -145,9 +129,6 @@ func (m *Machine) Experiment(id string) (Report, error) {
 	}
 	return fn(m.ctx)
 }
-
-// Experiments lists the available experiment ids in paper order.
-func (m *Machine) Experiments() []string { return experiments.IDs() }
 
 // RunAllExperiments regenerates the full evaluation with the
 // experiments fanned across the engine's worker pool, returning the

@@ -13,9 +13,6 @@ func TestNewMachine(t *testing.T) {
 	if len(m.Apps()) != 8 {
 		t.Errorf("apps = %v", m.Apps())
 	}
-	if len(m.Experiments()) != 16 {
-		t.Errorf("experiments = %v", m.Experiments())
-	}
 }
 
 func TestRunApp(t *testing.T) {
@@ -41,14 +38,14 @@ func TestRunWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.RunWorkload(w, CachedNVM, 24)
+	res, err := m.Context().RunAt(w, CachedNVM, 24)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Time <= 0 {
 		t.Error("no time modelled")
 	}
-	if _, err := m.RunWorkload(nil, DRAMOnly, 1); err == nil {
+	if _, err := m.Context().RunAt(nil, DRAMOnly, 1); err == nil {
 		t.Error("nil workload should fail")
 	}
 }
@@ -76,9 +73,6 @@ func TestModeConstants(t *testing.T) {
 
 func TestRunScenario(t *testing.T) {
 	m := NewMachine()
-	if len(m.Scenarios()) == 0 {
-		t.Fatal("no scenario presets")
-	}
 	sp, outs, err := m.RunScenarioNamed("scalapack-phases")
 	if err != nil {
 		t.Fatal(err)

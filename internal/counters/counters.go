@@ -9,8 +9,6 @@
 package counters
 
 import (
-	"fmt"
-
 	"repro/internal/units"
 	"repro/internal/xrand"
 )
@@ -35,29 +33,6 @@ const (
 	NumEvents
 )
 
-// Name returns the paper's description of the event.
-func (e EventID) Name() string {
-	switch e {
-	case InstructionsRetired:
-		return "Instruction Retired"
-	case CyclesActive:
-		return "Cycles Active"
-	case CyclesStalledResource:
-		return "Cycles stalled due to Resource Related reason"
-	case CyclesOffcoreWait:
-		return "Cycles in waiting for outstanding offcore requests"
-	case IMCReads:
-		return "Count of the number of reads issued to memory controllers"
-	case IMCWrites:
-		return "Counts of Writes Issued to the iMC by the HA"
-	default:
-		return fmt.Sprintf("event(%d)", int(e))
-	}
-}
-
-// Short returns the paper's feature label (p0..p5).
-func (e EventID) Short() string { return fmt.Sprintf("p%d", int(e)) }
-
 // Events is one profiling sample: counts of the six critical events over
 // a measurement interval.
 type Events struct {
@@ -65,13 +40,6 @@ type Events struct {
 	// IPC is instructions per cycle over the interval (the model's
 	// response variable and the per-event scaling factor IPC_s).
 	IPC float64
-}
-
-// Vector returns the event counts in p0..p5 order.
-func (ev Events) Vector() []float64 {
-	out := make([]float64, NumEvents)
-	copy(out, ev.Counts[:])
-	return out
 }
 
 // RunProfile carries the solver outputs needed to synthesize counters
@@ -133,15 +101,4 @@ type BandwidthSample struct {
 	Time                units.Duration
 	DRAMRead, DRAMWrite units.Bandwidth
 	NVMRead, NVMWrite   units.Bandwidth
-}
-
-// Total returns the sample's total bandwidth.
-func (b BandwidthSample) Total() units.Bandwidth {
-	return b.DRAMRead + b.DRAMWrite + b.NVMRead + b.NVMWrite
-}
-
-// ReadWriteRatio returns read/write traffic ratio for the sample
-// (0 when there is no write traffic).
-func (b BandwidthSample) ReadWriteRatio() float64 {
-	return units.Ratio(float64(b.DRAMRead+b.NVMRead), float64(b.DRAMWrite+b.NVMWrite))
 }

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/memdev"
 	"repro/internal/units"
 )
 
@@ -59,8 +58,8 @@ type Cache struct {
 // NewCache builds a cache of the given capacity. Capacity must cover at
 // least one line; it is rounded up to the next whole line and then to the
 // next power-of-two set count, so indexing is a mask rather than a modulo
-// (Sets reports the effective size — identical to capacity/64 for the
-// power-of-two capacities the simulator sweeps). For large modelled
+// (the effective size is capacity/64 sets for the power-of-two
+// capacities the simulator sweeps). For large modelled
 // capacities use a scaled-down capacity with the same working-set ratio
 // (set sampling); hit rates are ratio-invariant for the streams we study,
 // which is itself verified by a property test.
@@ -77,9 +76,6 @@ func NewCache(capacity units.Bytes) *Cache {
 	// ready as allocated — one zeroing pass, no rewrite.
 	return &Cache{sets: sets, mask: sets - 1, words: make([]int64, sets)}
 }
-
-// Sets returns the number of cache sets (lines).
-func (c *Cache) Sets() int64 { return c.sets }
 
 // Access performs one line access. lineAddr is the 64-byte-aligned line
 // index; write marks a store. It reports whether the access hit and
@@ -201,15 +197,10 @@ type HitModel struct {
 	Capacity units.Bytes
 }
 
-// Rate returns the modelled hit rate for a phase with the given working
-// set and pattern.
-func (h HitModel) Rate(workingSet units.Bytes, p memdev.Pattern) float64 {
-	return h.RateParams(workingSet, p.ConflictSensitivity(), p.SpatialLocality())
-}
-
-// RateParams is the parametric form of Rate, for callers (the epoch
-// solver) that blend several patterns or apply per-phase aliasing boosts
-// to the conflict sensitivity.
+// RateParams returns the modelled hit rate for a phase with the given
+// working set, conflict sensitivity and spatial locality. The epoch
+// solver blends several patterns' parameters and applies per-phase
+// aliasing boosts to the conflict sensitivity before it calls this.
 func (h HitModel) RateParams(workingSet units.Bytes, conflictSens, locality float64) float64 {
 	if h.Capacity <= 0 {
 		return 0

@@ -32,7 +32,7 @@ func TestCacheHitsOnRepeat(t *testing.T) {
 
 func TestCacheDirectMappedConflict(t *testing.T) {
 	c := NewCache(64 * units.KiB) // 1024 sets
-	sets := c.Sets()
+	sets := c.sets
 	c.Access(0, true)     // dirty line in set 0
 	c.Access(sets, false) // conflicts with line 0 -> evicts dirty
 	if c.Writebacks != 1 {
@@ -46,7 +46,7 @@ func TestCacheDirectMappedConflict(t *testing.T) {
 
 func TestCacheCleanEvictionNoWriteback(t *testing.T) {
 	c := NewCache(64 * units.KiB)
-	sets := c.Sets()
+	sets := c.sets
 	c.Access(0, false)
 	_, wb := c.Access(sets, false)
 	if wb {
@@ -58,7 +58,7 @@ func TestCacheWorkingSetFits(t *testing.T) {
 	c := NewCache(1 * units.MiB)
 	// Sweep a working set of half the capacity, twice. Second sweep
 	// should hit everywhere (direct-mapped, contiguous: no conflicts).
-	lines := c.Sets() / 2
+	lines := c.sets / 2
 	for pass := 0; pass < 2; pass++ {
 		for i := int64(0); i < lines; i++ {
 			c.Access(i, false)
@@ -74,7 +74,7 @@ func TestCacheThrashing(t *testing.T) {
 	c := NewCache(64 * units.KiB)
 	// Working set 4x capacity, swept repeatedly: every access misses
 	// (pure streaming, direct-mapped).
-	lines := c.Sets() * 4
+	lines := c.sets * 4
 	for pass := 0; pass < 3; pass++ {
 		for i := int64(0); i < lines; i++ {
 			c.Access(i, false)
@@ -100,7 +100,7 @@ func TestCacheReset(t *testing.T) {
 
 func TestCacheTraffic(t *testing.T) {
 	c := NewCache(64 * units.KiB)
-	sets := c.Sets()
+	sets := c.sets
 	c.Access(0, true)
 	c.Access(sets, true) // evict dirty, fill, dirty again
 	c.Access(0, false)   // evict dirty again, fill
@@ -152,8 +152,8 @@ func TestNewCacheRounding(t *testing.T) {
 		{1*units.MiB - 64, 1 << 14}, // 16383 lines -> 16384 sets
 	}
 	for _, c := range cases {
-		if got := NewCache(c.capacity).Sets(); got != c.sets {
-			t.Errorf("NewCache(%v).Sets() = %d, want %d", c.capacity, got, c.sets)
+		if got := NewCache(c.capacity).sets; got != c.sets {
+			t.Errorf("NewCache(%v).sets = %d, want %d", c.capacity, got, c.sets)
 		}
 	}
 }
@@ -170,18 +170,18 @@ func TestHitRateZeroOnEmpty(t *testing.T) {
 func TestHitModelFitsRegime(t *testing.T) {
 	h := HitModel{Capacity: 96 * units.GiB}
 	// Tiny working set: essentially all hits.
-	if r := h.Rate(1*units.GiB, memdev.Sequential); r < 0.98 {
+	if r := rate(h, 1*units.GiB, memdev.Sequential); r < 0.98 {
 		t.Errorf("tiny sequential working set rate = %v", r)
 	}
 	// At 85% occupancy, stencil conflicts cost a visible fraction
 	// (the mechanism behind Hypre's 28% cached loss).
-	r := h.Rate(units.GB(0.85*96), memdev.Stencil)
+	r := rate(h, units.GB(0.85*96), memdev.Stencil)
 	if r < 0.60 || r > 0.80 {
 		t.Errorf("stencil at 85%% occupancy = %v, want 0.6-0.8", r)
 	}
 	// Random single-structure lookups barely conflict (XSBench stays
 	// within 10% of DRAM in Fig 2).
-	r = h.Rate(units.GB(0.8*96), memdev.Random)
+	r = rate(h, units.GB(0.8*96), memdev.Random)
 	if r < 0.94 {
 		t.Errorf("random at 80%% occupancy = %v, want >= 0.94", r)
 	}
@@ -190,8 +190,8 @@ func TestHitModelFitsRegime(t *testing.T) {
 func TestHitModelThrashRegime(t *testing.T) {
 	h := HitModel{Capacity: 96 * units.GiB}
 	for _, p := range memdev.Patterns() {
-		r1 := h.Rate(96*units.GiB, p)
-		r44 := h.Rate(units.GB(4.4*96), p)
+		r1 := rate(h, 96*units.GiB, p)
+		r44 := rate(h, units.GB(4.4*96), p)
 		if r44 >= r1 {
 			t.Errorf("%v: rate should fall past capacity: %v at 1x, %v at 4.4x", p, r1, r44)
 		}
@@ -204,8 +204,8 @@ func TestHitModelThrashRegime(t *testing.T) {
 func TestHitModelContinuityAtCapacity(t *testing.T) {
 	h := HitModel{Capacity: 96 * units.GiB}
 	for _, p := range memdev.Patterns() {
-		below := h.Rate(units.GB(0.999*96), p)
-		above := h.Rate(units.GB(1.001*96), p)
+		below := rate(h, units.GB(0.999*96), p)
+		above := rate(h, units.GB(1.001*96), p)
 		if d := below - above; d < -0.02 || d > 0.12 {
 			t.Errorf("%v: discontinuity at capacity: %v vs %v", p, below, above)
 		}
@@ -213,11 +213,11 @@ func TestHitModelContinuityAtCapacity(t *testing.T) {
 }
 
 func TestHitModelDegenerate(t *testing.T) {
-	if (HitModel{}).Rate(units.GiB, memdev.Random) != 0 {
+	if rate(HitModel{}, units.GiB, memdev.Random) != 0 {
 		t.Error("zero-capacity model should return 0")
 	}
 	h := HitModel{Capacity: units.GiB}
-	if h.Rate(0, memdev.Random) != 1 {
+	if rate(h, 0, memdev.Random) != 1 {
 		t.Error("zero working set should fully hit")
 	}
 }
@@ -244,7 +244,7 @@ func TestHitModelMatchesOperationalCache(t *testing.T) {
 
 	// Fitting sequential sweep (ws = 0.5 C), measured after warm-up.
 	c := NewCache(capacity)
-	lines := c.Sets() / 2
+	lines := c.sets / 2
 	for i := int64(0); i < lines; i++ {
 		c.Access(i, false)
 	}
@@ -255,20 +255,20 @@ func TestHitModelMatchesOperationalCache(t *testing.T) {
 		}
 	}
 	op := c.HitRate()
-	mod := model.Rate(capacity/2, memdev.Sequential)
+	mod := rate(model, capacity/2, memdev.Sequential)
 	if d := op - mod; d < -0.15 || d > 0.15 {
 		t.Errorf("fits regime: operational %v vs model %v", op, mod)
 	}
 
 	// Thrashing sweep (ws = 4 C): operational rate 0; model must be low.
 	c2 := NewCache(capacity)
-	lines2 := c2.Sets() * 4
+	lines2 := c2.sets * 4
 	for pass := 0; pass < 2; pass++ {
 		for i := int64(0); i < lines2; i++ {
 			c2.Access(i, false)
 		}
 	}
-	if m4 := model.Rate(capacity*4, memdev.Sequential); m4 > c2.HitRate()+0.45 {
+	if m4 := rate(model, capacity*4, memdev.Sequential); m4 > c2.HitRate()+0.45 {
 		t.Errorf("thrash regime: operational %v vs model %v", c2.HitRate(), m4)
 	}
 }
@@ -278,7 +278,7 @@ func TestHitModelMatchesOperationalCache(t *testing.T) {
 func TestInterleavedStreamsConflict(t *testing.T) {
 	capacity := units.Bytes(256 * units.KiB)
 	c := NewCache(capacity)
-	sets := c.Sets()
+	sets := c.sets
 	// Two streams, each 0.4 C, offset so they alias in the same sets.
 	a, b := int64(0), sets // same set mapping
 	n := int64(float64(sets) * 0.4)
@@ -301,7 +301,7 @@ func TestCacheScaleInvarianceProperty(t *testing.T) {
 		rates := make([]float64, 0, 2)
 		for _, scale := range []int64{1, 4} {
 			c := NewCache(units.Bytes(64 * units.KiB * scale))
-			ws := c.Sets() * 3 / 4
+			ws := c.sets * 3 / 4
 			r := xrand.New(seed)
 			// Random accesses within the working set; the access count
 			// scales with the working set so cold-miss shares match.
@@ -325,8 +325,8 @@ func TestHitModelMonotoneProperty(t *testing.T) {
 	f := func(wsRaw uint32) bool {
 		ws := units.Bytes(wsRaw) * units.MiB / 8
 		for _, p := range memdev.Patterns() {
-			r1 := h.Rate(ws, p)
-			r2 := h.Rate(ws+64*units.MiB, p)
+			r1 := rate(h, ws, p)
+			r2 := rate(h, ws+64*units.MiB, p)
 			if r1 < 0 || r1 > 1 || r2 > r1+0.11 {
 				return false
 			}
@@ -336,4 +336,9 @@ func TestHitModelMonotoneProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
+}
+
+// rate is the hit model's rate for one pattern's parameters.
+func rate(h HitModel, workingSet units.Bytes, p memdev.Pattern) float64 {
+	return h.RateParams(workingSet, p.ConflictSensitivity(), p.SpatialLocality())
 }

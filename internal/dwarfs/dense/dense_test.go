@@ -99,7 +99,13 @@ func TestStructureProfile(t *testing.T) {
 	if split.DRAMWriteFrac < 0.9 {
 		t.Errorf("write-hot structures carry %v of writes, want > 0.9", split.DRAMWriteFrac)
 	}
-	frac := float64(w.DRAMBytes(hot)) / float64(w.Footprint)
+	var hotBytes float64
+	for _, st := range w.Structures {
+		if hot[st.Name] {
+			hotBytes += float64(st.Size)
+		}
+	}
+	frac := hotBytes / float64(w.Footprint)
 	if frac < 0.25 || frac > 0.45 {
 		t.Errorf("write-hot structures occupy %v of footprint, want ~0.3-0.4", frac)
 	}

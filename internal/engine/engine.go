@@ -212,9 +212,6 @@ func (e *Engine) SetWorkers(workers int) {
 // Socket exposes the engine's socket.
 func (e *Engine) Socket() *platform.Socket { return e.sock }
 
-// Store exposes the engine's result store.
-func (e *Engine) Store() resultstore.Store { return e.store }
-
 // System returns the memoized stock system for a mode. Systems are
 // read-only during solving, so one instance serves all workers.
 func (e *Engine) System(mode memsys.Mode) *memsys.System {
@@ -477,10 +474,10 @@ func FirstError(jobs []Job, errs []error) error {
 // want one run's share subtract a snapshot taken before it.
 func (e *Engine) Stats() Stats { return e.total.Stats() }
 
-// maxRange caps a claimed index range at the v2 block target of 1,024
-// records, so a range commits at most one block's worth of records and a
-// torn frame loses at most one range.
-const maxRange = 1024
+// maxRange caps a claimed index range at the v2 block target, so a range
+// commits at most one block's worth of records and a torn frame loses at
+// most one range.
+const maxRange = resultstore.BlockTarget
 
 // forEach covers the indexes 0..n-1 across at most workers goroutines
 // and waits, handing each worker its whole claimed range as fn(lo, hi)

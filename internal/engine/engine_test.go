@@ -382,7 +382,7 @@ func TestRunBatchCtxCancelled(t *testing.T) {
 	if s := e.Stats(); s.Hits != 0 || s.Misses != 0 {
 		t.Errorf("pre-cancelled batch touched the store: %+v", s)
 	}
-	if n := e.Store().Len(); n != 0 {
+	if n := e.store.Len(); n != 0 {
 		t.Errorf("pre-cancelled batch left %d store entries", n)
 	}
 	// A background context keeps RunBatch semantics intact.
@@ -410,7 +410,7 @@ func TestRunBatchFuncCancelMidBatch(t *testing.T) {
 	if len(done) < 3 || len(done) >= len(jobs) {
 		t.Fatalf("completed %d of %d jobs after mid-batch cancel", len(done), len(jobs))
 	}
-	if n := e.Store().Len(); n != len(done) {
+	if n := e.store.Len(); n != len(done) {
 		t.Errorf("store holds %d entries for %d completed jobs", n, len(done))
 	}
 }
@@ -488,7 +488,7 @@ func TestBatchKeysPerWorkloadRun(t *testing.T) {
 				t.Errorf("workers=%d: job %d not resident under its Job.Key()", workers, i)
 			}
 		}
-		if n := e.Store().(*resultstore.Memory).Len(); n != len(distinct) || n != 9 {
+		if n := e.store.Len(); n != len(distinct) || n != 9 {
 			t.Errorf("workers=%d: store holds %d entries, want the %d distinct keys (9)", workers, n, len(distinct))
 		}
 	}

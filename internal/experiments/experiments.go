@@ -64,13 +64,6 @@ func NewContextWithStore(store resultstore.Store) *Context {
 // NUMA-pinned runs.
 func (c *Context) Socket() *platform.Socket { return c.Machine.Socket(0) }
 
-// System returns the engine's memoized memory system for a mode. The
-// shared instance is read-only during solving; callers that mutate
-// solver knobs (the ablation study) must build their own via memsys.New.
-func (c *Context) System(mode memsys.Mode) *memsys.System {
-	return c.Engine.System(mode)
-}
-
 // Run evaluates a workload on a mode at full concurrency.
 func (c *Context) Run(w *workload.Workload, mode memsys.Mode) (workload.Result, error) {
 	return c.RunAt(w, mode, c.Threads)
@@ -167,15 +160,6 @@ func ByID(id string) (Func, error) {
 		}
 	}
 	return nil, fmt.Errorf("experiments: unknown experiment %q", id)
-}
-
-// IDs lists experiment ids in paper order.
-func IDs() []string {
-	var out []string
-	for _, e := range Registry() {
-		out = append(out, e.ID)
-	}
-	return out
 }
 
 // RunAll fans the experiments across the engine's worker pool and

@@ -12,7 +12,10 @@ func ctx() *Context {
 }
 
 func TestRegistryCoversPaper(t *testing.T) {
-	ids := IDs()
+	var ids []string
+	for _, e := range Registry() {
+		ids = append(ids, e.ID)
+	}
 	want := []string{"table1", "table2", "fig2", "table3", "fig3", "fig4",
 		"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "micro", "ablation"}
 	if len(ids) != len(want) {
@@ -41,7 +44,7 @@ func TestAllExperimentsPassPaperChecks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reports) != len(IDs()) {
+	if len(reports) != len(Registry()) {
 		t.Fatalf("got %d reports", len(reports))
 	}
 	for _, r := range reports {
@@ -146,7 +149,7 @@ func TestContextDefaults(t *testing.T) {
 	if c.Threads != 48 || c.LowThreads != 24 {
 		t.Errorf("default threads %d/%d", c.Threads, c.LowThreads)
 	}
-	if c.Socket() == nil || c.System(0) == nil {
+	if c.Socket() == nil || c.Engine.System(0) == nil {
 		t.Error("context wiring broken")
 	}
 	if c.Engine == nil || c.Engine.Workers() < 1 {

@@ -17,7 +17,6 @@ package explore
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/engine"
 	"repro/internal/memsys"
@@ -196,38 +195,6 @@ func Frontier(ctx context.Context, eng *engine.Engine, w *workload.Workload, opt
 		front = append(front, evaluation(opts, p))
 	}
 	return front, res, nil
-}
-
-// Pareto returns the non-dominated feasible evaluations (minimizing
-// both time and DRAM usage), sorted by time.
-func Pareto(evals []Evaluation) []Evaluation {
-	var front []Evaluation
-	for _, e := range evals {
-		if !e.Feasible {
-			continue
-		}
-		dominated := false
-		for _, f := range evals {
-			if !f.Feasible {
-				continue
-			}
-			if f.Time <= e.Time && f.DRAMUsed <= e.DRAMUsed &&
-				(f.Time < e.Time || f.DRAMUsed < e.DRAMUsed) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			front = append(front, e)
-		}
-	}
-	sort.Slice(front, func(i, j int) bool {
-		if front[i].Time != front[j].Time {
-			return front[i].Time < front[j].Time
-		}
-		return front[i].DRAMUsed < front[j].DRAMUsed
-	})
-	return front
 }
 
 // BestUnder returns the fastest feasible evaluation whose DRAM usage

@@ -3,6 +3,7 @@ package explore
 import (
 	"context"
 	"math"
+	"sort"
 	"strings"
 	"testing"
 
@@ -256,4 +257,37 @@ func TestBeyondDRAMFeasibility(t *testing.T) {
 	if best.Option.Mode != memsys.CachedNVM {
 		t.Errorf("best beyond DRAM = %s, want cached-NVM", best.Option)
 	}
+}
+
+// Pareto returns the non-dominated feasible evaluations (minimizing
+// both time and DRAM usage), sorted by time: the all-pairs oracle that
+// Frontier's planned front must match.
+func Pareto(evals []Evaluation) []Evaluation {
+	var front []Evaluation
+	for _, e := range evals {
+		if !e.Feasible {
+			continue
+		}
+		dominated := false
+		for _, f := range evals {
+			if !f.Feasible {
+				continue
+			}
+			if f.Time <= e.Time && f.DRAMUsed <= e.DRAMUsed &&
+				(f.Time < e.Time || f.DRAMUsed < e.DRAMUsed) {
+				dominated = true
+				break
+			}
+		}
+		if !dominated {
+			front = append(front, e)
+		}
+	}
+	sort.Slice(front, func(i, j int) bool {
+		if front[i].Time != front[j].Time {
+			return front[i].Time < front[j].Time
+		}
+		return front[i].DRAMUsed < front[j].DRAMUsed
+	})
+	return front
 }

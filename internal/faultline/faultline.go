@@ -234,13 +234,6 @@ func (in *Injector) Events() []Event {
 	return append([]Event(nil), in.events...)
 }
 
-// Injected reports how many faults have been injected so far.
-func (in *Injector) Injected() int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return len(in.events)
-}
-
 // splitmix64 advances x and returns the next output of the splitmix64
 // sequence — the same expansion xrand uses for seeding.
 func splitmix64(x *uint64) uint64 {

@@ -109,9 +109,6 @@ func (c *Coordinator) reaper(every time.Duration) {
 	}
 }
 
-// Engine exposes the coordinator's engine (the shared dedup tier).
-func (c *Coordinator) Engine() *engine.Engine { return c.eng }
-
 // Workers reports the live worker count.
 func (c *Coordinator) Workers() int { return c.sched.liveCount() }
 

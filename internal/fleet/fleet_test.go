@@ -48,6 +48,7 @@ func fleetSpec(name string, scales ...float64) scenario.Spec {
 // httptest server — the whole wire protocol, no real network.
 type testFleet struct {
 	coord   *Coordinator
+	eng     *engine.Engine // the coordinator's engine (the shared dedup tier)
 	ts      *httptest.Server
 	workers []*Worker
 	cancels []context.CancelFunc
@@ -62,7 +63,8 @@ func tightOpts() Options {
 
 func startFleet(t *testing.T, n int, opts Options, delay time.Duration) *testFleet {
 	t.Helper()
-	f := &testFleet{coord: New(engine.New(sock(), 4), opts)}
+	f := &testFleet{eng: engine.New(sock(), 4)}
+	f.coord = New(f.eng, opts)
 	t.Cleanup(f.coord.Close)
 	mux := http.NewServeMux()
 	f.coord.Routes(mux)
@@ -137,7 +139,7 @@ func sweepBytes(t *testing.T, m *session.Manager, sp scenario.Spec) []byte {
 // byte-for-byte the NDJSON stream the single-process path produces.
 func TestFleetSweepByteIdenticalToLocal(t *testing.T) {
 	f := startFleet(t, 2, tightOpts(), 0)
-	fleetMgr := session.NewManager(f.coord.Engine())
+	fleetMgr := session.NewManager(f.eng)
 	defer fleetMgr.Close()
 	fleetMgr.SetExecutor(f.coord)
 	localMgr := session.NewManager(engine.New(sock(), 4))
@@ -162,7 +164,7 @@ func TestFleetSweepByteIdenticalToLocal(t *testing.T) {
 // the same sweep dispatches nothing and still matches byte-for-byte.
 func TestFleetWarmRunAllLocal(t *testing.T) {
 	f := startFleet(t, 2, tightOpts(), 0)
-	m := session.NewManager(f.coord.Engine())
+	m := session.NewManager(f.eng)
 	defer m.Close()
 	m.SetExecutor(f.coord)
 
@@ -187,7 +189,7 @@ func TestFleetWarmRunAllLocal(t *testing.T) {
 // fleet streams byte-identical points.
 func TestFleetPlanByteIdenticalToLocal(t *testing.T) {
 	f := startFleet(t, 2, tightOpts(), 0)
-	fleetMgr := session.NewManager(f.coord.Engine())
+	fleetMgr := session.NewManager(f.eng)
 	defer fleetMgr.Close()
 	fleetMgr.SetExecutor(f.coord)
 	localMgr := session.NewManager(engine.New(sock(), 4))
@@ -256,7 +258,7 @@ func TestFleetWorkerKillMidSweepByteIdentical(t *testing.T) {
 	f.addWorker(t, "doomed", 5*time.Millisecond, &http.Client{Transport: kt})
 	f.waitWorkers(t, 1)
 
-	fleetMgr := session.NewManager(f.coord.Engine())
+	fleetMgr := session.NewManager(f.eng)
 	defer fleetMgr.Close()
 	fleetMgr.SetExecutor(f.coord)
 
@@ -366,7 +368,7 @@ func TestFleetDedupAcrossConcurrentBatches(t *testing.T) {
 // single-process path.
 func TestFleetZeroWorkersFallsBackLocal(t *testing.T) {
 	f := startFleet(t, 0, tightOpts(), 0)
-	m := session.NewManager(f.coord.Engine())
+	m := session.NewManager(f.eng)
 	defer m.Close()
 	m.SetExecutor(f.coord)
 	localMgr := session.NewManager(engine.New(sock(), 4))
@@ -529,7 +531,7 @@ func TestForgedChunkFailsAlone(t *testing.T) {
 			}
 			for i, job := range jobs {
 				k := job.Key()
-				if committed := f.coord.Engine().Cached(k); committed == isForged[k] {
+				if committed := f.eng.Cached(k); committed == isForged[k] {
 					t.Errorf("point %d: committed = %v, want %v", i, committed, !isForged[k])
 				}
 			}

@@ -180,7 +180,7 @@ func TestStragglerFlaggedAndSweepByteIdentical(t *testing.T) {
 	f.addWorker(t, "slug", 4*time.Millisecond, nil)
 	f.waitWorkers(t, 4)
 
-	fleetMgr := session.NewManager(f.coord.Engine())
+	fleetMgr := session.NewManager(f.eng)
 	defer fleetMgr.Close()
 	fleetMgr.SetExecutor(f.coord)
 	localMgr := session.NewManager(engine.New(sock(), 4))

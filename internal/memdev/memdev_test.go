@@ -261,8 +261,8 @@ func TestWPQStallsWhenFull(t *testing.T) {
 	if stall <= 0 {
 		t.Error("expected positive stall time")
 	}
-	if w.Occupancy() > 1 {
-		t.Errorf("occupancy %v exceeds 1", w.Occupancy())
+	if w.Len() > w.Slots {
+		t.Errorf("%d pending blocks exceed %d slots", w.Len(), w.Slots)
 	}
 }
 
@@ -352,8 +352,8 @@ func TestWPQFlushEmpty(t *testing.T) {
 	if tm := w.Flush(); tm != 0 {
 		t.Errorf("flushing an empty queue took %v", tm)
 	}
-	if w.Occupancy() != 0 {
-		t.Errorf("empty occupancy = %v", w.Occupancy())
+	if w.Len() != 0 {
+		t.Errorf("empty queue holds %d blocks", w.Len())
 	}
 }
 

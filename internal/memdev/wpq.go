@@ -124,11 +124,6 @@ func (w *WPQ) Flush() float64 {
 // Len returns the number of media blocks currently pending in the queue.
 func (w *WPQ) Len() int { return w.count }
 
-// Occupancy returns the current queue occupancy in [0, 1].
-func (w *WPQ) Occupancy() float64 {
-	return float64(w.count) / float64(w.Slots)
-}
-
 // CombiningRatio reports line stores per media write — 4.0 means perfect
 // 256-byte combining; 1.0 means every 64-byte store cost a full media
 // write (4x write amplification).

@@ -49,9 +49,6 @@ func TestMixNormalization(t *testing.T) {
 	if m[0].Weight != 0.75 || m[1].Weight != 0.25 {
 		t.Errorf("weights = %v", m)
 	}
-	if m.Dominant() != memdev.Sequential {
-		t.Errorf("dominant = %v", m.Dominant())
-	}
 }
 
 func TestMixDegenerate(t *testing.T) {
@@ -59,8 +56,8 @@ func TestMixDegenerate(t *testing.T) {
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if m.Dominant() != memdev.Sequential {
-		t.Error("empty mix should default to sequential")
+	if len(m) != 1 || m[0] != (MixComponent{memdev.Sequential, 1}) {
+		t.Errorf("empty mix = %v, want pure sequential", m)
 	}
 }
 

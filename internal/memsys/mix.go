@@ -128,14 +128,3 @@ func (m PatternMix) SpatialLocality() float64 {
 	}
 	return s
 }
-
-// Dominant returns the heaviest-weighted pattern in the mix.
-func (m PatternMix) Dominant() memdev.Pattern {
-	best, bw := memdev.Sequential, -1.0
-	for _, c := range m {
-		if c.Weight > bw {
-			best, bw = c.Pattern, c.Weight
-		}
-	}
-	return best
-}

@@ -52,11 +52,3 @@ func (n NUMA) capLatency(local units.Duration) units.Duration {
 	}
 	return local + n.ExtraLatency
 }
-
-// WithNUMA returns a copy of the system with the given NUMA placement
-// (e.g. numactl binding the application to the far socket's memory).
-func (s *System) WithNUMA(n NUMA) *System {
-	cp := *s
-	cp.NUMA = n
-	return &cp
-}

@@ -45,7 +45,8 @@ func TestNUMACapLatency(t *testing.T) {
 // pins to the local socket.
 func TestRemoteUncachedSlower(t *testing.T) {
 	local := New(sock(), UncachedNVM)
-	remote := local.WithNUMA(DefaultNUMA())
+	remote := New(sock(), UncachedNVM)
+	remote.NUMA = DefaultNUMA()
 	ph := Phase{
 		Name: "lookups", Share: 1,
 		ReadBW: units.GBps(67), WriteBW: units.MBps(10),
@@ -62,7 +63,8 @@ func TestRemoteUncachedSlower(t *testing.T) {
 // Remote DRAM saturates at the UPI bandwidth for high-demand streams.
 func TestRemoteDRAMCapped(t *testing.T) {
 	local := New(sock(), DRAMOnly)
-	remote := local.WithNUMA(DefaultNUMA())
+	remote := New(sock(), DRAMOnly)
+	remote.NUMA = DefaultNUMA()
 	ph := Phase{
 		Name: "stream", Share: 1,
 		ReadBW: units.GBps(80), WriteBW: 0,
@@ -82,20 +84,12 @@ func TestRemoteDRAMCapped(t *testing.T) {
 	}
 }
 
-// WithNUMA must not mutate the original system.
-func TestWithNUMACopies(t *testing.T) {
-	local := New(sock(), UncachedNVM)
-	_ = local.WithNUMA(DefaultNUMA())
-	if local.NUMA.Remote {
-		t.Error("WithNUMA mutated the receiver")
-	}
-}
-
 // Remote cached-NVM also degrades (both the fill path and the writeback
 // path cross the link).
 func TestRemoteCachedSlower(t *testing.T) {
 	local := New(sock(), CachedNVM)
-	remote := local.WithNUMA(DefaultNUMA())
+	remote := New(sock(), CachedNVM)
+	remote.NUMA = DefaultNUMA()
 	ph := Phase{
 		Name: "smooth", Share: 1,
 		ReadBW: units.GBps(80), WriteBW: units.GBps(5),

@@ -116,8 +116,9 @@ func features(s Sample, kept []counters.EventID, ipcs float64) []float64 {
 }
 
 // Train fits the prediction model on profiling samples from one
-// configuration. Highly correlated events are pruned first (the paper's
-// statistical procedure over p-values/correlations).
+// configuration. Highly correlated events are pruned first, by their
+// pairwise correlation alone (stats.PruneCorrelated); the fit computes
+// no p-values.
 func Train(samples []Sample) (*Model, error) {
 	if len(samples) < int(counters.NumEvents)+2 {
 		return nil, fmt.Errorf("model: need at least %d samples, got %d", counters.NumEvents+2, len(samples))

@@ -97,18 +97,13 @@ type ranked struct {
 	corr float64
 }
 
-// FitPointModel fits log(timeSec) against the feature matrix X
-// (row-major, as produced by AppendConfigFeatures). Constant columns are
-// dropped, the remaining ones are ranked by absolute correlation with
-// the response and added greedily, skipping near-collinear columns,
-// while fewer than n-1 are kept. A fit may therefore use n-1 features
-// (n >= kept+1), leaving the regression no residual degree of freedom.
-func FitPointModel(X [][]float64, timesSec []float64) (*PointModel, error) {
-	var w FitWorkspace
-	return w.fitPointModel(X, timesSec)
-}
-
-// fitPointModel is FitPointModel on the workspace's storage.
+// fitPointModel fits log(timeSec) against the feature matrix X
+// (row-major, as produced by AppendConfigFeatures) on the workspace's
+// storage. Constant columns are dropped, the remaining ones are ranked
+// by absolute correlation with the response and added greedily,
+// skipping near-collinear columns, while fewer than n-1 are kept. A fit
+// may therefore use n-1 features (n >= kept+1), leaving the regression
+// no residual degree of freedom.
 func (w *FitWorkspace) fitPointModel(X [][]float64, timesSec []float64) (*PointModel, error) {
 	n := len(X)
 	if n == 0 || n != len(timesSec) {
@@ -197,10 +192,6 @@ func (m *PointModel) Predict(feat []float64) float64 {
 	return math.Exp(v)
 }
 
-// Features reports how many regressors survived selection (0 means the
-// mean predictor).
-func (m *PointModel) Features() int { return len(m.kept) }
-
 // PointEnsemble is the main point model plus its leave-one-out
 // variants. The spread of the variants' predictions at an unseen point
 // measures how much the fit depends on any single seed — the planner's
@@ -218,16 +209,10 @@ type PointEnsemble struct {
 }
 
 // FitPointEnsemble fits the main model on all observations and one
-// variant per left-out observation (below three observations the
-// variants would all collapse to near-identical means, so the ensemble
-// instead reports the training spread as its disagreement).
-func FitPointEnsemble(X [][]float64, timesSec []float64) (*PointEnsemble, error) {
-	var w FitWorkspace
-	return w.FitPointEnsemble(X, timesSec)
-}
-
-// FitPointEnsemble is the package-level FitPointEnsemble with every fit
-// on the workspace's storage.
+// variant per left-out observation, every fit on the workspace's
+// storage (below three observations the variants would all collapse to
+// near-identical means, so the ensemble instead reports the training
+// spread as its disagreement).
 func (w *FitWorkspace) FitPointEnsemble(X [][]float64, timesSec []float64) (*PointEnsemble, error) {
 	main, err := w.fitPointModel(X, timesSec)
 	if err != nil {

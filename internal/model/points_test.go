@@ -47,7 +47,7 @@ func TestPointModelInterpolatesConcurrency(t *testing.T) {
 			sx = append(sx, X[i])
 			sy = append(sy, y[i])
 		}
-		m, err := FitPointModel(sx, sy)
+		m, err := new(FitWorkspace).fitPointModel(sx, sy)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,12 +66,12 @@ func TestPointModelInterpolatesConcurrency(t *testing.T) {
 func TestPointModelDegradesToMean(t *testing.T) {
 	X := [][]float64{{0, 0, 0, 0.5}, {0, 0, 0, 0.5}}
 	y := []float64{2, 8}
-	m, err := FitPointModel(X, y)
+	m, err := new(FitWorkspace).fitPointModel(X, y)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Features() != 0 {
-		t.Errorf("constant features kept: %d", m.Features())
+	if len(m.kept) != 0 {
+		t.Errorf("constant features kept: %d", len(m.kept))
 	}
 	want := math.Exp((math.Log(2) + math.Log(8)) / 2) // geometric mean
 	if got := m.Predict(X[0]); math.Abs(got-want) > 1e-9 {
@@ -80,13 +80,13 @@ func TestPointModelDegradesToMean(t *testing.T) {
 }
 
 func TestPointModelRejectsBadInput(t *testing.T) {
-	if _, err := FitPointModel(nil, nil); err == nil {
+	if _, err := new(FitWorkspace).fitPointModel(nil, nil); err == nil {
 		t.Error("empty fit should fail")
 	}
-	if _, err := FitPointModel([][]float64{{1}}, []float64{0}); err == nil {
+	if _, err := new(FitWorkspace).fitPointModel([][]float64{{1}}, []float64{0}); err == nil {
 		t.Error("non-positive time should fail")
 	}
-	if _, err := FitPointModel([][]float64{{1}}, []float64{1, 2}); err == nil {
+	if _, err := new(FitWorkspace).fitPointModel([][]float64{{1}}, []float64{1, 2}); err == nil {
 		t.Error("mismatched lengths should fail")
 	}
 }
@@ -96,7 +96,7 @@ func TestPointModelRejectsBadInput(t *testing.T) {
 func TestPointEnsembleDisagreement(t *testing.T) {
 	ladder := []int{1, 2, 4, 8, 16, 24, 32, 40, 48}
 	X, y := evalTimes(t, "Hypre", memsys.UncachedNVM, ladder)
-	full, err := FitPointEnsemble(X, y)
+	full, err := new(FitWorkspace).FitPointEnsemble(X, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestPointEnsembleDisagreement(t *testing.T) {
 		sx = append(sx, X[i])
 		sy = append(sy, y[i])
 	}
-	sparse, err := FitPointEnsemble(sx, sy)
+	sparse, err := new(FitWorkspace).FitPointEnsemble(sx, sy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestPointEnsembleDisagreement(t *testing.T) {
 	// three observations the disagreement is the training spread (full
 	// uncertainty for a single point), so the planner buys such groups
 	// more evaluations instead of trusting a mean predictor.
-	tiny, err := FitPointEnsemble(sx[:2], sy[:2])
+	tiny, err := new(FitWorkspace).FitPointEnsemble(sx[:2], sy[:2])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestPointEnsembleDisagreement(t *testing.T) {
 	if d := tiny.Disagreement(probe); d <= 0 {
 		t.Errorf("two-seed ensemble disagreement = %v, want positive", d)
 	}
-	single, err := FitPointEnsemble(sx[:1], sy[:1])
+	single, err := new(FitWorkspace).FitPointEnsemble(sx[:1], sy[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,12 +150,12 @@ func TestPointEnsembleDisagreement(t *testing.T) {
 // the materialized normalized row.
 func TestPredictionsDoNotAllocate(t *testing.T) {
 	X, y := evalTimes(t, "Hypre", memsys.UncachedNVM, []int{1, 2, 4, 8, 16, 24, 32, 40, 48})
-	ens, err := FitPointEnsemble(X, y)
+	ens, err := new(FitWorkspace).FitPointEnsemble(X, y)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := ens.main
-	if m.Features() == 0 {
+	if len(m.kept) == 0 {
 		t.Fatal("fit degraded to the mean predictor; the dot product is not exercised")
 	}
 	for _, feat := range X {
@@ -184,7 +184,7 @@ func TestPredictionsDoNotAllocate(t *testing.T) {
 // working storage must come from the FitWorkspace and each fit may
 // allocate only what the model keeps. A 20-observation ensemble is 21
 // models; through a reused workspace it allocates exactly what they
-// keep, and FitPointEnsemble adds one workspace's buffers, however many
+// keep, and a fresh workspace adds one set of buffers, however many
 // models it fits.
 func TestEnsembleFitAllocs(t *testing.T) {
 	if raceEnabled {
@@ -192,8 +192,7 @@ func TestEnsembleFitAllocs(t *testing.T) {
 	}
 	const (
 		// A PointModel, its kept columns, their normalizers, its
-		// Regression and the Regression's one coefficient-and-diagnostics
-		// slice.
+		// Regression and the Regression's coefficient slice.
 		perModel = 5
 		// The PointEnsemble and its variant list.
 		perEnsemble = 2
@@ -211,14 +210,18 @@ func TestEnsembleFitAllocs(t *testing.T) {
 
 	var ens *PointEnsemble
 	var err error
-	if a := testing.AllocsPerRun(20, func() { ens, err = FitPointEnsemble(X, y) }); a > kept+workspace {
-		t.Errorf("FitPointEnsemble: %v allocations for %d observations, want at most %v", a, len(X), kept+workspace)
+	fresh := func() {
+		var w FitWorkspace
+		ens, err = w.FitPointEnsemble(X, y)
+	}
+	if a := testing.AllocsPerRun(20, fresh); a > kept+workspace {
+		t.Errorf("fresh FitWorkspace: %v allocations for %d observations, want at most %v", a, len(X), kept+workspace)
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ens.main.Features() == 0 || len(ens.loo) != len(X) {
-		t.Fatalf("ensemble has %d features and %d variants; the regression path is not exercised", ens.main.Features(), len(ens.loo))
+	if len(ens.main.kept) == 0 || len(ens.loo) != len(X) {
+		t.Fatalf("ensemble has %d features and %d variants; the regression path is not exercised", len(ens.main.kept), len(ens.loo))
 	}
 	var w FitWorkspace
 	if a := testing.AllocsPerRun(20, func() { ens, err = w.FitPointEnsemble(X, y) }); a > kept {

@@ -141,7 +141,7 @@ func TestIncrementalFitMatchesFreshFit(t *testing.T) {
 			if len(X) == 0 || len(rest) == 0 {
 				continue
 			}
-			ens, err := model.FitPointEnsemble(X, y)
+			ens, err := new(model.FitWorkspace).FitPointEnsemble(X, y)
 			if err != nil {
 				t.Fatalf("%s: fresh fit of group %s: %v", sp.Name, k, err)
 			}

@@ -29,12 +29,6 @@ type Processor struct {
 	L3       units.Bytes // per socket, shared
 }
 
-// TotalCores returns physical cores across all sockets.
-func (p Processor) TotalCores() int { return p.Sockets * p.CoresPerSocket }
-
-// TotalThreads returns hardware threads across all sockets.
-func (p Processor) TotalThreads() int { return p.TotalCores() * p.ThreadsPerCore }
-
 // Socket is one NUMA domain: a processor socket with its local DRAM and
 // NVM device populations behind two iMCs and six channels.
 type Socket struct {

@@ -9,10 +9,10 @@ import (
 
 func TestPurleyTableI(t *testing.T) {
 	m := NewPurley()
-	if got := m.CPU.TotalCores(); got != 48 {
+	if got := m.CPU.Sockets * m.CPU.CoresPerSocket; got != 48 {
 		t.Errorf("total cores = %d, want 48", got)
 	}
-	if got := m.CPU.TotalThreads(); got != 96 {
+	if got := m.CPU.Sockets * m.CPU.CoresPerSocket * m.CPU.ThreadsPerCore; got != 96 {
 		t.Errorf("total threads = %d, want 96", got)
 	}
 	if got := m.DRAMCapacity(); got != 192*units.GiB {

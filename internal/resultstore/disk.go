@@ -552,20 +552,6 @@ func (d *Disk) Degraded() error {
 	return d.faultErr
 }
 
-// Sync forces appended records to stable storage; on a store degraded by
-// a failed append it returns that failure.
-func (d *Disk) Sync() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return fmt.Errorf("resultstore: store is closed")
-	}
-	if d.writeErr != nil {
-		return d.writeErr
-	}
-	return d.f.Sync()
-}
-
 // Compact rewrites every live record — the log segments and the previous
 // v2 segment alike — into a single fresh v2 binary columnar segment and
 // removes the old files. The rewrite is crash-safe: the segment is

@@ -300,6 +300,76 @@ func TestVerifyCleanStore(t *testing.T) {
 	}
 }
 
+// A pre-compaction log numbered below an intact v2 segment is a
+// leftover of an interrupted compaction cleanup: the segment already
+// holds its records, and Open deletes it unread. Verify must treat it
+// the same way even when one of its frames is corrupt, not salvage its
+// records into a log above the segment, where every reopen would count
+// them a second time.
+func TestVerifyDropsLogSupersededByCompaction(t *testing.T) {
+	const n, leftover = 216, 10
+	dir := t.TempDir()
+	d, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		k, res := SyntheticRecord(i)
+		d.Commit(k, res, nil)
+	}
+	if err := d.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, _ := filepath.Glob(filepath.Join(dir, "*.seg"))
+	if len(segs) != 1 {
+		t.Fatalf("segments = %v", segs)
+	}
+	seq, _, _ := parseSegName(filepath.Base(segs[0]))
+	recs := make([]Record, leftover)
+	for i := range recs {
+		recs[i].Key, recs[i].Res = SyntheticRecord(i)
+	}
+	stale := filepath.Join(dir, logName(seq-1))
+	if err := writeLog(faultline.OS{}, stale, recs); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(stale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, first, err := parseFrame(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[first+frameOverhead] ^= 0xff // record 1's frame stays whole but fails its CRC
+	if err := os.WriteFile(stale, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	rep, err := Verify(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Quarantined) != 0 || rep.Salvaged != 0 || rep.RecordsOK != n {
+		t.Errorf("report = %+v, want no quarantine, no salvage, %d records ok", rep, n)
+	}
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Errorf("superseded log still present after Verify (stat: %v)", err)
+	}
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got, st := re.Persisted(), re.Stats(); got != n || st.Records != n {
+		t.Errorf("reopened store: Persisted %d, Stats().Records %d, want %d distinct keys", got, st.Records, n)
+	}
+	requireHits(t, re, n)
+}
+
 // A torn compaction rename — the temp+rename discipline failing so a
 // truncated v2 segment lands at the top sequence — must not lose data:
 // Compact reports the failure and leaves the log segments intact, and
@@ -454,9 +524,9 @@ func TestLiveStatsReadsNoSegment(t *testing.T) {
 		k, res := SyntheticRecord(i)
 		re.Commit(k, res, nil)
 	}
-	before := in.Injected()
+	before := len(in.Events())
 	live := re.Stats()
-	if n := in.Injected() - before; n != 0 {
+	if n := len(in.Events()) - before; n != 0 {
 		t.Fatalf("live Stats touched segment files %d times: %+v", n, in.Events()[before:])
 	}
 	offline, err := Stat(dir)

@@ -73,9 +73,14 @@ const (
 	frameOverhead = 9
 )
 
-// seg2BlockSize is the records-per-block target; a var so tests can
-// force multi-block segments from small record sets.
-var seg2BlockSize = 1024
+// BlockTarget is the records-per-block target of a v2 segment. The
+// engine caps a claimed index range at it, so a range commits at most
+// one block's worth of records.
+const BlockTarget = 1024
+
+// seg2BlockSize is the block target in effect; a var so tests can force
+// multi-block segments from small record sets.
+var seg2BlockSize = BlockTarget
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 

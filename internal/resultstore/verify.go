@@ -25,7 +25,12 @@ type VerifyReport struct {
 // quarantines corrupt segments by renaming them with a ".quarantined"
 // suffix (Open and Stat skip them; the bytes stay for forensics), and
 // salvages their still-decodable records into a fresh log segment, so a
-// single bad frame never costs the rest of its segment. Corruption is
+// single bad frame never costs the rest of its segment. An intact newest
+// v2 segment supersedes the segments numbered below it, leftovers of an
+// interrupted compaction cleanup that it already holds: Verify deletes
+// them unwalked, as Open does, rather than salvage their records on top
+// of the compacted ones. A damaged one leaves them as the fallback
+// layer, walked and salvaged like any other segment. Corruption is
 // reported in the returned report, never as an error; the error path is
 // for the scrub itself failing (unreadable directory, store locked by a
 // live process). JSON-lines segments from older releases are left
@@ -55,17 +60,33 @@ func VerifyFS(dir string, fs faultline.FS) (VerifyReport, error) {
 	}
 	rep := VerifyReport{Dir: dir}
 	maxSeq := 0
+	for _, si := range infos {
+		maxSeq = max(maxSeq, si.seq)
+	}
+	v2, _, stale := splitLive(infos)
+	var v2ok bool
+	var v2recs []Record
+	if v2 != nil {
+		v2ok, v2recs = verifyV2(fs, filepath.Join(dir, v2.name))
+	}
+	if v2ok {
+		for _, si := range stale {
+			fs.Remove(filepath.Join(dir, si.name))
+		}
+		infos = infos[len(stale):] // stale is infos' prefix: it sorts by sequence
+	}
 	var salvage []Record
 	seen := make(map[Key]bool)
 	for _, si := range infos {
-		maxSeq = max(maxSeq, si.seq)
 		path := filepath.Join(dir, si.name)
 		var ok, torn bool
 		var recs []Record
-		switch si.kind {
-		case kindLog:
+		switch {
+		case v2 != nil && si.seq == v2.seq:
+			ok, recs = v2ok, v2recs
+		case si.kind == kindLog:
 			ok, torn, recs = verifyLog(fs, path)
-		case kindSeg:
+		default:
 			ok, recs = verifyV2(fs, path)
 		}
 		if torn {

@@ -47,9 +47,6 @@ type run interface {
 // ID returns the session's identifier.
 func (c *core[T]) ID() string { return c.id }
 
-// Spec returns the submitted spec.
-func (c *core[T]) Spec() scenario.Spec { return c.spec }
-
 // Cancel aborts the session: the engine batch stops between jobs,
 // points already solving run to completion (and commit to the result
 // store as whole entries), and the session transitions to Cancelled.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/planner"
 	"repro/internal/scenario"
 	"repro/internal/workload"
 )
@@ -40,7 +41,7 @@ func TestSetExecutorRoutesSweeps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs, err := s.Outcomes(context.Background())
+	outs, err := outcomes(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,15 +80,15 @@ func TestSetExecutorRoutesPlans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Result(context.Background())
+	points, err := planPoints(s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if x.batches.Load() == 0 {
 		t.Fatal("plan rounds bypassed the executor")
 	}
-	if got := x.points.Load(); got != int64(res.Evaluations) {
-		t.Errorf("executor saw %d points, planner evaluated %d", got, res.Evaluations)
+	if got, want := x.points.Load(), int64(s.Status().Evaluated); got != want {
+		t.Errorf("executor saw %d points, planner evaluated %d", got, want)
 	}
 
 	// Same plan on a pristine default-path manager: identical resolution.
@@ -97,11 +98,24 @@ func TestSetExecutorRoutesPlans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := s2.Result(context.Background())
+	points2, err := planPoints(s2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(res.Points, res2.Points) {
+	if !reflect.DeepEqual(points, points2) {
 		t.Error("executor-routed plan resolved different points than the default path")
 	}
+}
+
+// planPoints waits for s to finish and collects its point stream.
+func planPoints(s *PlanSession) ([]planner.PlannedPoint, error) {
+	if err := s.Wait(context.Background()); err != nil {
+		return nil, err
+	}
+	var points []planner.PlannedPoint
+	err := s.Stream(context.Background(), func(p planner.PlannedPoint) error {
+		points = append(points, p)
+		return nil
+	})
+	return points, err
 }

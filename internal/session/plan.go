@@ -103,17 +103,6 @@ func (s *PlanSession) Status() PlanStatus {
 	return out
 }
 
-// Result returns the resolved plan of a successfully completed session,
-// waiting for completion first.
-func (s *PlanSession) Result(ctx context.Context) (*planner.Result, error) {
-	if err := s.Wait(ctx); err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.result, nil
-}
-
 // SubmitPlan validates and expands the spec, starts resolving it
 // through the adaptive planner in the background, and returns the plan
 // session. The spec's "plan" block configures the planner (absent means

@@ -27,10 +27,12 @@ func TestPlanSessionRunsToCompletion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Result(context.Background())
-	if err != nil {
+	if err := s.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	s.mu.Lock()
+	res := s.result
+	s.mu.Unlock()
 	st := s.Status()
 	if st.State != Done || st.Points != sp.Size() {
 		t.Fatalf("status = %+v", st)
@@ -170,7 +172,7 @@ func TestPlanAfterSweepIsAllHits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ps.Result(context.Background()); err != nil {
+	if err := ps.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if after := m.Engine().Stats().Misses; after != miss {

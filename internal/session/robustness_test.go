@@ -171,7 +171,7 @@ func TestChaosFaultyStoreKillRestartResumes(t *testing.T) {
 	gate.Release()
 	_ = s1.Wait(context.Background())
 	m1.Close()
-	if in.Injected() == 0 {
+	if len(in.Events()) == 0 {
 		t.Fatal("fault plan never fired")
 	}
 	if derr := disk1.Degraded(); !errors.Is(derr, faultline.ErrInjected) {
@@ -215,7 +215,7 @@ func TestChaosFaultyStoreKillRestartResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs, err := s2.Outcomes(context.Background())
+	outs, err := outcomes(s2)
 	if err != nil {
 		t.Fatalf("resumed sweep failed: %v", err)
 	}

@@ -126,17 +126,6 @@ func (s *Session) Status() Status {
 	return out
 }
 
-// Outcomes returns the full outcome list of a successfully completed
-// session, waiting for completion first.
-func (s *Session) Outcomes(ctx context.Context) ([]scenario.Outcome, error) {
-	if err := s.Wait(ctx); err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]scenario.Outcome(nil), s.items...), nil
-}
-
 // DefaultRetain is the manager's default retention cap: the total
 // number of sessions (sweeps and plans together) kept in memory.
 // Terminal sessions beyond the cap are evicted oldest-first; their

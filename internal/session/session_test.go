@@ -34,7 +34,7 @@ func TestSessionRunsToCompletion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs, err := s.Outcomes(context.Background())
+	outs, err := outcomes(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestStreamDeterministicOrder(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	outs, err := s.Outcomes(context.Background())
+	outs, err := outcomes(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestKillAndRestartResumesFromStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs, err := s2.Outcomes(context.Background())
+	outs, err := outcomes(s2)
 	if err != nil {
 		t.Fatalf("resumed sweep failed: %v", err)
 	}
@@ -289,7 +289,7 @@ func TestCompactedStoreResumesAllHits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs1, err := s1.Outcomes(context.Background())
+	outs1, err := outcomes(s1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestCompactedStoreResumesAllHits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs2, err := s2.Outcomes(context.Background())
+	outs2, err := outcomes(s2)
 	if err != nil {
 		t.Fatalf("sweep over compacted store failed: %v", err)
 	}
@@ -438,3 +438,16 @@ func TestManagerClose(t *testing.T) {
 }
 
 var _ resultstore.Store = (*gatedStore)(nil)
+
+// outcomes waits for s to finish and collects its outcome log in order.
+func outcomes(s *Session) ([]scenario.Outcome, error) {
+	if err := s.Wait(context.Background()); err != nil {
+		return nil, err
+	}
+	var outs []scenario.Outcome
+	err := s.Stream(context.Background(), func(o scenario.Outcome) error {
+		outs = append(outs, o)
+		return nil
+	})
+	return outs, err
+}

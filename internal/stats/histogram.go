@@ -57,9 +57,6 @@ func (h *Histogram) Add(x float64) {
 // Count returns the number of observations.
 func (h *Histogram) Count() int { return len(h.xs) }
 
-// Sum returns the total of all observations.
-func (h *Histogram) Sum() float64 { return h.sum }
-
 // Mean returns the arithmetic mean, or 0 when empty.
 func (h *Histogram) Mean() float64 {
 	if len(h.xs) == 0 {

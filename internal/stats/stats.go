@@ -1,10 +1,10 @@
 // Package stats implements the statistical machinery used by the profiler
 // and the Section V-A prediction model: descriptive statistics, z-score
-// normalization, moving averages, and multivariate linear regression by
-// ordinary least squares (the normal equations solved by inverting AᵀA
-// with partially pivoted Gauss-Jordan elimination), with the diagnostics
-// (R², t-statistics, p-values) the paper uses to prune highly correlated
-// hardware events.
+// normalization, Pearson correlation, and multivariate linear regression
+// by ordinary least squares (the normal equations solved by inverting
+// AᵀA with partially pivoted Gauss-Jordan elimination) with its R². The
+// model prunes highly correlated hardware events by their pairwise
+// correlation alone (PruneCorrelated), with no t-statistics or p-values.
 package stats
 
 import (
@@ -90,29 +90,6 @@ func (n Normalizer) Apply(x float64) float64 {
 	return (x - n.Mean) / n.Std
 }
 
-// MovingAverage returns the trailing moving average of xs with the given
-// window (window 1 returns a copy). Early elements average the available
-// prefix, mirroring how the paper reports "moving average" bandwidths.
-func MovingAverage(xs []float64, window int) []float64 {
-	if window < 1 {
-		window = 1
-	}
-	out := make([]float64, len(xs))
-	sum := 0.0
-	for i, x := range xs {
-		sum += x
-		if i >= window {
-			sum -= xs[i-window]
-		}
-		n := window
-		if i+1 < window {
-			n = i + 1
-		}
-		out[i] = sum / float64(n)
-	}
-	return out
-}
-
 // Pearson returns the Pearson correlation coefficient of xs and ys.
 // It returns 0 when either series is constant.
 func Pearson(xs, ys []float64) float64 {
@@ -137,17 +114,11 @@ func Pearson(xs, ys []float64) float64 {
 var ErrSingular = errors.New("stats: singular design matrix")
 
 // Regression holds a fitted ordinary-least-squares model
-// y = intercept + sum_i coef[i] * x[i] plus diagnostics.
+// y = intercept + sum_i coef[i] * x[i] and its R².
 type Regression struct {
 	Intercept float64
 	Coef      []float64
 	R2        float64
-	// TStats[i] is the t-statistic of Coef[i]; PValues[i] its two-sided
-	// p-value under a normal approximation. Used to prune weak events.
-	TStats  []float64
-	PValues []float64
-	// Residual standard error (sigma in Eq. 1 of the paper).
-	Sigma float64
 }
 
 // FitOLS fits y ≈ X·beta + intercept by ordinary least squares.
@@ -213,14 +184,14 @@ func (w *OLS) Fit(X [][]float64, y []float64) (*Regression, error) {
 		}
 	}
 
-	// Solve with (A^T A) inverse so we also get coefficient variances.
+	// beta = inv(AᵀA)·Aᵀy, by the explicit inverse and in this order:
+	// the pinned plans and golden figures depend on these exact bits, so
+	// a solve by factorization waits for a change that re-pins them.
 	inv, err := w.invertSPD(ata)
 	if err != nil {
 		return nil, err
 	}
-	// The coefficients and both diagnostic vectors share one allocation.
-	vecs := make([]float64, d+2*p)
-	beta := vecs[:d:d]
+	beta := make([]float64, d)
 	for i := 0; i < d; i++ {
 		for j := 0; j < d; j++ {
 			beta[i] += inv[i][j] * aty[j]
@@ -229,7 +200,6 @@ func (w *OLS) Fit(X [][]float64, y []float64) (*Regression, error) {
 
 	reg := &Regression{Intercept: beta[0], Coef: beta[1:]}
 
-	// Diagnostics.
 	my := Mean(y)
 	var ssRes, ssTot float64
 	for r := 0; r < n; r++ {
@@ -246,25 +216,6 @@ func (w *OLS) Fit(X [][]float64, y []float64) (*Regression, error) {
 		reg.R2 = 1 - ssRes/ssTot
 	} else {
 		reg.R2 = 1
-	}
-	dof := float64(n - d)
-	if dof < 1 {
-		dof = 1
-	}
-	sigma2 := ssRes / dof
-	reg.Sigma = math.Sqrt(sigma2)
-	reg.TStats = vecs[d : d+p : d+p]
-	reg.PValues = vecs[d+p:]
-	for j := 0; j < p; j++ {
-		se := math.Sqrt(sigma2 * inv[j+1][j+1])
-		if se == 0 {
-			reg.TStats[j] = math.Inf(1)
-			reg.PValues[j] = 0
-			continue
-		}
-		tj := reg.Coef[j] / se
-		reg.TStats[j] = tj
-		reg.PValues[j] = 2 * (1 - normCDF(math.Abs(tj)))
 	}
 	return reg, nil
 }
@@ -347,11 +298,6 @@ func (w *OLS) invertSPD(m [][]float64) ([][]float64, error) {
 		a[i] = a[i][d:]
 	}
 	return a, nil
-}
-
-// normCDF is the standard normal CDF via erf.
-func normCDF(x float64) float64 {
-	return 0.5 * (1 + math.Erf(x/math.Sqrt2))
 }
 
 // PruneCorrelated returns the indices of features to keep, dropping any

@@ -33,7 +33,7 @@ func TestColumnsMatchValues(t *testing.T) {
 		{"dram_write", cols.DRAMWrite, tr.Values(ColDRAMWrite)},
 		{"nvm_read", cols.NVMRead, tr.Values(ColNVMRead)},
 		{"nvm_write", cols.NVMWrite, tr.Values(ColNVMWrite)},
-		{"percent", cols.Percent, tr.PercentTime()},
+		{"percent", cols.Percent, percentTime(tr)},
 	}
 	for _, c := range checks {
 		if len(c.got) != len(c.want) {
@@ -73,7 +73,7 @@ func TestCSVMatchesPerSampleRendering(t *testing.T) {
 	tr := buildFixture(50)
 	var b strings.Builder
 	b.WriteString("time_s,percent,phase,dram_read_gbps,dram_write_gbps,nvm_read_gbps,nvm_write_gbps\n")
-	pct := tr.PercentTime()
+	pct := percentTime(tr)
 	for i, s := range tr.Samples {
 		fmt.Fprintf(&b, "%.4f,%.2f,%s,%.3f,%.3f,%.3f,%.3f\n",
 			s.Time.Seconds(), pct[i], tr.Labels[i],
@@ -112,4 +112,18 @@ func TestLabelsInterned(t *testing.T) {
 	if len(seen) != 2 {
 		t.Fatalf("labels cover %d names, want 2", len(seen))
 	}
+}
+
+// percentTime is the per-sample reference for Columns' Percent: each
+// sample's position as percent of execution (the x-axis of the paper's
+// Figures 5, 7, 8).
+func percentTime(t Trace) []float64 {
+	out := make([]float64, len(t.Samples))
+	if t.TotalTime <= 0 {
+		return out
+	}
+	for i, s := range t.Samples {
+		out[i] = 100 * float64(s.Time) / float64(t.TotalTime)
+	}
+	return out
 }

@@ -9,7 +9,6 @@ import (
 	"strings"
 
 	"repro/internal/counters"
-	"repro/internal/stats"
 	"repro/internal/units"
 	"repro/internal/xrand"
 )
@@ -208,26 +207,6 @@ func (t Trace) Columns() Columns {
 		c.NVMWrite[i] = s.NVMWrite.GBpsValue()
 	}
 	return c
-}
-
-// Smoothed extracts a column as GB/s values smoothed with a trailing
-// moving average — how the paper reports bandwidths like "a moving
-// average of 1.3 GB/s write bandwidth" (Section IV-C).
-func (t Trace) Smoothed(c Column, window int) []float64 {
-	return stats.MovingAverage(t.Values(c), window)
-}
-
-// PercentTime returns sample positions as percent of execution (the
-// x-axis of the paper's Figures 5, 7, 8).
-func (t Trace) PercentTime() []float64 {
-	out := make([]float64, len(t.Samples))
-	if t.TotalTime <= 0 {
-		return out
-	}
-	for i, s := range t.Samples {
-		out[i] = 100 * float64(s.Time) / float64(t.TotalTime)
-	}
-	return out
 }
 
 // PhaseShare returns the fraction of samples labelled with the given

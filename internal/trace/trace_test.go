@@ -141,7 +141,7 @@ func TestColumnString(t *testing.T) {
 
 func TestPercentTime(t *testing.T) {
 	tr := Build(twoPhaseTimeline(), 100, 0, 1)
-	pct := tr.PercentTime()
+	pct := tr.Columns().Percent
 	if pct[0] < 0 || pct[0] > 2 {
 		t.Errorf("first percent = %v", pct[0])
 	}
@@ -192,30 +192,6 @@ func TestASCII(t *testing.T) {
 	empty := Trace{}
 	if !strings.Contains(empty.ASCII(ColRead, 10, 3), "empty") {
 		t.Error("empty trace chart should say so")
-	}
-}
-
-func TestSmoothed(t *testing.T) {
-	tr := Build(twoPhaseTimeline(), 100, 0.1, 5)
-	raw := tr.Values(ColDRAMRead)
-	smooth := tr.Smoothed(ColDRAMRead, 10)
-	if len(smooth) != len(raw) {
-		t.Fatalf("smoothed length %d", len(smooth))
-	}
-	// Smoothing reduces sample-to-sample variation within the steady
-	// second phase.
-	varOf := func(xs []float64) float64 {
-		var sum, sumsq float64
-		for _, x := range xs[40:] {
-			sum += x
-			sumsq += x * x
-		}
-		n := float64(len(xs) - 40)
-		m := sum / n
-		return sumsq/n - m*m
-	}
-	if varOf(smooth) >= varOf(raw) {
-		t.Errorf("smoothing did not reduce variance: %v vs %v", varOf(smooth), varOf(raw))
 	}
 }
 

@@ -96,15 +96,6 @@ func (b Bytes) Lines() int64 {
 	return (int64(b) + CacheLine - 1) / CacheLine
 }
 
-// MediaBlocks returns the number of 256-byte NVM media blocks covering b
-// bytes, rounding up.
-func (b Bytes) MediaBlocks() int64 {
-	if b <= 0 {
-		return 0
-	}
-	return (int64(b) + MediaBlock - 1) / MediaBlock
-}
-
 // String renders a byte quantity with a binary-prefix unit chosen for
 // readability: "1.50 TiB", "490.0 GiB", "64 B".
 func (b Bytes) String() string {

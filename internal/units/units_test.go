@@ -44,20 +44,6 @@ func TestLines(t *testing.T) {
 	}
 }
 
-func TestMediaBlocks(t *testing.T) {
-	cases := []struct {
-		b    Bytes
-		want int64
-	}{
-		{0, 0}, {1, 1}, {256, 1}, {257, 2}, {64, 1}, {1024, 4},
-	}
-	for _, c := range cases {
-		if got := c.b.MediaBlocks(); got != c.want {
-			t.Errorf("MediaBlocks(%d) = %d, want %d", c.b, got, c.want)
-		}
-	}
-}
-
 func TestBytesString(t *testing.T) {
 	cases := []struct {
 		b    Bytes
@@ -128,12 +114,12 @@ func TestRatio(t *testing.T) {
 	}
 }
 
-// Property: Lines is monotone and consistent with MediaBlocks (a media
-// block covers exactly LinesPerMediaBlock lines).
+// Property: Lines is consistent with the 256-byte media blocks covering
+// the same bytes (a media block covers exactly LinesPerMediaBlock lines).
 func TestLinesMediaBlocksProperty(t *testing.T) {
 	f := func(raw uint32) bool {
 		b := Bytes(raw)
-		l, m := b.Lines(), b.MediaBlocks()
+		l, m := b.Lines(), (int64(b)+MediaBlock-1)/MediaBlock
 		if l < m {
 			return false // cannot need fewer lines than blocks
 		}

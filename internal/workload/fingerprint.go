@@ -19,14 +19,18 @@ import (
 //
 // Stability contract: the digest is persisted. Disk result stores
 // (internal/resultstore) key every stored evaluation by this
-// fingerprint, so the encoding below must stay stable across releases —
-// reordering fields, changing a width, or folding a new field in changes
-// every digest and silently turns existing stores cold. Adding a
-// Workload field therefore REQUIRES folding it in here (two workloads
-// differing only in that field must not collide) AND bumping the
-// resultstore segment version so old stores are invalidated loudly
-// rather than served stale. TestFingerprintPersistenceContract pins the
-// registry digests to catch accidental drift.
+// fingerprint, and TestFingerprintPersistenceContract pins the registry
+// digests to catch accidental drift. What holds:
+//   - Every Workload field must be folded in here, so two workloads
+//     differing only in that field never collide.
+//   - Any change to the encoding (a new field, a reordering, a width)
+//     changes the digests, and stored records turn cold: they are
+//     recomputed, never served stale. Such a change re-pins
+//     TestFingerprintPersistenceContract.
+//   - A solver change that keeps every digest (a memdev or dramcache
+//     constant, say) has no guard: a store keeps serving the old
+//     results under the same keys. No store records which solver wrote
+//     it; a solver stamp is open work (ROADMAP item 11).
 func (w *Workload) Fingerprint() uint64 {
 	h := fnv.New64a()
 	var buf [8]byte

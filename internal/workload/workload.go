@@ -286,17 +286,6 @@ func (w *Workload) SplitFor(inDRAM map[string]bool) memsys.Split {
 	return s
 }
 
-// DRAMBytes returns the DRAM capacity consumed by a placement.
-func (w *Workload) DRAMBytes(inDRAM map[string]bool) units.Bytes {
-	var total units.Bytes
-	for _, st := range w.Structures {
-		if inDRAM[st.Name] {
-			total += st.Size
-		}
-	}
-	return total
-}
-
 func run(w *Workload, sys *memsys.System, threads int, split *memsys.Split) (Result, error) {
 	if err := w.Validate(); err != nil {
 		return Result{}, err

@@ -206,9 +206,6 @@ func TestSplitFor(t *testing.T) {
 	if split.DRAMReadFrac != 0.3 || split.DRAMWriteFrac != 0.9 {
 		t.Errorf("split = %+v", split)
 	}
-	if w.DRAMBytes(map[string]bool{"C": true}) != 40*units.GiB {
-		t.Error("DRAMBytes wrong")
-	}
 	empty := w.SplitFor(nil)
 	if empty.DRAMReadFrac != 0 || empty.DRAMWriteFrac != 0 {
 		t.Error("empty placement should split nothing")
@@ -228,10 +225,6 @@ func TestRunPlacedWriteAware(t *testing.T) {
 	base, _ := Run(w, uncached, 48)
 	if writeAware.Time >= base.Time {
 		t.Errorf("write-aware (%v) should beat uncached (%v)", writeAware.Time, base.Time)
-	}
-	// The DRAM budget used is only structure C.
-	if w.DRAMBytes(map[string]bool{"C": true}) >= w.Footprint {
-		t.Error("write-aware placement should use less than full footprint")
 	}
 }
 
