@@ -705,13 +705,15 @@ func TestJoinRefusesOtherProtocolVersion(t *testing.T) {
 }
 
 // A worker whose disk store degrades self-evicts: Run returns
-// ErrStoreDegraded after a graceful leave, and the fleet finishes the
-// sweep on the survivors.
+// ErrStoreDegraded after a graceful leave, and the sweep still
+// finishes.
 func TestWorkerDegradedStoreSelfEvicts(t *testing.T) {
-	f := startFleet(t, 1, tightOpts(), 0)
+	f := startFleet(t, 0, tightOpts(), 0)
 
-	// A store whose 2nd append write fails: the first committed chunk
-	// degrades it, and the post-chunk check fires.
+	// A store whose 2nd append write fails. The worker commits each
+	// point in its own write, and as the fleet's only worker when the
+	// batch is submitted it pulls the whole sweep, so the chunks it
+	// commits degrade the store and the post-chunk check fires.
 	inj := faultline.New(faultline.Plan{Rules: []faultline.Rule{
 		{Op: faultline.OpWrite, Path: ".log", Nth: 2},
 	}})
@@ -729,7 +731,7 @@ func TestWorkerDegradedStoreSelfEvicts(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() { done <- w.Run(context.Background()) }()
-	f.waitWorkers(t, 2)
+	f.waitWorkers(t, 1)
 
 	sp := fleetSpec("fleet-degraded", 1, 2)
 	_, jobs, err := sp.Expand()

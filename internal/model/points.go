@@ -58,10 +58,12 @@ func AppendConfigFeatures(dst []float64, w *workload.Workload, threads int, scal
 }
 
 // PointModel is a fitted log-time regression over configuration
-// features. When the seed is too small or degenerate for a regression
-// (constant features, rank deficiency), it degrades to the mean
-// predictor rather than failing — the planner's disagreement loop then
-// sees a wide ensemble spread and buys more real evaluations.
+// features. A rank-deficient seed still fits every kept feature (the
+// least-squares solve returns its minimum-norm solution). Only an empty
+// kept set, when the seed is a single point or every feature is constant
+// over it, gives the mean predictor rather than failing; the planner's
+// disagreement loop then sees a wide ensemble spread and buys more real
+// evaluations.
 type PointModel struct {
 	kept    []int
 	norms   []stats.Normalizer
@@ -103,7 +105,8 @@ type ranked struct {
 // by absolute correlation with the response and added greedily,
 // skipping near-collinear columns, while fewer than n-1 are kept. A fit
 // may therefore use n-1 features (n >= kept+1), leaving the regression
-// no residual degree of freedom.
+// no residual degree of freedom. The kept features are fit once, exactly
+// dependent ones included.
 func (w *FitWorkspace) fitPointModel(X [][]float64, timesSec []float64) (*PointModel, error) {
 	n := len(X)
 	if n == 0 || n != len(timesSec) {
@@ -155,26 +158,24 @@ func (w *FitWorkspace) fitPointModel(X [][]float64, timesSec []float64) (*PointM
 	}
 	slices.Sort(m.kept)
 
-	// Fit, backing off a feature at a time on rank deficiency; an empty
-	// kept set is the mean predictor. A column's normalizer does not
-	// depend on the others, so a back-off keeps a prefix of them.
-	norms := make([]stats.Normalizer, len(m.kept))
+	if len(m.kept) == 0 {
+		return m, nil
+	}
+	m.norms = make([]stats.Normalizer, len(m.kept))
 	for i, j := range m.kept {
-		norms[i] = stats.FitNormalizer(cols[j])
+		m.norms[i] = stats.FitNormalizer(cols[j])
 	}
-	for ; len(m.kept) > 0; m.kept = m.kept[:len(m.kept)-1] {
-		k := len(m.kept)
-		rows := w.rows.Shape(n, k)
-		for i, row := range rows {
-			for c, j := range m.kept {
-				row[c] = norms[c].Apply(X[i][j])
-			}
-		}
-		if reg, err := w.ols.Fit(rows, y); err == nil {
-			m.norms, m.reg = norms[:k], reg
-			return m, nil
+	rows := w.rows.Shape(n, len(m.kept))
+	for i, row := range rows {
+		for c, j := range m.kept {
+			row[c] = m.norms[c].Apply(X[i][j])
 		}
 	}
+	reg, err := w.ols.Fit(rows, y)
+	if err != nil {
+		return nil, fmt.Errorf("model: point fit: %w", err)
+	}
+	m.reg = reg
 	return m, nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"repro/internal/dwarfs"
 	"repro/internal/memsys"
 	"repro/internal/platform"
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -76,6 +77,41 @@ func TestPointModelDegradesToMean(t *testing.T) {
 	want := math.Exp((math.Log(2) + math.Log(8)) / 2) // geometric mean
 	if got := m.Predict(X[0]); math.Abs(got-want) > 1e-9 {
 		t.Errorf("mean predictor = %v, want %v", got, want)
+	}
+}
+
+// Three features with c = a + b on every seed row pass the collinearity
+// guard, since no pair is near-collinear, yet leave the design rank
+// deficient. The fit keeps all three and reproduces the seed times.
+func TestPointModelKeepsDependentFeatures(t *testing.T) {
+	a := []float64{0, 1, 2, 3, 4, 5}
+	b := []float64{2, 0, 3, 1, 5, 2}
+	X := make([][]float64, len(a))
+	y := make([]float64, len(a))
+	for i := range a {
+		X[i] = []float64{a[i], b[i], a[i] + b[i]}
+		y[i] = math.Exp(1 + 0.3*a[i] - 0.2*b[i])
+	}
+	c := make([]float64, len(a))
+	for i := range a {
+		c[i] = X[i][2]
+	}
+	for _, pair := range [][2][]float64{{a, b}, {a, c}, {b, c}} {
+		if r := stats.Pearson(pair[0], pair[1]); math.Abs(r) >= maxAbsCorr {
+			t.Fatalf("seed features correlate at %v; the collinearity guard, not the fit, would drop one", r)
+		}
+	}
+	m, err := new(FitWorkspace).fitPointModel(X, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.kept) != 3 {
+		t.Fatalf("kept features %v, want all three", m.kept)
+	}
+	for i := range X {
+		if got := m.Predict(X[i]); math.Abs(got-y[i]) > 1e-9*y[i] {
+			t.Errorf("seed row %d: predicted %v, want %v", i, got, y[i])
+		}
 	}
 }
 

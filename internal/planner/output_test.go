@@ -74,17 +74,18 @@ func planHash(res *Result) string {
 
 // Plan output is pinned at full precision: the golden corpus prints
 // times to three decimals, so a change in the last bit of a prediction
-// would pass it unseen. The hashes were recorded on linux/amd64 before
-// the planner refit only changed groups; arm64 may fuse multiply-adds,
-// which moves the last bits of the regression arithmetic.
+// would pass it unseen. The hashes were recorded on linux/amd64 when the
+// least-squares fit became proximal steps on a Cholesky factor, which
+// moved the last bits of the predictions; arm64 may fuse multiply-adds,
+// which moves them again.
 func TestPlanOutputPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("hashes pinned on amd64; %s may fuse multiply-adds and round differently", runtime.GOARCH)
 	}
 	want := map[uint64]string{
-		1: "967e66281e8b1e423f39de431df9863f52936354f1e34a48352dabbc80eeb551",
-		2: "eafe695d7b391ec60d17fa99f9b8de23395b86fd072a7a9428cafb1c15a9ee3a",
-		3: "cd9ab7aa9e42e5e3fc472fcf6142d4e674f056d2af7d2a3f9c370a29d4b26bbd",
+		1: "001d8ccd0149dd657fa393ac09f0f31400010ca1246537c72a4e5834a8181426",
+		2: "502bb8b6e32ba05754b8a93361496a0d46dcedd79f5fd091d2e76a304e9bad81",
+		3: "cc22d0b15eb01613179ebc119a2a146eb7229aa4f6b34aca7a2d42dceb7d1133",
 	}
 	for _, seed := range []uint64{1, 2, 3} {
 		res, err := RunSpec(context.Background(), newEngine(), benchShapedSpec(seed), nil)

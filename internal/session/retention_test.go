@@ -11,6 +11,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/memsys"
 	"repro/internal/scenario"
+	"repro/internal/workload"
 )
 
 // tinySpec is a one-point sweep: the cheapest possible submission for
@@ -153,11 +154,31 @@ func TestRetentionInterleavesPlans(t *testing.T) {
 	}
 }
 
+// gatedExecutor holds every batch until release is closed, then runs it
+// on the engine, so a test decides when its sessions may finish.
+type gatedExecutor struct {
+	eng     *engine.Engine
+	release chan struct{}
+}
+
+func (x gatedExecutor) ExecuteBatch(ctx context.Context, _ scenario.Spec, jobs []engine.Job, done func(int, workload.Result)) error {
+	select {
+	case <-x.release:
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	_, err := x.eng.RunBatchFunc(ctx, jobs, done)
+	return err
+}
+
 // Running sessions are never evicted, even when they exceed the cap;
 // the map shrinks back once they finish.
 func TestRetentionSparesRunning(t *testing.T) {
-	m := NewManager(engine.New(sock(), 2))
+	eng := engine.New(sock(), 2)
+	m := NewManager(eng)
 	defer m.Close()
+	release := make(chan struct{})
+	m.SetExecutor(gatedExecutor{eng, release})
 	m.SetRetain(2)
 
 	var sessions []*Session
@@ -168,15 +189,17 @@ func TestRetentionSparesRunning(t *testing.T) {
 		}
 		sessions = append(sessions, s)
 	}
-	// All six were submitted in one burst; whatever is still running must
-	// still be retrievable.
+	// The executor holds all six running, three times the cap: every
+	// one must still be retrievable.
 	for _, s := range sessions {
-		if !s.terminal() {
-			if _, ok := m.Get(s.ID()); !ok {
-				t.Errorf("running session %s evicted", s.ID())
-			}
+		if s.terminal() {
+			t.Fatalf("session %s finished before its batch was released", s.ID())
+		}
+		if _, ok := m.Get(s.ID()); !ok {
+			t.Errorf("running session %s evicted", s.ID())
 		}
 	}
+	close(release)
 	for _, s := range sessions {
 		if err := s.Wait(context.Background()); err != nil {
 			t.Fatal(err)

@@ -1,14 +1,14 @@
 // Package stats implements the statistical machinery used by the profiler
 // and the Section V-A prediction model: descriptive statistics, z-score
 // normalization, Pearson correlation, and multivariate linear regression
-// by ordinary least squares (the normal equations solved by inverting
-// AᵀA with partially pivoted Gauss-Jordan elimination) with its R². The
-// model prunes highly correlated hardware events by their pairwise
-// correlation alone (PruneCorrelated), with no t-statistics or p-values.
+// by least squares with its R². The normal equations are solved by
+// proximal-point steps on one Cholesky factorization of AᵀA + ρI, so a
+// rank-deficient design fits like any other. The model prunes highly
+// correlated hardware events by their pairwise correlation alone
+// (PruneCorrelated), with no t-statistics or p-values.
 package stats
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -110,9 +110,6 @@ func Pearson(xs, ys []float64) float64 {
 	return sxy / math.Sqrt(sxx*syy)
 }
 
-// ErrSingular reports a rank-deficient regression design matrix.
-var ErrSingular = errors.New("stats: singular design matrix")
-
 // Regression holds a fitted ordinary-least-squares model
 // y = intercept + sum_i coef[i] * x[i] and its R².
 type Regression struct {
@@ -121,23 +118,44 @@ type Regression struct {
 	R2        float64
 }
 
-// FitOLS fits y ≈ X·beta + intercept by ordinary least squares.
-// X is row-major: X[i] is the feature vector for observation i. It is
-// OLS.Fit on a fresh workspace.
+// FitOLS fits y ≈ X·beta + intercept by least squares. X is row-major:
+// X[i] is the feature vector for observation i. When the design is rank
+// deficient (a column repeated or a linear combination of others), the
+// fit is the minimum-norm least-squares solution rather than an error.
+// It is OLS.Fit on a fresh workspace.
 func FitOLS(X [][]float64, y []float64) (*Regression, error) {
 	var w OLS
 	return w.Fit(X, y)
 }
 
+// The normal equations AᵀAβ = Aᵀy are solved by proximal-point steps
+// (AᵀA + ρI)βₖ₊₁ = Aᵀy + ρβₖ from β₀ = 0, the regularized system of
+// IP-PMM (Pougkakiotis and Gondzio, arXiv 1904.10369). AᵀA + ρI is
+// positive definite for every design, so one Cholesky factorization
+// serves every step. A direction in AᵀA's null space keeps β₀'s zero,
+// which makes the limit the minimum-norm least-squares solution.
+const (
+	// proxRho is ρ as a fraction of AᵀA's mean diagonal. Rounding moves a
+	// Cholesky pivot by a few ε of the diagonal, about 1e-15 of it, so
+	// this ρ keeps every pivot of a singular AᵀA positive, while staying
+	// far below any curvature the data resolves.
+	proxRho = 1e-10
+	// proxSteps is the number of proximal solves. A step scales β's error
+	// along an eigenvector of AᵀA with eigenvalue λ by ρ/(λ+ρ), so three
+	// steps leave (ρ/λ)³ ≤ 1e-15, round-off, for every λ down to 1e-5 of
+	// the mean diagonal.
+	proxSteps = 3
+)
+
 // OLS is the working storage of a least-squares fit: the design row
-// with its intercept column, AᵀA and Aᵀy, and the matrix Gauss-Jordan
-// elimination reduces to invert AᵀA. A fit through it allocates only
-// the Regression it returns, so a caller fitting many small models in
-// turn keeps one OLS. The zero value is ready to use; an OLS serves one
+// with its intercept column, Aᵀy, and AᵀA, which the fit overwrites with
+// the Cholesky factor of AᵀA + ρI. A fit through it allocates only the
+// Regression it returns, so a caller fitting many small models in turn
+// keeps one OLS. The zero value is ready to use; an OLS serves one
 // goroutine at a time.
 type OLS struct {
 	row, aty []float64
-	ata, aug Matrix
+	ata      Matrix
 }
 
 // Fit is FitOLS on the workspace's storage.
@@ -158,7 +176,8 @@ func (w *OLS) Fit(X [][]float64, y []float64) (*Regression, error) {
 
 	// Augment with the intercept column: d = p+1 unknowns.
 	d := p + 1
-	// Normal equations: (A^T A) beta = A^T y where A = [1 | X].
+	// Normal equations: (A^T A) beta = A^T y where A = [1 | X]. Only the
+	// lower triangle of the symmetric AᵀA is formed and factored.
 	ata := w.ata.Shape(d, d)
 	for _, r := range ata {
 		clear(r)
@@ -173,28 +192,49 @@ func (w *OLS) Fit(X [][]float64, y []float64) (*Regression, error) {
 		copy(row[1:], X[r])
 		for i := 0; i < d; i++ {
 			aty[i] += row[i] * y[r]
-			for j := i; j < d; j++ {
+			for j := 0; j <= i; j++ {
 				ata[i][j] += row[i] * row[j]
 			}
 		}
 	}
-	for i := 1; i < d; i++ {
-		for j := 0; j < i; j++ {
-			ata[i][j] = ata[j][i]
+
+	rho := 0.0
+	for i := 0; i < d; i++ {
+		rho += ata[i][i]
+	}
+	rho *= proxRho / float64(d)
+	// AᵀA + ρI = LLᵀ, with L written over AᵀA's lower triangle.
+	for j := 0; j < d; j++ {
+		s := ata[j][j] + rho
+		for k := 0; k < j; k++ {
+			s -= ata[j][k] * ata[j][k]
+		}
+		ata[j][j] = math.Sqrt(s)
+		for i := j + 1; i < d; i++ {
+			s := ata[i][j]
+			for k := 0; k < j; k++ {
+				s -= ata[i][k] * ata[j][k]
+			}
+			ata[i][j] = s / ata[j][j]
 		}
 	}
-
-	// beta = inv(AᵀA)·Aᵀy, by the explicit inverse and in this order:
-	// the pinned plans and golden figures depend on these exact bits, so
-	// a solve by factorization waits for a change that re-pins them.
-	inv, err := w.invertSPD(ata)
-	if err != nil {
-		return nil, err
-	}
+	// Each step solves Lz = Aᵀy + ρβ, then Lᵀβ = z, both in place in β:
+	// z's entry i reads only β's old entry i and z's entries before it.
 	beta := make([]float64, d)
-	for i := 0; i < d; i++ {
-		for j := 0; j < d; j++ {
-			beta[i] += inv[i][j] * aty[j]
+	for range proxSteps {
+		for i := 0; i < d; i++ {
+			s := aty[i] + rho*beta[i]
+			for k := 0; k < i; k++ {
+				s -= ata[i][k] * beta[k]
+			}
+			beta[i] = s / ata[i][i]
+		}
+		for i := d - 1; i >= 0; i-- {
+			s := beta[i]
+			for k := i + 1; k < d; k++ {
+				s -= ata[k][i] * beta[k]
+			}
+			beta[i] = s / ata[i][i]
 		}
 	}
 
@@ -248,56 +288,6 @@ func (m *Matrix) Shape(rows, cols int) [][]float64 {
 		m.rows[i] = m.back[i*cols : (i+1)*cols : (i+1)*cols]
 	}
 	return m.rows
-}
-
-// invertSPD inverts a symmetric positive (semi)definite matrix with
-// Gauss-Jordan elimination and partial pivoting. Returns ErrSingular when
-// a pivot collapses (rank-deficient design). The inverse's rows are views
-// into the workspace, valid until its next fit.
-func (w *OLS) invertSPD(m [][]float64) ([][]float64, error) {
-	d := len(m)
-	// Working copy augmented with identity.
-	a := w.aug.Shape(d, 2*d)
-	for i := range a {
-		copy(a[i], m[i])
-		clear(a[i][d:])
-		a[i][d+i] = 1
-	}
-	for col := 0; col < d; col++ {
-		// Partial pivot.
-		piv := col
-		for r := col + 1; r < d; r++ {
-			if math.Abs(a[r][col]) > math.Abs(a[piv][col]) {
-				piv = r
-			}
-		}
-		if math.Abs(a[piv][col]) < 1e-12 {
-			return nil, ErrSingular
-		}
-		a[col], a[piv] = a[piv], a[col]
-		pv := a[col][col]
-		for j := 0; j < 2*d; j++ {
-			a[col][j] /= pv
-		}
-		for r := 0; r < d; r++ {
-			if r == col {
-				continue
-			}
-			f := a[r][col]
-			if f == 0 {
-				continue
-			}
-			for j := 0; j < 2*d; j++ {
-				a[r][j] -= f * a[col][j]
-			}
-		}
-	}
-	// The inverse is the right half of each row; the left half is no
-	// longer read, so the row views are re-sliced in place.
-	for i := range a {
-		a[i] = a[i][d:]
-	}
-	return a, nil
 }
 
 // PruneCorrelated returns the indices of features to keep, dropping any

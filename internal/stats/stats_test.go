@@ -116,12 +116,38 @@ func TestFitOLSNoisy(t *testing.T) {
 	}
 }
 
+// A duplicated column leaves AᵀA singular. The fit still returns finite
+// coefficients that satisfy the normal equations and split the weight
+// evenly between the copies: the minimum-norm solution.
 func TestFitOLSSingular(t *testing.T) {
-	// Second column is an exact copy of the first: rank deficient.
 	X := [][]float64{{1, 1}, {2, 2}, {3, 3}, {4, 4}}
 	y := []float64{1, 2, 3, 4}
-	if _, err := FitOLS(X, y); err == nil {
-		t.Error("expected singular-matrix error")
+	reg, err := FitOLS(X, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	beta := append([]float64{reg.Intercept}, reg.Coef...)
+	for _, b := range beta {
+		if math.IsNaN(b) || math.IsInf(b, 0) {
+			t.Fatalf("coefficients = %v, want finite", beta)
+		}
+	}
+	// Normal equations: Aᵀ(y - Aβ) = 0 for A = [1 | X].
+	for j := range beta {
+		g := 0.0
+		for i, row := range X {
+			a := 1.0
+			if j > 0 {
+				a = row[j-1]
+			}
+			g += a * (y[i] - reg.Predict(row))
+		}
+		if !almost(g, 0, 1e-9) {
+			t.Errorf("normal equation %d: Aᵀ(y - Aβ) = %v, want 0", j, g)
+		}
+	}
+	if !almost(reg.Intercept, 0, 1e-9) || !almost(reg.Coef[0], 0.5, 1e-9) || !almost(reg.Coef[1], 0.5, 1e-9) {
+		t.Errorf("coefficients = %v + %v, want the minimum-norm 0 + [0.5 0.5]", reg.Intercept, reg.Coef)
 	}
 }
 
