@@ -29,12 +29,14 @@ type Context struct {
 	Threads, LowThreads int
 	// TraceSamples is the resolution of reconstructed bandwidth traces.
 	TraceSamples int
-	// Noise is the multiplicative measurement noise for traces/counters.
-	Noise float64
 	// Engine evaluates (workload, mode, threads) jobs with memoized
 	// systems and result caching.
 	Engine *engine.Engine
 }
+
+// traceNoise is the multiplicative measurement noise of reconstructed
+// bandwidth traces.
+const traceNoise = 0.04
 
 // NewContext returns the paper-default context: the Purley machine with
 // experiments pinned to the local socket at 48 and 24 threads, and an
@@ -55,7 +57,6 @@ func NewContextWithStore(store resultstore.Store) *Context {
 		Threads:      48,
 		LowThreads:   24,
 		TraceSamples: 200,
-		Noise:        0.04,
 		Engine:       engine.NewWithStore(m.Socket(0), 0, store),
 	}
 }

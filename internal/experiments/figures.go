@@ -112,8 +112,8 @@ func Fig4(c *Context) (Report, error) {
 		return Report{}, err
 	}
 	dres, cres := outs[0].Result, outs[1].Result
-	dtr := dres.Trace(c.TraceSamples, c.Noise)
-	ctr := cres.Trace(c.TraceSamples, c.Noise)
+	dtr := dres.Trace(c.TraceSamples, traceNoise)
+	ctr := cres.Trace(c.TraceSamples, traceNoise)
 
 	var b strings.Builder
 	b.WriteString("DRAM-only run:\n")
@@ -166,7 +166,7 @@ func Fig5(c *Context) (Report, error) {
 	for _, app := range apps {
 		for _, mode := range []memsys.Mode{memsys.DRAMOnly, memsys.UncachedNVM} {
 			res := byPoint.Get(app.entryName, mode, c.Threads)
-			tr := res.Trace(c.TraceSamples, c.Noise)
+			tr := res.Trace(c.TraceSamples, traceNoise)
 			share := tr.PhaseShare(app.phase)
 			fmt.Fprintf(&b, "%s on %s: phase-1 share %.0f%%, avg read %.1f GB/s, avg write %.1f GB/s\n",
 				app.entryName, mode, 100*share,
@@ -251,7 +251,7 @@ func Fig7(c *Context) (Report, error) {
 		res workload.Result
 		th  int
 	}{{lo, 8}, {hi, 24}} {
-		tr := r.res.Trace(c.TraceSamples, c.Noise)
+		tr := r.res.Trace(c.TraceSamples, traceNoise)
 		fmt.Fprintf(&b, "concurrency = %d: avg read %.2f GB/s, avg write %.2f GB/s\n",
 			r.th, r.res.AvgRead().GBpsValue(), r.res.AvgWrite().GBpsValue())
 		b.WriteString(tr.ASCII(trace.ColWrite, 60, 4))
@@ -284,7 +284,7 @@ func Fig8(c *Context) (Report, error) {
 	reads := map[int]float64{}
 	for i, th := range []int{16, 36} {
 		res := outs[i].Result
-		tr := res.Trace(c.TraceSamples, c.Noise)
+		tr := res.Trace(c.TraceSamples, traceNoise)
 		shares[th] = tr.PhaseShare("panel")
 		// Stage-2 achieved read bandwidth.
 		for _, po := range res.Phases {
@@ -346,7 +346,7 @@ func Fig9(c *Context) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	tr := trace.Build(tl, c.TraceSamples, c.Noise, 99)
+	tr := trace.Build(tl, c.TraceSamples, traceNoise, 99)
 	b.WriteString(tr.ASCII(trace.ColNVMWrite, 60, 4))
 
 	daxO := overheads["DAX-ext4 (Optane PMM)"]

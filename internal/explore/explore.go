@@ -65,19 +65,7 @@ type Evaluation struct {
 // three concurrency levels, plus write-aware placement at three budgets
 // when the workload declares a structure profile.
 func DefaultOptions(w *workload.Workload) []Option {
-	threads := []int{24, 36, 48}
-	var out []Option
-	for _, t := range threads {
-		for _, m := range memsys.Modes() {
-			out = append(out, Option{Mode: m, Threads: t})
-		}
-		if len(w.Structures) > 0 {
-			for _, b := range []float64{0.2, 0.35, 0.5} {
-				out = append(out, Option{Mode: memsys.Placed, Threads: t, PlacementBudgetFrac: b})
-			}
-		}
-	}
-	return out
+	return options(w, []int{24, 36, 48})
 }
 
 // FullOptions returns the dense search space for the adaptive planner:
@@ -86,7 +74,13 @@ func DefaultOptions(w *workload.Workload) []Option {
 // workload declares a structure profile. Exhaustively this is 2-4x the
 // default sweep; through Frontier it costs a fraction of that.
 func FullOptions(w *workload.Workload) []Option {
-	threads := []int{8, 16, 24, 32, 40, 48}
+	return options(w, []int{8, 16, 24, 32, 40, 48})
+}
+
+// options lists, at each thread count, the three paper modes and then,
+// for a workload with a structure profile, write-aware placement at
+// three budgets.
+func options(w *workload.Workload, threads []int) []Option {
 	var out []Option
 	for _, t := range threads {
 		for _, m := range memsys.Modes() {

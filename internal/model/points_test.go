@@ -234,8 +234,8 @@ func TestEnsembleFitAllocs(t *testing.T) {
 		perEnsemble = 2
 		// The log times, the column matrix (2), the candidate ranking,
 		// the design rows (2), the leave-one-out rows and times, and the
-		// OLS design row, Aᵀy, AᵀA (2) and Gauss-Jordan matrix (2).
-		workspace = 14
+		// OLS design row, Aᵀy and AᵀA (2).
+		workspace = 12
 	)
 	threads := make([]int, 20)
 	for i := range threads {

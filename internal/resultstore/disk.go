@@ -21,12 +21,13 @@ import (
 // index range from CommitBatch. A record is the cache Key plus the
 // solved workload.Result with the Workload descriptor pointer stripped
 // (descriptors are reattached from the job at hit time; see
-// Entry.Seeded). Open replays the log in full. Compact rewrites every
-// live record into a single columnar segment named segment-NNNNNNNN.seg
-// (format v2; see segment2.go), which Open maps back in by reading only
-// its trailer and block index — blocks decode lazily on the first
-// Acquire that lands in their fingerprint range, so a compacted
-// multi-million-point store opens in milliseconds.
+// Entry.Seeded). Open replays the log in full. Compact writes what Open
+// would serve, the fallback layer under a damaged v2 segment included,
+// into a single columnar segment named segment-NNNNNNNN.seg (format v2;
+// see segment2.go), which Open maps back in by reading only its trailer
+// and block index — blocks decode lazily on the first Acquire that
+// lands in their fingerprint range, so a compacted multi-million-point
+// store opens in milliseconds.
 //
 // Records are content-addressed: the Key is derived from
 // workload.Fingerprint, so identical evaluation points written by any
@@ -35,7 +36,9 @@ import (
 // than any log segment alongside it (appends after a compaction get
 // fresh, higher sequences), so log records override v2 records on load,
 // and any segment numbered below the newest v2 segment is a leftover of
-// an interrupted compaction cleanup that Open finishes deleting.
+// an interrupted compaction cleanup that Open finishes deleting — unless
+// that v2 segment is damaged, when the leftovers stay as the fallback
+// layer Open loads beneath its intact blocks.
 //
 // Durability: each commit's frame is encoded outside the store's lock
 // and written to the active log segment in one write(2); fsync happens
@@ -195,30 +198,6 @@ func readLog(data []byte, add func(Record)) (torn bool, bad error) {
 	return torn, bad
 }
 
-// mergeRecs overlays newer records on older ones, later wins, preserving
-// first-appearance order.
-func mergeRecs(older, newer []Record) []Record {
-	index := make(map[Key]int, len(older)+len(newer))
-	merged := make([]Record, 0, len(older)+len(newer))
-	for _, r := range older {
-		if at, ok := index[r.Key]; ok {
-			merged[at] = r
-			continue
-		}
-		index[r.Key] = len(merged)
-		merged = append(merged, r)
-	}
-	for _, r := range newer {
-		if at, ok := index[r.Key]; ok {
-			merged[at] = r
-			continue
-		}
-		index[r.Key] = len(merged)
-		merged = append(merged, r)
-	}
-	return merged
-}
-
 // Open opens (creating if needed) a disk store rooted at dir, maps every
 // persisted record in as a pre-seeded cache entry — log segments replay
 // in full, a compacted v2 segment loads only its block index, with
@@ -246,7 +225,11 @@ func OpenFS(dir string, fs faultline.FS) (*Disk, error) {
 		return nil, err
 	}
 	d := &Disk{mem: NewMemory(), dir: dir, fs: fs, lock: lock, nextSeq: 1}
-	if err := d.load(); err != nil {
+	err = d.load()
+	if err == nil {
+		err = d.openSegment()
+	}
+	if err != nil {
 		d.seg2.Load().close()
 		unlock(lock)
 		return nil, err
@@ -254,10 +237,11 @@ func OpenFS(dir string, fs faultline.FS) (*Disk, error) {
 	return d, nil
 }
 
-// load maps the directory's segments in and starts this process's log
-// segment. Log segments replay oldest first, each record replacing any
-// earlier one for its key, so the newest occurrence wins; they postdate
-// the v2 segment, whose records only fill the keys they leave.
+// load maps the directory's segments in: Open's loader, which Compact
+// also runs into a scratch store to get the records Open would serve.
+// Log segments replay oldest first, each record replacing any earlier
+// one for its key, so the newest occurrence wins; they postdate the v2
+// segment, whose records only fill the keys they leave.
 func (d *Disk) load() error {
 	infos, jsonl, err := scanDir(d.fs, d.dir)
 	if err != nil {
@@ -279,11 +263,9 @@ func (d *Disk) load() error {
 		d.persisted += added
 	}
 	if v2 != nil {
-		if err := d.loadSeg2(*v2, stale); err != nil {
-			return err
-		}
+		return d.loadSeg2(*v2, stale)
 	}
-	return d.openSegment()
+	return nil
 }
 
 // replay seeds one log segment's records into the cache and adds the
@@ -432,10 +414,9 @@ func (d *Disk) Probe(k Key) bool {
 }
 
 // fault decodes every not-yet-loaded v2 block whose fingerprint range
-// covers fp and seeds its records (records already resident — log
-// overrides, or process-computed entries — win). A block that fails its
-// CRC or decode is skipped permanently: its keys become cache misses and
-// are recomputed, and the first such error is surfaced by Close.
+// covers fp and seeds its records. A block that fails its CRC or decode
+// is skipped permanently: its keys become cache misses and are
+// recomputed, and the first such error is surfaced by Close.
 func (d *Disk) fault(s *seg2, fp uint64) {
 	d.faultMu.Lock()
 	defer d.faultMu.Unlock()
@@ -443,24 +424,37 @@ func (d *Disk) fault(s *seg2, fp uint64) {
 		return // compacted away while we waited for the lock
 	}
 	i := sort.Search(len(s.blocks), func(i int) bool { return s.blocks[i].maxFp >= fp })
-	for ; i < len(s.blocks) && s.blocks[i].minFp <= fp; i++ {
+	j := i
+	for j < len(s.blocks) && s.blocks[j].minFp <= fp {
+		j++
+	}
+	if err := d.faultBlocks(s, i, j); err != nil && d.faultErr == nil {
+		d.faultErr = err
+	}
+}
+
+// faultBlocks decodes the not-yet-loaded blocks i..j-1 of s and seeds
+// their records (records already resident — log overrides, or
+// process-computed entries — win). A block that fails its CRC or decode
+// counts as loaded all the same, so it is never read again; the first
+// such error is returned. Caller holds faultMu, or owns d alone.
+func (d *Disk) faultBlocks(s *seg2, i, j int) (err error) {
+	for ; i < j; i++ {
 		b := &s.blocks[i]
 		if b.loaded {
 			continue
 		}
-		recs, err := s.readBlock(i)
-		if err != nil {
-			if d.faultErr == nil {
-				d.faultErr = err
-			}
-		} else {
-			for _, r := range recs {
-				d.mem.seed(r.Key, r.Res, false)
-			}
+		recs, berr := s.readBlock(i)
+		if berr != nil && err == nil {
+			err = berr
+		}
+		for _, r := range recs {
+			d.mem.seed(r.Key, r.Res, false)
 		}
 		b.loaded = true
 		s.loaded++
 	}
+	return err
 }
 
 // appendEncoder is the append path's and AppendBlock's scratch: a block
@@ -552,14 +546,18 @@ func (d *Disk) Degraded() error {
 	return d.faultErr
 }
 
-// Compact rewrites every live record — the log segments and the previous
-// v2 segment alike — into a single fresh v2 binary columnar segment and
-// removes the old files. The rewrite is crash-safe: the segment is
-// written to a temp file, fsynced, then renamed into place before the
-// old segments are deleted — a crash at any point leaves a loadable
-// store, and Open finishes the cleanup of a crash between rename and
-// delete. A store degraded by a failed append no longer writes, so it
-// does not compact either.
+// Compact rewrites what Open would serve — the log segments, the
+// previous v2 segment, and the fallback layer under a damaged one — into
+// a single fresh v2 binary columnar segment and removes the old files.
+// It loads the directory through Open's own loader into a scratch store
+// and decodes every v2 block there, so it refuses a directory Open
+// refuses, and a block that fails to decode fails it with every segment
+// left in place. The rewrite is crash-safe: the segment is written to a
+// temp file, fsynced, then renamed into place before the old segments
+// are deleted — a crash at any point leaves a loadable store, and Open
+// finishes the cleanup of a crash between rename and delete. A store
+// degraded by a failed append no longer writes, so it does not compact
+// either.
 func (d *Disk) Compact() (retErr error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -591,10 +589,20 @@ func (d *Disk) Compact() (retErr error) {
 			}
 		}
 	}()
-	recs, err := d.loadAllLocked()
+	// Load the directory as a fresh Open would. The scratch load deletes
+	// only what Open would: stale leftovers under an intact v2 segment,
+	// which this process's Open already removed.
+	scratch := &Disk{mem: NewMemory(), dir: d.dir, fs: d.fs}
+	err := scratch.load()
+	prev := scratch.seg2.Load()
+	if err == nil && prev != nil {
+		err = scratch.faultBlocks(prev, 0, len(prev.blocks))
+	}
+	prev.close()
 	if err != nil {
 		return err
 	}
+	recs := scratch.mem.records()
 	// A failed compaction must leave the store exactly as it was: the
 	// temp file is removed on any failure below, and the log segments are
 	// only retired after the rename lands.
@@ -651,46 +659,6 @@ func (d *Disk) Compact() (retErr error) {
 	d.persisted = len(recs)
 	d.st = Stats{SegmentsV2: 1, RecordsV2: len(recs), Bytes: lay.size, IndexBytes: lay.indexBytes, Blocks: lay.blocks}
 	return nil // the deferred recovery opens the fresh active segment
-}
-
-// loadAllLocked fully materializes every live record in the store
-// directory: the newest v2 segment (all blocks decoded) overlaid by the
-// log segments that postdate it. Caller holds mu.
-func (d *Disk) loadAllLocked() ([]Record, error) {
-	infos, _, err := scanDir(d.fs, d.dir)
-	if err != nil {
-		return nil, err
-	}
-	v2Info, logs, _ := splitLive(infos)
-	var v2recs []Record
-	if v2Info != nil {
-		path := filepath.Join(d.dir, v2Info.name)
-		if s := d.seg2.Load(); s != nil && s.path == path {
-			v2recs, err = s.readAll()
-		} else {
-			var s *seg2
-			s, v2recs, err = openSeg2(d.fs, path)
-			if err == nil && s != nil {
-				v2recs, err = s.readAll()
-				s.close()
-			}
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	var logRecs []Record
-	for _, si := range logs {
-		path := filepath.Join(d.dir, si.name)
-		data, err := d.fs.ReadFile(path)
-		if err != nil {
-			return nil, fmt.Errorf("resultstore: %w", err)
-		}
-		if _, bad := readLog(data, func(r Record) { logRecs = append(logRecs, r) }); bad != nil {
-			return nil, fmt.Errorf("resultstore: %s: %w", path, bad)
-		}
-	}
-	return mergeRecs(v2recs, logRecs), nil
 }
 
 // syncDir fsyncs a directory so a just-renamed file survives power loss;

@@ -1,10 +1,12 @@
 package resultstore
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/faultline"
@@ -401,6 +403,124 @@ func TestTornCompactRenameKeepsLog(t *testing.T) {
 	}
 	defer re.Close()
 	requireHits(t, re, 10)
+}
+
+// Compact writes what Open serves. Over a torn compacted segment that
+// includes the pre-compaction log segments Open keeps as the fallback
+// layer, so compacting such a store must keep every point, not only the
+// torn segment's intact blocks (none here).
+func TestCompactKeepsTornSegmentFallback(t *testing.T) {
+	dir := t.TempDir()
+	commitSynthetic(t, dir, nil, 10)
+	in := faultline.New(faultline.Plan{Rules: []faultline.Rule{
+		{Op: faultline.OpRename, Path: ".seg", Nth: 1, Kind: faultline.Torn},
+	}})
+	d, err := OpenFS(dir, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Compact(); !errors.Is(err, faultline.ErrInjected) {
+		t.Fatalf("Compact = %v, want injected rename fault", err)
+	}
+	d.Close()
+
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireHits(t, re, 10)
+	if err := re.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	after, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer after.Close()
+	if got := after.Persisted(); got != 10 {
+		t.Fatalf("Persisted = %d after compacting the fallback layer, want 10", got)
+	}
+	requireHits(t, after, 10)
+}
+
+// A v2 block that fails its CRC fails Compact, which leaves the segment
+// and the log in place, so the intact blocks and the log keep serving.
+func TestCompactRefusesCorruptBlock(t *testing.T) {
+	restore := SetBlockSizeForTest(4)
+	defer restore()
+	dir := t.TempDir()
+	d, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 12; i++ {
+		k, res := SyntheticRecord(i)
+		d.Commit(k, res, nil)
+	}
+	if err := d.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, _ := filepath.Glob(filepath.Join(dir, "*.seg"))
+	if len(segs) != 1 {
+		t.Fatalf("segments = %v", segs)
+	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(seg2FileMagic)+20] ^= 0xff // inside the first block frame
+	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 12; i < 14; i++ {
+		k, res := SyntheticRecord(i)
+		re.Commit(k, res, nil)
+	}
+	if err := re.Compact(); err == nil || !strings.Contains(err.Error(), "CRC mismatch") {
+		t.Fatalf("Compact = %v, want the corrupt block's CRC error", err)
+	}
+	re.Close()
+	if got, err := os.ReadFile(segs[0]); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("failed Compact changed or removed the v2 segment (read: %v)", err)
+	}
+	logs, _ := filepath.Glob(filepath.Join(dir, "*.log"))
+	if len(logs) == 0 {
+		t.Fatal("failed Compact removed the log segment")
+	}
+
+	after, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer after.Close()
+	hits := 0
+	for i := 0; i < 12; i++ {
+		k, _ := SyntheticRecord(i)
+		if _, loaded := after.Acquire(k); loaded {
+			hits++
+		}
+	}
+	if hits != 8 {
+		t.Fatalf("reopened store serves %d compacted records, want the 8 of the intact blocks", hits)
+	}
+	for i := 12; i < 14; i++ {
+		k, _ := SyntheticRecord(i)
+		if _, loaded := after.Acquire(k); !loaded {
+			t.Fatalf("log record %d lost by the failed Compact", i)
+		}
+	}
 }
 
 // A fault while writing the compaction temp file fails Compact, cleans

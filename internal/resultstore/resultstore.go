@@ -21,14 +21,15 @@
 //     range — and are re-loaded as pre-seeded entries on Open, so a
 //     restarted process re-serves every previously computed point as a
 //     cache hit (the mechanism behind resumable sweep sessions and
-//     nvmbench's -store warm cache). Compact folds the log into a
-//     single binary columnar (v2) segment — sorted, dictionary/varint
-//     encoded blocks plus a block index (see segment2.go for the format)
-//     — which Open reads index-only: records stay on disk and fault in
-//     lazily per block on first Acquire, so reopening a million-point
-//     store costs milliseconds instead of a full replay. Fresh results
-//     keep appending to the log alongside the v2 segment; the next
-//     Compact folds them in.
+//     nvmbench's -store warm cache). Compact folds what Open would
+//     serve, loaded through Open's own loader, into a single binary
+//     columnar (v2) segment — sorted, dictionary/varint encoded blocks
+//     plus a block index (see segment2.go for the format) — which Open
+//     reads index-only: records stay on disk and fault in lazily per
+//     block on first Acquire, so reopening a million-point store costs
+//     milliseconds instead of a full replay. Fresh results keep
+//     appending to the log alongside the v2 segment; the next Compact
+//     folds them in.
 //
 // The singleflight protocol: Acquire returns the Entry for a key,
 // creating it if this is the key's first submission (loaded reports
@@ -338,4 +339,30 @@ func (s *Memory) seed(k Key, res workload.Result, replace bool) bool {
 	}
 	e.Res, e.Seeded = res, true
 	return !exists
+}
+
+// records returns a Record for every completed entry, in no particular
+// order — the scratch index Compact writes out.
+func (s *Memory) records() []Record {
+	recs := make([]Record, 0, s.Len())
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		add := func(wk workloadKey, p point) {
+			if e := &sh.chunks[p.slot>>chunkBits][p.slot&(chunkSize-1)]; e.Done() {
+				k := Key{App: wk.App, Fingerprint: wk.Fingerprint, Mode: p.mode, Threads: p.threads, Placement: wk.Placement, Variant: wk.Variant}
+				recs = append(recs, Record{k, e.Res})
+			}
+		}
+		for wk, g := range sh.groups {
+			add(wk, g.first)
+			if g.more != nil {
+				for _, p := range *g.more {
+					add(wk, p)
+				}
+			}
+		}
+		sh.mu.Unlock()
+	}
+	return recs
 }

@@ -796,7 +796,7 @@ func writeSeg2(w io.Writer, recs []Record) (seg2Layout, error) {
 }
 
 // seg2 is an open v2 segment: the block index plus an open read handle;
-// block payloads decode lazily through faultRange.
+// block payloads decode lazily through Disk.faultBlocks.
 type seg2 struct {
 	path   string
 	f      faultline.File
@@ -966,17 +966,4 @@ func (s *seg2) readBlock(i int) ([]Record, error) {
 func (s *seg2) inRange(fp uint64) bool {
 	i := sort.Search(len(s.blocks), func(i int) bool { return s.blocks[i].maxFp >= fp })
 	return i < len(s.blocks) && s.blocks[i].minFp <= fp
-}
-
-// readAll decodes every block (for Compact and recovery paths).
-func (s *seg2) readAll() ([]Record, error) {
-	var recs []Record
-	for i := range s.blocks {
-		blockRecs, err := s.readBlock(i)
-		if err != nil {
-			return nil, err
-		}
-		recs = append(recs, blockRecs...)
-	}
-	return recs, nil
 }
