@@ -30,7 +30,7 @@ type blockingStore struct {
 }
 
 func newBlockingStore(inner resultstore.Store, tokens int) *blockingStore {
-	b := &blockingStore{Store: inner, gate: make(chan struct{}, 1024)}
+	b := &blockingStore{Store: inner, gate: make(chan struct{}, max(tokens, 1024))}
 	for i := 0; i < tokens; i++ {
 		b.gate <- struct{}{}
 	}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"runtime"
+	"sync"
 	"time"
 
 	"repro/internal/fleet"
@@ -288,13 +289,19 @@ func (k *kind[T, St, R]) cancel(w http.ResponseWriter, r *http.Request) {
 
 // items streams the session's log as NDJSON, one flat record per line
 // (the nvmbench -format json outcome schema, or
-// planner.PlannedPoint.MarshalJSON). It writes the log a published
-// batch at a time and flushes once per batch before waiting again: a
-// stream keeping up with the session flushes each line as its point
-// lands, so a client reads results while the session is still running,
-// and a stream that fell behind (or a finished session's) goes out in
-// as few writes as its size allows. If the session fails or is
-// cancelled mid-stream, the final line is an {"error": ...} object.
+// planner.PlannedPoint.MarshalJSON). Each wake of the stream hands it
+// every item published since the last one, and it renders that batch in
+// windows of at most streamWindow items: a window is split into up to
+// GOMAXPROCS contiguous shares of at least minShare items, shares after
+// the first render on goroutines of their own while the handler renders
+// the first, and each share goes to the connection as one Write, in
+// order. The stream flushes once per batch before waiting again: a
+// stream keeping up with the session gets a few items per batch, which
+// render inline and flush as their points land, so a client reads
+// results while the session is still running; a stream that fell
+// behind (or a finished session's) goes out in a few large writes. If
+// the session fails or is cancelled mid-stream, the final line is an
+// {"error": ...} object.
 func (k *kind[T, St, R]) items(w http.ResponseWriter, r *http.Request) {
 	sess, ok := k.find(w, r)
 	if !ok {
@@ -303,12 +310,11 @@ func (k *kind[T, St, R]) items(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	var enc ndjson.Encoder
+	ls := takeLines()
+	defer linePool.Put(ls)
 	err := sess.StreamBatches(r.Context(), func(batch []T) error {
-		for _, item := range batch {
-			if _, err := w.Write(k.encode(&enc, item)); err != nil {
-				return err
-			}
+		if err := writeLines(w, ls, batch, k.encode); err != nil {
+			return err
 		}
 		if flusher != nil {
 			flusher.Flush()
@@ -317,6 +323,81 @@ func (k *kind[T, St, R]) items(w http.ResponseWriter, r *http.Request) {
 	})
 	if err != nil && r.Context().Err() == nil {
 		// The status line is long gone; surface the failure in-band.
-		w.Write(enc.Error(err))
+		w.Write(ls.shares[0].enc.Error(err))
+	}
+}
+
+// A stream renders at most streamWindow items between writes, and a
+// window is split across goroutines only into shares of at least
+// minShare items, so the few items of a caught-up stream render inline.
+const (
+	streamWindow = 1024
+	minShare     = 128
+)
+
+// lines is one stream's rendering state: an encoder and a line buffer
+// per share, and the WaitGroup the handler waits on for shares after
+// the first.
+type lines struct {
+	shares []lineShare
+	wg     sync.WaitGroup
+}
+
+type lineShare struct {
+	enc ndjson.Encoder
+	buf []byte
+}
+
+// linePool keeps the rendering state of finished streams, so a stream
+// reuses warm encoders and line buffers instead of growing its own.
+var linePool = sync.Pool{New: func() any { return new(lines) }}
+
+// takeLines takes a rendering state from the pool with one share per
+// CPU the scheduler may run on.
+func takeLines() *lines {
+	ls := linePool.Get().(*lines)
+	p := runtime.GOMAXPROCS(0)
+	if len(ls.shares) < p {
+		ls.shares = append(ls.shares, make([]lineShare, p-len(ls.shares))...)
+	}
+	ls.shares = ls.shares[:p]
+	return ls
+}
+
+// writeLines renders batch to w as NDJSON lines, window by window, with
+// one Write per share of each window. The shares' goroutines only read
+// batch, and all of them have returned before writeLines does.
+func writeLines[T any](w io.Writer, ls *lines, batch []T, encode func(*ndjson.Encoder, T) []byte) error {
+	for len(batch) > 0 {
+		window := batch[:min(len(batch), streamWindow)]
+		batch = batch[len(window):]
+		n := len(window)
+		shares := ls.shares[:max(1, min(len(ls.shares), n/minShare))]
+		k := len(shares)
+		for i := 1; i < k; i++ {
+			sh, part := &shares[i], window[i*n/k:(i+1)*n/k]
+			ls.wg.Add(1)
+			go func() {
+				defer ls.wg.Done()
+				renderShare(sh, part, encode)
+			}()
+		}
+		renderShare(&shares[0], window[:n/k], encode)
+		ls.wg.Wait()
+		for i := range shares {
+			if _, err := w.Write(shares[i].buf); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// renderShare renders part's lines into sh's buffer, replacing what it
+// held.
+func renderShare[T any](sh *lineShare, part []T, encode func(*ndjson.Encoder, T) []byte) {
+	sh.buf = sh.buf[:0]
+	for _, item := range part {
+		sh.buf = append(sh.buf, encode(&sh.enc, item)...)
 	}
 }

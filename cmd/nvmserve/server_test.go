@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/ndjson"
+	"repro/internal/planner"
 	"repro/internal/platform"
 	"repro/internal/resultstore"
 	"repro/internal/scenario"
@@ -550,18 +551,16 @@ func (f *flushCounter) Flush() {
 
 // A stream goes out one published batch at a time, flushed once per
 // batch: a finished session has published its whole log, so its
-// stream flushes once, not once per line. (A caught-up stream still
-// flushes each line as its point lands; the shutdown-drain test reads
-// gated lines live.) The sweep's bytes are the per-point rendering of
-// its outcomes.
+// stream flushes once, not once per line or per window. (A caught-up
+// stream still flushes each line as its point lands; the shutdown-drain
+// test reads gated lines live.) The 2,160-point sweep and plan span
+// three windows, and their bytes are the per-point rendering of their
+// logs.
 func TestFinishedStreamFlushesOnce(t *testing.T) {
 	mgr := session.NewManager(engine.New(platform.NewPurley().Socket(0), 4))
 	t.Cleanup(mgr.Close)
 	h := (&server{mgr: mgr}).handler()
-	sp, err := scenario.ByName("full-cartesian")
-	if err != nil {
-		t.Fatal(err)
-	}
+	sp := parseStreamSpec(t)
 	sweep, err := mgr.Submit(sp)
 	if err != nil {
 		t.Fatal(err)
@@ -573,6 +572,9 @@ func TestFinishedStreamFlushesOnce(t *testing.T) {
 	if err := sweep.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	if err := plan.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	var outs []scenario.Outcome
 	if err := sweep.Stream(context.Background(), func(o scenario.Outcome) error {
 		outs = append(outs, o)
@@ -580,31 +582,30 @@ func TestFinishedStreamFlushesOnce(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := plan.Wait(context.Background()); err != nil {
+	var pts []planner.PlannedPoint
+	if err := plan.Stream(context.Background(), func(p planner.PlannedPoint) error {
+		pts = append(pts, p)
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	var want strings.Builder
-	var enc ndjson.Encoder
-	for _, o := range outs {
-		want.Write(enc.Outcome(o))
-	}
 
-	for _, url := range []string{
-		"/v1/sweeps/" + sweep.ID() + "/outcomes",
-		"/v1/plans/" + plan.ID() + "/points",
+	for _, tc := range []struct{ url, want string }{
+		{"/v1/sweeps/" + sweep.ID() + "/outcomes", render(outs, (*ndjson.Encoder).Outcome)},
+		{"/v1/plans/" + plan.ID() + "/points", render(pts, (*ndjson.Encoder).PlannedPoint)},
 	} {
 		rec := &flushCounter{ResponseRecorder: httptest.NewRecorder()}
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil))
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, tc.url, nil))
 		body := rec.Body.String()
-		if rec.Code != http.StatusOK || strings.Count(body, "\n") != 216 || strings.Contains(body, `"error"`) {
-			t.Fatalf("GET %s: %d with %d lines, want 200 with 216 and no error line",
-				url, rec.Code, strings.Count(body, "\n"))
+		if rec.Code != http.StatusOK || strings.Count(body, "\n") != streamPoints || strings.Contains(body, `"error"`) {
+			t.Fatalf("GET %s: %d with %d lines, want 200 with %d and no error line",
+				tc.url, rec.Code, strings.Count(body, "\n"), streamPoints)
 		}
 		if rec.flushes != 1 {
-			t.Errorf("GET %s flushed %d times, want once", url, rec.flushes)
+			t.Errorf("GET %s flushed %d times, want once", tc.url, rec.flushes)
 		}
-		if strings.HasSuffix(url, "/outcomes") && body != want.String() {
-			t.Errorf("GET %s: stream bytes differ from the per-point rendering", url)
+		if body != tc.want {
+			t.Errorf("GET %s: stream bytes differ from the per-point rendering", tc.url)
 		}
 	}
 }

@@ -576,8 +576,13 @@ func (d *Disk) Compact() (retErr error) {
 	}
 	// From here the active segment is closed; whatever happens, leave the
 	// store with a live segment — or, if none can be created, degraded —
-	// so a failed compaction never leaves Commit a closed file.
+	// so a failed compaction never leaves Commit a closed file. As in
+	// Close, a segment nothing was written to goes, so failed attempts do
+	// not accumulate empty files.
 	d.f = nil
+	if d.written == 0 && d.fs.Remove(d.fpath) == nil {
+		d.st.SegmentsLog--
+	}
 	defer func() {
 		if d.f != nil {
 			return

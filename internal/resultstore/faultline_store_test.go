@@ -447,12 +447,13 @@ func TestCompactKeepsTornSegmentFallback(t *testing.T) {
 	requireHits(t, after, 10)
 }
 
-// A v2 block that fails its CRC fails Compact, which leaves the segment
-// and the log in place, so the intact blocks and the log keep serving.
-func TestCompactRefusesCorruptBlock(t *testing.T) {
+// corruptBlockStore writes 12 records into dir, compacts them into a v2
+// segment of 4-record blocks and flips a byte inside the first block,
+// returning the segment's path and its damaged bytes.
+func corruptBlockStore(t *testing.T, dir string) (seg string, data []byte) {
+	t.Helper()
 	restore := SetBlockSizeForTest(4)
 	defer restore()
-	dir := t.TempDir()
 	d, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -471,7 +472,7 @@ func TestCompactRefusesCorruptBlock(t *testing.T) {
 	if len(segs) != 1 {
 		t.Fatalf("segments = %v", segs)
 	}
-	data, err := os.ReadFile(segs[0])
+	data, err = os.ReadFile(segs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,6 +480,14 @@ func TestCompactRefusesCorruptBlock(t *testing.T) {
 	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	return segs[0], data
+}
+
+// A v2 block that fails its CRC fails Compact, which leaves the segment
+// and the log in place, so the intact blocks and the log keep serving.
+func TestCompactRefusesCorruptBlock(t *testing.T) {
+	dir := t.TempDir()
+	seg, data := corruptBlockStore(t, dir)
 
 	re, err := Open(dir)
 	if err != nil {
@@ -492,7 +501,7 @@ func TestCompactRefusesCorruptBlock(t *testing.T) {
 		t.Fatalf("Compact = %v, want the corrupt block's CRC error", err)
 	}
 	re.Close()
-	if got, err := os.ReadFile(segs[0]); err != nil || !bytes.Equal(got, data) {
+	if got, err := os.ReadFile(seg); err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("failed Compact changed or removed the v2 segment (read: %v)", err)
 	}
 	logs, _ := filepath.Glob(filepath.Join(dir, "*.log"))
@@ -520,6 +529,34 @@ func TestCompactRefusesCorruptBlock(t *testing.T) {
 		if _, loaded := after.Acquire(k); !loaded {
 			t.Fatalf("log record %d lost by the failed Compact", i)
 		}
+	}
+}
+
+// A failed Compact reopens a log segment for appends. When the segment
+// it closed holds nothing, that one goes, as at Close, so repeated
+// failures leave one active segment and no empty files behind.
+func TestFailedCompactKeepsNoEmptyLog(t *testing.T) {
+	dir := t.TempDir()
+	corruptBlockStore(t, dir)
+	d, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := d.Compact(); err == nil || !strings.Contains(err.Error(), "CRC mismatch") {
+			t.Fatalf("Compact %d = %v, want the corrupt block's CRC error", i+1, err)
+		}
+	}
+	logs, _ := filepath.Glob(filepath.Join(dir, "*.log"))
+	if len(logs) != 1 || d.Stats().SegmentsLog != 1 {
+		t.Errorf("after 3 failed compactions: log files %v, Stats().SegmentsLog %d, want 1 and 1",
+			logs, d.Stats().SegmentsLog)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if logs, _ := filepath.Glob(filepath.Join(dir, "*.log")); len(logs) != 0 {
+		t.Errorf("after Close: log files %v, want none", logs)
 	}
 }
 
