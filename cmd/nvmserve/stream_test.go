@@ -70,6 +70,23 @@ func render[T any](items []T, encode func(*ndjson.Encoder, T) []byte) string {
 	return b.String()
 }
 
+// marshalLines is the stream encoding/json writes for items: each item's
+// json.Marshal plus a newline. A stream's bytes must equal it, which
+// holds the NDJSON encoder to encoding/json, not to itself.
+func marshalLines[T any](t testing.TB, items []T) string {
+	t.Helper()
+	var b strings.Builder
+	for _, it := range items {
+		line, err := json.Marshal(it)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Write(line)
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
 // cycle repeats src to n items.
 func cycle[T any](src []T, n int) []T {
 	out := make([]T, n)
@@ -199,13 +216,13 @@ func getBody(t *testing.T, url string) string {
 
 // A 2,160-point sweep streamed while it solves, the same sweep streamed
 // once it has finished, and a plan over its spec each come out
-// byte-equal to the in-process rendering.
+// byte-equal to encoding/json's rendering of the in-process results.
 func TestStreamLiveAndFinished(t *testing.T) {
 	const held = 600
 	ts, mgr, gate := newGatedServer(t, held, 0, 0)
 	sp := parseStreamSpec(t)
 	outs, pts := inProcess(t, sp)
-	want := render(outs, (*ndjson.Encoder).Outcome)
+	want := marshalLines(t, outs)
 
 	// The gate holds the one-worker sweep after its first points, so the
 	// stream connects while it runs and reads the rest as it solves.
@@ -239,21 +256,21 @@ func TestStreamLiveAndFinished(t *testing.T) {
 	}
 
 	plan := submitBody(t, ts.URL+"/v1/plans", streamSpec)
-	if got := getBody(t, ts.URL+plan.PointsURL); got != render(pts, (*ndjson.Encoder).PlannedPoint) {
+	if got := getBody(t, ts.URL+plan.PointsURL); got != marshalLines(t, pts) {
 		t.Errorf("plan stream (%d lines) differs from the in-process plan (%d points)",
 			strings.Count(got, "\n"), len(pts))
 	}
 }
 
 // A 2,160-point sweep cancelled while its stream is connected ends the
-// stream on complete lines, the in-process sweep's prefix, and then the
-// in-band error line.
+// stream on complete lines, a prefix of encoding/json's rendering of the
+// in-process sweep, and then the in-band error line.
 func TestStreamCancelledMidSweep(t *testing.T) {
 	const held = 1500 // past the first window
 	ts, mgr, gate := newGatedServer(t, held, 0, 0)
 	sp := parseStreamSpec(t)
 	outs, _ := inProcess(t, sp)
-	want := render(outs, (*ndjson.Encoder).Outcome)
+	want := marshalLines(t, outs)
 
 	sub := submitBody(t, ts.URL+"/v1/sweeps", streamSpec)
 	sess, ok := mgr.Get(sub.ID)

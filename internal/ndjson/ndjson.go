@@ -10,8 +10,26 @@
 // for the same value (scenario.Outcome's and planner.PlannedPoint's
 // MarshalJSON schemas, including omitempty behavior, float formatting
 // and string escaping), so switching an endpoint to this encoder is
-// invisible to consumers; a property test compares the two encoders
-// byte-for-byte over real sweep records and adversarial values.
+// invisible to consumers; property and fuzz tests compare the two
+// encoders byte-for-byte over real sweep and plan records and
+// adversarial values, and nvmserve's stream tests compare whole served
+// streams with encoding/json's.
+//
+// Floats are most of a line's bytes and of its cost. The model's
+// values all lie in encoding/json's fixed-notation band, 0 and
+// magnitudes in [1e-6, 1e21), and the encoder renders that band with its
+// own shortest-digit routine instead of strconv's general one: the
+// exact-integer shortcut, or Schubfach's selection from three 64×128-bit
+// products by a 28-entry table of 10^e for e in [-5, 22] (the powers the
+// band reaches), and the digits written eight at a time into the line.
+// Its bytes equal strconv's shortest 'f' formatting, which
+// tests check over millions of seeded values and the table against
+// math/big. It uses integer arithmetic only, so its bytes cannot depend
+// on whether a host fuses multiply-adds. Exponent notation, outside the
+// band, keeps strconv: no shipped workload produces such a value, and a
+// second layout for it would be code no stream runs. A line whose figure
+// of merit is its run time (five of the eight dwarfs) copies time_s's
+// bytes for fom instead of rendering the same float twice.
 package ndjson
 
 import (
@@ -45,9 +63,18 @@ func (e *Encoder) Outcome(o scenario.Outcome) []byte {
 	b = append(b, `,"scale":`...)
 	b = appendFloat(b, o.Scale)
 	b = append(b, `,"time_s":`...)
-	b = appendFloat(b, o.Result.Time.Seconds())
+	t := o.Result.Time.Seconds()
+	ts := len(b)
+	b = appendFloat(b, t)
+	te := len(b)
 	b = append(b, `,"fom":`...)
-	b = appendFloat(b, o.Result.FoMValue)
+	// A dwarf whose figure of merit is its run time reports the same
+	// float as time_s: reuse the bytes just rendered.
+	if math.Float64bits(o.Result.FoMValue) == math.Float64bits(t) {
+		b = append(b, b[ts:te]...)
+	} else {
+		b = appendFloat(b, o.Result.FoMValue)
+	}
 	if o.Result.Workload != nil && o.Result.Workload.FoM.Unit != "" {
 		b = append(b, `,"fom_unit":`...)
 		b = appendString(b, o.Result.Workload.FoM.Unit)
@@ -119,34 +146,11 @@ func appendBool(b []byte, v bool) []byte {
 	return append(b, "false"...)
 }
 
-// appendFloat matches encoding/json's float64 encoding: shortest
-// round-trip decimal, fixed notation except for magnitudes below 1e-6 or
-// at least 1e21, which use exponent notation with the "e-0X" → "e-X"
-// cleanup. Non-finite values (which encoding/json rejects and the model
-// never produces) render as null rather than corrupting the stream.
-func appendFloat(b []byte, f float64) []byte {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return append(b, "null"...)
-	}
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
-}
-
 const hexDigits = "0123456789abcdef"
 
 // appendString matches encoding/json's string encoding with its default
-// HTML-safe escaping: control characters, quote and backslash escape,
+// HTML-safe escaping: control characters (\b, \f, \n, \r and \t in
+// short form, the rest as \u00XX), quote and backslash escape,
 // '<', '>', '&' and U+2028/U+2029 escape as \uXXXX, and invalid UTF-8
 // becomes U+FFFD.
 func appendString(b []byte, s string) []byte {
@@ -168,6 +172,10 @@ func appendString(b []byte, s string) []byte {
 				b = append(b, '\\', 'r')
 			case '\t':
 				b = append(b, '\\', 't')
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
 			default:
 				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
 			}

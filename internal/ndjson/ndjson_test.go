@@ -2,6 +2,7 @@ package ndjson_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -19,11 +20,13 @@ import (
 
 // edgeFloats exercise both encoding/json float notations and their
 // boundaries: fixed below 1e21, exponent at and beyond it, exponent
-// below 1e-6 with the e-0X cleanup, zeros and extremes.
+// below 1e-6 with the e-0X cleanup, both zeros, powers of two (whose
+// rounding interval is narrower below) and extremes.
 var edgeFloats = []float64{
-	0, 1, -1, 0.1, -0.25, 1.5e-3,
-	1e-6, 9.999999e-7, 1e-7, -1e-9, 5e-324,
-	1e20, 9.99e20, 1e21, -1e21, 2.5e22, math.MaxFloat64,
+	0, math.Copysign(0, -1), 1, -1, 0.1, -0.25, 1.5e-3,
+	1e-6, math.Nextafter(1e-6, 0), 9.999999e-7, 1e-7, -1e-9, 5e-324,
+	1e20, 9.99e20, math.Nextafter(1e21, 0), 1e21, -1e21, 2.5e22, math.MaxFloat64,
+	0x1p-20, 0x1p-19, 0.5, 2, 1024, 0x1p53, -0x1p60, 0x1p69,
 	1234.56789, 1.0 / 3.0,
 }
 
@@ -32,13 +35,16 @@ var edgeFloats = []float64{
 // invalid UTF-8.
 var edgeStrings = []string{
 	"", "BoxLib", `quo"te`, `back\slash`, "tab\tnewline\nret\r",
-	"ctrl\x01\x1f", "<html> & more>", "μGrid—é", "\u2028line\u2029sep",
+	"ctrl\x01\x1f", "bs\bff\f", "<html> & more>", "μGrid—é", "\u2028line\u2029sep",
 	"bad\xffutf8", "mixé\xc3", "emoji🚀",
 }
 
-func sweepOutcomes(t testing.TB) []scenario.Outcome {
+// fullCartesian returns the full-cartesian sweep's outcomes, all eight
+// dwarfs × three modes × nine thread counts, and the points of a plan
+// over the same spec in the order a plan session publishes them.
+func fullCartesian(t testing.TB) ([]scenario.Outcome, []planner.PlannedPoint) {
 	t.Helper()
-	sp, err := scenario.ByName("beyond-dram")
+	sp, err := scenario.ByName("full-cartesian")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +53,13 @@ func sweepOutcomes(t testing.TB) []scenario.Outcome {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return outs
+	var pts []planner.PlannedPoint
+	if _, err := planner.RunSpec(context.Background(), eng, sp, func(p planner.Progress) {
+		pts = append(pts, p.Points...)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return outs, pts
 }
 
 // mustMatch pins the encoder's central property: byte-identical to
@@ -66,17 +78,32 @@ func mustMatch(t *testing.T, what string, got []byte, v any) {
 
 func TestOutcomeMatchesEncodingJSON(t *testing.T) {
 	var enc ndjson.Encoder
-	// Real records: every point of the golden preset sweep.
-	for _, o := range sweepOutcomes(t) {
+	// Real records: every point of the full-cartesian sweep, whose five
+	// run-time figures of merit repeat time_s and three others do not.
+	outs, _ := fullCartesian(t)
+	same := 0
+	for _, o := range outs {
+		if o.Result.FoMValue == o.Result.Time.Seconds() {
+			same++
+		}
 		mustMatch(t, fmt.Sprintf("outcome %s/%s/%d", o.App, o.Mode, o.Threads), enc.Outcome(o), o)
 	}
-	// Adversarial values in every float and string slot.
+	if same == 0 || same == len(outs) {
+		t.Errorf("%d of %d outcomes have fom == time_s, want both kinds", same, len(outs))
+	}
+	// Adversarial values in every float and string slot, with a figure
+	// of merit equal to time_s on every other line and its negation
+	// (so -0 against 0) on the rest.
 	for i, f := range edgeFloats {
+		fom := -f
+		if i%2 == 1 {
+			fom = f
+		}
 		o := scenario.Outcome{
 			Meta: scenario.Meta{App: edgeStrings[i%len(edgeStrings)], Mode: 2, Threads: -3, Scale: f},
 			Result: workload.Result{
 				Time:         units.Duration(f),
-				FoMValue:     -f,
+				FoMValue:     fom,
 				Slowdown:     f,
 				AvgDRAMRead:  units.Bandwidth(f),
 				AvgDRAMWrite: units.Bandwidth(-f),
@@ -100,6 +127,11 @@ func TestOutcomeMatchesEncodingJSON(t *testing.T) {
 
 func TestPlannedPointMatchesEncodingJSON(t *testing.T) {
 	var enc ndjson.Encoder
+	// Real records: every point a plan over full-cartesian publishes.
+	_, pts := fullCartesian(t)
+	for _, p := range pts {
+		mustMatch(t, fmt.Sprintf("plan point %s/%s/%d round %d", p.Meta.App, p.Meta.Mode, p.Meta.Threads, p.Round), enc.PlannedPoint(p), p)
+	}
 	for i, f := range edgeFloats {
 		for _, round := range []int{0, 3} {
 			for _, pred := range []units.Duration{0, units.Duration(f), 1.25} {
@@ -138,7 +170,7 @@ func TestErrorMatchesEncodingJSON(t *testing.T) {
 // The perf property the streaming path rests on: steady-state encoding
 // allocates nothing per point.
 func TestEncoderZeroAllocs(t *testing.T) {
-	outs := sweepOutcomes(t)
+	outs, _ := fullCartesian(t)
 	var enc ndjson.Encoder
 	var sink int
 	allocs := testing.AllocsPerRun(100, func() {
