@@ -31,12 +31,13 @@
 // and any later run — nvmbench or the nvmserve daemon — sharing the
 // directory re-serves those points as cache hits, so a repeated sweep
 // costs only its cold points.
-// -store-stats inspects such a directory read-only (segment formats,
-// points, index size, estimated open cost) and -store-compact folds its
-// append log into one indexed binary columnar (v2) segment that later
-// runs open in near-constant time. A directory holding the JSON-lines
-// segments of an older release does not open: this release does not
-// read them, and deleting the directory recomputes its points.
+// -store-stats inspects such a directory read-only through the store's
+// own loader (segment formats, points, index size, and the open cost,
+// measured) and -store-compact folds its append log into one indexed
+// binary columnar (v2) segment that later runs open in near-constant
+// time. A directory holding the JSON-lines segments of an older release
+// does not open: this release does not read them, and deleting the
+// directory recomputes its points.
 // -store-verify scrubs the directory after a crash or suspected
 // corruption: checksums are walked, corrupt segments quarantined with
 // their decodable records salvaged, and torn final records (interrupted
@@ -57,6 +58,7 @@ import (
 	"io"
 	"os"
 	"strings"
+	"time"
 
 	"repro/internal/benchkit"
 	"repro/internal/core"
@@ -79,7 +81,7 @@ func main() {
 	samples := flag.Int("samples", 200, "trace resolution in samples")
 	format := flag.String("format", "text", "output format: text|json")
 	benchGate := flag.String("bench-gate", "", "gate the go test -bench output read from stdin against this baseline file, then exit (non-zero on regression)")
-	storeStats := flag.String("store-stats", "", "print a result store directory's on-disk composition and estimated open cost, then exit")
+	storeStats := flag.String("store-stats", "", "print what a result store directory holds, as an open would load it, and how long loading it took, then exit")
 	storeCompact := flag.String("store-compact", "", "compact a result store directory into one binary columnar (v2) segment, then exit")
 	storeVerify := flag.String("store-verify", "", "scrub a result store directory: walk every segment's checksums, quarantine corrupt segments (salvaging their decodable records), then exit")
 	flag.Parse()
@@ -341,34 +343,14 @@ func gateBench(baselinePath string, cur io.Reader, w io.Writer) (bool, error) {
 	return false, nil
 }
 
-// Rough single-thread throughputs for the open-cost estimate, measured
-// on a 2-vCPU host: Open replays every log segment in full (57,600
-// points appended by engine batches, one frame per claimed range: about
-// 18 MB of log, replayed in about 110 ms; a log of one-record frames
-// replays at about 90 MB/s, so the estimate reads low for one), a v2
-// segment only has its block index read and decoded.
-const (
-	logReplayBytesPerSec = 165e6
-	v2IndexBytesPerSec   = 500e6
-	v2IndexFixedSeconds  = 100e-6 // open/trailer/flock floor
-)
-
-// estOpenSeconds estimates how long Open will take on a store with this
-// composition: a replay of every log byte plus an index-only read of
-// the v2 segment.
-func estOpenSeconds(st resultstore.Stats) float64 {
-	est := float64(st.BytesLog) / logReplayBytesPerSec
-	if st.SegmentsV2 > 0 {
-		est += v2IndexFixedSeconds + float64(st.IndexBytes)/v2IndexBytesPerSec
-	}
-	return est
-}
-
-// runStoreStats prints a result store directory's on-disk composition
-// and what the next Open will cost. Read-only: it never takes the store
-// lock, so it works on a directory a live daemon is serving.
+// runStoreStats prints what a result store directory holds and what an
+// open of it costs, measured: Stat runs Open's loader. Read-only: it
+// never takes the store lock, so it works on a directory a live daemon
+// is serving.
 func runStoreStats(dir string, w io.Writer) error {
+	start := time.Now()
 	st, err := resultstore.Stat(dir)
+	took := time.Since(start)
 	if err != nil {
 		return err
 	}
@@ -380,8 +362,8 @@ func runStoreStats(dir string, w io.Writer) error {
 	fmt.Fprintf(w, "  bytes:     %s on disk (%s v2 + %s log)\n",
 		units.Bytes(st.Bytes), units.Bytes(st.Bytes-st.BytesLog), units.Bytes(st.BytesLog))
 	fmt.Fprintf(w, "  index:     %s in %d blocks\n", units.Bytes(st.IndexBytes), st.Blocks)
-	fmt.Fprintf(w, "  open cost: ~%.1f ms (replay %s log + read %s v2 index)\n",
-		1e3*estOpenSeconds(st), units.Bytes(st.BytesLog), units.Bytes(st.IndexBytes))
+	fmt.Fprintf(w, "  open cost: %.1f ms measured (replay %s log + read %s v2 index)\n",
+		1e3*took.Seconds(), units.Bytes(st.BytesLog), units.Bytes(st.IndexBytes))
 	if st.Quarantined > 0 {
 		fmt.Fprintf(w, "  quarantine: %d corrupt segment(s) set aside by a scrub (nvmbench -store-verify)\n", st.Quarantined)
 	}
@@ -421,16 +403,22 @@ func runStoreVerify(dir string, w io.Writer) error {
 }
 
 // runStoreCompact rewrites a store directory into a single v2 binary
-// columnar segment and reports the before and after composition.
+// columnar segment and reports the composition and open cost before and
+// after, both from Open's loader: the open that compacts, and a Stat of
+// the compacted directory. A missing directory is an error, not an
+// empty store to create.
 func runStoreCompact(dir string, w io.Writer) error {
-	before, err := resultstore.Stat(dir)
-	if err != nil {
+	if _, err := os.Stat(dir); err != nil {
 		return err
 	}
+	start := time.Now()
 	d, err := resultstore.Open(dir)
 	if err != nil {
 		return err
 	}
+	opened := time.Since(start)
+	before := d.Stats()
+	before.SegmentsLog-- // not the empty segment Open started for appends
 	if err := d.Compact(); err != nil {
 		d.Close()
 		return err
@@ -438,15 +426,17 @@ func runStoreCompact(dir string, w io.Writer) error {
 	if err := d.Close(); err != nil {
 		return err
 	}
+	start = time.Now()
 	after, err := resultstore.Stat(dir)
+	reopened := time.Since(start)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "compacted %s: %d points in %d segments (%s) -> %d points in 1 v2 segment (%s, %s index)\n",
 		dir, before.Records, before.SegmentsLog+before.SegmentsV2, units.Bytes(before.Bytes),
 		after.Records, units.Bytes(after.Bytes), units.Bytes(after.IndexBytes))
-	fmt.Fprintf(w, "estimated open cost: %.1f ms -> %.1f ms\n",
-		1e3*estOpenSeconds(before), 1e3*estOpenSeconds(after))
+	fmt.Fprintf(w, "open cost: %.1f ms -> %.1f ms, measured\n",
+		1e3*opened.Seconds(), 1e3*reopened.Seconds())
 	return nil
 }
 

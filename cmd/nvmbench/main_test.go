@@ -298,8 +298,12 @@ func TestStoreStatsAndCompact(t *testing.T) {
 	if err := runStoreCompact(dir, &cout); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(cout.String(), "24 points in 1 v2 segment") {
-		t.Errorf("compact report = %q", cout.String())
+	// The before figures are the loaded log's, not the empty segment Open
+	// starts for appends as well.
+	for _, want := range []string{"24 points in 1 segments", "-> 24 points in 1 v2 segment", "open cost: "} {
+		if !strings.Contains(cout.String(), want) {
+			t.Errorf("compact report missing %q:\n%s", want, cout.String())
+		}
 	}
 
 	var after strings.Builder
@@ -318,18 +322,17 @@ func TestStoreStatsAndCompact(t *testing.T) {
 		t.Errorf("hint should disappear once no log points remain:\n%s", after.String())
 	}
 
-	// The estimate tracks the composition: log replay cost gone, index
-	// read in its place.
-	bst, err := resultstore.Stat(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est := estOpenSeconds(bst); est <= 0 {
-		t.Errorf("post-compaction open estimate = %v, want > 0", est)
-	}
-
-	if err := runStoreStats(filepath.Join(dir, "missing"), io.Discard); err == nil {
+	// Inspecting or compacting a missing directory fails and creates
+	// nothing.
+	missing := filepath.Join(dir, "missing")
+	if err := runStoreStats(missing, io.Discard); err == nil {
 		t.Error("stats on a missing directory should fail")
+	}
+	if err := runStoreCompact(missing, io.Discard); err == nil {
+		t.Error("compacting a missing directory should fail")
+	}
+	if _, err := os.Stat(missing); !os.IsNotExist(err) {
+		t.Errorf("a missing store directory was created (stat: %v)", err)
 	}
 }
 

@@ -54,9 +54,9 @@ import (
 //
 // Older releases appended JSON lines to segment-NNNNNNNN.jsonl files,
 // which this release does not read. Open refuses a directory that still
-// holds them, and Stat and Verify leave them alone. The store caches a
-// pure function of its keys, so deleting such a directory loses nothing
-// a recompute does not restore.
+// holds them, and so does Stat, which runs Open's loader; Verify leaves
+// them alone. The store caches a pure function of its keys, so deleting
+// such a directory loses nothing a recompute does not restore.
 
 // Disk is the persistent result store: a Memory index over on-disk
 // segments (log segments for appends, a binary columnar v2 segment from
@@ -66,16 +66,15 @@ type Disk struct {
 	dir string
 	fs  faultline.FS // all segment I/O goes through this seam
 
-	mu        sync.Mutex     // serializes appends, compaction and close
-	lock      *os.File       // exclusive cross-process directory lock (always real os)
-	f         faultline.File // active log segment; nil only after a failed compaction recovery
-	fpath     string
-	written   int64 // bytes written to the active segment
-	nextSeq   int
-	persisted int   // records live on disk (loaded + appended)
-	st        Stats // on-disk composition, kept current by Open, Commit and Compact
-	closed    bool
-	writeErr  error // first append failure; surfaced by Close
+	mu       sync.Mutex     // serializes appends, compaction and close
+	lock     *os.File       // exclusive cross-process directory lock (always real os)
+	f        faultline.File // active log segment; nil only after a failed compaction recovery
+	fpath    string
+	written  int64 // bytes written to the active segment
+	nextSeq  int
+	st       Stats // on-disk composition, kept current by Open, Commit and Compact
+	closed   bool
+	writeErr error // first append failure; surfaced by Close
 
 	seg2     atomic.Pointer[seg2] // newest v2 segment, lazily decoded; nil if none
 	faultMu  sync.Mutex           // serializes lazy block faults
@@ -201,12 +200,13 @@ func readLog(data []byte, add func(Record)) (torn bool, bad error) {
 // Open opens (creating if needed) a disk store rooted at dir, maps every
 // persisted record in as a pre-seeded cache entry — log segments replay
 // in full, a compacted v2 segment loads only its block index, with
-// blocks decoded on first use — and starts a fresh log segment for this
-// process's appends. A store serves one process at a time: Open fails if
-// another live process holds the directory (share results across
-// processes sequentially, or through one nvmserve daemon). It also
-// refuses a directory that still holds JSON-lines segments from an
-// older release, which it does not read.
+// blocks decoded on first use — deletes the leftovers of an interrupted
+// compaction cleanup that an intact v2 segment supersedes, and starts a
+// fresh log segment for this process's appends. A store serves one
+// process at a time: Open fails if another live process holds the
+// directory (share results across processes sequentially, or through
+// one nvmserve daemon). It also refuses a directory that still holds
+// JSON-lines segments from an older release, which it does not read.
 func Open(dir string) (*Disk, error) { return OpenFS(dir, faultline.OS{}) }
 
 // OpenFS is Open over an explicit filesystem seam — the real OS in
@@ -225,8 +225,11 @@ func OpenFS(dir string, fs faultline.FS) (*Disk, error) {
 		return nil, err
 	}
 	d := &Disk{mem: NewMemory(), dir: dir, fs: fs, lock: lock, nextSeq: 1}
-	err = d.load()
+	superseded, err := d.load()
 	if err == nil {
+		for _, si := range superseded {
+			d.fs.Remove(filepath.Join(dir, si.name))
+		}
 		err = d.openSegment()
 	}
 	if err != nil {
@@ -237,18 +240,20 @@ func OpenFS(dir string, fs faultline.FS) (*Disk, error) {
 	return d, nil
 }
 
-// load maps the directory's segments in: Open's loader, which Compact
-// also runs into a scratch store to get the records Open would serve.
-// Log segments replay oldest first, each record replacing any earlier
-// one for its key, so the newest occurrence wins; they postdate the v2
+// load maps the directory's segments in: Open's loader, which Stat and
+// Compact also run into a scratch store, to report and to rewrite what
+// Open would serve. It deletes nothing: the segments an intact v2
+// segment supersedes are returned unread, for Open to delete. Log
+// segments replay oldest first, each record replacing any earlier one
+// for its key, so the newest occurrence wins; they postdate the v2
 // segment, whose records only fill the keys they leave.
-func (d *Disk) load() error {
+func (d *Disk) load() (superseded []segInfo, err error) {
 	infos, jsonl, err := scanDir(d.fs, d.dir)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if jsonl > 0 {
-		return fmt.Errorf("resultstore: %s holds %d JSON-lines segment(s) from an older release, which this release does not read; deleting the directory recomputes its points",
+		return nil, fmt.Errorf("resultstore: %s holds %d JSON-lines segment(s) from an older release, which this release does not read; deleting the directory recomputes its points",
 			d.dir, jsonl)
 	}
 	for _, si := range infos {
@@ -256,77 +261,72 @@ func (d *Disk) load() error {
 	}
 	v2, logs, stale := splitLive(infos)
 	for _, si := range logs {
-		added, err := d.replay(si, true)
-		if err != nil {
-			return err
+		if err := d.replay(si, true); err != nil {
+			return nil, err
 		}
-		d.persisted += added
 	}
-	if v2 != nil {
-		return d.loadSeg2(*v2, stale)
+	if v2 == nil {
+		return nil, nil
 	}
-	return nil
+	return d.loadSeg2(*v2, stale)
 }
 
 // replay seeds one log segment's records into the cache and adds the
-// segment to the store's composition, returning how many keys were new.
-// A live segment's records replace earlier entries; a stale one's (kept
-// after a damaged compaction) only fill keys nothing newer holds. A
+// segment to the store's composition: its records and bytes count as
+// log, and Records counts the keys that were new. A live segment's
+// records replace earlier entries; a stale one's (the fallback layer
+// under a damaged compaction) only fill keys nothing newer holds. A
 // corrupt frame is an error naming the segment — Verify quarantines it
 // and salvages the rest.
-func (d *Disk) replay(si segInfo, live bool) (added int, err error) {
+func (d *Disk) replay(si segInfo, live bool) error {
 	path := filepath.Join(d.dir, si.name)
 	data, err := d.fs.ReadFile(path)
 	if err != nil {
-		return 0, fmt.Errorf("resultstore: %w", err)
+		return fmt.Errorf("resultstore: %w", err)
 	}
-	n := 0
 	_, bad := readLog(data, func(r Record) {
-		n++
+		d.st.RecordsLog++
 		if d.mem.seed(r.Key, r.Res, live) {
-			added++
+			d.st.Records++
 		}
 	})
 	d.st.SegmentsLog++
 	d.st.Bytes += int64(len(data))
-	if live {
-		d.st.RecordsLog += n
-		d.st.BytesLog += int64(len(data))
-	}
+	d.st.BytesLog += int64(len(data))
 	if bad != nil {
-		return added, fmt.Errorf("resultstore: %s: %w", path, bad)
+		return fmt.Errorf("resultstore: %s: %w", path, bad)
 	}
-	return added, nil
+	return nil
 }
 
 // loadSeg2 maps in the newest v2 segment. An intact one loads only its
-// index — blocks fault in lazily — and the stale segments numbered below
-// it, already rewritten into it, are deleted. A damaged one (a torn
-// rewrite that escaped the temp+rename discipline) is recovered by a
-// frame scan that seeds its intact blocks; its torn tail may have lost
-// records the stale pre-compaction log segments still hold, so those
-// stay on disk and load, best-effort, as the oldest layer.
-func (d *Disk) loadSeg2(si segInfo, stale []segInfo) error {
+// index — blocks fault in lazily — and supersedes the stale segments
+// numbered below it, which it already holds: they are returned unread.
+// A damaged one (a torn rewrite that escaped the temp+rename discipline)
+// is recovered by a frame scan that seeds its intact blocks; its torn
+// tail may have lost records the stale pre-compaction log segments still
+// hold, so those load, best-effort, as the oldest layer, and nothing is
+// superseded.
+func (d *Disk) loadSeg2(si segInfo, stale []segInfo) (superseded []segInfo, err error) {
 	path := filepath.Join(d.dir, si.name)
 	s2, recovered, err := openSeg2(d.fs, path)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	d.st.SegmentsV2++
 	if s2 != nil {
-		for _, old := range stale {
-			d.fs.Remove(filepath.Join(d.dir, old.name))
-		}
+		d.st.Records += s2.count
 		d.st.RecordsV2, d.st.IndexBytes, d.st.Blocks = s2.count, s2.indexBytes, len(s2.blocks)
 		d.st.Bytes += s2.size
-		d.persisted += s2.count
 		d.seg2.Store(s2)
-		return nil
+		return stale, nil
 	}
 	d.st.RecordsV2 = len(recovered)
 	d.st.Bytes += fileSize(d.fs, path)
 	for _, r := range recovered {
-		d.mem.seed(r.Key, r.Res, false)
+		if d.mem.seed(r.Key, r.Res, false) {
+			d.st.Records++
+		}
 	}
 	for _, old := range stale {
 		if old.kind == kindLog {
@@ -336,8 +336,7 @@ func (d *Disk) loadSeg2(si segInfo, stale []segInfo) error {
 		d.st.SegmentsV2++
 		d.st.Bytes += fileSize(d.fs, filepath.Join(d.dir, old.name))
 	}
-	d.persisted = d.mem.Len()
-	return nil
+	return nil, nil
 }
 
 // fileSize reports a file's size, or 0 when it cannot be opened or
@@ -509,7 +508,7 @@ func (d *Disk) writeFrame(recs []Record) {
 		d.writeErr = werr
 		return
 	}
-	d.persisted += len(recs)
+	d.st.Records += len(recs)
 	d.st.RecordsLog += len(recs)
 }
 
@@ -519,14 +518,17 @@ func (d *Disk) writeFrame(recs []Record) {
 // fault in; Persisted counts them all.
 func (d *Disk) Len() int { return d.mem.Len() }
 
-// Persisted reports the number of records live on disk (restored at Open
-// plus appended since). It trails the points an engine has completed by
-// the ranges its workers have in flight: a worker commits a claimed
-// range's records when the range ends.
+// Persisted reports the number of records live on disk: those Open
+// restored plus those appended since. A key counts once across the log
+// layers; a v2 segment counts its records from its index, without
+// decoding them, so a log record overriding one counts again until the
+// next compaction. It trails the points an engine has completed by the
+// ranges its workers have in flight: a worker commits a claimed range's
+// records when the range ends. Stats().Records reads the same counter.
 func (d *Disk) Persisted() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.persisted
+	return d.st.Records
 }
 
 // Degraded reports whether the store has fallen back to read-only
@@ -594,11 +596,9 @@ func (d *Disk) Compact() (retErr error) {
 			}
 		}
 	}()
-	// Load the directory as a fresh Open would. The scratch load deletes
-	// only what Open would: stale leftovers under an intact v2 segment,
-	// which this process's Open already removed.
+	// Load the directory as a fresh Open would, into a scratch store.
 	scratch := &Disk{mem: NewMemory(), dir: d.dir, fs: d.fs}
-	err := scratch.load()
+	_, err := scratch.load()
 	prev := scratch.seg2.Load()
 	if err == nil && prev != nil {
 		err = scratch.faultBlocks(prev, 0, len(prev.blocks))
@@ -661,8 +661,7 @@ func (d *Disk) Compact() (retErr error) {
 	for _, r := range recs {
 		d.mem.seed(r.Key, r.Res, false)
 	}
-	d.persisted = len(recs)
-	d.st = Stats{SegmentsV2: 1, RecordsV2: len(recs), Bytes: lay.size, IndexBytes: lay.indexBytes, Blocks: lay.blocks}
+	d.st = Stats{SegmentsV2: 1, Records: len(recs), RecordsV2: len(recs), Bytes: lay.size, IndexBytes: lay.indexBytes, Blocks: lay.blocks}
 	return nil // the deferred recovery opens the fresh active segment
 }
 
@@ -680,15 +679,18 @@ func syncDir(fs faultline.FS, dir string) {
 // the original bytes stay on disk for forensics.
 const quarantineSuffix = ".quarantined"
 
-// Stats describes a store directory's on-disk composition.
+// Stats describes a store directory's on-disk composition as Open loads
+// it. The log counts include the fallback layer: the pre-compaction log
+// segments Open replays under a damaged v2 segment. Segments an intact
+// v2 segment supersedes are not counted; Open deletes them unread.
 type Stats struct {
 	Dir          string `json:"dir"`
 	SegmentsLog  int    `json:"segments_log"` // append-log segments
 	SegmentsV2   int    `json:"segments_v2"`  // binary columnar segments
-	Records      int    `json:"records"`      // persisted points (live)
-	RecordsLog   int    `json:"records_log"`
+	Records      int    `json:"records"`      // distinct points Open serves, counted as Persisted counts them
+	RecordsLog   int    `json:"records_log"`  // log records, a key's repeats included
 	RecordsV2    int    `json:"records_v2"`
-	Bytes        int64  `json:"bytes"`                // log and v2 segment bytes on disk
+	Bytes        int64  `json:"bytes"`                // bytes of the counted segments
 	BytesLog     int64  `json:"bytes_log"`            // log bytes Open must replay
 	IndexBytes   int64  `json:"index_bytes"`          // v2 index bytes Open reads
 	Blocks       int    `json:"blocks"`               // v2 blocks
@@ -697,11 +699,14 @@ type Stats struct {
 	Degraded     bool   `json:"degraded"`             // live store fell back to read-only (see Disk.Degraded)
 }
 
-// Stat inspects a store directory read-only, without taking the store
-// lock — it is safe to run against a directory a live daemon is serving,
-// and reports a best-effort snapshot (files may churn underneath it).
-// Log record counts come from walking every log segment's frames; v2
-// counts come from the segment index.
+// Stat reports what Open would load from a store directory. It runs
+// Open's loader into a scratch store, read-only: it takes no lock, starts
+// no log segment and deletes nothing, so it is safe against a directory
+// a live daemon is serving. It therefore costs what an open costs —
+// every log segment replays, a v2 segment reads only its index — and
+// refuses what Open refuses, with Open's error. Unlike Open it creates
+// nothing, so a missing directory is an error. A compaction that removes
+// a segment while Stat reads it makes Stat fail; run it again.
 func Stat(dir string) (Stats, error) { return StatFS(dir, faultline.OS{}) }
 
 // StatFS is Stat over an explicit filesystem seam.
@@ -709,44 +714,13 @@ func StatFS(dir string, fs faultline.FS) (Stats, error) {
 	if fs == nil {
 		fs = faultline.OS{}
 	}
-	infos, _, err := scanDir(fs, dir)
+	d := &Disk{mem: NewMemory(), dir: dir, fs: fs}
+	_, err := d.load()
+	defer d.seg2.Load().close()
 	if err != nil {
 		return Stats{}, err
 	}
-	st := Stats{Dir: dir, Quarantined: quarantinedIn(fs, dir)}
-	v2Info, logs, _ := splitLive(infos)
-	for _, si := range infos {
-		switch si.kind {
-		case kindLog:
-			st.SegmentsLog++
-		case kindSeg:
-			st.SegmentsV2++
-		}
-		st.Bytes += fileSize(fs, filepath.Join(dir, si.name))
-	}
-	for _, si := range logs {
-		data, err := fs.ReadFile(filepath.Join(dir, si.name))
-		if err != nil {
-			continue // deleted underneath us
-		}
-		readLog(data, func(Record) { st.RecordsLog++ })
-		st.BytesLog += int64(len(data))
-	}
-	if v2Info != nil {
-		s, recovered, err := openSeg2(fs, filepath.Join(dir, v2Info.name))
-		if err == nil {
-			if s != nil {
-				st.RecordsV2 = s.count
-				st.IndexBytes = s.indexBytes
-				st.Blocks = len(s.blocks)
-				s.close()
-			} else {
-				st.RecordsV2 = len(recovered)
-			}
-		}
-	}
-	st.Records = st.RecordsLog + st.RecordsV2
-	return st, nil
+	return d.Stats(), nil
 }
 
 // quarantinedIn counts the segments Verify has moved aside in dir.
@@ -772,7 +746,6 @@ func quarantinedIn(fs faultline.FS, dir string) int {
 func (d *Disk) Stats() Stats {
 	d.mu.Lock()
 	st := d.st
-	st.Records = d.persisted
 	st.Degraded = d.writeErr != nil
 	d.mu.Unlock()
 	st.Dir = d.dir

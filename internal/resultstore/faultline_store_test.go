@@ -698,6 +698,146 @@ func TestLiveStatsReadsNoSegment(t *testing.T) {
 	}
 }
 
+// Stat is Open's loader run read-only. On every kind of directory it
+// fails exactly when Open does, with Open's error, and otherwise reports
+// what the opened store's Stats do, less the empty log segment Open
+// starts for its appends. It renames, resizes and deletes no file, and
+// creates no directory: a missing one, which Open creates, is the one
+// place Stat fails where Open does not.
+func TestStatMatchesOpen(t *testing.T) {
+	const n = 16
+	// compactOverLog compacts n records and puts their log back below the
+	// compacted segment, as an interrupted compaction cleanup leaves it;
+	// tear truncates the segment to 64 bytes as well.
+	compactOverLog := func(t *testing.T, dir string, tear bool) {
+		commitSynthetic(t, dir, nil, n)
+		log := filepath.Join(dir, logName(1))
+		data, err := os.ReadFile(log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compactStore(t, dir)
+		if tear {
+			seg := filepath.Join(dir, seg2Name(3))
+			if err := os.Truncate(seg, 64); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.WriteFile(log, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	writeFile := func(t *testing.T, path string, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		build   func(t *testing.T, dir string)
+		records int // Open serves, when it opens
+	}{
+		{"log only", func(t *testing.T, dir string) { commitSynthetic(t, dir, nil, n) }, n},
+		{"one key in two logs", func(t *testing.T, dir string) {
+			commitSynthetic(t, dir, nil, n)
+			commitSynthetic(t, dir, nil, 1)
+		}, n},
+		{"compacted", func(t *testing.T, dir string) {
+			commitSynthetic(t, dir, nil, n)
+			compactStore(t, dir)
+		}, n},
+		{"compacted under a newer log", func(t *testing.T, dir string) {
+			commitSynthetic(t, dir, nil, n)
+			compactStore(t, dir)
+			commitSynthetic(t, dir, nil, n+4)
+		}, n + n + 4}, // a log record overriding a compacted one counts again
+		{"superseded log", func(t *testing.T, dir string) { compactOverLog(t, dir, false) }, n},
+		{"torn segment", func(t *testing.T, dir string) { compactOverLog(t, dir, true) }, n},
+		{"corrupt block", func(t *testing.T, dir string) { corruptBlockStore(t, dir) }, 12},
+		{"block-less segment", func(t *testing.T, dir string) {
+			writeFile(t, filepath.Join(dir, seg2Name(1)), CraftedSegmentForTest(1<<40))
+		}, 0},
+		{"JSON-lines", func(t *testing.T, dir string) {
+			writeFile(t, filepath.Join(dir, "segment-00000001.jsonl"), []byte(`{"v":1}`+"\n"))
+		}, 0},
+		{"4-byte segment", func(t *testing.T, dir string) {
+			writeFile(t, filepath.Join(dir, seg2Name(1)), []byte(seg2FileMagic[:4]))
+		}, 0},
+		{"missing directory", nil, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if tc.build == nil {
+				dir = filepath.Join(dir, "missing")
+			} else {
+				tc.build(t, dir)
+			}
+			files := listFiles(t, dir)
+			st, statErr := Stat(dir)
+			if after := listFiles(t, dir); !reflect.DeepEqual(after, files) {
+				t.Errorf("Stat changed the directory: %v, then %v", files, after)
+			}
+			d, err := Open(dir)
+			switch {
+			case files == nil:
+				if !errors.Is(statErr, os.ErrNotExist) || err != nil {
+					t.Errorf("Stat error %v, Open error %v; want not-exist, then a created store", statErr, err)
+				}
+			case (statErr == nil) != (err == nil) || statErr != nil && statErr.Error() != err.Error():
+				t.Errorf("Stat error %v, Open error %v; want the same", statErr, err)
+			}
+			if err != nil {
+				return
+			}
+			want := d.Stats()
+			d.Close()
+			if want.Records != tc.records {
+				t.Errorf("Open serves %d records, want %d", want.Records, tc.records)
+			}
+			want.SegmentsLog-- // the empty segment Open started for appends
+			if statErr == nil && st != want {
+				t.Errorf("Stat differs from the opened store's Stats:\n stat %+v\n open %+v", st, want)
+			}
+		})
+	}
+}
+
+// compactStore opens dir, compacts it and closes it.
+func compactStore(t *testing.T, dir string) {
+	t.Helper()
+	d, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// listFiles maps each file in dir to its size; nil when dir is missing.
+func listFiles(t *testing.T, dir string) map[string]int64 {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if os.IsNotExist(err) {
+		return nil
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string]int64, len(entries))
+	for _, e := range entries {
+		fi, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = fi.Size()
+	}
+	return files
+}
+
 // Every shipped fault plan must stay live: each of its rules has to
 // match real store I/O, or a chaos drill that loads the plan passes
 // without injecting anything. A small store workload runs under each

@@ -261,9 +261,11 @@ func sameFrame(a, b resultstore.LogFrame) bool {
 
 // FuzzOpenSegment drives the v2 segment open path — trailer, index and
 // lazily faulted blocks — with arbitrary bytes written as a store's only
-// segment. Open, Acquires that fault in every indexed block, Stat and
+// segment. Stat, Open, Acquires that fault in every indexed block and
 // Verify must return, never panic or allocate what a damaged index
-// claims, and a store Verify has scrubbed must open. The corpus is
+// claims; Stat, which runs Open's loader, must fail exactly when Open
+// does, with its error, and otherwise count the records Open persisted;
+// and a store Verify has scrubbed must open. The corpus is
 // seeded with a real compacted beyond-dram segment, a truncation and a
 // bit flip of it, and two crafted indexes whose one entry claims a block
 // of 2^40 or 2^64-20 bytes with no block bytes behind it.
@@ -282,20 +284,25 @@ func FuzzOpenSegment(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, "segment-00000001.seg"), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if d, err := resultstore.OpenFS(dir, nil); err == nil {
+		st, statErr := resultstore.Stat(dir)
+		d, err := resultstore.OpenFS(dir, nil)
+		if (statErr == nil) != (err == nil) || statErr != nil && statErr.Error() != err.Error() {
+			t.Fatalf("Stat error %v, Open error %v; want the same", statErr, err)
+		}
+		if err == nil {
+			if st.Records != d.Persisted() {
+				t.Fatalf("Stat counts %d records, Open persisted %d", st.Records, d.Persisted())
+			}
 			for _, r := range d.BlockRangesForTest() {
 				d.Acquire(resultstore.Key{Fingerprint: r[0]})
 				d.Acquire(resultstore.Key{Fingerprint: r[1]})
 			}
 			d.Close() // reports a block that failed to decode; that is allowed
 		}
-		if _, err := resultstore.Stat(dir); err != nil {
-			t.Fatalf("Stat: %v", err)
-		}
 		if _, err := resultstore.Verify(dir); err != nil {
 			t.Fatalf("Verify: %v", err)
 		}
-		d, err := resultstore.OpenFS(dir, nil)
+		d, err = resultstore.OpenFS(dir, nil)
 		if err != nil {
 			t.Fatalf("scrubbed store does not open: %v", err)
 		}

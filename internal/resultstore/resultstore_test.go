@@ -401,8 +401,9 @@ func TestRangeCommitAllocs(t *testing.T) {
 
 // A directory an older release appended JSON lines to does not open.
 // This release reads no JSON, and the error says so and that deleting
-// the directory recomputes its points. Stat and Verify leave the
-// segment where it is, neither counting nor quarantining it.
+// the directory recomputes its points. Stat, which runs Open's loader,
+// refuses it with the same error; Verify leaves the segment where it
+// is, without quarantining it.
 func TestOpenRefusesJSONLines(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "segment-00000001.jsonl")
@@ -422,9 +423,8 @@ func TestOpenRefusesJSONLines(t *testing.T) {
 	if strings.Contains(err.Error(), "-store-compact") {
 		t.Errorf("Open error %q points at an import that no longer exists", err)
 	}
-	st, err := Stat(dir)
-	if err != nil || st.Records != 0 || st.SegmentsLog+st.SegmentsV2 != 0 || st.Bytes != 0 {
-		t.Errorf("Stat = %+v, %v; want an empty store", st, err)
+	if _, serr := Stat(dir); serr == nil || serr.Error() != err.Error() {
+		t.Errorf("Stat error %v, want Open's refusal %q", serr, err)
 	}
 	rep, err := Verify(dir)
 	if err != nil || rep.SegmentsOK != 0 || rep.RecordsOK != 0 || len(rep.Quarantined) != 0 || rep.Salvaged != 0 {
