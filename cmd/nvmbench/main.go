@@ -33,7 +33,8 @@
 // costs only its cold points.
 // -store-stats inspects such a directory read-only through the store's
 // own loader (segment formats, points, index size, and the open cost,
-// measured) and -store-compact folds its append log into one indexed
+// measured), so it also works while a daemon serves the directory.
+// -store-compact rewrites what that loader serves into one indexed
 // binary columnar (v2) segment that later runs open in near-constant
 // time. A directory holding the JSON-lines segments of an older release
 // does not open: this release does not read them, and deleting the
@@ -41,7 +42,9 @@
 // -store-verify scrubs the directory after a crash or suspected
 // corruption: checksums are walked, corrupt segments quarantined with
 // their decodable records salvaged, and torn final records (interrupted
-// appends) tolerated.
+// appends) tolerated. Compaction and the scrub are offline passes: they
+// take the store lock, so they fail while another process (a -store
+// run or an nvmserve daemon) holds the directory.
 //
 // -bench-gate is the performance gate (internal/benchkit): it reads a
 // `go test -bench` run of the tracked hot-path benchmarks and the
@@ -404,26 +407,17 @@ func runStoreVerify(dir string, w io.Writer) error {
 
 // runStoreCompact rewrites a store directory into a single v2 binary
 // columnar segment and reports the composition and open cost before and
-// after, both from Open's loader: the open that compacts, and a Stat of
-// the compacted directory. A missing directory is an error, not an
-// empty store to create.
+// after, both from Stat, which runs Open's loader. Compaction is an
+// offline pass: it fails on a directory a live process holds, and on a
+// missing one.
 func runStoreCompact(dir string, w io.Writer) error {
-	if _, err := os.Stat(dir); err != nil {
-		return err
-	}
 	start := time.Now()
-	d, err := resultstore.Open(dir)
+	before, err := resultstore.Stat(dir)
+	opened := time.Since(start)
 	if err != nil {
 		return err
 	}
-	opened := time.Since(start)
-	before := d.Stats()
-	before.SegmentsLog-- // not the empty segment Open started for appends
-	if err := d.Compact(); err != nil {
-		d.Close()
-		return err
-	}
-	if err := d.Close(); err != nil {
+	if err := resultstore.Compact(dir); err != nil {
 		return err
 	}
 	start = time.Now()

@@ -294,12 +294,23 @@ func TestStoreStatsAndCompact(t *testing.T) {
 		}
 	}
 
+	// Compaction is offline: it fails while a process holds the store.
+	held, err := resultstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := runStoreCompact(dir, io.Discard); err == nil || !strings.Contains(err.Error(), "in use") {
+		t.Errorf("compacting a held store = %v, want the in-use refusal", err)
+	}
+	if err := held.Close(); err != nil {
+		t.Fatal(err)
+	}
+
 	var cout strings.Builder
 	if err := runStoreCompact(dir, &cout); err != nil {
 		t.Fatal(err)
 	}
-	// The before figures are the loaded log's, not the empty segment Open
-	// starts for appends as well.
+	// The before figures are the log's, as Stat loads it.
 	for _, want := range []string{"24 points in 1 segments", "-> 24 points in 1 v2 segment", "open cost: "} {
 		if !strings.Contains(cout.String(), want) {
 			t.Errorf("compact report missing %q:\n%s", want, cout.String())

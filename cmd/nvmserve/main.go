@@ -197,7 +197,7 @@ func serve(ctx context.Context, l net.Listener, cfg serveConfig) error {
 	}
 
 	// Cancel sweeps first: outcome-stream handlers block in
-	// Session.Stream waiting for points, so they can only drain — and
+	// StreamBatches waiting for points, so they can only drain — and
 	// Shutdown can only return before its deadline — once their sessions
 	// reach a terminal state. Cancellation stops the engine between jobs,
 	// so only whole results ever reach the store, and every stream ends

@@ -75,8 +75,9 @@ func TestHealthz(t *testing.T) {
 }
 
 // The health report's store block tracks the on-disk composition: fresh
-// evaluations land in a log segment, compaction moves them into a
-// binary columnar segment with a block index.
+// evaluations land in a log segment, and a daemon restarted over the
+// compacted store reports them in a binary columnar segment with a
+// block index.
 func TestHealthzStoreAccounting(t *testing.T) {
 	dir := t.TempDir()
 	d, err := resultstore.Open(dir)
@@ -116,9 +117,19 @@ func TestHealthzStoreAccounting(t *testing.T) {
 		t.Errorf("pre-compaction bytes = %+v, want all bytes in the log", doc.Store)
 	}
 
-	if err := d.Compact(); err != nil {
+	ts.Close()
+	mgr.Close()
+	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if err := resultstore.Compact(dir); err != nil {
+		t.Fatal(err)
+	}
+	d, err = resultstore.Open(dir) // closed by the Cleanup above
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, _ = newTestServer(t, d)
 	getJSON(t, ts.URL+"/healthz", &doc)
 	if doc.Store.SegmentsV2 != 1 || doc.Store.RecordsV2 != 16 || doc.Store.RecordsLog != 0 {
 		t.Errorf("post-compaction store = %+v, want 16 records in one v2 segment", doc.Store)

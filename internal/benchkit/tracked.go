@@ -219,11 +219,9 @@ func (f *storeFixture) get() (string, error) {
 			k, res := resultstore.SyntheticRecord(i)
 			d.Commit(k, res, nil)
 		}
-		if f.compact {
-			f.err = d.Compact()
-		}
-		if err := d.Close(); f.err == nil {
-			f.err = err
+		f.err = d.Close()
+		if f.err == nil && f.compact {
+			f.err = resultstore.Compact(f.dir)
 		}
 	})
 	return f.dir, f.err

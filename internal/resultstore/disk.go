@@ -21,42 +21,46 @@ import (
 // index range from CommitBatch. A record is the cache Key plus the
 // solved workload.Result with the Workload descriptor pointer stripped
 // (descriptors are reattached from the job at hit time; see
-// Entry.Seeded). Open replays the log in full. Compact writes what Open
-// would serve, the fallback layer under a damaged v2 segment included,
-// into a single columnar segment named segment-NNNNNNNN.seg (format v2;
-// see segment2.go), which Open maps back in by reading only its trailer
-// and block index — blocks decode lazily on the first Acquire that
-// lands in their fingerprint range, so a compacted multi-million-point
-// store opens in milliseconds.
+// Entry.Seeded). Open replays the log in full. Compact, an offline pass
+// over a directory no process holds, writes what Open would serve, the
+// fallback layer under a damaged v2 segment included, into a single
+// columnar segment named segment-NNNNNNNN.seg (format v2; see
+// segment2.go), which Open maps back in by reading only its trailer and
+// block index — blocks decode lazily on the first Acquire that lands in
+// their fingerprint range, so a compacted multi-million-point store
+// opens in milliseconds.
 //
 // Records are content-addressed: the Key is derived from
 // workload.Fingerprint, so identical evaluation points written by any
 // process land on the same identity and later occurrences win on load.
 // Segment sequence numbers order the files: a v2 segment is always older
 // than any log segment alongside it (appends after a compaction get
-// fresh, higher sequences), so log records override v2 records on load,
-// and any segment numbered below the newest v2 segment is a leftover of
-// an interrupted compaction cleanup that Open finishes deleting — unless
-// that v2 segment is damaged, when the leftovers stay as the fallback
-// layer Open loads beneath its intact blocks.
+// fresh, higher sequences), so log records override v2 records on load.
+// Any segment numbered below the newest v2 segment is a leftover of a
+// compaction interrupted between its rename and its deletes. Open leaves
+// it unread and uncounted, and deletes nothing; the next Compact or
+// Verify deletes it, each only after decoding every block of the v2
+// segment above it. If that v2 segment is damaged, the leftovers stay as
+// the fallback layer Open loads beneath its intact blocks.
 //
 // Durability: each commit's frame is encoded outside the store's lock
 // and written to the active log segment in one write(2); fsync happens
-// on Sync, Compact and Close. A crash can therefore lose the records of
-// the current OS write-back window, plus the records engine workers
-// still hold for the ranges in flight, and can leave a torn final frame,
-// which Open tolerates (the torn frame's records are dropped, everything
-// before it loads; a resumed sweep recomputes them). Every Open starts a
-// fresh log segment, never appending to an old (possibly torn) one;
-// Close removes it again if nothing was written to it. Compact writes
-// the v2 segment via a temp file + fsync + rename, so a crash at any
-// point leaves a loadable store.
+// at Close. A crash can therefore lose the records of the current OS
+// write-back window, plus the records engine workers still hold for the
+// ranges in flight, and can leave a torn final frame, which Open
+// tolerates (the torn frame's records are dropped, everything before it
+// loads; a resumed sweep recomputes them). Every Open starts a fresh log
+// segment, never appending to an old (possibly torn) one; Close removes
+// it again if nothing was written to it. Compact writes the v2 segment
+// via a temp file + fsync + rename, so a crash at any point leaves a
+// loadable store.
 //
 // Older releases appended JSON lines to segment-NNNNNNNN.jsonl files,
 // which this release does not read. Open refuses a directory that still
-// holds them, and so does Stat, which runs Open's loader; Verify leaves
-// them alone. The store caches a pure function of its keys, so deleting
-// such a directory loses nothing a recompute does not restore.
+// holds them, and so do Stat and Compact, which run Open's loader;
+// Verify leaves them alone. The store caches a pure function of its
+// keys, so deleting such a directory loses nothing a recompute does not
+// restore.
 
 // Disk is the persistent result store: a Memory index over on-disk
 // segments (log segments for appends, a binary columnar v2 segment from
@@ -66,13 +70,13 @@ type Disk struct {
 	dir string
 	fs  faultline.FS // all segment I/O goes through this seam
 
-	mu       sync.Mutex     // serializes appends, compaction and close
+	mu       sync.Mutex     // serializes appends and close
 	lock     *os.File       // exclusive cross-process directory lock (always real os)
-	f        faultline.File // active log segment; nil only after a failed compaction recovery
+	f        faultline.File // active log segment
 	fpath    string
 	written  int64 // bytes written to the active segment
 	nextSeq  int
-	st       Stats // on-disk composition, kept current by Open, Commit and Compact
+	st       Stats // on-disk composition, kept current by Open and Commit
 	closed   bool
 	writeErr error // first append failure; surfaced by Close
 
@@ -127,11 +131,12 @@ type segInfo struct {
 }
 
 // scanDir lists the log and v2 segment files in dir, ordered by sequence
-// number, and counts the JSON-lines segments it leaves out.
-func scanDir(fs faultline.FS, dir string) (infos []segInfo, jsonl int, err error) {
+// number, and counts the JSON-lines segments it leaves out and the
+// segments Verify has quarantined.
+func scanDir(fs faultline.FS, dir string) (infos []segInfo, jsonl, quarantined int, err error) {
 	entries, err := fs.ReadDir(dir)
 	if err != nil {
-		return nil, 0, fmt.Errorf("resultstore: %w", err)
+		return nil, 0, 0, fmt.Errorf("resultstore: %w", err)
 	}
 	for _, e := range entries {
 		if e.IsDir() {
@@ -139,6 +144,8 @@ func scanDir(fs faultline.FS, dir string) (infos []segInfo, jsonl int, err error
 		}
 		seq, kind, ok := parseSegName(e.Name())
 		switch {
+		case strings.HasSuffix(e.Name(), quarantineSuffix):
+			quarantined++
 		case !ok:
 		case kind == kindJSONL:
 			jsonl++
@@ -147,13 +154,13 @@ func scanDir(fs faultline.FS, dir string) (infos []segInfo, jsonl int, err error
 		}
 	}
 	sort.Slice(infos, func(i, j int) bool { return infos[i].seq < infos[j].seq })
-	return infos, jsonl, nil
+	return infos, jsonl, quarantined, nil
 }
 
 // splitLive separates a directory scan into the newest v2 segment (nil
 // if none), the log segments that postdate it, and the stale leftovers
-// of an interrupted compaction cleanup (any log or v2 segment numbered
-// below the newest v2 segment).
+// of a compaction interrupted before its deletes (any log or v2 segment
+// numbered below the newest v2 segment).
 func splitLive(infos []segInfo) (v2 *segInfo, logs, stale []segInfo) {
 	v2seq := -1
 	for i := range infos {
@@ -200,13 +207,14 @@ func readLog(data []byte, add func(Record)) (torn bool, bad error) {
 // Open opens (creating if needed) a disk store rooted at dir, maps every
 // persisted record in as a pre-seeded cache entry — log segments replay
 // in full, a compacted v2 segment loads only its block index, with
-// blocks decoded on first use — deletes the leftovers of an interrupted
-// compaction cleanup that an intact v2 segment supersedes, and starts a
-// fresh log segment for this process's appends. A store serves one
-// process at a time: Open fails if another live process holds the
-// directory (share results across processes sequentially, or through
-// one nvmserve daemon). It also refuses a directory that still holds
-// JSON-lines segments from an older release, which it does not read.
+// blocks decoded on first use — and starts a fresh log segment for this
+// process's appends. It deletes no segment: the leftovers of an
+// interrupted compaction stay unread until Compact or Verify runs. A
+// store serves one process at a time: Open fails if another live
+// process holds the directory (share results across processes
+// sequentially, or through one nvmserve daemon). It also refuses a
+// directory that still holds JSON-lines segments from an older release,
+// which it does not read.
 func Open(dir string) (*Disk, error) { return OpenFS(dir, faultline.OS{}) }
 
 // OpenFS is Open over an explicit filesystem seam — the real OS in
@@ -225,11 +233,8 @@ func OpenFS(dir string, fs faultline.FS) (*Disk, error) {
 		return nil, err
 	}
 	d := &Disk{mem: NewMemory(), dir: dir, fs: fs, lock: lock, nextSeq: 1}
-	superseded, err := d.load()
+	err = d.load()
 	if err == nil {
-		for _, si := range superseded {
-			d.fs.Remove(filepath.Join(dir, si.name))
-		}
 		err = d.openSegment()
 	}
 	if err != nil {
@@ -242,31 +247,32 @@ func OpenFS(dir string, fs faultline.FS) (*Disk, error) {
 
 // load maps the directory's segments in: Open's loader, which Stat and
 // Compact also run into a scratch store, to report and to rewrite what
-// Open would serve. It deletes nothing: the segments an intact v2
-// segment supersedes are returned unread, for Open to delete. Log
-// segments replay oldest first, each record replacing any earlier one
-// for its key, so the newest occurrence wins; they postdate the v2
-// segment, whose records only fill the keys they leave.
-func (d *Disk) load() (superseded []segInfo, err error) {
-	infos, jsonl, err := scanDir(d.fs, d.dir)
+// Open would serve. It deletes nothing, and leaves the segments an
+// intact v2 segment supersedes unread. Log segments replay oldest
+// first, each record replacing any earlier one for its key, so the
+// newest occurrence wins; they postdate the v2 segment, whose records
+// only fill the keys they leave.
+func (d *Disk) load() error {
+	infos, jsonl, quarantined, err := scanDir(d.fs, d.dir)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if jsonl > 0 {
-		return nil, fmt.Errorf("resultstore: %s holds %d JSON-lines segment(s) from an older release, which this release does not read; deleting the directory recomputes its points",
+		return fmt.Errorf("resultstore: %s holds %d JSON-lines segment(s) from an older release, which this release does not read; deleting the directory recomputes its points",
 			d.dir, jsonl)
 	}
+	d.st.Quarantined = quarantined
 	for _, si := range infos {
 		d.nextSeq = max(d.nextSeq, si.seq+1)
 	}
 	v2, logs, stale := splitLive(infos)
 	for _, si := range logs {
 		if err := d.replay(si, true); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if v2 == nil {
-		return nil, nil
+		return nil
 	}
 	return d.loadSeg2(*v2, stale)
 }
@@ -300,18 +306,19 @@ func (d *Disk) replay(si segInfo, live bool) error {
 }
 
 // loadSeg2 maps in the newest v2 segment. An intact one loads only its
-// index — blocks fault in lazily — and supersedes the stale segments
-// numbered below it, which it already holds: they are returned unread.
-// A damaged one (a torn rewrite that escaped the temp+rename discipline)
-// is recovered by a frame scan that seeds its intact blocks; its torn
-// tail may have lost records the stale pre-compaction log segments still
-// hold, so those load, best-effort, as the oldest layer, and nothing is
-// superseded.
-func (d *Disk) loadSeg2(si segInfo, stale []segInfo) (superseded []segInfo, err error) {
+// index — blocks fault in lazily — and the stale segments numbered below
+// it stay unread and uncounted: the leftovers of a compaction whose
+// deletes did not run, which Compact or Verify deletes once every block
+// of this segment has decoded. A damaged one (a torn rewrite that
+// escaped the temp+rename discipline) is recovered by a frame scan that
+// seeds its intact blocks; its torn tail may have lost records the
+// stale pre-compaction log segments still hold, so those load,
+// best-effort, as the oldest layer.
+func (d *Disk) loadSeg2(si segInfo, stale []segInfo) error {
 	path := filepath.Join(d.dir, si.name)
 	s2, recovered, err := openSeg2(d.fs, path)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	d.st.SegmentsV2++
 	if s2 != nil {
@@ -319,7 +326,7 @@ func (d *Disk) loadSeg2(si segInfo, stale []segInfo) (superseded []segInfo, err 
 		d.st.RecordsV2, d.st.IndexBytes, d.st.Blocks = s2.count, s2.indexBytes, len(s2.blocks)
 		d.st.Bytes += s2.size
 		d.seg2.Store(s2)
-		return stale, nil
+		return nil
 	}
 	d.st.RecordsV2 = len(recovered)
 	d.st.Bytes += fileSize(d.fs, path)
@@ -336,7 +343,7 @@ func (d *Disk) loadSeg2(si segInfo, stale []segInfo) (superseded []segInfo, err 
 		d.st.SegmentsV2++
 		d.st.Bytes += fileSize(d.fs, filepath.Join(d.dir, old.name))
 	}
-	return nil, nil
+	return nil
 }
 
 // fileSize reports a file's size, or 0 when it cannot be opened or
@@ -419,9 +426,6 @@ func (d *Disk) Probe(k Key) bool {
 func (d *Disk) fault(s *seg2, fp uint64) {
 	d.faultMu.Lock()
 	defer d.faultMu.Unlock()
-	if d.seg2.Load() != s {
-		return // compacted away while we waited for the lock
-	}
 	i := sort.Search(len(s.blocks), func(i int) bool { return s.blocks[i].maxFp >= fp })
 	j := i
 	for j < len(s.blocks) && s.blocks[j].minFp <= fp {
@@ -548,121 +552,80 @@ func (d *Disk) Degraded() error {
 	return d.faultErr
 }
 
-// Compact rewrites what Open would serve — the log segments, the
-// previous v2 segment, and the fallback layer under a damaged one — into
-// a single fresh v2 binary columnar segment and removes the old files.
-// It loads the directory through Open's own loader into a scratch store
-// and decodes every v2 block there, so it refuses a directory Open
-// refuses, and a block that fails to decode fails it with every segment
-// left in place. The rewrite is crash-safe: the segment is written to a
-// temp file, fsynced, then renamed into place before the old segments
-// are deleted — a crash at any point leaves a loadable store, and Open
-// finishes the cleanup of a crash between rename and delete. A store
-// degraded by a failed append no longer writes, so it does not compact
-// either.
-func (d *Disk) Compact() (retErr error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return fmt.Errorf("resultstore: store is closed")
+// Compact rewrites what Open would serve from a store directory — the
+// log segments, the previous v2 segment, and the fallback layer under a
+// damaged one — into a single fresh v2 binary columnar segment, and
+// deletes every segment the directory held before. It is an offline
+// pass, like Verify: it takes the store lock, so it fails on a directory
+// a live process holds, and a missing directory is an error. It loads
+// the directory through Open's own loader into a scratch store and
+// decodes every v2 block there, so it refuses a directory Open refuses,
+// and a block that fails to decode fails it. The rewrite is crash-safe:
+// the segment is written to a temp file, fsynced, then renamed into
+// place before the old segments are deleted, so a crash at any point
+// leaves a loadable store, and the next Compact or Verify finishes the
+// deletes of a crash between rename and delete. On any failure every
+// segment stays in place.
+func Compact(dir string) error { return CompactFS(dir, faultline.OS{}) }
+
+// CompactFS is Compact over an explicit filesystem seam.
+func CompactFS(dir string, fs faultline.FS) error {
+	if fs == nil {
+		fs = faultline.OS{}
 	}
-	if d.writeErr != nil {
-		return d.writeErr
-	}
-	// Quiesce the active segment so its records are on disk for reload.
-	if err := d.f.Sync(); err != nil {
+	lock, err := lockDir(dir)
+	if err != nil {
 		return err
 	}
-	if err := d.f.Close(); err != nil {
-		return err
-	}
-	// From here the active segment is closed; whatever happens, leave the
-	// store with a live segment — or, if none can be created, degraded —
-	// so a failed compaction never leaves Commit a closed file. As in
-	// Close, a segment nothing was written to goes, so failed attempts do
-	// not accumulate empty files.
-	d.f = nil
-	if d.written == 0 && d.fs.Remove(d.fpath) == nil {
-		d.st.SegmentsLog--
-	}
-	defer func() {
-		if d.f != nil {
-			return
-		}
-		if err := d.openSegment(); err != nil {
-			d.writeErr = err
-			if retErr == nil {
-				retErr = err
-			}
-		}
-	}()
-	// Load the directory as a fresh Open would, into a scratch store.
-	scratch := &Disk{mem: NewMemory(), dir: d.dir, fs: d.fs}
-	_, err := scratch.load()
-	prev := scratch.seg2.Load()
+	defer unlock(lock)
+	d := &Disk{mem: NewMemory(), dir: dir, fs: fs, nextSeq: 1}
+	err = d.load()
+	prev := d.seg2.Load()
 	if err == nil && prev != nil {
-		err = scratch.faultBlocks(prev, 0, len(prev.blocks))
+		err = d.faultBlocks(prev, 0, len(prev.blocks))
 	}
 	prev.close()
 	if err != nil {
 		return err
 	}
-	recs := scratch.mem.records()
-	// A failed compaction must leave the store exactly as it was: the
-	// temp file is removed on any failure below, and the log segments are
-	// only retired after the rename lands.
-	tmpPath := filepath.Join(d.dir, "compact.tmp")
-	tmp, err := d.fs.OpenFile(tmpPath, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	recs := d.mem.records()
+	// The temp file is removed on any failure below, and the old segments
+	// are only deleted after the rename lands.
+	tmpPath := filepath.Join(dir, "compact.tmp")
+	tmp, err := fs.OpenFile(tmpPath, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("resultstore: %w", err)
 	}
-	lay, err := writeSeg2(tmp, recs)
-	if err != nil {
+	if err := writeSeg2(tmp, recs); err != nil {
 		tmp.Close()
-		d.fs.Remove(tmpPath)
+		fs.Remove(tmpPath)
 		return fmt.Errorf("resultstore: %w", err)
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
-		d.fs.Remove(tmpPath)
+		fs.Remove(tmpPath)
 		return err
 	}
 	if err := tmp.Close(); err != nil {
-		d.fs.Remove(tmpPath)
+		fs.Remove(tmpPath)
 		return err
 	}
-	// Collect the segments to retire before the compacted one exists, so
+	// Collect the segments to delete before the compacted one exists, so
 	// it can never delete itself.
-	old, _, err := scanDir(d.fs, d.dir)
+	old, _, _, err := scanDir(fs, dir)
 	if err != nil {
-		d.fs.Remove(tmpPath)
+		fs.Remove(tmpPath)
 		return err
 	}
-	compacted := seg2Name(d.nextSeq)
-	d.nextSeq++
-	if err := d.fs.Rename(tmpPath, filepath.Join(d.dir, compacted)); err != nil {
-		d.fs.Remove(tmpPath)
+	if err := fs.Rename(tmpPath, filepath.Join(dir, seg2Name(d.nextSeq))); err != nil {
+		fs.Remove(tmpPath)
 		return fmt.Errorf("resultstore: %w", err)
 	}
-	syncDir(d.fs, d.dir)
-	// Retire the lazy reader before its file disappears; records it held
-	// are seeded below, so nothing depends on it any more.
-	d.faultMu.Lock()
-	if s := d.seg2.Swap(nil); s != nil {
-		s.close()
-	}
-	d.faultMu.Unlock()
+	syncDir(fs, dir)
 	for _, si := range old {
-		d.fs.Remove(filepath.Join(d.dir, si.name))
+		fs.Remove(filepath.Join(dir, si.name))
 	}
-	// Keep every record resident: blocks of the old segment that never
-	// faulted in have no disk reader any more (the new segment is read
-	// lazily only by the next process).
-	for _, r := range recs {
-		d.mem.seed(r.Key, r.Res, false)
-	}
-	d.st = Stats{SegmentsV2: 1, Records: len(recs), RecordsV2: len(recs), Bytes: lay.size, IndexBytes: lay.indexBytes, Blocks: lay.blocks}
-	return nil // the deferred recovery opens the fresh active segment
+	return nil
 }
 
 // syncDir fsyncs a directory so a just-renamed file survives power loss;
@@ -682,7 +645,8 @@ const quarantineSuffix = ".quarantined"
 // Stats describes a store directory's on-disk composition as Open loads
 // it. The log counts include the fallback layer: the pre-compaction log
 // segments Open replays under a damaged v2 segment. Segments an intact
-// v2 segment supersedes are not counted; Open deletes them unread.
+// v2 segment supersedes are not counted; Open leaves them unread, and
+// the next Compact or Verify deletes them.
 type Stats struct {
 	Dir          string `json:"dir"`
 	SegmentsLog  int    `json:"segments_log"` // append-log segments
@@ -715,7 +679,7 @@ func StatFS(dir string, fs faultline.FS) (Stats, error) {
 		fs = faultline.OS{}
 	}
 	d := &Disk{mem: NewMemory(), dir: dir, fs: fs}
-	_, err := d.load()
+	err := d.load()
 	defer d.seg2.Load().close()
 	if err != nil {
 		return Stats{}, err
@@ -723,25 +687,11 @@ func StatFS(dir string, fs faultline.FS) (Stats, error) {
 	return d.Stats(), nil
 }
 
-// quarantinedIn counts the segments Verify has moved aside in dir.
-func quarantinedIn(fs faultline.FS, dir string) int {
-	entries, err := fs.ReadDir(dir)
-	if err != nil {
-		return 0
-	}
-	n := 0
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), quarantineSuffix) {
-			n++
-		}
-	}
-	return n
-}
-
 // Stats reports the live store's on-disk composition, exact to the
-// byte, from the counters Open, Commit and Compact keep: no segment is
-// read, so a health probe costs the same on any store size. One
-// directory listing counts quarantines. It adds lazy block-decode
+// byte, from the counters Open and Commit keep: it touches no file, so a
+// health probe costs the same on any store size. The quarantine count is
+// Open's, which cannot go stale while the store is open: Verify, the one
+// pass that quarantines, needs the store lock. It adds lazy block-decode
 // progress and whether the store has degraded to read-only.
 func (d *Disk) Stats() Stats {
 	d.mu.Lock()
@@ -749,7 +699,6 @@ func (d *Disk) Stats() Stats {
 	st.Degraded = d.writeErr != nil
 	d.mu.Unlock()
 	st.Dir = d.dir
-	st.Quarantined = quarantinedIn(d.fs, d.dir)
 	d.faultMu.Lock()
 	if s := d.seg2.Load(); s != nil {
 		st.BlocksLoaded = s.loaded
@@ -772,19 +721,15 @@ func (d *Disk) Close() error {
 		return nil
 	}
 	d.closed = true
-	var syncErr, closeErr error
-	if d.f != nil { // nil only after a compaction whose recovery also failed
-		if d.written > 0 {
-			syncErr = d.f.Sync()
-		}
-		closeErr = d.f.Close()
-		if d.written == 0 && closeErr == nil {
-			d.fs.Remove(d.fpath)
-		}
+	var syncErr error
+	if d.written > 0 {
+		syncErr = d.f.Sync()
 	}
-	if s := d.seg2.Swap(nil); s != nil {
-		s.close()
+	closeErr := d.f.Close()
+	if d.written == 0 && closeErr == nil {
+		d.fs.Remove(d.fpath)
 	}
+	d.seg2.Swap(nil).close()
 	unlock(d.lock)
 	for _, err := range []error{d.writeErr, d.faultErr, syncErr, closeErr} {
 		if err != nil {

@@ -209,36 +209,8 @@ func TestVerifyQuarantinesCorruptLog(t *testing.T) {
 // Verify quarantines a v2 segment with a corrupt block and salvages
 // the intact blocks.
 func TestVerifyQuarantinesCorruptV2Block(t *testing.T) {
-	restore := SetBlockSizeForTest(4)
-	defer restore()
 	dir := t.TempDir()
-	d, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 12; i++ {
-		k, res := SyntheticRecord(i)
-		d.Commit(k, res, nil)
-	}
-	if err := d.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	segs, _ := filepath.Glob(filepath.Join(dir, "*.seg"))
-	if len(segs) != 1 {
-		t.Fatalf("segments = %v", segs)
-	}
-	data, err := os.ReadFile(segs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(seg2FileMagic)+20] ^= 0xff // inside the first block frame
-	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	corruptBlockStore(t, dir)
 
 	rep, err := Verify(dir)
 	if err != nil {
@@ -272,15 +244,10 @@ func TestVerifyQuarantinesCorruptV2Block(t *testing.T) {
 // reports every segment clean and quarantines nothing.
 func TestVerifyCleanStore(t *testing.T) {
 	dir := t.TempDir()
+	commitSynthetic(t, dir, nil, 6)
+	compactStore(t, dir)
 	d, err := Open(dir)
 	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 6; i++ {
-		k, res := SyntheticRecord(i)
-		d.Commit(k, res, nil)
-	}
-	if err := d.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 6; i < 9; i++ {
@@ -303,28 +270,16 @@ func TestVerifyCleanStore(t *testing.T) {
 }
 
 // A pre-compaction log numbered below an intact v2 segment is a
-// leftover of an interrupted compaction cleanup: the segment already
-// holds its records, and Open deletes it unread. Verify must treat it
-// the same way even when one of its frames is corrupt, not salvage its
-// records into a log above the segment, where every reopen would count
-// them a second time.
+// leftover of a compaction interrupted before its deletes: the segment
+// already holds its records, and Open leaves it unread. Verify deletes
+// it once the segment's blocks decode, even when one of its frames is
+// corrupt, rather than salvage its records into a log above the
+// segment, where every reopen would count them a second time.
 func TestVerifyDropsLogSupersededByCompaction(t *testing.T) {
 	const n, leftover = 216, 10
 	dir := t.TempDir()
-	d, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		k, res := SyntheticRecord(i)
-		d.Commit(k, res, nil)
-	}
-	if err := d.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
+	commitSynthetic(t, dir, nil, n)
+	compactStore(t, dir)
 	segs, _ := filepath.Glob(filepath.Join(dir, "*.seg"))
 	if len(segs) != 1 {
 		t.Fatalf("segments = %v", segs)
@@ -372,11 +327,76 @@ func TestVerifyDropsLogSupersededByCompaction(t *testing.T) {
 	requireHits(t, re, n)
 }
 
+// Open trusts a compacted segment's index without decoding its blocks,
+// so it must not delete the pre-compaction log left below the segment:
+// with one block corrupt, that log holds the only intact copy of the
+// block's records. Verify decodes every block, quarantines the segment
+// and keeps the log, and the store then serves every record.
+func TestOpenKeepsLogUnderCorruptBlock(t *testing.T) {
+	const n = 3000
+	dir := t.TempDir()
+	commitSynthetic(t, dir, nil, n)
+	log := filepath.Join(dir, logName(1))
+	logData, err := os.ReadFile(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compactStore(t, dir)
+	if st, err := Stat(dir); err != nil || st.Blocks != 3 {
+		t.Fatalf("Stat = %+v, %v; want three blocks", st, err)
+	}
+	segs, _ := filepath.Glob(filepath.Join(dir, "*.seg"))
+	if len(segs) != 1 {
+		t.Fatalf("segments = %v", segs)
+	}
+	seg, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, first, err := parseFrame(seg[len(seg2FileMagic):])
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg[len(seg2FileMagic)+first+frameOverhead] ^= 0xff // inside the middle block's payload
+	if err := os.WriteFile(segs[0], seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(log, logData, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	d, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Close()
+	if _, err := os.Stat(log); err != nil {
+		t.Errorf("Open deleted the log under the corrupt block: %v", err)
+	}
+	if _, err := Verify(dir); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	served := 0
+	for i := 0; i < n; i++ {
+		k, res := SyntheticRecord(i)
+		if e, loaded := re.Acquire(k); loaded && reflect.DeepEqual(e.Res, res) {
+			served++
+		}
+	}
+	if served != n {
+		t.Errorf("after Verify the store serves %d of %d records", served, n)
+	}
+}
+
 // A torn compaction rename — the temp+rename discipline failing so a
 // truncated v2 segment lands at the top sequence — must not lose data:
 // Compact reports the failure and leaves the log segments intact, and
-// the next Open keeps the pre-compaction segments as a seed layer
-// instead of deleting them as stale.
+// the next Open keeps the pre-compaction segments as a seed layer.
 func TestTornCompactRenameKeepsLog(t *testing.T) {
 	dir := t.TempDir()
 	commitSynthetic(t, dir, nil, 10)
@@ -384,16 +404,12 @@ func TestTornCompactRenameKeepsLog(t *testing.T) {
 	in := faultline.New(faultline.Plan{Rules: []faultline.Rule{
 		{Op: faultline.OpRename, Path: ".seg", Nth: 1, Kind: faultline.Torn},
 	}})
-	d, err := OpenFS(dir, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Compact(); !errors.Is(err, faultline.ErrInjected) {
+	if err := CompactFS(dir, in); !errors.Is(err, faultline.ErrInjected) {
 		t.Fatalf("Compact = %v, want injected rename fault", err)
 	}
-	// The failed compaction must leave every record still served.
-	requireHits(t, d, 10)
-	d.Close()
+	if _, err := os.Stat(filepath.Join(dir, logName(1))); err != nil {
+		t.Fatalf("failed Compact removed the log: %v", err)
+	}
 
 	// The torn .seg now outranks every log segment. Open must detect the
 	// damage and fall back to the kept log segments for the full set.
@@ -415,26 +431,19 @@ func TestCompactKeepsTornSegmentFallback(t *testing.T) {
 	in := faultline.New(faultline.Plan{Rules: []faultline.Rule{
 		{Op: faultline.OpRename, Path: ".seg", Nth: 1, Kind: faultline.Torn},
 	}})
-	d, err := OpenFS(dir, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Compact(); !errors.Is(err, faultline.ErrInjected) {
+	if err := CompactFS(dir, in); !errors.Is(err, faultline.ErrInjected) {
 		t.Fatalf("Compact = %v, want injected rename fault", err)
 	}
-	d.Close()
 
 	re, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireHits(t, re, 10)
-	if err := re.Compact(); err != nil {
-		t.Fatal(err)
-	}
 	if err := re.Close(); err != nil {
 		t.Fatal(err)
 	}
+	compactStore(t, dir)
 
 	after, err := Open(dir)
 	if err != nil {
@@ -452,27 +461,14 @@ func TestCompactKeepsTornSegmentFallback(t *testing.T) {
 // returning the segment's path and its damaged bytes.
 func corruptBlockStore(t *testing.T, dir string) (seg string, data []byte) {
 	t.Helper()
-	restore := SetBlockSizeForTest(4)
-	defer restore()
-	d, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 12; i++ {
-		k, res := SyntheticRecord(i)
-		d.Commit(k, res, nil)
-	}
-	if err := d.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
+	defer SetBlockSizeForTest(4)()
+	commitSynthetic(t, dir, nil, 12)
+	compactStore(t, dir)
 	segs, _ := filepath.Glob(filepath.Join(dir, "*.seg"))
 	if len(segs) != 1 {
 		t.Fatalf("segments = %v", segs)
 	}
-	data, err = os.ReadFile(segs[0])
+	data, err := os.ReadFile(segs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,8 +479,8 @@ func corruptBlockStore(t *testing.T, dir string) (seg string, data []byte) {
 	return segs[0], data
 }
 
-// A v2 block that fails its CRC fails Compact, which leaves the segment
-// and the log in place, so the intact blocks and the log keep serving.
+// A v2 block that fails its CRC fails Compact, which leaves every file
+// in place, so the intact blocks and the log keep serving.
 func TestCompactRefusesCorruptBlock(t *testing.T) {
 	dir := t.TempDir()
 	seg, data := corruptBlockStore(t, dir)
@@ -497,16 +493,18 @@ func TestCompactRefusesCorruptBlock(t *testing.T) {
 		k, res := SyntheticRecord(i)
 		re.Commit(k, res, nil)
 	}
-	if err := re.Compact(); err == nil || !strings.Contains(err.Error(), "CRC mismatch") {
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+	files := listFiles(t, dir)
+	if err := Compact(dir); err == nil || !strings.Contains(err.Error(), "CRC mismatch") {
 		t.Fatalf("Compact = %v, want the corrupt block's CRC error", err)
 	}
-	re.Close()
-	if got, err := os.ReadFile(seg); err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("failed Compact changed or removed the v2 segment (read: %v)", err)
+	if after := listFiles(t, dir); !reflect.DeepEqual(after, files) {
+		t.Fatalf("failed Compact changed the directory: %v, then %v", files, after)
 	}
-	logs, _ := filepath.Glob(filepath.Join(dir, "*.log"))
-	if len(logs) == 0 {
-		t.Fatal("failed Compact removed the log segment")
+	if got, err := os.ReadFile(seg); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("failed Compact changed the v2 segment (read: %v)", err)
 	}
 
 	after, err := Open(dir)
@@ -532,53 +530,26 @@ func TestCompactRefusesCorruptBlock(t *testing.T) {
 	}
 }
 
-// A failed Compact reopens a log segment for appends. When the segment
-// it closed holds nothing, that one goes, as at Close, so repeated
-// failures leave one active segment and no empty files behind.
-func TestFailedCompactKeepsNoEmptyLog(t *testing.T) {
+// A fault while writing the compaction temp file fails Compact, cleans
+// up the temp file, and leaves the store as it was: fully serving and
+// appendable.
+func TestCompactWriteFaultCleansTmp(t *testing.T) {
 	dir := t.TempDir()
-	corruptBlockStore(t, dir)
+	commitSynthetic(t, dir, nil, 6)
+	files := listFiles(t, dir)
+	in := faultline.New(faultline.Plan{Rules: []faultline.Rule{
+		{Op: faultline.OpWrite, Path: "compact.tmp", Nth: 1},
+	}})
+	if err := CompactFS(dir, in); !errors.Is(err, faultline.ErrInjected) {
+		t.Fatalf("Compact = %v, want injected write fault", err)
+	}
+	if after := listFiles(t, dir); !reflect.DeepEqual(after, files) {
+		t.Fatalf("failed Compact changed the directory: %v, then %v", files, after)
+	}
 	d, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		if err := d.Compact(); err == nil || !strings.Contains(err.Error(), "CRC mismatch") {
-			t.Fatalf("Compact %d = %v, want the corrupt block's CRC error", i+1, err)
-		}
-	}
-	logs, _ := filepath.Glob(filepath.Join(dir, "*.log"))
-	if len(logs) != 1 || d.Stats().SegmentsLog != 1 {
-		t.Errorf("after 3 failed compactions: log files %v, Stats().SegmentsLog %d, want 1 and 1",
-			logs, d.Stats().SegmentsLog)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if logs, _ := filepath.Glob(filepath.Join(dir, "*.log")); len(logs) != 0 {
-		t.Errorf("after Close: log files %v, want none", logs)
-	}
-}
-
-// A fault while writing the compaction temp file fails Compact, cleans
-// up the temp file, and leaves the store fully serving and appendable.
-func TestCompactWriteFaultCleansTmp(t *testing.T) {
-	dir := t.TempDir()
-	commitSynthetic(t, dir, nil, 6)
-	in := faultline.New(faultline.Plan{Rules: []faultline.Rule{
-		{Op: faultline.OpWrite, Path: "compact.tmp", Nth: 1},
-	}})
-	d, err := OpenFS(dir, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Compact(); !errors.Is(err, faultline.ErrInjected) {
-		t.Fatalf("Compact = %v, want injected write fault", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "compact.tmp")); !os.IsNotExist(err) {
-		t.Fatal("failed Compact left compact.tmp behind")
-	}
-	// Store still serves and still appends.
 	requireHits(t, d, 6)
 	k, res := SyntheticRecord(6)
 	d.Commit(k, res, nil)
@@ -596,23 +567,10 @@ func TestCompactWriteFaultCleansTmp(t *testing.T) {
 // A lazy v2 block whose read fails marks the store degraded and turns
 // the block's records into recomputable misses instead of errors.
 func TestLazyBlockReadFaultDegrades(t *testing.T) {
-	restore := SetBlockSizeForTest(4)
-	defer restore()
+	defer SetBlockSizeForTest(4)()
 	dir := t.TempDir()
-	d, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 12; i++ {
-		k, res := SyntheticRecord(i)
-		d.Commit(k, res, nil)
-	}
-	if err := d.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
+	commitSynthetic(t, dir, nil, 12)
+	compactStore(t, dir)
 
 	// Reads of the .seg during Open are magic (1), trailer (2) and index
 	// (3); the 4th is the first lazy block fault-in — fail exactly it.
@@ -642,20 +600,19 @@ func TestLazyBlockReadFaultDegrades(t *testing.T) {
 	}
 }
 
-// The live Stats reads no segment — the health probe calls it on every
+// The live Stats touches no file — the health probe calls it on every
 // poll, so its cost must not grow with the store — yet matches an
-// offline Stat of the same directory exactly, bytes included.
+// offline Stat of the same directory exactly, bytes and quarantined
+// segments included.
 func TestLiveStatsReadsNoSegment(t *testing.T) {
 	dir := t.TempDir()
-	d, err := Open(dir)
-	if err != nil {
+	commitSynthetic(t, dir, nil, 12)
+	compactStore(t, dir)
+	if err := os.WriteFile(filepath.Join(dir, logName(1)+quarantineSuffix), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 12; i++ {
-		k, res := SyntheticRecord(i)
-		d.Commit(k, res, nil)
-	}
-	if err := d.Compact(); err != nil {
+	d, err := Open(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 12; i < 20; i++ {
@@ -666,11 +623,13 @@ func TestLiveStatsReadsNoSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Every open or read of a segment file through the seam fires a
-	// (harmless) rule, so the injector's event log counts them.
+	// Every open or read of a segment file, and every directory listing,
+	// through the seam fires a (harmless) rule, so the injector's event
+	// log counts them.
 	in := faultline.New(faultline.Plan{Rules: []faultline.Rule{
 		{Op: faultline.OpRead, Path: "segment-", Prob: 1, Kind: faultline.Delay, DelayMs: 1e-6},
 		{Op: faultline.OpOpen, Path: "segment-", Prob: 1, Kind: faultline.Delay, DelayMs: 1e-6},
+		{Op: faultline.OpReadDir, Prob: 1, Kind: faultline.Delay, DelayMs: 1e-6},
 	}})
 	re, err := OpenFS(dir, in)
 	if err != nil {
@@ -684,7 +643,7 @@ func TestLiveStatsReadsNoSegment(t *testing.T) {
 	before := len(in.Events())
 	live := re.Stats()
 	if n := len(in.Events()) - before; n != 0 {
-		t.Fatalf("live Stats touched segment files %d times: %+v", n, in.Events()[before:])
+		t.Fatalf("live Stats touched the store's files %d times: %+v", n, in.Events()[before:])
 	}
 	offline, err := Stat(dir)
 	if err != nil {
@@ -693,8 +652,8 @@ func TestLiveStatsReadsNoSegment(t *testing.T) {
 	if live != offline {
 		t.Fatalf("live stats differ from the directory's:\n live    %+v\n offline %+v", live, offline)
 	}
-	if live.Records != 25 || live.RecordsV2 != 12 || live.RecordsLog != 13 {
-		t.Fatalf("live stats %+v, want 25 records: 12 compacted + 13 in the log", live)
+	if live.Records != 25 || live.RecordsV2 != 12 || live.RecordsLog != 13 || live.Quarantined != 1 {
+		t.Fatalf("live stats %+v, want 25 records: 12 compacted + 13 in the log, and 1 quarantined segment", live)
 	}
 }
 
@@ -717,9 +676,12 @@ func TestStatMatchesOpen(t *testing.T) {
 			t.Fatal(err)
 		}
 		compactStore(t, dir)
+		segs, _ := filepath.Glob(filepath.Join(dir, "*.seg"))
+		if len(segs) != 1 {
+			t.Fatalf("segments = %v", segs)
+		}
 		if tear {
-			seg := filepath.Join(dir, seg2Name(3))
-			if err := os.Truncate(seg, 64); err != nil {
+			if err := os.Truncate(segs[0], 64); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -802,17 +764,10 @@ func TestStatMatchesOpen(t *testing.T) {
 	}
 }
 
-// compactStore opens dir, compacts it and closes it.
+// compactStore compacts dir.
 func compactStore(t *testing.T, dir string) {
 	t.Helper()
-	d, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Close(); err != nil {
+	if err := Compact(dir); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -875,7 +830,7 @@ func TestFaultPlansFire(t *testing.T) {
 }
 
 // storeWorkload runs one round of every kind of store I/O over fs:
-// appends, a reopen that replays them and compacts, a scrub and a stat.
+// appends, a reopen that replays them, a compaction, a scrub and a stat.
 // Injected faults make steps fail; the workload carries on regardless.
 func storeWorkload(dir string, fs faultline.FS, round int) {
 	if d, err := OpenFS(dir, fs); err == nil {
@@ -886,9 +841,9 @@ func storeWorkload(dir string, fs faultline.FS, round int) {
 		d.Close()
 	}
 	if d, err := OpenFS(dir, fs); err == nil {
-		d.Compact()
 		d.Close()
 	}
+	CompactFS(dir, fs)
 	VerifyFS(dir, fs)
 	StatFS(dir, fs)
 }

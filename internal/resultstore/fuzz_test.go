@@ -100,13 +100,13 @@ func beyondDramSegment(f *testing.F, ext string) []byte {
 	if _, err := sp.Run(engine.NewWithStore(platform.NewPurley().Socket(0), 1, d)); err != nil {
 		f.Fatal(err)
 	}
-	if ext == ".seg" {
-		if err := d.Compact(); err != nil {
-			f.Fatal(err)
-		}
-	}
 	if err := d.Close(); err != nil {
 		f.Fatal(err)
+	}
+	if ext == ".seg" {
+		if err := resultstore.Compact(dir); err != nil {
+			f.Fatal(err)
+		}
 	}
 	return onlySegment(f, dir, ext)
 }
@@ -265,10 +265,11 @@ func sameFrame(a, b resultstore.LogFrame) bool {
 // Verify must return, never panic or allocate what a damaged index
 // claims; Stat, which runs Open's loader, must fail exactly when Open
 // does, with its error, and otherwise count the records Open persisted;
-// and a store Verify has scrubbed must open. The corpus is
-// seeded with a real compacted beyond-dram segment, a truncation and a
-// bit flip of it, and two crafted indexes whose one entry claims a block
-// of 2^40 or 2^64-20 bytes with no block bytes behind it.
+// and a store Verify has scrubbed must open, compact and open again.
+// The corpus is seeded with a real compacted beyond-dram segment, a
+// truncation and a bit flip of it, and two crafted indexes whose one
+// entry claims a block of 2^40 or 2^64-20 bytes with no block bytes
+// behind it.
 func FuzzOpenSegment(f *testing.F) {
 	seg := beyondDramSegment(f, ".seg")
 	flipped := bytes.Clone(seg)
@@ -308,6 +309,15 @@ func FuzzOpenSegment(f *testing.F) {
 		}
 		if err := d.Close(); err != nil {
 			t.Fatalf("scrubbed store: %v", err)
+		}
+		if err := resultstore.Compact(dir); err != nil {
+			t.Fatalf("scrubbed store does not compact: %v", err)
+		}
+		if d, err = resultstore.OpenFS(dir, nil); err != nil {
+			t.Fatalf("compacted store does not open: %v", err)
+		}
+		if err := d.Close(); err != nil {
+			t.Fatalf("compacted store: %v", err)
 		}
 	})
 }

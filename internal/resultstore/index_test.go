@@ -256,10 +256,10 @@ func TestIndexLazyFaultWorkloads(t *testing.T) {
 		_, recs[i].Res = SyntheticRecord(i)
 	}
 	d.CommitBatch(recs)
-	if err := d.Compact(); err != nil {
+	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Close(); err != nil {
+	if err := Compact(dir); err != nil {
 		t.Fatal(err)
 	}
 	newer := map[int]bool{0: true, 40: true, len(keys) - 1: true}

@@ -11,10 +11,11 @@ import (
 
 // lockDir takes an exclusive advisory lock on the store directory. The
 // segment files are single-writer: two processes appending to one store
-// could interleave a record mid-line, and a Compact in one would delete
-// the segment the other is appending to — so a second Open fails loudly
-// here instead. The lock is released by Close and dies with the process,
-// so a crash never leaves a store permanently locked.
+// could interleave a frame mid-write, and Compact or Verify would delete
+// or quarantine the segment a live process is appending to — so a
+// second Open, Compact or Verify fails loudly here instead. The lock is
+// released by Close (or when the offline pass ends) and dies with the
+// process, so a crash never leaves a store permanently locked.
 func lockDir(dir string) (*os.File, error) {
 	f, err := os.OpenFile(filepath.Join(dir, "LOCK"), os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {

@@ -45,10 +45,10 @@ func TestDiskProbeFaultsFromSegment(t *testing.T) {
 		})
 		keys = append(keys, k)
 	}
-	if err := d.Compact(); err != nil {
+	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Close(); err != nil {
+	if err := Compact(dir); err != nil {
 		t.Fatal(err)
 	}
 	// A fresh open holds nothing in memory; the probe must fault the

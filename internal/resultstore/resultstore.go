@@ -21,15 +21,17 @@
 //     range — and are re-loaded as pre-seeded entries on Open, so a
 //     restarted process re-serves every previously computed point as a
 //     cache hit (the mechanism behind resumable sweep sessions and
-//     nvmbench's -store warm cache). Compact folds what Open would
-//     serve, loaded through Open's own loader, into a single binary
-//     columnar (v2) segment — sorted, dictionary/varint encoded blocks
-//     plus a block index (see segment2.go for the format) — which Open
-//     reads index-only: records stay on disk and fault in lazily per
-//     block on first Acquire, so reopening a million-point store costs
-//     milliseconds instead of a full replay. Fresh results keep
-//     appending to the log alongside the v2 segment; the next Compact
-//     folds them in.
+//     nvmbench's -store warm cache). Compact, like Verify an offline
+//     pass over a store directory no process holds, folds what Open
+//     would serve, loaded through Open's own loader, into a single
+//     binary columnar (v2) segment — sorted, dictionary/varint encoded
+//     blocks plus a block index (see segment2.go for the format) —
+//     which Open reads index-only: records stay on disk and fault in
+//     lazily per block on first Acquire, so reopening a million-point
+//     store costs milliseconds instead of a full replay. Fresh results
+//     keep appending to the log alongside the v2 segment; the next
+//     Compact folds them in. Open deletes no segment: only Compact and
+//     Verify do, offline and under the store lock.
 //
 // The singleflight protocol: Acquire returns the Entry for a key,
 // creating it if this is the key's first submission (loaded reports
@@ -327,8 +329,9 @@ func (s *Memory) Probe(k Key) bool {
 // stores use to restore results — and reports whether the key was new.
 // An existing entry is kept unless replace is set: a newer log record
 // overwrites an older one in place while Open replays, when no caller
-// holds an entry yet, but a key a live computation may hold (lazy block
-// faults, compaction) is never replaced.
+// holds an entry yet, but an older layer — a v2 block faulted in while a
+// live computation may hold its key, or the fallback layer under a
+// damaged one — never replaces one.
 func (s *Memory) seed(k Key, res workload.Result, replace bool) bool {
 	sh := s.shard(k)
 	sh.mu.Lock()

@@ -211,21 +211,21 @@ func TestDiskCompact(t *testing.T) {
 		t.Fatalf("expected >= 3 segments before compaction, have %d", len(segs))
 	}
 
-	d, err := Open(dir)
-	if err != nil {
+	if err := Compact(dir); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	// One compacted v2 segment plus the fresh active log segment.
+	// One compacted v2 segment and no log segment.
 	v2segs, _ := filepath.Glob(filepath.Join(dir, "segment-*.seg"))
 	if len(v2segs) != 1 {
 		t.Fatalf("v2 segments after compaction = %d, want 1", len(v2segs))
 	}
 	segs, _ = filepath.Glob(filepath.Join(dir, "segment-*.log"))
-	if len(segs) != 1 {
-		t.Fatalf("log segments after compaction = %d, want 1 (the active one)", len(segs))
+	if len(segs) != 0 {
+		t.Fatalf("log segments after compaction = %d, want 0", len(segs))
+	}
+	d, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if d.Persisted() != 3 {
 		t.Fatalf("persisted after compaction = %d, want 3", d.Persisted())
@@ -303,6 +303,15 @@ func TestDiskSingleProcessLock(t *testing.T) {
 	}
 	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "in use") {
 		t.Fatalf("concurrent Open succeeded (err = %v), want in-use refusal", err)
+	}
+	// Compaction, an offline pass, refuses the held directory too, and
+	// changes no file.
+	files := listFiles(t, dir)
+	if err := Compact(dir); err == nil || !strings.Contains(err.Error(), "in use") {
+		t.Fatalf("Compact of a held store = %v, want in-use refusal", err)
+	}
+	if after := listFiles(t, dir); !reflect.DeepEqual(after, files) {
+		t.Fatalf("refused Compact changed the directory: %v, then %v", files, after)
 	}
 	if err := d1.Close(); err != nil {
 		t.Fatal(err)
@@ -426,6 +435,9 @@ func TestOpenRefusesJSONLines(t *testing.T) {
 	if _, serr := Stat(dir); serr == nil || serr.Error() != err.Error() {
 		t.Errorf("Stat error %v, want Open's refusal %q", serr, err)
 	}
+	if cerr := Compact(dir); cerr == nil || cerr.Error() != err.Error() {
+		t.Errorf("Compact error %v, want Open's refusal %q", cerr, err)
+	}
 	rep, err := Verify(dir)
 	if err != nil || rep.SegmentsOK != 0 || rep.RecordsOK != 0 || len(rep.Quarantined) != 0 || rep.Salvaged != 0 {
 		t.Errorf("Verify = %+v, %v; want nothing scrubbed", rep, err)
@@ -434,6 +446,6 @@ func TestOpenRefusesJSONLines(t *testing.T) {
 		t.Errorf("JSON-lines segment not left in place: %q, %v", got, err)
 	}
 	if segs, _ := filepath.Glob(filepath.Join(dir, "segment-*")); len(segs) != 1 {
-		t.Errorf("segment files after Open, Stat and Verify = %v, want only the JSON-lines one", segs)
+		t.Errorf("segment files after Open, Stat, Compact and Verify = %v, want only the JSON-lines one", segs)
 	}
 }

@@ -53,7 +53,8 @@ import (
 // Open falls back to a sequential frame scan that loads every intact
 // block eagerly and drops the torn tail.
 //
-// v2 segments are written only by Compact (temp file + fsync + rename).
+// v2 segments are written only by Compact, an offline pass over a store
+// directory (temp file + fsync + rename).
 // Live appends use the same block frames: the append log (see disk.go)
 // is a bare sequence of unsorted block frames, one per commit — a single
 // record, or an engine worker's claimed index range — so appends,
@@ -740,29 +741,15 @@ func decodeIndex(payload []byte) ([]blockMeta, error) {
 	return metas, nil
 }
 
-// seg2Layout summarizes a segment writeSeg2 wrote, so the live store's
-// stats after a compaction need no re-read.
-type seg2Layout struct {
-	size, indexBytes int64
-	blocks           int
-}
-
 // writeSeg2 renders a full v2 segment (sorted blocks, index, trailer)
 // into w. Records are sorted in place.
-func writeSeg2(w io.Writer, recs []Record) (seg2Layout, error) {
+func writeSeg2(w io.Writer, recs []Record) error {
 	sort.Slice(recs, func(i, j int) bool { return keyLess(recs[i].Key, recs[j].Key) })
 	var enc blockEncoder
 	buf := make([]byte, 0, 1<<16)
 	buf = append(buf, seg2FileMagic...)
 	off := int64(len(buf))
 	var metas []blockMeta
-	var lay seg2Layout
-	flush := func() error {
-		n, err := w.Write(buf)
-		lay.size += int64(n)
-		buf = buf[:0]
-		return err
-	}
 	for at := 0; at < len(recs); at += seg2BlockSize {
 		end := min(at+seg2BlockSize, len(recs))
 		chunk := recs[at:end]
@@ -778,21 +765,20 @@ func writeSeg2(w io.Writer, recs []Record) (seg2Layout, error) {
 		})
 		off += int64(frameLen)
 		if len(buf) >= 1<<20 {
-			if err := flush(); err != nil {
-				return lay, err
+			if _, err := w.Write(buf); err != nil {
+				return err
 			}
+			buf = buf[:0]
 		}
 	}
 	indexOff := off
-	start := len(buf)
 	buf = appendFrame(buf, seg2FrameIndex, encodeIndex(metas))
-	lay.indexBytes, lay.blocks = int64(len(buf)-start), len(metas)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(indexOff))
 	buf = binary.LittleEndian.AppendUint32(buf,
 		crc32.Checksum(buf[len(buf)-8:], crcTable))
 	buf = append(buf, seg2TrailerMagic...)
-	err := flush()
-	return lay, err
+	_, err := w.Write(buf)
+	return err
 }
 
 // seg2 is an open v2 segment: the block index plus an open read handle;

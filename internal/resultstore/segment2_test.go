@@ -138,7 +138,7 @@ func TestBlockCodecRoundTrip(t *testing.T) {
 // The log→v2 migration property: Compact on an append-log store yields
 // a v2 store in which every record round-trips bit-identically
 // (workload.Result equality), and the migrated store re-serves every
-// key as a seeded cache hit after reopening.
+// key as a seeded cache hit.
 func TestCompactMigratesLogToV2(t *testing.T) {
 	dir := t.TempDir()
 	d, err := Open(dir)
@@ -153,25 +153,14 @@ func TestCompactMigratesLogToV2(t *testing.T) {
 			d.Commit(k, res, nil)
 		}
 	}
-	if err := d.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	// Compacted records stay resident and identical in the live store.
-	for k, res := range want {
-		e, loaded := d.Acquire(k)
-		if !loaded {
-			t.Fatalf("key %+v lost by compaction", k)
-		}
-		if !reflect.DeepEqual(e.Res, res) {
-			t.Fatalf("live record %+v changed by compaction:\n got %+v\nwant %+v", k, e.Res, res)
-		}
-	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if err := Compact(dir); err != nil {
+		t.Fatal(err)
+	}
 
-	// On disk: exactly one v2 segment, no log segments (the empty active
-	// one is removed on Close).
+	// On disk: exactly one v2 segment, no log segments.
 	v2segs, _ := filepath.Glob(filepath.Join(dir, "segment-*.seg"))
 	logs, _ := filepath.Glob(filepath.Join(dir, "segment-*.log"))
 	if len(v2segs) != 1 || len(logs) != 0 {
@@ -216,10 +205,10 @@ func TestV2LazyBlockFault(t *testing.T) {
 		keys[i] = k
 		d.Commit(k, res, nil)
 	}
-	if err := d.Compact(); err != nil {
+	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Close(); err != nil {
+	if err := Compact(dir); err != nil {
 		t.Fatal(err)
 	}
 
@@ -269,7 +258,7 @@ func TestV2TrailerFallbackRecovers(t *testing.T) {
 		recs[i].Key, recs[i].Res = SyntheticRecord(i)
 	}
 	var buf bytes.Buffer
-	if _, err := writeSeg2(&buf, recs); err != nil {
+	if err := writeSeg2(&buf, recs); err != nil {
 		t.Fatal(err)
 	}
 	seg := buf.Bytes()
@@ -349,10 +338,10 @@ func TestV2CorruptBlockIsRejected(t *testing.T) {
 		k, res := SyntheticRecord(i)
 		d.Commit(k, res, nil)
 	}
-	if err := d.Compact(); err != nil {
+	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Close(); err != nil {
+	if err := Compact(dir); err != nil {
 		t.Fatal(err)
 	}
 	segs, _ := filepath.Glob(filepath.Join(dir, "segment-*.seg"))
@@ -381,95 +370,130 @@ func TestV2CorruptBlockIsRejected(t *testing.T) {
 	}
 }
 
-// An interrupted compaction cleanup (v2 segment renamed into place, old
-// segments not yet deleted) is finished by Open, and newer log appends
-// override the v2 segment's records.
+// A compaction interrupted between its rename and its deletes leaves
+// the pre-compaction segments below the v2 segment. Open leaves such a
+// leftover unread and uncounted — newer log appends still override the
+// v2 segment's records — and the next Compact or Verify deletes it.
 func TestInterruptedCompactionCleanup(t *testing.T) {
-	dir := t.TempDir()
-	d, err := Open(dir) // seq 1: will become a stale leftover
-	if err != nil {
-		t.Fatal(err)
-	}
 	k0, res0 := SyntheticRecord(0)
 	k1, res1 := SyntheticRecord(1)
-	d.Commit(k0, res0, nil)
-	d.Commit(k1, res1, nil)
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Hand-write the compacted v2 segment at seq 2, leaving the log
-	// leftover in place (as if the cleanup crashed), plus a newer log
-	// segment at seq 3 overriding k0.
-	var recs []Record
-	recs = append(recs, Record{k0, res0}, Record{k1, res1})
-	f, err := os.Create(filepath.Join(dir, seg2Name(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := writeSeg2(f, recs); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
 	override := res0
 	override.Slowdown = 99.5
-	frame := appendFrame(nil, seg2FrameBlock, encodeBlock([]Record{{k0, override}}))
-	if err := os.WriteFile(filepath.Join(dir, logName(3)), frame, 0o644); err != nil {
-		t.Fatal(err)
+	// build commits k0 and k1 to the log at seq 1 and hand-writes their
+	// compacted v2 segment at seq 2, leaving the log in place (as if the
+	// deletes never ran), plus a newer log segment at seq 3 overriding k0.
+	build := func(t *testing.T) string {
+		dir := t.TempDir()
+		d, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Commit(k0, res0, nil)
+		d.Commit(k1, res1, nil)
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Create(filepath.Join(dir, seg2Name(2)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := writeSeg2(f, []Record{{k0, res0}, {k1, res1}}); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		frame := appendFrame(nil, seg2FrameBlock, encodeBlock([]Record{{k0, override}}))
+		if err := os.WriteFile(filepath.Join(dir, logName(3)), frame, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	// serves checks a reopened store serves the v2 segment under the
+	// override, and nothing of the leftover.
+	serves := func(t *testing.T, dir string, persisted int) {
+		t.Helper()
+		re, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer re.Close()
+		if re.Persisted() != persisted {
+			t.Errorf("Persisted = %d, want %d", re.Persisted(), persisted)
+		}
+		e, loaded := re.Acquire(k0)
+		if !loaded || e.Res.Slowdown != 99.5 {
+			t.Errorf("newer log record did not win over v2 (loaded=%v, slowdown=%v)",
+				loaded, e.Res.Slowdown)
+		}
+		if e, loaded := re.Acquire(k1); !loaded || !reflect.DeepEqual(e.Res, res1) {
+			t.Errorf("v2-only record not served intact")
+		}
+	}
+	leftover := func(dir string) bool {
+		_, err := os.Stat(filepath.Join(dir, logName(1)))
+		return err == nil
 	}
 
-	re, err := Open(dir)
+	dir := build(t)
+	for i := 0; i < 2; i++ {
+		serves(t, dir, 3) // 2 in v2 + 1 override in the log
+		if !leftover(dir) {
+			t.Fatal("Open deleted the pre-compaction log")
+		}
+	}
+	st, err := Stat(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer re.Close()
-	if _, err := os.Stat(filepath.Join(dir, logName(1))); !os.IsNotExist(err) {
-		t.Error("stale pre-compaction segment not cleaned up by Open")
+	if st.SegmentsLog != 1 || st.RecordsLog != 1 || st.SegmentsV2 != 1 {
+		t.Errorf("Stat = %+v, want the leftover uncounted: 1 log segment of 1 record, 1 v2 segment", st)
 	}
-	if re.Persisted() != 3 { // 2 in v2 + 1 override in the log
-		t.Errorf("Persisted = %d, want 3", re.Persisted())
+
+	if _, err := Verify(dir); err != nil {
+		t.Fatal(err)
 	}
-	e, loaded := re.Acquire(k0)
-	if !loaded || e.Res.Slowdown != 99.5 {
-		t.Errorf("newer log record did not win over v2 (loaded=%v, slowdown=%v)",
-			loaded, e.Res.Slowdown)
+	if leftover(dir) {
+		t.Error("Verify left the pre-compaction log in place")
 	}
-	if e, loaded := re.Acquire(k1); !loaded || !reflect.DeepEqual(e.Res, res1) {
-		t.Errorf("v2-only record not served intact")
+	serves(t, dir, 3)
+
+	dir = build(t)
+	if err := Compact(dir); err != nil {
+		t.Fatal(err)
 	}
+	if leftover(dir) {
+		t.Error("Compact left the pre-compaction log in place")
+	}
+	serves(t, dir, 2) // the override folded in
 }
 
 // Compacting twice (v2 → v2) keeps every record and the single-segment
 // layout.
 func TestDoubleCompact(t *testing.T) {
 	dir := t.TempDir()
+	const n = 10
+	commitSynthetic(t, dir, nil, n)
+	compactStore(t, dir)
 	d, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 10
-	for i := 0; i < n; i++ {
-		k, res := SyntheticRecord(i)
-		d.Commit(k, res, nil)
-	}
-	if err := d.Compact(); err != nil {
-		t.Fatal(err)
-	}
 	k, res := SyntheticRecord(n)
 	d.Commit(k, res, nil)
-	if err := d.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if d.Persisted() != n+1 {
-		t.Fatalf("Persisted = %d, want %d", d.Persisted(), n+1)
-	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
+	}
+	compactStore(t, dir)
+	if files := listFiles(t, dir); len(files) != 2 { // the segment and LOCK
+		t.Fatalf("files after two compactions = %v, want one v2 segment", files)
 	}
 	re, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
+	if re.Persisted() != n+1 {
+		t.Fatalf("Persisted = %d, want %d", re.Persisted(), n+1)
+	}
 	for i := 0; i <= n; i++ {
 		k, res := SyntheticRecord(i)
 		e, loaded := re.Acquire(k)
@@ -498,16 +522,11 @@ func TestCloseRemovesEmptyActiveSegment(t *testing.T) {
 
 func TestStatReportsComposition(t *testing.T) {
 	dir := t.TempDir()
+	const compacted = 12
+	commitSynthetic(t, dir, nil, compacted)
+	compactStore(t, dir)
 	d, err := Open(dir)
 	if err != nil {
-		t.Fatal(err)
-	}
-	const compacted = 12
-	for i := 0; i < compacted; i++ {
-		k, res := SyntheticRecord(i)
-		d.Commit(k, res, nil)
-	}
-	if err := d.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	k, res := SyntheticRecord(compacted)
@@ -578,7 +597,7 @@ func TestV2OpenSpeedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := writeSeg2(f, recs); err != nil {
+	if err := writeSeg2(f, recs); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

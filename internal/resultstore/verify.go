@@ -26,15 +26,16 @@ type VerifyReport struct {
 // suffix (Open and Stat skip them; the bytes stay for forensics), and
 // salvages their still-decodable records into a fresh log segment, so a
 // single bad frame never costs the rest of its segment. An intact newest
-// v2 segment supersedes the segments numbered below it, leftovers of an
-// interrupted compaction cleanup that it already holds: Verify deletes
-// them unwalked, as Open does, rather than salvage their records on top
-// of the compacted ones. A damaged one leaves them as the fallback
-// layer, walked and salvaged like any other segment. Corruption is
-// reported in the returned report, never as an error; the error path is
-// for the scrub itself failing (unreadable directory, store locked by a
-// live process). JSON-lines segments from older releases are left
-// alone: this release does not read them.
+// v2 segment supersedes the segments numbered below it, leftovers of a
+// compaction interrupted before its deletes, which it already holds:
+// once every one of its blocks has decoded, Verify deletes them
+// unwalked, as Compact does, rather than salvage their records on top of
+// the compacted ones (Open leaves them unread). A damaged one leaves
+// them as the fallback layer, walked and salvaged like any other
+// segment. Corruption is reported in the returned report, never as an
+// error; the error path is for the scrub itself failing (unreadable
+// directory, store locked by a live process). JSON-lines segments from
+// older releases are left alone: this release does not read them.
 //
 // A torn final frame of a log segment is the normal crash-mid-append
 // signature, counted in TornTails and not quarantined. Salvage is safe
@@ -54,7 +55,7 @@ func VerifyFS(dir string, fs faultline.FS) (VerifyReport, error) {
 		return VerifyReport{}, err
 	}
 	defer unlock(lock)
-	infos, _, err := scanDir(fs, dir)
+	infos, _, _, err := scanDir(fs, dir)
 	if err != nil {
 		return VerifyReport{}, err
 	}

@@ -294,10 +294,10 @@ func TestCompactedStoreResumesAllHits(t *testing.T) {
 		t.Fatal(err)
 	}
 	m1.Close()
-	if err := disk1.Compact(); err != nil {
+	if err := disk1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := disk1.Close(); err != nil {
+	if err := resultstore.Compact(dir); err != nil {
 		t.Fatal(err)
 	}
 
